@@ -1,0 +1,12 @@
+"""Tests of the benchmark itself.
+
+Run with ``PYTHONPATH=src python -m pytest benchmarks/rlsbench/tests``;
+the repository's tier-1 ``testpaths`` does not include this directory.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+if str(BENCH_DIR) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR))
