@@ -3,14 +3,14 @@
 Not a paper figure — a regression gate for the RPC hot path.  One TCP
 connection issues ``DEPTH``-deep bursts of a tiny echo method three ways:
 
-* **serial** — one ``call`` per request, lock held across the round trip
-  (the protocol-v1 discipline);
+* **serial** — one ``call`` per request, each waiting out its own round
+  trip;
 * **pipelined** — ``call_async`` x DEPTH then ``drain``: every request is
   in flight at once, coalesced into batch frames, and the responses are
   dispatched by correlation id.
 
 The pipelined rate must beat serial by ``MIN_SPEEDUP`` at the deepest
-burst: the whole point of the v2 protocol is that a burst costs ~one
+burst: the whole point of correlation ids is that a burst costs ~one
 round trip instead of DEPTH of them.
 """
 
@@ -66,7 +66,7 @@ def _rate(client: RPCClient, depth: int, pipelined: bool) -> float:
 def bench_rpc_pipeline(tcp_endpoint, benchmark):
     host, port = tcp_endpoint
     client = RPCClient(connect_tcp(host, port))
-    assert client.pipelined, "TCP handshake must negotiate protocol v2"
+    assert client.pipelined, "TCP channels must pipeline"
     try:
         # Warm the connection and the codec paths.
         _rate(client, 4, pipelined=True)
@@ -103,7 +103,7 @@ def bench_rpc_pipeline(tcp_endpoint, benchmark):
         rows,
         notes=[
             f"gate: pipelined >= {MIN_SPEEDUP:.0f}x serial at depth "
-            f"{DEPTHS[-1]} (v2 batches a burst into ~one round trip)",
+            f"{DEPTHS[-1]} (a batch carries a burst in ~one round trip)",
         ],
     )
     write_bench_artifact(

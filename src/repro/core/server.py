@@ -321,10 +321,7 @@ class RLSServer:
             privilege_name = privilege.name.lower()
 
             def handler(ctx: ConnectionContext, args: tuple) -> Any:
-                if tracing.active():
-                    with tracing.span("acl.check", privilege=privilege_name):
-                        self.authorizer.check(privilege, ctx.principal)
-                else:
+                with tracing.span("acl.check", privilege=privilege_name):
                     self.authorizer.check(privilege, ctx.principal)
                 return fn(*args)
 

@@ -1,20 +1,23 @@
 """Request/response message types for the RPC protocol.
 
-Protocol versions (negotiated via :class:`Hello`, see docs/PROTOCOL.md):
+One protocol version (see docs/PROTOCOL.md) and one wire shape per
+message kind:
 
-* **v1** — one outstanding request per connection; ``Request`` envelopes
-  have 3-4 fields, ``Response`` envelopes exactly 5.
-* **v2** — adds an optional trailing *correlation id* to ``Request`` (5th
-  field) and ``Response`` (6th field) so many requests can be in flight
-  on one socket, a compact 4-field success form ``[kind, True, value,
-  id]`` for id-bearing responses, plus a :class:`Batch` envelope (kind 3)
-  that carries a burst of requests or responses in a single frame.
+* ``Request``  — ``[0, method, args, trace, id]``
+* ``Response`` — compact success ``[1, True, value, id]`` (``id`` set),
+  otherwise ``[1, ok, value, error_type, error_message, id]``
+* ``Hello``    — ``[2, version, credential, attributes]``
+* ``Batch``    — ``[3, [item, ...]]`` of requests or of responses
 
-A v2 peer never sends id-bearing or batch envelopes to a v1 peer, so the
-v1 decoder never sees them; the v2 decoder accepts both shapes.
+``id`` is the correlation id that lets many requests be in flight on one
+socket; it is ``None`` only on in-process channels, in the handshake
+reply and in connection-level errors.  Single frames and batch items are
+written and parsed by the same pair of per-item loops, which walk the
+envelope scaffold (list headers, kinds) on the wire bytes directly and
+hand the fields to the value codec — no intermediate envelope lists.
 
 Every field of every message kind is validated defensively: a malformed
-envelope — wrong types, short lists, bogus nesting — raises
+envelope — wrong types, wrong field counts, bogus nesting — raises
 :class:`~repro.net.errors.ProtocolError`, never ``IndexError`` or
 ``TypeError``, so hostile frames cannot kill a server handler thread.
 """
@@ -23,20 +26,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from repro.net.codec import (
-    _T_FALSE,
-    _T_INT,
-    _T_LIST,
-    _T_NONE,
-    _T_STR,
-    _T_TRUE,
-    decode,
-    encode,
-    encode_into,
-    make_reader,
-)
+from repro.net.codec import _T_INT, _T_LIST, _T_TRUE, make_reader
+from repro.net.codec import _encode_into as _encode_value
 from repro.net.errors import ProtocolError
 
 _I64 = struct.Struct("<q")
@@ -47,9 +40,15 @@ _RESPONSE_KIND = 1
 _HELLO_KIND = 2
 _BATCH_KIND = 3
 
-#: Highest protocol version this build speaks.  Peers negotiate down to
-#: ``min(client version, server version)`` during the Hello handshake.
+#: The protocol version this build speaks.  A peer announcing any other
+#: version in its :class:`Hello` (or welcome) is refused.
 PROTOCOL_VERSION = 2
+
+
+def _to_bytes(message: Any) -> bytes:
+    out = bytearray()
+    encode_message_into(out, message)
+    return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,11 @@ class Request:
 
     ``trace`` optionally carries ``(trace_id, parent_span_id)`` so a
     server-side span can join the client's trace (see
-    :mod:`repro.obs.tracing`).  It is omitted from the wire encoding when
-    absent, keeping the frame identical to the pre-tracing protocol.
+    :mod:`repro.obs.tracing`); absent, it travels as an empty list.
 
-    ``id`` is the v2 correlation id: when set, the matching ``Response``
-    echoes it so a pipelined client can dispatch replies that arrive
-    out of order with respect to its waiters.
+    ``id`` is the correlation id: the matching ``Response`` echoes it so
+    a pipelined client can dispatch replies that arrive out of order
+    with respect to its waiters.
     """
 
     method: str
@@ -71,23 +69,7 @@ class Request:
     trace: tuple[str, str] | None = None
     id: int | None = None
 
-    def envelope(self) -> list[Any]:
-        # Tuples encode identically to lists, so args/trace ride as-is
-        # (the hot path encodes thousands of envelopes per burst).
-        if self.id is not None:
-            return [
-                _REQUEST_KIND,
-                self.method,
-                self.args,
-                self.trace or (),
-                self.id,
-            ]
-        if self.trace is None:
-            return [_REQUEST_KIND, self.method, self.args]
-        return [_REQUEST_KIND, self.method, self.args, self.trace]
-
-    def to_bytes(self) -> bytes:
-        return encode(self.envelope())
+    to_bytes = _to_bytes
 
 
 @dataclass(frozen=True)
@@ -95,7 +77,7 @@ class Response:
     """RPC result: either a value or a propagated error.
 
     ``id`` echoes the correlation id of the request being answered
-    (v2 only; ``None`` on v1 connections and for connection-level errors
+    (``None`` for the handshake reply and for connection-level errors
     that cannot be attributed to a specific request).
     """
 
@@ -118,30 +100,7 @@ class Response:
             id=id,
         )
 
-    def envelope(self) -> list[Any]:
-        if self.id is not None:
-            # v2 only (v1 peers never see correlation ids).  Successes use
-            # the compact 4-field form; failures carry the error fields.
-            if self.ok and not self.error_type and not self.error_message:
-                return [_RESPONSE_KIND, True, self.value, self.id]
-            return [
-                _RESPONSE_KIND,
-                self.ok,
-                self.value,
-                self.error_type,
-                self.error_message,
-                self.id,
-            ]
-        return [
-            _RESPONSE_KIND,
-            self.ok,
-            self.value,
-            self.error_type,
-            self.error_message,
-        ]
-
-    def to_bytes(self) -> bytes:
-        return encode(self.envelope())
+    to_bytes = _to_bytes
 
 
 #: Hello attribute naming the client's declared accounting principal.
@@ -154,13 +113,10 @@ class Hello:
 
     ``attributes`` may carry a ``principal`` string — the client's
     *declared* accounting identity, used only when no credential is
-    presented (an authenticated DN always wins).  The attribute dict has
-    been part of the Hello envelope since v1, so principal-bearing
-    Hellos interoperate with every protocol version: a v1 peer simply
-    ignores the key.
+    presented (an authenticated DN always wins).
     """
 
-    version: int = 1
+    version: int = PROTOCOL_VERSION
     credential: bytes | None = None
     attributes: dict[str, Any] = field(default_factory=dict)
 
@@ -169,16 +125,12 @@ class Hello:
         """The declared accounting principal, if any."""
         return self.attributes.get(PRINCIPAL_ATTRIBUTE)
 
-    def envelope(self) -> list[Any]:
-        return [_HELLO_KIND, self.version, self.credential, dict(self.attributes)]
-
-    def to_bytes(self) -> bytes:
-        return encode(self.envelope())
+    to_bytes = _to_bytes
 
 
 @dataclass(frozen=True)
 class Batch:
-    """A burst of requests (or responses) carried in one frame (v2).
+    """A burst of requests (or responses) carried in one frame.
 
     The server decodes the frame once, dispatches every request without
     per-message thread handoff, and answers with a single ``Batch`` of
@@ -187,303 +139,179 @@ class Batch:
 
     items: tuple[Any, ...] = ()
 
-    def envelope(self) -> list[Any]:
-        return [_BATCH_KIND, [item.envelope() for item in self.items]]
-
-    def to_bytes(self) -> bytes:
-        return encode(self.envelope())
+    to_bytes = _to_bytes
 
 
-def encode_message_into(out: bytearray, message: Any) -> None:
-    """Append ``message``'s wire encoding to a reusable buffer.
-
-    Batches take a fused path that writes the envelope scaffold (list
-    headers, kinds, correlation ids) directly and only runs the generic
-    codec over the payload fields — byte-identical to the generic
-    encoding, but without materializing per-item envelope lists.
-    """
-    if type(message) is Batch:
-        _encode_batch_into(out, message)
-    else:
-        encode_into(out, message.envelope())
+def _scaffold(fields: int, kind: int) -> bytes:
+    """Wire bytes opening a ``fields``-long envelope of ``kind``."""
+    return b"L" + _U32.pack(fields) + b"I" + _I64.pack(kind)
 
 
-#: ``[BATCH_KIND, [`` — list(2), int 3, opening item list tag.
-_BATCH_PREFIX = (
-    b"L" + _U32.pack(2) + b"I" + _I64.pack(_BATCH_KIND) + b"L"
-)
-#: ``[REQUEST_KIND,`` for the id-bearing 5-field request form.
-_REQ5_PREFIX = b"L" + _U32.pack(5) + b"I" + _I64.pack(_REQUEST_KIND)
-#: ``[RESPONSE_KIND, True,`` for the compact 4-field success form.
-_RESP4_PREFIX = (
-    b"L" + _U32.pack(4) + b"I" + _I64.pack(_RESPONSE_KIND) + b"T"
-)
+_SCAFFOLD_SIZE = len(_scaffold(0, 0))
+_REQUEST_PREFIX = _scaffold(5, _REQUEST_KIND)
+_COMPACT_PREFIX = _scaffold(4, _RESPONSE_KIND) + b"T"
+_RESPONSE_PREFIX = _scaffold(6, _RESPONSE_KIND)
+_HELLO_PREFIX = _scaffold(4, _HELLO_KIND)
+_BATCH_PREFIX = _scaffold(2, _BATCH_KIND) + b"L"
 
 
-def _encode_batch_into(out: bytearray, batch: Batch) -> None:
-    pack_u32 = _U32.pack
-    pack_i64 = _I64.pack
-    items = batch.items
-    out += _BATCH_PREFIX
-    out += pack_u32(len(items))
+def _encode_items_into(out: bytearray, items: tuple[Any, ...]) -> None:
+    """Append requests or responses end to end: the items of a batch, or
+    the one item of a frame of its own."""
     for item in items:
         t = type(item)
-        if t is Request and item.id is not None:
-            out += _REQ5_PREFIX
-            data = item.method.encode()
-            out += b"S"
-            out += pack_u32(len(data))
-            out += data
-            encode_into(out, item.args)
-            encode_into(out, item.trace or ())
-            out += b"I"
-            out += pack_i64(item.id)
+        if t is Request:
+            out += _REQUEST_PREFIX
+            _encode_value(out, item.method)
+            # Tuples encode identically to lists, so args/trace ride as-is.
+            _encode_value(out, item.args)
+            _encode_value(out, item.trace or ())
+        elif t is not Response:
+            raise TypeError(f"cannot send {t.__name__} as a request or response")
         elif (
-            t is Response
+            item.ok
             and item.id is not None
-            and item.ok
             and not item.error_type
             and not item.error_message
         ):
-            out += _RESP4_PREFIX
-            encode_into(out, item.value)
-            out += b"I"
-            out += pack_i64(item.id)
+            out += _COMPACT_PREFIX
+            _encode_value(out, item.value)
         else:
-            encode_into(out, item.envelope())
+            out += _RESPONSE_PREFIX
+            _encode_value(out, item.ok)
+            _encode_value(out, item.value)
+            _encode_value(out, item.error_type)
+            _encode_value(out, item.error_message)
+        _encode_value(out, item.id)
 
 
-def _check_id(value: Any) -> int | None:
-    if value is None:
-        return None
-    if type(value) is not int:
-        raise ProtocolError("malformed correlation id")
-    return value
+def encode_message_into(out: bytearray, message: Any) -> None:
+    """Append ``message``'s wire encoding to a reusable buffer."""
+    t = type(message)
+    if t is Batch:
+        out += _BATCH_PREFIX
+        out += _U32.pack(len(message.items))
+        _encode_items_into(out, message.items)
+    elif t is Hello:
+        out += _HELLO_PREFIX
+        _encode_value(out, message.version)
+        _encode_value(out, message.credential)
+        _encode_value(out, message.attributes)
+    else:
+        _encode_items_into(out, (message,))
 
 
-def _request_from_envelope(decoded: list[Any]) -> Request:
-    if not 3 <= len(decoded) <= 5:
-        raise ProtocolError("malformed request")
-    method = decoded[1]
-    args = decoded[2]
-    if not isinstance(method, str) or not isinstance(args, list):
-        raise ProtocolError("malformed request")
-    trace = None
-    if len(decoded) >= 4 and decoded[3]:
-        raw_trace = decoded[3]
-        if (
-            not isinstance(raw_trace, (list, tuple))
-            or len(raw_trace) < 2
-            or not isinstance(raw_trace[0], str)
-            or not isinstance(raw_trace[1], str)
-        ):
-            raise ProtocolError("malformed request trace")
-        trace = (raw_trace[0], raw_trace[1])
-    request_id = _check_id(decoded[4]) if len(decoded) == 5 else None
-    return Request(method, tuple(args), trace, request_id)
-
-
-def _response_from_envelope(decoded: list[Any]) -> Response:
-    if len(decoded) == 4:
-        # Compact v2 success: [kind, True, value, id]; id is mandatory.
-        if decoded[1] is not True or decoded[3] is None:
+def _parse_items(
+    data: Any,
+    count: int,
+    rd: Callable[[], Any],
+    tell: Callable[[], int],
+    seek: Callable[[int], None],
+) -> list[Request | Response]:
+    """Parse ``count`` requests or responses laid end to end at the cursor."""
+    items: list[Request | Response] = []
+    for _ in range(count):
+        pos = tell()
+        if data[pos] != _T_LIST or data[pos + 5] != _T_INT:
+            raise ProtocolError("malformed message envelope")
+        (fields,) = _U32.unpack_from(data, pos + 1)
+        (kind,) = _I64.unpack_from(data, pos + 6)
+        pos += _SCAFFOLD_SIZE
+        if kind == _REQUEST_KIND:
+            if fields != 5:
+                raise ProtocolError("malformed request")
+            seek(pos)
+            method, args, raw_trace, request_id = rd(), rd(), rd(), rd()
+            if type(method) is not str or type(args) is not list:
+                raise ProtocolError("malformed request")
+            trace = None
+            if raw_trace:
+                if (
+                    type(raw_trace) is not list
+                    or len(raw_trace) < 2
+                    or type(raw_trace[0]) is not str
+                    or type(raw_trace[1]) is not str
+                ):
+                    raise ProtocolError("malformed request trace")
+                trace = (raw_trace[0], raw_trace[1])
+            if request_id is not None and type(request_id) is not int:
+                raise ProtocolError("malformed correlation id")
+            items.append(Request(method, tuple(args), trace, request_id))
+        elif kind != _RESPONSE_KIND:
+            raise ProtocolError(f"invalid message kind {kind!r}")
+        elif fields == 4:
+            # Compact success: [kind, True, value, id]; id is mandatory.
+            if data[pos] != _T_TRUE:
+                raise ProtocolError("malformed response")
+            seek(pos + 1)
+            value, response_id = rd(), rd()
+            if type(response_id) is not int:
+                raise ProtocolError("malformed response")
+            items.append(Response(True, value, "", "", response_id))
+        elif fields == 6:
+            seek(pos)
+            ok, value, error_type, error_message, response_id = (
+                rd(), rd(), rd(), rd(), rd()
+            )
+            if (
+                type(ok) is not bool
+                or type(error_type) is not str
+                or type(error_message) is not str
+            ):
+                raise ProtocolError("malformed response")
+            if response_id is not None and type(response_id) is not int:
+                raise ProtocolError("malformed correlation id")
+            items.append(
+                Response(ok, value, error_type, error_message, response_id)
+            )
+        else:
             raise ProtocolError("malformed response")
-        return Response(True, decoded[2], "", "", _check_id(decoded[3]))
-    if len(decoded) not in (5, 6):
-        raise ProtocolError("malformed response")
-    ok, error_type, error_message = decoded[1], decoded[3], decoded[4]
-    if (
-        not isinstance(ok, bool)
-        or not isinstance(error_type, str)
-        or not isinstance(error_message, str)
-    ):
-        raise ProtocolError("malformed response")
-    response_id = _check_id(decoded[5]) if len(decoded) == 6 else None
-    return Response(ok, decoded[2], error_type, error_message, response_id)
+    return items
 
 
-def _hello_from_envelope(decoded: list[Any]) -> Hello:
-    if len(decoded) != 4:
-        raise ProtocolError("malformed hello")
-    version, credential, attributes = decoded[1], decoded[2], decoded[3]
+def _parse_hello(rd: Callable[[], Any]) -> Hello:
+    version, credential, attributes = rd(), rd(), rd()
     if type(version) is not int:
         raise ProtocolError("malformed hello version")
-    if credential is not None and not isinstance(credential, bytes):
+    if credential is not None and type(credential) is not bytes:
         raise ProtocolError("malformed hello credential")
-    if not isinstance(attributes, dict):
+    if type(attributes) is not dict:
         raise ProtocolError("malformed hello attributes")
     declared = attributes.get(PRINCIPAL_ATTRIBUTE)
-    if declared is not None and not isinstance(declared, str):
+    if declared is not None and type(declared) is not str:
         raise ProtocolError("malformed hello principal")
     return Hello(version=version, credential=credential, attributes=attributes)
 
 
-def _batch_from_envelope(decoded: list[Any]) -> Batch:
-    if len(decoded) != 2 or not isinstance(decoded[1], list):
-        raise ProtocolError("malformed batch")
-    items = []
-    for env in decoded[1]:
-        if not isinstance(env, list) or not env:
-            raise ProtocolError("malformed batch item")
-        kind = env[0]
-        if kind == _REQUEST_KIND:
-            items.append(_request_from_envelope(env))
-        elif kind == _RESPONSE_KIND:
-            items.append(_response_from_envelope(env))
-        else:
-            raise ProtocolError(f"invalid message kind {kind!r} inside batch")
-    return Batch(items=tuple(items))
-
-
-def _parse_id_at(data: Any, pos: int) -> tuple[int | None, int]:
-    tag = data[pos]
-    if tag == _T_INT:
-        (value,) = _I64.unpack_from(data, pos + 1)
-        return value, pos + 9
-    if tag == _T_NONE:
-        return None, pos + 1
-    raise ProtocolError("malformed correlation id")
-
-
-def _parse_str_at(data: Any, pos: int) -> tuple[str, int]:
-    if data[pos] != _T_STR:
-        raise ProtocolError("malformed response")
-    (n,) = _U32.unpack_from(data, pos + 1)
-    stop = pos + 5 + n
-    if stop > len(data):
-        raise ProtocolError("truncated wire data")
-    return str(data[pos + 5 : stop], "utf-8"), stop
-
-
-def _parse_batch(data: Any) -> Batch:
-    """Fused scaffold parser for canonical batch frames.
-
-    Walks the wire bytes directly — list headers, kinds, ids — and only
-    hands payload fields (args, trace, value) to one shared codec reader,
-    skipping the intermediate envelope lists entirely.  Every
-    malformation surfaces as :class:`ProtocolError`, same as the generic
-    path.
-    """
-    end = len(data)
-    unpack_u32 = _U32.unpack_from
-    unpack_i64 = _I64.unpack_from
+def message_from_bytes(
+    data: "bytes | bytearray | memoryview",
+) -> Request | Response | Hello | Batch:
+    """Parse one frame.  Every malformation surfaces as
+    :class:`ProtocolError`; ``data`` may be reused once this returns."""
     rd, tell, seek = make_reader(data)
+    message: Request | Response | Hello | Batch
     try:
-        if data[14] != _T_LIST:
-            raise ProtocolError("malformed batch")
-        (count,) = unpack_u32(data, 15)
-        pos = 19
-        if count > end - pos:
-            raise ProtocolError("truncated wire data")
-        items = []
-        for _ in range(count):
-            if data[pos] != _T_LIST:
-                raise ProtocolError("malformed batch item")
-            (flen,) = unpack_u32(data, pos + 1)
-            pos += 5
-            if data[pos] != _T_INT:
-                raise ProtocolError("malformed batch item")
-            (kind,) = unpack_i64(data, pos + 1)
-            pos += 9
-            if kind == _RESPONSE_KIND:
-                if flen == 4:
-                    # Compact v2 success: [kind, True, value, id].
-                    if data[pos] != _T_TRUE:
-                        raise ProtocolError("malformed response")
-                    seek(pos + 1)
-                    value = rd()
-                    rid, pos = _parse_id_at(data, tell())
-                    if rid is None:
-                        raise ProtocolError("malformed response")
-                    items.append(Response(True, value, "", "", rid))
-                    continue
-                if flen not in (5, 6):
-                    raise ProtocolError("malformed response")
-                tag = data[pos]
-                if tag == _T_TRUE:
-                    ok = True
-                elif tag == _T_FALSE:
-                    ok = False
-                else:
-                    raise ProtocolError("malformed response")
-                seek(pos + 1)
-                value = rd()
-                error_type, pos = _parse_str_at(data, tell())
-                error_message, pos = _parse_str_at(data, pos)
-                rid = None
-                if flen == 6:
-                    rid, pos = _parse_id_at(data, pos)
-                items.append(
-                    Response(ok, value, error_type, error_message, rid)
-                )
-            elif kind == _REQUEST_KIND:
-                if not 3 <= flen <= 5:
-                    raise ProtocolError("malformed request")
-                if data[pos] != _T_STR:
-                    raise ProtocolError("malformed request")
-                (n,) = unpack_u32(data, pos + 1)
-                stop = pos + 5 + n
-                if stop > end:
-                    raise ProtocolError("truncated wire data")
-                method = str(data[pos + 5 : stop], "utf-8")
-                if data[stop] != _T_LIST:
-                    raise ProtocolError("malformed request")
-                seek(stop)
-                args = rd()
-                trace = None
-                if flen >= 4:
-                    raw_trace = rd()
-                    if raw_trace:
-                        if (
-                            not isinstance(raw_trace, (list, tuple))
-                            or len(raw_trace) < 2
-                            or not isinstance(raw_trace[0], str)
-                            or not isinstance(raw_trace[1], str)
-                        ):
-                            raise ProtocolError("malformed request trace")
-                        trace = (raw_trace[0], raw_trace[1])
-                rid = None
-                pos = tell()
-                if flen == 5:
-                    rid, pos = _parse_id_at(data, pos)
-                items.append(Request(method, tuple(args), trace, rid))
-            else:
-                raise ProtocolError(
-                    f"invalid message kind {kind!r} inside batch"
-                )
-        if pos != end:
+        if data[: len(_BATCH_PREFIX)] == _BATCH_PREFIX:
+            pos = len(_BATCH_PREFIX)
+            (count,) = _U32.unpack_from(data, pos)
+            pos += _U32.size
+            # Each item is at least a scaffold long: refuse a count the
+            # frame cannot hold before looping over it.
+            if count * _SCAFFOLD_SIZE > len(data) - pos:
+                raise ProtocolError("truncated wire data")
+            seek(pos)
+            message = Batch(tuple(_parse_items(data, count, rd, tell, seek)))
+        elif data[:_SCAFFOLD_SIZE] == _HELLO_PREFIX:
+            seek(_SCAFFOLD_SIZE)
+            message = _parse_hello(rd)
+        else:
+            (message,) = _parse_items(data, 1, rd, tell, seek)
+        if tell() != len(data):
             raise ProtocolError("trailing bytes after decoded value")
-        return Batch(tuple(items))
+        return message
     except ProtocolError:
         raise
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"invalid utf-8 on the wire: {exc}") from None
     except (struct.error, IndexError):
         raise ProtocolError("truncated wire data") from None
-
-
-def message_from_bytes(
-    data: "bytes | bytearray | memoryview",
-) -> Request | Response | Hello | Batch:
-    # Fused fast path for canonical batch frames: [kind=3, [items...]]
-    # encoded as L(2) I(3) ...  Non-canonical encodings of the same
-    # envelope (e.g. bigint kinds) still go through the generic decoder.
-    if len(data) >= 19 and data[0] == _T_LIST and data[5] == _T_INT:
-        (n,) = _U32.unpack_from(data, 1)
-        if n == 2:
-            (kind,) = _I64.unpack_from(data, 6)
-            if kind == _BATCH_KIND:
-                return _parse_batch(data)
-    decoded = decode(data)
-    if not isinstance(decoded, list) or not decoded:
-        raise ProtocolError("malformed message envelope")
-    kind = decoded[0]
-    if kind == _REQUEST_KIND:
-        return _request_from_envelope(decoded)
-    if kind == _RESPONSE_KIND:
-        return _response_from_envelope(decoded)
-    if kind == _HELLO_KIND:
-        return _hello_from_envelope(decoded)
-    if kind == _BATCH_KIND:
-        return _batch_from_envelope(decoded)
-    raise ProtocolError(f"unknown message kind {kind!r}")

@@ -6,7 +6,7 @@ as typed exceptions (registered via :func:`register_error_type`).
 
 Pipelining: ``call_async()`` queues a request without waiting,
 ``flush()`` pushes queued requests onto the wire (one ``Batch`` frame on
-a v2 TCP connection), and ``drain()`` blocks until every outstanding
+a TCP connection), and ``drain()`` blocks until every outstanding
 response has arrived.  ``PendingCall.result()`` yields the value (or
 raises the typed error) exactly like ``call()``.
 """
@@ -90,7 +90,6 @@ class RPCServer:
         #: accounting label (the server passes the authorizer's gridmap
         #: mapping; bare test servers fall back to the declared name).
         self._principal_mapper = principal_mapper
-        self._lock = threading.Lock()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.flight = flight
         #: Server identity stamped as ``node=`` on every rpc.handle span,
@@ -105,13 +104,23 @@ class RPCServer:
         # Requests currently inside handlers: the dispatcher-level queue
         # signal the saturation detector watches (Fig. 13 contention).
         self._m_inflight = self.metrics.gauge("rpc.inflight")
-        self.requests_served = 0
-        self.errors_returned = 0
 
     @property
     def inflight(self) -> float:
         """Requests currently inside handlers (stuck-thread detector gate)."""
         return self._m_inflight.value
+
+    @property
+    def requests_served(self) -> int:
+        """Requests answered with a value: the ``rpc.requests`` counters summed."""
+        return sum(r.value for r, _, _ in list(self._instruments.values()))
+
+    @property
+    def errors_returned(self) -> int:
+        """Requests answered with an error: the ``rpc.errors`` counters summed."""
+        return self._m_unknown_method.value + sum(
+            e.value for _, e, _ in list(self._instruments.values())
+        )
 
     def _method_instruments(self, method: str) -> tuple[Any, Any, Any]:
         """(requests counter, errors counter, latency histogram) per method."""
@@ -156,116 +165,97 @@ class RPCServer:
         request: Request,
         queue_wait: float = 0.0,
     ) -> Response:
-        """Dispatch one request, charging its cost vector when accounting
-        is on.  ``queue_wait`` is the time the request sat decoded but
-        unserviced (batch items behind their predecessors)."""
-        usage = self.usage
-        if usage is None:
-            return self._dispatch(ctx, request)
-        start = time.perf_counter()
-        costs = reqctx.activate(ctx.usage_principal)
-        try:
-            response = self._dispatch(ctx, request)
-        finally:
-            reqctx.deactivate()
-        op_class = classify_method(request.method)
-        args = request.args
-        # Namespace heat: sample the LFN argument of classified calls
-        # (add/query/wildcard lead with the name; bulk payloads are
-        # lists and are skipped rather than walked on the hot path).
-        lfn = (
-            args[0]
-            if op_class is not None and args and type(args[0]) is str
-            else None
-        )
-        usage.account(
-            ctx.usage_principal,
-            op_class,
-            wall_time=time.perf_counter() - start,
-            queue_wait=queue_wait,
-            rows_examined=costs.rows_examined,
-            wal_bytes=costs.wal_bytes,
-            error=not response.ok,
-            lfn=lfn,
-        )
-        return response
+        """Dispatch one request: the only route from a decoded request to
+        its handler and back, so each hook below has this one call site.
 
-    def _dispatch(self, ctx: ConnectionContext, request: Request) -> Response:
-        handler = self._methods.get(request.method)
-        if handler is None:
-            self.errors_returned += 1
-            self._m_unknown_method.inc()
-            return Response(
-                ok=False,
-                error_type="NoSuchMethodError",
-                error_message=f"unknown method {request.method!r}",
-                id=request.id,
-            )
-        requests, errors, latency = self._method_instruments(request.method)
-        timed = not latency.noop
-        start = time.perf_counter() if timed else 0.0
-        self._m_inflight.inc()
-        if not tracing.active() and self.flight is None:
-            # Hot path: no tracer and no flight recorder installed means
-            # the span and every record() below are no-ops — skip them.
-            try:
-                value = handler(ctx, request.args)
-            except Exception as exc:
-                self.errors_returned += 1
-                errors.inc()
-                if timed:
-                    latency.observe(time.perf_counter() - start)
-                return Response.failure(exc, id=request.id)
-            finally:
-                self._m_inflight.dec()
-            self.requests_served += 1
-            requests.inc()
-            if timed:
-                latency.observe(time.perf_counter() - start)
-            return Response(True, value, "", "", request.id)
+        ``queue_wait`` is the time the request sat decoded but unserviced
+        (batch items behind their predecessors); it is charged, with the
+        rest of the cost vector, when accounting is on.
+        """
+        method = request.method
+        handler = self._methods.get(method)
+        usage = self.usage
+        flight = self.flight
+        start = time.perf_counter()
+        costs = (
+            reqctx.activate(ctx.usage_principal) if usage is not None else None
+        )
         try:
-            with tracing.span(
-                "rpc.handle",
-                parent=request.trace,
-                method=request.method,
-                **self._span_tags,
-            ) as span:
-                if self.flight is not None:
-                    self.flight.record(
-                        "rpc.in",
-                        detail=request.method,
-                        principal=ctx.usage_principal,
-                    )
+            if handler is None:
+                self._m_unknown_method.inc()
+                response = Response(
+                    ok=False,
+                    error_type="NoSuchMethodError",
+                    error_message=f"unknown method {method!r}",
+                    id=request.id,
+                )
+            else:
+                requests, errors, latency = self._method_instruments(method)
+                self._m_inflight.inc()
                 try:
-                    value = handler(ctx, request.args)
-                    if self.flight is not None:
-                        self.flight.record("rpc.out", detail=request.method)
-                except Exception as exc:
-                    span.set_error(type(exc).__name__)
-                    self.errors_returned += 1
-                    errors.inc()
-                    if timed:
-                        latency.observe(time.perf_counter() - start)
-                    if self.flight is not None:
-                        # Black box: freeze the events leading up to the
-                        # failure so a later wrap can't erase them.
-                        self.flight.record(
-                            "error",
-                            detail=f"{request.method}: {type(exc).__name__}",
-                            error=True,
-                            message=str(exc),
-                        )
-                        self.flight.dump(
-                            reason=f"{request.method}: {type(exc).__name__}"
-                        )
-                    return Response.failure(exc, id=request.id)
+                    with tracing.span(
+                        "rpc.handle",
+                        parent=request.trace,
+                        method=method,
+                        **self._span_tags,
+                    ) as span:
+                        if flight is not None:
+                            flight.record(
+                                "rpc.in",
+                                detail=method,
+                                principal=ctx.usage_principal,
+                            )
+                        try:
+                            value = handler(ctx, request.args)
+                        except Exception as exc:
+                            span.set_error(type(exc).__name__)
+                            errors.inc()
+                            if flight is not None:
+                                # Black box: freeze the events leading up
+                                # to the failure so a later wrap can't
+                                # erase them.
+                                reason = f"{method}: {type(exc).__name__}"
+                                flight.record(
+                                    "error",
+                                    detail=reason,
+                                    error=True,
+                                    message=str(exc),
+                                )
+                                flight.dump(reason=reason)
+                            response = Response.failure(exc, id=request.id)
+                        else:
+                            requests.inc()
+                            if flight is not None:
+                                flight.record("rpc.out", detail=method)
+                            response = Response(True, value, "", "", request.id)
+                finally:
+                    self._m_inflight.dec()
+                latency.observe(time.perf_counter() - start)
         finally:
-            self._m_inflight.dec()
-        self.requests_served += 1
-        requests.inc()
-        if timed:
-            latency.observe(time.perf_counter() - start)
-        return Response(True, value, "", "", request.id)
+            if costs is not None:
+                reqctx.deactivate()
+        if costs is not None:
+            op_class = classify_method(method)
+            args = request.args
+            # Namespace heat: sample the LFN argument of classified calls
+            # (add/query/wildcard lead with the name; bulk payloads are
+            # lists and are skipped rather than walked on the hot path).
+            lfn = (
+                args[0]
+                if op_class is not None and args and type(args[0]) is str
+                else None
+            )
+            usage.account(
+                ctx.usage_principal,
+                op_class,
+                wall_time=time.perf_counter() - start,
+                queue_wait=queue_wait,
+                rows_examined=costs.rows_examined,
+                wal_bytes=costs.wal_bytes,
+                error=not response.ok,
+                lfn=lfn,
+            )
+        return response
 
     def handle_batch(self, ctx: ConnectionContext, batch: Batch) -> Batch:
         """Dispatch a pipelined burst on the calling thread.
@@ -275,15 +265,15 @@ class RPCServer:
         echoing its correlation id, as one :class:`Batch`.
         """
         replies = []
-        accounted = self.usage is not None
-        arrival = time.perf_counter() if accounted else 0.0
+        arrival = time.perf_counter()
         for item in batch.items:
-            if not isinstance(item, Request):
+            if type(item) is not Request:
                 raise ProtocolError("batch items must be requests")
             # Queue wait: a batch item's dwell time behind its
             # predecessors in the same frame (0 for the first item).
-            wait = time.perf_counter() - arrival if accounted else 0.0
-            replies.append(self.handle(ctx, item, queue_wait=wait))
+            replies.append(
+                self.handle(ctx, item, time.perf_counter() - arrival)
+            )
         return Batch(tuple(replies))
 
 
@@ -454,7 +444,7 @@ class RPCClient:
     def call_async(self, method: str, *args: Any) -> PendingCall:
         """Queue a call without waiting for its response.
 
-        On a pipelined (TCP v2) channel the request is buffered and goes
+        On a pipelined (TCP) channel the request is buffered and goes
         out on the next :meth:`flush`/:meth:`drain`, many per frame; on
         synchronous channels it completes immediately.  Async calls do
         not reconnect-retry — a transport failure surfaces from

@@ -12,13 +12,16 @@ Two interchangeable ways for a client to reach an RPC server:
   with length-prefixed frames and a handler thread per connection, used by
   the examples to run a genuinely distributed RLS on localhost.
 
-The TCP path speaks protocol v2 when both ends do (negotiated in the
-Hello handshake, see docs/PROTOCOL.md): requests carry correlation ids so
-one socket can have many requests in flight, and bursts of requests
-coalesce into a single :class:`~repro.net.messages.Batch` frame that the
-server decodes once and answers in one frame.  Receive paths fill
-preallocated per-connection buffers via ``recv_into`` instead of
-allocating per read.
+Both ends must speak :data:`~repro.net.messages.PROTOCOL_VERSION` (checked
+in the Hello handshake, see docs/PROTOCOL.md).  On TCP, requests carry
+correlation ids so one socket can have many requests in flight, and bursts
+of requests coalesce into a single :class:`~repro.net.messages.Batch`
+frame that the server decodes once and answers in one frame.  Receive
+paths fill preallocated per-connection buffers via ``recv_into`` instead
+of allocating per read.
+
+Server side, every received frame — in-process or TCP, single request or
+batch — takes the one route through :func:`_serve`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.net.errors import ProtocolError, TransportClosedError
+from repro.net.errors import ProtocolError, RemoteError, TransportClosedError
 from repro.net.messages import (
     PRINCIPAL_ATTRIBUTE,
     PROTOCOL_VERSION,
@@ -88,7 +91,7 @@ class Channel:
 
     The base implementation completes each submit synchronously, so
     callers can use the pipelined API uniformly over any channel; only
-    transports that really pipeline (TCP v2) override it.
+    transports that really pipeline (TCP) override it.
     """
 
     #: True when submit() genuinely overlaps requests on the wire.
@@ -120,6 +123,41 @@ class Channel:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def _serve(
+    transport: "LocalTransport | TCPServerTransport",
+    ctx: Any,
+    frame: "bytes | memoryview",
+    received: int,
+    send: Callable[[Any], int],
+) -> None:
+    """The server side of one exchange, shared by both transports.
+
+    Decodes ``frame``, dispatches the request (or batch of requests),
+    hands the reply to ``send`` — which writes it and returns the bytes
+    it put on the wire — and charges ``received`` bytes in and the sent
+    bytes out, once, to the transport's counters and the caller's
+    principal.  Anything that is not a request raises
+    :class:`ProtocolError`.
+    """
+    transport._m_bytes_in.inc(received)
+    with tracing.span("transport.decode"):
+        message = message_from_bytes(frame)
+    server = transport.server
+    if type(message) is Request:
+        reply: Any = server.handle(ctx, message)
+    elif type(message) is Batch:
+        # Decoded once above; the whole burst is dispatched on this
+        # thread — no per-message handoff — and answered in one frame.
+        reply = server.handle_batch(ctx, message)
+    else:
+        raise ProtocolError(f"unexpected {type(message).__name__} frame")
+    sent = send(reply)
+    transport._m_bytes_out.inc(sent)
+    usage = server.usage
+    if usage is not None:
+        usage.record_bytes(ctx.usage_principal, received, sent)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +269,13 @@ class LocalChannel(Channel):
         # Round-trip through the wire codec so the serialization cost and
         # type constraints are identical to the TCP path.
         wire = request.to_bytes()
-        with tracing.span("transport.decode"):
-            decoded = message_from_bytes(wire)
-        assert isinstance(decoded, Request)
-        self._transport._m_bytes_in.inc(len(wire))
-        server = self._transport.server
-        response = server.handle(self._ctx, decoded)
-        reply_wire = response.to_bytes()
-        self._transport._m_bytes_out.inc(len(reply_wire))
-        usage = server.usage
-        if usage is not None:
-            usage.record_bytes(
-                self._ctx.usage_principal, len(wire), len(reply_wire)
-            )
+        reply_wire = bytearray()
+
+        def send(reply: Any) -> int:
+            encode_message_into(reply_wire, reply)
+            return len(reply_wire)
+
+        _serve(self._transport, self._ctx, wire, len(wire), send)
         return message_from_bytes(reply_wire)  # type: ignore[return-value]
 
     def close(self) -> None:
@@ -265,30 +297,6 @@ def connect_local(
 # ---------------------------------------------------------------------------
 # TCP transport
 # ---------------------------------------------------------------------------
-
-
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(_FRAME.pack(len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise TransportClosedError("peer closed connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(sock: socket.socket) -> bytes:
-    header = _recv_exact(sock, _FRAME.size)
-    (length,) = _FRAME.unpack(header)
-    if length > _MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds limit")
-    return _recv_exact(sock, length)
 
 
 def _recv_exact_into(sock: socket.socket, view: memoryview) -> None:
@@ -346,10 +354,10 @@ class TCPServerTransport:
     """Socket listener feeding connections to an RPC server.
 
     One handler thread per connection, like the Globus RLS server's
-    thread-per-connection model.  A pipelined (v2) client may have many
-    requests in flight; the connection thread answers them in arrival
-    order, and whole bursts arrive as one ``Batch`` frame that is decoded
-    once and answered with one ``Batch`` frame.
+    thread-per-connection model.  A client may have many requests in
+    flight; the connection thread answers them in arrival order, and
+    whole bursts arrive as one ``Batch`` frame that is decoded once and
+    answered with one ``Batch`` frame.
     """
 
     def __init__(self, server: "RPCServer", host: str = "127.0.0.1", port: int = 0):
@@ -396,14 +404,16 @@ class TCPServerTransport:
                 # Reap finished handler threads so connection churn does
                 # not grow the list without bound.
                 self._threads = [t for t in self._threads if t.is_alive()]
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn, addr),
-                name=f"rls-conn-{addr[1]}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn, addr),
+                    name=f"rls-conn-{addr[1]}",
+                    daemon=True,
+                )
+                # Registered and started under the lock close() snapshots
+                # the list under, so close() joins every handler thread.
+                self._threads.append(thread)
+                thread.start()
 
     def _serve_connection(self, conn: socket.socket, addr: tuple) -> None:
         from repro.obs.profile import register_thread, unregister_thread
@@ -413,59 +423,40 @@ class TCPServerTransport:
         self._m_conns_total.inc()
         self._m_conns_active.inc()
         io = _FrameIO()
+
+        def send(reply: Any) -> int:
+            if type(reply) is Batch:  # the answer to a Batch frame
+                self._m_batches.inc()
+            return io.send_message(conn, reply)
+
         try:
             with conn:
                 try:
                     hello = message_from_bytes(io.recv_frame(conn))
                     if not isinstance(hello, Hello):
                         raise ProtocolError("expected Hello")
+                    if hello.version != PROTOCOL_VERSION:
+                        raise ProtocolError(
+                            f"unsupported protocol version {hello.version}; "
+                            f"this server speaks {PROTOCOL_VERSION}"
+                        )
                     try:
                         ctx = self.server.handshake(hello, peer=peer)
                     except Exception as exc:  # auth failure -> error + close
                         io.send_message(conn, Response.failure(exc))
                         return
-                    proto = max(1, min(hello.version, PROTOCOL_VERSION))
-                    # v1 clients ignore the welcome value; v2 clients read
-                    # the negotiated protocol version out of the dict.
                     io.send_message(
                         conn,
-                        Response.success({"message": "welcome", "proto": proto}),
+                        Response.success(
+                            {"message": "welcome", "proto": PROTOCOL_VERSION}
+                        ),
                     )
-                    usage = self.server.usage
                     while not self._closed.is_set():
                         frame = io.recv_frame(conn)
-                        frame_in = len(frame) + _FRAME.size
-                        self._m_bytes_in.inc(frame_in)
-                        with tracing.span("transport.decode"):
-                            message = message_from_bytes(frame)
-                        if isinstance(message, Request):
-                            reply = self.server.handle(ctx, message)
-                            if message.id is not None:
-                                reply = _with_id(reply, message.id)
-                            sent = io.send_message(conn, reply)
-                            self._m_bytes_out.inc(sent)
-                            if usage is not None:
-                                usage.record_bytes(
-                                    ctx.usage_principal, frame_in, sent
-                                )
-                        elif isinstance(message, Batch) and proto >= 2:
-                            # Decoded once above; dispatch the whole burst
-                            # on this thread — no per-message handoff —
-                            # and answer with a single frame.
-                            self._m_batches.inc()
-                            replies = self.server.handle_batch(ctx, message)
-                            sent = io.send_message(conn, replies)
-                            self._m_bytes_out.inc(sent)
-                            if usage is not None:
-                                usage.record_bytes(
-                                    ctx.usage_principal, frame_in, sent
-                                )
-                        else:
-                            raise ProtocolError(
-                                f"unexpected {type(message).__name__} frame"
-                            )
+                        _serve(self, ctx, frame, len(frame) + _FRAME.size, send)
                 except ProtocolError as exc:
-                    # Malformed or oversized frame.  Tell the client with a
+                    # Malformed or oversized frame, or a peer speaking
+                    # another protocol version.  Tell the client with a
                     # typed, non-retryable error before closing — a silent
                     # drop looks like a network failure, and a retrying
                     # client would re-send a possibly-completed mutation.
@@ -535,40 +526,26 @@ class TCPServerTransport:
             thread.join(timeout=join_timeout)
 
 
-def _with_id(response: Response, request_id: int) -> Response:
-    if response.id == request_id:
-        return response
-    return Response(
-        ok=response.ok,
-        value=response.value,
-        error_type=response.error_type,
-        error_message=response.error_message,
-        id=request_id,
-    )
-
-
 class TCPChannel(Channel):
     """Client side of one TCP connection.
 
-    On a v2 connection many requests can be in flight at once: writers
-    append to a send queue under a short lock, ``flush`` coalesces queued
-    requests into one ``Batch`` frame, and whichever waiter arrives first
-    becomes the *response-dispatch reader* — it reads frames off the
-    socket and completes pending requests by correlation id until its own
-    answer shows up, then hands the reader role to the next waiter.  No
+    Many requests can be in flight at once: writers append to a send
+    queue under a short lock, ``flush`` coalesces queued requests into one
+    ``Batch`` frame, and whichever waiter arrives first becomes the
+    *response-dispatch reader* — it reads frames off the socket and
+    completes pending requests by correlation id until its own answer
+    shows up, then hands the reader role to the next waiter.  No
     background thread, no lock held across a round trip.
-
-    On a v1 connection (old peer) the channel falls back to the classic
-    one-outstanding-request behavior under a single lock.
     """
 
-    def __init__(self, sock: socket.socket, proto: int = 1) -> None:
+    pipelined = True
+
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
-        self.proto = proto
         self._closed = False
-        self._lock = threading.Lock()  # v1 round trip; v2 socket writes
+        self._lock = threading.Lock()  # socket writes
         self._io = _FrameIO()
-        # v2 pipelining state, all guarded by _cv's lock.
+        # Pipelining state, all guarded by _cv's lock.
         self._cv = threading.Condition()
         self._pending: dict[int, PendingResponse] = {}
         self._queue: list[Request] = []
@@ -576,25 +553,7 @@ class TCPChannel(Channel):
         self._reader_active = False
         self._broken: BaseException | None = None
 
-    @property
-    def pipelined(self) -> bool:
-        return self.proto >= 2
-
-    # -- v1 path ---------------------------------------------------------
-
-    def _request_serial(self, request: Request) -> Response:
-        with self._lock:
-            _send_frame(self._sock, request.to_bytes())
-            message = message_from_bytes(self._io.recv_frame(self._sock))
-        if not isinstance(message, Response):
-            raise ProtocolError("expected Response")
-        return message
-
-    # -- v2 pipelined path ----------------------------------------------
-
     def submit(self, request: Request) -> PendingResponse:
-        if self.proto < 2:
-            return super().submit(request)
         pending = PendingResponse()
         with self._cv:
             if self._closed or self._broken is not None:
@@ -613,8 +572,6 @@ class TCPChannel(Channel):
         return pending
 
     def flush(self) -> None:
-        if self.proto < 2:
-            return
         with self._cv:
             if not self._queue:
                 return
@@ -629,8 +586,6 @@ class TCPChannel(Channel):
             raise
 
     def drain(self) -> None:
-        if self.proto < 2:
-            return
         self.flush()
         while True:
             with self._cv:
@@ -642,8 +597,6 @@ class TCPChannel(Channel):
     def request(self, request: Request) -> Response:
         if self._closed:
             raise TransportClosedError("channel closed")
-        if self.proto < 2:
-            return self._request_serial(request)
         pending = self.submit(request)
         self.flush()
         return self._await(pending)
@@ -702,8 +655,6 @@ class TCPChannel(Channel):
             # parse something we sent): no request can be matched, and the
             # server closes after sending, so fail everything in flight.
             if not message.ok:
-                from repro.net.errors import RemoteError
-
                 raise RemoteError(message.error_type, message.error_message)
             raise ProtocolError("response without correlation id")
         with self._cv:
@@ -744,10 +695,10 @@ def connect_tcp(
 ) -> TCPChannel:
     """Open a TCP channel and perform the Hello handshake.
 
-    The Hello advertises :data:`~repro.net.messages.PROTOCOL_VERSION`;
-    the server answers with the version it will speak (old servers answer
-    a bare ``"welcome"`` string, which negotiates down to v1), so old and
-    new peers interoperate in both directions.
+    The Hello announces :data:`~repro.net.messages.PROTOCOL_VERSION` and
+    the welcome must echo it: a server that answers anything else is
+    refused with :class:`ProtocolError` (never retried), as a server
+    refuses a Hello of any other version.
 
     With a :class:`~repro.net.retry.RetryPolicy`, connection establishment
     (socket connect + handshake) is retried with backoff — the reconnect
@@ -769,33 +720,33 @@ def connect_tcp(
         attributes = (
             {PRINCIPAL_ATTRIBUTE: principal} if principal is not None else {}
         )
+        channel = TCPChannel(sock)
         try:
-            _send_frame(
+            channel._io.send_message(
                 sock,
                 Hello(
                     version=PROTOCOL_VERSION,
                     credential=credential,
                     attributes=attributes,
-                ).to_bytes(),
+                ),
             )
-            reply = message_from_bytes(_recv_frame(sock))
+            reply = message_from_bytes(channel._io.recv_frame(sock))
+            if not isinstance(reply, Response):
+                raise ProtocolError("expected handshake Response")
+            if not reply.ok:
+                raise RemoteError(reply.error_type, reply.error_message)
+            welcome = reply.value
+            if (
+                not isinstance(welcome, dict)
+                or welcome.get("proto") != PROTOCOL_VERSION
+            ):
+                raise ProtocolError(
+                    f"server does not speak protocol version {PROTOCOL_VERSION}"
+                )
         except BaseException:
-            sock.close()
+            channel.close()
             raise
-        if not isinstance(reply, Response):
-            sock.close()
-            raise ProtocolError("expected handshake Response")
-        if not reply.ok:
-            sock.close()
-            from repro.net.errors import RemoteError
-
-            raise RemoteError(reply.error_type, reply.error_message)
-        proto = 1
-        if isinstance(reply.value, dict):
-            advertised = reply.value.get("proto", 1)
-            if type(advertised) is int:
-                proto = max(1, min(advertised, PROTOCOL_VERSION))
-        return TCPChannel(sock, proto=proto)
+        return channel
 
     if retry is None:
         return attempt()

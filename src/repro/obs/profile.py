@@ -51,7 +51,7 @@ IDLE_FRAME_NAMES = frozenset(
         "sleep",
         "recv",
         "recvfrom",
-        "_recv_exact",
+        "_recv_exact_into",
         "readinto",
         "get",
         "acquire",

@@ -250,7 +250,7 @@ def tcp_cluster():
 class TestPipelinedScatter:
     def test_scatter_uses_pipelined_connections(self, tcp_cluster):
         smap, servers, cc, pairs = tcp_cluster
-        # The TCP connect path negotiated v2 on every shard client.
+        # Every shard client connected over TCP, so it pipelines.
         for shard in smap.shards:
             assert cc._client(shard).rpc.pipelined
         assert cc._scatter_pipelined("lfn_count") is not None

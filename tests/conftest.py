@@ -6,12 +6,33 @@ behaviour is tested explicitly with injected fake clocks/sleepers.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.core.config import ServerConfig, ServerRole
 from repro.core.server import RLSServer
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.postgres_engine import PostgresEngine
+
+
+def _rls_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("rls-")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_rls_threads():
+    """Fail any test that leaves a transport thread (``rls-accept-*``,
+    ``rls-conn-*``, ``rls-http-*``) running: whatever started a listener
+    must close it.  A short grace period covers handler threads that are
+    still noticing their client hung up."""
+    before = _rls_threads()
+    yield
+    deadline = time.monotonic() + 2.0
+    while (leaked := _rls_threads() - before) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not leaked, f"test leaked threads: {sorted(t.name for t in leaked)}"
 
 
 @pytest.fixture

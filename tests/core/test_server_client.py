@@ -176,6 +176,48 @@ class TestAdmin:
         assert stats["requests_served"] >= 1
         assert stats["lrc"]["lfns"] == 1
 
+    def test_stats_totals_are_exact_under_concurrent_clients(self, server):
+        # The totals are sums of the (locked) rpc.requests / rpc.errors
+        # counters; an unsynchronised tally loses updates here.
+        import sys
+        import threading
+
+        threads, calls = 8, 150
+        failures: list = []
+
+        def worker(tid: int) -> None:
+            client = connect(server.config.name)
+            try:
+                for i in range(calls):
+                    if i % 3 == 0:
+                        with pytest.raises(MappingNotFoundError):
+                            client.get_mappings(f"ghost-{tid}-{i}")
+                    else:
+                        client.exists(f"name-{tid}-{i}")
+            except BaseException as exc:
+                failures.append(exc)
+            finally:
+                client.close()
+
+        workers = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+        before = connect(server.config.name).stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers) and not failures
+        after = connect(server.config.name).stats()
+        errors = threads * len(range(0, calls, 3))
+        assert after["errors_returned"] - before["errors_returned"] == errors
+        # + 1: the admin_stats call that produced ``before`` itself.
+        served = threads * calls - errors + 1
+        assert after["requests_served"] - before["requests_served"] == served
+
 
 class TestTCPServer:
     def test_full_stack_over_tcp(self):

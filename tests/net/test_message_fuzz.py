@@ -1,15 +1,15 @@
-"""Wire-format hardening: fused-codec parity and malformed-frame fuzzing.
+"""Wire-format hardening: codec parity with an oracle, malformed-frame fuzzing.
 
-The batch encode/decode fast paths in :mod:`repro.net.messages` write and
-walk scaffold bytes directly; these tests pin them to the generic codec
-byte-for-byte and message-for-message, then fuzz mutated frames to prove
-every malformation surfaces as :class:`ProtocolError` — never an
-``IndexError``/``TypeError``/``struct.error`` that would kill a server
-handler thread.
+The message codec in :mod:`repro.net.messages` writes and walks envelope
+scaffold bytes directly.  These tests pin it, byte for byte and message
+for message, to a small reference implementation kept in this file —
+plain envelope lists through the generic ``encode()``/``decode()`` — then
+fuzz mutated frames to prove every malformation surfaces as
+:class:`ProtocolError`, never an ``IndexError``/``TypeError``/
+``struct.error`` that would kill a server handler thread.
 """
 
 import random
-import socket
 
 import pytest
 
@@ -23,8 +23,9 @@ from repro.net.messages import (
     encode_message_into,
     message_from_bytes,
 )
+from tests.net._wire import raw_connect, recv_message, send_frame
 
-# Representative envelope shapes: every form the v1/v2 protocol can emit,
+# Representative messages: every envelope form the protocol can emit,
 # plus payload variety (nested lists, dicts, bytes, unicode, bigints).
 MESSAGES = [
     Request("lrc_add", ("lfn", "pfn")),
@@ -59,28 +60,64 @@ def wire(message) -> bytes:
     return bytes(out)
 
 
+# -- the oracle: docs/PROTOCOL.md's envelope table, written the obvious way --
+
+
+def oracle_envelope(message) -> list:
+    if isinstance(message, Request):
+        return [0, message.method, message.args, message.trace or (), message.id]
+    if isinstance(message, Response):
+        compact = (
+            message.ok
+            and message.id is not None
+            and not message.error_type
+            and not message.error_message
+        )
+        if compact:
+            return [1, True, message.value, message.id]
+        return [
+            1,
+            message.ok,
+            message.value,
+            message.error_type,
+            message.error_message,
+            message.id,
+        ]
+    if isinstance(message, Hello):
+        return [2, message.version, message.credential, message.attributes]
+    assert isinstance(message, Batch)
+    return [3, [oracle_envelope(item) for item in message.items]]
+
+
+def oracle_message(envelope: list):
+    kind = envelope[0]
+    if kind == 0:
+        _, method, args, trace, request_id = envelope
+        return Request(method, tuple(args), tuple(trace) or None, request_id)
+    if kind == 1 and len(envelope) == 4:
+        return Response(True, envelope[2], "", "", envelope[3])
+    if kind == 1:
+        return Response(*envelope[1:])
+    if kind == 2:
+        return Hello(*envelope[1:])
+    assert kind == 3
+    return Batch(tuple(oracle_message(item) for item in envelope[1]))
+
+
 class TestFusedCodecParity:
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
     def test_fused_encoding_matches_generic(self, message):
-        assert wire(message) == encode(message.envelope())
+        assert wire(message) == encode(oracle_envelope(message))
+        assert message.to_bytes() == wire(message)
 
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
     def test_roundtrip(self, message):
         assert message_from_bytes(wire(message)) == message
 
     def test_fused_parse_matches_generic_parse(self):
-        # Force the generic path by re-encoding the envelope through a
-        # non-canonical outer list (extra work, same value): both decoders
-        # must produce identical messages for the same canonical frame.
         for message in MESSAGES:
-            if not isinstance(message, Batch):
-                continue
             frame = wire(message)
-            fused = message_from_bytes(frame)
-            from repro.net.messages import _batch_from_envelope
-
-            generic = _batch_from_envelope(decode(frame))
-            assert fused == generic
+            assert message_from_bytes(frame) == oracle_message(decode(frame))
 
     def test_memoryview_input(self):
         for message in MESSAGES:
@@ -89,15 +126,16 @@ class TestFusedCodecParity:
 
 class TestCompactResponseForm:
     def test_compact_form_used_for_id_bearing_success(self):
-        envelope = Response.success("v", id=5).envelope()
-        assert envelope == [1, True, "v", 5]
+        assert decode(wire(Response.success("v", id=5))) == [1, True, "v", 5]
 
     def test_failure_never_compact(self):
-        envelope = Response.failure(ValueError("x"), id=5).envelope()
+        envelope = decode(wire(Response.failure(ValueError("x"), id=5)))
         assert len(envelope) == 6
 
-    def test_idless_success_stays_v1_shape(self):
-        assert len(Response.success("v").envelope()) == 5
+    def test_idless_success_uses_full_form(self):
+        # The handshake reply: no request to correlate with, so no id, and
+        # the compact form (whose id is mandatory) does not apply.
+        assert decode(wire(Response.success("v"))) == [1, True, "v", "", "", None]
 
     def test_compact_requires_true(self):
         with pytest.raises(ProtocolError):
@@ -127,15 +165,15 @@ class TestDefensiveValidation:
             [9, "x"],  # unknown kind
             "not a list",
             [0],  # request too short
-            [0, "m", "args-not-list"],
-            [0, 42, []],  # non-str method
+            [0, "m", "args-not-list", [], 1],
+            [0, 42, [], [], 1],  # non-str method
             [0, "m", [], "trace-not-list", 1],
             [0, "m", [], ["only-one"], 1],
             [0, "m", [], [1, 2], 1],  # non-str trace parts
             [0, "m", [], [], "id"],  # non-int id
             [1, True],  # response too short
-            [1, "yes", None, "", ""],  # non-bool ok
-            [1, True, None, 7, ""],  # non-str error_type
+            [1, "yes", None, "", "", 1],  # non-bool ok
+            [1, True, None, 7, "", 1],  # non-str error_type
             [1, True, None, "", "", "id"],  # non-int id
             [1, True, None, "", "", 1, 2],  # too long
             [2, "v", None, {}],  # non-int hello version
@@ -147,6 +185,11 @@ class TestDefensiveValidation:
             [3, [[2, 1, None, {}]]],  # hello inside batch
             [3, [[3, []]]],  # nested batch
             [3, [42]],  # batch item not a list
+            [0, "m", []],  # v1 request: no trace, no id
+            [0, "m", [], ["t", "s"]],  # v1 request with trace
+            [1, True, "v", "", ""],  # v1 response: no id field
+            [3, [[0, "m", []]]],  # v1 request inside a batch
+            [2**70, "m", [], [], 1],  # kind not a 64-bit int
         ],
     )
     def test_bad_envelope_is_protocol_error(self, envelope):
@@ -204,29 +247,20 @@ class TestMutationFuzz:
 class TestFuzzOverTCP:
     def test_handler_threads_survive_malformed_frames(self):
         from repro.net.rpc import RPCClient, RPCServer
-        from repro.net.transport import (
-            TCPServerTransport,
-            _recv_frame,
-            _send_frame,
-            connect_tcp,
-        )
+        from repro.net.transport import TCPServerTransport, connect_tcp
 
         server = RPCServer()
         server.register("ping", lambda ctx, args: "pong")
         transport = TCPServerTransport(server, "127.0.0.1", 0)
         rng = random.Random(0xF22)
-        hello = Hello(version=2).to_bytes()
         base = Request("ping", (), id=1).to_bytes()
         try:
             for mutant in _mutations(base, rng, 40):
-                with socket.create_connection(
-                    (transport.host, transport.port), timeout=5
-                ) as sock:
-                    _send_frame(sock, hello)
-                    _recv_frame(sock)  # welcome
-                    _send_frame(sock, mutant)
+                with raw_connect(transport) as sock:
+                    recv_message(sock)  # welcome
+                    send_frame(sock, mutant)
                     try:
-                        reply = message_from_bytes(_recv_frame(sock))
+                        reply = recv_message(sock)
                     except Exception:
                         # Mutants that still parse as requests are simply
                         # answered; connection-fatal mutants close after

@@ -1,13 +1,13 @@
-"""Pipelined RPC tests: correlation ids, batching, interop, races.
+"""Pipelined RPC tests: correlation ids, batching, handshake, races.
 
-Covers the v2 hot path end to end over real sockets — many requests in
+Covers the hot path end to end over real sockets — many requests in
 flight on one connection, whole bursts as single Batch frames — plus the
-compatibility matrix (old client ↔ new server, new client ↔ old server)
-and the client-side races the rewrite fixed (channel swap during retry,
+handshake's refusal rule (one protocol version, nothing negotiated), a
+deterministic interleaving stress of the leader-reads dispatcher, and the
+client-side races an earlier rewrite fixed (channel swap during retry,
 lifetime retry accounting).
 """
 
-import socket
 import threading
 
 import pytest
@@ -25,15 +25,15 @@ from repro.net.messages import (
     Response,
     message_from_bytes,
 )
-from repro.net.retry import RetryPolicy
+from repro.net.retry import RetryPolicy, is_retryable
 from repro.net.rpc import RPCClient, RPCServer, UNKNOWN_METHOD_LABEL
-from repro.net.transport import (
-    TCPServerTransport,
-    _recv_frame,
-    _send_frame,
-    connect_tcp,
-)
+from repro.net.transport import TCPServerTransport, connect_tcp
 from repro.obs.metrics import MetricsRegistry
+from tests.net._wire import StubServer, raw_connect, recv_message, send_frame
+
+#: Bound on every blocking wait a test makes on another thread.
+WAIT = 30.0
+_EAGER = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
 
 
 def make_server(metrics=None):
@@ -53,25 +53,69 @@ def tcp_server():
     transport.close()
 
 
-class TestNegotiation:
-    def test_new_client_new_server_speaks_v2(self, tcp_server):
+class TestHandshake:
+    """One protocol version: both ends announce it, anything else is
+    refused with a typed, non-retryable ProtocolError."""
+
+    def test_current_version_connects_pipelined(self, tcp_server):
         _, transport, _ = tcp_server
         channel = connect_tcp(transport.host, transport.port)
         try:
-            assert channel.proto == PROTOCOL_VERSION == 2
             assert channel.pipelined
+            assert RPCClient(channel).call("add", 1, 2) == 3
         finally:
             channel.close()
 
-    def test_client_caps_at_own_version(self, tcp_server):
-        # A server advertising a *higher* version than we speak must be
-        # negotiated down to ours, never up.
-        _, transport, _ = tcp_server
-        channel = connect_tcp(transport.host, transport.port)
+    def test_old_version_hello_is_refused(self, tcp_server):
+        _, transport, registry = tcp_server
+        errors = registry.counter("net.protocol_errors", transport="tcp")
+        with RPCClient(connect_tcp(transport.host, transport.port)) as sibling:
+            for version in (1, PROTOCOL_VERSION + 1):
+                before = errors.value
+                with raw_connect(transport, Hello(version=version)) as sock:
+                    reply = recv_message(sock)
+                    assert isinstance(reply, Response) and not reply.ok
+                    assert reply.error_type == "ProtocolError"
+                    assert str(version) in reply.error_message
+                    assert reply.id is None
+                    # Refused means closed: nothing else is served.
+                    assert sock.recv(1) == b""
+                assert errors.value == before + 1
+            # The listener and the sibling connection stay healthy.
+            assert sibling.call("echo", "still here") == "still here"
+            with RPCClient(connect_tcp(transport.host, transport.port)) as fresh:
+                assert fresh.call("echo", "alive") == "alive"
+
+    def test_refused_client_does_not_retry(self):
+        refusal = Response.failure(ProtocolError("unsupported protocol version 2"))
+        stub = StubServer(refusal)
         try:
-            assert channel.proto <= PROTOCOL_VERSION
+            with pytest.raises(RemoteError) as err:
+                connect_tcp(
+                    stub.host, stub.port, retry=_EAGER, sleep=lambda _s: None
+                )
+            assert err.value.error_type == "ProtocolError"
+            assert not is_retryable(err.value)
+            # One dial, one Hello of the current version, no second try.
+            assert [h.version for h in stub.hellos] == [PROTOCOL_VERSION]
         finally:
-            channel.close()
+            stub.close()
+
+    @pytest.mark.parametrize(
+        "welcome",
+        ["welcome", {"message": "welcome"}, {"message": "welcome", "proto": 1}],
+        ids=["bare", "no-proto", "old-proto"],
+    )
+    def test_welcome_without_current_version_is_refused(self, welcome):
+        stub = StubServer(Response.success(welcome))
+        try:
+            with pytest.raises(ProtocolError):
+                connect_tcp(
+                    stub.host, stub.port, retry=_EAGER, sleep=lambda _s: None
+                )
+            assert len(stub.hellos) == 1
+        finally:
+            stub.close()
 
 
 class TestPipelining:
@@ -147,6 +191,25 @@ class TestPipelining:
                 # The codec decodes tuples as lists.
                 assert results[tid] == [[tid, i] for i in range(40)]
 
+    def test_async_surface_is_synchronous_on_local_channels(self):
+        # In-process channels do not pipeline; the same call_async/drain
+        # code still works over them, each call completing as it is made.
+        from repro.net.transport import LocalTransport
+
+        transport = LocalTransport(make_server())
+        try:
+            with RPCClient(transport.open_channel()) as client:
+                assert not client.pipelined
+                calls = [client.call_async("echo", i) for i in range(5)]
+                bad = client.call_async("boom")
+                assert all(c.done for c in calls) and bad.done
+                client.drain()
+                assert [c.result() for c in calls] == list(range(5))
+                with pytest.raises(RemoteError):
+                    bad.result()
+        finally:
+            transport.close()
+
     def test_submit_after_close_fails_fast(self, tcp_server):
         _, transport, _ = tcp_server
         channel = connect_tcp(transport.host, transport.port)
@@ -157,115 +220,126 @@ class TestPipelining:
             pending.get()
 
 
-class TestOldServerNewClient:
-    """A v1-era server answers the Hello with a bare welcome string and
-    speaks one-request-at-a-time; the new client must fall back."""
+class TestInterleavingStress:
+    """Leader-reads dispatch and batch dispatch under forced interleaving.
 
-    @pytest.fixture
-    def v1_server(self):
-        server = make_server()
-        listener = socket.create_server(("127.0.0.1", 0))
-        port = listener.getsockname()[1]
-        stop = threading.Event()
+    Threads share one TCPChannel and mix blocking calls, async bursts
+    (sent as Batch frames) and calls that raise.  Whichever thread holds
+    the reader role completes everyone's responses, so a bug in the
+    hand-off loses, duplicates or cross-delivers an answer; the handler
+    echoes ``(thread, seq)`` so each of those shows up as a wrong value.
+    """
 
-        def serve():
-            while not stop.is_set():
-                try:
-                    conn, addr = listener.accept()
-                except OSError:
-                    return
-                with conn:
-                    try:
-                        hello = message_from_bytes(_recv_frame(conn))
-                        ctx = server.handshake(hello, peer=str(addr))
-                        # Old wire shape: a plain string, no proto field.
-                        _send_frame(
-                            conn, Response.success("welcome").to_bytes()
+    THREADS = 8
+    ROUNDS = 40
+
+    def test_no_response_lost_duplicated_or_cross_delivered(self):
+        import random
+        import sys
+        from collections import Counter
+
+        served: Counter = Counter()
+        served_lock = threading.Lock()
+
+        def note(kind, args):
+            with served_lock:
+                served[(kind, *args)] += 1
+
+        def echo(ctx, args):
+            note("echo", args)
+            return list(args)
+
+        def boom(ctx, args):
+            note("boom", args)
+            raise ValueError(f"boom {args[0]}/{args[1]}")
+
+        server = RPCServer()
+        server.register("echo", echo)
+        server.register("boom", boom)
+        transport = TCPServerTransport(server, "127.0.0.1", 0)
+        client = RPCClient(connect_tcp(transport.host, transport.port))
+        sent: Counter = Counter()
+        failures: list = []
+
+        def expect_boom(thunk, tid, seq):
+            try:
+                thunk()
+            except RemoteError as exc:
+                assert exc.error_type == "ValueError"
+                assert exc.remote_message == f"boom {tid}/{seq}"
+            else:
+                raise AssertionError(f"boom {tid}/{seq} did not raise")
+
+        def worker(tid: int) -> None:
+            rng = random.Random(0xD15 + tid)
+            mine: Counter = Counter()
+            seq = 0
+            try:
+                for _ in range(self.ROUNDS):
+                    mode = rng.randrange(3)
+                    if mode == 0:
+                        seq += 1
+                        mine[("echo", tid, seq)] += 1
+                        assert client.call("echo", tid, seq) == [tid, seq]
+                    elif mode == 1:
+                        seq += 1
+                        mine[("boom", tid, seq)] += 1
+                        expect_boom(
+                            lambda: client.call("boom", tid, seq), tid, seq
                         )
-                        while True:
-                            message = message_from_bytes(_recv_frame(conn))
-                            assert isinstance(message, Request)
-                            reply = server.handle(ctx, message)
-                            _send_frame(conn, reply.to_bytes())
-                    except (TransportClosedError, OSError):
-                        continue
+                    else:
+                        burst = []
+                        for _ in range(rng.randrange(2, 12)):
+                            seq += 1
+                            method = "boom" if rng.random() < 0.2 else "echo"
+                            mine[(method, tid, seq)] += 1
+                            burst.append(
+                                (method, seq, client.call_async(method, tid, seq))
+                            )
+                        client.drain()
+                        for method, n, pending in burst:
+                            assert pending.done
+                            if method == "echo":
+                                # A failing neighbour poisons nothing.
+                                assert pending.result() == [tid, n]
+                            else:
+                                expect_boom(pending.result, tid, n)
+            except BaseException as exc:
+                failures.append((tid, exc))
+            finally:
+                with served_lock:
+                    sent.update(mine)
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        yield port
-        stop.set()
-        listener.close()
-        thread.join(timeout=5)
-
-    def test_falls_back_to_v1(self, v1_server):
-        channel = connect_tcp("127.0.0.1", v1_server)
+        threads = [
+            threading.Thread(target=worker, args=(t,), name=f"stress-{t}")
+            for t in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            assert channel.proto == 1
-            assert not channel.pipelined
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=WAIT)
+            stuck = [t.name for t in threads if t.is_alive()]
         finally:
-            channel.close()
-
-    def test_calls_and_async_surface_work_serially(self, v1_server):
-        with RPCClient(connect_tcp("127.0.0.1", v1_server)) as client:
-            assert not client.pipelined
-            assert client.call("add", 20, 22) == 42
-            # The pipelined API degrades to synchronous completion.
-            calls = [client.call_async("echo", i) for i in range(5)]
-            client.drain()
-            assert [c.result() for c in calls] == list(range(5))
-
-
-class TestOldClientNewServer:
-    """A v1-era client never sends ids or batches; the new server must
-    answer with plain 5-field responses."""
-
-    def _v1_call(self, sock, request: Request) -> Response:
-        _send_frame(sock, request.to_bytes())
-        message = message_from_bytes(_recv_frame(sock))
-        assert isinstance(message, Response)
-        return message
-
-    def test_v1_session_against_new_server(self, tcp_server):
-        _, transport, _ = tcp_server
-        with socket.create_connection(
-            (transport.host, transport.port), timeout=5
-        ) as sock:
-            _send_frame(sock, Hello(version=1).to_bytes())
-            welcome = message_from_bytes(_recv_frame(sock))
-            assert welcome.ok
-            resp = self._v1_call(sock, Request("add", (3, 4)))
-            assert resp.ok and resp.value == 7
-            # No correlation id came back: the reply is a v1 envelope.
-            assert resp.id is None
-            wire = resp.to_bytes()
-            from repro.net.codec import decode
-
-            assert len(decode(wire)) == 5
-
-    def test_v1_client_never_sees_batch_frames(self, tcp_server):
-        _, transport, registry = tcp_server
-        batches = registry.counter("net.batch_frames", transport="tcp")
-        before = batches.value
-        with socket.create_connection(
-            (transport.host, transport.port), timeout=5
-        ) as sock:
-            _send_frame(sock, Hello(version=1).to_bytes())
-            message_from_bytes(_recv_frame(sock))
-            for i in range(10):
-                assert self._v1_call(sock, Request("echo", (i,))).value == i
-        assert batches.value == before
+            sys.setswitchinterval(interval)
+            client.close()
+            transport.close()
+        assert not stuck, f"threads still waiting after {WAIT}s: {stuck}"
+        assert not failures, failures
+        # Every request reached its handler exactly once.
+        assert served == sent
+        assert sum(sent.values()) >= self.THREADS * self.ROUNDS
 
 
 class TestProtocolErrorResponses:
     def test_malformed_frame_gets_typed_error_then_close(self, tcp_server):
         _, transport, registry = tcp_server
-        with socket.create_connection(
-            (transport.host, transport.port), timeout=5
-        ) as sock:
-            _send_frame(sock, Hello(version=1).to_bytes())
-            message_from_bytes(_recv_frame(sock))
-            _send_frame(sock, b"\xffgarbage")
-            reply = message_from_bytes(_recv_frame(sock))
+        with raw_connect(transport) as sock:
+            assert recv_message(sock).ok
+            send_frame(sock, b"\xffgarbage")
+            reply = recv_message(sock)
             assert isinstance(reply, Response) and not reply.ok
             assert reply.error_type == "ProtocolError"
             # The server closes the conversation after answering.
@@ -281,8 +355,6 @@ class TestProtocolErrorResponses:
         # carrying the remote type — which the retry layer treats as
         # fatal, so a possibly-completed mutation is never blindly
         # re-sent over a conversation the server gave up on.
-        from repro.net.retry import is_retryable
-
         _, transport, _ = tcp_server
         channel = connect_tcp(transport.host, transport.port)
         try:
@@ -306,13 +378,10 @@ class TestProtocolErrorResponses:
     def test_server_survives_malformed_frames(self, tcp_server):
         _, transport, _ = tcp_server
         for _ in range(5):
-            with socket.create_connection(
-                (transport.host, transport.port), timeout=5
-            ) as sock:
-                _send_frame(sock, Hello(version=1).to_bytes())
-                message_from_bytes(_recv_frame(sock))
-                _send_frame(sock, b"\x00" * 7)
-                message_from_bytes(_recv_frame(sock))
+            with raw_connect(transport) as sock:
+                recv_message(sock)
+                send_frame(sock, b"\x00" * 7)
+                recv_message(sock)
         # Fresh connections still serve.
         with RPCClient(connect_tcp(transport.host, transport.port)) as client:
             assert client.call("echo", "alive") == "alive"

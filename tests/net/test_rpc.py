@@ -17,6 +17,7 @@ from repro.net.transport import (
     connect_local,
     connect_tcp,
 )
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestMessages:
@@ -41,8 +42,8 @@ class TestMessages:
         assert decoded.credential == b"cert" and decoded.attributes == {"v": 1}
 
 
-def make_server():
-    server = RPCServer()
+def make_server(metrics=None):
+    server = RPCServer(metrics=metrics)
     server.register("echo", lambda ctx, args: list(args))
     server.register("boom", lambda ctx, args: 1 / 0)
     server.register("peer", lambda ctx, args: ctx.peer)
@@ -69,11 +70,14 @@ class TestDispatch:
         assert not resp.ok and resp.error_type == "ZeroDivisionError"
 
     def test_counters(self):
-        server = make_server()
+        # The totals are the rpc.requests / rpc.errors counters summed
+        # (unknown methods included), not a second set of tallies.
+        server = make_server(metrics=MetricsRegistry())
         ctx = server.handshake(Hello(), "test")
         server.handle(ctx, Request("echo", ()))
         server.handle(ctx, Request("boom", ()))
-        assert server.requests_served == 1 and server.errors_returned == 1
+        server.handle(ctx, Request("nope", ()))
+        assert server.requests_served == 1 and server.errors_returned == 2
 
     def test_methods_listed(self):
         assert "echo" in make_server().methods()
@@ -240,6 +244,59 @@ class TestTCPLifecycle:
             probe.close()
         finally:
             tcp.close()
+
+    def test_close_while_clients_are_connecting_leaks_no_thread(self):
+        # close() snapshots the handler-thread list under the connection
+        # lock; a handler registered or started outside that lock can be
+        # missed by the snapshot and outlive close().  Lingering after
+        # each release of the lock holds that window open.
+        import sys
+        import time
+
+        class LingeringLock:
+            def __init__(self, lock):
+                self._lock = lock
+
+            def __enter__(self):
+                return self._lock.__enter__()
+
+            def __exit__(self, *exc):
+                self._lock.__exit__(*exc)
+                time.sleep(0.002)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(25):
+                tcp = TCPServerTransport(make_server())
+                tcp._conns_lock = LingeringLock(tcp._conns_lock)
+                stop = threading.Event()
+
+                def dial() -> None:
+                    while not stop.is_set():
+                        try:
+                            connect_tcp(tcp.host, tcp.port, timeout=2.0).close()
+                        except Exception:
+                            pass  # refused or cut off mid-handshake: expected
+
+                dialers = [threading.Thread(target=dial) for _ in range(4)]
+                for t in dialers:
+                    t.start()
+                try:
+                    tcp.close()
+                    leaked = [
+                        t.name
+                        for t in threading.enumerate()
+                        if t.name.startswith(("rls-conn-", "rls-accept-"))
+                    ]
+                finally:
+                    stop.set()
+                    for t in dialers:
+                        t.join(timeout=10.0)
+                assert not any(t.is_alive() for t in dialers)
+                assert leaked == []
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_calls_after_close_fail_cleanly(self):
         server = make_server()
