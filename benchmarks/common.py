@@ -242,6 +242,10 @@ def measure_rate(
 # ---------------------------------------------------------------------------
 # Native-SQL operation bodies for the Figure 7 baseline: the same SQL the
 # LRC issues, submitted straight to the engine through the ODBC layer.
+# "The same" up to the LRC's checks: a create is native_add's four
+# statements after one existence SELECT on t_lfn, a delete is
+# native_delete's five plus one t_attribute read when a name is pruned
+# (tests/core/test_lrc_statement_budget.py holds the LRC to that).
 # ---------------------------------------------------------------------------
 
 

@@ -96,7 +96,7 @@ _ATTR_TABLE = {
 
 # Fixed IN-list chunk sizes for the vectorized bulk operations.  Keeping
 # the placeholder count constant keeps the SQL text constant, so the
-# executor's LRU statement cache hits instead of re-parsing per call;
+# engine's LRU plan cache hits instead of re-parsing and re-planning;
 # short lists pad by repeating the last element (IN dedups, so padding is
 # semantically free).
 _IN_CHUNK = 256
@@ -281,15 +281,9 @@ class LocalReplicaCatalog:
         validate_name(lfn, "logical name")
         validate_name(pfn, "target name")
         with self._write_lock, self.conn.transaction():
-            if self._lfn_id(lfn) is not None:
+            if self._name_row("t_lfn", lfn) is not None:
                 raise MappingExistsError(f"logical name exists: {lfn}")
-            lfn_id = self._insert_lfn(lfn)
-            pfn_id = self._get_or_insert_pfn(pfn)
-            self.conn.execute(
-                "INSERT INTO t_map (lfn_id, pfn_id) VALUES (?, ?)",
-                [lfn_id, pfn_id],
-            )
-            self._bump_ref("t_pfn", pfn_id, +1)
+            self._insert_map(self._insert_name("t_lfn", lfn), lfn, pfn)
         self._m_created.inc()
         self._notify(lfn, True)
         self._notify_mapping(lfn, pfn, True)
@@ -299,23 +293,33 @@ class LocalReplicaCatalog:
         validate_name(lfn, "logical name")
         validate_name(pfn, "target name")
         with self._write_lock, self.conn.transaction():
-            lfn_id = self._lfn_id(lfn)
-            if lfn_id is None:
+            lfn_row = self._name_row("t_lfn", lfn)
+            if lfn_row is None:
                 raise MappingNotFoundError(f"logical name does not exist: {lfn}")
-            pfn_id = self._get_or_insert_pfn(pfn)
-            try:
-                self.conn.execute(
-                    "INSERT INTO t_map (lfn_id, pfn_id) VALUES (?, ?)",
-                    [lfn_id, pfn_id],
-                )
-            except DuplicateKeyError:
-                raise MappingExistsError(
-                    f"mapping exists: {lfn} -> {pfn}"
-                ) from None
-            self._bump_ref("t_lfn", lfn_id, +1)
-            self._bump_ref("t_pfn", pfn_id, +1)
+            self._insert_map(lfn_row[0], lfn, pfn)
+            self._set_ref("t_lfn", lfn_row[0], lfn_row[1] + 1)
         self._m_added.inc()
         self._notify_mapping(lfn, pfn, True)
+
+    def _insert_map(self, lfn_id: int, lfn: str, pfn: str) -> None:
+        """The ``t_map`` row for ``lfn_id`` → ``pfn``, counted on the PFN.
+
+        A new target name is inserted with ``ref = 1``; an existing one is
+        re-counted from the ``ref`` its lookup already returned, and only
+        after the ``t_map`` insert succeeded, so a rejected duplicate
+        mapping has written nothing.
+        """
+        pfn_row = self._name_row("t_pfn", pfn)
+        pfn_id = pfn_row[0] if pfn_row else self._insert_name("t_pfn", pfn)
+        try:
+            self.conn.execute(
+                "INSERT INTO t_map (lfn_id, pfn_id) VALUES (?, ?)",
+                [lfn_id, pfn_id],
+            )
+        except DuplicateKeyError:
+            raise MappingExistsError(f"mapping exists: {lfn} -> {pfn}") from None
+        if pfn_row:
+            self._set_ref("t_pfn", pfn_id, pfn_row[1] + 1)
 
     def delete_mapping(self, lfn: str, pfn: str) -> None:
         """Remove one replica mapping; prunes orphaned LFN/PFN rows."""
@@ -332,17 +336,18 @@ class LocalReplicaCatalog:
             ).rowcount
             if deleted == 0:
                 raise MappingNotFoundError(f"mapping does not exist: {lfn} -> {pfn}")
+            orphans: dict[ObjType, list[int]] = {}
             last_for_lfn = lfn_ref <= 1
-            if last_for_lfn:
-                self.conn.execute("DELETE FROM t_lfn WHERE id = ?", [lfn_id])
-                self._delete_attr_values(lfn_id, ObjType.LFN)
-            else:
-                self._bump_ref("t_lfn", lfn_id, -1)
-            if pfn_ref <= 1:
-                self.conn.execute("DELETE FROM t_pfn WHERE id = ?", [pfn_id])
-                self._delete_attr_values(pfn_id, ObjType.PFN)
-            else:
-                self._bump_ref("t_pfn", pfn_id, -1)
+            for table, objtype, row_id, ref in (
+                ("t_lfn", ObjType.LFN, lfn_id, lfn_ref),
+                ("t_pfn", ObjType.PFN, pfn_id, pfn_ref),
+            ):
+                if ref <= 1:
+                    self.conn.execute(f"DELETE FROM {table} WHERE id = ?", [row_id])
+                    orphans[objtype] = [row_id]
+                else:
+                    self._set_ref(table, row_id, ref - 1)
+            self._delete_attr_values(orphans)
         self._m_deleted.inc()
         if last_for_lfn:
             self._notify(lfn, False)
@@ -351,7 +356,7 @@ class LocalReplicaCatalog:
     # -- bulk variants ----------------------------------------------------
     #
     # The bulk mutations are *vectorized*: instead of replaying the
-    # single-pair code path per element (~6-8 statements each), they probe
+    # single-pair code path per element (5-6 statements each), they probe
     # existence with chunked IN lists, write with multi-row INSERTs, and
     # batch the orphan pruning — the amortization behind the paper's
     # Figure 11 bulk-rate lift.  Observable behavior matches the serial
@@ -427,10 +432,7 @@ class LocalReplicaCatalog:
                 )
                 for pfn, delta in bumps.items():
                     pfn_id, ref = pfn_rows[pfn]
-                    self.conn.execute(
-                        "UPDATE t_pfn SET ref = ? WHERE id = ?",
-                        [ref + delta, pfn_id],
-                    )
+                    self._set_ref("t_pfn", pfn_id, ref + delta)
         if creations:
             self._m_created.inc(len(creations))
             for _, lfn, pfn in creations:
@@ -511,12 +513,14 @@ class LocalReplicaCatalog:
                         )
                 # Prune orphaned name rows in batches; survivors get their
                 # final refcount in one UPDATE each.
-                self._prune_names(
-                    "t_lfn", ObjType.LFN, lfn_rows, lfn_ref_left, touched_lfns
-                )
-                self._prune_names(
-                    "t_pfn", ObjType.PFN, pfn_rows, pfn_ref_left, touched_pfns
-                )
+                self._delete_attr_values({
+                    ObjType.LFN: self._prune_names(
+                        "t_lfn", lfn_rows, lfn_ref_left, touched_lfns
+                    ),
+                    ObjType.PFN: self._prune_names(
+                        "t_pfn", pfn_rows, pfn_ref_left, touched_pfns
+                    ),
+                })
         if deletions:
             self._m_deleted.inc(len(deletions))
             last_for_lfn = {lfn: i for i, lfn, _, _, _ in deletions}
@@ -569,47 +573,53 @@ class LocalReplicaCatalog:
     def _prune_names(
         self,
         table: str,
-        objtype: "ObjType",
         rows: dict[str, tuple[int, int]],
         ref_left: dict[str, int],
         touched: set[str],
-    ) -> None:
+    ) -> list[int]:
+        """Delete the touched names left without mappings and re-count
+        the rest; returns the ids of the deleted rows."""
         orphan_ids = [rows[n][0] for n in touched if ref_left[n] <= 0]
         for chunk in _in_chunks(orphan_ids):
             qs = ", ".join("?" * len(chunk))
             self.conn.execute(
                 f"DELETE FROM {table} WHERE id IN ({qs})", chunk
             )
-        self._delete_attr_values_bulk(orphan_ids, objtype)
         for name in touched:
             if ref_left[name] > 0:
-                self.conn.execute(
-                    f"UPDATE {table} SET ref = ? WHERE id = ?",
-                    [ref_left[name], rows[name][0]],
-                )
+                self._set_ref(table, rows[name][0], ref_left[name])
+        return orphan_ids
 
-    def _delete_attr_values_bulk(
-        self, obj_ids: Sequence[int], objtype: "ObjType"
-    ) -> None:
-        if not obj_ids:
+    def _delete_attr_values(self, orphans: dict["ObjType", list[int]]) -> None:
+        """Drop every attribute value attached to pruned LFN/PFN rows.
+
+        ``t_attribute`` is read once for both namespaces.  Only values
+        whose attribute definition matches the object's namespace are
+        removed — an LFN and a PFN sharing a surrogate id in their
+        respective tables must not clobber each other's attributes — and
+        a definition's values live in the table of its type.
+        """
+        if not any(orphans.values()):
             return
-        attr_ids = [
-            row[0]
-            for row in self.conn.execute(
-                "SELECT id FROM t_attribute WHERE objtype = ?", [int(objtype)]
-            ).rows
-        ]
-        if not attr_ids:
-            return
-        for table in _ATTR_TABLE.values():
-            for attr_id in attr_ids:
-                for chunk in _in_chunks(obj_ids):
-                    qs = ", ".join("?" * len(chunk))
-                    self.conn.execute(
-                        f"DELETE FROM {table} "
-                        f"WHERE attr_id = ? AND obj_id IN ({qs})",
-                        [attr_id, *chunk],
-                    )
+        for attr_id, objtype, attrtype in self.conn.execute(
+            "SELECT id, objtype, type FROM t_attribute"
+        ).rows:
+            obj_ids = orphans.get(objtype)
+            if not obj_ids:
+                continue
+            table = _ATTR_TABLE[AttrType(attrtype)]
+            if len(obj_ids) == 1:
+                self.conn.execute(
+                    f"DELETE FROM {table} WHERE obj_id = ? AND attr_id = ?",
+                    [obj_ids[0], attr_id],
+                )
+                continue
+            for chunk in _in_chunks(obj_ids):
+                qs = ", ".join("?" * len(chunk))
+                self.conn.execute(
+                    f"DELETE FROM {table} WHERE attr_id = ? AND obj_id IN ({qs})",
+                    [attr_id, *chunk],
+                )
 
     def _bulk_apply(
         self,
@@ -766,7 +776,7 @@ class LocalReplicaCatalog:
         return {lfn: found[lfn] for lfn in lfns if lfn in found}
 
     def exists(self, lfn: str) -> bool:
-        return self._lfn_id(lfn) is not None
+        return self._name_row("t_lfn", lfn) is not None
 
     def lfn_count(self) -> int:
         return int(self.conn.execute("SELECT COUNT(*) FROM t_lfn").scalar())
@@ -1058,41 +1068,23 @@ class LocalReplicaCatalog:
     # Internals
     # ------------------------------------------------------------------
 
-    def _lfn_id(self, lfn: str) -> int | None:
-        rows = self.conn.execute(
-            "SELECT id FROM t_lfn WHERE name = ?", [lfn]
-        ).rows
-        return rows[0][0] if rows else None
-
     def _name_row(self, table: str, name: str) -> tuple[int, int] | None:
         rows = self.conn.execute(
             f"SELECT id, ref FROM {table} WHERE name = ?", [name]
         ).rows
         return (rows[0][0], rows[0][1]) if rows else None
 
-    def _insert_lfn(self, lfn: str) -> int:
+    def _insert_name(self, table: str, name: str) -> int:
+        """A new name row holding its first mapping; returns its id."""
         result = self.conn.execute(
-            "INSERT INTO t_lfn (name, ref) VALUES (?, ?)", [lfn, 1]
+            f"INSERT INTO {table} (name, ref) VALUES (?, ?)", [name, 1]
         )
         assert result.lastrowid is not None
         return result.lastrowid
 
-    def _get_or_insert_pfn(self, pfn: str) -> int:
-        row = self._name_row("t_pfn", pfn)
-        if row is not None:
-            return row[0]
-        result = self.conn.execute(
-            "INSERT INTO t_pfn (name, ref) VALUES (?, ?)", [pfn, 0]
-        )
-        assert result.lastrowid is not None
-        return result.lastrowid
-
-    def _bump_ref(self, table: str, row_id: int, delta: int) -> None:
-        current = self.conn.execute(
-            f"SELECT ref FROM {table} WHERE id = ?", [row_id]
-        ).scalar()
+    def _set_ref(self, table: str, row_id: int, ref: int) -> None:
         self.conn.execute(
-            f"UPDATE {table} SET ref = ? WHERE id = ?", [current + delta, row_id]
+            f"UPDATE {table} SET ref = ? WHERE id = ?", [ref, row_id]
         )
 
     def _object_id(self, name: str, objtype: ObjType) -> int:
@@ -1104,28 +1096,6 @@ class LocalReplicaCatalog:
                 f"name does not exist: {name}"
             )
         return row[0]
-
-    def _delete_attr_values(self, obj_id: int, objtype: ObjType) -> None:
-        """Drop every attribute value attached to a pruned LFN/PFN row.
-
-        Only values whose attribute definition matches the object's
-        namespace are removed — an LFN and a PFN sharing a surrogate id in
-        their respective tables must not clobber each other's attributes.
-        """
-        attr_ids = [
-            row[0]
-            for row in self.conn.execute(
-                "SELECT id FROM t_attribute WHERE objtype = ?", [int(objtype)]
-            ).rows
-        ]
-        if not attr_ids:
-            return
-        for table in _ATTR_TABLE.values():
-            for attr_id in attr_ids:
-                self.conn.execute(
-                    f"DELETE FROM {table} WHERE obj_id = ? AND attr_id = ?",
-                    [obj_id, attr_id],
-                )
 
     def _attr_def(self, name: str, objtype: ObjType) -> tuple[int, AttrType]:
         rows = self.conn.execute(

@@ -16,6 +16,9 @@ from typing import Any, Sequence
 from repro.db.errors import NoSuchTableError, TableExistsError
 from repro.db.profiler import QueryProfile, QueryProfiler
 from repro.db.schema import TableSchema
+from repro.db.sql.executor import Plan, ResultSet
+from repro.db.sql.parser import parse
+from repro.db.sql.planner import prepare
 from repro.db.table import Table, TableStats
 from repro.db.wal import (
     OP_DELETE,
@@ -26,9 +29,9 @@ from repro.db.wal import (
 from repro.obs import tracing
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
-#: Default bound on the parsed-statement LRU cache.  The RLS issues a
-#: small fixed statement set; user SQL with inlined literals is unique
-#: per call and must not grow the cache without bound.
+#: Default bound on the prepared-statement (SQL text → plan) LRU cache.
+#: The RLS issues a small fixed statement set; user SQL with inlined
+#: literals is unique per call and must not grow the cache without bound.
 DEFAULT_STATEMENT_CACHE_SIZE = 512
 
 
@@ -75,17 +78,33 @@ class Database:
         self.eager_index_cleanup = eager_index_cleanup
         self.dead_hit_cost = dead_hit_cost
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        self._tables: dict[str, Table] = {}
+        self._ddl_lock = threading.RLock()
+        self._statement_cache: "OrderedDict[str, Plan]" = OrderedDict()
+        self._statement_cache_size = statement_cache_size
+        #: Bumped by every DDL route; a cached plan from an older epoch is
+        #: re-prepared on its next use instead of run.
+        self._schema_epoch = 0
+        self._m_cache_hits = self.metrics.counter("db.stmt_cache_hits")
+        self._m_cache_misses = self.metrics.counter("db.stmt_cache_misses")
         self.profiler = (
             profiler if profiler is not None
             else QueryProfiler(metrics=self.metrics)
         )
-        self._tables: dict[str, Table] = {}
-        self._ddl_lock = threading.RLock()
-        self._statement_cache: "OrderedDict[str, Any]" = OrderedDict()
-        self._statement_cache_size = statement_cache_size
-        self._m_cache_hits = self.metrics.counter("db.stmt_cache_hits")
-        self._m_cache_misses = self.metrics.counter("db.stmt_cache_misses")
-        self._executor: Any = None  # built lazily to avoid import cycle
+
+    @property
+    def profiler(self) -> QueryProfiler:
+        return self._profiler
+
+    @profiler.setter
+    def profiler(self, profiler: QueryProfiler) -> None:
+        # Plans carry the old profiler's instruments.
+        self._profiler = profiler
+        self._invalidate_plans()
+
+    def _invalidate_plans(self) -> None:
+        with self._ddl_lock:
+            self._schema_epoch += 1
 
     # ------------------------------------------------------------------
     # DDL
@@ -101,9 +120,11 @@ class Database:
                 eager_index_cleanup=self.eager_index_cleanup,
                 dead_hit_cost=self.dead_hit_cost,
                 metrics=self.metrics,
+                on_ddl=self._invalidate_plans,
             )
             self._tables[key] = table
             self._register_table_metrics(table)
+            self._invalidate_plans()
             return table
 
     def _register_table_metrics(self, table: Table) -> None:
@@ -135,6 +156,7 @@ class Database:
         with self._ddl_lock:
             if self._tables.pop(name.lower(), None) is None:
                 raise NoSuchTableError(name)
+            self._invalidate_plans()
 
     def table(self, name: str) -> Table:
         try:
@@ -149,27 +171,35 @@ class Database:
         return [t.schema.name for t in self._tables.values()]
 
     # ------------------------------------------------------------------
-    # Logged DML primitives (used by the SQL executor and by recovery)
+    # Logged DML primitives (used by SQL plans and by recovery)
     # ------------------------------------------------------------------
 
     def insert_row(self, table_name: str, values: dict[str, Any]) -> tuple[int, list]:
-        table = self.table(table_name)
+        return self.insert_into(self.table(table_name), values)
+
+    def delete_row(self, table_name: str, rid: int) -> list:
+        return self.delete_from(self.table(table_name), rid)
+
+    def update_row(
+        self, table_name: str, rid: int, changes: dict[str, Any]
+    ) -> tuple[int, list]:
+        return self.update_in(self.table(table_name), rid, changes)
+
+    def insert_into(self, table: Table, values: dict[str, Any]) -> tuple[int, list]:
         rid, row = table.insert(values)
         if self.wal is not None:
             self.wal.log(OP_INSERT, table.schema.name, tuple(row))
         return rid, row
 
-    def delete_row(self, table_name: str, rid: int) -> list:
-        table = self.table(table_name)
+    def delete_from(self, table: Table, rid: int) -> list:
         old = table.delete_rid(rid)
         if self.wal is not None:
             self.wal.log(OP_DELETE, table.schema.name, tuple(old))
         return old
 
-    def update_row(
-        self, table_name: str, rid: int, changes: dict[str, Any]
+    def update_in(
+        self, table: Table, rid: int, changes: dict[str, Any]
     ) -> tuple[int, list]:
-        table = self.table(table_name)
         new_rid, row = table.update_rid(rid, changes)
         if self.wal is not None:
             self.wal.log(OP_UPDATE, table.schema.name, tuple(row))
@@ -180,41 +210,63 @@ class Database:
     # ------------------------------------------------------------------
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> "ResultSet":
-        """Parse (with caching), plan and run one SQL statement."""
-        from repro.db.sql.executor import Executor
-        from repro.db.sql.parser import parse
+        """Run one SQL statement through its prepared plan.
 
-        cache = self._statement_cache
-        stmt = cache.get(sql)
-        if stmt is None:
-            self._m_cache_misses.inc()
-            stmt = parse(sql)
-            cache[sql] = stmt
-            # LRU bound: parameter-inlined user SQL is unique per call
-            # and must not grow the cache forever.
-            if len(cache) > self._statement_cache_size:
-                cache.popitem(last=False)
+        The plan is built once per SQL text and schema epoch; every
+        execution after that is a cache hit plus :meth:`Plan.run`.
+        """
+        plan = self._statement_cache.get(sql)
+        if plan is None or plan.epoch != self._schema_epoch:
+            plan = self._prepare(sql)
         else:
             self._m_cache_hits.inc()
-            cache.move_to_end(sql)
-        if self._executor is None:
-            self._executor = Executor(self)
-        profiler = self.profiler
+            self._statement_cache.move_to_end(sql)
+        profiler = self._profiler
         if profiler.enabled:
-            return self._execute_profiled(profiler, sql, stmt, list(params))
+            return self._execute_profiled(profiler, plan, params)
         if not tracing.active():
-            return self._executor.execute(stmt, list(params))
-        with tracing.span("sql.execute", statement=type(stmt).__name__):
-            return self._executor.execute(stmt, list(params))
+            return plan.run(params)
+        with tracing.span("sql.execute", statement=plan.meta.kind):
+            return plan.run(params)
+
+    def _prepare(self, sql: str) -> Plan:
+        """Parse and plan ``sql`` and put the plan in the LRU cache."""
+        self._m_cache_misses.inc()
+        epoch = self._schema_epoch
+        stmt = parse(sql)
+        profiler = self._profiler
+        start = profiler.clock() if profiler.enabled else 0.0
+        try:
+            plan = prepare(self, stmt)
+        except Exception as exc:
+            # A statement that cannot be planned (unknown table or
+            # column) is a failed statement like any other in the log.
+            if profiler.enabled:
+                profiler.record(
+                    sql, stmt, QueryProfile(clock=profiler.clock),
+                    profiler.clock() - start,
+                    error=f"{type(exc).__name__}: {exc}",
+                    trace=tracing.context(),
+                )
+            raise
+        plan.epoch = epoch
+        plan.meta = profiler.describe(sql, stmt)
+        cache = self._statement_cache
+        cache[sql] = plan
+        cache.move_to_end(sql)
+        # LRU bound: parameter-inlined user SQL is unique per call
+        # and must not grow the cache forever.
+        if len(cache) > self._statement_cache_size:
+            cache.popitem(last=False)
+        return plan
 
     def _execute_profiled(
         self,
         profiler: QueryProfiler,
-        sql: str,
-        stmt: Any,
-        params: list[Any],
+        plan: Plan,
+        params: Sequence[Any],
     ) -> "ResultSet":
-        """Run one statement under a :class:`QueryProfile`.
+        """Run one plan under a :class:`QueryProfile`.
 
         The enclosing trace context (the server's ``rpc.handle`` span
         when called from a request) is captured *before* opening the
@@ -222,28 +274,27 @@ class Database:
         back to the RPC that issued it.
         """
         trace = tracing.context()
-        profile = QueryProfile(clock=profiler.clock)
-        start = profiler.clock()
+        clock = profiler.clock
+        profile = QueryProfile(clock=clock)
+        start = clock()
         try:
             if tracing.active():
-                with tracing.span(
-                    "sql.execute", statement=type(stmt).__name__
-                ):
-                    result = self._executor.execute(stmt, params, profile)
+                with tracing.span("sql.execute", statement=plan.meta.kind):
+                    result = plan.run(params, profile)
             else:
-                result = self._executor.execute(stmt, params, profile)
+                result = plan.run(params, profile)
         except Exception as exc:
-            profile.duration = profiler.clock() - start
-            profiler.record(
-                sql, stmt, profile, profile.duration,
+            profile.duration = clock() - start
+            profiler.account(
+                plan.meta, profile, profile.duration,
                 error=f"{type(exc).__name__}: {exc}", trace=trace,
             )
             raise
-        profile.duration = profiler.clock() - start
+        profile.duration = clock() - start
         profile.rows_returned = (
             len(result.rows) if result.rows else result.rowcount
         )
-        profiler.record(sql, stmt, profile, profile.duration, trace=trace)
+        profiler.account(plan.meta, profile, profile.duration, trace=trace)
         return result
 
     # ------------------------------------------------------------------
@@ -300,33 +351,3 @@ def _delete_matching(table: Table, values: dict[str, Any]) -> None:
             if row == target:
                 table.delete_rid(rid)
                 return
-
-
-class ResultSet:
-    """Rows plus metadata returned by :meth:`Database.execute`."""
-
-    __slots__ = ("columns", "rows", "rowcount", "lastrowid")
-
-    def __init__(
-        self,
-        columns: list[str],
-        rows: list[tuple],
-        rowcount: int,
-        lastrowid: int | None = None,
-    ) -> None:
-        self.columns = columns
-        self.rows = rows
-        self.rowcount = rowcount
-        self.lastrowid = lastrowid
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def scalar(self) -> Any:
-        """First column of the first row, or ``None`` if empty."""
-        if not self.rows:
-            return None
-        return self.rows[0][0]

@@ -107,12 +107,15 @@ class Cursor:
     def __init__(self, connection: Connection) -> None:
         self._connection = connection
         self._result: ResultSet | None = None
+        #: Rows of ``_result`` already handed out by fetchone/fetchall.
+        self._fetched = 0
         self._closed = False
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> "Cursor":
         if self._closed:
             raise ConnectionClosedError("cursor is closed")
         self._result = self._connection.database.execute(sql, params)
+        self._fetched = 0
         return self
 
     def executemany(
@@ -127,25 +130,24 @@ class Cursor:
             total += last.rowcount
         if last is not None:
             self._result = ResultSet(last.columns, [], total, last.lastrowid)
+            self._fetched = 0
         return self
 
     def fetchall(self) -> list[tuple]:
+        """The rows not fetched yet (the whole result on a fresh cursor)."""
         if self._result is None:
             return []
         rows = self._result.rows
-        self._result = ResultSet(self._result.columns, [], self._result.rowcount)
+        if self._fetched:
+            rows = rows[self._fetched :]
+        self._fetched = len(self._result.rows)
         return rows
 
     def fetchone(self) -> tuple | None:
-        if self._result is None or not self._result.rows:
+        if self._result is None or self._fetched >= len(self._result.rows):
             return None
-        row = self._result.rows[0]
-        self._result = ResultSet(
-            self._result.columns,
-            self._result.rows[1:],
-            self._result.rowcount,
-            self._result.lastrowid,
-        )
+        row = self._result.rows[self._fetched]
+        self._fetched += 1
         return row
 
     @property

@@ -7,9 +7,9 @@ contention.  This module is the missing layer:
 
 * :class:`QueryProfile` — one statement's execution record: chosen access
   path per operator, rows examined vs. returned, dead-index hits, and
-  per-operator wall time on an injectable clock.  The SQL executor
-  threads one through plan execution when asked (``EXPLAIN ANALYZE`` and
-  the profiled engine path).
+  per-operator wall time on an injectable clock.  A SQL plan threads one
+  through its operators when asked (``EXPLAIN ANALYZE`` and the profiled
+  engine path).
 * :class:`QueryLog` — bounded tail retention of slow/error statements
   with their profiles, normalized statement text, and the enclosing RPC
   span context (same retention idea as
@@ -17,7 +17,10 @@ contention.  This module is the missing layer:
   the slow and the broken, plus a small recent ring for context).
 * :class:`QueryProfiler` — per-database container tying the two to the
   metrics registry (``db.statements{class=...}``,
-  ``db.statement_latency{class=...}``, ``db.slow_statements``).
+  ``db.statement_latency{class=...}``, ``db.slow_statements``), and
+  :class:`StatementMeta` — the per-statement constants of that accounting
+  (class label, normalized text, instruments), worked out once when the
+  statement is prepared.
 * :class:`TimedLatch` — a lock wrapper that observes *contended*
   acquisition waits into a histogram (``db.latch_wait{table=...}``,
   ``db.wal_lock_wait``) while keeping the uncontended fast path at one
@@ -34,7 +37,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import OrderedDict
+from collections import deque
 from typing import Any, Callable
 
 from repro.obs import reqctx
@@ -58,7 +61,7 @@ def _fmt_ms(seconds: float) -> str:
 class OpStats:
     """One operator's actuals within a :class:`QueryProfile`.
 
-    Executor stages mutate these in place (join operators accumulate
+    Plan operators mutate these in place (join operators accumulate
     across probe calls), so this is a plain mutable record, not a frozen
     dataclass.
     """
@@ -118,7 +121,7 @@ class OpStats:
 
 
 class QueryProfile:
-    """Per-statement execution record threaded through the executor.
+    """Per-statement execution record threaded through a plan's operators.
 
     ``clock`` is injectable so tests (and the simulator) get
     deterministic per-operator timings.
@@ -150,15 +153,19 @@ class QueryProfile:
     @property
     def rows_examined(self) -> int:
         """Rows fetched by access paths (drive + join probes)."""
-        return sum(
-            op.rows_examined or 0
-            for op in self.ops
-            if op.name in ("drive", "join")
-        )
+        total = 0
+        for op in self.ops:
+            if op.rows_examined and (op.name == "drive" or op.name == "join"):
+                total += op.rows_examined
+        return total
 
     @property
     def dead_index_hits(self) -> int:
-        return sum(op.dead_hits or 0 for op in self.ops)
+        total = 0
+        for op in self.ops:
+            if op.dead_hits:
+                total += op.dead_hits
+        return total
 
     def plan_lines(self) -> list[str]:
         """EXPLAIN ANALYZE output: one line per operator plus a total."""
@@ -189,9 +196,6 @@ def statement_class(stmt: Any) -> str:
     return kind
 
 
-_NORMALIZE_CACHE_CAP = 1024
-
-
 def normalize_statement(sql: str) -> str:
     """Statement text with literals replaced by ``?`` placeholders.
 
@@ -215,6 +219,29 @@ def normalize_statement(sql: str) -> str:
         else:
             parts.append(str(tok.value))
     return " ".join(parts)
+
+
+class StatementMeta:
+    """What statement accounting needs that never changes between
+    executions of one statement: the AST kind (the ``sql.execute`` span
+    tag), the low-cardinality class label, the normalized text, and the
+    ``db.statements`` / ``db.statement_latency`` instruments."""
+
+    __slots__ = ("kind", "statement_class", "normalized", "counter", "latency")
+
+    def __init__(
+        self,
+        kind: str,
+        statement_class: str,
+        normalized: str,
+        counter: Any,
+        latency: Any,
+    ) -> None:
+        self.kind = kind
+        self.statement_class = statement_class
+        self.normalized = normalized
+        self.counter = counter
+        self.latency = latency
 
 
 class QueryLogEntry:
@@ -248,7 +275,7 @@ class QueryLogEntry:
         trace_id: str | None = None,
         span_id: str | None = None,
         principal: str | None = None,
-        plan: list[dict[str, Any]] | None = None,
+        plan: "list[dict[str, Any]] | list[OpStats] | None" = None,
     ) -> None:
         self.seq = seq
         self.sql = sql
@@ -263,6 +290,8 @@ class QueryLogEntry:
         #: Usage principal of the enclosing RPC (``rls slowlog`` shows
         #: who issued the statement); ``None`` outside any request.
         self.principal = principal
+        #: Operators as live :class:`OpStats` (from a profile; rendered to
+        #: dicts only if the entry is ever read) or already as dicts.
         self.plan = plan or []
 
     def to_dict(self) -> dict[str, Any]:
@@ -279,7 +308,10 @@ class QueryLogEntry:
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "principal": self.principal,
-            "plan": list(self.plan),
+            "plan": [
+                op.to_dict() if isinstance(op, OpStats) else op
+                for op in self.plan
+            ],
         }
 
     @classmethod
@@ -327,8 +359,8 @@ class QueryLog:
             else max(16, capacity // 4)
         )
         self._lock = threading.Lock()
-        self._interesting: "OrderedDict[int, QueryLogEntry]" = OrderedDict()
-        self._recent: "OrderedDict[int, QueryLogEntry]" = OrderedDict()
+        self._interesting: "deque[QueryLogEntry]" = deque(maxlen=capacity)
+        self._recent: "deque[QueryLogEntry]" = deque(maxlen=self.recent_capacity)
         self.offered = 0
         self.retained = 0
 
@@ -345,23 +377,19 @@ class QueryLog:
         reason = self.interesting_reason(entry)
         with self._lock:
             self.offered += 1
-            self._recent[entry.seq] = entry
-            while len(self._recent) > self.recent_capacity:
-                self._recent.popitem(last=False)
+            self._recent.append(entry)
             if reason is not None:
                 self.retained += 1
-                self._interesting[entry.seq] = entry
-                while len(self._interesting) > self.capacity:
-                    self._interesting.popitem(last=False)
+                self._interesting.append(entry)
 
     def interesting(self) -> list[QueryLogEntry]:
         """Tail-retained statements (errors and slow), oldest first."""
         with self._lock:
-            return list(self._interesting.values())
+            return list(self._interesting)
 
     def recent(self) -> list[QueryLogEntry]:
         with self._lock:
-            return list(self._recent.values())
+            return list(self._recent)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -412,10 +440,6 @@ class QueryProfiler:
         self.log = QueryLog(capacity=capacity, slow_threshold=slow_threshold)
         self._seq = itertools.count(1)
         self._m_slow = self.metrics.counter("db.slow_statements")
-        # Per-class instruments and normalized text, cached so the
-        # profiled hot path skips registry lookups and re-tokenizing.
-        self._class_instruments: dict[str, tuple[Any, Any]] = {}
-        self._norm_cache: dict[str, str] = {}
 
     @property
     def slow_threshold(self) -> float:
@@ -437,23 +461,19 @@ class QueryProfiler:
             )
         return self
 
-    def _instruments(self, cls: str) -> tuple[Any, Any]:
-        pair = self._class_instruments.get(cls)
-        if pair is None:
-            pair = (
-                self.metrics.counter("db.statements", **{"class": cls}),
-                self.metrics.histogram("db.statement_latency", **{"class": cls}),
-            )
-            self._class_instruments[cls] = pair
-        return pair
-
-    def _normalized(self, sql: str) -> str:
-        text = self._norm_cache.get(sql)
-        if text is None:
-            text = normalize_statement(sql)
-            if len(self._norm_cache) < _NORMALIZE_CACHE_CAP:
-                self._norm_cache[sql] = text
-        return text
+    def describe(self, sql: str, stmt: Any) -> StatementMeta:
+        """The accounting constants of one statement (see
+        :class:`StatementMeta`); a prepared plan carries them so
+        :meth:`account` does no label formatting, tokenizing or registry
+        lookup per execution."""
+        cls = statement_class(stmt)
+        return StatementMeta(
+            type(stmt).__name__,
+            cls,
+            normalize_statement(sql),
+            self.metrics.counter("db.statements", **{"class": cls}),
+            self.metrics.histogram("db.statement_latency", **{"class": cls}),
+        )
 
     def record(
         self,
@@ -464,11 +484,22 @@ class QueryProfiler:
         error: str | None = None,
         trace: tuple[str, str] | None = None,
     ) -> QueryLogEntry:
+        """Account one finished statement that was never prepared."""
+        return self.account(
+            self.describe(sql, stmt), profile, duration, error, trace
+        )
+
+    def account(
+        self,
+        meta: StatementMeta,
+        profile: QueryProfile,
+        duration: float,
+        error: str | None = None,
+        trace: tuple[str, str] | None = None,
+    ) -> QueryLogEntry:
         """Account one finished statement: metrics plus log retention."""
-        cls = statement_class(stmt)
-        counter, latency = self._instruments(cls)
-        counter.inc()
-        latency.observe(duration)
+        meta.counter.inc()
+        meta.latency.observe(duration)
         if error is None and duration >= self.log.slow_threshold:
             self._m_slow.inc()
         rows_examined = profile.rows_examined
@@ -479,18 +510,18 @@ class QueryProfiler:
             costs.rows_examined += rows_examined
             costs.db_time += duration
         entry = QueryLogEntry(
-            seq=next(self._seq),
-            sql=self._normalized(sql),
-            statement_class=cls,
-            duration=duration,
-            rows_examined=rows_examined,
-            rows_returned=profile.rows_returned,
-            dead_index_hits=profile.dead_index_hits,
-            error=error,
-            trace_id=trace[0] if trace else None,
-            span_id=trace[1] if trace else None,
-            principal=costs.principal if costs is not None else None,
-            plan=profile.to_dict(),
+            next(self._seq),
+            meta.normalized,
+            meta.statement_class,
+            duration,
+            rows_examined,
+            profile.rows_returned,
+            profile.dead_index_hits,
+            error,
+            trace[0] if trace else None,
+            trace[1] if trace else None,
+            costs.principal if costs is not None else None,
+            profile.ops,
         )
         self.log.offer(entry)
         return entry

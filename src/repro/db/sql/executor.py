@@ -1,172 +1,475 @@
-"""Planner + executor for parsed SQL statements.
+"""Run-time half of the SQL engine: prepared plans and their operators.
 
-The executor does simple but effective access-path selection:
+:mod:`repro.db.sql.planner` turns a parsed statement into a :class:`Plan`
+exactly once; :meth:`Plan.run` is then the only way a statement executes.
+A plan holds everything that does not depend on the bound parameters —
+``Table`` and index *objects*, column positions, predicates and
+projections compiled to closures over positional rows — so running it is
+index probes and closure calls, with no AST in sight:
 
-* single-table equality predicates on indexed columns use hash-index
-  lookups (the hot path for every RLS operation);
-* ``LIKE 'prefix%'`` predicates use an ordered-index prefix scan when one
-  exists (RLS wildcard queries);
-* ``IN (...)`` lists over a hash-indexed column probe the index once per
-  distinct key (RLS bulk queries);
+* equality on an indexed column set probes the hash index (the hot path
+  for every RLS operation), ``IN (...)`` probes it once per distinct key
+  (bulk operations), ``LIKE 'prefix%'`` walks the ordered index (wildcard
+  queries), anything else scans;
 * joins run as nested loops, probing the inner table through a hash index
-  on the join key when available (the LFN→map→PFN three-way join).
+  on the join key when there is one (the LFN→map→PFN three-way join).
 
-Everything else falls back to a scan + filter, which is fine for the small
-administrative tables (``t_rli``, ``t_rlipartition``).
+Plans are immutable and re-entrant: every per-execution value lives in
+``run``'s locals, so any number of threads may run one plan at once.
+``EXPLAIN``, ``EXPLAIN ANALYZE`` and the slow-query log render from the
+same operator objects that execute (their ``describe``/``detail`` text),
+and with a :class:`~repro.db.profiler.QueryProfile` threaded through,
+each operator records rows examined vs. returned, dead-index hits and
+wall time.  With no profile the extra cost is a few ``is None`` checks.
 
-Every DML path optionally threads a
-:class:`~repro.db.profiler.QueryProfile` through execution, recording the
-chosen access path, rows examined vs. returned, dead-index hits and
-per-operator wall time — the data behind ``EXPLAIN ANALYZE`` and the
-slow-query log.  With no profile the extra cost is a handful of
-``is None`` checks.
+NULL never equals anything here: ``=``, ``IN`` and every index probe
+treat a NULL on either side as no match, which is what lets the planner
+drop a conjunct its index already answers.
 """
 
 from __future__ import annotations
 
 import re
-import time
-from typing import Any, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Sequence
 
-from repro.db.errors import (
-    DBError,
-    NoSuchColumnError,
-    SQLSyntaxError,
-)
-from repro.db.profiler import QueryProfile
-from repro.db.schema import Column, TableSchema
-from repro.db.sql import ast
+from repro.db.index import HashIndex, OrderedIndex
+from repro.db.profiler import QueryProfile, StatementMeta
 from repro.db.table import Table
-from repro.db.types import type_from_sql
+
+#: A compiled expression: (current row of each binding, by slot; params).
+RowFn = Callable[[Sequence[Any], Sequence[Any]], Any]
+#: A compiled row-free expression (literals and ``?`` parameters only).
+ConstFn = Callable[[Sequence[Any]], Any]
+Pairs = Iterable[tuple[int, list[Any]]]
+
+FILTER_DETAIL = "residual WHERE re-checked per row"
 
 
-class _SelectProf:
-    """Per-SELECT profiling state shared across the join recursion."""
+class ResultSet:
+    """Rows plus metadata returned by :meth:`Database.execute`."""
 
-    __slots__ = ("profile", "join_ops", "filter_op")
+    __slots__ = ("columns", "rows", "rowcount", "lastrowid")
 
-    def __init__(self, profile: QueryProfile) -> None:
-        self.profile = profile
-        self.join_ops: dict[str, Any] = {}
-        self.filter_op: Any = None
-
-
-class Executor:
-    """Executes parsed statements against a :class:`~repro.db.engine.Database`."""
-
-    def __init__(self, database: Any) -> None:
-        self.db = database
-
-    # ------------------------------------------------------------------
-
-    def execute(
+    def __init__(
         self,
-        stmt: ast.Statement,
-        params: list[Any],
-        profile: QueryProfile | None = None,
-    ) -> Any:
-        from repro.db.engine import ResultSet
+        columns: list[str],
+        rows: list[tuple],
+        rowcount: int,
+        lastrowid: int | None = None,
+    ) -> None:
+        self.columns = columns
+        self.rows = rows
+        self.rowcount = rowcount
+        self.lastrowid = lastrowid
 
-        if isinstance(stmt, ast.Select):
-            cols, rows = self._select(stmt, params, profile)
-            return ResultSet(cols, rows, len(rows))
-        if isinstance(stmt, ast.Insert):
-            count, lastrowid = self._insert(stmt, params, profile)
-            return ResultSet([], [], count, lastrowid)
-        if isinstance(stmt, ast.Update):
-            return ResultSet([], [], self._update(stmt, params, profile))
-        if isinstance(stmt, ast.Delete):
-            return ResultSet([], [], self._delete(stmt, params, profile))
-        if isinstance(stmt, ast.CreateTable):
-            self._create_table(stmt)
-            return ResultSet([], [], 0)
-        if isinstance(stmt, ast.CreateIndex):
-            self._create_index(stmt)
-            return ResultSet([], [], 0)
-        if isinstance(stmt, ast.DropTable):
-            self.db.drop_table(stmt.name)
-            return ResultSet([], [], 0)
-        if isinstance(stmt, ast.Vacuum):
-            return ResultSet([], [], self._vacuum(stmt))
-        if isinstance(stmt, ast.Explain):
-            if stmt.analyze:
-                lines = self._explain_analyze(stmt.statement, params)
-            else:
-                lines = self._explain(stmt.statement, params)
-            rows = [(line,) for line in lines]
-            return ResultSet(["plan"], rows, len(rows))
-        raise DBError(f"unsupported statement type: {type(stmt).__name__}")
+    def __iter__(self):
+        return iter(self.rows)
 
-    # ------------------------------------------------------------------
-    # DDL
-    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.rows)
 
-    def _create_table(self, stmt: ast.CreateTable) -> None:
-        columns = [
-            Column(
-                name=c.name,
-                ctype=type_from_sql(c.type_name, c.type_arg),
-                nullable=not c.not_null,
-                autoincrement=c.autoincrement,
-            )
-            for c in stmt.columns
-        ]
-        schema = TableSchema(
-            name=stmt.name,
-            columns=columns,
-            primary_key=stmt.primary_key,
-            unique=list(stmt.unique),
-        )
-        self.db.create_table(schema)
+    def scalar(self) -> Any:
+        """First column of the first row, or ``None`` if empty."""
+        if not self.rows:
+            return None
+        return self.rows[0][0]
 
-    def _create_index(self, stmt: ast.CreateIndex) -> None:
-        table = self.db.table(stmt.table)
-        if stmt.using == "BTREE":
-            if len(stmt.columns) != 1:
-                raise SQLSyntaxError("BTREE indexes cover exactly one column")
-            table.create_ordered_index(stmt.name, stmt.columns[0])
+
+# ---------------------------------------------------------------------------
+# Access paths for a statement's driving table
+# ---------------------------------------------------------------------------
+
+
+def index_label(table: Table, positions: Sequence[int]) -> str:
+    """``t_map(lfn_id, pfn_id)`` — how plan text names an index."""
+    cols = ", ".join(table.schema.columns[p].name for p in positions)
+    return f"{table.schema.name}({cols})"
+
+
+@dataclass(slots=True)
+class FullScan:
+    """Every live row; ``filtered`` only words the description."""
+
+    table: Table
+    filtered: bool
+
+    def rows(self, params: Sequence[Any]) -> Pairs:
+        return self.table.scan()
+
+    def describe(self, params: Sequence[Any]) -> str:
+        suffix = " + filter" if self.filtered else ""
+        return f"full scan {self.table.schema.name}{suffix}"
+
+
+@dataclass(slots=True)
+class HashLookup:
+    """``col = const [AND ...]`` answered by one hash-index probe."""
+
+    table: Table
+    index: HashIndex
+    key_of: ConstFn
+    text: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        label = index_label(self.table, self.index.column_positions)
+        self.text = f"hash index lookup {label}"
+
+    def rows(self, params: Sequence[Any]) -> Pairs:
+        key = self.key_of(params)
+        if None in key:
+            return ()
+        return self.table.lookup_index(self.index, key)
+
+    def describe(self, params: Sequence[Any]) -> str:
+        return self.text
+
+
+@dataclass(slots=True)
+class InProbe:
+    """``col IN (const, ...)``: one hash-index probe per distinct key."""
+
+    table: Table
+    index: HashIndex
+    items_of: ConstFn
+
+    def _keys(self, params: Sequence[Any]) -> list[Any]:
+        return [k for k in dict.fromkeys(self.items_of(params)) if k is not None]
+
+    def rows(self, params: Sequence[Any]) -> Pairs:
+        table, index = self.table, self.index
+        found: list[tuple[int, list[Any]]] = []
+        for key in self._keys(params):
+            found.extend(table.lookup_index(index, (key,)))
+        return found
+
+    def describe(self, params: Sequence[Any]) -> str:
+        label = index_label(self.table, self.index.column_positions)
+        return f"hash index IN probe {label} [{len(self._keys(params))} keys]"
+
+
+@dataclass(slots=True)
+class PrefixScan:
+    """``col LIKE const``: ordered-index walk over the literal prefix.
+
+    Only narrows the candidates; the LIKE itself stays in the residual.
+    A pattern that turns out not to be a string cannot use the index.
+    """
+
+    table: Table
+    index: OrderedIndex
+    pattern_of: ConstFn
+
+    def rows(self, params: Sequence[Any]) -> Pairs:
+        pattern = self.pattern_of(params)
+        if not isinstance(pattern, str):
+            return self.table.scan()
+        return self.table.prefix_index(self.index, like_prefix(pattern))
+
+    def describe(self, params: Sequence[Any]) -> str:
+        pattern = self.pattern_of(params)
+        if not isinstance(pattern, str):
+            return FullScan(self.table, filtered=True).describe(params)
+        label = index_label(self.table, (self.index.column_position,))
+        return f"ordered index prefix scan {label} prefix={like_prefix(pattern)!r}"
+
+
+def _drive(path: Any, params: Sequence[Any], profile: QueryProfile | None) -> Pairs:
+    """Candidate rows of the driving table; with a profile they are
+    materialized and a ``drive`` operator records rows fetched, the
+    dead-index-hit delta and the access-path wall time."""
+    if profile is None:
+        return path.rows(params)
+    start = profile.clock()
+    stats = path.table.stats
+    dead_before = stats.dead_index_hits
+    found = list(path.rows(params))
+    profile.add_op(
+        "drive",
+        path.describe(params),
+        rows_examined=len(found),
+        rows_returned=len(found),
+        dead_hits=stats.dead_index_hits - dead_before,
+        elapsed=profile.clock() - start,
+    )
+    return found
+
+
+@dataclass(slots=True)
+class JoinStep:
+    """One inner table of the nested loop, reached by hash probe on the
+    join key (``index``/``key_of`` set) or by full scan; ``on`` is what
+    of the ON clause the probe does not already answer."""
+
+    slot: int
+    table: Table
+    index: HashIndex | None
+    key_of: RowFn | None
+    on: RowFn | None
+    detail: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        probe = "full scan"
+        if self.index is not None:
+            column = self.table.schema.columns[self.index.column_positions[0]]
+            probe = f"hash probe on {column.name}"
+        self.detail = f"{self.table.schema.name} via {probe}"
+
+    def rows(self, rows: Sequence[Any], params: Sequence[Any]) -> Pairs:
+        if self.index is None:
+            return self.table.scan()
+        value = self.key_of(rows, params)
+        if value is None:
+            return ()
+        return self.table.lookup_index(self.index, (value,))
+
+
+# ---------------------------------------------------------------------------
+# Plans
+# ---------------------------------------------------------------------------
+
+
+def bind_derived(params: Sequence[Any], derived: Sequence[ConstFn]) -> Sequence[Any]:
+    """``params`` extended with the per-execution values a plan derives
+    from them (IN-list membership sets), so compiled predicates find
+    them at fixed negative positions and the plan itself stays stateless."""
+    if not derived:
+        return params
+    return [*params, *[fn(params) for fn in reversed(derived)]]
+
+
+class Plan:
+    """One statement, compiled once.
+
+    ``epoch`` (the schema epoch it was planned under) and ``meta`` (what
+    the profiler needs: statement class, normalized SQL, instruments) are
+    set once by :meth:`Database._prepare` before the plan is published.
+    """
+
+    __slots__ = ("epoch", "meta")
+
+    epoch: int
+    meta: StatementMeta
+
+    def run(
+        self, params: Sequence[Any], profile: QueryProfile | None = None
+    ) -> ResultSet:
+        raise NotImplementedError
+
+    def explain(self, params: Sequence[Any]) -> list[str]:
+        """Human-readable access plan, one line per operator."""
+        raise NotImplementedError
+
+
+@dataclass(slots=True)
+class SelectPlan(Plan):
+    drive: Any
+    joins: tuple[JoinStep, ...]
+    residual: RowFn | None
+    #: Output tuple of the current rows; when sorting on non-projected
+    #: source columns, ``(output tuple, sort key values)`` instead.
+    project: RowFn
+    columns: list[str]
+    count_star: bool
+    distinct: bool
+    #: ``(position, descending)`` into the output row, or into the
+    #: key-value list when ``sort_on_source``.
+    sort_keys: tuple[tuple[int, bool], ...]
+    sort_on_source: bool
+    order_text: str
+    limit: int | None
+    derived: tuple[ConstFn, ...]
+
+    def run(
+        self, params: Sequence[Any], profile: QueryProfile | None = None
+    ) -> ResultSet:
+        params = bind_derived(params, self.derived)
+        candidates = _drive(self.drive, params, profile)
+        residual, project, joins = self.residual, self.project, self.joins
+        rows: list[Any] = [None] * (len(joins) + 1)
+        out: list[Any] = []
+        emit = out.append
+        join_ops = filter_op = None
+        if profile is not None:
+            join_ops = [
+                profile.add_op("join", step.detail, 0, 0, 0, 0.0)
+                for step in joins
+            ]
+            if residual is not None:
+                filter_op = profile.add_op("filter", FILTER_DETAIL, 0, 0)
+
+        if residual is None:
+            def leaf() -> None:
+                emit(project(rows, params))
+        elif filter_op is None:
+            def leaf() -> None:
+                if residual(rows, params):
+                    emit(project(rows, params))
         else:
-            table.create_hash_index(stmt.name, list(stmt.columns))
+            def leaf() -> None:
+                filter_op.rows_examined += 1
+                if residual(rows, params):
+                    filter_op.rows_returned += 1
+                    emit(project(rows, params))
 
-    def _vacuum(self, stmt: ast.Vacuum) -> int:
-        if stmt.table is not None:
-            return self.db.table(stmt.table).vacuum()
-        total = 0
-        for name in self.db.table_names():
-            total += self.db.table(name).vacuum()
-        return total
+        if joins:
+            for _rid, row in candidates:
+                rows[0] = row
+                self._join(0, rows, params, leaf, join_ops, profile)
+        else:
+            for _rid, row in candidates:
+                rows[0] = row
+                leaf()
 
-    # ------------------------------------------------------------------
-    # DML
-    # ------------------------------------------------------------------
+        if self.count_star:
+            return ResultSet(list(self.columns), [(len(out),)], 1)
+        if self.distinct:
+            out = list(dict.fromkeys(out))
+        if self.sort_keys:
+            start = profile.clock() if profile is not None else 0.0
+            out = self._sorted(out)
+            if profile is not None:
+                profile.add_op(
+                    "sort",
+                    self.order_text,
+                    rows_returned=len(out),
+                    elapsed=profile.clock() - start,
+                )
+        if self.limit is not None:
+            before = len(out)
+            out = out[: self.limit]
+            if profile is not None:
+                profile.add_op("limit", str(self.limit), before, len(out))
+        return ResultSet(list(self.columns), out, len(out))
 
-    def _insert(
+    def _join(
         self,
-        stmt: ast.Insert,
-        params: list[Any],
-        profile: QueryProfile | None = None,
-    ) -> tuple[int, int | None]:
-        lastrowid: int | None = None
-        table = self.db.table(stmt.table)
-        autoinc_pos = next(
-            (
-                i
-                for i, c in enumerate(table.schema.columns)
-                if c.autoincrement
-            ),
-            None,
-        )
+        depth: int,
+        rows: list[Any],
+        params: Sequence[Any],
+        leaf: Callable[[], None],
+        ops: list[Any] | None,
+        profile: QueryProfile | None,
+    ) -> None:
+        """Depth-first nested-loop join, index-probing each inner table."""
+        step = self.joins[depth]
+        if ops is None:
+            probe = step.rows(rows, params)
+        else:
+            op = ops[depth]
+            start = profile.clock()
+            stats = step.table.stats
+            dead_before = stats.dead_index_hits
+            probe = list(step.rows(rows, params))
+            op.elapsed += profile.clock() - start
+            op.dead_hits += stats.dead_index_hits - dead_before
+            op.rows_examined += len(probe)
+        slot, on = step.slot, step.on
+        last = depth + 1 == len(self.joins)
+        for _rid, row in probe:
+            rows[slot] = row
+            if on is None or on(rows, params):
+                if ops is not None:
+                    op.rows_returned += 1
+                if last:
+                    leaf()
+                else:
+                    self._join(depth + 1, rows, params, leaf, ops, profile)
+
+    def _sorted(self, out: list[Any]) -> list[Any]:
+        """Stable multi-key sort, NULLs last."""
+        on_source = self.sort_on_source
+        for pos, descending in reversed(self.sort_keys):
+            def key(entry: Any, pos: int = pos) -> tuple:
+                value = (entry[1] if on_source else entry)[pos]
+                return (value is None, value)
+
+            out.sort(key=key, reverse=descending)
+        return [pair[0] for pair in out] if on_source else out
+
+    def explain(self, params: Sequence[Any]) -> list[str]:
+        params = bind_derived(params, self.derived)
+        lines = [f"drive: {self.drive.describe(params)}"]
+        lines.extend(f"join: {step.detail}" for step in self.joins)
+        if self.residual is not None:
+            lines.append(f"filter: {FILTER_DETAIL}")
+        if self.sort_keys:
+            lines.append(f"sort: {self.order_text}")
+        if self.limit is not None:
+            lines.append(f"limit: {self.limit}")
+        return lines
+
+
+@dataclass(slots=True)
+class MutatePlan(Plan):
+    """UPDATE (``changes_of`` set) or DELETE over index-accelerated matches."""
+
+    db: Any
+    table: Table
+    drive: Any
+    residual: RowFn | None
+    changes_of: Callable[[Sequence[Any]], dict[str, Any]] | None
+    derived: tuple[ConstFn, ...]
+
+    @property
+    def verb(self) -> str:
+        return "delete" if self.changes_of is None else "update"
+
+    def run(
+        self, params: Sequence[Any], profile: QueryProfile | None = None
+    ) -> ResultSet:
+        params = bind_derived(params, self.derived)
+        # Materialized before the first write: mutating under a live index
+        # iteration would skip or revisit rows.
+        matches = list(_drive(self.drive, params, profile))
+        residual = self.residual
+        if residual is not None:
+            fetched = len(matches)
+            matches = [m for m in matches if residual((m[1],), params)]
+            if profile is not None:
+                profile.add_op("filter", FILTER_DETAIL, fetched, len(matches))
         start = profile.clock() if profile is not None else 0.0
-        count = 0
-        for row_exprs in stmt.rows:
-            values = {
-                col: _eval_const(expr, params)
-                for col, expr in zip(stmt.columns, row_exprs)
-            }
-            _rid, row = self.db.insert_row(stmt.table, values)
+        db, table = self.db, self.table
+        if self.changes_of is None:
+            for rid, _row in matches:
+                db.delete_from(table, rid)
+        else:
+            changes = self.changes_of(params)
+            for rid, _row in matches:
+                db.update_in(table, rid, changes)
+        if profile is not None:
+            profile.add_op(
+                self.verb,
+                table.schema.name,
+                rows_returned=len(matches),
+                elapsed=profile.clock() - start,
+            )
+        return ResultSet([], [], len(matches))
+
+    def explain(self, params: Sequence[Any]) -> list[str]:
+        params = bind_derived(params, self.derived)
+        return [f"{self.verb} via {self.drive.describe(params)}"]
+
+
+@dataclass(slots=True)
+class InsertPlan(Plan):
+    db: Any
+    table: Table
+    #: One column→value builder per ``VALUES (...)`` row.
+    rows_of: tuple[Callable[[Sequence[Any]], dict[str, Any]], ...]
+    autoinc_pos: int | None
+
+    def run(
+        self, params: Sequence[Any], profile: QueryProfile | None = None
+    ) -> ResultSet:
+        start = profile.clock() if profile is not None else 0.0
+        db, table, autoinc_pos = self.db, self.table, self.autoinc_pos
+        lastrowid: int | None = None
+        for values_of in self.rows_of:
+            _rid, row = db.insert_into(table, values_of(params))
             if autoinc_pos is not None:
                 lastrowid = row[autoinc_pos]
-            count += 1
+        count = len(self.rows_of)
         if profile is not None:
             profile.add_op(
                 "insert",
@@ -174,688 +477,58 @@ class Executor:
                 rows_returned=count,
                 elapsed=profile.clock() - start,
             )
-        return count, lastrowid
+        return ResultSet([], [], count, lastrowid)
 
-    def _update(
-        self,
-        stmt: ast.Update,
-        params: list[Any],
-        profile: QueryProfile | None = None,
-    ) -> int:
-        table = self.db.table(stmt.table)
-        matches = self._single_table_matches(table, stmt.where, params, profile)
-        changes_exprs = stmt.assignments
-        start = profile.clock() if profile is not None else 0.0
-        count = 0
-        for rid, _row in matches:
-            changes = {
-                col: _eval_const(expr, params) for col, expr in changes_exprs
-            }
-            self.db.update_row(stmt.table, rid, changes)
-            count += 1
-        if profile is not None:
-            profile.add_op(
-                "update",
-                table.schema.name,
-                rows_returned=count,
-                elapsed=profile.clock() - start,
+
+@dataclass(slots=True)
+class CommandPlan(Plan):
+    """DDL and VACUUM: nothing to prepare, the plan is the action (which
+    returns the affected-row count)."""
+
+    action: Callable[[], int]
+
+    def run(
+        self, params: Sequence[Any], profile: QueryProfile | None = None
+    ) -> ResultSet:
+        return ResultSet([], [], self.action())
+
+
+@dataclass(slots=True)
+class ExplainPlan(Plan):
+    """``EXPLAIN [ANALYZE]`` over the inner statement's own plan.
+
+    PostgreSQL semantics: ``EXPLAIN ANALYZE UPDATE/DELETE`` performs the
+    mutation.  Timings come from the profiler's injectable clock so tests
+    are deterministic.
+    """
+
+    db: Any
+    inner: Plan
+    analyze: bool
+
+    def run(
+        self, params: Sequence[Any], profile: QueryProfile | None = None
+    ) -> ResultSet:
+        if self.analyze:
+            clock = self.db.profiler.clock
+            actuals = QueryProfile(clock=clock)
+            start = clock()
+            result = self.inner.run(params, actuals)
+            actuals.duration = clock() - start
+            actuals.rows_returned = (
+                len(result.rows)
+                if isinstance(self.inner, SelectPlan)
+                else result.rowcount
             )
-        return count
-
-    def _delete(
-        self,
-        stmt: ast.Delete,
-        params: list[Any],
-        profile: QueryProfile | None = None,
-    ) -> int:
-        table = self.db.table(stmt.table)
-        matches = self._single_table_matches(table, stmt.where, params, profile)
-        start = profile.clock() if profile is not None else 0.0
-        count = 0
-        for rid, _row in matches:
-            self.db.delete_row(stmt.table, rid)
-            count += 1
-        if profile is not None:
-            profile.add_op(
-                "delete",
-                table.schema.name,
-                rows_returned=count,
-                elapsed=profile.clock() - start,
-            )
-        return count
-
-    def _single_table_matches(
-        self,
-        table: Table,
-        where: Any,
-        params: list[Any],
-        profile: QueryProfile | None = None,
-    ) -> list[tuple[int, list[Any]]]:
-        """Candidate (rid, row) pairs for UPDATE/DELETE, index-accelerated."""
-        binding = table.schema.name.lower()
-        candidates, residual, _plan = self._access_path(
-            table, binding, where, params, profile
-        )
-        if residual is None:
-            return list(candidates)
-        filter_op = None
-        if profile is not None:
-            filter_op = profile.add_op(
-                "filter",
-                "residual WHERE re-checked per row",
-                rows_examined=0,
-                rows_returned=0,
-            )
-        env = _Env({binding: table.schema})
-        out = []
-        for rid, row in candidates:
-            if filter_op is not None:
-                filter_op.rows_examined += 1
-            env.set_row(binding, row)
-            if _truthy(_eval(residual, env, params)):
-                if filter_op is not None:
-                    filter_op.rows_returned += 1
-                out.append((rid, row))
-        return out
-
-    # ------------------------------------------------------------------
-    # SELECT
-    # ------------------------------------------------------------------
-
-    def _select(
-        self,
-        stmt: ast.Select,
-        params: list[Any],
-        profile: QueryProfile | None = None,
-    ) -> tuple[list[str], list[tuple]]:
-        base_table = self.db.table(stmt.table.name)
-        bindings: dict[str, TableSchema] = {stmt.table.binding: base_table.schema}
-        join_tables: list[tuple[str, Table, Any]] = []
-        for join in stmt.joins:
-            jt = self.db.table(join.table.name)
-            if join.table.binding in bindings:
-                raise SQLSyntaxError(
-                    f"duplicate table binding {join.table.binding!r}"
-                )
-            bindings[join.table.binding] = jt.schema
-            join_tables.append((join.table.binding, jt, join.on))
-        env = _Env(bindings)
-
-        # Split WHERE into conjuncts usable by the driving table vs. residual.
-        candidates, residual, _plan = self._access_path(
-            base_table, stmt.table.binding, stmt.where, params, profile
-        )
-
-        prof: _SelectProf | None = None
-        if profile is not None:
-            prof = _SelectProf(profile)
-            for binding, jt, on in join_tables:
-                probe = self._join_probe_text(jt, binding, on)
-                prof.join_ops[binding] = profile.add_op(
-                    "join",
-                    f"{jt.schema.name} via {probe}",
-                    rows_examined=0,
-                    rows_returned=0,
-                    dead_hits=0,
-                    elapsed=0.0,
-                )
-            if residual is not None:
-                prof.filter_op = profile.add_op(
-                    "filter",
-                    "residual WHERE re-checked per row",
-                    rows_examined=0,
-                    rows_returned=0,
-                )
-
-        # Materialize result rows (list of env snapshots).
-        rows_env: list[dict[str, list[Any]]] = []
-        self._join_rec(
-            env,
-            stmt.table.binding,
-            candidates,
-            join_tables,
-            0,
-            residual,
-            params,
-            rows_env,
-            prof,
-        )
-
-        # Projection
-        count_star = (
-            len(stmt.items) == 1 and isinstance(stmt.items[0].expr, ast.CountStar)
-        )
-        if count_star:
-            name = stmt.items[0].alias or "count"
-            return [name], [(len(rows_env),)]
-
-        if stmt.items:
-            col_names = []
-            for item in stmt.items:
-                if item.alias:
-                    col_names.append(item.alias)
-                elif isinstance(item.expr, ast.ColumnRef):
-                    col_names.append(item.expr.name)
-                else:
-                    col_names.append("expr")
-            projected = []
-            for row_map in rows_env:
-                env.rows = row_map
-                projected.append(
-                    tuple(_eval(item.expr, env, params) for item in stmt.items)
-                )
-        else:  # SELECT *
-            col_names = []
-            for binding, schema in bindings.items():
-                for c in schema.columns:
-                    col_names.append(
-                        c.name if len(bindings) == 1 else f"{binding}.{c.name}"
-                    )
-            projected = []
-            for row_map in rows_env:
-                flat: list[Any] = []
-                for binding in bindings:
-                    flat.extend(row_map[binding])
-                projected.append(tuple(flat))
-
-        if stmt.distinct:
-            seen: set[tuple] = set()
-            unique_rows = []
-            for row in projected:
-                if row not in seen:
-                    seen.add(row)
-                    unique_rows.append(row)
-            projected = unique_rows
-
-        if stmt.order_by:
-            for item in stmt.order_by:
-                if not isinstance(item.expr, ast.ColumnRef):
-                    raise SQLSyntaxError("ORDER BY supports columns only")
-            sort_start = profile.clock() if profile is not None else 0.0
-            projected = self._apply_order_by(
-                stmt, projected, col_names, rows_env, env, params
-            )
-            if profile is not None:
-                cols = ", ".join(
-                    item.expr.name for item in stmt.order_by
-                    if isinstance(item.expr, ast.ColumnRef)
-                )
-                profile.add_op(
-                    "sort",
-                    cols,
-                    rows_returned=len(projected),
-                    elapsed=profile.clock() - sort_start,
-                )
-
-        if stmt.limit is not None:
-            before = len(projected)
-            projected = projected[: stmt.limit]
-            if profile is not None:
-                profile.add_op(
-                    "limit",
-                    str(stmt.limit),
-                    rows_examined=before,
-                    rows_returned=len(projected),
-                )
-
-        return col_names, projected
-
-    def _apply_order_by(
-        self,
-        stmt: ast.Select,
-        projected: list[tuple],
-        col_names: list[str],
-        rows_env: list[dict[str, list[Any]]],
-        env: "_Env",
-        params: list[Any],
-    ) -> list[tuple]:
-        """Stable multi-key sort; ORDER BY may reference output columns or
-        any source-table column (evaluated per row), with NULLs last."""
-        # Fast path: every key is a projected output column.
-        if all(
-            item.expr.name in col_names for item in stmt.order_by
-        ):
-            for item in reversed(stmt.order_by):
-                idx = col_names.index(item.expr.name)
-                projected.sort(
-                    key=lambda r, i=idx: (r[i] is None, r[i]),
-                    reverse=item.descending,
-                )
-            return projected
-        # Source-column path: needs row context, incompatible with DISTINCT
-        # (row identity is lost after de-duplication).
-        if stmt.distinct:
-            raise SQLSyntaxError(
-                "ORDER BY on non-projected columns requires them in SELECT "
-                "when DISTINCT is used"
-            )
-        if len(projected) != len(rows_env):
-            raise NoSuchColumnError("<select>", stmt.order_by[0].expr.name)
-        keyed = list(zip(projected, rows_env))
-        for item in reversed(stmt.order_by):
-            expr = item.expr
-
-            def sort_key(pair, expr=expr):
-                env.rows = pair[1]
-                value = _eval(expr, env, params)
-                return (value is None, value)
-
-            keyed.sort(key=sort_key, reverse=item.descending)
-        return [row for row, _ in keyed]
-
-    def _join_rec(
-        self,
-        env: "_Env",
-        base_binding: str,
-        base_rows: Iterable[tuple[int, list[Any]]],
-        joins: list[tuple[str, Table, Any]],
-        depth: int,
-        residual: Any,
-        params: list[Any],
-        out: list[dict[str, list[Any]]],
-        prof: _SelectProf | None = None,
-    ) -> None:
-        """Depth-first nested-loop join, index-probing each inner table."""
-        if depth == 0:
-            for _rid, row in base_rows:
-                env.rows = {base_binding: row}
-                self._join_rec(
-                    env, base_binding, (), joins, 1, residual, params, out, prof
-                )
-            return
-        if depth - 1 < len(joins):
-            binding, table, on = joins[depth - 1]
-            if prof is None:
-                probe: Iterable[tuple[int, list[Any]]] = self._probe_rows(
-                    table, binding, on, env, params
-                )
-            else:
-                op = prof.join_ops[binding]
-                probe_start = prof.profile.clock()
-                dead_before = table.stats.dead_index_hits
-                probe = list(self._probe_rows(table, binding, on, env, params))
-                op.elapsed += prof.profile.clock() - probe_start
-                op.dead_hits += table.stats.dead_index_hits - dead_before
-                op.rows_examined += len(probe)
-            for _rid, row in probe:
-                env.rows[binding] = row
-                if _truthy(_eval(on, env, params)):
-                    if prof is not None:
-                        prof.join_ops[binding].rows_returned += 1
-                    self._join_rec(
-                        env, base_binding, (), joins, depth + 1, residual,
-                        params, out, prof
-                    )
-            env.rows.pop(binding, None)
-            return
-        # All joins satisfied: apply residual predicate and emit.
-        if prof is not None and prof.filter_op is not None:
-            prof.filter_op.rows_examined += 1
-        if residual is None or _truthy(_eval(residual, env, params)):
-            if prof is not None and prof.filter_op is not None:
-                prof.filter_op.rows_returned += 1
-            out.append(dict(env.rows))
-
-    def _probe_rows(
-        self,
-        table: Table,
-        binding: str,
-        on: Any,
-        env: "_Env",
-        params: list[Any],
-    ) -> Iterable[tuple[int, list[Any]]]:
-        """Rows of the inner join table, via hash index when ON allows it."""
-        for left, right in _equality_pairs(on):
-            inner_col, outer_expr = None, None
-            if (
-                isinstance(left, ast.ColumnRef)
-                and (left.qualifier or "").lower() == binding
-            ):
-                inner_col, outer_expr = left.name, right
-            elif (
-                isinstance(right, ast.ColumnRef)
-                and (right.qualifier or "").lower() == binding
-            ):
-                inner_col, outer_expr = right.name, left
-            if inner_col is None:
-                continue
-            try:
-                value = _eval(outer_expr, env, params)
-            except NoSuchColumnError:
-                continue
-            return table.lookup_equal((inner_col,), (value,))
-        return table.scan()
-
-    # ------------------------------------------------------------------
-    # EXPLAIN
-    # ------------------------------------------------------------------
-
-    def _join_probe_text(self, jt: Table, binding: str, on: Any) -> str:
-        """How the nested loop reaches ``jt``: hash probe or full scan."""
-        for left, right in _equality_pairs(on):
-            for col_expr in (left, right):
-                if (
-                    isinstance(col_expr, ast.ColumnRef)
-                    and (col_expr.qualifier or "").lower() == binding
-                    and jt.find_hash_index((col_expr.name,)) is not None
-                ):
-                    return f"hash probe on {col_expr.name}"
-        return "full scan"
-
-    def _explain(self, stmt: ast.Statement, params: list[Any]) -> list[str]:
-        """Human-readable access plan (one line per step)."""
-        if isinstance(stmt, (ast.Update, ast.Delete)):
-            table = self.db.table(stmt.table)
-            binding = table.schema.name.lower()
-            _c, _r, plan = self._access_path(table, binding, stmt.where, params)
-            verb = "update" if isinstance(stmt, ast.Update) else "delete"
-            return [f"{verb} via {plan}"]
-        assert isinstance(stmt, ast.Select)
-        base_table = self.db.table(stmt.table.name)
-        _c, _r, plan = self._access_path(
-            base_table, stmt.table.binding, stmt.where, params
-        )
-        lines = [f"drive: {plan}"]
-        for join in stmt.joins:
-            jt = self.db.table(join.table.name)
-            probe = self._join_probe_text(jt, join.table.binding, join.on)
-            lines.append(f"join: {jt.schema.name} via {probe}")
-        if stmt.where is not None:
-            lines.append("filter: residual WHERE re-checked per row")
-        if stmt.order_by:
-            cols = ", ".join(
-                item.expr.name for item in stmt.order_by
-                if isinstance(item.expr, ast.ColumnRef)
-            )
-            lines.append(f"sort: {cols}")
-        if stmt.limit is not None:
-            lines.append(f"limit: {stmt.limit}")
-        return lines
-
-    def _explain_analyze(
-        self, stmt: ast.Statement, params: list[Any]
-    ) -> list[str]:
-        """Execute the statement for real, reporting per-operator actuals.
-
-        PostgreSQL semantics: ``EXPLAIN ANALYZE UPDATE/DELETE`` performs
-        the mutation.  Timings come from the profiler's injectable clock
-        so tests are deterministic.
-        """
-        profiler = getattr(self.db, "profiler", None)
-        clock = profiler.clock if profiler is not None else time.perf_counter
-        profile = QueryProfile(clock=clock)
-        start = clock()
-        result = self.execute(stmt, params, profile)
-        profile.duration = clock() - start
-        profile.rows_returned = (
-            len(result.rows) if isinstance(stmt, ast.Select) else result.rowcount
-        )
-        return profile.plan_lines()
-
-    # ------------------------------------------------------------------
-    # Access-path selection for the driving table
-    # ------------------------------------------------------------------
-
-    def _access_path(
-        self,
-        table: Table,
-        binding: str,
-        where: Any,
-        params: list[Any],
-        profile: QueryProfile | None = None,
-    ) -> tuple[Iterable[tuple[int, list[Any]]], Any, str]:
-        """Return (candidate rows, residual predicate or None, plan text).
-
-        With a profile, candidates are materialized and a ``drive``
-        operator records rows fetched, the dead-index-hit delta, and the
-        access-path wall time.
-        """
-        name = table.schema.name
-        start = profile.clock() if profile is not None else 0.0
-        dead_before = table.stats.dead_index_hits if profile is not None else 0
-
-        if where is None:
-            candidates: Iterable[tuple[int, list[Any]]] | None = table.scan()
-            residual: Any = None
-            description = f"full scan {name}"
+            lines = actuals.plan_lines()
         else:
-            residual = where
-            conjuncts = list(_flatten_and(where))
-            candidates = None
-            description = f"full scan {name} + filter"
-
-            # 1) Equality on an indexed column set.
-            eq_cols: list[str] = []
-            eq_vals: list[Any] = []
-            for conj in conjuncts:
-                col, val_expr = _local_equality(conj, binding, table.schema)
-                if col is not None:
-                    eq_cols.append(col)
-                    eq_vals.append(_eval_const(val_expr, params))
-            if eq_cols:
-                # Try the widest covered index first, then single columns.
-                for cols_tuple in _index_candidates(eq_cols):
-                    idx = table.find_hash_index(cols_tuple)
-                    if idx is not None:
-                        key = tuple(
-                            eq_vals[eq_cols.index(c)] for c in cols_tuple
-                        )
-                        candidates = table.lookup_equal(cols_tuple, key)
-                        description = (
-                            f"hash index lookup {name}({', '.join(cols_tuple)})"
-                        )
-                        break
-
-            # 2) IN-list over a hash-indexed column: one probe per key.
-            if candidates is None:
-                for conj in conjuncts:
-                    in_list = _local_in_list(conj, binding, table.schema)
-                    if in_list is not None:
-                        colname, item_exprs = in_list
-                        if table.find_hash_index((colname,)) is not None:
-                            keys = list(dict.fromkeys(
-                                _eval_const(item, params)
-                                for item in item_exprs
-                            ))
-                            probed: list[tuple[int, list[Any]]] = []
-                            for key_value in keys:
-                                probed.extend(
-                                    table.lookup_equal(
-                                        (colname,), (key_value,)
-                                    )
-                                )
-                            candidates = probed
-                            description = (
-                                f"hash index IN probe {name}({colname}) "
-                                f"[{len(keys)} keys]"
-                            )
-                            break
-
-            # 3) LIKE prefix on an ordered-indexed column.
-            if candidates is None:
-                for conj in conjuncts:
-                    like = _local_like_prefix(
-                        conj, binding, table.schema, params
-                    )
-                    if like is not None:
-                        colname, prefix = like
-                        if table.find_ordered_index(colname) is not None:
-                            candidates = table.prefix_lookup(colname, prefix)
-                            description = (
-                                f"ordered index prefix scan {name}({colname}) "
-                                f"prefix={prefix!r}"
-                            )
-                            break
-
-            if candidates is None:
-                candidates = table.scan()
-            # Keep the full WHERE as residual — re-checking the indexed
-            # conjunct is cheap and avoids subtle partial-predicate bugs.
-
-        if profile is not None:
-            candidates = list(candidates)
-            profile.add_op(
-                "drive",
-                description,
-                rows_examined=len(candidates),
-                rows_returned=len(candidates),
-                dead_hits=table.stats.dead_index_hits - dead_before,
-                elapsed=profile.clock() - start,
-            )
-        return candidates, residual, description
+            lines = self.inner.explain(params)
+        return ResultSet(["plan"], [(line,) for line in lines], len(lines))
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# LIKE
 # ---------------------------------------------------------------------------
-
-
-_MISSING = object()
-
-
-class _Env:
-    """Binds table aliases to the current row during evaluation."""
-
-    __slots__ = ("schemas", "rows", "_resolve_cache", "_in_sets")
-
-    def __init__(self, schemas: dict[str, TableSchema]) -> None:
-        self.schemas = schemas
-        self.rows: dict[str, list[Any]] | None = None
-        self._resolve_cache: dict[tuple[str | None, str], tuple[str, int]] = {}
-        self._in_sets: dict[int, frozenset | None] = {}
-
-    def in_probe(self, expr: "ast.InList", params: list[Any]) -> frozenset | None:
-        """Constant-time membership set for an IN list, built once per query.
-
-        An ``_Env`` lives for exactly one statement execution with fixed
-        params, so the item values cannot change under the cache.  Returns
-        ``None`` when any item is non-constant or unhashable, in which case
-        the caller falls back to the row-at-a-time scan.
-        """
-        key = id(expr)
-        probe = self._in_sets.get(key, _MISSING)
-        if probe is not _MISSING:
-            return probe
-        try:
-            built: frozenset | None = frozenset(
-                _eval_const(item, params) for item in expr.items
-            )
-        except (SQLSyntaxError, TypeError):
-            built = None
-        self._in_sets[key] = built
-        return built
-
-    def set_row(self, binding: str, row: list[Any]) -> None:
-        self.rows = {binding: row}
-
-    def resolve(self, qualifier: str | None, name: str) -> tuple[str, int]:
-        key = (qualifier, name)
-        hit = self._resolve_cache.get(key)
-        if hit is not None:
-            return hit
-        if qualifier is not None:
-            binding = qualifier.lower()
-            schema = self.schemas.get(binding)
-            if schema is None:
-                raise NoSuchColumnError(qualifier, name)
-            result = (binding, schema.column_index(name))
-        else:
-            matches = [
-                (b, s.column_index(name))
-                for b, s in self.schemas.items()
-                if s.has_column(name)
-            ]
-            if not matches:
-                raise NoSuchColumnError("<any>", name)
-            if len(matches) > 1:
-                raise SQLSyntaxError(f"ambiguous column name: {name!r}")
-            result = matches[0]
-        self._resolve_cache[key] = result
-        return result
-
-
-def _eval(expr: Any, env: _Env, params: list[Any]) -> Any:
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param):
-        return params[expr.index]
-    if isinstance(expr, ast.ColumnRef):
-        binding, pos = env.resolve(expr.qualifier, expr.name)
-        assert env.rows is not None
-        return env.rows[binding][pos]
-    if isinstance(expr, ast.Comparison):
-        left = _eval(expr.left, env, params)
-        right = _eval(expr.right, env, params)
-        return _compare(expr.op, left, right)
-    if isinstance(expr, ast.And):
-        return _truthy(_eval(expr.left, env, params)) and _truthy(
-            _eval(expr.right, env, params)
-        )
-    if isinstance(expr, ast.Or):
-        return _truthy(_eval(expr.left, env, params)) or _truthy(
-            _eval(expr.right, env, params)
-        )
-    if isinstance(expr, ast.Not):
-        return not _truthy(_eval(expr.operand, env, params))
-    if isinstance(expr, ast.InList):
-        value = _eval(expr.expr, env, params)
-        probe = env.in_probe(expr, params)
-        if probe is not None:
-            try:
-                found = value in probe
-            except TypeError:
-                found = any(
-                    value == _eval(item, env, params) for item in expr.items
-                )
-        else:
-            found = any(value == _eval(item, env, params) for item in expr.items)
-        return found != expr.negated
-    if isinstance(expr, ast.IsNull):
-        value = _eval(expr.expr, env, params)
-        return (value is None) != expr.negated
-    raise DBError(f"cannot evaluate expression: {expr!r}")
-
-
-def _eval_const(expr: Any, params: list[Any]) -> Any:
-    """Evaluate an expression with no row context (INSERT values, SET)."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Param):
-        return params[expr.index]
-    raise SQLSyntaxError("expected a literal or parameter")
-
-
-def _compare(op: str, left: Any, right: Any) -> bool:
-    if op in ("LIKE", "NOT LIKE"):
-        if left is None or right is None:
-            return False
-        matched = like_to_regex(str(right)).fullmatch(str(left)) is not None
-        return matched if op == "LIKE" else not matched
-    if left is None or right is None:
-        # SQL tri-state logic collapsed: NULL comparisons are false except !=.
-        if op == "=":
-            return False
-        if op == "!=":
-            return not (left is None and right is None)
-        return False
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise DBError(f"unknown comparison operator {op!r}")
-
-
-def _truthy(value: Any) -> bool:
-    return bool(value)
-
 
 _LIKE_CACHE: dict[str, re.Pattern[str]] = {}
 
@@ -884,92 +557,3 @@ def like_prefix(pattern: str) -> str:
         if ch in "%_":
             return pattern[:i]
     return pattern
-
-
-# ---------------------------------------------------------------------------
-# Predicate analysis helpers
-# ---------------------------------------------------------------------------
-
-
-def _flatten_and(expr: Any):
-    if isinstance(expr, ast.And):
-        yield from _flatten_and(expr.left)
-        yield from _flatten_and(expr.right)
-    else:
-        yield expr
-
-
-def _equality_pairs(expr: Any):
-    """Yield (left, right) operand pairs of top-level `=` comparisons."""
-    for conj in _flatten_and(expr):
-        if isinstance(conj, ast.Comparison) and conj.op == "=":
-            yield conj.left, conj.right
-
-
-def _is_const(expr: Any) -> bool:
-    return isinstance(expr, (ast.Literal, ast.Param))
-
-
-def _local_equality(
-    conj: Any, binding: str, schema: TableSchema
-) -> tuple[str | None, Any]:
-    """If ``conj`` is ``col = const`` on this table, return (col, const expr)."""
-    if not (isinstance(conj, ast.Comparison) and conj.op == "="):
-        return None, None
-    left, right = conj.left, conj.right
-    for col_expr, val_expr in ((left, right), (right, left)):
-        if (
-            isinstance(col_expr, ast.ColumnRef)
-            and _is_const(val_expr)
-            and (col_expr.qualifier is None or col_expr.qualifier.lower() == binding)
-            and schema.has_column(col_expr.name)
-        ):
-            return col_expr.name, val_expr
-    return None, None
-
-
-def _local_in_list(
-    conj: Any, binding: str, schema: TableSchema
-) -> tuple[str, list[Any]] | None:
-    """If ``conj`` is ``col IN (const, ...)`` on this table, return
-    (col, item expressions).  Negated lists never narrow the scan."""
-    if not isinstance(conj, ast.InList) or conj.negated:
-        return None
-    col_expr = conj.expr
-    if not (
-        isinstance(col_expr, ast.ColumnRef)
-        and (col_expr.qualifier is None or col_expr.qualifier.lower() == binding)
-        and schema.has_column(col_expr.name)
-        and conj.items
-        and all(_is_const(item) for item in conj.items)
-    ):
-        return None
-    return col_expr.name, list(conj.items)
-
-
-def _local_like_prefix(
-    conj: Any, binding: str, schema: TableSchema, params: list[Any]
-) -> tuple[str, str] | None:
-    """If ``conj`` is ``col LIKE const`` on this table, return (col, prefix)."""
-    if not (isinstance(conj, ast.Comparison) and conj.op == "LIKE"):
-        return None
-    col_expr, pat_expr = conj.left, conj.right
-    if not (
-        isinstance(col_expr, ast.ColumnRef)
-        and _is_const(pat_expr)
-        and (col_expr.qualifier is None or col_expr.qualifier.lower() == binding)
-        and schema.has_column(col_expr.name)
-    ):
-        return None
-    pattern = _eval_const(pat_expr, params)
-    if not isinstance(pattern, str):
-        return None
-    return col_expr.name, like_prefix(pattern)
-
-
-def _index_candidates(eq_cols: list[str]):
-    """Column tuples to try against available hash indexes, widest first."""
-    if len(eq_cols) > 1:
-        yield tuple(eq_cols)
-    for col in eq_cols:
-        yield (col,)

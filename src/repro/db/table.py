@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator
+from typing import Any, Callable, Collection, Iterator
 
 from repro.db.errors import (
     DBError,
@@ -15,6 +15,10 @@ from repro.db.profiler import TimedLatch
 from repro.db.schema import TableSchema
 from repro.db.storage import RowHeap
 from repro.obs.metrics import MetricsRegistry
+
+
+def _no_listener() -> None:
+    pass
 
 
 class Table:
@@ -39,6 +43,10 @@ class Table:
     registry, contended latch acquisitions are observed into
     ``db.latch_wait{table=...}`` so multi-client runs expose the
     serialization directly.
+
+    ``on_ddl`` is called after every index creation, so the owning
+    database can retire the SQL plans that chose their access path
+    without that index.
     """
 
     def __init__(
@@ -47,8 +55,10 @@ class Table:
         eager_index_cleanup: bool = True,
         dead_hit_cost: float = 0.0,
         metrics: MetricsRegistry | None = None,
+        on_ddl: Callable[[], None] | None = None,
     ) -> None:
         self.schema = schema
+        self._on_ddl = on_ddl if on_ddl is not None else _no_listener
         self.eager_index_cleanup = eager_index_cleanup
         #: Modelled seconds charged per dead index entry skipped during a
         #: lookup.  In PostgreSQL each dead index entry costs a heap fetch
@@ -99,7 +109,8 @@ class Table:
             idx = self._make_hash_index(name, positions)
             for rid, row in self.heap.scan_live():
                 idx.insert(idx.key_for(row), rid)
-            return idx
+        self._on_ddl()
+        return idx
 
     def create_ordered_index(self, name: str, column: str) -> OrderedIndex:
         """Create (and backfill) an ordered index over one column."""
@@ -111,7 +122,8 @@ class Table:
             self._all_indexes.append(idx)
             for rid, row in self.heap.scan_live():
                 idx.insert(idx.key_for(row), rid)
-            return idx
+        self._on_ddl()
+        return idx
 
     def get_index(self, name: str) -> HashIndex | OrderedIndex:
         idx = self._hash_indexes.get(name) or self._ordered_indexes.get(name)
@@ -126,6 +138,17 @@ class Table:
             if idx.column_positions == positions:
                 return idx
         return None
+
+    def covered_hash_index(self, positions: Collection[int]) -> HashIndex | None:
+        """Widest hash index all of whose columns are among ``positions``."""
+        best: HashIndex | None = None
+        for idx in self._hash_indexes.values():
+            if all(p in positions for p in idx.column_positions) and (
+                best is None
+                or len(idx.column_positions) > len(best.column_positions)
+            ):
+                best = idx
+        return best
 
     def find_ordered_index(self, column: str) -> OrderedIndex | None:
         position = self.schema.column_index(column)
@@ -233,47 +256,67 @@ class Table:
     def lookup_equal(
         self, columns: tuple[str, ...], key: tuple
     ) -> list[tuple[int, list[Any]]]:
-        """Live rows whose ``columns`` equal ``key``, via an index if any.
+        """Live rows whose ``columns`` equal ``key``, via an index if any."""
+        idx = self.find_hash_index(columns)
+        if idx is not None:
+            return self.lookup_index(idx, key)
+        positions = tuple(self.schema.column_index(c) for c in columns)
+        with self.latch:
+            return [
+                (rid, row)
+                for rid, row in self.heap.scan_live()
+                if tuple(row[p] for p in positions) == key
+            ]
+
+    def lookup_index(
+        self, idx: HashIndex, key: tuple
+    ) -> list[tuple[int, list[Any]]]:
+        """Live rows under ``key`` in one of this table's hash indexes.
 
         Dead index entries are filtered here (and counted), which is the
         mechanism behind the PostgreSQL vacuum experiment.
         """
         with self.latch:
-            idx = self.find_hash_index(columns)
+            get_live = self.heap.get_live
             result: list[tuple[int, list[Any]]] = []
-            if idx is not None:
-                dead_hits = 0
-                for rid in idx.lookup(key):
-                    row = self.heap.get_live(rid)
-                    if row is None:
-                        dead_hits += 1
-                    else:
-                        result.append((rid, row))
-                self._charge_dead_hits(dead_hits)
-                return result
-            positions = tuple(self.schema.column_index(c) for c in columns)
-            for rid, row in self.heap.scan_live():
-                if tuple(row[p] for p in positions) == key:
+            dead_hits = 0
+            for rid in idx.lookup(key):
+                row = get_live(rid)
+                if row is None:
+                    dead_hits += 1
+                else:
                     result.append((rid, row))
+            if dead_hits:
+                self._charge_dead_hits(dead_hits)
             return result
 
     def prefix_lookup(self, column: str, prefix: str) -> list[tuple[int, list[Any]]]:
         """Live rows whose string ``column`` starts with ``prefix``."""
+        idx = self.find_ordered_index(column)
+        if idx is not None:
+            return self.prefix_index(idx, prefix)
+        position = self.schema.column_index(column)
         with self.latch:
-            idx = self.find_ordered_index(column)
+            return [
+                (rid, row)
+                for rid, row in self.heap.scan_live()
+                if isinstance(row[position], str)
+                and row[position].startswith(prefix)
+            ]
+
+    def prefix_index(
+        self, idx: OrderedIndex, prefix: str
+    ) -> list[tuple[int, list[Any]]]:
+        """Live rows whose key in one of this table's ordered indexes
+        starts with ``prefix``."""
+        with self.latch:
+            get_live = self.heap.get_live
             result: list[tuple[int, list[Any]]] = []
-            if idx is not None:
-                for _key, rids in idx.prefix_scan(prefix):
-                    for rid in rids:
-                        row = self.heap.get_live(rid)
-                        if row is not None:
-                            result.append((rid, row))
-                return result
-            position = self.schema.column_index(column)
-            for rid, row in self.heap.scan_live():
-                value = row[position]
-                if isinstance(value, str) and value.startswith(prefix):
-                    result.append((rid, row))
+            for _key, rids in idx.prefix_scan(prefix):
+                for rid in rids:
+                    row = get_live(rid)
+                    if row is not None:
+                        result.append((rid, row))
             return result
 
     # ------------------------------------------------------------------

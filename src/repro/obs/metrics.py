@@ -366,8 +366,8 @@ _METRIC_HELP: dict[str, str] = {
     "db_statements": "SQL statements executed, by statement class",
     "db_statement_latency": "Per-statement execution time in seconds",
     "db_slow_statements": "Statements at or above the slow-query threshold",
-    "db_stmt_cache_hits": "Parsed-statement cache hits",
-    "db_stmt_cache_misses": "Parsed-statement cache misses (parses)",
+    "db_stmt_cache_hits": "Prepared-plan cache hits",
+    "db_stmt_cache_misses": "Prepared-plan cache misses (parse + plan)",
     "db_latch_wait": "Seconds spent waiting for a contended table latch",
     "db_wal_lock_wait": "Seconds spent waiting for the WAL append lock",
     "db_table_live_tuples": "Live rows in the table heap",

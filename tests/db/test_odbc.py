@@ -79,6 +79,37 @@ class TestCursor:
         assert cur.fetchone() == ("b",)
         assert cur.fetchone() is None
 
+    def test_lastrowid_survives_fetchall(self):
+        db = Database("odbc-autoinc")
+        db.execute(
+            "CREATE TABLE a (id INT NOT NULL AUTO_INCREMENT, name VARCHAR(50), "
+            "PRIMARY KEY (id))"
+        )
+        cur = connect(db).cursor()
+        cur.execute("INSERT INTO a (name) VALUES ('x'), ('y')")
+        assert cur.fetchall() == []
+        assert cur.lastrowid == 2
+        assert cur.rowcount == 2
+
+    def test_fetchone_then_fetchall_returns_the_rest(self, dsn):
+        cur = connect(dsn).cursor()
+        cur.execute("INSERT INTO t (id, name) VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+        cur.execute("SELECT name FROM t ORDER BY name")
+        assert cur.fetchone() == ("a",)
+        assert cur.fetchall() == [("b",), ("c",)]
+        assert cur.fetchone() is None and cur.fetchall() == []
+        assert cur.rowcount == 3
+
+    def test_fetchone_reads_in_place(self, dsn):
+        """Walking a result row by row must not copy the remainder each
+        time (it used to: quadratic over a large result)."""
+        cur = connect(dsn).cursor()
+        cur.execute("INSERT INTO t (id, name) VALUES (1, 'a'), (2, 'b')")
+        cur.execute("SELECT id FROM t")
+        rows = cur._result.rows
+        assert cur.fetchone() is rows[0]
+        assert cur._result.rows is rows and len(rows) == 2
+
     def test_executemany(self, dsn):
         conn = connect(dsn)
         cur = conn.cursor()

@@ -224,3 +224,65 @@ class TestInListProbe:
             "SELECT name FROM t_lfn WHERE ref IN (1.0, 2)"
         ).rows
         assert sorted(r[0] for r in rows) == ["lfn1", "lfn2"]
+
+
+class TestNullNeverEquals:
+    """``=``, ``IN`` and index probes treat NULL as matching nothing —
+    on the scan path, the hash-lookup path and the IN-probe path alike.
+    The planner drops a conjunct its index answers, so the probe itself
+    (not a residual re-check) has to get this right."""
+
+    SELECTS = [
+        ("SELECT name FROM t_lfn WHERE ref = ?", [None], []),
+        ("SELECT name FROM t_lfn WHERE ref IN (?, ?)", [None, 1], ["one"]),
+        ("SELECT name FROM t_lfn WHERE ref IN (?)", [None], []),
+        ("SELECT name FROM t_lfn WHERE ref IN (NULL, 1)", [], ["one"]),
+        ("SELECT name FROM t_lfn WHERE ref = NULL", [], []),
+        ("SELECT name FROM t_lfn WHERE ref IS NULL", [], ["null"]),
+    ]
+
+    def _fill(self, db):
+        db.execute(
+            "INSERT INTO t_lfn (name, ref) VALUES ('null', NULL), ('one', 1)"
+        )
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+    @pytest.mark.parametrize("sql, params, expected", SELECTS)
+    def test_select(self, db, indexed, sql, params, expected):
+        self._fill(db)
+        if indexed:
+            db.execute("CREATE INDEX lfn_ref ON t_lfn (ref)")
+        assert [r[0] for r in db.execute(sql, params).rows] == expected
+
+    def test_paths_are_the_ones_meant(self, db):
+        db.execute("CREATE INDEX lfn_ref ON t_lfn (ref)")
+        eq = db.execute("EXPLAIN SELECT name FROM t_lfn WHERE ref = ?", [None])
+        assert eq.rows == [("drive: hash index lookup t_lfn(ref)",)]
+        probe = db.execute(
+            "EXPLAIN SELECT name FROM t_lfn WHERE ref IN (?, ?)", [None, 1]
+        )
+        # The NULL item is not even probed.
+        assert probe.rows == [("drive: hash index IN probe t_lfn(ref) [1 keys]",)]
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+    def test_mutations_spare_the_null_row(self, db, indexed):
+        self._fill(db)
+        if indexed:
+            db.execute("CREATE INDEX lfn_ref ON t_lfn (ref)")
+        assert db.execute("DELETE FROM t_lfn WHERE ref = ?", [None]).rowcount == 0
+        assert db.execute(
+            "UPDATE t_lfn SET ref = 5 WHERE ref IN (?, ?)", [None, 7]
+        ).rowcount == 0
+        assert db.execute("SELECT COUNT(*) FROM t_lfn").scalar() == 2
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["scan", "probe"])
+    def test_join_key_null_joins_nothing(self, db, indexed):
+        self._fill(db)
+        db.execute("CREATE TABLE other (ref INT, tag VARCHAR(10))")
+        db.execute("INSERT INTO other (ref, tag) VALUES (NULL, 'n'), (1, 'o')")
+        if indexed:
+            db.execute("CREATE INDEX other_ref ON other (ref)")
+        rows = db.execute(
+            "SELECT l.name, o.tag FROM t_lfn l JOIN other o ON o.ref = l.ref"
+        ).rows
+        assert rows == [("one", "o")]
