@@ -120,8 +120,8 @@ class Database:
                 eager_index_cleanup=self.eager_index_cleanup,
                 dead_hit_cost=self.dead_hit_cost,
                 metrics=self.metrics,
-                on_ddl=self._invalidate_plans,
             )
+            table.on_ddl = self._invalidate_plans
             self._tables[key] = table
             self._register_table_metrics(table)
             self._invalidate_plans()
@@ -175,31 +175,23 @@ class Database:
     # ------------------------------------------------------------------
 
     def insert_row(self, table_name: str, values: dict[str, Any]) -> tuple[int, list]:
-        return self.insert_into(self.table(table_name), values)
-
-    def delete_row(self, table_name: str, rid: int) -> list:
-        return self.delete_from(self.table(table_name), rid)
-
-    def update_row(
-        self, table_name: str, rid: int, changes: dict[str, Any]
-    ) -> tuple[int, list]:
-        return self.update_in(self.table(table_name), rid, changes)
-
-    def insert_into(self, table: Table, values: dict[str, Any]) -> tuple[int, list]:
+        table = self.table(table_name)
         rid, row = table.insert(values)
         if self.wal is not None:
             self.wal.log(OP_INSERT, table.schema.name, tuple(row))
         return rid, row
 
-    def delete_from(self, table: Table, rid: int) -> list:
+    def delete_row(self, table_name: str, rid: int) -> list:
+        table = self.table(table_name)
         old = table.delete_rid(rid)
         if self.wal is not None:
             self.wal.log(OP_DELETE, table.schema.name, tuple(old))
         return old
 
-    def update_in(
-        self, table: Table, rid: int, changes: dict[str, Any]
+    def update_row(
+        self, table_name: str, rid: int, changes: dict[str, Any]
     ) -> tuple[int, list]:
+        table = self.table(table_name)
         new_rid, row = table.update_rid(rid, changes)
         if self.wal is not None:
             self.wal.log(OP_UPDATE, table.schema.name, tuple(row))
@@ -226,7 +218,7 @@ class Database:
             return self._execute_profiled(profiler, plan, params)
         if not tracing.active():
             return plan.run(params)
-        with tracing.span("sql.execute", statement=plan.meta.kind):
+        with tracing.span("sql.execute", statement=plan.kind):
             return plan.run(params)
 
     def _prepare(self, sql: str) -> Plan:
@@ -250,7 +242,9 @@ class Database:
                 )
             raise
         plan.epoch = epoch
-        plan.meta = profiler.describe(sql, stmt)
+        plan.kind = type(stmt).__name__
+        plan.source = (sql, stmt)
+        plan.meta = None
         cache = self._statement_cache
         cache[sql] = plan
         cache.move_to_end(sql)
@@ -273,20 +267,23 @@ class Database:
         ``sql.execute`` child span, so a retained slow statement links
         back to the RPC that issued it.
         """
+        meta = plan.meta
+        if meta is None:  # first profiled run; racing threads build equals
+            meta = plan.meta = profiler.describe(*plan.source)
         trace = tracing.context()
         clock = profiler.clock
         profile = QueryProfile(clock=clock)
         start = clock()
         try:
             if tracing.active():
-                with tracing.span("sql.execute", statement=plan.meta.kind):
+                with tracing.span("sql.execute", statement=plan.kind):
                     result = plan.run(params, profile)
             else:
                 result = plan.run(params, profile)
         except Exception as exc:
             profile.duration = clock() - start
             profiler.account(
-                plan.meta, profile, profile.duration,
+                meta, profile, profile.duration,
                 error=f"{type(exc).__name__}: {exc}", trace=trace,
             )
             raise
@@ -294,7 +291,7 @@ class Database:
         profile.rows_returned = (
             len(result.rows) if result.rows else result.rowcount
         )
-        profiler.account(plan.meta, profile, profile.duration, trace=trace)
+        profiler.account(meta, profile, profile.duration, trace=trace)
         return result
 
     # ------------------------------------------------------------------

@@ -24,11 +24,11 @@ contention.  This module is the missing layer:
 * :class:`TimedLatch` — a lock wrapper that observes *contended*
   acquisition waits into a histogram (``db.latch_wait{table=...}``,
   ``db.wal_lock_wait``) while keeping the uncontended fast path at one
-  ``noop`` attribute check plus a non-blocking acquire.
+  non-blocking acquire.
 
 Cost model: with profiling disabled (the default for bare engines) the
 per-statement cost is one attribute check in ``Database.execute``; the
-latch wrappers cost one ``noop`` check per acquisition.  Both are gated
+latch wrappers cost one Python-level enter/exit per acquisition.  Both are gated
 by ``benchmarks/check_overhead.py``.
 """
 
@@ -223,21 +223,19 @@ def normalize_statement(sql: str) -> str:
 
 class StatementMeta:
     """What statement accounting needs that never changes between
-    executions of one statement: the AST kind (the ``sql.execute`` span
-    tag), the low-cardinality class label, the normalized text, and the
-    ``db.statements`` / ``db.statement_latency`` instruments."""
+    executions of one statement: the low-cardinality class label, the
+    normalized text, and the ``db.statements`` / ``db.statement_latency``
+    instruments."""
 
-    __slots__ = ("kind", "statement_class", "normalized", "counter", "latency")
+    __slots__ = ("statement_class", "normalized", "counter", "latency")
 
     def __init__(
         self,
-        kind: str,
         statement_class: str,
         normalized: str,
         counter: Any,
         latency: Any,
     ) -> None:
-        self.kind = kind
         self.statement_class = statement_class
         self.normalized = normalized
         self.counter = counter
@@ -463,12 +461,11 @@ class QueryProfiler:
 
     def describe(self, sql: str, stmt: Any) -> StatementMeta:
         """The accounting constants of one statement (see
-        :class:`StatementMeta`); a prepared plan carries them so
-        :meth:`account` does no label formatting, tokenizing or registry
-        lookup per execution."""
+        :class:`StatementMeta`); a prepared plan keeps them from its
+        first profiled run on, so :meth:`account` does no label
+        formatting, tokenizing or registry lookup per execution."""
         cls = statement_class(stmt)
         return StatementMeta(
-            type(stmt).__name__,
             cls,
             normalize_statement(sql),
             self.metrics.counter("db.statements", **{"class": cls}),
@@ -530,11 +527,12 @@ class QueryProfiler:
 class TimedLatch:
     """Lock wrapper observing *contended* acquisition waits.
 
-    The fast path tries a non-blocking acquire first (correct for RLocks
-    too: re-entrant acquisition by the holder never blocks), so only
-    genuine contention pays the ``perf_counter`` pair and histogram
-    observe.  With a no-op histogram the wrapper costs one attribute
-    check per acquisition — the budget ``check_overhead`` gates.
+    Every acquisition tries a non-blocking acquire first (correct for
+    RLocks too: re-entrant acquisition by the holder never blocks), so
+    only genuine contention reaches the histogram at all — there the
+    ``perf_counter`` pair and the observe are skipped when it is a no-op.
+    Uncontended, the wrapper adds one Python-level enter/exit to the lock
+    it wraps — the budget ``check_overhead`` gates.
     """
 
     __slots__ = ("_lock", "hist", "_clock")
@@ -550,10 +548,12 @@ class TimedLatch:
         self._clock = clock
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        if self.hist.noop or not blocking:
-            return self._lock.acquire(blocking, timeout)
         if self._lock.acquire(False):
             return True
+        if not blocking:
+            return False
+        if self.hist.noop:
+            return self._lock.acquire(True, timeout)
         start = self._clock()
         acquired = self._lock.acquire(True, timeout)
         self.hist.observe(self._clock() - start)
@@ -563,9 +563,9 @@ class TimedLatch:
         self._lock.release()
 
     def __enter__(self) -> "TimedLatch":
-        self.acquire()
+        if not self._lock.acquire(False):
+            self.acquire()
         return self
 
-    def __exit__(self, *exc: object) -> bool:
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self._lock.release()
-        return False

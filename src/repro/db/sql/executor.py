@@ -241,15 +241,21 @@ def bind_derived(params: Sequence[Any], derived: Sequence[ConstFn]) -> Sequence[
 class Plan:
     """One statement, compiled once.
 
-    ``epoch`` (the schema epoch it was planned under) and ``meta`` (what
-    the profiler needs: statement class, normalized SQL, instruments) are
-    set once by :meth:`Database._prepare` before the plan is published.
+    ``epoch`` (the schema epoch it was planned under), ``kind`` (the
+    ``sql.execute`` span tag) and ``source`` (SQL text and parsed
+    statement) are set once by :meth:`Database._prepare` before the plan
+    is published; ``meta`` (what the profiler needs: statement class,
+    normalized SQL, instruments) is worked out from ``source`` on the
+    plan's first profiled run, so an engine that never profiles never
+    tokenizes a statement or registers a per-class series.
     """
 
-    __slots__ = ("epoch", "meta")
+    __slots__ = ("epoch", "kind", "source", "meta")
 
     epoch: int
-    meta: StatementMeta
+    kind: str
+    source: tuple[str, Any]
+    meta: StatementMeta | None
 
     def run(
         self, params: Sequence[Any], profile: QueryProfile | None = None
@@ -405,7 +411,7 @@ class MutatePlan(Plan):
     """UPDATE (``changes_of`` set) or DELETE over index-accelerated matches."""
 
     db: Any
-    table: Table
+    table_name: str
     drive: Any
     residual: RowFn | None
     changes_of: Callable[[Sequence[Any]], dict[str, Any]] | None
@@ -429,18 +435,18 @@ class MutatePlan(Plan):
             if profile is not None:
                 profile.add_op("filter", FILTER_DETAIL, fetched, len(matches))
         start = profile.clock() if profile is not None else 0.0
-        db, table = self.db, self.table
+        db, name = self.db, self.table_name
         if self.changes_of is None:
             for rid, _row in matches:
-                db.delete_from(table, rid)
+                db.delete_row(name, rid)
         else:
             changes = self.changes_of(params)
             for rid, _row in matches:
-                db.update_in(table, rid, changes)
+                db.update_row(name, rid, changes)
         if profile is not None:
             profile.add_op(
                 self.verb,
-                table.schema.name,
+                name,
                 rows_returned=len(matches),
                 elapsed=profile.clock() - start,
             )
@@ -454,7 +460,7 @@ class MutatePlan(Plan):
 @dataclass(slots=True)
 class InsertPlan(Plan):
     db: Any
-    table: Table
+    table_name: str
     #: One column→value builder per ``VALUES (...)`` row.
     rows_of: tuple[Callable[[Sequence[Any]], dict[str, Any]], ...]
     autoinc_pos: int | None
@@ -463,17 +469,17 @@ class InsertPlan(Plan):
         self, params: Sequence[Any], profile: QueryProfile | None = None
     ) -> ResultSet:
         start = profile.clock() if profile is not None else 0.0
-        db, table, autoinc_pos = self.db, self.table, self.autoinc_pos
+        db, name, autoinc_pos = self.db, self.table_name, self.autoinc_pos
         lastrowid: int | None = None
         for values_of in self.rows_of:
-            _rid, row = db.insert_into(table, values_of(params))
+            _rid, row = db.insert_row(name, values_of(params))
             if autoinc_pos is not None:
                 lastrowid = row[autoinc_pos]
         count = len(self.rows_of)
         if profile is not None:
             profile.add_op(
                 "insert",
-                table.schema.name,
+                name,
                 rows_returned=count,
                 elapsed=profile.clock() - start,
             )

@@ -75,11 +75,6 @@ def _const(expr: Any) -> ConstFn:
 
 def _const_tuple(exprs: Sequence[Any]) -> ConstFn:
     """``params -> tuple`` of several row-free expressions."""
-    if len(exprs) == 1:
-        only = _const(exprs[0])
-        return lambda params: (only(params),)
-    if all(isinstance(e, ast.Param) for e in exprs):
-        return operator.itemgetter(*(e.index for e in exprs))
     parts = [_const(e) for e in exprs]
     return lambda params: tuple([part(params) for part in parts])
 
@@ -348,21 +343,6 @@ def _comparison(op: str, left: RowFn, right: RowFn) -> RowFn:
 # ---------------------------------------------------------------------------
 
 
-def _projection(compiler: _Compiler, exprs: Sequence[Any]) -> RowFn:
-    """Output tuple of the current rows; plain columns skip the closures."""
-    if all(isinstance(e, ast.ColumnRef) for e in exprs):
-        cols = [compiler.resolve(e) for e in exprs]
-        if len(cols) == 1:
-            ((s0, p0),) = cols
-            return lambda rows, params: (rows[s0][p0],)
-        if len(cols) == 2:
-            (s0, p0), (s1, p1) = cols
-            return lambda rows, params: (rows[s0][p0], rows[s1][p1])
-        return lambda rows, params: tuple([rows[s][p] for s, p in cols])
-    fns = [compiler.expr(e) for e in exprs]
-    return lambda rows, params: tuple([fn(rows, params) for fn in fns])
-
-
 def _select(db: Any, stmt: ast.Select) -> SelectPlan:
     compiler = _Compiler()
     base = db.table(stmt.table.name)
@@ -384,7 +364,8 @@ def _select(db: Any, stmt: ast.Select) -> SelectPlan:
             or (item.expr.name if isinstance(item.expr, ast.ColumnRef) else "expr")
             for item in stmt.items
         ]
-        project = _projection(compiler, [item.expr for item in stmt.items])
+        cells = [compiler.expr(item.expr) for item in stmt.items]
+        project = lambda rows, params: tuple([cell(rows, params) for cell in cells])
     else:  # SELECT *
         single = len(compiler.bindings) == 1
         columns = [
@@ -444,7 +425,9 @@ def _mutate(db: Any, stmt: ast.Update | ast.Delete) -> MutatePlan:
         for col in columns:
             table.schema.column_index(col)  # unknown column fails the plan
         changes_of = _values_of(columns, [expr for _col, expr in stmt.assignments])
-    return MutatePlan(db, table, drive, residual, changes_of, tuple(compiler.derived))
+    return MutatePlan(
+        db, table.schema.name, drive, residual, changes_of, tuple(compiler.derived)
+    )
 
 
 def _insert(db: Any, stmt: ast.Insert) -> InsertPlan:
@@ -453,7 +436,7 @@ def _insert(db: Any, stmt: ast.Insert) -> InsertPlan:
         (i for i, c in enumerate(table.schema.columns) if c.autoincrement), None
     )
     rows_of = tuple(_values_of(stmt.columns, row) for row in stmt.rows)
-    return InsertPlan(db, table, rows_of, autoinc_pos)
+    return InsertPlan(db, table.schema.name, rows_of, autoinc_pos)
 
 
 def _explain(db: Any, stmt: ast.Explain) -> ExplainPlan:

@@ -17,10 +17,6 @@ from repro.db.storage import RowHeap
 from repro.obs.metrics import MetricsRegistry
 
 
-def _no_listener() -> None:
-    pass
-
-
 class Table:
     """One table of the embedded database.
 
@@ -44,9 +40,9 @@ class Table:
     ``db.latch_wait{table=...}`` so multi-client runs expose the
     serialization directly.
 
-    ``on_ddl`` is called after every index creation, so the owning
-    database can retire the SQL plans that chose their access path
-    without that index.
+    ``on_ddl``, when the owning database has set it, is called after
+    every index creation, so the database can retire the SQL plans that
+    chose their access path without that index.
     """
 
     def __init__(
@@ -55,10 +51,9 @@ class Table:
         eager_index_cleanup: bool = True,
         dead_hit_cost: float = 0.0,
         metrics: MetricsRegistry | None = None,
-        on_ddl: Callable[[], None] | None = None,
     ) -> None:
         self.schema = schema
-        self._on_ddl = on_ddl if on_ddl is not None else _no_listener
+        self.on_ddl: Callable[[], None] | None = None
         self.eager_index_cleanup = eager_index_cleanup
         #: Modelled seconds charged per dead index entry skipped during a
         #: lookup.  In PostgreSQL each dead index entry costs a heap fetch
@@ -109,7 +104,8 @@ class Table:
             idx = self._make_hash_index(name, positions)
             for rid, row in self.heap.scan_live():
                 idx.insert(idx.key_for(row), rid)
-        self._on_ddl()
+        if self.on_ddl is not None:
+            self.on_ddl()
         return idx
 
     def create_ordered_index(self, name: str, column: str) -> OrderedIndex:
@@ -122,7 +118,8 @@ class Table:
             self._all_indexes.append(idx)
             for rid, row in self.heap.scan_live():
                 idx.insert(idx.key_for(row), rid)
-        self._on_ddl()
+        if self.on_ddl is not None:
+            self.on_ddl()
         return idx
 
     def get_index(self, name: str) -> HashIndex | OrderedIndex:

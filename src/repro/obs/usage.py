@@ -285,7 +285,7 @@ class UsageAccountant:
 
     One instance per server.  ``account`` runs once per RPC on the
     handler thread; its cost is a handful of dict operations, so the
-    accounting path stays inside the benchmarked 5% overhead budget
+    accounting path stays inside the benchmarked per-request budget
     (``benchmarks/check_overhead.py::time_usage_account``).
     """
 

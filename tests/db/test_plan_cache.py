@@ -77,6 +77,27 @@ class TestInvalidation:
         assert delta.counters["db.stmt_cache_hits"] == 3
         assert delta.counters["db.stmt_cache_misses"] == 0
 
+    def test_unprofiled_engine_registers_no_statement_series(self, db):
+        db.profiler.configure(enabled=False)
+        fresh = "SELECT id FROM t WHERE ref = ?"
+
+        def statement_series():
+            snap = db.metrics.snapshot()
+            names = [*snap.counters, *snap.histograms]
+            return [n for n in names if n.startswith("db.statement") and "select" in n]
+
+        before = statement_series()
+        db.execute(fresh, [10])
+        db.execute("SELECT id FROM t WHERE ref = 10")  # literal: never a cache hit
+        assert statement_series() == before
+        # The cached plan works out its accounting on its first profiled run.
+        db.profiler.configure(enabled=True)
+        marked = db.metrics.snapshot()
+        db.execute(fresh, [10])
+        delta = db.metrics.snapshot().delta(marked)
+        assert delta.counters["db.statements{class=select:t}"] == 1
+        assert delta.counters["db.stmt_cache_misses"] == 0
+
     @pytest.mark.parametrize("via_sql", [True, False], ids=["sql", "api"])
     def test_survives_drop_and_recreate_with_columns_reordered(self, db, via_sql):
         insert = "INSERT INTO t (id, name, ref) VALUES (?, ?, ?)"
