@@ -87,14 +87,46 @@ def time_noop_hook(n: int) -> float:
     return (time.perf_counter() - start) / (3 * n)
 
 
-#: Disabled-profiler guards in the add that :func:`time_adds` times, a
-#: ``create_mapping`` of a fresh LFN and PFN: one ``profiler.enabled``
-#: check per statement (5; tests/core/test_lrc_statement_budget.py holds
-#: that) plus one TimedLatch acquire per table-latch and WAL-lock
-#: acquisition (8, counted by wrapping ``TimedLatch.__enter__``; a create
-#: on a shared PFN makes 11 and ``add_mapping`` 14, and both cost
-#: correspondingly more than the add priced here).
-PROFILER_GUARDS_PER_ADD = 5 + 8
+def count_profiler_guards() -> tuple[int, int]:
+    """``(statements, latch acquisitions)`` of the add :func:`time_adds`
+    times, a ``create_mapping`` of a fresh LFN and PFN, counted on the
+    write path as it is: statements from the engine's own
+    ``db.statements`` counter, acquisitions by wrapping
+    ``TimedLatch.__enter__`` (table latches and the WAL lock).  Each is
+    one disabled-profiler guard: a ``profiler.enabled`` check per
+    statement, a TimedLatch enter/exit per acquisition.  (A create on a
+    shared PFN and ``add_mapping`` make more of both and cost
+    correspondingly more than the add priced here.)
+    """
+    from repro.db.profiler import TimedLatch
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0, metrics=registry)
+    engine.profiler.configure(enabled=True)  # db.statements counts when profiling
+    lrc = LocalReplicaCatalog(Connection(engine, "guards"), name="guards")
+    lrc.init_schema()
+    lrc.create_mapping("guards-warm", "pfn://guards-warm")  # plans prepared
+
+    def statements() -> int:
+        counters = registry.snapshot().counters
+        return sum(v for k, v in counters.items() if k.startswith("db.statements{"))
+
+    acquisitions = 0
+    enter = TimedLatch.__enter__
+
+    def counting_enter(latch):
+        nonlocal acquisitions
+        acquisitions += 1
+        return enter(latch)
+
+    before = statements()
+    TimedLatch.__enter__ = counting_enter
+    try:
+        lrc.create_mapping("guards-new", "pfn://guards-new")
+    finally:
+        TimedLatch.__enter__ = enter
+    return statements() - before, acquisitions
 
 
 def time_profiler_guard(n: int) -> float:
@@ -432,9 +464,15 @@ def main() -> int:
     # Query profiler: disabled by default on bare engines; its guards
     # (enabled flag + latch noop checks) get their own budget line.
     per_guard = time_profiler_guard(NOOP_CALLS)
-    guard_overhead = per_guard * PROFILER_GUARDS_PER_ADD
+    guard_statements, guard_latches = count_profiler_guards()
+    guard_overhead = per_guard * (guard_statements + guard_latches)
     guard_fraction = guard_overhead / per_add
     print(f"per profiler guard: {per_guard * 1e9:8.2f} ns")
+    print(
+        f"guards per add:     {guard_statements + guard_latches:5d} "
+        f"({guard_statements} statements + {guard_latches} latch "
+        "acquisitions, counted on one create_mapping)"
+    )
     print(
         f"profiler overhead:  {guard_overhead * 1e6:8.3f} us per add "
         f"({guard_fraction * 100:.3f}% of add; limit "

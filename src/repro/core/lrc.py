@@ -22,8 +22,10 @@ immediate-mode change log without polling the database.
 from __future__ import annotations
 
 import enum
+import itertools
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -103,6 +105,9 @@ _IN_CHUNK = 256
 _SMALL_IN_CHUNK = 16
 # Multi-row INSERT chunk (rows per statement).
 _INSERT_CHUNK = 64
+# Pairs bulk_load writes at a time: what it holds besides the catalog
+# itself is bounded by this, not by the length of the stream.
+_LOAD_CHUNK = 1024
 
 
 def _in_chunks(values: Sequence[Any]) -> "Iterable[list[Any]]":
@@ -115,6 +120,29 @@ def _in_chunks(values: Sequence[Any]) -> "Iterable[list[Any]]":
         if len(chunk) < size:
             chunk.extend(chunk[-1:] * (size - len(chunk)))
         yield chunk
+
+
+def _load_names(
+    table: Any, counts: "Counter[str]"
+) -> tuple[dict[str, int], list[str], list[int]]:
+    """``bulk_load``'s write of one name table: the names of ``counts``
+    the table lacks go in with one ``insert_many``, their count as
+    ``ref``.  Returns name → id for all of ``counts``, the new names in
+    first-seen order, and the ids of the names that were already there."""
+    ids: dict[str, int] = {}
+    new: list[str] = []
+    old_ids: list[int] = []
+    for name in counts:
+        existing = table.lookup_equal(("name",), (name,))
+        if existing:
+            ids[name] = existing[0][1][0]
+            old_ids.append(ids[name])
+        else:
+            new.append(name)
+    stored = table.insert_many({"name": name, "ref": counts[name]} for name in new)
+    ids.update(zip(new, [row[0] for _rid, row in stored]))
+    return ids, new, old_ids
+
 
 # DDL matching Figure 3 of the paper.
 _SCHEMA_STATEMENTS = [
@@ -406,28 +434,23 @@ class LocalReplicaCatalog:
                         bumps[pfn] = bumps.get(pfn, 0) + 1
                     else:
                         new_pfn_refs[pfn] = new_pfn_refs.get(pfn, 0) + 1
-                if new_pfn_refs:
-                    # New target names arrive with their final refcount —
-                    # no per-row bump statements afterwards.
-                    self._insert_rows(
-                        "t_pfn", ("name", "ref"), list(new_pfn_refs.items())
-                    )
-                    pfn_rows.update(
-                        self._name_rows_in("t_pfn", list(new_pfn_refs))
-                    )
+                # New target names arrive with their final refcount — no
+                # per-row bump statements afterwards — and every new row's
+                # id comes back from its INSERT, not from a re-read.
+                pfn_ids = {pfn: row[0] for pfn, row in pfn_rows.items()}
+                pfn_ids.update(zip(new_pfn_refs, self._insert_rows(
+                    "t_pfn", ("name", "ref"), list(new_pfn_refs.items())
+                )))
                 # Every created logical name has exactly one mapping.
-                self._insert_rows(
+                lfn_ids = self._insert_rows(
                     "t_lfn", ("name", "ref"), [(lfn, 1) for _, lfn, _ in creations]
-                )
-                lfn_rows = self._name_rows_in(
-                    "t_lfn", [lfn for _, lfn, _ in creations]
                 )
                 self._insert_rows(
                     "t_map",
                     ("lfn_id", "pfn_id"),
                     [
-                        (lfn_rows[lfn][0], pfn_rows[pfn][0])
-                        for _, lfn, pfn in creations
+                        (lfn_id, pfn_ids[pfn])
+                        for lfn_id, (_, _, pfn) in zip(lfn_ids, creations)
                     ],
                 )
                 for pfn, delta in bumps.items():
@@ -553,8 +576,10 @@ class LocalReplicaCatalog:
         table: str,
         columns: tuple[str, str],
         rows: Sequence[tuple[Any, Any]],
-    ) -> None:
-        """Multi-row INSERT in fixed-size chunks (statement-cache friendly)."""
+    ) -> list[int]:
+        """Multi-row INSERT in fixed-size chunks (statement-cache friendly);
+        returns the generated key of every row, in order."""
+        keys: list[int] = []
         start = 0
         while start < len(rows):
             chunk = rows[start : start + _INSERT_CHUNK]
@@ -563,12 +588,13 @@ class LocalReplicaCatalog:
             for a, b in chunk:
                 params.append(a)
                 params.append(b)
-            self.conn.execute(
+            keys.extend(self.conn.execute(
                 f"INSERT INTO {table} ({columns[0]}, {columns[1]}) "
                 f"VALUES {placeholders}",
                 params,
-            )
+            ).generated_keys)
             start += len(chunk)
+        return keys
 
     def _prune_names(
         self,
@@ -636,65 +662,61 @@ class LocalReplicaCatalog:
         Bypasses the SQL layer and writes the Figure 3 tables directly —
         the equivalent of the paper's §4 setup step where "a server is
         loaded with a predefined number of mappings" before measuring.
-        Assumes a quiescent server and fresh (lfn, pfn) pairs; duplicate
-        LFNs get additional replica mappings.  Change listeners are
-        notified so Bloom filters stay coherent.  Returns mappings loaded.
+        The pairs are taken ``_LOAD_CHUNK`` at a time (memory stays
+        bounded however many are streamed in); each chunk writes each
+        table with one ``insert_many``, new names carrying their final
+        reference count, and a name that already existed is re-counted
+        from ``t_map`` afterwards.  Nothing is WAL-logged.  Assumes a
+        quiescent server and fresh (lfn, pfn) pairs; duplicate LFNs get
+        additional replica mappings.  Change listeners are notified so
+        Bloom filters stay coherent.  Returns mappings loaded.
         """
-        db = self.conn.database
-        t_lfn = db.table("t_lfn")
-        t_pfn = db.table("t_pfn")
-        t_map = db.table("t_map")
         count = 0
         new_lfns: list[str] = []
         # Only buffer the pair list when someone (a mirror feed) listens.
         loaded_pairs: list[tuple[str, str]] | None = (
             [] if self._mapping_listeners else None
         )
+        pairs = iter(pairs)
         with self._write_lock:
-            lfn_ids: dict[str, int] = {}
-            pfn_ids: dict[str, int] = {}
-            for lfn, pfn in pairs:
-                validate_name(lfn, "logical name")
-                validate_name(pfn, "target name")
-                lfn_id = lfn_ids.get(lfn)
-                if lfn_id is None:
-                    existing = t_lfn.lookup_equal(("name",), (lfn,))
-                    if existing:
-                        lfn_id = existing[0][1][0]
-                    else:
-                        _rid, row = t_lfn.insert({"name": lfn, "ref": 0})
-                        lfn_id = row[0]
-                        new_lfns.append(lfn)
-                    lfn_ids[lfn] = lfn_id
-                pfn_id = pfn_ids.get(pfn)
-                if pfn_id is None:
-                    existing = t_pfn.lookup_equal(("name",), (pfn,))
-                    if existing:
-                        pfn_id = existing[0][1][0]
-                    else:
-                        _rid, row = t_pfn.insert({"name": pfn, "ref": 0})
-                        pfn_id = row[0]
-                    pfn_ids[pfn] = pfn_id
-                t_map.insert({"lfn_id": lfn_id, "pfn_id": pfn_id})
+            while chunk := list(itertools.islice(pairs, _LOAD_CHUNK)):
+                new_lfns += self._load_chunk(chunk)
+                count += len(chunk)
                 if loaded_pairs is not None:
-                    loaded_pairs.append((lfn, pfn))
-                count += 1
-            # Fix up reference counts in one pass.
-            for name, lfn_id in lfn_ids.items():
-                refs = len(t_map.lookup_equal(("lfn_id",), (lfn_id,)))
-                for rid, _row in t_lfn.lookup_equal(("id",), (lfn_id,)):
-                    t_lfn.update_rid(rid, {"ref": refs})
-            for name, pfn_id in pfn_ids.items():
-                refs = len(t_map.lookup_equal(("pfn_id",), (pfn_id,)))
-                for rid, _row in t_pfn.lookup_equal(("id",), (pfn_id,)):
-                    t_pfn.update_rid(rid, {"ref": refs})
+                    loaded_pairs += chunk
         self._m_bulk_loaded.inc(count)
         for lfn in new_lfns:
             self._notify(lfn, True)
-        if loaded_pairs is not None:
-            for lfn, pfn in loaded_pairs:
-                self._notify_mapping(lfn, pfn, True)
+        for lfn, pfn in loaded_pairs or ():
+            self._notify_mapping(lfn, pfn, True)
         return count
+
+    def _load_chunk(self, chunk: list[tuple[str, str]]) -> list[str]:
+        """Write one chunk of ``bulk_load``; returns its new logical names."""
+        for lfn, pfn in chunk:
+            validate_name(lfn, "logical name")
+            validate_name(pfn, "target name")
+        db = self.conn.database
+        t_lfn, t_pfn, t_map = db.table("t_lfn"), db.table("t_pfn"), db.table("t_map")
+        lfn_ids, new_lfns, old_lfn_ids = _load_names(
+            t_lfn, Counter(lfn for lfn, _ in chunk)
+        )
+        pfn_ids, _new_pfns, old_pfn_ids = _load_names(
+            t_pfn, Counter(pfn for _, pfn in chunk)
+        )
+        t_map.insert_many(
+            {"lfn_id": lfn_ids[lfn], "pfn_id": pfn_ids[pfn]} for lfn, pfn in chunk
+        )
+        # A name that was here before is re-counted from t_map.
+        for table, column, old_ids in (
+            (t_lfn, "lfn_id", old_lfn_ids),
+            (t_pfn, "pfn_id", old_pfn_ids),
+        ):
+            for row_id in old_ids:
+                refs = len(t_map.lookup_equal((column,), (row_id,)))
+                for rid, _row in table.lookup_equal(("id",), (row_id,)):
+                    table.update_rid(rid, {"ref": refs})
+        return new_lfns
 
     # ------------------------------------------------------------------
     # Queries (Table 1: by logical/target name, wildcard, bulk, attribute)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.db.errors import NoSuchTableError, TableExistsError
 from repro.db.profiler import QueryProfile, QueryProfiler
@@ -174,19 +174,41 @@ class Database:
     # Logged DML primitives (used by SQL plans and by recovery)
     # ------------------------------------------------------------------
 
-    def insert_row(self, table_name: str, values: dict[str, Any]) -> tuple[int, list]:
+    def insert_rows(
+        self, table_name: str, rows: Iterable[dict[str, Any]]
+    ) -> list[tuple[int, list]]:
+        """Insert the rows of one statement: one latch hold, one WAL
+        append.  If a row fails, the rows before it stay stored and are
+        logged, as if each had been its own statement."""
         table = self.table(table_name)
-        rid, row = table.insert(values)
-        if self.wal is not None:
-            self.wal.log(OP_INSERT, table.schema.name, tuple(row))
-        return rid, row
+        stored: list[tuple[int, list]] = []
+        try:
+            table.insert_many(rows, stored)
+        finally:
+            if self.wal is not None:
+                self.wal.log_many(
+                    OP_INSERT, table.schema.name, [row for _rid, row in stored]
+                )
+        return stored
+
+    def insert_row(self, table_name: str, values: dict[str, Any]) -> tuple[int, list]:
+        return self.insert_rows(table_name, (values,))[0]
+
+    def delete_rows(self, table_name: str, rids: Iterable[int]) -> list[list]:
+        """Delete the rows of one statement (see :meth:`insert_rows`);
+        returns the old rows."""
+        table = self.table(table_name)
+        deleted: list[tuple[int, list]] = []
+        try:
+            table.delete_many(rids, deleted)
+        finally:
+            old = [row for _rid, row in deleted]
+            if self.wal is not None:
+                self.wal.log_many(OP_DELETE, table.schema.name, old)
+        return old
 
     def delete_row(self, table_name: str, rid: int) -> list:
-        table = self.table(table_name)
-        old = table.delete_rid(rid)
-        if self.wal is not None:
-            self.wal.log(OP_DELETE, table.schema.name, tuple(old))
-        return old
+        return self.delete_rows(table_name, (rid,))[0]
 
     def update_row(
         self, table_name: str, rid: int, changes: dict[str, Any]

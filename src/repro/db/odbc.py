@@ -124,12 +124,14 @@ class Cursor:
         if self._closed:
             raise ConnectionClosedError("cursor is closed")
         total = 0
+        keys: list[int] = []
         last: ResultSet | None = None
         for params in seq_of_params:
             last = self._connection.database.execute(sql, params)
             total += last.rowcount
+            keys.extend(last.generated_keys)
         if last is not None:
-            self._result = ResultSet(last.columns, [], total, last.lastrowid)
+            self._result = ResultSet(last.columns, [], total, keys)
             self._fetched = 0
         return self
 
@@ -157,6 +159,12 @@ class Cursor:
     @property
     def lastrowid(self) -> int | None:
         return None if self._result is None else self._result.lastrowid
+
+    @property
+    def generated_keys(self) -> Sequence[int]:
+        """The autoincrement value of every row the last INSERT (or
+        ``executemany`` of INSERTs) stored, in order."""
+        return () if self._result is None else self._result.generated_keys
 
     @property
     def description(self) -> list[tuple] | None:

@@ -58,6 +58,10 @@ class TableSchema:
                 )
             seen.add(low)
         self._by_name = {c.name.lower(): i for i, c in enumerate(self.columns)}
+        # What coerce_row needs of each column, looked up once.
+        self._coercions = [
+            (c.name.lower(), c, c.ctype.coerce) for c in self.columns
+        ]
         for key in (self.primary_key, *self.unique):
             for colname in key:
                 if colname.lower() not in self._by_name:
@@ -97,8 +101,7 @@ class TableSchema:
         """
         remaining = {k.lower(): v for k, v in values.items()}
         row: list[Any] = []
-        for col in self.columns:
-            low = col.name.lower()
+        for low, col, coerce in self._coercions:
             if low in remaining:
                 value = remaining.pop(low)
                 if value is None:
@@ -109,21 +112,18 @@ class TableSchema:
                     row.append(None)
                 else:
                     try:
-                        row.append(col.ctype.coerce(value))
+                        row.append(coerce(value))
                     except TypeMismatchError as exc:
                         raise TypeMismatchError(
                             f"{self.name}.{col.name}: {exc}"
                         ) from None
+            elif col.autoincrement or col.nullable:
+                row.append(None)
             else:
-                if col.autoincrement:
-                    row.append(None)
-                elif col.nullable:
-                    row.append(None)
-                else:
-                    raise IntegrityError(
-                        f"column {col.name!r} of {self.name!r} is NOT NULL "
-                        "and has no default"
-                    )
+                raise IntegrityError(
+                    f"column {col.name!r} of {self.name!r} is NOT NULL "
+                    "and has no default"
+                )
         if remaining:
             unknown = sorted(remaining)
             raise NoSuchColumnError(self.name, unknown[0])

@@ -47,21 +47,30 @@ FILTER_DETAIL = "residual WHERE re-checked per row"
 
 
 class ResultSet:
-    """Rows plus metadata returned by :meth:`Database.execute`."""
+    """Rows plus metadata returned by :meth:`Database.execute`.
 
-    __slots__ = ("columns", "rows", "rowcount", "lastrowid")
+    ``generated_keys`` holds, for an INSERT into a table with an
+    autoincrement column, that column's value in every inserted row, in
+    ``VALUES`` order; ``lastrowid`` is the last of them.
+    """
+
+    __slots__ = ("columns", "rows", "rowcount", "generated_keys")
 
     def __init__(
         self,
         columns: list[str],
         rows: list[tuple],
         rowcount: int,
-        lastrowid: int | None = None,
+        generated_keys: Sequence[int] = (),
     ) -> None:
         self.columns = columns
         self.rows = rows
         self.rowcount = rowcount
-        self.lastrowid = lastrowid
+        self.generated_keys = generated_keys
+
+    @property
+    def lastrowid(self) -> int | None:
+        return self.generated_keys[-1] if self.generated_keys else None
 
     def __iter__(self):
         return iter(self.rows)
@@ -119,7 +128,7 @@ class HashLookup:
         key = self.key_of(params)
         if None in key:
             return ()
-        return self.table.lookup_index(self.index, key)
+        return self.table.lookup_index_many(self.index, (key,))
 
     def describe(self, params: Sequence[Any]) -> str:
         return self.text
@@ -127,7 +136,8 @@ class HashLookup:
 
 @dataclass(slots=True)
 class InProbe:
-    """``col IN (const, ...)``: one hash-index probe per distinct key."""
+    """``col IN (const, ...)``: one hash-index probe per distinct key,
+    all under one latch hold."""
 
     table: Table
     index: HashIndex
@@ -137,11 +147,9 @@ class InProbe:
         return [k for k in dict.fromkeys(self.items_of(params)) if k is not None]
 
     def rows(self, params: Sequence[Any]) -> Pairs:
-        table, index = self.table, self.index
-        found: list[tuple[int, list[Any]]] = []
-        for key in self._keys(params):
-            found.extend(table.lookup_index(index, (key,)))
-        return found
+        return self.table.lookup_index_many(
+            self.index, [(key,) for key in self._keys(params)]
+        )
 
     def describe(self, params: Sequence[Any]) -> str:
         label = index_label(self.table, self.index.column_positions)
@@ -221,7 +229,7 @@ class JoinStep:
         value = self.key_of(rows, params)
         if value is None:
             return ()
-        return self.table.lookup_index(self.index, (value,))
+        return self.table.lookup_index_many(self.index, ((value,),))
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +445,7 @@ class MutatePlan(Plan):
         start = profile.clock() if profile is not None else 0.0
         db, name = self.db, self.table_name
         if self.changes_of is None:
-            for rid, _row in matches:
-                db.delete_row(name, rid)
+            db.delete_rows(name, [rid for rid, _row in matches])
         else:
             changes = self.changes_of(params)
             for rid, _row in matches:
@@ -469,21 +476,23 @@ class InsertPlan(Plan):
         self, params: Sequence[Any], profile: QueryProfile | None = None
     ) -> ResultSet:
         start = profile.clock() if profile is not None else 0.0
-        db, name, autoinc_pos = self.db, self.table_name, self.autoinc_pos
-        lastrowid: int | None = None
-        for values_of in self.rows_of:
-            _rid, row = db.insert_row(name, values_of(params))
-            if autoinc_pos is not None:
-                lastrowid = row[autoinc_pos]
-        count = len(self.rows_of)
+        name, autoinc_pos = self.table_name, self.autoinc_pos
+        # Lazily, so that row k's values are built after row k-1 is in.
+        stored = self.db.insert_rows(
+            name, (values_of(params) for values_of in self.rows_of)
+        )
         if profile is not None:
             profile.add_op(
                 "insert",
                 name,
-                rows_returned=count,
+                rows_returned=len(stored),
                 elapsed=profile.clock() - start,
             )
-        return ResultSet([], [], count, lastrowid)
+        keys = (
+            [] if autoinc_pos is None
+            else [row[autoinc_pos] for _rid, row in stored]
+        )
+        return ResultSet([], [], len(stored), generated_keys=keys)
 
 
 @dataclass(slots=True)

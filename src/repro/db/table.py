@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Collection, Iterator
+import time
+from typing import Any, Callable, Collection, Iterable, Iterator
 
 from repro.db.errors import (
     DBError,
@@ -40,6 +41,14 @@ class Table:
     ``db.latch_wait{table=...}`` so multi-client runs expose the
     serialization directly.
 
+    Writes and index probes are statement-at-a-time: :meth:`insert_many`,
+    :meth:`delete_many` and :meth:`lookup_index_many` take the latch once
+    for all the rows of a statement, and :meth:`insert` /
+    :meth:`delete_rid` are their one-element case.  What a write needs to
+    know about the table (autoincrement positions, which indexes enforce
+    uniqueness and which can wait for the statement's end) is worked out
+    when the table and its indexes are created, not per call.
+
     ``on_ddl``, when the owning database has set it, is called after
     every index creation, so the database can retire the SQL plans that
     chose their access path without that index.
@@ -71,9 +80,11 @@ class Table:
             reentrant=True,
         )
         self._autoinc = itertools.count(1)
+        self._autoinc_positions = tuple(
+            pos for pos, col in enumerate(schema.columns) if col.autoincrement
+        )
         self._hash_indexes: dict[str, HashIndex] = {}
         self._ordered_indexes: dict[str, OrderedIndex] = {}
-        # Column position -> list of indexes touching it, for maintenance.
         self._all_indexes: list[HashIndex | OrderedIndex] = []
         # Unique constraints: (positions tuple, HashIndex) pairs.
         self._unique: list[tuple[tuple[int, ...], HashIndex]] = []
@@ -84,6 +95,15 @@ class Table:
             self._unique.append((positions, idx))
         # Auto-index single-column keys are already hash indexes; callers add
         # ordered indexes for LIKE-prefix columns explicitly.
+        #
+        # An insert maintains the unique indexes row by row (a later row
+        # of the same statement may collide with an earlier one) and the
+        # indexes created afterwards once per statement.
+        self._unique_writes = tuple(
+            (idx, idx.key_for, schema.columns[positions[0]].name)
+            for positions, idx in self._unique
+        )
+        self._deferred_indexes: list[HashIndex | OrderedIndex] = []
 
     # ------------------------------------------------------------------
     # Index management
@@ -102,8 +122,8 @@ class Table:
                 raise DBError(f"index already exists: {name!r}")
             positions = tuple(self.schema.column_index(c) for c in columns)
             idx = self._make_hash_index(name, positions)
-            for rid, row in self.heap.scan_live():
-                idx.insert(idx.key_for(row), rid)
+            idx.insert_rows(list(self.heap.scan_live()))
+            self._deferred_indexes.append(idx)
         if self.on_ddl is not None:
             self.on_ddl()
         return idx
@@ -116,8 +136,8 @@ class Table:
             idx = OrderedIndex(name, self.schema.column_index(column))
             self._ordered_indexes[name] = idx
             self._all_indexes.append(idx)
-            for rid, row in self.heap.scan_live():
-                idx.insert(idx.key_for(row), rid)
+            idx.insert_rows(list(self.heap.scan_live()))
+            self._deferred_indexes.append(idx)
         if self.on_ddl is not None:
             self.on_ddl()
         return idx
@@ -159,59 +179,93 @@ class Table:
     # ------------------------------------------------------------------
 
     def insert(self, values: dict[str, Any]) -> tuple[int, list[Any]]:
-        """Insert a row; returns ``(rid, stored_row)``.
+        """Insert a row; returns ``(rid, stored_row)``."""
+        return self.insert_many((values,))[0]
 
-        Fills autoincrement columns, enforces unique/PK constraints (paying
-        the dead-tuple filtering cost in MVCC mode), and maintains indexes.
+    def insert_many(
+        self,
+        rows: Iterable[dict[str, Any]],
+        stored: list[tuple[int, list[Any]]] | None = None,
+    ) -> list[tuple[int, list[Any]]]:
+        """Insert the rows of one statement under one latch hold; returns
+        ``(rid, stored_row)`` per row.
+
+        Row by row, in this order: coerce, fill autoincrement columns,
+        enforce unique/PK constraints (paying the dead-tuple filtering
+        cost in MVCC mode), store.  A row that fails leaves the rows
+        before it inserted and indexed, exactly as that many single
+        inserts would; a caller that needs to know which passes its own
+        ``stored`` list, which is appended to as rows go in.
         """
-        row = self.schema.coerce_row(values)
+        if stored is None:
+            stored = []
+        first = len(stored)
+        coerce = self.schema.coerce_row
+        autoinc_positions, unique = self._autoinc_positions, self._unique_writes
+        heap_insert, is_dead = self.heap.insert, self.heap.is_dead
         with self.latch:
-            for pos, col in enumerate(self.schema.columns):
-                if col.autoincrement and row[pos] is None:
-                    row[pos] = next(self._autoinc)
-            for positions, idx in self._unique:
-                key = tuple(row[p] for p in positions)
-                if self._key_is_live(idx, key):
-                    colname = self.schema.columns[positions[0]].name
-                    raise DuplicateKeyError(self.schema.name, colname, key)
-            rid = self.heap.insert(row)
-            for idx in self._all_indexes:
-                idx.insert(idx.key_for(row), rid)
-            self.stats.inserts += 1
-            return rid, row
-
-    def _key_is_live(self, idx: HashIndex, key: tuple) -> bool:
-        """True if any *live* row carries ``key``; counts dead-entry scans."""
-        rids = idx.lookup(key)
-        if not rids:
-            return False
-        dead_hits = 0
-        alive = False
-        for rid in rids:
-            if self.heap.is_dead(rid):
-                dead_hits += 1
-            else:
-                alive = True
-        self._charge_dead_hits(dead_hits)
-        return alive
+            try:
+                for values in rows:
+                    row = coerce(values)
+                    for pos in autoinc_positions:
+                        if row[pos] is None:
+                            row[pos] = next(self._autoinc)
+                    for idx, key_for, colname in unique:
+                        key = key_for(row)
+                        rids = idx.lookup(key)
+                        if rids:
+                            dead_hits = sum(map(is_dead, rids))
+                            self._charge_dead_hits(dead_hits)
+                            if dead_hits < len(rids):
+                                raise DuplicateKeyError(
+                                    self.schema.name, colname, key
+                                )
+                    rid = heap_insert(row)
+                    for idx, key_for, _colname in unique:
+                        idx.insert(key_for(row), rid)
+                    stored.append((rid, row))
+            finally:
+                new = stored[first:]
+                self.stats.inserts += len(new)
+                for idx in self._deferred_indexes:
+                    idx.insert_rows(new)
+        return new
 
     def _charge_dead_hits(self, dead_hits: int) -> None:
         self.stats.dead_index_hits += dead_hits
         if dead_hits and self.dead_hit_cost > 0.0:
-            import time
-
             time.sleep(dead_hits * self.dead_hit_cost)
 
     def delete_rid(self, rid: int) -> list[Any]:
         """Delete one live row by rid; returns the old row."""
+        return self.delete_many((rid,))[0][1]
+
+    def delete_many(
+        self,
+        rids: Iterable[int],
+        deleted: list[tuple[int, list[Any]]] | None = None,
+    ) -> list[tuple[int, list[Any]]]:
+        """Delete the live rows of one statement under one latch hold;
+        returns ``(rid, old_row)`` per row.  A rid that is already dead
+        raises and leaves the ones before it deleted (``deleted``, when
+        given, is appended to as rows go)."""
+        if deleted is None:
+            deleted = []
+        first = len(deleted)
+        mark_dead = self.heap.mark_dead
         with self.latch:
-            row = self.heap.mark_dead(rid)
-            self.stats.deletes += 1
-            if self.eager_index_cleanup:
-                for idx in self._all_indexes:
-                    idx.remove(idx.key_for(row), rid)
-                self.heap.reclaim(rid)
-            return row
+            try:
+                for rid in rids:
+                    deleted.append((rid, mark_dead(rid)))
+            finally:
+                gone = deleted[first:]
+                self.stats.deletes += len(gone)
+                if self.eager_index_cleanup:
+                    for idx in self._all_indexes:
+                        idx.remove_rows(gone)
+                    for rid, _row in gone:
+                        self.heap.reclaim(rid)
+        return gone
 
     def update_rid(self, rid: int, changes: dict[str, Any]) -> tuple[int, list[Any]]:
         """MVCC-style update: tombstone the old version, insert the new one.
@@ -256,7 +310,7 @@ class Table:
         """Live rows whose ``columns`` equal ``key``, via an index if any."""
         idx = self.find_hash_index(columns)
         if idx is not None:
-            return self.lookup_index(idx, key)
+            return self.lookup_index_many(idx, (key,))
         positions = tuple(self.schema.column_index(c) for c in columns)
         with self.latch:
             return [
@@ -265,24 +319,27 @@ class Table:
                 if tuple(row[p] for p in positions) == key
             ]
 
-    def lookup_index(
-        self, idx: HashIndex, key: tuple
+    def lookup_index_many(
+        self, idx: HashIndex, keys: Iterable[tuple]
     ) -> list[tuple[int, list[Any]]]:
-        """Live rows under ``key`` in one of this table's hash indexes.
+        """Live rows under each of ``keys`` in turn in one of this
+        table's hash indexes, one latch hold for the whole list (an
+        equality probe has one key, an ``IN`` probe many).
 
         Dead index entries are filtered here (and counted), which is the
         mechanism behind the PostgreSQL vacuum experiment.
         """
         with self.latch:
-            get_live = self.heap.get_live
+            get_live, lookup = self.heap.get_live, idx.lookup
             result: list[tuple[int, list[Any]]] = []
             dead_hits = 0
-            for rid in idx.lookup(key):
-                row = get_live(rid)
-                if row is None:
-                    dead_hits += 1
-                else:
-                    result.append((rid, row))
+            for key in keys:
+                for rid in lookup(key):
+                    row = get_live(rid)
+                    if row is None:
+                        dead_hits += 1
+                    else:
+                        result.append((rid, row))
             if dead_hits:
                 self._charge_dead_hits(dead_hits)
             return result

@@ -84,3 +84,21 @@ def test_refused_operations_write_nothing(lrc):
         )
     assert wal.records_appended == logged
     assert lrc.verify_integrity() == []
+
+
+def test_bulk_operations_stay_within_their_statement_budget(lrc):
+    """1000 names are four 256-key IN lists and sixteen 64-row INSERTs.
+
+    A bulk create looks both name sets up once and then only writes: the
+    ids of the rows it inserts come back from the INSERTs themselves.
+    """
+    pairs = [(f"bulk-lfn-{i}", f"bulk-pfn-{i}") for i in range(1000)]
+    # create: 4 + 4 existence SELECTs, 16 INSERTs into each of three tables.
+    assert statements(lrc, lambda: lrc.bulk_create(pairs)) == 8 + 3 * 16
+    assert lrc.lfn_count() == 1200
+    assert statements(lrc, lambda: lrc.bulk_query([lfn for lfn, _ in pairs])) == 4
+    # delete: 4 + 4 name SELECTs, 4 t_map SELECTs, 4 DELETEs from each of
+    # three tables, one t_attribute read for the pruned rows.
+    assert statements(lrc, lambda: lrc.bulk_delete(pairs)) == 12 + 3 * 4 + 1
+    assert lrc.lfn_count() == 200
+    assert lrc.verify_integrity() == []

@@ -91,6 +91,24 @@ class TestCursor:
         assert cur.lastrowid == 2
         assert cur.rowcount == 2
 
+    def test_generated_keys_of_every_row(self, dsn):
+        db = Database("odbc-keys")
+        db.execute(
+            "CREATE TABLE a (id INT NOT NULL AUTO_INCREMENT, name VARCHAR(50), "
+            "PRIMARY KEY (id))"
+        )
+        cur = connect(db).cursor()
+        assert cur.generated_keys == ()
+        cur.execute("INSERT INTO a (name) VALUES ('x'), ('y'), ('z')")
+        assert list(cur.generated_keys) == [1, 2, 3] and cur.lastrowid == 3
+        cur.executemany("INSERT INTO a (name) VALUES (?), (?)", [["p", "q"], ["r", "s"]])
+        assert list(cur.generated_keys) == [4, 5, 6, 7] and cur.lastrowid == 7
+        assert cur.rowcount == 4
+        # A table without an autoincrement column generates none.
+        cur = connect(dsn).cursor()
+        cur.execute("INSERT INTO t (id, name) VALUES (1, 'a'), (2, 'b')")
+        assert list(cur.generated_keys) == [] and cur.lastrowid is None
+
     def test_fetchone_then_fetchall_returns_the_rest(self, dsn):
         cur = connect(dsn).cursor()
         cur.execute("INSERT INTO t (id, name) VALUES (1, 'a'), (2, 'b'), (3, 'c')")
