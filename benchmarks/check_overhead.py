@@ -12,6 +12,10 @@ Two budgets, both gated at ``MAX_OVERHEAD_FRACTION``:
    that work, amortized over the default scrape interval, must stay under
    the budget relative to a core saturated by the tight add loop.
 
+One more gate is a ratio rather than a share of an add: with shipping
+defaults, an ``rli_query`` that raises ``MappingNotFoundError`` may cost at
+most ``MAX_MISS_TO_HIT_RATIO`` times one that hits, at ``RPCServer.handle``.
+
 Run directly (CI does)::
 
     PYTHONPATH=src python benchmarks/check_overhead.py
@@ -428,6 +432,56 @@ def time_scrape(rounds: int) -> float:
     return (time.perf_counter() - start) / rounds
 
 
+#: An RLI "not found" is a normal answer (10% of ``rli_bloom_query``), so
+#: the error branch of ``RPCServer.handle`` — error event, black-box
+#: freeze, failure response — may not cost much more than a hit.  A ratio
+#: of two medians taken in the same process, so it holds on any machine.
+MAX_MISS_TO_HIT_RATIO = 1.5
+MISS_HIT_FILTERS = 10  # as rlsbench's rli_bloom_query holds
+MISS_HIT_NAMES = 2_000
+MISS_HIT_CALLS = 2_000
+
+
+def time_rli_miss_and_hit(calls: int) -> tuple[float, float]:
+    """Median seconds per ``rli_query`` through ``RPCServer.handle``:
+    (one that raises ``MappingNotFoundError``, one that hits).
+
+    Shipping ``ServerConfig`` defaults (flight recorder and usage
+    accounting on), a Bloom-only RLI, hits and misses interleaved after
+    the flight ring has filled, so a freeze copies a full ring.
+    """
+    from statistics import median
+
+    from repro.net.messages import PROTOCOL_VERSION, Hello, Request
+    from repro.workload.scenarios import loaded_rli_server_bloom
+
+    server, lfns = loaded_rli_server_bloom(
+        MISS_HIT_NAMES, num_filters=MISS_HIT_FILTERS, name="overhead-rli"
+    )
+    try:
+        ctx = server.rpc.handshake(
+            Hello(version=PROTOCOL_VERSION), peer="check_overhead"
+        )
+        handle = server.rpc.handle
+        perf_counter = time.perf_counter
+        timings: dict[bool, list[float]] = {True: [], False: []}
+        # The warm-up pass fills the flight ring (two events per call).
+        for timed in (False, True):
+            for i in range(calls):
+                for name in (lfns[i % len(lfns)], f"absent/lfn-{i}"):
+                    request = Request("rli_query", (name,))
+                    start = perf_counter()
+                    response = handle(ctx, request)
+                    elapsed = perf_counter() - start
+                    if timed:
+                        timings[response.ok].append(elapsed)
+    finally:
+        server.stop()
+    # A Bloom false positive turns a would-be miss into a hit; ~1% of
+    # calls, which the medians ignore.
+    return median(timings[False]), median(timings[True])
+
+
 def main() -> int:
     assert not tracing.active(), "overhead check requires no tracer installed"
     per_add = time_adds(ADDS)
@@ -577,6 +631,20 @@ def main() -> int:
         print("FAIL: pipelined codec exceeds the overhead budget")
         return 1
     print("OK: pipelined codec is within the overhead budget")
+
+    # RLI "not found": the handler-exception branch (error event, flight
+    # freeze, failure response) against the same call answering a hit.
+    per_miss, per_hit = time_rli_miss_and_hit(MISS_HIT_CALLS)
+    miss_ratio = per_miss / per_hit
+    print(
+        f"rli_query miss/hit: {per_miss * 1e6:8.2f} / {per_hit * 1e6:.2f} us "
+        f"at RPCServer.handle, shipping defaults ({miss_ratio:.2f}x; "
+        f"limit {MAX_MISS_TO_HIT_RATIO}x)"
+    )
+    if miss_ratio > MAX_MISS_TO_HIT_RATIO:
+        print("FAIL: an rli_query miss costs more than the hit-relative budget")
+        return 1
+    print("OK: an rli_query miss costs about what a hit costs")
     return 0
 
 

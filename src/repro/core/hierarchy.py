@@ -76,16 +76,15 @@ class HierarchicalUpdater:
 
     def _bloom_state(self) -> dict[str, tuple[bytes, int, int, int]]:
         """Per-LRC packed filters from the Bloom store."""
-        with self.rli._bloom_lock:
-            return {
-                name: (
-                    entry.bloom.to_bytes(),
-                    entry.bloom.params.num_bits,
-                    entry.bloom.params.num_hashes,
-                    entry.bloom.approx_entries,
-                )
-                for name, entry in self.rli._bloom.items()
-            }
+        return {
+            name: (
+                entry.bloom.to_bytes(),
+                entry.bloom.params.num_bits,
+                entry.bloom.params.num_hashes,
+                entry.bloom.approx_entries,
+            )
+            for name, entry in self.rli._bloom.items()
+        }
 
 
 class HierarchyThread:

@@ -14,7 +14,8 @@ paper's v2.0.9 behaviour it keeps two stores:
   Bloom filters and raise :class:`WildcardNotSupportedError` (§5.4).
 
 A query consults both stores, since different LRCs may update the same RLI
-in different modes.
+in different modes — but the relational store only once some LRC has sent
+an uncompressed update: a Bloom-only RLI answers from memory, with no SQL.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.core.bloom import BloomFilter, BloomParameters
+from repro.core.bloom import BloomFilter, BloomParameters, FilterTable
 from repro.core.errors import (
     MappingNotFoundError,
     WildcardNotSupportedError,
@@ -64,7 +65,7 @@ _RLI_SCHEMA = [
 # an LRC id (Figure 3); we keep the name for fidelity.
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BloomEntry:
     bloom: BloomFilter
     received_at: float
@@ -86,9 +87,20 @@ class ReplicaLocationIndex:
         self.name = name
         self.timeout = timeout
         self.clock = clock
+        # The Bloom store is published as immutable snapshots: writers
+        # build a new dict and swap it in under ``_bloom_lock``
+        # (``_publish_bloom``); readers take whichever reference is
+        # current, without the lock.  ``_filters`` is the same snapshot in
+        # the form a query probes.
         self._bloom_lock = threading.RLock()
-        self._bloom: dict[str, _BloomEntry] = {}
+        self._bloom: Mapping[str, _BloomEntry] = {}
+        self._filters = FilterTable({})
         self._write_lock = threading.RLock()
+        # Whether a query must consult the relational store.  True until
+        # ``init_schema`` finds ``t_lrc`` empty, set again by any relational
+        # ingest, never cleared by expiry: it may be conservatively true
+        # but is never wrongly false.
+        self._relational = True
         self.updates_applied = 0
         # Wall-clock receipt time of the newest soft-state update per LRC
         # (both stores), for the rli.staleness_age gauge.
@@ -153,6 +165,10 @@ class ReplicaLocationIndex:
                 except Exception:
                     pass
             self.conn.execute(statement)
+        with self._write_lock:
+            self._relational = bool(
+                self.conn.execute("SELECT COUNT(*) FROM t_lrc").scalar()
+            )
 
     # ------------------------------------------------------------------
     # Soft-state ingest: uncompressed
@@ -276,14 +292,19 @@ class ReplicaLocationIndex:
         now = self.clock()
         with self._bloom_lock:
             entry = self._bloom.get(lrc_name)
-            if entry is None:
-                self._bloom[lrc_name] = _BloomEntry(bloom, now)
-            else:
-                entry.bloom = bloom
-                entry.received_at = now
-                entry.updates_received += 1
+            received = 1 if entry is None else entry.updates_received + 1
+            self._publish_bloom(
+                {**self._bloom, lrc_name: _BloomEntry(bloom, now, received)}
+            )
             self.updates_applied += 1
         self._record_apply("bloom", lrc_name, time.perf_counter() - start)
+
+    def _publish_bloom(self, entries: dict[str, _BloomEntry]) -> None:
+        """Swap in a new Bloom-store snapshot (caller holds ``_bloom_lock``)."""
+        self._filters = FilterTable(
+            {name: entry.bloom for name, entry in entries.items()}
+        )
+        self._bloom = entries
 
     # ------------------------------------------------------------------
     # Queries
@@ -296,12 +317,19 @@ class ReplicaLocationIndex:
         clients recover by querying the returned LRCs (§3.2).  Raises
         :class:`MappingNotFoundError` when no LRC matches.
         """
-        results = self._query_relational(lfn)
-        bits_hits = self._query_bloom(lfn)
-        combined = list(dict.fromkeys(results + bits_hits))
-        if not combined:
+        found = self._lookup(lfn)
+        if not found:
             raise MappingNotFoundError(f"logical name not indexed: {lfn}")
-        return combined
+        return found
+
+    def _lookup(self, lfn: str) -> list[str]:
+        """LRC names for ``lfn`` from both stores; empty when none match."""
+        hits = self._filters.matching(lfn)
+        if self._relational:
+            relational = self._query_relational(lfn)
+            if relational:
+                return list(dict.fromkeys(relational + hits))
+        return hits
 
     def _query_relational(self, lfn: str) -> list[str]:
         rows = self.conn.execute(
@@ -313,19 +341,13 @@ class ReplicaLocationIndex:
         ).rows
         return [r[0] for r in rows]
 
-    def _query_bloom(self, lfn: str) -> list[str]:
-        with self._bloom_lock:
-            entries = list(self._bloom.items())
-        return [name for name, entry in entries if lfn in entry.bloom]
-
     def bulk_query(self, lfns: Sequence[str]) -> dict[str, list[str]]:
         """Query many LFNs; names with no hits are omitted from the result."""
         result: dict[str, list[str]] = {}
         for lfn in lfns:
-            try:
-                result[lfn] = self.query(lfn)
-            except MappingNotFoundError:
-                continue
+            found = self._lookup(lfn)
+            if found:
+                result[lfn] = found
         return result
 
     def query_wildcard(self, pattern: str) -> list[tuple[str, str]]:
@@ -336,12 +358,11 @@ class ReplicaLocationIndex:
         be enumerated (§5.4: wildcard searches "are not possible when using
         Bloom filter compression").
         """
-        with self._bloom_lock:
-            if self._bloom:
-                raise WildcardNotSupportedError(
-                    "RLI holds Bloom-filter state; wildcard queries are "
-                    "not supported"
-                )
+        if self._bloom:
+            raise WildcardNotSupportedError(
+                "RLI holds Bloom-filter state; wildcard queries are "
+                "not supported"
+            )
         like = wildcard_to_like(pattern) if has_wildcard(pattern) else pattern
         rows = self.conn.execute(
             "SELECT l.name, c.name FROM t_lfn l "
@@ -361,28 +382,24 @@ class ReplicaLocationIndex:
         relational = [
             r[0] for r in self.conn.execute("SELECT name FROM t_lrc").rows
         ]
-        with self._bloom_lock:
-            blooms = list(self._bloom)
-        return sorted(set(relational) | set(blooms))
+        return sorted(set(relational) | set(self._bloom))
 
     def mapping_count(self) -> int:
         return int(self.conn.execute("SELECT COUNT(*) FROM t_map").scalar())
 
     def bloom_filter_count(self) -> int:
-        with self._bloom_lock:
-            return len(self._bloom)
+        return len(self._bloom)
 
     def bloom_stats(self) -> dict[str, dict[str, float]]:
-        with self._bloom_lock:
-            return {
-                name: {
-                    "size_bytes": entry.bloom.size_bytes,
-                    "received_at": entry.received_at,
-                    "updates_received": entry.updates_received,
-                    "fill_ratio": entry.bloom.fill_ratio(),
-                }
-                for name, entry in self._bloom.items()
+        return {
+            name: {
+                "size_bytes": entry.bloom.size_bytes,
+                "received_at": entry.received_at,
+                "updates_received": entry.updates_received,
+                "fill_ratio": entry.bloom.fill_ratio(),
             }
+            for name, entry in self._bloom.items()
+        }
 
     # ------------------------------------------------------------------
     # Soft-state expiry
@@ -414,14 +431,14 @@ class ReplicaLocationIndex:
                     self.conn.execute("DELETE FROM t_lfn WHERE id = ?", [lfn_id])
                 dropped += 1
         with self._bloom_lock:
-            stale_blooms = [
-                name
+            live = {
+                name: entry
                 for name, entry in self._bloom.items()
-                if entry.received_at < cutoff
-            ]
-            for name in stale_blooms:
-                del self._bloom[name]
-                dropped += 1
+                if entry.received_at >= cutoff
+            }
+            if len(live) != len(self._bloom):
+                dropped += len(self._bloom) - len(live)
+                self._publish_bloom(live)
         if dropped:
             self._m_expired.inc(dropped)
         return dropped
@@ -443,6 +460,9 @@ class ReplicaLocationIndex:
         return result.lastrowid
 
     def _get_or_insert_lrc(self, lrc_name: str) -> int:
+        # Every relational ingest passes here; set before the INSERT, so a
+        # query racing it may run one SELECT too many, never one too few.
+        self._relational = True
         rows = self.conn.execute(
             "SELECT id FROM t_lrc WHERE name = ?", [lrc_name]
         ).rows

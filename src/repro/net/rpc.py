@@ -213,7 +213,8 @@ class RPCServer:
                             if flight is not None:
                                 # Black box: freeze the events leading up
                                 # to the failure so a later wrap can't
-                                # erase them.
+                                # erase them (references only; rendered
+                                # when the dump is read).
                                 reason = f"{method}: {type(exc).__name__}"
                                 flight.record(
                                     "error",
@@ -221,7 +222,7 @@ class RPCServer:
                                     error=True,
                                     message=str(exc),
                                 )
-                                flight.dump(reason=reason)
+                                flight.freeze(reason)
                             response = Response.failure(exc, id=request.id)
                         else:
                             requests.inc()

@@ -7,7 +7,9 @@ appends small typed events (RPC dispatch, update delivery attempts and
 retries, WAL flushes, errors) into a bounded thread-safe ring, correlated
 with span ids from the tracer, and the ring is snapshotted on demand
 (``admin_flight`` / ``rls flight``) or automatically when a handler
-raises.
+raises.  That automatic freeze sits on the request path, so it keeps
+references to the (immutable) events and renders them to dicts only when
+the dump is read.
 
 Retention mirrors :class:`~repro.obs.tracing.SpanSink`: every event lands
 in a **recent** ring (capacity ``capacity``) and error events *also* land
@@ -20,9 +22,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 _event_seq = itertools.count(1)
 
@@ -99,12 +101,16 @@ class FlightRecorder:
         )
         self.clock = clock
         self._lock = threading.Lock()
-        self._recent: "OrderedDict[int, FlightEvent]" = OrderedDict()
-        self._errors: "OrderedDict[int, FlightEvent]" = OrderedDict()
+        self._recent: "deque[FlightEvent]" = deque(maxlen=capacity)
+        self._errors: "deque[FlightEvent]" = deque(maxlen=self.error_capacity)
         self.recorded = 0
         self.error_count = 0
-        #: Snapshot taken by :meth:`dump` (the last unhandled-error dump).
-        self.last_dump: dict[str, Any] | None = None
+        # The last freeze, as ``[frozen, rendered]``: the (reason, t, stats,
+        # error ring, recent ring) tuple and the dict it renders to, built
+        # under ``_render_lock`` on first read.  One list per freeze, so a
+        # reader never pairs one freeze with another's rendering.
+        self._dump: list | None = None
+        self._render_lock = threading.Lock()
 
     def record(
         self,
@@ -131,14 +137,10 @@ class FlightRecorder:
         )
         with self._lock:
             self.recorded += 1
-            self._recent[event.seq] = event
-            while len(self._recent) > self.capacity:
-                self._recent.popitem(last=False)
+            self._recent.append(event)
             if error:
                 self.error_count += 1
-                self._errors[event.seq] = event
-                while len(self._errors) > self.error_capacity:
-                    self._errors.popitem(last=False)
+                self._errors.append(event)
         return event
 
     def events(self) -> list[FlightEvent]:
@@ -148,24 +150,26 @@ class FlightRecorder:
         the union is deduplicated by ``seq``.
         """
         with self._lock:
-            merged = dict(self._errors)
-            merged.update(self._recent)
-        return [merged[seq] for seq in sorted(merged)]
+            rings = tuple(self._errors), tuple(self._recent)
+        return _merge(*rings)
 
     def errors(self) -> list[FlightEvent]:
         with self._lock:
-            return list(self._errors.values())
+            return list(self._errors)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
-            return {
-                "recorded": self.recorded,
-                "errors": self.error_count,
-                "recent": len(self._recent),
-                "retained_errors": len(self._errors),
-                "capacity": self.capacity,
-                "error_capacity": self.error_capacity,
-            }
+            return self._stats_locked()
+
+    def _stats_locked(self) -> dict[str, Any]:
+        return {
+            "recorded": self.recorded,
+            "errors": self.error_count,
+            "recent": len(self._recent),
+            "retained_errors": len(self._errors),
+            "capacity": self.capacity,
+            "error_capacity": self.error_capacity,
+        }
 
     def to_dict(self, limit: int | None = None) -> dict[str, Any]:
         """RPC payload: stats, the event tail, and the last error dump."""
@@ -178,24 +182,57 @@ class FlightRecorder:
             "last_dump": self.last_dump,
         }
 
-    def dump(self, reason: str) -> dict[str, Any]:
-        """Freeze the current ring into ``last_dump`` (auto on errors).
+    def freeze(self, reason: str) -> None:
+        """Freeze the current ring as the last dump (auto on errors).
 
         The dump survives subsequent wraps of the live ring, so the
         events *leading up to* the error stay retrievable even after the
-        server has moved on.
+        server has moved on.  Costs one pointer copy of each ring; the
+        per-event dicts are built by :attr:`last_dump`, when read.
         """
-        snapshot = {
-            "reason": reason,
-            "t": self.clock(),
-            "stats": self.stats(),
-            "events": [event.to_dict() for event in self.events()],
-        }
-        self.last_dump = snapshot
-        return snapshot
+        t = self.clock()
+        with self._lock:
+            frozen = (
+                reason,
+                t,
+                self._stats_locked(),
+                tuple(self._errors),
+                tuple(self._recent),
+            )
+        self._dump = [frozen, None]
+
+    @property
+    def last_dump(self) -> dict[str, Any] | None:
+        """The last freeze as a dict (rendered once, then cached)."""
+        dump = self._dump
+        if dump is None:
+            return None
+        with self._render_lock:
+            if dump[1] is None:
+                reason, t, stats, errors, recent = dump[0]
+                dump[1] = {
+                    "reason": reason,
+                    "t": t,
+                    "stats": stats,
+                    "events": [e.to_dict() for e in _merge(errors, recent)],
+                }
+            return dump[1]
+
+    def dump(self, reason: str) -> dict[str, Any]:
+        """:meth:`freeze`, then read the dump back."""
+        self.freeze(reason)
+        return self.last_dump
 
     def clear(self) -> None:
         with self._lock:
             self._recent.clear()
             self._errors.clear()
-        self.last_dump = None
+        self._dump = None
+
+
+def _merge(
+    errors: Iterable[FlightEvent], recent: Iterable[FlightEvent]
+) -> list[FlightEvent]:
+    """Union of the two rings, deduplicated by ``seq``, oldest first."""
+    merged = {event.seq: event for event in (*errors, *recent)}
+    return [merged[seq] for seq in sorted(merged)]
