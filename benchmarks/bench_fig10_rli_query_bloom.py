@@ -43,9 +43,6 @@ def bloom_rli(request):
 
 
 RESULTS: dict[int, dict[int, float]] = {}
-#: One client, one thread: the closed-loop rate with no thread contention
-#: in the driver, which is what the cross-filter shape is asserted on.
-SERIAL: dict[int, float] = {}
 
 
 def bench_fig10_bloom_query_rates(bloom_rli, benchmark):
@@ -59,9 +56,6 @@ def bench_fig10_bloom_query_rates(bloom_rli, benchmark):
             server.config.name, op, clients, 3, total_operations=3000, trials=2
         )
     RESULTS[num_filters] = rates
-    SERIAL[num_filters] = measure_rate(
-        server.config.name, op, 1, 1, total_operations=3000, trials=2
-    )
 
     benchmark.pedantic(
         lambda: measure_rate(server.config.name, op, 1, 3, 1500),
@@ -69,14 +63,10 @@ def bench_fig10_bloom_query_rates(bloom_rli, benchmark):
         iterations=1,
     )
 
-    # Per-filter-count shape: flat-ish across clients.  A 3-thread cell
-    # runs in one of two modes — ~16,000/s, or ~4,000-5,000/s once the
-    # driver threads start handing the flight-recorder and usage locks to
-    # each other through the GIL (with both off every cell reads ~24,000/s)
-    # — so "flat" is held to the gap between those modes, not to 0.4.
+    # Per-filter-count shape: flat-ish across clients.
     base = rates[1]
     for c in CLIENT_COUNTS:
-        assert rates[c] > 0.2 * base
+        assert rates[c] > 0.4 * base
 
     if len(RESULTS) == len(FILTER_COUNTS):
         rows = []
@@ -89,10 +79,6 @@ def bench_fig10_bloom_query_rates(bloom_rli, benchmark):
                     PAPER_RATE[100][c], f"{RESULTS[100][c]:.0f}",
                 ]
             )
-        rows.append(
-            ["1 (x1 thr)", "-", f"{SERIAL[1]:.0f}", "-", f"{SERIAL[10]:.0f}",
-             "-", f"{SERIAL[100]:.0f}"]
-        )
         record_series(
             "Figure 10 — RLI Bloom-filter query rate (queries/s)",
             [
@@ -129,12 +115,9 @@ def bench_fig10_bloom_query_rates(bloom_rli, benchmark):
         )
         print(f"wrote {artifact}")
 
-        # Cross-series shape: 100 filters must be much slower than 1 filter
-        # (every query probes every filter and names every LRC in its
-        # reply).  Asserted on the serial row, which reads 0.3 give or
-        # take (0.52 once in nine runs): with one digest per query a
-        # 100-filter probe is ~40 us, and the 3-thread rows are set as
-        # much by the two modes above as by the filter count, so there
-        # the claim is only that the mean over client counts falls.
-        assert SERIAL[100] < 0.75 * SERIAL[1]
-        assert sum(RESULTS[100].values()) < sum(RESULTS[1].values())
+        # Cross-series shape: 100 filters must be much slower than 1 filter.
+        # Per cell, with room for the 3-thread cells' two modes (see
+        # EXPERIMENTS.md): a 100-filter cell reads 0.12-0.58 of its 1-filter
+        # cell at CI's smoke scale, up to 0.71 at the default (paper: 0.23).
+        for c in CLIENT_COUNTS:
+            assert RESULTS[100][c] < 0.75 * RESULTS[1][c]

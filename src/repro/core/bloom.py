@@ -232,22 +232,16 @@ class FilterTable:
     filters (the positions differ only by ``% num_bits``), and tests each
     filter's bits with early exit.  ``BloomFilter.__contains__`` is the
     one-filter case of the same code, so both give the same answer.
+    ``filters`` is the mapping the table was built from, for everything
+    that is not a probe (counts, names, per-filter statistics).
     """
 
-    __slots__ = ("_filters", "_plan")
+    __slots__ = ("filters", "_shapes", "_rows")
 
     def __init__(self, filters: Mapping[str, BloomFilter]) -> None:
-        self._filters = filters
-        # (shapes, rows), compiled by the first query, not here: an RLI
-        # builds a table per Bloom update, and small long-lived objects
-        # allocated amid a bulk load's garbage pin allocator arenas
-        # (measured: +1 MiB resident on a ten-filter RLI).  Idempotent, so
-        # racing first queries may both compile; either result serves.
-        self._plan: tuple | None = None
-
-    def _compile(self) -> tuple:
+        self.filters = filters
         shapes: dict[tuple[int, int], int] = {}
-        rows = tuple(
+        self._rows = tuple(
             (
                 key,
                 memoryview(bloom.bits),
@@ -255,18 +249,18 @@ class FilterTable:
                     (bloom.params.num_bits, bloom.params.num_hashes), len(shapes)
                 ),
             )
-            for key, bloom in self._filters.items()
+            for key, bloom in filters.items()
         )
-        self._plan = plan = (tuple(shapes), rows)
-        return plan
+        self._shapes = tuple(shapes)
 
     def matching(self, name: str) -> list[str]:
         """Keys of the filters that (probably) contain ``name``, in table order."""
-        shapes, rows = self._plan or self._compile()
         h1, h2 = _base_hashes(name)
-        positions = [_positions(h1, h2, *shape) for shape in shapes]
+        positions = [_positions(h1, h2, *shape) for shape in self._shapes]
         return [
-            key for key, view, shape in rows if _all_set(view, positions[shape])
+            key
+            for key, view, shape in self._rows
+            if _all_set(view, positions[shape])
         ]
 
 

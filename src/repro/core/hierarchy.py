@@ -78,12 +78,12 @@ class HierarchicalUpdater:
         """Per-LRC packed filters from the Bloom store."""
         return {
             name: (
-                entry.bloom.to_bytes(),
-                entry.bloom.params.num_bits,
-                entry.bloom.params.num_hashes,
-                entry.bloom.approx_entries,
+                bloom.to_bytes(),
+                bloom.params.num_bits,
+                bloom.params.num_hashes,
+                bloom.approx_entries,
             )
-            for name, entry in self.rli._bloom.items()
+            for name, bloom in self.rli._bloom.filters.items()
         }
 
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.bloom import BloomFilter, BloomParameters, FilterTable
 from repro.core.errors import (
@@ -65,11 +64,10 @@ _RLI_SCHEMA = [
 # an LRC id (Figure 3); we keep the name for fidelity.
 
 
-@dataclass(frozen=True)
-class _BloomEntry:
-    bloom: BloomFilter
-    received_at: float
-    updates_received: int = 1
+class _ReceivedFilter(BloomFilter):
+    """One LRC's filter as the RLI holds it; never changed once published."""
+
+    __slots__ = ("received_at", "updates_received")
 
 
 class ReplicaLocationIndex:
@@ -88,13 +86,10 @@ class ReplicaLocationIndex:
         self.timeout = timeout
         self.clock = clock
         # The Bloom store is published as immutable snapshots: writers
-        # build a new dict and swap it in under ``_bloom_lock``
-        # (``_publish_bloom``); readers take whichever reference is
-        # current, without the lock.  ``_filters`` is the same snapshot in
-        # the form a query probes.
+        # build a new table and swap it in under ``_bloom_lock``; readers
+        # take whichever reference is current, without the lock.
         self._bloom_lock = threading.RLock()
-        self._bloom: Mapping[str, _BloomEntry] = {}
-        self._filters = FilterTable({})
+        self._bloom = FilterTable({})
         self._write_lock = threading.RLock()
         # Whether a query must consult the relational store.  True until
         # ``init_schema`` finds ``t_lrc`` empty, set again by any relational
@@ -288,23 +283,17 @@ class ReplicaLocationIndex:
         """Store/replace the in-memory Bloom filter for ``lrc_name``."""
         start = time.perf_counter()
         params = BloomParameters(num_bits=num_bits, num_hashes=num_hashes)
-        bloom = BloomFilter.from_bytes(bitmap, params, approx_entries)
-        now = self.clock()
+        bloom = _ReceivedFilter.from_bytes(bitmap, params, approx_entries)
+        bloom.received_at = self.clock()
         with self._bloom_lock:
-            entry = self._bloom.get(lrc_name)
-            received = 1 if entry is None else entry.updates_received + 1
-            self._publish_bloom(
-                {**self._bloom, lrc_name: _BloomEntry(bloom, now, received)}
+            held = self._bloom.filters
+            previous = held.get(lrc_name)
+            bloom.updates_received = (
+                1 if previous is None else previous.updates_received + 1
             )
+            self._bloom = FilterTable({**held, lrc_name: bloom})
             self.updates_applied += 1
         self._record_apply("bloom", lrc_name, time.perf_counter() - start)
-
-    def _publish_bloom(self, entries: dict[str, _BloomEntry]) -> None:
-        """Swap in a new Bloom-store snapshot (caller holds ``_bloom_lock``)."""
-        self._filters = FilterTable(
-            {name: entry.bloom for name, entry in entries.items()}
-        )
-        self._bloom = entries
 
     # ------------------------------------------------------------------
     # Queries
@@ -324,7 +313,7 @@ class ReplicaLocationIndex:
 
     def _lookup(self, lfn: str) -> list[str]:
         """LRC names for ``lfn`` from both stores; empty when none match."""
-        hits = self._filters.matching(lfn)
+        hits = self._bloom.matching(lfn)
         if self._relational:
             relational = self._query_relational(lfn)
             if relational:
@@ -358,7 +347,7 @@ class ReplicaLocationIndex:
         be enumerated (§5.4: wildcard searches "are not possible when using
         Bloom filter compression").
         """
-        if self._bloom:
+        if self._bloom.filters:
             raise WildcardNotSupportedError(
                 "RLI holds Bloom-filter state; wildcard queries are "
                 "not supported"
@@ -382,23 +371,23 @@ class ReplicaLocationIndex:
         relational = [
             r[0] for r in self.conn.execute("SELECT name FROM t_lrc").rows
         ]
-        return sorted(set(relational) | set(self._bloom))
+        return sorted(set(relational) | set(self._bloom.filters))
 
     def mapping_count(self) -> int:
         return int(self.conn.execute("SELECT COUNT(*) FROM t_map").scalar())
 
     def bloom_filter_count(self) -> int:
-        return len(self._bloom)
+        return len(self._bloom.filters)
 
     def bloom_stats(self) -> dict[str, dict[str, float]]:
         return {
             name: {
-                "size_bytes": entry.bloom.size_bytes,
-                "received_at": entry.received_at,
-                "updates_received": entry.updates_received,
-                "fill_ratio": entry.bloom.fill_ratio(),
+                "size_bytes": bloom.size_bytes,
+                "received_at": bloom.received_at,
+                "updates_received": bloom.updates_received,
+                "fill_ratio": bloom.fill_ratio(),
             }
-            for name, entry in self._bloom.items()
+            for name, bloom in self._bloom.filters.items()
         }
 
     # ------------------------------------------------------------------
@@ -431,14 +420,15 @@ class ReplicaLocationIndex:
                     self.conn.execute("DELETE FROM t_lfn WHERE id = ?", [lfn_id])
                 dropped += 1
         with self._bloom_lock:
+            held = self._bloom.filters
             live = {
-                name: entry
-                for name, entry in self._bloom.items()
-                if entry.received_at >= cutoff
+                name: bloom
+                for name, bloom in held.items()
+                if bloom.received_at >= cutoff
             }
-            if len(live) != len(self._bloom):
-                dropped += len(self._bloom) - len(live)
-                self._publish_bloom(live)
+            if len(live) != len(held):
+                dropped += len(held) - len(live)
+                self._bloom = FilterTable(live)
         if dropped:
             self._m_expired.inc(dropped)
         return dropped

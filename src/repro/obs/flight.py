@@ -106,8 +106,8 @@ class FlightRecorder:
         self.recorded = 0
         self.error_count = 0
         # The last freeze, as ``[frozen, rendered]``: the (reason, t, stats,
-        # error ring, recent ring) tuple and the dict it renders to, built
-        # under ``_render_lock`` on first read.  One list per freeze, so a
+        # error ring, recent ring) tuple until first read, then the dict it
+        # renders to (under ``_render_lock``).  One list per freeze, so a
         # reader never pairs one freeze with another's rendering.
         self._dump: list | None = None
         self._render_lock = threading.Lock()
@@ -182,13 +182,14 @@ class FlightRecorder:
             "last_dump": self.last_dump,
         }
 
-    def freeze(self, reason: str) -> None:
+    def freeze(self, reason: str) -> list:
         """Freeze the current ring as the last dump (auto on errors).
 
         The dump survives subsequent wraps of the live ring, so the
         events *leading up to* the error stay retrievable even after the
         server has moved on.  Costs one pointer copy of each ring; the
         per-event dicts are built by :attr:`last_dump`, when read.
+        Returns the dump's ``[frozen, rendered]`` cell.
         """
         t = self.clock()
         with self._lock:
@@ -199,14 +200,16 @@ class FlightRecorder:
                 tuple(self._errors),
                 tuple(self._recent),
             )
-        self._dump = [frozen, None]
+        self._dump = dump = [frozen, None]
+        return dump
 
     @property
     def last_dump(self) -> dict[str, Any] | None:
         """The last freeze as a dict (rendered once, then cached)."""
         dump = self._dump
-        if dump is None:
-            return None
+        return None if dump is None else self._render(dump)
+
+    def _render(self, dump: list) -> dict[str, Any]:
         with self._render_lock:
             if dump[1] is None:
                 reason, t, stats, errors, recent = dump[0]
@@ -216,12 +219,12 @@ class FlightRecorder:
                     "stats": stats,
                     "events": [e.to_dict() for e in _merge(errors, recent)],
                 }
+                dump[0] = None  # the dicts replace the events, not join them
             return dump[1]
 
     def dump(self, reason: str) -> dict[str, Any]:
-        """:meth:`freeze`, then read the dump back."""
-        self.freeze(reason)
-        return self.last_dump
+        """:meth:`freeze`, then render that freeze (not a racing one)."""
+        return self._render(self.freeze(reason))
 
     def clear(self) -> None:
         with self._lock:

@@ -126,7 +126,7 @@ class TestSharedLookup:
     def test_readers_keep_the_snapshot_they_took(self, engine):
         rli = open_rli(engine)
         rli.apply_bloom_update("lrcA", *bloom_payload(["a"]))
-        taken = rli._bloom
+        taken = rli._bloom.filters
         rli.apply_bloom_update("lrcB", *bloom_payload(["b"]))
         rli.apply_bloom_update("lrcA", *bloom_payload(["a2"]))
         assert list(taken) == ["lrcA"] and taken["lrcA"].updates_received == 1

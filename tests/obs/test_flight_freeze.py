@@ -50,6 +50,7 @@ def test_freeze_renders_nothing_until_read_and_then_once(monkeypatch):
     assert recorder.last_dump is first
     assert recorder.to_dict()["last_dump"] is first
     assert rendered[0] == 6 + 6  # to_dict rendered the live ring, not the dump
+    assert recorder._dump == [None, first]  # the events are not kept twice
 
 
 def test_lazy_dump_equals_the_eager_rendering_across_a_wrap():
@@ -75,6 +76,12 @@ def test_a_new_freeze_replaces_the_rendered_dump_and_clear_resets():
     assert second is not first and second["reason"] == "second"
     assert [e["detail"] for e in second["events"]] == ["first", "second"]
     assert [e["detail"] for e in first["events"]] == ["first"]
+    # dump() reads back the freeze it made, even when another one lands
+    # between its freeze and its read.
+    mine = recorder.freeze("mine")
+    recorder.freeze("theirs")
+    assert recorder._render(mine)["reason"] == "mine"
+    assert recorder.last_dump["reason"] == "theirs"
     recorder.clear()
     assert recorder.last_dump is None
     assert recorder.to_dict()["last_dump"] is None
