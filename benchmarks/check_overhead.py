@@ -16,6 +16,13 @@ One more gate is a ratio rather than a share of an add: with shipping
 defaults, an ``rli_query`` that raises ``MappingNotFoundError`` may cost at
 most ``MAX_MISS_TO_HIT_RATIO`` times one that hits, at ``RPCServer.handle``.
 
+The last gate is about size, not time on the request path: a loaded
+catalog may cost at most ``MAX_BYTES_PER_MAPPING`` of heap per mapping, and
+a full garbage collection (it holds the GIL, so it stops every connection)
+may spend on the catalog at most ``MAX_GC_SHARE`` of what it spends on the
+12 containers per mapping the catalog held when every index key owned a
+``set`` and every row was a ``list``.
+
 Run directly (CI does)::
 
     PYTHONPATH=src python benchmarks/check_overhead.py
@@ -482,6 +489,62 @@ def time_rli_miss_and_hit(calls: int) -> tuple[float, float]:
     return median(timings[False]), median(timings[True])
 
 
+#: Heap bytes per loaded mapping (three rows, nine index entries), server
+#: included: 1 260 measured, 3 280 with a set per index key and list rows.
+MAX_BYTES_PER_MAPPING = 1_500
+FOOTPRINT_MAPPINGS = 20_000
+#: What a mapping used to put in front of the cyclic collector: nine
+#: one-element sets and three row lists.  The gate builds exactly that many
+#: and times a full collection over them as its yardstick, so the limit is
+#: a ratio of two collections in one process, not a wall-clock number: the
+#: catalog's share of a collection may be at most this fraction of the
+#: yardstick's (measured 0.09-0.15, and 1.4-1.9 with the old catalog, whose
+#: sets are costlier to walk than these; 0.4 is about 20 ms of pause at
+#: 20 000 mappings on the box where the old catalog cost 55 ms).
+OLD_SETS_PER_MAPPING, OLD_LISTS_PER_MAPPING = 9, 3
+MAX_GC_SHARE = 0.4
+
+
+def time_full_collection() -> float:
+    """Median seconds of five full collections of the heap as it stands."""
+    import gc
+    from statistics import median
+
+    pauses = []
+    for _ in range(5):
+        start = time.perf_counter()
+        gc.collect()
+        pauses.append(time.perf_counter() - start)
+    return median(pauses)
+
+
+def measure_catalog_footprint(mappings: int) -> tuple[float, float]:
+    """``(heap bytes per mapping, catalog share of a full collection
+    relative to the old representation's)`` for a loaded LRC server."""
+    import tracemalloc
+
+    from repro.workload.scenarios import loaded_lrc_server
+
+    idle = time_full_collection()
+    yardstick: list = [{i} for i in range(mappings * OLD_SETS_PER_MAPPING)]
+    yardstick += [[i, "name", 1] for i in range(mappings * OLD_LISTS_PER_MAPPING)]
+    with_yardstick = time_full_collection()
+    del yardstick
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        server, _mappings = loaded_lrc_server(mappings, name="overhead-footprint")
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    try:
+        loaded = time_full_collection()
+    finally:
+        server.stop()
+    share = max(loaded - idle, 0.0) / (with_yardstick - idle)
+    return traced / mappings, share
+
+
 def main() -> int:
     assert not tracing.active(), "overhead check requires no tracer installed"
     per_add = time_adds(ADDS)
@@ -645,6 +708,20 @@ def main() -> int:
         print("FAIL: an rli_query miss costs more than the hit-relative budget")
         return 1
     print("OK: an rli_query miss costs about what a hit costs")
+
+    # Catalog footprint: bytes per mapping, and the catalog's share of a
+    # stop-the-world collection against the old representation's.
+    per_mapping, gc_share = measure_catalog_footprint(FOOTPRINT_MAPPINGS)
+    print(
+        f"catalog footprint:  {per_mapping:8.0f} bytes per mapping at "
+        f"{FOOTPRINT_MAPPINGS} (limit {MAX_BYTES_PER_MAPPING}); full collection "
+        f"{gc_share:.2f}x of {OLD_SETS_PER_MAPPING + OLD_LISTS_PER_MAPPING} "
+        f"containers per mapping (limit {MAX_GC_SHARE}x)"
+    )
+    if per_mapping > MAX_BYTES_PER_MAPPING or gc_share > MAX_GC_SHARE:
+        print("FAIL: a catalog entry is larger, or more visible to the collector, than budgeted")
+        return 1
+    print("OK: a catalog entry is small and the collector does not walk it")
     return 0
 
 

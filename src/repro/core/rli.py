@@ -20,6 +20,7 @@ an uncompressed update: a Bloom-only RLI answers from memory, with no SQL.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Callable, Iterable, Sequence
@@ -37,6 +38,9 @@ from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 #: Default soft-state lifetime.  The Globus default full-update interval is
 #: much shorter; entries must survive a few missed updates.
 DEFAULT_TIMEOUT = 30 * 60.0
+
+# Names bulk_load writes at a time (bounds what it holds besides the index).
+_LOAD_CHUNK = 1024
 
 _RLI_SCHEMA = [
     """CREATE TABLE t_lfn (
@@ -244,28 +248,43 @@ class ReplicaLocationIndex:
 
         Writes the index tables directly, skipping the SQL layer; used by
         the benchmark harness to pre-populate an RLI before measuring.
+        The names are taken ``_LOAD_CHUNK`` at a time: one index probe for
+        the names ``t_lfn`` already holds and one for those this LRC
+        already maps, then one ``insert_many`` per table.
         """
         now = self.clock()
         db = self.conn.database
-        t_lfn = db.table("t_lfn")
-        t_map = db.table("t_map")
+        t_lfn, t_map = db.table("t_lfn"), db.table("t_map")
+        by_name = t_lfn.find_hash_index(("name",))
+        by_pair = t_map.find_hash_index(("lfn_id", "pfn_id"))
+        assert by_name is not None and by_pair is not None  # UNIQUE / PRIMARY KEY
         count = 0
+        lfns = iter(lfns)
         with self._write_lock:
             lrc_id = self._get_or_insert_lrc(lrc_name)
-            for lfn in lfns:
-                existing = t_lfn.lookup_equal(("name",), (lfn,))
-                if existing:
-                    lfn_id = existing[0][1][0]
-                else:
-                    _rid, row = t_lfn.insert({"name": lfn, "ref": 1})
-                    lfn_id = row[0]
-                if not t_map.lookup_equal(
-                    ("lfn_id", "pfn_id"), (lfn_id, lrc_id)
-                ):
-                    t_map.insert(
-                        {"lfn_id": lfn_id, "pfn_id": lrc_id, "updatetime": now}
+            while chunk := list(itertools.islice(lfns, _LOAD_CHUNK)):
+                count += len(chunk)
+                names = dict.fromkeys(chunk)
+                ids = {
+                    row[1]: row[0]
+                    for _rid, row in t_lfn.lookup_index_many(
+                        by_name, [(name,) for name in names]
                     )
-                count += 1
+                }
+                mapped = {
+                    row[0]
+                    for _rid, row in t_map.lookup_index_many(
+                        by_pair, [(lfn_id, lrc_id) for lfn_id in ids.values()]
+                    )
+                }
+                new = [name for name in names if name not in ids]
+                stored = t_lfn.insert_many({"name": name, "ref": 1} for name in new)
+                ids.update(zip(new, (row[0] for _rid, row in stored)))
+                t_map.insert_many(
+                    {"lfn_id": ids[name], "pfn_id": lrc_id, "updatetime": now}
+                    for name in names
+                    if ids[name] not in mapped
+                )
         return count
 
     # ------------------------------------------------------------------

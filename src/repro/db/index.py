@@ -2,7 +2,7 @@
 
 Two index structures are provided:
 
-* :class:`HashIndex` — a dict from key tuple to a set of row ids.  O(1)
+* :class:`HashIndex` — a dict from key tuple to its posting (below).  O(1)
   equality lookups; used for the surrogate-key and name lookups that
   dominate RLS traffic.
 * :class:`OrderedIndex` — one plain sorted list of the distinct keys,
@@ -21,6 +21,13 @@ Both take rows a statement at a time (``insert_rows`` / ``remove_rows``
 over ``(rid, row)`` pairs); ``insert`` / ``remove`` are the one-entry
 forms.
 
+A key's *posting* is the bare rid while one row carries the key and a
+``set`` of rids from the second on (:func:`post` / :func:`unpost`; the data
+decides, not a uniqueness flag: under MVCC a unique key keeps a dead and a
+live rid).  An int is 216 bytes smaller than a one-element set and the
+cyclic collector does not walk it.  ``lookup``, the scans and ``postings``
+hand out an iterable of rids, possibly empty; do not mutate it.
+
 Both index types intentionally keep entries for *dead* MVCC tuples until
 the owning table vacuums them (see :mod:`repro.db.postgres_engine`); the
 cost of filtering dead entries out of lookups is what produces the paper's
@@ -31,14 +38,47 @@ from __future__ import annotations
 
 import bisect
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 #: What a table hands an index: ``(rid, stored row)`` pairs.
-RowPairs = Sequence[tuple[int, list[Any]]]
+RowPairs = Sequence[tuple[int, tuple[Any, ...]]]
+
+
+def post(postings: dict, key: Any, rid: int) -> bool:
+    """Put ``rid`` under ``key``; true when the key is new."""
+    held = postings.get(key)
+    if held is None:
+        postings[key] = rid
+        return True
+    if type(held) is set:
+        held.add(rid)
+    elif held != rid:
+        postings[key] = {held, rid}
+    return False
+
+
+def unpost(postings: dict, key: Any, rid: int) -> bool:
+    """Take ``rid`` from under ``key``; true when the key is gone."""
+    held = postings.get(key)
+    if type(held) is set:
+        held.discard(rid)
+        if len(held) == 1:
+            (postings[key],) = held
+    elif held == rid:
+        del postings[key]
+        return True
+    return False
+
+
+def _rids(held: "int | set[int] | None") -> Collection[int]:
+    """A posting as the iterable of rids readers are promised."""
+    if held is None:
+        return ()
+    return held if type(held) is set else (held,)
 
 
 class HashIndex:
-    """Equality index mapping a key tuple to the set of row ids holding it."""
+    """Equality index mapping a key tuple to the row ids holding it."""
 
     __slots__ = ("name", "column_positions", "key_for", "_map")
 
@@ -46,38 +86,34 @@ class HashIndex:
         self.name = name
         self.column_positions = tuple(column_positions)
         #: ``row -> key tuple``, fixed when the index is created.
-        self.key_for: Callable[[list[Any]], tuple] = _key_getter(
+        self.key_for: Callable[[Sequence[Any]], tuple] = _key_getter(
             self.column_positions
         )
-        self._map: dict[tuple, set[int]] = {}
+        self._map: dict[tuple, int | set[int]] = {}
 
     def insert(self, key: tuple, rid: int) -> None:
-        ids = self._map.get(key)
-        if ids is None:
-            self._map[key] = {rid}
-        else:
-            ids.add(rid)
+        post(self._map, key, rid)
 
     def insert_rows(self, pairs: RowPairs) -> None:
-        key_for, insert = self.key_for, self.insert
+        key_for, by_key = self.key_for, self._map
         for rid, row in pairs:
-            insert(key_for(row), rid)
+            post(by_key, key_for(row), rid)
 
     def remove(self, key: tuple, rid: int) -> None:
-        ids = self._map.get(key)
-        if ids is not None:
-            ids.discard(rid)
-            if not ids:
-                del self._map[key]
+        unpost(self._map, key, rid)
 
     def remove_rows(self, pairs: RowPairs) -> None:
-        key_for, remove = self.key_for, self.remove
+        key_for, by_key = self.key_for, self._map
         for rid, row in pairs:
-            remove(key_for(row), rid)
+            unpost(by_key, key_for(row), rid)
 
-    def lookup(self, key: tuple) -> set[int]:
+    def lookup(self, key: tuple) -> Collection[int]:
         """Row ids whose indexed columns equal ``key`` (may include dead rows)."""
-        return self._map.get(key, _EMPTY_SET)
+        return _rids(self._map.get(key))
+
+    def postings(self) -> Iterator[tuple[tuple, Collection[int]]]:
+        """``(key, row_ids)`` per distinct key."""
+        return ((key, _rids(held)) for key, held in self._map.items())
 
     def __len__(self) -> int:
         return len(self._map)
@@ -86,10 +122,7 @@ class HashIndex:
         return iter(self._map)
 
 
-_EMPTY_SET: frozenset[int] = frozenset()
-
-
-def _key_getter(positions: tuple[int, ...]) -> Callable[[list[Any]], tuple]:
+def _key_getter(positions: tuple[int, ...]) -> Callable[[Sequence[Any]], tuple]:
     if len(positions) == 1:
         (position,) = positions
         return lambda row: (row[position],)
@@ -100,7 +133,7 @@ class OrderedIndex:
     """Sorted index over a single column supporting prefix/range scans.
 
     The distinct keys are kept in one sorted list and each key maps to the
-    set of row ids carrying it.  Only single-column ordered indexes are
+    row ids carrying it.  Only single-column ordered indexes are
     needed by the RLS schema (name columns).
     """
 
@@ -110,9 +143,9 @@ class OrderedIndex:
         self.name = name
         self.column_position = column_position
         self._keys: list[Any] = []
-        self._map: dict[Any, set[int]] = {}
+        self._map: dict[Any, int | set[int]] = {}
 
-    def key_for(self, row: list[Any]) -> Any:
+    def key_for(self, row: Sequence[Any]) -> Any:
         return row[self.column_position]
 
     def insert(self, key: Any, rid: int) -> None:
@@ -125,14 +158,7 @@ class OrderedIndex:
     def _insert(self, entries: Iterable[tuple[Any, int]]) -> None:
         """Index every ``(key, rid)``, then merge the new keys in one go."""
         by_key = self._map
-        new: list[Any] = []
-        for key, rid in entries:
-            ids = by_key.get(key)
-            if ids is None:
-                by_key[key] = {rid}
-                new.append(key)
-            else:
-                ids.add(rid)
+        new = [key for key, rid in entries if post(by_key, key, rid)]
         if new:
             self._merge(new)
 
@@ -156,12 +182,7 @@ class OrderedIndex:
             keys.sort()
 
     def remove(self, key: Any, rid: int) -> None:
-        ids = self._map.get(key)
-        if ids is None:
-            return
-        ids.discard(rid)
-        if not ids:
-            del self._map[key]
+        if unpost(self._map, key, rid):
             pos = bisect.bisect_left(self._keys, key)
             if pos < len(self._keys) and self._keys[pos] == key:
                 del self._keys[pos]
@@ -171,8 +192,16 @@ class OrderedIndex:
         for rid, row in pairs:
             remove(row[position], rid)
 
-    def lookup(self, key: Any) -> set[int]:
-        return self._map.get(key, set())
+    def lookup(self, key: Any) -> Collection[int]:
+        return _rids(self._map.get(key))
+
+    def postings(self) -> Iterator[tuple[Any, Collection[int]]]:
+        """``(key, row_ids)`` per distinct key, in no particular order."""
+        return ((key, _rids(held)) for key, held in self._map.items())
+
+    def distinct_keys(self) -> Iterator[Any]:
+        """The key list, which is to hold every posting key, in order."""
+        return iter(self._keys)
 
     def range_scan(
         self,
@@ -180,7 +209,7 @@ class OrderedIndex:
         high: Any = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> Iterator[tuple[Any, set[int]]]:
+    ) -> Iterator[tuple[Any, Collection[int]]]:
         """Yield ``(key, row_ids)`` for keys within [low, high] in order."""
         if low is None:
             start = 0
@@ -200,9 +229,9 @@ class OrderedIndex:
             )
         for i in range(start, stop):
             key = self._keys[i]
-            yield key, self._map[key]
+            yield key, _rids(self._map[key])
 
-    def prefix_scan(self, prefix: str) -> Iterator[tuple[str, set[int]]]:
+    def prefix_scan(self, prefix: str) -> Iterator[tuple[str, Collection[int]]]:
         """Yield ``(key, row_ids)`` for string keys starting with ``prefix``.
 
         Implements ``LIKE 'prefix%'`` without a full scan: the upper bound
@@ -216,7 +245,7 @@ class OrderedIndex:
             key = self._keys[i]
             if not isinstance(key, str) or not key.startswith(prefix):
                 break
-            yield key, self._map[key]
+            yield key, _rids(self._map[key])
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -35,13 +35,14 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.db.index import HashIndex, OrderedIndex
 from repro.db.profiler import QueryProfile, StatementMeta
+from repro.db.storage import Row
 from repro.db.table import Table
 
 #: A compiled expression: (current row of each binding, by slot; params).
 RowFn = Callable[[Sequence[Any], Sequence[Any]], Any]
 #: A compiled row-free expression (literals and ``?`` parameters only).
 ConstFn = Callable[[Sequence[Any]], Any]
-Pairs = Iterable[tuple[int, list[Any]]]
+Pairs = Iterable[tuple[int, Row]]
 
 FILTER_DETAIL = "residual WHERE re-checked per row"
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
+#: A stored row: frozen by ``Table.insert_many``, never mutated in place.
+Row = tuple[Any, ...]
+
 
 class RowHeap:
     """Append-only row storage addressed by row id (rid)."""
@@ -18,12 +21,12 @@ class RowHeap:
     __slots__ = ("_rows", "_dead", "_live_count", "_free_rids")
 
     def __init__(self) -> None:
-        self._rows: list[list[Any] | None] = []
+        self._rows: list[Row | None] = []
         self._dead: list[bool] = []
         self._live_count = 0
         self._free_rids: list[int] = []
 
-    def insert(self, row: list[Any]) -> int:
+    def insert(self, row: Row) -> int:
         """Store ``row`` and return its rid, reusing vacuumed slots if any."""
         if self._free_rids:
             rid = self._free_rids.pop()
@@ -36,7 +39,7 @@ class RowHeap:
         self._live_count += 1
         return rid
 
-    def mark_dead(self, rid: int) -> list[Any]:
+    def mark_dead(self, rid: int) -> Row:
         """Tombstone ``rid``; the row data stays until :meth:`reclaim`."""
         if self._dead[rid]:
             raise KeyError(f"row {rid} already dead")
@@ -56,7 +59,7 @@ class RowHeap:
     def is_dead(self, rid: int) -> bool:
         return self._dead[rid]
 
-    def get(self, rid: int) -> list[Any]:
+    def get(self, rid: int) -> Row:
         """Return the row for ``rid`` (dead or alive, as long as not reclaimed)."""
         if not 0 <= rid < len(self._rows):
             raise KeyError(f"row id {rid} out of range")
@@ -65,14 +68,14 @@ class RowHeap:
             raise KeyError(f"row {rid} has been reclaimed")
         return row
 
-    def get_live(self, rid: int) -> list[Any] | None:
+    def get_live(self, rid: int) -> Row | None:
         """Return the row if it is live, else ``None``."""
         row = self._rows[rid]
         if row is None or self._dead[rid]:
             return None
         return row
 
-    def scan_live(self) -> Iterator[tuple[int, list[Any]]]:
+    def scan_live(self) -> Iterator[tuple[int, Row]]:
         """Yield ``(rid, row)`` for every live row in heap order."""
         dead = self._dead
         for rid, row in enumerate(self._rows):

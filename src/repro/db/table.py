@@ -14,7 +14,7 @@ from repro.db.errors import (
 from repro.db.index import HashIndex, OrderedIndex
 from repro.db.profiler import TimedLatch
 from repro.db.schema import TableSchema
-from repro.db.storage import RowHeap
+from repro.db.storage import Row, RowHeap
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -143,7 +143,7 @@ class Table:
         return idx
 
     def get_index(self, name: str) -> HashIndex | OrderedIndex:
-        idx = self._hash_indexes.get(name) or self._ordered_indexes.get(name)
+        idx = self._hash_indexes.get(name, self._ordered_indexes.get(name))
         if idx is None:
             raise NoSuchIndexError(name)
         return idx
@@ -178,21 +178,23 @@ class Table:
     # Row operations
     # ------------------------------------------------------------------
 
-    def insert(self, values: dict[str, Any]) -> tuple[int, list[Any]]:
+    def insert(self, values: dict[str, Any]) -> tuple[int, Row]:
         """Insert a row; returns ``(rid, stored_row)``."""
         return self.insert_many((values,))[0]
 
     def insert_many(
         self,
         rows: Iterable[dict[str, Any]],
-        stored: list[tuple[int, list[Any]]] | None = None,
-    ) -> list[tuple[int, list[Any]]]:
+        stored: list[tuple[int, Row]] | None = None,
+    ) -> list[tuple[int, Row]]:
         """Insert the rows of one statement under one latch hold; returns
         ``(rid, stored_row)`` per row.
 
         Row by row, in this order: coerce, fill autoincrement columns,
-        enforce unique/PK constraints (paying the dead-tuple filtering
-        cost in MVCC mode), store.  A row that fails leaves the rows
+        freeze to a tuple (nothing mutates a stored row, and the cyclic
+        collector stops tracking a tuple of strings and ints), enforce
+        unique/PK constraints (paying the dead-tuple filtering cost in
+        MVCC mode), store.  A row that fails leaves the rows
         before it inserted and indexed, exactly as that many single
         inserts would; a caller that needs to know which passes its own
         ``stored`` list, which is appended to as rows go in.
@@ -210,6 +212,7 @@ class Table:
                     for pos in autoinc_positions:
                         if row[pos] is None:
                             row[pos] = next(self._autoinc)
+                    row = tuple(row)
                     for idx, key_for, colname in unique:
                         key = key_for(row)
                         rids = idx.lookup(key)
@@ -236,15 +239,15 @@ class Table:
         if dead_hits and self.dead_hit_cost > 0.0:
             time.sleep(dead_hits * self.dead_hit_cost)
 
-    def delete_rid(self, rid: int) -> list[Any]:
+    def delete_rid(self, rid: int) -> Row:
         """Delete one live row by rid; returns the old row."""
         return self.delete_many((rid,))[0][1]
 
     def delete_many(
         self,
         rids: Iterable[int],
-        deleted: list[tuple[int, list[Any]]] | None = None,
-    ) -> list[tuple[int, list[Any]]]:
+        deleted: list[tuple[int, Row]] | None = None,
+    ) -> list[tuple[int, Row]]:
         """Delete the live rows of one statement under one latch hold;
         returns ``(rid, old_row)`` per row.  A rid that is already dead
         raises and leaves the ones before it deleted (``deleted``, when
@@ -267,13 +270,13 @@ class Table:
                         self.heap.reclaim(rid)
         return gone
 
-    def update_rid(self, rid: int, changes: dict[str, Any]) -> tuple[int, list[Any]]:
+    def update_rid(self, rid: int, changes: dict[str, Any]) -> tuple[int, Row]:
         """MVCC-style update: tombstone the old version, insert the new one.
 
         Returns the new ``(rid, row)``.
         """
         with self.latch:
-            old = list(self.heap.get(rid))
+            old = self.heap.get(rid)
             new_values = {
                 col.name: old[i] for i, col in enumerate(self.schema.columns)
             }
@@ -295,18 +298,18 @@ class Table:
     # Reads
     # ------------------------------------------------------------------
 
-    def get_row(self, rid: int) -> list[Any] | None:
+    def get_row(self, rid: int) -> Row | None:
         with self.latch:
             return self.heap.get_live(rid)
 
-    def scan(self) -> Iterator[tuple[int, list[Any]]]:
+    def scan(self) -> Iterator[tuple[int, Row]]:
         """Snapshot scan of live rows (materialized under the latch)."""
         with self.latch:
             return iter(list(self.heap.scan_live()))
 
     def lookup_equal(
         self, columns: tuple[str, ...], key: tuple
-    ) -> list[tuple[int, list[Any]]]:
+    ) -> list[tuple[int, Row]]:
         """Live rows whose ``columns`` equal ``key``, via an index if any."""
         idx = self.find_hash_index(columns)
         if idx is not None:
@@ -321,7 +324,7 @@ class Table:
 
     def lookup_index_many(
         self, idx: HashIndex, keys: Iterable[tuple]
-    ) -> list[tuple[int, list[Any]]]:
+    ) -> list[tuple[int, Row]]:
         """Live rows under each of ``keys`` in turn in one of this
         table's hash indexes, one latch hold for the whole list (an
         equality probe has one key, an ``IN`` probe many).
@@ -331,7 +334,7 @@ class Table:
         """
         with self.latch:
             get_live, lookup = self.heap.get_live, idx.lookup
-            result: list[tuple[int, list[Any]]] = []
+            result: list[tuple[int, Row]] = []
             dead_hits = 0
             for key in keys:
                 for rid in lookup(key):
@@ -344,7 +347,7 @@ class Table:
                 self._charge_dead_hits(dead_hits)
             return result
 
-    def prefix_lookup(self, column: str, prefix: str) -> list[tuple[int, list[Any]]]:
+    def prefix_lookup(self, column: str, prefix: str) -> list[tuple[int, Row]]:
         """Live rows whose string ``column`` starts with ``prefix``."""
         idx = self.find_ordered_index(column)
         if idx is not None:
@@ -358,14 +361,12 @@ class Table:
                 and row[position].startswith(prefix)
             ]
 
-    def prefix_index(
-        self, idx: OrderedIndex, prefix: str
-    ) -> list[tuple[int, list[Any]]]:
+    def prefix_index(self, idx: OrderedIndex, prefix: str) -> list[tuple[int, Row]]:
         """Live rows whose key in one of this table's ordered indexes
         starts with ``prefix``."""
         with self.latch:
             get_live = self.heap.get_live
-            result: list[tuple[int, list[Any]]] = []
+            result: list[tuple[int, Row]] = []
             for _key, rids in idx.prefix_scan(prefix):
                 for rid in rids:
                     row = get_live(rid)
@@ -398,7 +399,9 @@ class Table:
     def check_integrity(self) -> list[str]:
         """fsck-style self-check: every live row must be reachable through
         every index under its own key, every index entry must point at a
-        heap row (live or pending vacuum), and unique constraints must
+        heap row (live or pending vacuum), a posting is a set only from
+        two rids up, an ordered index's key list is strictly sorted and
+        holds exactly the posting keys, and unique constraints must
         actually hold.  Returns a list of problem descriptions (empty =
         healthy)."""
         problems: list[str] = []
@@ -406,6 +409,7 @@ class Table:
             name = self.schema.name
             live = dict(self.heap.scan_live())
             for idx in self._all_indexes:
+                at = f"{name}: index {idx.name}"
                 for rid, row in live.items():
                     key = idx.key_for(row)
                     if rid not in idx.lookup(key):
@@ -413,16 +417,19 @@ class Table:
                             f"{name}: live row {rid} missing from index "
                             f"{idx.name} under key {key!r}"
                         )
-                if isinstance(idx, HashIndex):
-                    for key in idx.distinct_keys():
-                        for rid in idx.lookup(key):
-                            try:
-                                self.heap.get(rid)
-                            except KeyError:
-                                problems.append(
-                                    f"{name}: index {idx.name} entry "
-                                    f"{key!r} -> reclaimed row {rid}"
-                                )
+                for key, rids in idx.postings():
+                    if isinstance(rids, set) and len(rids) < 2:
+                        problems.append(f"{at} key {key!r} holds a set of {len(rids)}")
+                    for rid in rids:
+                        try:
+                            self.heap.get(rid)
+                        except KeyError:
+                            problems.append(f"{at}: {key!r} -> reclaimed row {rid}")
+                if isinstance(idx, OrderedIndex):
+                    keys = list(idx.distinct_keys())
+                    ordered = all(a < b for a, b in zip(keys, keys[1:]))
+                    if not ordered or set(keys) != {k for k, _ in idx.postings()}:
+                        problems.append(f"{at} key list unsorted or not the postings'")
             for positions, _idx in self._unique:
                 seen: dict[tuple, int] = {}
                 for rid, row in live.items():

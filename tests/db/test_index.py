@@ -14,13 +14,13 @@ class TestHashIndex:
         assert idx.lookup(("a",)) == {1, 2}
 
     def test_lookup_missing_is_empty(self):
-        assert HashIndex("i", (0,)).lookup(("nope",)) == frozenset()
+        assert set(HashIndex("i", (0,)).lookup(("nope",))) == set()
 
     def test_remove(self):
         idx = HashIndex("i", (0,))
         idx.insert(("a",), 1)
         idx.remove(("a",), 1)
-        assert idx.lookup(("a",)) == frozenset()
+        assert set(idx.lookup(("a",))) == set()
         assert len(idx) == 0
 
     def test_remove_nonexistent_is_noop(self):
@@ -48,7 +48,7 @@ class TestOrderedIndex:
 
     def test_lookup(self):
         idx = self.make(["b", "a", "c"])
-        assert idx.lookup("a") == {1}
+        assert set(idx.lookup("a")) == {1}
 
     def test_duplicate_keys_share_entry(self):
         idx = OrderedIndex("o", 0)

@@ -4,9 +4,12 @@
 ``WriteAheadLog.log_many`` do for all the rows of one SQL statement what
 the engine used to do one row at a time.  The one-row-at-a-time code is
 kept *here*, as the reference: the bodies ``Table.insert``,
-``Table.delete_rid``, ``Table.lookup_index``, ``OrderedIndex.insert`` and
-``WriteAheadLog.log`` had before they became the one-element case of the
-batch code, plus the ``BytesIO`` record encoder.  Hypothesis generates
+``Table.delete_rid``, ``Table.lookup_index`` and ``WriteAheadLog.log`` had
+before they became the one-element case of the batch code, plus the
+``BytesIO`` record encoder.  An index entry goes in and out through the
+index's own one-entry ``insert`` / ``remove`` and is read back through
+``lookup`` / ``postings()``; how a posting is held is not this file's
+business (``test_index_postings.py`` models it).  Hypothesis generates
 statement sequences; each statement runs as SQL on one engine and as a
 loop of reference calls on a twin, and after every statement the two must
 agree on heap rows, every index's contents, ``TableStats``, the
@@ -17,7 +20,6 @@ mismatch (the prefix stays stored and logged, the error is the same).
 
 from __future__ import annotations
 
-import bisect
 import enum
 import io
 import struct
@@ -89,31 +91,6 @@ class OracleLog:
         self.next_lsn += 1
 
 
-def oracle_index_insert(idx, key, rid: int) -> None:
-    if isinstance(idx, HashIndex):
-        idx._map.setdefault(key, set()).add(rid)
-        return
-    ids = idx._map.get(key)
-    if ids is None:
-        idx._map[key] = {rid}
-        bisect.insort(idx._keys, key)
-    else:
-        ids.add(rid)
-
-
-def oracle_index_remove(idx, key, rid: int) -> None:
-    ids = idx._map.get(key)
-    if ids is None:
-        return
-    ids.discard(rid)
-    if not ids:
-        del idx._map[key]
-        if isinstance(idx, OrderedIndex):
-            pos = bisect.bisect_left(idx._keys, key)
-            if pos < len(idx._keys) and idx._keys[pos] == key:
-                del idx._keys[pos]
-
-
 def oracle_key(idx, row):
     if isinstance(idx, HashIndex):
         return tuple(row[i] for i in idx.column_positions)
@@ -125,9 +102,10 @@ def oracle_insert(table, values: dict):
     for pos, col in enumerate(table.schema.columns):
         if col.autoincrement and row[pos] is None:
             row[pos] = next(table._autoinc)
+    row = tuple(row)  # a stored row is a tuple
     for positions, idx in table._unique:
         key = tuple(row[p] for p in positions)
-        rids = idx._map.get(key, ())
+        rids = idx.lookup(key)
         dead = sum(1 for rid in rids if table.heap.is_dead(rid))
         table.stats.dead_index_hits += dead
         if dead < len(rids):
@@ -135,7 +113,7 @@ def oracle_insert(table, values: dict):
             raise DuplicateKeyError(table.schema.name, colname, key)
     rid = table.heap.insert(row)
     for idx in table._all_indexes:
-        oracle_index_insert(idx, oracle_key(idx, row), rid)
+        idx.insert(oracle_key(idx, row), rid)
     table.stats.inserts += 1
     return rid, row
 
@@ -145,14 +123,14 @@ def oracle_delete_rid(table, rid: int):
     table.stats.deletes += 1
     if table.eager_index_cleanup:
         for idx in table._all_indexes:
-            oracle_index_remove(idx, oracle_key(idx, row), rid)
+            idx.remove(oracle_key(idx, row), rid)
         table.heap.reclaim(rid)
     return row
 
 
 def oracle_lookup_index(table, idx, key):
     result = []
-    for rid in idx._map.get(key, ()):
+    for rid in idx.lookup(key):
         row = table.heap.get_live(rid)
         if row is None:
             table.stats.dead_index_hits += 1
@@ -204,11 +182,11 @@ def table_state(table) -> dict:
         "dead": list(table.heap._dead),
         "free": list(table.heap._free_rids),
         "hash": {
-            name: {key: set(ids) for key, ids in idx._map.items()}
+            name: {key: set(ids) for key, ids in idx.postings()}
             for name, idx in table._hash_indexes.items()
         },
         "ordered": {
-            name: (list(idx._keys), {key: set(ids) for key, ids in idx._map.items()})
+            name: (list(idx.distinct_keys()), {key: set(ids) for key, ids in idx.postings()})
             for name, idx in table._ordered_indexes.items()
         },
         "stats": table.stats.snapshot(),
@@ -409,9 +387,10 @@ def test_an_ordered_index_is_sorted_however_its_keys_arrive():
     idx.insert_rows([(rid, [f"k{rid:04d}"]) for rid in range(0, 2000, 2)])
     idx.insert_rows([(5001, ["k0001"]), (5003, ["k0003"])])
     idx.insert_rows([(rid, [f"k{rid:04d}"]) for rid in range(1999, 4, -2)])
-    assert idx._keys == sorted(idx._map) and len(idx) == 2000
+    assert list(idx.distinct_keys()) == sorted(k for k, _ in idx.postings())
+    assert len(idx) == 2000
     idx.insert("k0001", 7)
-    assert idx.lookup("k0001") == {5001, 7} and len(idx) == 2000
+    assert set(idx.lookup("k0001")) == {5001, 7} and len(idx) == 2000
 
 
 # ---------------------------------------------------------------------------
