@@ -12,9 +12,12 @@ Two budgets, both gated at ``MAX_OVERHEAD_FRACTION``:
    that work, amortized over the default scrape interval, must stay under
    the budget relative to a core saturated by the tight add loop.
 
-One more gate is a ratio rather than a share of an add: with shipping
-defaults, an ``rli_query`` that raises ``MappingNotFoundError`` may cost at
-most ``MAX_MISS_TO_HIT_RATIO`` times one that hits, at ``RPCServer.handle``.
+Two more gates are ratios rather than shares of an add, both with shipping
+defaults: an ``rli_query`` that raises ``MappingNotFoundError`` may cost at
+most ``MAX_MISS_TO_HIT_RATIO`` times one that hits, at ``RPCServer.handle``;
+and three request threads must complete at least ``MIN_THREAD_SCALING`` of
+the ``rli_query`` rate one thread does (the paper's Fig. 10 is flat across
+clients; request threads that share a telemetry lock are not).
 
 The last gate is about size, not time on the request path: a loaded
 catalog may cost at most ``MAX_BYTES_PER_MAPPING`` of heap per mapping, and
@@ -47,12 +50,15 @@ from repro.obs.timeseries import DEFAULT_INTERVAL, Scraper
 #: Disabled instrumentation must cost less than this fraction of an add.
 MAX_OVERHEAD_FRACTION = 0.05
 
-#: Cap, in seconds, on what is paid once per RPC (usage accounting, the
+#: Cap, in seconds, on what is paid once per RPC (request telemetry, the
 #: codec round trip).  Both were gated at 5% of the bare LRC add when that
 #: add cost ~320 us; prepared plans made the add ~3x cheaper without
 #: touching either cost, so the budget is kept as the absolute time it
 #: was — a share of the new add would either fail unchanged code or, with
-#: the share rescaled, let a 3x regression pass.
+#: the share rescaled, let a 3x regression pass.  For request telemetry
+#: (flight recorder + usage accounting, measured on ``RPCServer.handle``)
+#: it is about 1.5x what the inlined call sites it replaced cost on the
+#: same box: 10.6-11.1 us before, 7.9-8.4 us as observers.
 MAX_PER_REQUEST_SECONDS = 0.05 * 320e-6
 
 #: Upper bound on no-op hook invocations per lrc.add_mapping call:
@@ -62,8 +68,8 @@ MAX_PER_REQUEST_SECONDS = 0.05 * 320e-6
 #: ``profiler.enabled`` check, per latch/WAL-lock acquisition a histogram
 #: ``noop`` check (an add touches t_lfn/t_pfn/t_map several times), and
 #: the request-context ``getattr`` probes on the WAL/profiler paths
-#: (``reqctx.add_wal_bytes``/``reqctx.current`` cost one thread-local
-#: getattr each when no request context is active).
+#: (``reqctx.current`` costs one thread-local getattr when no request
+#: record is active).
 #: Counted generously; overestimating only makes the check stricter.
 HOOKS_PER_ADD = 44
 
@@ -162,42 +168,101 @@ def time_profiler_guard(n: int) -> float:
     return (time.perf_counter() - start) / (2 * n)
 
 
-USAGE_CALLS = 50_000
+TELEMETRY_CALLS = 5_000
+TELEMETRY_ROUNDS = 7
 
 
-def time_usage_account(n: int) -> float:
-    """Seconds per full request-accounting pass, in isolation.
+def time_request_telemetry(calls: int) -> tuple[float, float]:
+    """Seconds per ``RPCServer.handle`` of a no-op handler: (with the
+    shipping observers subscribed, with none).
 
-    One enabled-accounting RPC pays: a thread-local context
-    activate/deactivate pair, two ``perf_counter`` reads, a method
-    classification, and one :meth:`UsageAccountant.account` call
-    (cell update, counter incs, both sketch offers).  Measure the whole
-    sequence per iteration against a warmed accountant, the way a busy
-    connection replays one hot (principal, class) cell.
+    The observers are the ones ``RLSServer`` subscribes by default — a
+    256-event flight recorder and a usage accountant on a live registry —
+    and the request is a classified one with an LFN argument, so both
+    sketches are offered to.  Their cost is the difference; each side is
+    the fastest of ``TELEMETRY_ROUNDS`` rounds, which a burst from a
+    neighbouring container cannot lower.
     """
-    from repro.obs import reqctx
-    from repro.obs.slo import classify_method
+    from repro.net.messages import PROTOCOL_VERSION, Hello, Request
+    from repro.net.rpc import RPCServer
+    from repro.obs.flight import FlightRecorder
     from repro.obs.usage import UsageAccountant
 
-    accountant = UsageAccountant()  # no registry: live-instrument floor
-    lfns = [f"/grid/data/f{i:03d}" for i in range(100)]
+    requests = [
+        Request("lrc_get_mappings", (f"/grid/data/f{i % 100:03d}",))
+        for i in range(calls)
+    ]
     perf_counter = time.perf_counter
-    start = perf_counter()
-    for i in range(n):
-        begin = perf_counter()
-        costs = reqctx.activate("cms-prod")
-        costs.rows_examined += 3
-        costs.wal_bytes += 120
-        reqctx.deactivate()
-        accountant.account(
-            "cms-prod",
-            classify_method("lrc_add_mapping"),
-            wall_time=perf_counter() - begin,
-            rows_examined=costs.rows_examined,
-            wal_bytes=costs.wal_bytes,
-            lfn=lfns[i % len(lfns)],
+    best = []
+    for observed in (True, False):
+        registry = MetricsRegistry()
+        observers = (
+            [FlightRecorder(capacity=256), UsageAccountant(metrics=registry)]
+            if observed
+            else []
         )
-    return (perf_counter() - start) / n
+        server = RPCServer(metrics=registry, observers=observers)
+        server.register("lrc_get_mappings", lambda ctx, args: None)
+        ctx = server.handshake(Hello(version=PROTOCOL_VERSION), peer="check_overhead")
+        handle = server.handle
+        rounds = []
+        for _ in range(TELEMETRY_ROUNDS):
+            start = perf_counter()
+            for request in requests:
+                handle(ctx, request)
+            rounds.append((perf_counter() - start) / calls)
+        best.append(min(rounds))
+    return best[0], best[1]
+
+
+#: Three in-process client threads against one: the Fig. 10 shape (flat
+#: or rising from 1 to 10 clients) in its smallest form.  Python threads
+#: share one interpreter lock, so 1.0 is the ceiling; what pulls the
+#: ratio down is request threads queueing on a lock of their own — the
+#: flight ring's and the usage accountant's read 0.28-0.48 here before
+#: those became lock-free per-thread writes (0.74-1.06 after).  A ratio
+#: inside one process on one box, not a wall-clock threshold.
+MIN_THREAD_SCALING = 0.6
+SCALING_NAMES = 2_000
+SCALING_CALLS = 6_000
+SCALING_TRIALS = 6
+
+
+def measure_thread_scaling(trials: int) -> tuple[float, float, float]:
+    """``rli_query`` on a one-filter Bloom RLI through the in-process
+    transport, shipping defaults: (median 3-thread / 1-thread ratio over
+    ``trials`` back-to-back pairs, median 1-thread rate, median 3-thread
+    rate)."""
+    from statistics import median
+
+    from repro.workload.driver import LoadDriver
+    from repro.workload.scenarios import loaded_rli_server_bloom
+
+    server, lfns = loaded_rli_server_bloom(
+        SCALING_NAMES, num_filters=1, name="overhead-scaling"
+    )
+    operation = LoadDriver.rli_query_op(lfns)
+
+    def rate(threads: int) -> float:
+        result = LoadDriver(
+            server_name=server.config.name,
+            clients=1,
+            threads_per_client=threads,
+            total_operations=SCALING_CALLS,
+        ).run(operation)
+        assert not result.errors
+        return result.rate
+
+    try:
+        rate(1)  # warm-up
+        pairs = [(rate(1), rate(3)) for _ in range(trials)]
+    finally:
+        server.stop()
+    return (
+        median(three / one for one, three in pairs),
+        median(one for one, _ in pairs),
+        median(three for _, three in pairs),
+    )
 
 
 CODEC_ROUNDS = 3_000
@@ -564,19 +629,20 @@ def main() -> int:
         return 1
     print("OK: disabled instrumentation is within the overhead budget")
 
-    # Per-principal accounting: every RPC pays one context pair plus one
-    # account() call when usage accounting is on (the default); the whole
-    # enabled path must stay under the per-request cap.
-    per_account = time_usage_account(USAGE_CALLS)
+    # Request telemetry: every RPC publishes its record to the flight
+    # recorder and the usage accountant (both on by default); what they
+    # add to RPCServer.handle must stay under the per-request cap.
+    observed, unobserved = time_request_telemetry(TELEMETRY_CALLS)
+    per_request = observed - unobserved
     print(
-        f"per usage account:  {per_account * 1e6:8.3f} us "
-        f"({per_account / per_add * 100:.3f}% of add; "
-        f"limit {MAX_PER_REQUEST_SECONDS * 1e6:.0f} us)"
+        f"request telemetry:  {per_request * 1e6:8.3f} us per request "
+        f"(handle {observed * 1e6:.2f} us observed, {unobserved * 1e6:.2f} us "
+        f"not; limit {MAX_PER_REQUEST_SECONDS * 1e6:.0f} us)"
     )
-    if per_account >= MAX_PER_REQUEST_SECONDS:
-        print("FAIL: usage accounting exceeds the overhead budget")
+    if per_request >= MAX_PER_REQUEST_SECONDS:
+        print("FAIL: request telemetry exceeds the overhead budget")
         return 1
-    print("OK: usage accounting is within the overhead budget")
+    print("OK: request telemetry is within the overhead budget")
 
     # Query profiler: disabled by default on bare engines; its guards
     # (enabled flag + latch noop checks) get their own budget line.
@@ -708,6 +774,18 @@ def main() -> int:
         print("FAIL: an rli_query miss costs more than the hit-relative budget")
         return 1
     print("OK: an rli_query miss costs about what a hit costs")
+
+    # Thread scaling: request threads must not queue on telemetry.
+    scaling, one_thread, three_threads = measure_thread_scaling(SCALING_TRIALS)
+    print(
+        f"3 threads/1 thread: {scaling:8.2f}x rli_query rate "
+        f"({three_threads:.0f} / {one_thread:.0f} per s, median of "
+        f"{SCALING_TRIALS} pairs; limit {MIN_THREAD_SCALING}x)"
+    )
+    if scaling < MIN_THREAD_SCALING:
+        print("FAIL: request threads slow each other down")
+        return 1
+    print("OK: three request threads keep pace with one")
 
     # Catalog footprint: bytes per mapping, and the catalog's share of a
     # stop-the-world collection against the old representation's.

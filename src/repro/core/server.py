@@ -170,10 +170,9 @@ class RLSServer:
         self.rpc = RPCServer(
             authenticator=self.authorizer.authenticate,
             metrics=self.metrics,
-            flight=self.flight,
             name=self.config.name,
-            usage=self.usage,
             principal_mapper=self.authorizer.account_principal,
+            observers=[o for o in (self.flight, self.usage) if o is not None],
         )
         self._register_methods()
         self.local_transport = LocalTransport(

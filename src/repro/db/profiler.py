@@ -505,7 +505,6 @@ class QueryProfiler:
         costs = reqctx.current()
         if costs is not None:
             costs.rows_examined += rows_examined
-            costs.db_time += duration
         entry = QueryLogEntry(
             next(self._seq),
             meta.normalized,

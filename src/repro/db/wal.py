@@ -331,7 +331,9 @@ class WriteAheadLog:
                 return self._next_lsn - 1
             self._next_lsn += count
             self.device.append(data)
-            reqctx.add_wal_bytes(len(data))
+            costs = reqctx.current()
+            if costs is not None:
+                costs.wal_bytes += len(data)
             self.records_appended += count
             self._m_records.inc(count)
             self._buffered += count

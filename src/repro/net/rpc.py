@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.net.errors import ProtocolError, RemoteError
 from repro.net.messages import Batch, Hello, Request, Response
@@ -24,8 +24,7 @@ from repro.net.retry import RetryPolicy, is_retryable, retry_call
 from repro.net.transport import Channel, PendingResponse
 from repro.obs import reqctx, tracing
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.obs.slo import classify_method
-from repro.obs.usage import ANONYMOUS_PRINCIPAL
+from repro.obs.reqctx import ANONYMOUS_PRINCIPAL, UNKNOWN_METHOD_LABEL, RequestCosts
 
 
 @dataclass
@@ -48,10 +47,41 @@ class ConnectionContext:
 Handler = Callable[[ConnectionContext, tuple], Any]
 Authenticator = Callable[[Hello, str], str | None]
 
-#: Bounded label for requests naming a method the server doesn't have.
-#: Using the client-supplied name would let a hostile or typo'd client
-#: mint unbounded ``rpc.errors{method=...}`` label cardinality.
-UNKNOWN_METHOD_LABEL = "<unknown>"
+
+class _RpcMetrics:
+    """The observer every server has: the ``rpc.*`` series."""
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self.metrics = metrics
+        # Requests currently inside handlers: the dispatcher-level queue
+        # signal the saturation detector watches (Fig. 13 contention).
+        self.inflight = metrics.gauge("rpc.inflight")
+        # (requests, errors, latency) per method label, made when its first
+        # request enters.  An unknown method is only ever an error: no other
+        # series.
+        self.by_method: dict[str, tuple[Any, Any, Any]] = {
+            UNKNOWN_METHOD_LABEL: (
+                NULL_REGISTRY.counter("rpc.requests"),
+                metrics.counter("rpc.errors", method=UNKNOWN_METHOD_LABEL),
+                NULL_REGISTRY.histogram("rpc.latency"),
+            )
+        }
+
+    def entered(self, record: RequestCosts) -> None:
+        self.inflight.inc()
+        method = record.method
+        if method not in self.by_method:
+            self.by_method[method] = (
+                self.metrics.counter("rpc.requests", method=method),
+                self.metrics.counter("rpc.errors", method=method),
+                self.metrics.histogram("rpc.latency", method=method),
+            )
+
+    def finished(self, record: RequestCosts) -> None:
+        self.inflight.dec()
+        requests, errors, latency = self.by_method[record.method]
+        (requests if record.error is None else errors).inc()
+        latency.observe(record.end - record.start)
 
 
 class RPCServer:
@@ -65,80 +95,60 @@ class RPCServer:
         anonymous) or raises to reject the connection.  ``None`` disables
         authentication entirely — the paper's "no authentication or
         authorization" server mode.
-    flight:
-        Optional :class:`~repro.obs.flight.FlightRecorder`.  When set,
-        dispatch appends ``rpc.in``/``rpc.out`` events, handler failures
-        append an ``error`` event, and each failure freezes a black-box
-        dump of the ring (the events *leading up to* the error).
+    observers:
+        Telemetry subscribers (a flight recorder, a usage accountant): each
+        may define ``entered(record)``, ``finished(record)`` (:meth:`handle`)
+        and ``record_bytes(principal, bytes_in, bytes_out)``, once per
+        answered frame.  Fenced (:meth:`_publish`): none can change a reply.
     """
 
     def __init__(
         self,
         authenticator: Authenticator | None = None,
         metrics: MetricsRegistry | None = None,
-        flight: Any = None,
         name: str = "",
-        usage: Any = None,
         principal_mapper: Callable[[str | None, str | None], str] | None = None,
+        observers: Iterable[Any] = (),
     ) -> None:
-        self._methods: dict[str, Handler] = {}
+        # Per method name: (handler, factory of its telemetry records).
+        self._methods: dict[str, tuple[Handler, Callable[..., RequestCosts]]] = {}
+        self._unknown = (None, reqctx.describe(UNKNOWN_METHOD_LABEL))
         self._authenticator = authenticator
-        #: Optional :class:`~repro.obs.usage.UsageAccountant`; when set,
-        #: every request is charged to ``(usage_principal, op_class)``.
-        self.usage = usage
         #: Maps ``(authenticated_dn, declared_principal)`` to the bounded
         #: accounting label (the server passes the authorizer's gridmap
         #: mapping; bare test servers fall back to the declared name).
         self._principal_mapper = principal_mapper
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.flight = flight
         #: Server identity stamped as ``node=`` on every rpc.handle span,
         #: so cross-node trace assembly can attribute fragments even when
         #: several servers share one in-process tracer.
         self.name = name
         self._span_tags: dict[str, str] = {"node": name} if name else {}
-        self._instruments: dict[str, tuple[Any, Any, Any]] = {}
-        self._m_unknown_method = self.metrics.counter(
-            "rpc.errors", method=UNKNOWN_METHOD_LABEL
-        )
-        # Requests currently inside handlers: the dispatcher-level queue
-        # signal the saturation detector watches (Fig. 13 contention).
-        self._m_inflight = self.metrics.gauge("rpc.inflight")
+        self._rpc_metrics = _RpcMetrics(self.metrics)
+        # Per moment, the (hook, observer's name) pairs in subscription order.
+        self._hooks = {"entered": [], "finished": [], "record_bytes": []}
+        for observer in (self._rpc_metrics, *observers):
+            for moment, hooks in self._hooks.items():
+                if hasattr(observer, moment):
+                    hooks.append((getattr(observer, moment), type(observer).__name__))
 
     @property
     def inflight(self) -> float:
         """Requests currently inside handlers (stuck-thread detector gate)."""
-        return self._m_inflight.value
+        return self._rpc_metrics.inflight.value
 
     @property
     def requests_served(self) -> int:
         """Requests answered with a value: the ``rpc.requests`` counters summed."""
-        return sum(r.value for r, _, _ in list(self._instruments.values()))
+        return sum(r.value for r, _, _ in list(self._rpc_metrics.by_method.values()))
 
     @property
     def errors_returned(self) -> int:
         """Requests answered with an error: the ``rpc.errors`` counters summed."""
-        return self._m_unknown_method.value + sum(
-            e.value for _, e, _ in list(self._instruments.values())
-        )
-
-    def _method_instruments(self, method: str) -> tuple[Any, Any, Any]:
-        """(requests counter, errors counter, latency histogram) per method."""
-        cached = self._instruments.get(method)
-        if cached is None:
-            cached = (
-                self.metrics.counter("rpc.requests", method=method),
-                self.metrics.counter("rpc.errors", method=method),
-                self.metrics.histogram("rpc.latency", method=method),
-            )
-            self._instruments[method] = cached
-        return cached
+        return sum(e.value for _, e, _ in list(self._rpc_metrics.by_method.values()))
 
     def register(self, method: str, handler: Handler) -> None:
-        self._methods[method] = handler
-
-    def register_all(self, handlers: dict[str, Handler]) -> None:
-        self._methods.update(handlers)
+        self._methods[method] = (handler, reqctx.describe(method))
 
     def methods(self) -> list[str]:
         return sorted(self._methods)
@@ -159,6 +169,22 @@ class RPCServer:
             usage_principal=usage_principal,
         )
 
+    def _publish(self, moment: str, *what: Any) -> None:
+        """The one observer step, fenced: an observer that raises is
+        counted and changes nothing else — not the reply, the connection,
+        or what the other observers are told."""
+        for hook, observer in self._hooks[moment]:
+            try:
+                hook(*what)
+            except Exception:
+                self.metrics.counter(
+                    "obs.selfcheck.observer_errors", observer=observer
+                ).inc()
+
+    def record_bytes(self, principal: str, bytes_in: int, bytes_out: int) -> None:
+        """Charge one answered frame's wire bytes (the transports' call)."""
+        self._publish("record_bytes", principal, bytes_in, bytes_out)
+
     def handle(
         self,
         ctx: ConnectionContext,
@@ -166,97 +192,42 @@ class RPCServer:
         queue_wait: float = 0.0,
     ) -> Response:
         """Dispatch one request: the only route from a decoded request to
-        its handler and back, so each hook below has this one call site.
+        its handler and back.
 
-        ``queue_wait`` is the time the request sat decoded but unserviced
-        (batch items behind their predecessors); it is charged, with the
-        rest of the cost vector, when accounting is on.
+        Its telemetry is one :class:`~repro.obs.reqctx.RequestCosts`,
+        published ``entered`` before the handler runs (what is in flight
+        can only be told then) and ``finished`` once the response is
+        computed.  ``queue_wait`` is the time the request sat decoded but
+        unserviced (batch items behind their predecessors).
         """
         method = request.method
-        handler = self._methods.get(method)
-        usage = self.usage
-        flight = self.flight
-        start = time.perf_counter()
-        costs = (
-            reqctx.activate(ctx.usage_principal) if usage is not None else None
-        )
+        handler, new_record = self._methods.get(method) or self._unknown
+        record = new_record(ctx.usage_principal, request.args, queue_wait)
+        reqctx.activate(record)
         try:
             if handler is None:
-                self._m_unknown_method.inc()
-                response = Response(
-                    ok=False,
-                    error_type="NoSuchMethodError",
-                    error_message=f"unknown method {method!r}",
-                    id=request.id,
-                )
-            else:
-                requests, errors, latency = self._method_instruments(method)
-                self._m_inflight.inc()
+                self._publish("entered", record)
+                record.error = "NoSuchMethodError"
+                record.message = f"unknown method {method!r}"
+                return Response(False, None, record.error, record.message, request.id)
+            with tracing.span(
+                "rpc.handle", parent=request.trace, method=method, **self._span_tags
+            ) as span:
+                record.span = tracing.context()
+                self._publish("entered", record)
                 try:
-                    with tracing.span(
-                        "rpc.handle",
-                        parent=request.trace,
-                        method=method,
-                        **self._span_tags,
-                    ) as span:
-                        if flight is not None:
-                            flight.record(
-                                "rpc.in",
-                                detail=method,
-                                principal=ctx.usage_principal,
-                            )
-                        try:
-                            value = handler(ctx, request.args)
-                        except Exception as exc:
-                            span.set_error(type(exc).__name__)
-                            errors.inc()
-                            if flight is not None:
-                                # Black box: freeze the events leading up
-                                # to the failure so a later wrap can't
-                                # erase them (references only; rendered
-                                # when the dump is read).
-                                reason = f"{method}: {type(exc).__name__}"
-                                flight.record(
-                                    "error",
-                                    detail=reason,
-                                    error=True,
-                                    message=str(exc),
-                                )
-                                flight.freeze(reason)
-                            response = Response.failure(exc, id=request.id)
-                        else:
-                            requests.inc()
-                            if flight is not None:
-                                flight.record("rpc.out", detail=method)
-                            response = Response(True, value, "", "", request.id)
-                finally:
-                    self._m_inflight.dec()
-                latency.observe(time.perf_counter() - start)
+                    value = handler(ctx, request.args)
+                except BaseException as exc:
+                    record.error, record.message = type(exc).__name__, str(exc)
+                    span.set_error(record.error)
+                    if not isinstance(exc, Exception):
+                        raise  # interrupt/exit: accounted as failed, not answered
+                    return Response.failure(exc, id=request.id)
+                return Response(True, value, "", "", request.id)
         finally:
-            if costs is not None:
-                reqctx.deactivate()
-        if costs is not None:
-            op_class = classify_method(method)
-            args = request.args
-            # Namespace heat: sample the LFN argument of classified calls
-            # (add/query/wildcard lead with the name; bulk payloads are
-            # lists and are skipped rather than walked on the hot path).
-            lfn = (
-                args[0]
-                if op_class is not None and args and type(args[0]) is str
-                else None
-            )
-            usage.account(
-                ctx.usage_principal,
-                op_class,
-                wall_time=time.perf_counter() - start,
-                queue_wait=queue_wait,
-                rows_examined=costs.rows_examined,
-                wal_bytes=costs.wal_bytes,
-                error=not response.ok,
-                lfn=lfn,
-            )
-        return response
+            reqctx.deactivate()
+            record.end = time.perf_counter()
+            self._publish("finished", record)
 
     def handle_batch(self, ctx: ConnectionContext, batch: Batch) -> Batch:
         """Dispatch a pipelined burst on the calling thread.

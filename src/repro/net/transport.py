@@ -137,9 +137,9 @@ def _serve(
     Decodes ``frame``, dispatches the request (or batch of requests),
     hands the reply to ``send`` — which writes it and returns the bytes
     it put on the wire — and charges ``received`` bytes in and the sent
-    bytes out, once, to the transport's counters and the caller's
-    principal.  Anything that is not a request raises
-    :class:`ProtocolError`.
+    bytes out, once, to the transport's counters and, through the
+    server's fenced observer step, the caller's principal.  Anything that
+    is not a request raises :class:`ProtocolError`.
     """
     transport._m_bytes_in.inc(received)
     with tracing.span("transport.decode"):
@@ -155,9 +155,7 @@ def _serve(
         raise ProtocolError(f"unexpected {type(message).__name__} frame")
     sent = send(reply)
     transport._m_bytes_out.inc(sent)
-    usage = server.usage
-    if usage is not None:
-        usage.record_bytes(ctx.usage_principal, received, sent)
+    server.record_bytes(ctx.usage_principal, received, sent)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ with span ids from the tracer, and the ring is snapshotted on demand
 (``admin_flight`` / ``rls flight``) or automatically when a handler
 raises.  That automatic freeze sits on the request path, so it keeps
 references to the (immutable) events and renders them to dicts only when
-the dump is read.
+the dump is read.  Appending takes no lock (request threads share the
+ring and would convoy on one): ``record`` is built from single C calls,
+``deque.append`` and ``next`` on a count; readers copy under a lock.
 
 Retention mirrors :class:`~repro.obs.tracing.SpanSink`: every event lands
 in a **recent** ring (capacity ``capacity``) and error events *also* land
@@ -25,6 +27,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
+
+from repro.obs import tracing
+from repro.obs.reqctx import RequestCosts
 
 _event_seq = itertools.count(1)
 
@@ -84,6 +89,8 @@ class FlightRecorder:
     ``record`` is the single producer entry point; with ``span=None`` the
     event adopts the calling thread's current trace context (if a tracer
     is installed), so instrumentation sites get correlation for free.
+    Subscribed to a dispatcher (``RPCServer(observers=[recorder])``) it
+    records ``rpc.in``, then ``rpc.out`` or ``error`` plus a freeze.
     """
 
     def __init__(
@@ -103,8 +110,12 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._recent: "deque[FlightEvent]" = deque(maxlen=capacity)
         self._errors: "deque[FlightEvent]" = deque(maxlen=self.error_capacity)
-        self.recorded = 0
-        self.error_count = 0
+        # Totals many threads raise without a lock: ``next`` on a count is
+        # one C call.  Reading one draws from it too, so the reader (under
+        # ``_lock``) subtracts the draws that reads have made.
+        self._count_event = itertools.count().__next__
+        self._count_error = itertools.count().__next__
+        self._stats_reads = 0
         # The last freeze, as ``[frozen, rendered]``: the (reason, t, stats,
         # error ring, recent ring) tuple until first read, then the dict it
         # renders to (under ``_render_lock``).  One list per freeze, so a
@@ -122,8 +133,6 @@ class FlightRecorder:
     ) -> FlightEvent:
         """Append one event; returns it (tests assert on the result)."""
         if span is None:
-            from repro.obs import tracing
-
             span = tracing.context()
         event = FlightEvent(
             seq=next(_event_seq),
@@ -135,13 +144,26 @@ class FlightRecorder:
             error=error,
             data=data,
         )
-        with self._lock:
-            self.recorded += 1
-            self._recent.append(event)
-            if error:
-                self.error_count += 1
-                self._errors.append(event)
+        self._count_event()
+        self._recent.append(event)
+        if error:
+            self._count_error()
+            self._errors.append(event)
         return event
+
+    def entered(self, record: RequestCosts) -> None:
+        self.record("rpc.in", record.method, record.span, principal=record.principal)
+
+    def finished(self, record: RequestCosts) -> None:
+        if record.error is None:
+            self.record("rpc.out", record.method, record.span)
+            return
+        # Black box: freeze the events leading up to the failure so a
+        # later wrap can't erase them (references only; rendered when
+        # the dump is read).
+        reason = f"{record.method}: {record.error}"
+        self.record("error", reason, record.span, error=True, message=record.message)
+        self.freeze(reason)
 
     def events(self) -> list[FlightEvent]:
         """Union of both rings in sequence order (oldest first).
@@ -162,9 +184,11 @@ class FlightRecorder:
             return self._stats_locked()
 
     def _stats_locked(self) -> dict[str, Any]:
+        reads = self._stats_reads
+        self._stats_reads += 1
         return {
-            "recorded": self.recorded,
-            "errors": self.error_count,
+            "recorded": self._count_event() - reads,
+            "errors": self._count_error() - reads,
             "recent": len(self._recent),
             "retained_errors": len(self._errors),
             "capacity": self.capacity,

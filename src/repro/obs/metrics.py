@@ -286,6 +286,9 @@ class NullRegistry:
     ) -> None:
         pass
 
+    def register_counters(self, fn: Callable[[], dict[str, float]]) -> None:
+        pass
+
     def snapshot(self) -> "MetricsSnapshot":
         return MetricsSnapshot()
 
@@ -382,6 +385,7 @@ _METRIC_HELP: dict[str, str] = {
     "obs_profiler_duty_cycle": "Fraction of wall time the profiler spends walking",
     "obs_slo_ticks": "SLI recorder passes over the metrics registry",
     "obs_slo_tick_latency": "Seconds per SLI recorder pass",
+    "obs_selfcheck_observer_errors": "Exceptions a request observer raised (fenced)",
     "slo_availability": "Availability SLI per operation class (fast window)",
     "slo_latency_sli": "Fraction of requests under the class latency threshold",
     "slo_burn_rate": "Error-budget burn rate per operation class and window",
@@ -415,6 +419,7 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._gauge_fns: dict[str, Callable[[], float]] = {}
+        self._counter_fns: list[Callable[[], dict[str, float]]] = []
 
     # -- instrument factories (get-or-create) ---------------------------
 
@@ -449,6 +454,12 @@ class MetricsRegistry:
         with self._lock:
             self._gauge_fns[metric_key(name, labels)] = fn
 
+    def register_counters(self, fn: Callable[[], dict[str, float]]) -> None:
+        """Register a callback returning ``{metric_key: total}`` counter
+        series at snapshot time, for an owner that holds the totals."""
+        with self._lock:
+            self._counter_fns.append(fn)
+
     # -- output ----------------------------------------------------------
 
     def snapshot(self) -> "MetricsSnapshot":
@@ -458,6 +469,10 @@ class MetricsRegistry:
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
             gauge_fns = dict(self._gauge_fns)
+            counter_fns = list(self._counter_fns)
+        counter_values = {key: c.value for key, c in counters.items()}
+        for counters_fn in counter_fns:
+            counter_values.update(counters_fn())
         gauge_values = {key: float(g.value) for key, g in gauges.items()}
         for key, fn in gauge_fns.items():
             try:
@@ -465,7 +480,7 @@ class MetricsRegistry:
             except Exception:
                 continue  # a failing callback must not break the snapshot
         return MetricsSnapshot(
-            counters={key: c.value for key, c in counters.items()},
+            counters=counter_values,
             gauges=gauge_values,
             histograms={key: h.snapshot() for key, h in histograms.items()},
         )

@@ -19,7 +19,9 @@ the per-request cost vectors produced by the RPC layer:
 
 Both the accountant and the sketch produce plain-dict, mergeable
 snapshots, mirroring :class:`repro.obs.metrics.MetricsSnapshot`, so
-per-shard usage tables combine into a deployment view.
+per-shard usage tables combine into a deployment view.  The accountant
+merges the same way inside one server: each request thread writes its own
+:class:`UsageSnapshot` (one writer, no lock) and readers merge them.
 
 **Cardinality.**  Principals are client-influenced, so every labelled
 surface is capped: at most ``max_principals`` distinct labels get exact
@@ -34,10 +36,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable
 
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import metric_key
+from repro.obs.reqctx import ANONYMOUS_PRINCIPAL, RequestCosts  # noqa: F401
 
-#: Stable principal for unauthenticated or unmapped connections.
-ANONYMOUS_PRINCIPAL = "anonymous"
 #: Aggregate label once the exact-table principal cap is reached.
 OVERFLOW_PRINCIPAL = "<other>"
 #: Requests that classify to no operation class (admin/internal RPCs).
@@ -144,16 +145,19 @@ class SpaceSavingSketch:
         Shared keys sum counts and errors; the union is then trimmed
         back to this sketch's capacity, keeping the largest counts.
         Surviving counts remain upper bounds on the true totals.
+        ``other`` may be a sketch one other thread is still offering to:
+        it is read through ``dict.copy`` and ``dict.get``, one C call
+        each, never by iterating a dict that may change size.
         """
         merged = SpaceSavingSketch(self.capacity)
         merged.offered = self.offered + other.offered
         union: dict[str, tuple[int, int]] = {}
         for sketch in (self, other):
-            for key, count in sketch._counts.items():
+            for key, count in sketch._counts.copy().items():
                 prev_count, prev_err = union.get(key, (0, 0))
                 union[key] = (
                     prev_count + count,
-                    prev_err + sketch._errors[key],
+                    prev_err + sketch._errors.get(key, 0),
                 )
         kept = sorted(
             union.items(), key=lambda kv: kv[1][0], reverse=True
@@ -195,17 +199,20 @@ class UsageSnapshot:
         prefixes: SpaceSavingSketch | None = None,
         overflowed: int = 0,
     ) -> None:
-        self.cells = cells or {}
-        self.principals = principals or SpaceSavingSketch()
-        self.prefixes = prefixes or SpaceSavingSketch()
+        self.cells = {} if cells is None else cells
+        # ``is None``, not ``or``: an empty sketch has length 0.
+        self.principals = SpaceSavingSketch() if principals is None else principals
+        self.prefixes = SpaceSavingSketch() if prefixes is None else prefixes
         #: Requests folded under the overflow label since start.
         self.overflowed = overflowed
 
     def merge(self, other: "UsageSnapshot") -> "UsageSnapshot":
+        """The sum of both, sharing nothing with either; ``other`` may be
+        one that a single other thread is still accounting into."""
         cells: dict[tuple[str, str], list[float]] = {
             key: list(vec) for key, vec in self.cells.items()
         }
-        for key, vec in other.cells.items():
+        for key, vec in other.cells.copy().items():
             mine = cells.get(key)
             if mine is None:
                 cells[key] = list(vec)
@@ -283,10 +290,15 @@ class UsageSnapshot:
 class UsageAccountant:
     """Attributes request cost vectors to ``(principal, op_class)``.
 
-    One instance per server.  ``account`` runs once per RPC on the
-    handler thread; its cost is a handful of dict operations, so the
-    accounting path stays inside the benchmarked per-request budget
-    (``benchmarks/check_overhead.py::time_usage_account``).
+    One instance per server, subscribed to its dispatcher
+    (``RPCServer(observers=[accountant])``): ``finished`` charges each
+    completed request, ``record_bytes`` each frame.  Each request thread
+    accounts into a *shard* of its own — a :class:`UsageSnapshot` only
+    that thread writes — so the hot path takes no lock and loses no
+    update; readers merge the shards, and an exited thread's shard is
+    folded into one remainder, so memory follows live connections.  Every
+    cost lives in the cells alone: the ``usage.*`` counters are read out
+    of the merged cells when the registry is snapshotted.
     """
 
     def __init__(
@@ -295,69 +307,48 @@ class UsageAccountant:
         top_k: int = 32,
         max_principals: int = 64,
     ) -> None:
-        self.metrics = NULL_REGISTRY if metrics is None else metrics
         self.top_k = top_k
         self.max_principals = max_principals
-        self._lock = threading.Lock()
-        self._cells: dict[tuple[str, str], list[float]] = {}
-        self._instruments: dict[tuple[str, str], tuple] = {}
-        self._principal_sketch = SpaceSavingSketch(top_k)
-        self._prefix_sketch = SpaceSavingSketch(top_k)
+        self._lock = threading.Lock()  # labels and shards; never per request
         self._labels: dict[str, str] = {}
-        self._overflowed = 0
+        self._shards: dict[threading.Thread, UsageSnapshot] = {}
+        self._folded = self._new_shard()
+        if metrics is not None:
+            metrics.register_counters(self._counters)
+
+    def _new_shard(self) -> UsageSnapshot:
+        return UsageSnapshot(
+            principals=SpaceSavingSketch(self.top_k),
+            prefixes=SpaceSavingSketch(self.top_k),
+        )
+
+    def _fold_dead_shards(self) -> None:
+        """Merge exited threads' shards into the remainder (lock held)."""
+        for thread in [t for t in self._shards if not t.is_alive()]:
+            self._folded = self._folded.merge(self._shards.pop(thread))
+
+    def _shard(self) -> UsageSnapshot:
+        """The calling thread's shard (the dict changes only under the lock)."""
+        thread = threading.current_thread()
+        shard = self._shards.get(thread)
+        if shard is None:
+            with self._lock:
+                self._fold_dead_shards()
+                shard = self._shards[thread] = self._new_shard()
+        return shard
 
     # -- label management ------------------------------------------------
 
     def label_for(self, principal: str) -> str:
         """Bounded metric label for ``principal`` (``<other>`` past cap)."""
         label = self._labels.get(principal)
-        if label is not None:
-            return label
-        with self._lock:
-            label = self._labels.get(principal)
-            if label is None:
-                if len(self._labels) < self.max_principals:
-                    label = principal
-                else:
-                    label = OVERFLOW_PRINCIPAL
-                self._labels[principal] = label
-        return label
-
-    def _cell(self, label: str, op_class: str) -> tuple[list[float], tuple]:
-        key = (label, op_class)
-        vec = self._cells.get(key)
-        if vec is None:
+        if label is None:
             with self._lock:
-                vec = self._cells.get(key)
-                if vec is None:
-                    vec = [0.0] * _N_FIELDS
-                    self._cells[key] = vec
-                    self._instruments[key] = (
-                        self.metrics.counter(
-                            "usage.requests", principal=label, **{"class": op_class}
-                        ),
-                        self.metrics.counter(
-                            "usage.errors", principal=label, **{"class": op_class}
-                        ),
-                        self.metrics.counter(
-                            "usage.wall_time", principal=label, **{"class": op_class}
-                        ),
-                        self.metrics.counter(
-                            "usage.rows_examined",
-                            principal=label,
-                            **{"class": op_class},
-                        ),
-                        self.metrics.counter(
-                            "usage.wal_bytes", principal=label, **{"class": op_class}
-                        ),
-                        self.metrics.counter(
-                            "usage.bytes_in", principal=label, **{"class": op_class}
-                        ),
-                        self.metrics.counter(
-                            "usage.bytes_out", principal=label, **{"class": op_class}
-                        ),
-                    )
-        return vec, self._instruments[key]
+                capped = len(self._labels) >= self.max_principals
+                label = self._labels.setdefault(
+                    principal, OVERFLOW_PRINCIPAL if capped else principal
+                )
+        return label
 
     # -- the hot path ----------------------------------------------------
 
@@ -373,72 +364,66 @@ class UsageAccountant:
         lfn: str | None = None,
     ) -> None:
         """Charge one completed request's cost vector."""
+        shard = self._shard()
         label = self.label_for(principal)
-        cls = op_class or OTHER_CLASS
-        vec, instruments = self._cell(label, cls)
         if label == OVERFLOW_PRINCIPAL and principal != OVERFLOW_PRINCIPAL:
-            self._overflowed += 1
-        # Benign races (+= on floats) lose at most one sample's worth;
-        # per-connection threads make same-cell contention rare.
+            shard.overflowed += 1
+        key = (label, op_class or OTHER_CLASS)
+        vec = shard.cells.setdefault(key, [0.0] * _N_FIELDS)
         vec[_I_REQUESTS] += 1
+        vec[_I_ERRORS] += error
         vec[_I_WALL] += wall_time
-        instruments[0].inc()
-        instruments[2].inc(wall_time)
-        if error:
-            vec[_I_ERRORS] += 1
-            instruments[1].inc()
-        if queue_wait:
-            vec[_I_QUEUE] += queue_wait
-        if rows_examined:
-            vec[_I_ROWS] += rows_examined
-            instruments[3].inc(rows_examined)
-        if wal_bytes:
-            vec[_I_WAL] += wal_bytes
-            instruments[4].inc(wal_bytes)
-        with self._lock:
-            self._principal_sketch.offer(principal)
-            if lfn is not None:
-                self._prefix_sketch.offer(lfn_prefix(lfn))
+        vec[_I_QUEUE] += queue_wait
+        vec[_I_ROWS] += rows_examined
+        vec[_I_WAL] += wal_bytes
+        shard.principals.offer(principal)
+        if lfn is not None:
+            shard.prefixes.offer(lfn_prefix(lfn))
+
+    def finished(self, r: RequestCosts) -> None:
+        self.account(
+            r.principal, r.op_class, r.end - r.start, r.queue_wait,
+            r.rows_examined, r.wal_bytes, r.error is not None, r.lfn,
+        )
 
     def record_bytes(
         self, principal: str, bytes_in: int = 0, bytes_out: int = 0
     ) -> None:
         """Charge transport bytes (class ``net`` — frames may batch ops)."""
-        label = self.label_for(principal)
-        vec, instruments = self._cell(label, NET_CLASS)
-        if bytes_in:
-            vec[_I_BYTES_IN] += bytes_in
-            instruments[5].inc(bytes_in)
-        if bytes_out:
-            vec[_I_BYTES_OUT] += bytes_out
-            instruments[6].inc(bytes_out)
+        key = (self.label_for(principal), NET_CLASS)
+        vec = self._shard().cells.setdefault(key, [0.0] * _N_FIELDS)
+        vec[_I_BYTES_IN] += bytes_in
+        vec[_I_BYTES_OUT] += bytes_out
 
     # -- read side -------------------------------------------------------
 
     def top_principals(self, n: int = 10) -> list[tuple[str, int, int]]:
-        with self._lock:
-            return self._principal_sketch.top(n)
+        return self.snapshot().principals.top(n)
 
     def top_prefixes(self, n: int = 10) -> list[tuple[str, int, int]]:
-        with self._lock:
-            return self._prefix_sketch.top(n)
+        return self.snapshot().prefixes.top(n)
 
     def snapshot(self) -> UsageSnapshot:
         with self._lock:
-            cells = {key: list(vec) for key, vec in self._cells.items()}
-            principals = self._principal_sketch.merge(
-                SpaceSavingSketch(self._principal_sketch.capacity)
-            )
-            prefixes = self._prefix_sketch.merge(
-                SpaceSavingSketch(self._prefix_sketch.capacity)
-            )
-            overflowed = self._overflowed
-        return UsageSnapshot(
-            cells=cells,
-            principals=principals,
-            prefixes=prefixes,
-            overflowed=overflowed,
-        )
+            self._fold_dead_shards()
+            merged = self._folded
+            live = list(self._shards.values())
+        for shard in live:
+            merged = merged.merge(shard)
+        return merged
+
+    def _counters(self) -> dict[str, float]:
+        """The ``usage.*`` series, read out of the merged cells."""
+        series: dict[str, float] = {}
+        for (principal, op_class), vec in self.snapshot().cells.items():
+            labels = metric_key("", {"principal": principal, "class": op_class})
+            for name, value in zip(COST_FIELDS, vec):
+                if name != "queue_wait":  # in the payload, never a series
+                    # Seconds stay a float once charged; counts are ints.
+                    series[f"usage.{name}{labels}"] = (
+                        value if name == "wall_time" and value else int(value)
+                    )
+        return series
 
     def to_dict(self) -> dict[str, Any]:
         data = self.snapshot().to_dict()

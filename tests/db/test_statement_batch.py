@@ -527,7 +527,7 @@ def test_counters_and_charged_bytes_equal_those_of_single_appends():
         registry = MetricsRegistry()
         wal = WriteAheadLog(InMemoryLogDevice(sync_latency=0.0), flush_on_commit=False,
                             flush_interval=1e9, metrics=registry)
-        costs = reqctx.activate("cms-prod")
+        costs = reqctx.activate(reqctx.RequestCosts("wal", None, "cms-prod"))
         try:
             if how == "many":
                 wal.log_many(OP_INSERT, "t_lfn", payloads)

@@ -341,7 +341,7 @@ class TestPrincipalAccounting:
         from repro.obs.usage import UsageAccountant
 
         usage = UsageAccountant()
-        server = RPCServer(usage=usage)
+        server = RPCServer(observers=[usage])
         server.register("lrc_get_mappings", lambda ctx, args: [])
         server.register("boom", lambda ctx, args: 1 / 0)
         ctx = server.handshake(
@@ -363,7 +363,7 @@ class TestPrincipalAccounting:
         from repro.obs.usage import UsageAccountant
 
         server = RPCServer(
-            usage=UsageAccountant(),
+            observers=[UsageAccountant()],
             principal_mapper=lambda dn, declared: "mapped",
         )
         ctx = server.handshake(
@@ -380,7 +380,7 @@ class TestPrincipalAccounting:
 
         registry = MetricsRegistry()
         usage = UsageAccountant(metrics=registry, max_principals=2)
-        server = RPCServer(metrics=registry, usage=usage)
+        server = RPCServer(metrics=registry, observers=[usage])
         server.register("echo", lambda ctx, args: list(args))
         for i in range(10):
             ctx = server.handshake(

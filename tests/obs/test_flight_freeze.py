@@ -89,7 +89,7 @@ def test_a_new_freeze_replaces_the_rendered_dump_and_clear_resets():
 
 def test_handler_exception_freezes_without_rendering(monkeypatch):
     recorder = FlightRecorder(capacity=16)
-    rpc = RPCServer(flight=recorder)
+    rpc = RPCServer(observers=[recorder])
 
     def boom(ctx, args):
         raise KeyError("nope")

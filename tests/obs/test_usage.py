@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.core.client import connect, connect_tcp_server
+from repro.core.config import ServerRole
+from repro.core.errors import MappingNotFoundError
+from repro.net.errors import RemoteError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.usage import (
     ANONYMOUS_PRINCIPAL,
@@ -244,3 +252,124 @@ class TestUsageSnapshot:
         merged = merge_usage_dicts([])
         assert merged["principals"] == {}
         assert merged["enabled"] is True
+
+
+class TestReconciliationUnderConcurrency:
+    """ROADMAP: "per-principal usage sums to RPC counts" — exactly, with
+    ten request threads preempting each other every 10 us."""
+
+    THREADS, CALLS, BURST = 10, 300, 20
+
+    def worker(self, server, tid, sent, failures):
+        """300 mixed in-process calls, 20 pipelined over TCP in one batch,
+        half of it all under a principal first seen mid-run, past the cap."""
+        name = server.config.name
+        try:
+            client = connect(name, principal=f"tenant-{tid % 3}")
+            for i in range(self.CALLS):
+                if i == self.CALLS // 2:
+                    client.close()
+                    client = connect(name, principal=f"late-{tid}")
+                    host, port = server.tcp_address
+                    tcp = connect_tcp_server(host, port, principal=f"late-{tid}")
+                    burst = [
+                        tcp.rpc.call_async("lrc_exists", f"/grid/f{n}")
+                        for n in range(self.BURST)
+                    ]
+                    tcp.rpc.drain()
+                    assert all(call.result() is True for call in burst)
+                    tcp.close()
+                    sent[tid] += self.BURST
+                if i % 5 == 0:
+                    with pytest.raises(MappingNotFoundError):
+                        client.get_mappings(f"/ghost/{tid}/{i}")
+                elif i % 7 == 0:
+                    with pytest.raises(RemoteError, match="NoSuchMethodError"):
+                        client.rpc.call(f"lrc_bulk_method_{i}_nobody_has")
+                else:
+                    assert client.get_mappings(f"/grid/f{i % 20}") == [f"pfn{i % 20}"]
+                sent[tid] += 1
+            client.close()
+        except BaseException as exc:
+            failures.append(exc)
+
+    def reconcile(self, server, sent):
+        """The four equalities; returns Σ rpc.errors."""
+        counters = server.metrics.snapshot().counters
+
+        def total(name, but=None):
+            return sum(
+                value
+                for key, value in counters.items()
+                if key.startswith(name + "{") and (but is None or but not in key)
+            )
+
+        assert total("usage.requests", but="class=net") == sent
+        assert total("rpc.requests") + total("rpc.errors") == sent
+        assert total("usage.errors") == total("rpc.errors")
+        snapshot = server.usage.snapshot()
+        assert snapshot.principals.offered == sent
+        assert sum(v[0] for k, v in snapshot.cells.items() if k[1] != "net") == sent
+        return total("rpc.errors")
+
+    def test_usage_rpc_and_flight_totals_agree_exactly(self, make_server):
+        server = make_server(ServerRole.LRC, tcp=True, usage_max_principals=4)
+        setup = connect(server.config.name)
+        for n in range(20):
+            setup.create(f"/grid/f{n}", f"pfn{n}")
+        setup.close()
+        requests_before = 20
+        events_before = server.flight.stats()["recorded"]
+
+        sent = [0] * self.THREADS
+        failures: list = []
+        workers = [
+            threading.Thread(target=self.worker, args=(server, t, sent, failures))
+            for t in range(self.THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers) and not failures
+        assert sum(sent) == self.THREADS * (self.CALLS + self.BURST)
+
+        total = requests_before + sum(sent)
+        errors = self.reconcile(server, total)
+        per_thread = len(range(0, self.CALLS, 5)) + len(
+            [i for i in range(self.CALLS) if i % 7 == 0 and i % 5]
+        )
+        assert errors == self.THREADS * per_thread
+        # Reads only since ``events_before``: two flight events a request.
+        stats = server.flight.stats()
+        assert stats["recorded"] - events_before == 2 * sum(sent)
+        # Ten late principals met a table already holding anonymous and
+        # three tenants: all their requests are in the overflow row.
+        late = self.THREADS * (self.CALLS // 2 + self.BURST)
+        payload = server.usage.to_dict()
+        assert payload["overflowed"] == late
+        assert sum(
+            cell["requests"]
+            for op_class, cell in payload["principals"][OVERFLOW_PRINCIPAL].items()
+            if op_class != "net"
+        ) == late
+
+        # Churn: short-lived connections must not leave their shards behind.
+        host, port = server.tcp_address
+        for n in range(200):
+            with connect_tcp_server(host, port, principal="tenant-0") as client:
+                assert client.exists(f"/grid/f{n % 20}")
+        active = server.metrics.gauge("net.connections_active", transport="tcp")
+        deadline = time.monotonic() + 30.0
+        while active.value and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert active.value == 0
+        self.reconcile(server, total + 200)
+        # One shard per request thread still alive (this one, at most) —
+        # not one per connection ever served — plus the folded remainder.
+        assert len(server.usage._shards) <= 1
