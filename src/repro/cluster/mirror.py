@@ -1,14 +1,13 @@
 """Shard-aware replication: master → read-only mirror LRC streaming.
 
 Each shard master streams its (lfn, pfn) replica mappings to read-only
-mirror LRCs, reusing the soft-state delivery machinery of
-:mod:`repro.core.updates`: the same :class:`TargetDeliveryState` per-target
-bookkeeping (health, backlog, ``needs_full``), the same merge-before-send
-semantics (a failed push never loses changes that raced in behind it), and
-the same :class:`~repro.net.retry.RetryPolicy` exponential backoff driven
-from a background :class:`~repro.core.updates.UpdateThread`.
+mirror LRCs under the soft-state delivery rule of
+:mod:`repro.core.delivery` — the one the LRC→RLI feed runs under: per-
+mirror health and backlog, merge-before-send (a failed push never loses
+changes that raced in behind it), a full sync owed after a failed one,
+:class:`~repro.net.retry.RetryPolicy` backoff.
 
-The differences from LRC→RLI updates are the payload and the freshness
+What differs from LRC→RLI updates is the payload and the freshness
 contract: mirrors receive full ``(lfn, pfn)`` pairs (they answer queries
 directly, not just "which LRC might know"), and they run much hotter —
 mirror staleness is user-visible, so each mirror exports a
@@ -16,9 +15,9 @@ mirror staleness is user-visible, so each mirror exports a
 RLI's ``rli.staleness_age``, which means the staleness-burn detector in
 :mod:`repro.obs.analyze` fires on a stalled mirror feed unchanged.
 
-Master side: :class:`MirrorManager` (duck-type compatible with
-``UpdateThread``).  Mirror side: :class:`MirrorIngest` applies the stream
-idempotently — redelivery after a lost ack must not error.
+Master side: :class:`MirrorManager`.  Mirror side: :class:`MirrorIngest`
+applies the stream idempotently — redelivery after a lost ack must not
+error.
 """
 
 from __future__ import annotations
@@ -27,11 +26,12 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.core.errors import MappingExistsError, MappingNotFoundError
 from repro.core.lrc import LocalReplicaCatalog
-from repro.core.updates import TargetDeliveryState, UpdatePolicy
+from repro.core.delivery import DeliveryEngine
+from repro.core.updates import UpdatePolicy
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
 Pair = tuple[str, str]
@@ -111,9 +111,8 @@ class MirrorStats:
 class MirrorManager:
     """Master side: tracks mapping changes, streams them to mirror LRCs.
 
-    Duck-type compatible with :class:`~repro.core.updates.UpdateThread`
-    (``lrc``, ``tick()``, ``metrics``, ``_lock``, ``stats.errors``), so
-    the server reuses the same background scheduler for both feeds.
+    Runs under the same background scheduler as the RLI feed
+    (:func:`~repro.core.updates.tick_task`).
     """
 
     def __init__(
@@ -132,32 +131,25 @@ class MirrorManager:
         self.policy = policy or UpdatePolicy()
         self.push_interval = push_interval
         self.clock = clock
-        self.rng = rng
-        self.flight = flight
         self.stats = MirrorStats()
-        self._lock = threading.RLock()
+        registry = metrics if metrics is not None else NULL_REGISTRY
+        self.metrics = registry
+        self.engine = DeliveryEngine(
+            "mirror", "mirror", self.policy.retry, clock, rng, registry,
+            flight, self.stats,
+        )
+        self._lock = self.engine.lock
+        self._targets = self.engine.targets  # read by the write-path listener
         self._pending_added: set[Pair] = set()
         self._pending_removed: set[Pair] = set()
         self._last_flush = clock()
-        self._targets: dict[str, TargetDeliveryState] = {}
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self.metrics = registry
         self._m_sent = {
             kind: registry.counter("mirror.sent", kind=kind)
             for kind in ("full", "incremental")
         }
-        self._m_errors = registry.counter("mirror.errors")
-        self._m_retries = registry.counter("mirror.retries")
         self._m_pairs = registry.counter("mirror.pairs_sent")
         registry.register_gauge_fn(
-            "mirror.pending_changes",
-            lambda: float(
-                len(self._pending_added) + len(self._pending_removed)
-            ),
-        )
-        registry.register_gauge_fn("mirror.retry_backlog", self._total_backlog)
-        registry.register_gauge_fn(
-            "mirror.targets_unhealthy", self._unhealthy_count
+            "mirror.pending_changes", lambda: float(sum(self.pending_changes()))
         )
         lrc.add_mapping_listener(self._on_mapping_change)
 
@@ -167,48 +159,17 @@ class MirrorManager:
 
     def add_mirror(self, name: str) -> None:
         """Register a mirror; its first delivery is a full sync."""
-        state = self._state(name)
         with self._lock:
-            state.needs_full = True
+            self.engine.target(name).needs_full = True
 
     def remove_mirror(self, name: str) -> None:
-        with self._lock:
-            self._targets.pop(name, None)
+        self.engine.forget(name)
 
     def mirrors(self) -> list[str]:
-        with self._lock:
-            return sorted(self._targets)
+        return sorted(state.name for state in self.engine.states())
 
     def target_health(self) -> dict[str, dict]:
-        with self._lock:
-            return {
-                name: state.to_dict()
-                for name, state in sorted(self._targets.items())
-            }
-
-    def _state(self, name: str) -> TargetDeliveryState:
-        with self._lock:
-            state = self._targets.get(name)
-            created = state is None
-            if created:
-                state = self._targets[name] = TargetDeliveryState(name=name)
-        if created:
-            self.metrics.register_gauge_fn(
-                "mirror.target_healthy",
-                lambda s=state: 1.0 if s.healthy else 0.0,
-                target=name,
-            )
-        return state
-
-    def _total_backlog(self) -> float:
-        with self._lock:
-            return float(sum(s.backlog for s in self._targets.values()))
-
-    def _unhealthy_count(self) -> float:
-        with self._lock:
-            return float(
-                sum(1 for s in self._targets.values() if not s.healthy)
-            )
+        return self.engine.health()
 
     # ------------------------------------------------------------------
     # Change tracking
@@ -231,48 +192,36 @@ class MirrorManager:
             return len(self._pending_added), len(self._pending_removed)
 
     # ------------------------------------------------------------------
-    # Delivery
+    # Payloads
     # ------------------------------------------------------------------
-
-    def _flight_record(self, kind: str, detail: str, error: bool = False, **data):
-        if self.flight is not None:
-            self.flight.record(kind, detail=detail, error=error, **data)
-
-    def _record_failure(
-        self,
-        state: TargetDeliveryState,
-        exc: BaseException,
-        needs_full: bool = False,
-    ) -> None:
-        self._flight_record(
-            "error",
-            f"mirror push->{state.name}: {type(exc).__name__}",
-            error=True,
-            target=state.name,
-        )
-        with self._lock:
-            state.healthy = False
-            state.consecutive_failures += 1
-            state.last_error = f"{type(exc).__name__}: {exc}"
-            if needs_full:
-                state.needs_full = True
-            attempt = min(state.consecutive_failures - 1, 16)
-            state.next_retry_at = self.clock() + self.policy.retry.backoff(
-                attempt, self.rng
-            )
-            self.stats.errors += 1
-        self._m_errors.inc()
-
-    def _record_success(self, state: TargetDeliveryState) -> None:
-        with self._lock:
-            state.healthy = True
-            state.consecutive_failures = 0
-            state.last_error = None
-            state.next_retry_at = 0.0
 
     def all_pairs(self) -> list[Pair]:
         """Every (lfn, pfn) mapping — the payload of a full sync."""
         return self.lrc.query_wildcard("*")
+
+    def _send_full(self, name: str, pairs: Sequence[Pair]) -> None:
+        self.sink_resolver(name).full_sync(self.lrc.name, pairs)
+        self._sent("full", len(pairs))
+
+    def _send_delta(
+        self, name: str, added: Sequence[Pair], removed: Sequence[Pair]
+    ) -> None:
+        self.sink_resolver(name).incremental(self.lrc.name, added, removed)
+        self._sent("incremental", len(added) + len(removed))
+
+    def _sent(self, kind: str, pairs: int) -> None:
+        with self._lock:
+            if kind == "full":
+                self.stats.full_syncs += 1
+            else:
+                self.stats.incremental_pushes += 1
+            self.stats.pairs_sent += pairs
+        self._m_sent[kind].inc()
+        self._m_pairs.inc(pairs)
+
+    # ------------------------------------------------------------------
+    # Delivery
+    # ------------------------------------------------------------------
 
     def send_full_sync(self, name: str | None = None) -> int:
         """Full-sync one mirror (or all); returns pairs pushed per mirror.
@@ -284,102 +233,43 @@ class MirrorManager:
         names = [name] if name is not None else self.mirrors()
         pairs = self.all_pairs()
         pushed = 0
-        for target_name in names:
-            state = self._state(target_name)
-            self._flight_record(
-                "mirror.attempt", f"full->{target_name}", target=target_name
+        for target in names:
+            failure = self.engine.push_full(
+                target, lambda target=target: self._send_full(target, pairs)
             )
-            try:
-                sink = self.sink_resolver(target_name)
-                sink.full_sync(self.lrc.name, pairs)
-            except Exception as exc:
-                self._record_failure(state, exc, needs_full=True)
-                continue
-            with self._lock:
-                # The full sync replaces the mirror's state wholesale: any
-                # backlog from earlier incremental failures is subsumed.
-                state.pending_added.clear()
-                state.pending_removed.clear()
-                state.needs_full = False
-                self.stats.full_syncs += 1
-                self.stats.pairs_sent += len(pairs)
-            self._m_sent["full"].inc()
-            self._m_pairs.inc(len(pairs))
-            self._record_success(state)
-            pushed = len(pairs)
+            if failure is None:
+                pushed = len(pairs)
         return pushed
 
-    def _push_incremental_to(
-        self,
-        state: TargetDeliveryState,
-        added: Iterable[Pair],
-        removed: Iterable[Pair],
-    ) -> bool:
-        """Deliver backlog + new delta to one mirror; False on failure.
-
-        Same merge-before-send contract as the RLI update path: nothing
-        leaves the backlog until the sink call returns.
-        """
-        with self._lock:
-            for pair in added:
-                state.pending_removed.discard(pair)
-                state.pending_added.add(pair)
-            for pair in removed:
-                state.pending_added.discard(pair)
-                state.pending_removed.add(pair)
-            send_added = sorted(state.pending_added)
-            send_removed = sorted(state.pending_removed)
-        if not send_added and not send_removed:
-            return True
-        self._flight_record(
-            "mirror.attempt",
-            f"incremental->{state.name}",
-            target=state.name,
-            added=len(send_added),
-            removed=len(send_removed),
-        )
-        try:
-            sink = self.sink_resolver(state.name)
-            sink.incremental(self.lrc.name, send_added, send_removed)
-        except Exception as exc:
-            self._record_failure(state, exc)
-            return False
-        with self._lock:
-            state.pending_added.difference_update(send_added)
-            state.pending_removed.difference_update(send_removed)
-            self.stats.incremental_pushes += 1
-            self.stats.pairs_sent += len(send_added) + len(send_removed)
-        self._m_sent["incremental"].inc()
-        self._m_pairs.inc(len(send_added) + len(send_removed))
-        self._record_success(state)
-        return True
-
     def flush(self) -> int:
-        """Push the pending delta to every registered mirror now."""
+        """Push the pending delta to every registered mirror now.
+
+        A mirror still owed its full sync only has the delta folded into
+        its backlog (the sync subsumes it): it never sees a delta on top
+        of a base state it does not have.
+        """
         with self._lock:
             added = sorted(self._pending_added)
             removed = sorted(self._pending_removed)
             self._pending_added.clear()
             self._pending_removed.clear()
             self._last_flush = self.clock()
-            states = list(self._targets.values())
-        for state in states:
-            if state.needs_full:
-                # The pending delta is folded into the backlog so the
-                # retry path (full sync) subsumes it.
-                with self._lock:
-                    for pair in added:
-                        state.pending_removed.discard(pair)
-                        state.pending_added.add(pair)
-                    for pair in removed:
-                        state.pending_added.discard(pair)
-                        state.pending_removed.add(pair)
-                continue
-            self._push_incremental_to(state, added, removed)
+        for state in self.engine.states():
+            self.engine.push_delta(
+                state.name,
+                lambda a, r, name=state.name: self._send_delta(name, a, r),
+                added,
+                removed,
+            )
         return len(added) + len(removed)
 
     def tick(self) -> list[str]:
-        """Run due pushes plus redeliveries; returns action markers."""
+        """Run the due flush, then redeliveries; returns action markers.
+
+        Redelivery candidates are chosen after the flush (which re-arms
+        the backoff of a mirror it failed on): one attempt per mirror per
+        tick.
+        """
         performed: list[str] = []
         now = self.clock()
         with self._lock:
@@ -388,31 +278,18 @@ class MirrorManager:
                 now - self._last_flush >= self.push_interval
                 or pending >= self.policy.immediate_count_threshold
             )
-            retry_candidates = [
-                state
-                for state in self._targets.values()
-                if (not state.healthy or state.needs_full or state.backlog)
-                and now >= state.next_retry_at
-            ]
         if due_flush:
             self.flush()
             performed.append("incremental")
-        for state in retry_candidates:
-            with self._lock:
-                self.stats.retries += 1
-                state.retries += 1
-            self._m_retries.inc()
-            performed.append(f"retry:{state.name}")
-            self._flight_record(
-                "mirror.retry",
-                state.name,
-                target=state.name,
-                consecutive_failures=state.consecutive_failures,
+        for state in self.engine.due():
+            name = state.name
+            performed.append(
+                self.engine.redeliver(
+                    state,
+                    lambda: self._send_full(name, self.all_pairs()),
+                    lambda a, r: self._send_delta(name, a, r),
+                )
             )
-            if state.needs_full:
-                self.send_full_sync(state.name)
-            else:
-                self._push_incremental_to(state, (), ())
         return performed
 
 

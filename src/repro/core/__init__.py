@@ -34,18 +34,17 @@ from repro.core.errors import (
     WildcardNotSupportedError,
 )
 from repro.core.discovery import DiscoveryResult, ReplicaDiscovery
-from repro.core.hierarchy import HierarchicalUpdater, HierarchyThread
+from repro.core.hierarchy import HierarchicalUpdater
 from repro.core.lrc import AttrType, LocalReplicaCatalog, ObjType, RLITarget
 from repro.core.membership import MemberAddress, StaticMembership
 from repro.core.partition import PartitionRouter
-from repro.core.rli import ExpireThread, ReplicaLocationIndex
+from repro.core.rli import ReplicaLocationIndex
 from repro.core.server import RLSServer
 from repro.core.updates import (
     DirectSink,
     RPCSink,
     UpdateManager,
     UpdatePolicy,
-    UpdateThread,
 )
 
 __all__ = [
@@ -58,9 +57,7 @@ __all__ = [
     "CountingBloomFilter",
     "DirectSink",
     "DiscoveryResult",
-    "ExpireThread",
     "HierarchicalUpdater",
-    "HierarchyThread",
     "InvalidAttributeError",
     "InvalidNameError",
     "LocalReplicaCatalog",
@@ -83,7 +80,6 @@ __all__ = [
     "UpdateManager",
     "UpdatePolicy",
     "UpdateTargetError",
-    "UpdateThread",
     "WildcardNotSupportedError",
     "connect",
     "connect_tcp_server",

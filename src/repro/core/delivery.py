@@ -1,0 +1,309 @@
+"""The soft-state delivery rule, written once.
+
+An RLI's state "can be reconstructed using soft state updates" (§2): a
+push that fails must lose nothing and be tried again.  LRC→RLI updates
+(:mod:`repro.core.updates`), master→mirror replication
+(:mod:`repro.cluster.mirror`) and RLI→parent forwarding
+(:mod:`repro.core.hierarchy`) share that rule, and :class:`DeliveryEngine`
+is the only place it is written: what happens to one target after one push
+attempt.
+
+* **Backlog, newest intent wins.**  A delta is folded into the target's
+  backlog before it is sent (an add supersedes a queued remove of the same
+  item and vice versa) and exactly what was sent is drained when the send
+  returns, so a failed push never clobbers a change that arrived behind it.
+* **Needs-full escalation.**  A failed full push leaves the target owed a
+  fresh full; until it lands deltas are only folded (the full subsumes
+  them), never sent on top of a base state the target may not have.
+* **Backoff.**  Every failure re-arms the target's ``RetryPolicy`` delay on
+  the injected ``clock``/``rng``.  Owners ask :meth:`DeliveryEngine.due`
+  *after* their scheduled flush: one attempt per target per tick.
+* **Visibility.**  ``<family>.target_healthy{target=}``, ``.retry_backlog``,
+  ``.targets_unhealthy``, ``.errors``, ``.retries``; flight events
+  ``<event>.attempt``, ``<event>.retry`` and ``error``.
+
+Backlog items are opaque, hashable and sortable (logical names for an RLI,
+``(lfn, pfn)`` pairs for a mirror).  The owner supplies the payload — a
+``send()`` for a full push, a ``send(added, removed)`` for a delta, each
+raising on failure — and keeps its schedule and payload statistics.
+"""
+
+from __future__ import annotations
+
+import threading
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Sequence
+
+from repro.net.retry import RetryPolicy
+from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+
+
+@dataclass
+class TargetDeliveryState:
+    """Per-target delivery bookkeeping: health, backlog, and retry schedule."""
+
+    name: str
+    healthy: bool = True
+    consecutive_failures: int = 0
+    #: Incremental changes accepted for this target but not yet delivered.
+    pending_added: set = field(default_factory=set)
+    pending_removed: set = field(default_factory=set)
+    #: The next delivery must be a fresh full (none made yet, or one failed).
+    needs_full: bool = False
+    last_error: str | None = None
+    #: Clock time before which the target is not redelivered to.
+    next_retry_at: float = 0.0
+    #: Redelivery attempts made for this target.
+    retries: int = 0
+
+    @property
+    def backlog(self) -> int:
+        return len(self.pending_added) + len(self.pending_removed)
+
+    def to_dict(self) -> dict:
+        return {
+            "healthy": self.healthy,
+            "consecutive_failures": self.consecutive_failures,
+            "backlog": self.backlog,
+            "needs_full": self.needs_full,
+            "last_error": self.last_error,
+            "retries": self.retries,
+        }
+
+
+class DeliveryEngine:
+    """Per-target delivery state and the rule that updates it.
+
+    ``family`` prefixes the metric names, ``event`` the flight event kinds.
+    ``stats`` (optional) is the owner's counter object, whose ``errors`` and
+    ``retries`` are kept here.  ``error_kinds`` lists the push kinds with
+    their own ``<family>.errors{kind=}`` series (none: one unlabelled
+    counter).  ``lock`` guards all target state; owners share it so a flush
+    snapshots their global delta and the backlog in one critical section.
+    """
+
+    def __init__(
+        self,
+        family: str,
+        event: str,
+        retry: RetryPolicy,
+        clock: Callable[[], float],
+        rng: Callable[[], float],
+        metrics: MetricsRegistry | None = None,
+        flight: Any = None,
+        stats: Any = None,
+        error_kinds: Sequence[str] = (),
+    ) -> None:
+        self.family = family
+        self.event = event
+        self.retry = retry
+        self.clock = clock
+        self.rng = rng
+        self.flight = flight
+        self.stats = stats
+        self.lock = threading.RLock()
+        #: name -> state; read and written under ``lock``.
+        self.targets: dict[str, TargetDeliveryState] = {}
+        self.metrics = metrics if metrics is not None else NULL_REGISTRY
+        counter = self.metrics.counter
+        self._m_errors = {
+            kind: counter(f"{family}.errors", kind=kind) for kind in error_kinds
+        } or counter(f"{family}.errors")
+        self._m_retries = counter(f"{family}.retries")
+        self.metrics.register_gauge_fn(f"{family}.retry_backlog", self.backlog)
+        self.metrics.register_gauge_fn(
+            f"{family}.targets_unhealthy", self.unhealthy
+        )
+
+    # -- targets ---------------------------------------------------------
+
+    def target(self, name: str) -> TargetDeliveryState:
+        """The state for ``name``, created healthy on first sight."""
+        with self.lock:
+            state = self.targets.get(name)
+            if state is None:
+                state = self.targets[name] = TargetDeliveryState(name=name)
+                self.metrics.register_gauge_fn(
+                    f"{self.family}.target_healthy",
+                    lambda: 1.0 if state.healthy else 0.0,
+                    target=name,
+                )
+        return state
+
+    def forget(self, name: str) -> None:
+        """Drop a target that no longer exists, its health series included."""
+        with self.lock:
+            if self.targets.pop(name, None) is not None:
+                self.metrics.unregister_gauge_fn(
+                    f"{self.family}.target_healthy", target=name
+                )
+
+    def states(self) -> list[TargetDeliveryState]:
+        with self.lock:
+            return list(self.targets.values())
+
+    def health(self) -> dict[str, dict]:
+        with self.lock:
+            return {n: s.to_dict() for n, s in sorted(self.targets.items())}
+
+    def backlog(self) -> float:
+        with self.lock:
+            return float(sum(s.backlog for s in self.targets.values()))
+
+    def unhealthy(self) -> float:
+        with self.lock:
+            return float(sum(not s.healthy for s in self.targets.values()))
+
+    # -- one push attempt --------------------------------------------------
+
+    def push_full(
+        self, name: str, send: Callable[[], None], kind: str = "full"
+    ) -> Exception | None:
+        """Replace the target's state wholesale (which subsumes its
+        backlog); returns the failure, if any."""
+        state = self.target(name)
+        self._record(f"{self.event}.attempt", f"{kind}->{name}", target=name)
+        try:
+            send()
+        except Exception as exc:
+            self._failed(state, kind, exc, needs_full=True)
+            return exc
+        with self.lock:
+            state.pending_added.clear()
+            state.pending_removed.clear()
+            state.needs_full = False
+            self._succeeded(state)
+        return None
+
+    def push_delta(
+        self,
+        name: str,
+        send: Callable[[list, list], None],
+        added: Iterable = (),
+        removed: Iterable = (),
+        kind: str = "incremental",
+    ) -> bool:
+        """Deliver the target's backlog plus a new delta; False if it stays
+        queued.  Nothing leaves the backlog until ``send`` returns."""
+        state = self.target(name)
+        with self.lock:
+            for item in added:
+                state.pending_removed.discard(item)
+                state.pending_added.add(item)
+            for item in removed:
+                state.pending_added.discard(item)
+                state.pending_removed.add(item)
+            if state.needs_full:
+                return False
+            send_added = sorted(state.pending_added)
+            send_removed = sorted(state.pending_removed)
+        if not send_added and not send_removed:
+            return True
+        self._record(
+            f"{self.event}.attempt",
+            f"{kind}->{name}",
+            target=name,
+            added=len(send_added),
+            removed=len(send_removed),
+        )
+        try:
+            send(send_added, send_removed)
+        except Exception as exc:
+            self._failed(state, kind, exc)
+            return False
+        with self.lock:
+            # Exactly what was delivered; changes that raced in during
+            # the send stay queued for the next flush.
+            state.pending_added.difference_update(send_added)
+            state.pending_removed.difference_update(send_removed)
+            self._succeeded(state)
+        return True
+
+    # -- redelivery --------------------------------------------------------
+
+    def ready(self) -> list[TargetDeliveryState]:
+        """Targets not inside a backoff window, as of now."""
+        now = self.clock()
+        with self.lock:
+            return [s for s in self.targets.values() if now >= s.next_retry_at]
+
+    def due(self) -> list[TargetDeliveryState]:
+        """The ready targets that are owed a delivery."""
+        return [
+            s for s in self.ready() if not s.healthy or s.needs_full or s.backlog
+        ]
+
+    def redeliver(
+        self,
+        state: TargetDeliveryState,
+        send_full: Callable[[], None],
+        send_delta: Callable[[list, list], None] | None = None,
+        full_kind: str = "full",
+    ) -> str:
+        """Deliver to one due target; returns its ``"retry:<name>"`` marker.
+
+        A target owed a full — or one whose state is only ever replaced
+        wholesale (``send_delta`` is None) — gets a full push, any other
+        its backlog.  Only a delivery that follows a failure counts as a
+        retry: a target's first full push is just its first push.
+        Failures re-arm the backoff; nothing raises.
+        """
+        if state.consecutive_failures:
+            with self.lock:
+                state.retries += 1
+                if self.stats is not None:
+                    self.stats.retries += 1
+            self._m_retries.inc()
+            self._record(
+                f"{self.event}.retry",
+                state.name,
+                target=state.name,
+                consecutive_failures=state.consecutive_failures,
+            )
+        if state.needs_full or send_delta is None:
+            self.push_full(state.name, send_full, full_kind)
+        else:
+            self.push_delta(state.name, send_delta)
+        return f"retry:{state.name}"
+
+    # -- outcomes ----------------------------------------------------------
+
+    def _record(self, kind: str, detail: str, error: bool = False, **data) -> None:
+        if self.flight is not None:
+            self.flight.record(kind, detail=detail, error=error, **data)
+
+    def _failed(
+        self,
+        state: TargetDeliveryState,
+        kind: str,
+        exc: Exception,
+        needs_full: bool = False,
+    ) -> None:
+        name = type(exc).__name__
+        self._record(
+            "error",
+            f"{self.event} {kind}->{state.name}: {name}",
+            error=True,
+            target=state.name,
+        )
+        with self.lock:
+            state.healthy = False
+            state.consecutive_failures += 1
+            state.last_error = f"{name}: {exc}"
+            state.needs_full = state.needs_full or needs_full
+            # The attempt index is capped so a long outage plateaus at
+            # backoff_max instead of overflowing the exponent.
+            attempt = min(state.consecutive_failures - 1, 16)
+            state.next_retry_at = self.clock() + self.retry.backoff(
+                attempt, self.rng
+            )
+            if self.stats is not None:
+                self.stats.errors += 1
+        errors = self._m_errors
+        (errors[kind] if isinstance(errors, dict) else errors).inc()
+
+    def _succeeded(self, state: TargetDeliveryState) -> None:
+        state.healthy = True
+        state.consecutive_failures = 0
+        state.last_error = None
+        state.next_retry_at = 0.0

@@ -10,17 +10,25 @@ this name".
   (a union would lose attribution).
 * Relational state forwards, per contributing LRC, the list of logical
   names currently mapped to it, as an ordinary full update.
+
+Parents expire forwarded entries exactly like LRC-fed ones, so the
+forwarder re-pushes periodically (:meth:`HierarchicalUpdater.task`,
+interval < parent timeout).
 """
 
 from __future__ import annotations
 
-import threading
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+from repro.core.delivery import DeliveryEngine
 from repro.core.rli import ReplicaLocationIndex
 from repro.core.updates import UpdateSink
+from repro.net.retry import RetryPolicy
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.periodic import Periodic
 
 
 @dataclass
@@ -33,34 +41,78 @@ class HierarchyStats:
 
 
 class HierarchicalUpdater:
-    """Forwards one RLI's aggregated state to parent RLIs."""
+    """Forwards one RLI's aggregated state to parent RLIs.
+
+    Each parent is a wholesale (always-full) target of the shared delivery
+    engine: a dead one is isolated, backed off and visible in
+    :meth:`target_health` (``hierarchy.*`` metrics) like any RLI, and the
+    parents after it in the list are served regardless.
+    """
 
     def __init__(
         self,
         rli: ReplicaLocationIndex,
         sink_resolver: Callable[[str], UpdateSink],
         parents: Sequence[str],
+        retry: RetryPolicy | None = None,
+        clock: Callable[[], float] = time.monotonic,
+        rng: Callable[[], float] = random.random,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.rli = rli
         self.sink_resolver = sink_resolver
         self.parents = list(parents)
         self.stats = HierarchyStats()
+        retry = retry or RetryPolicy(backoff_base=2.0, backoff_max=120.0)
+        self.engine = DeliveryEngine(
+            "hierarchy", "hierarchy", retry, clock, rng, metrics
+        )
+        for parent in self.parents:
+            self.engine.target(parent)
+
+    def target_health(self) -> dict[str, dict]:
+        return self.engine.health()
 
     def forward_once(self) -> None:
-        """Push current state to every parent RLI."""
+        """Push current state to every parent RLI not inside a backoff
+        window; the first failure is re-raised once all were attempted."""
         start = time.perf_counter()
         relational = self._relational_state()
         bloom_state = self._bloom_state()
-        for parent in self.parents:
-            sink = self.sink_resolver(parent)
-            for lrc_name, lfns in relational.items():
-                sink.full_update(lrc_name, lfns)
-                self.stats.names_forwarded += len(lfns)
-            for lrc_name, (bitmap, nbits, k, entries) in bloom_state.items():
-                sink.bloom_update(lrc_name, bitmap, nbits, k, entries)
-                self.stats.bloom_filters_forwarded += 1
+        failures = [
+            self.engine.push_full(
+                state.name,
+                lambda parent=state.name: self._send(
+                    parent, relational, bloom_state
+                ),
+            )
+            for state in self.engine.ready()
+        ]
         self.stats.forward_passes += 1
         self.stats.last_duration = time.perf_counter() - start
+        for failure in failures:
+            if failure is not None:
+                raise failure
+
+    def task(self, interval: float = 60.0) -> Periodic:
+        """The background forwarder: :meth:`forward_once` every ``interval``
+        seconds, a failed pass counted on the task."""
+        return Periodic(
+            f"rli-hierarchy-{self.rli.name}",
+            interval,
+            self.forward_once,
+            role="hierarchy",
+            metrics=self.engine.metrics,
+        )
+
+    def _send(self, parent: str, relational: dict, bloom_state: dict) -> None:
+        sink = self.sink_resolver(parent)
+        for lrc_name, lfns in relational.items():
+            sink.full_update(lrc_name, lfns)
+            self.stats.names_forwarded += len(lfns)
+        for lrc_name, (bitmap, nbits, k, entries) in bloom_state.items():
+            sink.bloom_update(lrc_name, bitmap, nbits, k, entries)
+            self.stats.bloom_filters_forwarded += 1
 
     def _relational_state(self) -> dict[str, list[str]]:
         """Per-LRC logical-name lists from the relational store."""
@@ -85,41 +137,3 @@ class HierarchicalUpdater:
             )
             for name, bloom in self.rli._bloom.filters.items()
         }
-
-
-class HierarchyThread:
-    """Background daemon forwarding RLI state upward on an interval.
-
-    This is the soft-state refresh for the RLI→RLI tier: parents expire
-    forwarded entries exactly like LRC-fed ones, so the forwarder must
-    re-push periodically (interval < parent timeout).
-    """
-
-    def __init__(self, updater: HierarchicalUpdater, interval: float = 60.0):
-        self.updater = updater
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._loop,
-            name=f"rli-hierarchy-{self.updater.rli.name}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.updater.forward_once()
-            except Exception:  # pragma: no cover - keep the daemon alive
-                pass
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

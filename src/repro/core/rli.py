@@ -482,31 +482,3 @@ class ReplicaLocationIndex:
         )
         assert result.lastrowid is not None
         return result.lastrowid
-
-
-class ExpireThread:
-    """Background thread running :meth:`ReplicaLocationIndex.expire_once`."""
-
-    def __init__(self, rli: ReplicaLocationIndex, interval: float = 60.0) -> None:
-        self.rli = rli
-        self.interval = interval
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._loop, name=f"rli-expire-{self.rli.name}", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.rli.expire_once()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None

@@ -15,13 +15,8 @@ from repro.cluster.mirror import MirrorIngest, MirrorManager, MirrorSink
 from repro.core.config import Backend, ServerConfig
 from repro.core.errors import NotConfiguredError, ReadOnlyCatalogError
 from repro.core.lrc import LocalReplicaCatalog
-from repro.core.rli import ExpireThread, ReplicaLocationIndex
-from repro.core.updates import (
-    DirectSink,
-    UpdateManager,
-    UpdateSink,
-    UpdateThread,
-)
+from repro.core.rli import ReplicaLocationIndex
+from repro.core.updates import DirectSink, UpdateManager, UpdateSink, tick_task
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection, register_dsn, unregister_dsn
 from repro.db.postgres_engine import PostgresEngine
@@ -31,6 +26,7 @@ from repro.obs import tracing
 from repro.obs.assemble import TraceAssembler, TraceSource, tracer_source
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.periodic import Periodic
 from repro.obs.profile import SamplingProfiler
 from repro.obs.slo import SLIRecorder, SLOPolicy
 from repro.obs.usage import UsageAccountant
@@ -186,10 +182,8 @@ class RLSServer:
                 self.rpc, self.config.tcp_host, self.config.tcp_port
             )
 
-        # --- daemons ---
-        self._expire_thread: ExpireThread | None = None
-        self._update_thread: UpdateThread | None = None
-        self._mirror_thread: UpdateThread | None = None
+        # --- daemons: expiry, update scheduler, mirror-feed scheduler ---
+        self._tasks: dict[str, Periodic] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -201,22 +195,23 @@ class RLSServer:
             if self._started:
                 return self
             if self.rli is not None:
-                self._expire_thread = ExpireThread(
-                    self.rli, interval=self.config.expire_interval
+                self._tasks["expire"] = Periodic(
+                    f"rli-expire-{self.rli.name}",
+                    self.config.expire_interval,
+                    self.rli.expire_once,
+                    role="expire",
+                    metrics=self.metrics,
                 )
-                self._expire_thread.start()
             if self.update_manager is not None:
-                self._update_thread = UpdateThread(
-                    self.update_manager,
-                    poll_interval=self.config.update_poll_interval,
+                self._tasks["updates"] = tick_task(
+                    self.update_manager, self.config.update_poll_interval
                 )
-                self._update_thread.start()
             if self.mirror_manager is not None:
-                self._mirror_thread = UpdateThread(
-                    self.mirror_manager,
-                    poll_interval=self.config.update_poll_interval,
+                self._tasks["mirror"] = tick_task(
+                    self.mirror_manager, self.config.update_poll_interval
                 )
-                self._mirror_thread.start()
+            for task in self._tasks.values():
+                task.start()
             if self.profiler.enabled:
                 self.profiler.start()
             # Prime the SLI recorder so its first real tick (on demand at
@@ -229,23 +224,26 @@ class RLSServer:
         return self
 
     def stop(self) -> None:
+        """Stop every daemon and transport; raises if a thread this server
+        started is still alive afterwards (it stays held, so a second
+        ``stop()`` joins it again)."""
         with self._lock:
-            if self._expire_thread is not None:
-                self._expire_thread.stop()
-                self._expire_thread = None
-            if self._update_thread is not None:
-                self._update_thread.stop()
-                self._update_thread = None
-            if self._mirror_thread is not None:
-                self._mirror_thread.stop()
-                self._mirror_thread = None
-            self.profiler.stop()
-            self.slo.stop()
+            stuck = [n for n, task in self._tasks.items() if not task.stop()]
+            self._tasks = {name: self._tasks[name] for name in stuck}
+            if not self.profiler.stop():
+                stuck.append("profiler")
+            if not self.slo.stop():
+                stuck.append("slo")
             self.local_transport.close()
             if self.tcp_transport is not None:
                 self.tcp_transport.close()
             unregister_dsn(self.dsn)
             self._started = False
+        if stuck:
+            raise RuntimeError(
+                f"server {self.config.name!r}: background tasks did not "
+                f"exit: {', '.join(stuck)}"
+            )
 
     def __enter__(self) -> "RLSServer":
         return self.start()
@@ -285,12 +283,10 @@ class RLSServer:
                 flight=self.flight,
             )
             with self._lock:
-                if self._started and self._mirror_thread is None:
-                    self._mirror_thread = UpdateThread(
-                        self.mirror_manager,
-                        poll_interval=self.config.update_poll_interval,
-                    )
-                    self._mirror_thread.start()
+                if self._started and "mirror" not in self._tasks:
+                    self._tasks["mirror"] = tick_task(
+                        self.mirror_manager, self.config.update_poll_interval
+                    ).start()
         return self.mirror_manager
 
     def _default_sink_resolver(self, name: str) -> UpdateSink:

@@ -26,9 +26,10 @@ from typing import Sequence
 
 from repro.core.client import RLSClient, connect
 from repro.core.config import ServerConfig, ServerRole
-from repro.core.hierarchy import HierarchicalUpdater, HierarchyThread
+from repro.core.hierarchy import HierarchicalUpdater
 from repro.core.membership import resolve_sink
 from repro.core.server import RLSServer
+from repro.obs.periodic import Periodic
 
 
 @dataclass
@@ -38,7 +39,9 @@ class Deployment:
     name: str
     lrcs: list[RLSServer] = field(default_factory=list)
     rlis: list[RLSServer] = field(default_factory=list)
-    hierarchy_threads: list[HierarchyThread] = field(default_factory=list)
+    #: RLI→parent forwarders and the periodic task refreshing each.
+    forwarders: list[HierarchicalUpdater] = field(default_factory=list)
+    forward_tasks: list[Periodic] = field(default_factory=list)
 
     @property
     def servers(self) -> list[RLSServer]:
@@ -59,19 +62,19 @@ class Deployment:
             assert server.update_manager is not None
             if server.lrc is not None and server.lrc.rli_targets():
                 server.update_manager.send_full_update()
-        for thread in self.hierarchy_threads:
-            thread.updater.forward_once()
+        for forwarder in self.forwarders:
+            forwarder.forward_once()
 
     def start(self) -> "Deployment":
         for server in self.servers:
             server.start()
-        for thread in self.hierarchy_threads:
-            thread.start()
+        for task in self.forward_tasks:
+            task.start()
         return self
 
     def stop(self) -> None:
-        for thread in self.hierarchy_threads:
-            thread.stop()
+        for task in self.forward_tasks:
+            task.stop()
         for server in self.servers:
             server.stop()
 
@@ -185,11 +188,11 @@ def hierarchical(
         deployment.rlis.append(leaf)
         assert leaf.rli is not None
         updater = HierarchicalUpdater(
-            leaf.rli, resolve_sink, parents=[root.config.name]
+            leaf.rli, resolve_sink, parents=[root.config.name],
+            metrics=leaf.metrics,
         )
-        deployment.hierarchy_threads.append(
-            HierarchyThread(updater, interval=forward_interval)
-        )
+        deployment.forwarders.append(updater)
+        deployment.forward_tasks.append(updater.task(forward_interval))
         for i in range(num_lrcs_per_leaf):
             lrc = _make(f"{name}-leaf{leaf_no}-lrc{i}", ServerRole.LRC)
             assert lrc.lrc is not None

@@ -18,14 +18,17 @@ The manager is transport-agnostic: it resolves RLI names to
 :class:`~repro.core.rli.ReplicaLocationIndex`, call through the RPC layer,
 or record traffic for tests.
 
-**Delivery is reliable per target.**  Every RLI has a
-:class:`TargetDeliveryState`: an incremental push that fails re-queues its
-changes for *that* target (newer changes always win over re-queued ones),
-a failed full/Bloom push marks the target unhealthy and due for a fresh
-full push, and :meth:`UpdateManager.tick` redelivers with the backoff of
-the policy's :class:`~repro.net.retry.RetryPolicy`.  Nothing is lost to a
-transient failure; the soft-state full refresh remains the backstop, not
-the only healer.
+**Delivery is reliable per target.**  The rule lives in
+:mod:`repro.core.delivery` and is shared with the mirror feed and the RLI
+hierarchy: an incremental push that fails re-queues its changes for *that*
+target (newer changes always win over re-queued ones), a failed full/Bloom
+push marks the target unhealthy and due for a fresh full push, and
+:meth:`UpdateManager.tick` redelivers with the backoff of the policy's
+:class:`~repro.net.retry.RetryPolicy`.  Nothing is lost to a transient
+failure; the soft-state full refresh remains the backstop, not the only
+healer.  What stays here is what only an LRC→RLI feed has: the catalog
+listener and global delta, the counting Bloom filter, partition routing,
+the three payloads, the parallel fan-out and the schedule.
 """
 
 from __future__ import annotations
@@ -34,15 +37,17 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.core.bloom import BloomParameters, CountingBloomFilter
+from repro.core.delivery import DeliveryEngine, TargetDeliveryState
 from repro.core.errors import UpdateTargetError
 from repro.core.lrc import LocalReplicaCatalog, RLITarget
 from repro.core.partition import PartitionRouter
 from repro.core.rli import ReplicaLocationIndex
 from repro.net.retry import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.periodic import Periodic
 
 
 class UpdateSink(Protocol):
@@ -220,39 +225,6 @@ class UpdateStats:
     retries: int = 0
 
 
-@dataclass
-class TargetDeliveryState:
-    """Per-RLI delivery bookkeeping: health, backlog, and retry schedule."""
-
-    name: str
-    healthy: bool = True
-    consecutive_failures: int = 0
-    #: Incremental changes accepted for this target but not yet delivered.
-    pending_added: set[str] = field(default_factory=set)
-    pending_removed: set[str] = field(default_factory=set)
-    #: A full/Bloom push failed: the next delivery must be a fresh full.
-    needs_full: bool = False
-    last_error: str | None = None
-    #: Clock time before which ``tick()`` will not retry this target.
-    next_retry_at: float = 0.0
-    #: Redelivery attempts made for this target.
-    retries: int = 0
-
-    @property
-    def backlog(self) -> int:
-        return len(self.pending_added) + len(self.pending_removed)
-
-    def to_dict(self) -> dict:
-        return {
-            "healthy": self.healthy,
-            "consecutive_failures": self.consecutive_failures,
-            "backlog": self.backlog,
-            "needs_full": self.needs_full,
-            "last_error": self.last_error,
-            "retries": self.retries,
-        }
-
-
 class UpdateManager:
     """Tracks catalog changes and pushes soft-state updates to RLIs."""
 
@@ -270,20 +242,21 @@ class UpdateManager:
         self.sink_resolver = sink_resolver
         self.policy = policy or UpdatePolicy()
         self.clock = clock
-        self.rng = rng
-        #: Optional flight recorder: delivery attempts, retries, and
-        #: failures land in the server-wide black-box event ring.
-        self.flight = flight
         self.stats = UpdateStats()
-        self._lock = threading.RLock()
+        registry = metrics if metrics is not None else NULL_REGISTRY
+        self.metrics = registry
+        #: Per-target health, backlog and redelivery (the shared rule);
+        #: ``flight`` is the server-wide black-box event ring, if any.
+        self.engine = DeliveryEngine(
+            "updates", "update", self.policy.retry, clock, rng, registry,
+            flight, self.stats, error_kinds=("full", "incremental", "bloom"),
+        )
+        self._lock = self.engine.lock
         self._pending_added: set[str] = set()
         self._pending_removed: set[str] = set()
         self._last_immediate_flush = clock()
         self._last_full_update = clock()
         self._bloom: CountingBloomFilter | None = None
-        self._targets: dict[str, TargetDeliveryState] = {}
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self.metrics = registry
         self._m_full_duration = registry.histogram(
             "updates.duration", kind="full"
         )
@@ -299,19 +272,8 @@ class UpdateManager:
             kind: registry.counter("updates.sent", kind=kind)
             for kind in ("full", "incremental", "bloom")
         }
-        self._m_errors = {
-            kind: registry.counter("updates.errors", kind=kind)
-            for kind in ("full", "incremental", "bloom")
-        }
-        self._m_retries = registry.counter("updates.retries")
         registry.register_gauge_fn(
             "updates.pending_changes", lambda: sum(self.pending_changes())
-        )
-        registry.register_gauge_fn(
-            "updates.retry_backlog", self._total_backlog
-        )
-        registry.register_gauge_fn(
-            "updates.targets_unhealthy", self._unhealthy_count
         )
         lrc.add_lfn_listener(self._on_lfn_change)
 
@@ -336,106 +298,12 @@ class UpdateManager:
         with self._lock:
             return len(self._pending_added), len(self._pending_removed)
 
-    # ------------------------------------------------------------------
-    # Per-target delivery state
-    # ------------------------------------------------------------------
-
-    def _state(self, name: str) -> TargetDeliveryState:
-        with self._lock:
-            state = self._targets.get(name)
-            created = state is None
-            if created:
-                state = self._targets[name] = TargetDeliveryState(name=name)
-        if created:
-            self.metrics.register_gauge_fn(
-                "updates.target_healthy",
-                lambda s=state: 1.0 if s.healthy else 0.0,
-                target=name,
-            )
-        return state
-
-    def _total_backlog(self) -> float:
-        with self._lock:
-            return float(sum(s.backlog for s in self._targets.values()))
-
-    def _unhealthy_count(self) -> float:
-        with self._lock:
-            return float(
-                sum(1 for s in self._targets.values() if not s.healthy)
-            )
-
     def target_health(self) -> dict[str, dict]:
         """Delivery health for every registered target (for admin stats)."""
-        with self._lock:
-            health = {
-                name: state.to_dict() for name, state in self._targets.items()
-            }
+        health = self.engine.health()
         for tgt in self.lrc.rli_targets():
             health.setdefault(tgt.name, TargetDeliveryState(tgt.name).to_dict())
         return health
-
-    def _flight_record(
-        self, kind: str, detail: str, error: bool = False, **data
-    ) -> None:
-        if self.flight is not None:
-            self.flight.record(kind, detail=detail, error=error, **data)
-
-    def _record_failure(
-        self,
-        state: TargetDeliveryState,
-        kind: str,
-        exc: BaseException,
-        needs_full: bool = False,
-    ) -> None:
-        self._flight_record(
-            "error",
-            f"update {kind}->{state.name}: {type(exc).__name__}",
-            error=True,
-            target=state.name,
-        )
-        with self._lock:
-            state.healthy = False
-            state.consecutive_failures += 1
-            state.last_error = f"{type(exc).__name__}: {exc}"
-            if needs_full:
-                state.needs_full = True
-            # Exponential per-target backoff; the attempt index is capped
-            # so long outages plateau at backoff_max rather than overflow.
-            attempt = min(state.consecutive_failures - 1, 16)
-            state.next_retry_at = self.clock() + self.policy.retry.backoff(
-                attempt, self.rng
-            )
-            self.stats.errors += 1
-        self._m_errors[kind].inc()
-
-    def _record_success(self, state: TargetDeliveryState) -> None:
-        with self._lock:
-            state.healthy = True
-            state.consecutive_failures = 0
-            state.last_error = None
-            state.next_retry_at = 0.0
-
-    def _merge_delta(
-        self,
-        state: TargetDeliveryState,
-        added: Iterable[str],
-        removed: Iterable[str],
-    ) -> None:
-        """Fold a fresh delta into a target's backlog; newer intents win.
-
-        An add supersedes a still-queued remove of the same LFN (and vice
-        versa) — the same collapse rule ``_on_lfn_change`` applies to the
-        global delta.  Because the backlog is merged *before* each send
-        and only drained on success, a failed push never clobbers changes
-        that arrived after it was queued.
-        """
-        with self._lock:
-            for lfn in added:
-                state.pending_removed.discard(lfn)
-                state.pending_added.add(lfn)
-            for lfn in removed:
-                state.pending_added.discard(lfn)
-                state.pending_removed.add(lfn)
 
     # ------------------------------------------------------------------
     # Bloom filter maintenance
@@ -478,97 +346,29 @@ class UpdateManager:
         return bloom.entries > capacity
 
     # ------------------------------------------------------------------
-    # Pushing updates
+    # Payloads
     # ------------------------------------------------------------------
 
-    def send_full_update(self, target: RLITarget | None = None) -> float:
-        """Push a full update to one target (or all); returns duration (s).
-
-        Bloom-flagged targets get the packed filter snapshot; others get
-        the (possibly partition-filtered) complete LFN list.  A failing
-        target no longer aborts the fan-out: every target is attempted,
-        failures mark their target unhealthy (``tick()`` re-pushes them
-        later), and the first failure is re-raised once all pushes ran.
-        """
-        targets = [target] if target is not None else self.lrc.rli_targets()
-        if not targets:
-            raise UpdateTargetError("no RLI targets registered")
-        start = time.perf_counter()
-        router = PartitionRouter(targets)
-        all_names: list[str] | None = None
-        if any(not tgt.bloom for tgt in targets):
-            all_names = self.lrc.all_lfns()
-
-        def push_one(tgt: RLITarget) -> None:
-            self._push_full_to(tgt, router, all_names)
-
-        errors: list[BaseException] = []
-        if self.policy.parallel_updates and len(targets) > 1:
-            try:
-                self._push_parallel(targets, push_one)
-            except Exception as exc:
-                errors.append(exc)
-        else:
-            for tgt in targets:
-                try:
-                    push_one(tgt)
-                except Exception as exc:
-                    errors.append(exc)
-        with self._lock:
-            # A full update subsumes any pending incremental changes;
-            # targets that missed it are flagged needs_full, so dropping
-            # the global delta loses nothing for them either.
-            self._pending_added.clear()
-            self._pending_removed.clear()
-            self._last_full_update = self.clock()
-            self._last_immediate_flush = self.clock()
-        elapsed = time.perf_counter() - start
-        self.stats.last_full_duration = elapsed
-        self._m_full_duration.observe(elapsed)
-        if errors:
-            raise errors[0]
-        return elapsed
-
-    def _push_full_to(
+    def _send_full(
         self,
         tgt: RLITarget,
         router: PartitionRouter,
         all_names: list[str] | None = None,
     ) -> None:
-        """One target's share of a full update, with delivery bookkeeping."""
-        state = self._state(tgt.name)
-        self._flight_record(
-            "update.attempt",
-            f"{'bloom' if tgt.bloom else 'full'}->{tgt.name}",
-            target=tgt.name,
-        )
-        try:
-            sink = self.sink_resolver(tgt.name)
-            if tgt.bloom:
-                self._send_bloom(sink, tgt, router)
-            else:
-                names = all_names
-                if names is None:
-                    names = self.lrc.all_lfns()
-                names = router.filter_names(tgt, names)
-                sink.full_update(self.lrc.name, names)
-                with self._lock:
-                    self.stats.full_updates += 1
-                    self.stats.names_sent += len(names)
-                self._m_sent["full"].inc()
-                self._m_names_sent.inc(len(names))
-        except Exception as exc:
-            self._record_failure(
-                state, "bloom" if tgt.bloom else "full", exc, needs_full=True
-            )
-            raise
+        """One target's full payload: the packed filter for a Bloom target,
+        else its (partition-filtered) share of the name list."""
+        sink = self.sink_resolver(tgt.name)
+        if tgt.bloom:
+            self._send_bloom(sink, tgt, router)
+            return
+        names = all_names if all_names is not None else self.lrc.all_lfns()
+        names = router.filter_names(tgt, names)
+        sink.full_update(self.lrc.name, names)
         with self._lock:
-            # The full push replaces the target's state wholesale: any
-            # backlog from earlier incremental failures is subsumed.
-            state.pending_added.clear()
-            state.pending_removed.clear()
-            state.needs_full = False
-        self._record_success(state)
+            self.stats.full_updates += 1
+            self.stats.names_sent += len(names)
+        self._m_sent["full"].inc()
+        self._m_names_sent.inc(len(names))
 
     def _send_bloom(
         self, sink: UpdateSink, target: RLITarget, router: PartitionRouter
@@ -612,31 +412,93 @@ class UpdateManager:
         self._m_bloom_bytes.inc(len(payload))
         self._m_bloom_send.observe(elapsed)
 
-    def _push_parallel(self, targets, push_one) -> None:
-        """Fan a push out to every target concurrently; re-raise the first
-        failure after all threads finish (no target is silently skipped)."""
-        errors: list[BaseException] = []
-        error_lock = threading.Lock()
+    def _send_delta(
+        self, tgt: RLITarget, added: list[str], removed: list[str]
+    ) -> None:
+        sink = self.sink_resolver(tgt.name)
+        sink.incremental_update(self.lrc.name, added, removed)
+        with self._lock:
+            self.stats.incremental_updates += 1
+            self.stats.names_sent += len(added) + len(removed)
+        self._m_sent["incremental"].inc()
+        self._m_names_sent.inc(len(added) + len(removed))
 
-        def runner(tgt: RLITarget) -> None:
-            try:
-                push_one(tgt)
-            except BaseException as exc:  # noqa: BLE001 - recorded, re-raised
-                with error_lock:
-                    errors.append(exc)
+    # ------------------------------------------------------------------
+    # Pushing updates
+    # ------------------------------------------------------------------
+
+    def _push_full_to(
+        self,
+        tgt: RLITarget,
+        router: PartitionRouter,
+        all_names: list[str] | None = None,
+    ) -> Exception | None:
+        return self.engine.push_full(
+            tgt.name,
+            lambda: self._send_full(tgt, router, all_names),
+            "bloom" if tgt.bloom else "full",
+        )
+
+    def send_full_update(self, target: RLITarget | None = None) -> float:
+        """Push a full update to one target (or all); returns duration (s).
+
+        Bloom-flagged targets get the packed filter snapshot; others get
+        the (possibly partition-filtered) complete LFN list.  A failing
+        target does not abort the fan-out: every target is attempted,
+        failures mark their target unhealthy (``tick()`` re-pushes them
+        later), and the first failure is re-raised once all pushes ran.
+        """
+        targets = [target] if target is not None else self.lrc.rli_targets()
+        if not targets:
+            raise UpdateTargetError("no RLI targets registered")
+        start = time.perf_counter()
+        router = PartitionRouter(targets)
+        all_names: list[str] | None = None
+        if any(not tgt.bloom for tgt in targets):
+            all_names = self.lrc.all_lfns()
+
+        def push_one(tgt: RLITarget) -> Exception | None:
+            return self._push_full_to(tgt, router, all_names)
+
+        if self.policy.parallel_updates and len(targets) > 1:
+            outcomes = self._push_parallel(targets, push_one)
+        else:
+            outcomes = [push_one(tgt) for tgt in targets]
+        with self._lock:
+            # A full update subsumes any pending incremental changes;
+            # targets that missed it are flagged needs_full, so dropping
+            # the global delta loses nothing for them either.
+            self._pending_added.clear()
+            self._pending_removed.clear()
+            self._last_full_update = self.clock()
+            self._last_immediate_flush = self.clock()
+        elapsed = time.perf_counter() - start
+        self.stats.last_full_duration = elapsed
+        self._m_full_duration.observe(elapsed)
+        for failure in outcomes:
+            if failure is not None:
+                raise failure
+        return elapsed
+
+    def _push_parallel(self, targets, push_one) -> list[Exception | None]:
+        """Fan a push out to every target concurrently (one thread each);
+        returns every target's outcome once all threads finished."""
+        outcomes: list[Exception | None] = [None] * len(targets)
+
+        def runner(slot: int, tgt: RLITarget) -> None:
+            outcomes[slot] = push_one(tgt)
 
         threads = [
             threading.Thread(
-                target=runner, args=(tgt,), name=f"update-{tgt.name}"
+                target=runner, args=(slot, tgt), name=f"update-{tgt.name}"
             )
-            for tgt in targets
+            for slot, tgt in enumerate(targets)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        if errors:
-            raise errors[0]
+        return outcomes
 
     def send_incremental_update(self) -> int:
         """Flush pending adds/removes to all non-Bloom targets (§3.3).
@@ -655,80 +517,24 @@ class UpdateManager:
             self._pending_added.clear()
             self._pending_removed.clear()
             self._last_immediate_flush = self.clock()
-            have_backlog = any(s.backlog for s in self._targets.values())
+            have_backlog = self.engine.backlog() > 0
         if not added and not removed and not have_backlog:
             return 0
         targets = self.lrc.rli_targets()
         router = PartitionRouter(targets)
         for tgt in targets:
-            if tgt.bloom:
-                if not added and not removed:
-                    continue
-                state = self._state(tgt.name)
-                self._flight_record(
-                    "update.attempt", f"bloom->{tgt.name}", target=tgt.name
-                )
-                try:
-                    sink = self.sink_resolver(tgt.name)
-                    self._send_bloom(sink, tgt, router)
-                except Exception as exc:
-                    # The filter snapshot is wholesale state: nothing to
-                    # re-queue, but the target must get a fresh one.
-                    self._record_failure(state, "bloom", exc, needs_full=True)
-                    continue
-                self._record_success(state)
-            else:
-                self._push_incremental_to(
-                    tgt,
+            if not tgt.bloom:
+                self.engine.push_delta(
+                    tgt.name,
+                    lambda a, r, tgt=tgt: self._send_delta(tgt, a, r),
                     router.filter_names(tgt, added),
                     router.filter_names(tgt, removed),
                 )
+            elif added or removed:
+                # The filter snapshot is wholesale state: nothing to
+                # re-queue, a failure leaves the target owed a fresh one.
+                self._push_full_to(tgt, router)
         return len(added) + len(removed)
-
-    def _push_incremental_to(
-        self,
-        tgt: RLITarget,
-        added: Sequence[str],
-        removed: Sequence[str],
-    ) -> bool:
-        """Deliver backlog + new delta to one target; False on failure.
-
-        The target's backlog and the new delta are merged *before* the
-        send (newer intents win), so a crash between "clear pending" and
-        "sink delivered" can no longer drop changes: nothing leaves the
-        backlog until the sink call returns.
-        """
-        state = self._state(tgt.name)
-        self._merge_delta(state, added, removed)
-        with self._lock:
-            send_added = sorted(state.pending_added)
-            send_removed = sorted(state.pending_removed)
-        if not send_added and not send_removed:
-            return True
-        self._flight_record(
-            "update.attempt",
-            f"incremental->{tgt.name}",
-            target=tgt.name,
-            added=len(send_added),
-            removed=len(send_removed),
-        )
-        try:
-            sink = self.sink_resolver(tgt.name)
-            sink.incremental_update(self.lrc.name, send_added, send_removed)
-        except Exception as exc:
-            self._record_failure(state, "incremental", exc)
-            return False
-        with self._lock:
-            # Remove exactly what was delivered; changes that raced in
-            # during the send stay queued for the next flush.
-            state.pending_added.difference_update(send_added)
-            state.pending_removed.difference_update(send_removed)
-            self.stats.incremental_updates += 1
-            self.stats.names_sent += len(send_added) + len(send_removed)
-        self._m_sent["incremental"].inc()
-        self._m_names_sent.inc(len(send_added) + len(send_removed))
-        self._record_success(state)
-        return True
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -753,52 +559,40 @@ class UpdateManager:
         """Redeliver to targets whose backoff has expired.
 
         Returns ``"retry:<target>"`` markers for every attempt made.  A
-        target flagged ``needs_full`` gets a fresh full/Bloom push; one
-        with only incremental backlog gets the backlog.  Failures re-arm
-        the target's backoff; nothing raises.
+        target flagged ``needs_full`` (or a Bloom one) gets a fresh
+        full/Bloom push; one with only incremental backlog gets the
+        backlog.  Failures re-arm the target's backoff; nothing raises.
         """
-        now = self.clock()
-        with self._lock:
-            candidates = [
-                state
-                for state in self._targets.values()
-                if (not state.healthy or state.needs_full or state.backlog)
-                and now >= state.next_retry_at
-            ]
-        if not candidates:
+        due = self.engine.due()
+        if not due:
             return []
         targets = {tgt.name: tgt for tgt in self.lrc.rli_targets()}
         router = PartitionRouter(list(targets.values()))
         attempted: list[str] = []
-        for state in candidates:
+        for state in due:
             tgt = targets.get(state.name)
             if tgt is None:
-                # The RLI was unregistered; drop its delivery state.
-                with self._lock:
-                    self._targets.pop(state.name, None)
+                self.engine.forget(state.name)  # the RLI was unregistered
                 continue
-            with self._lock:
-                self.stats.retries += 1
-                state.retries += 1
-            self._m_retries.inc()
-            attempted.append(f"retry:{state.name}")
-            self._flight_record(
-                "update.retry",
-                state.name,
-                target=state.name,
-                consecutive_failures=state.consecutive_failures,
+            attempted.append(
+                self.engine.redeliver(
+                    state,
+                    lambda tgt=tgt: self._send_full(tgt, router),
+                    None
+                    if tgt.bloom
+                    else lambda a, r, tgt=tgt: self._send_delta(tgt, a, r),
+                    "bloom" if tgt.bloom else "full",
+                )
             )
-            if state.needs_full or tgt.bloom:
-                try:
-                    self._push_full_to(tgt, router)
-                except Exception:
-                    continue  # recorded by _push_full_to; backoff re-armed
-            else:
-                self._push_incremental_to(tgt, (), ())
         return attempted
 
     def tick(self) -> list[str]:
-        """Run any due pushes plus pending redeliveries; returns actions."""
+        """Run any due pushes plus pending redeliveries; returns actions.
+
+        Redelivery candidates are chosen after the scheduled push, which
+        re-arms the backoff of a target it failed on: one attempt per
+        target per tick.
+        """
         performed = []
         for action in self.due_actions():
             if action == "full":
@@ -810,56 +604,27 @@ class UpdateManager:
         return performed
 
 
-class UpdateThread:
-    """Background scheduler calling :meth:`UpdateManager.tick`."""
+def tick_task(manager, poll_interval: float = 1.0) -> Periodic:
+    """The background scheduler of an :class:`UpdateManager` or a
+    :class:`~repro.cluster.mirror.MirrorManager`: ``manager.tick()`` every
+    ``poll_interval`` seconds.  An exception escaping ``tick()`` is counted
+    — on the task, in ``manager.stats.errors`` and as
+    ``updates.errors{kind=tick,error=<type>}``, which feeds the collector's
+    pathology detectors — and the task keeps going.
+    """
 
-    def __init__(self, manager: UpdateManager, poll_interval: float = 1.0) -> None:
-        self.manager = manager
-        self.poll_interval = poll_interval
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        #: Exceptions that escaped ``tick()`` (the daemon keeps running).
-        self.errors = 0
-        self.last_error: str | None = None
+    def on_error(exc: BaseException) -> None:
+        manager.metrics.counter(
+            "updates.errors", kind="tick", error=type(exc).__name__
+        ).inc()
+        with manager.engine.lock:
+            manager.stats.errors += 1
 
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._loop,
-            name=f"lrc-updates-{self.manager.lrc.name}",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        from repro.obs.profile import register_thread, unregister_thread
-
-        register_thread("updates")
-        try:
-            self._run()
-        finally:
-            unregister_thread()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.poll_interval):
-            try:
-                self.manager.tick()
-            except Exception as exc:
-                # Keep the daemon alive, but never silently: the error
-                # count and type feed the collector's pathology detectors.
-                self.errors += 1
-                self.last_error = f"{type(exc).__name__}: {exc}"
-                self.manager.metrics.counter(
-                    "updates.errors",
-                    kind="tick",
-                    error=type(exc).__name__,
-                ).inc()
-                with self.manager._lock:
-                    self.manager.stats.errors += 1
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+    return Periodic(
+        f"lrc-updates-{manager.lrc.name}",
+        poll_interval,
+        lambda: manager.tick(),  # looked up per call: tests swap tick()
+        role="updates",
+        on_error=on_error,
+        metrics=manager.metrics,
+    )

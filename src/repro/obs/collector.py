@@ -33,12 +33,12 @@ each node's own :class:`~repro.obs.timeseries.SeriesStore`, reachable via
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, split_metric_key
+from repro.obs.periodic import Periodic
 from repro.obs.timeseries import (
     DEFAULT_CAPACITY,
     DEFAULT_INTERVAL,
@@ -146,8 +146,9 @@ class ClusterCollector:
         }
         self.rounds = 0
         self.last_sample: ClusterSample | None = None
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        self.task = Periodic(
+            "obs-collector", interval, self.scrape_once, role="collector"
+        )
 
     # -- structure -------------------------------------------------------
 
@@ -225,28 +226,13 @@ class ClusterCollector:
     # -- background operation -------------------------------------------
 
     def start(self) -> "ClusterCollector":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self.scrape_once()  # priming round
-        self._thread = threading.Thread(
-            target=self._loop, name="obs-collector", daemon=True
-        )
-        self._thread.start()
+        if not self.task.running:
+            self.scrape_once()  # priming round
+            self.task.start()
         return self
 
-    def _loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            try:
-                self.scrape_once()
-            except Exception:
-                continue
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+    def stop(self) -> bool:
+        return self.task.stop()
 
     def __enter__(self) -> "ClusterCollector":
         return self.start()

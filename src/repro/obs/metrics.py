@@ -286,6 +286,9 @@ class NullRegistry:
     ) -> None:
         pass
 
+    def unregister_gauge_fn(self, name: str, **labels: str) -> None:
+        pass
+
     def register_counters(self, fn: Callable[[], dict[str, float]]) -> None:
         pass
 
@@ -386,6 +389,7 @@ _METRIC_HELP: dict[str, str] = {
     "obs_slo_ticks": "SLI recorder passes over the metrics registry",
     "obs_slo_tick_latency": "Seconds per SLI recorder pass",
     "obs_selfcheck_observer_errors": "Exceptions a request observer raised (fenced)",
+    "obs_selfcheck_task_errors": "Exceptions a periodic background task raised (fenced)",
     "slo_availability": "Availability SLI per operation class (fast window)",
     "slo_latency_sli": "Fraction of requests under the class latency threshold",
     "slo_burn_rate": "Error-budget burn rate per operation class and window",
@@ -453,6 +457,11 @@ class MetricsRegistry:
         """Register a callback sampled at snapshot time (e.g. a row count)."""
         with self._lock:
             self._gauge_fns[metric_key(name, labels)] = fn
+
+    def unregister_gauge_fn(self, name: str, **labels: str) -> None:
+        """Drop a callback gauge whose subject is gone (no-op if absent)."""
+        with self._lock:
+            self._gauge_fns.pop(metric_key(name, labels), None)
 
     def register_counters(self, fn: Callable[[], dict[str, float]]) -> None:
         """Register a callback returning ``{metric_key: total}`` counter

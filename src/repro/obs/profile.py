@@ -38,6 +38,7 @@ from typing import Any, Callable, Mapping
 
 from repro.obs.analyze import Detection, detect_stuck_threads
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.periodic import Periodic
 
 #: Frames whose top function is one of these are considered idle — parked
 #: in a wait/IO primitive, not burning CPU.  The stuck-thread detector
@@ -294,9 +295,15 @@ class SamplingProfiler:
         self._profile = StackProfile()
         #: ident -> (top frame label, consecutive identical samples, idle).
         self._top_runs: dict[int, tuple[str, int, bool]] = {}
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         registry = metrics if metrics is not None else NULL_REGISTRY
+        #: The sampling loop (none at hz=0); a torn frame snapshot is
+        #: counted on it and the next tick retries.
+        self.task: Periodic | None = None
+        if hz > 0:
+            self.task = Periodic(
+                "obs-profiler", 1.0 / hz, self.sample_once,
+                role="profiler", metrics=registry,
+            )
         self._m_samples = registry.counter("obs.profiler.samples")
         self._m_walk = registry.histogram("obs.profiler.walk_latency")
         self._m_duty = registry.gauge("obs.profiler.duty_cycle")
@@ -430,35 +437,13 @@ class SamplingProfiler:
 
     def start(self) -> "SamplingProfiler":
         """Sample every ``1/hz`` seconds on a daemon thread."""
-        if not self.enabled:
+        if self.task is None:
             raise ValueError("cannot start a profiler with hz=0")
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="obs-profiler", daemon=True
-        )
-        self._thread.start()
+        self.task.start()
         return self
 
-    def _loop(self) -> None:
-        register_thread("profiler")
-        try:
-            while not self._stop.wait(self.interval):
-                try:
-                    self.sample_once()
-                except Exception:
-                    # A torn frame snapshot must not kill the sampler; the
-                    # next tick retries.
-                    continue
-        finally:
-            unregister_thread()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+    def stop(self) -> bool:
+        return self.task is None or self.task.stop()
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()

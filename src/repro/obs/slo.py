@@ -49,6 +49,7 @@ from repro.obs.metrics import (
     bucket_index,
     split_metric_key,
 )
+from repro.obs.periodic import Periodic
 
 __all__ = [
     "BurnWindow",
@@ -412,8 +413,8 @@ class SLIRecorder:
         }
         self._lock = threading.Lock()
         self._last: MetricsSnapshot | None = None
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
+        #: The optional background loop, made by ``start()``.
+        self.task: Periodic | None = None
         self.ticks = 0
         # Self-metering, like the profiler and scraper: the recorder's
         # own cost must be visible to the overhead gate.
@@ -539,32 +540,19 @@ class SLIRecorder:
             "alerts": self.alerts(now),
         }
 
-    # -- optional background thread (Scraper lifecycle idiom) ------------
+    # -- optional background thread --------------------------------------
 
     def start(self, interval: float) -> "SLIRecorder":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-
-        def loop() -> None:
-            from repro.obs.profile import thread_role
-
-            with thread_role("slo"):
-                while not self._stop.wait(interval):
-                    try:
-                        self.tick()
-                    except Exception:
-                        pass  # never let a tick kill the recorder
-
-        self._thread = threading.Thread(
-            target=loop, name="sli-recorder", daemon=True
-        )
-        self._thread.start()
+        if self.task is None or not self.task.running:
+            self.task = Periodic(
+                "sli-recorder",
+                interval,
+                self.tick,
+                role="slo",
+                metrics=self.registry,
+            )
+        self.task.start()
         return self
 
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
+    def stop(self) -> bool:
+        return self.task is None or self.task.stop()

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.obs.metrics import MetricsSnapshot, split_metric_key
+from repro.obs.periodic import Periodic
 
 #: Default number of points retained per series (ring buffer size).
 DEFAULT_CAPACITY = 720
@@ -203,8 +204,11 @@ class Scraper:
         self.on_scrape = on_scrape
         self.scrapes = 0
         self._last: tuple[float, MetricsSnapshot] | None = None
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
+        #: The background loop; a failing source (e.g. a node mid-restart)
+        #: is counted on it and the next tick retries.
+        self.task = Periodic(
+            "obs-scraper", interval, self.scrape_once, role="scraper"
+        )
 
     @property
     def last_snapshot(self) -> MetricsSnapshot | None:
@@ -257,36 +261,13 @@ class Scraper:
 
     def start(self) -> "Scraper":
         """Scrape every ``interval`` seconds on a daemon thread."""
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self.scrape_once()  # prime immediately so the first tick rates
-        self._thread = threading.Thread(
-            target=self._loop, name="obs-scraper", daemon=True
-        )
-        self._thread.start()
+        if not self.task.running:
+            self.scrape_once()  # prime immediately so the first tick rates
+            self.task.start()
         return self
 
-    def _loop(self) -> None:
-        from repro.obs.profile import register_thread, unregister_thread
-
-        register_thread("scraper")
-        try:
-            while not self._stop.wait(self.interval):
-                try:
-                    self.scrape_once()
-                except Exception:
-                    # A failing source (e.g. a node mid-restart) must not
-                    # kill the scrape loop; the next tick retries.
-                    continue
-        finally:
-            unregister_thread()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+    def stop(self) -> bool:
+        return self.task.stop()
 
     def __enter__(self) -> "Scraper":
         return self.start()

@@ -2,8 +2,9 @@
 
 One shared vocabulary of failure modes: a scriptable
 :class:`FailureSchedule` decides *when* to fail, and the
-:class:`FlakyChannel` / :class:`FlakySink` wrappers decide *where* —
-the RPC transport or the soft-state update path.  Unit tests, the
+:class:`FlakyChannel` / :class:`FlakySink` / :class:`FlakyMirrorSink`
+wrappers decide *where* — the RPC transport, the soft-state update path
+or a mirror feed.  Unit tests, the
 integration suite, and :mod:`repro.sim.rls_sim` experiments all drive
 the same schedules, so a failure shape proven in a fast unit test is the
 same shape the simulator replays over hours of virtual time.
@@ -13,6 +14,7 @@ from repro.testing.faults import (
     FailureSchedule,
     FaultInjected,
     FlakyChannel,
+    FlakyMirrorSink,
     FlakySink,
 )
 
@@ -20,5 +22,6 @@ __all__ = [
     "FailureSchedule",
     "FaultInjected",
     "FlakyChannel",
+    "FlakyMirrorSink",
     "FlakySink",
 ]

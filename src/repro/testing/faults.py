@@ -11,6 +11,7 @@ the retry layer classifies it as transient) on scheduled failures.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 from repro.net.messages import Request, Response
@@ -114,7 +115,30 @@ class FlakyChannel(Channel):
         self.inner.close()
 
 
-class FlakySink:
+class _FlakyPush:
+    """Fault decision shared by the flaky sinks: one schedule slot per
+    push; a scheduled failure drops the push before it reaches ``inner``
+    unless ``fail_after=True``, which applies it and then loses the
+    acknowledgement (the :class:`FlakyChannel` modes)."""
+
+    def __init__(
+        self, inner, schedule: FailureSchedule, fail_after: bool = False
+    ) -> None:
+        self.inner = inner
+        self.schedule = schedule
+        self.fail_after = fail_after
+
+    @contextmanager
+    def _slot(self, what: str):
+        fail = self.schedule.next_outcome()
+        if fail and not self.fail_after:
+            raise FaultInjected(f"push dropped: {what}")
+        yield
+        if fail:
+            raise FaultInjected(f"acknowledgement lost: {what}")
+
+
+class FlakySink(_FlakyPush):
     """An :class:`~repro.core.updates.UpdateSink` wrapper failing on schedule.
 
     Records every *delivered* update (same shape as the test suite's
@@ -123,31 +147,50 @@ class FlakySink:
     whatever its flavour.
     """
 
-    def __init__(self, inner, schedule: FailureSchedule) -> None:
-        self.inner = inner
-        self.schedule = schedule
+    def __init__(self, inner, schedule, fail_after: bool = False) -> None:
+        super().__init__(inner, schedule, fail_after)
         self.full: list[tuple] = []
         self.incremental: list[tuple] = []
         self.bloom: list[tuple] = []
 
     def full_update(self, lrc_name, lfns) -> None:
-        self.schedule.check("full_update")
-        self.inner.full_update(lrc_name, lfns)
-        self.full.append((lrc_name, list(lfns)))
+        with self._slot("full_update"):
+            self.inner.full_update(lrc_name, lfns)
+            self.full.append((lrc_name, list(lfns)))
 
     def incremental_update(self, lrc_name, added, removed) -> None:
-        self.schedule.check("incremental_update")
-        self.inner.incremental_update(lrc_name, added, removed)
-        self.incremental.append((lrc_name, list(added), list(removed)))
+        with self._slot("incremental_update"):
+            self.inner.incremental_update(lrc_name, added, removed)
+            self.incremental.append((lrc_name, list(added), list(removed)))
 
     def bloom_update(
         self, lrc_name, bitmap, num_bits, num_hashes, approx_entries
     ) -> None:
-        self.schedule.check("bloom_update")
-        self.inner.bloom_update(
-            lrc_name, bitmap, num_bits, num_hashes, approx_entries
-        )
-        self.bloom.append((lrc_name, num_bits, num_hashes, approx_entries))
+        with self._slot("bloom_update"):
+            self.inner.bloom_update(
+                lrc_name, bitmap, num_bits, num_hashes, approx_entries
+            )
+            self.bloom.append((lrc_name, num_bits, num_hashes, approx_entries))
+
+
+class FlakyMirrorSink(_FlakyPush):
+    """The :class:`~repro.cluster.mirror.MirrorSink` face of
+    :class:`FlakySink`: delivered pushes land in ``full`` / ``deltas``."""
+
+    def __init__(self, inner, schedule, fail_after: bool = False) -> None:
+        super().__init__(inner, schedule, fail_after)
+        self.full: list[tuple] = []
+        self.deltas: list[tuple] = []
+
+    def full_sync(self, master, pairs) -> None:
+        with self._slot("full_sync"):
+            self.inner.full_sync(master, pairs)
+            self.full.append((master, list(pairs)))
+
+    def incremental(self, master, added, removed) -> None:
+        with self._slot("incremental"):
+            self.inner.incremental(master, added, removed)
+            self.deltas.append((master, list(added), list(removed)))
 
 
 class NullSink:

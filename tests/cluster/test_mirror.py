@@ -266,3 +266,109 @@ class TestStaleness:
         assert counters["mirror.pairs_sent"] == 1
         gauges = registry.snapshot().gauges
         assert gauges["mirror.target_healthy{target=metrics-mirror}"] == 1.0
+
+
+class TestOneRuleWithTheRLIFeed:
+    """The mirror feed runs under the delivery rule of the LRC→RLI feed
+    (``repro.core.delivery``): driven the same way, both behave the same."""
+
+    @staticmethod
+    def drive(manager, sink_calls, create, health, clock, ticks=5):
+        """One new change per tick against a dead sink; returns the sink
+        calls made and the consecutive-failure reading after each tick."""
+        failures = []
+        for i in range(ticks):
+            create(i)
+            clock.now += 1000.0  # past every flush interval and backoff
+            manager.tick()
+            failures.append(health()["consecutive_failures"])
+        return sink_calls(), failures
+
+    def test_one_attempt_per_target_per_tick(self):
+        from repro.core.updates import UpdateManager
+        from repro.testing import FailureSchedule, FlakyMirrorSink, FlakySink
+        from repro.testing.faults import NullSink
+
+        class NullMirror:
+            def full_sync(self, master, pairs):
+                pass
+
+        # Both feeds: the first (full) push lands, then the target dies.
+        policy = UpdatePolicy(full_interval=1e9)
+        clock = FakeClock()
+        master = make_lrc("one-attempt-master")
+        mirror_schedule = FailureSchedule([False], default=True)
+        mirror_sink = FlakyMirrorSink(NullMirror(), mirror_schedule)
+        mirrors = MirrorManager(
+            master,
+            sink_resolver=lambda name: mirror_sink,
+            policy=policy,
+            clock=clock,
+            rng=lambda: 0.5,
+        )
+        mirrors.add_mirror("m1")
+        mirrors.send_full_sync()
+        mirror_outcome = self.drive(
+            mirrors,
+            lambda: mirror_schedule.calls - 1,
+            lambda i: master.create_mapping(f"m{i}", f"pfn://m{i}"),
+            lambda: mirrors.target_health()["m1"],
+            clock,
+        )
+
+        clock = FakeClock()
+        lrc = make_lrc("one-attempt-lrc")
+        rli_schedule = FailureSchedule([False], default=True)
+        rli_sink = FlakySink(NullSink(), rli_schedule)
+        updates = UpdateManager(
+            lrc, lambda name: rli_sink, policy=policy, clock=clock,
+            rng=lambda: 0.5,
+        )
+        lrc.add_rli("r1")
+        updates.send_full_update()
+        rli_outcome = self.drive(
+            updates,
+            lambda: rli_schedule.calls - 1,
+            lambda i: lrc.create_mapping(f"r{i}", f"pfn://r{i}"),
+            lambda: updates.target_health()["r1"],
+            clock,
+        )
+
+        # Parent commit: the mirror made 9 calls and read 1, 3, 5, 7, 9 —
+        # tick() picked its retry candidates before flush() re-armed the
+        # backoff, so a failing mirror was attempted twice per tick.
+        assert mirror_outcome == (5, [1, 2, 3, 4, 5])
+        assert rli_outcome == mirror_outcome
+
+    def test_first_full_sync_is_not_a_retry(self):
+        registry = MetricsRegistry()
+        master = make_lrc("first-sync-master")
+        mirror = make_lrc("first-sync-mirror")
+        ingest = MirrorIngest(mirror, master="first-sync-master")
+        manager = MirrorManager(
+            master,
+            sink_resolver=lambda name: DirectMirrorSink(ingest),
+            metrics=registry,
+        )
+        manager.add_mirror("first-sync-mirror")
+        master.create_mapping("a", "pfn://a")
+        assert manager.tick() == ["retry:first-sync-mirror"]  # marker kept
+        assert ingest.full_syncs == 1
+        health = manager.target_health()["first-sync-mirror"]
+        assert health["healthy"] and health["retries"] == 0
+        assert manager.stats.retries == 0
+        assert registry.snapshot().counters["mirror.retries"] == 0
+
+    def test_remove_mirror_drops_its_health_series(self):
+        registry = MetricsRegistry()
+        manager = MirrorManager(
+            make_lrc("forget-master"),
+            sink_resolver=lambda name: None,
+            metrics=registry,
+        )
+        manager.add_mirror("gone")
+        key = "mirror.target_healthy{target=gone}"
+        assert key in registry.snapshot().gauges
+        manager.remove_mirror("gone")
+        assert key not in registry.snapshot().gauges
+        assert manager.mirrors() == []

@@ -10,11 +10,17 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import ServerConfig, ServerRole
 from repro.core.server import RLSServer
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.postgres_engine import PostgresEngine
+
+
+#: ``--hypothesis-profile=ci``: the example count CI's fault-injection job
+#: runs tests/core/test_delivery_stateful.py at (tier-1 keeps the default).
+settings.register_profile("ci", max_examples=500)
 
 
 def _rls_threads() -> set[threading.Thread]:

@@ -7,8 +7,7 @@ import pytest
 from repro.core.client import connect
 from repro.core.config import ServerRole
 from repro.core.errors import MappingNotFoundError
-from repro.core.rli import ExpireThread, ReplicaLocationIndex
-from repro.core.updates import UpdatePolicy, UpdateThread
+from repro.core.updates import UpdatePolicy, tick_task
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
 
@@ -23,39 +22,45 @@ def wait_until(predicate, timeout=5.0, interval=0.02) -> bool:
 
 
 class TestExpireThread:
-    def make_rli(self, timeout):
-        engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0)
-        rli = ReplicaLocationIndex(
-            Connection(engine, "d"), name="daemon-rli", timeout=timeout
+    """RLI expiry under the server's periodic task (the task's own
+    lifecycle — start twice, stop twice — is tests/obs/test_periodic.py)."""
+
+    def test_expires_in_background(self, make_server):
+        server = make_server(
+            ServerRole.RLI, rli_timeout=0.1, expire_interval=0.05
+        ).start()
+        server.rli.apply_full_update("lrcA", ["ephemeral"])
+        assert wait_until(lambda: server.rli.mapping_count() == 0)
+
+    def test_expiry_survives_a_raising_expire_once(self, make_server):
+        """One failing pass must not end soft-state expiry for the life of
+        the server, and must not be silent."""
+        server = make_server(
+            ServerRole.RLI, rli_timeout=0.1, expire_interval=0.02
         )
-        rli.init_schema()
-        return rli
+        real = server.rli.conn
+        failures = {"left": 1}
 
-    def test_expires_in_background(self):
-        rli = self.make_rli(timeout=0.1)
-        rli.apply_full_update("lrcA", ["ephemeral"])
-        thread = ExpireThread(rli, interval=0.05)
-        thread.start()
-        try:
-            assert wait_until(lambda: rli.mapping_count() == 0)
-        finally:
-            thread.stop()
+        class StubConnection:
+            def __getattr__(self, name):
+                return getattr(real, name)
 
-    def test_stop_is_idempotent_and_joins(self):
-        rli = self.make_rli(timeout=100.0)
-        thread = ExpireThread(rli, interval=0.05)
-        thread.start()
-        thread.stop()
-        thread.stop()  # no raise
+            def execute(self, sql, params=()):
+                if failures["left"] and sql.startswith("SELECT lfn_id, pfn_id"):
+                    failures["left"] -= 1
+                    raise ConnectionError("database briefly away")
+                return real.execute(sql, params)
 
-    def test_start_twice_is_noop(self):
-        rli = self.make_rli(timeout=100.0)
-        thread = ExpireThread(rli, interval=10.0)
-        thread.start()
-        first = thread._thread
-        thread.start()
-        assert thread._thread is first
-        thread.stop()
+        server.rli.conn = StubConnection()
+        server.start()
+        server.rli.apply_full_update("lrcA", ["ephemeral"])
+        assert wait_until(lambda: server.rli.mapping_count() == 0)
+        task = server._tasks["expire"]
+        assert failures["left"] == 0
+        assert task.errors == 1
+        assert task.last_error == "ConnectionError: database briefly away"
+        counters = server.metrics.snapshot().counters
+        assert counters["obs.selfcheck.task_errors{task=expire}"] == 1
 
 
 class TestUpdateThreadIntegration:
@@ -73,7 +78,7 @@ class TestUpdateThreadIntegration:
         )
         server.config.update_poll_interval = 0.02
         server.start()
-        assert server._update_thread is not None
+        assert server._tasks["updates"].running
         client = connect(server.config.name)
         client.add_rli(server.config.name)
         client.create("bg-lfn", "bg-pfn")
@@ -137,7 +142,7 @@ class TestUpdateThreadIntegration:
             policy=UpdatePolicy(immediate_interval=0.01,
                                 bloom_expected_entries=1024),
         )
-        thread = UpdateThread(manager, poll_interval=0.01)
+        thread = tick_task(manager, poll_interval=0.01)
         thread.start()
         try:
             lrc.create_mapping("a", "p")
@@ -146,3 +151,67 @@ class TestUpdateThreadIntegration:
             assert thread._thread.is_alive()
         finally:
             thread.stop()
+
+
+class TestStopLeaksNoThread:
+    """North-star invariant: ``stop()`` under load leaks no thread."""
+
+    def test_stop_under_tcp_writes_leaves_no_server_thread(self, make_server):
+        import threading
+
+        from repro.core.client import connect_tcp_server
+
+        before = set(threading.enumerate())
+        mirror = make_server(ServerRole.LRC, name="leak-mirror", mirror_of="leak-master")
+        mirror.start()
+        server = make_server(
+            ServerRole.BOTH,
+            name="leak-master",
+            tcp=True,
+            mirrors=("leak-mirror",),
+            mirror_push_interval=0.01,
+            update_poll_interval=0.01,
+            expire_interval=0.01,
+            slo_tick_interval=0.01,
+            profile_hz=200.0,
+            updates=UpdatePolicy(immediate_interval=0.01, parallel_updates=True),
+        ).start()
+        server.lrc.add_rli("leak-master")
+        server.lrc.add_rli("leak-master-bloom-twin", bloom=True)  # unreachable
+        started = set(threading.enumerate()) - before
+        roles = {t.name.split("-leak")[0] for t in started}
+        assert {"rli-expire", "lrc-updates"} <= roles
+        assert {"obs-profiler", "sli-recorder"} <= {t.name for t in started}
+
+        written = [0, 0, 0, 0]
+        halt = threading.Event()
+
+        def writer(slot: int) -> None:
+            client = connect_tcp_server(*server.tcp_address)
+            try:
+                while not halt.is_set():
+                    client.create(f"leak-{slot}-{written[slot]}", "pfn")
+                    written[slot] += 1
+            except Exception:  # noqa: BLE001 - the server went away, as intended
+                pass
+            finally:
+                client.close()
+
+        writers = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+        for thread in writers:
+            thread.start()
+        try:
+            assert wait_until(lambda: min(written) >= 20)
+            assert wait_until(lambda: mirror.lrc.lfn_count() > 0)
+            server.stop()  # raises if a task's thread did not exit
+        finally:
+            halt.set()
+            for thread in writers:
+                thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in writers)
+        mirror.stop()
+        assert wait_until(
+            lambda: not (set(threading.enumerate()) - before - set(writers)),
+            timeout=2.0,
+        ), sorted(t.name for t in set(threading.enumerate()) - before)
+        assert server._tasks == {}

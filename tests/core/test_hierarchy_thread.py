@@ -1,9 +1,10 @@
-"""HierarchyThread lifecycle tests (forward_once is covered elsewhere)."""
+"""The hierarchy forwarder under its periodic task (``forward_once`` is
+covered elsewhere; the task's own lifecycle is tests/obs/test_periodic.py)."""
 
 import time
 
 from repro.core.config import ServerRole
-from repro.core.hierarchy import HierarchicalUpdater, HierarchyThread
+from repro.core.hierarchy import HierarchicalUpdater
 from repro.core.membership import resolve_sink
 
 
@@ -15,7 +16,7 @@ class TestHierarchyThread:
         updater = HierarchicalUpdater(
             child.rli, resolve_sink, parents=[parent.config.name]
         )
-        thread = HierarchyThread(updater, interval=0.05)
+        thread = updater.task(interval=0.05)
         thread.start()
         try:
             ok = 0
@@ -31,14 +32,3 @@ class TestHierarchyThread:
             assert updater.stats.forward_passes >= 5
         finally:
             thread.stop()
-
-    def test_start_stop_idempotent(self, make_server):
-        child = make_server(ServerRole.RLI)
-        updater = HierarchicalUpdater(child.rli, resolve_sink, parents=[])
-        thread = HierarchyThread(updater, interval=10.0)
-        thread.start()
-        first = thread._thread
-        thread.start()
-        assert thread._thread is first
-        thread.stop()
-        thread.stop()

@@ -1,5 +1,7 @@
 """StaticMembership and hierarchical RLI propagation tests."""
 
+import time
+
 import pytest
 
 from repro.core.client import connect
@@ -141,3 +143,104 @@ class TestHierarchy:
         )
         updater.forward_once()
         assert parent.rli.query("d-lfn") == ["lrcX"]
+
+
+class TestParentIsolation:
+    """Each parent is a target of the shared delivery engine: a dead one is
+    isolated, backed off and visible, and the others are served."""
+
+    @staticmethod
+    def setup(make_server, metrics=None):
+        from repro.core.bloom import BloomFilter, BloomParameters
+        from repro.net.retry import RetryPolicy
+
+        child = make_server(ServerRole.RLI)
+        first = make_server(ServerRole.RLI)
+        second = make_server(ServerRole.RLI)
+        child.rli.apply_full_update("lrc-rel", ["iso-lfn"])
+        params = BloomParameters.for_entries(100)
+        bloom = BloomFilter.from_names(["iso-bloom"], params)
+        child.rli.apply_bloom_update(
+            "lrc-bloom", bloom.to_bytes(), params.num_bits, params.num_hashes, 1
+        )
+        down = {"first": True}
+
+        def resolver(name):
+            if name == "first" and down["first"]:
+                raise ConnectionError("first parent unreachable")
+            return DirectSink(first.rli if name == "first" else second.rli)
+
+        clock = {"now": 0.0}
+        updater = HierarchicalUpdater(
+            child.rli,
+            resolver,
+            parents=["first", "second"],
+            retry=RetryPolicy(backoff_base=2.0, backoff_multiplier=2.0),
+            clock=lambda: clock["now"],
+            rng=lambda: 0.5,
+            metrics=metrics,
+        )
+        return updater, first, second, down, clock
+
+    def test_dead_first_parent_does_not_starve_the_second(self, make_server):
+        updater, first, second, down, clock = self.setup(make_server)
+        with pytest.raises(ConnectionError):
+            updater.forward_once()  # raised once every parent was attempted
+        # Parent commit: forward_once stopped at the first failing parent.
+        assert second.rli.query("iso-lfn") == ["lrc-rel"]
+        assert second.rli.query("iso-bloom") == ["lrc-bloom"]
+        health = updater.target_health()
+        assert health["second"]["healthy"]
+        assert not health["first"]["healthy"]
+        assert health["first"]["needs_full"]
+        assert "ConnectionError" in health["first"]["last_error"]
+        assert updater.stats.forward_passes == 1
+        assert updater.stats.names_forwarded == 1
+        assert updater.stats.bloom_filters_forwarded == 1
+
+    def test_backoff_then_convergence_after_recovery(self, make_server):
+        updater, first, second, down, clock = self.setup(make_server)
+
+        def failures():
+            return updater.target_health()["first"]["consecutive_failures"]
+
+        with pytest.raises(ConnectionError):
+            updater.forward_once()  # first fails: 2 s backoff
+        clock["now"] = 1.0
+        updater.forward_once()  # first is inside its window: not attempted
+        assert failures() == 1
+        clock["now"] = 2.5
+        with pytest.raises(ConnectionError):
+            updater.forward_once()  # attempted, fails again: 4 s
+        assert failures() == 2
+        down["first"] = False
+        clock["now"] = 3.0
+        updater.forward_once()  # recovered, but still benched
+        assert failures() == 2
+        clock["now"] = 7.0
+        updater.forward_once()
+        assert first.rli.query("iso-lfn") == ["lrc-rel"]
+        assert first.rli.query("iso-bloom") == ["lrc-bloom"]
+        health = updater.target_health()["first"]
+        assert health["healthy"] and not health["needs_full"]
+        assert health["consecutive_failures"] == 0
+
+    def test_a_failed_pass_is_counted_everywhere(self, make_server):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        updater, first, second, down, clock = self.setup(make_server, metrics)
+        task = updater.task(interval=0.01).start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while not task.errors and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            assert task.stop()
+        assert "ConnectionError" in task.last_error
+        snap = metrics.snapshot()
+        assert snap.counters["obs.selfcheck.task_errors{task=hierarchy}"] >= 1
+        assert snap.counters["hierarchy.errors"] == 1  # then benched (fake clock)
+        assert snap.gauges["hierarchy.target_healthy{target=first}"] == 0.0
+        assert snap.gauges["hierarchy.target_healthy{target=second}"] == 1.0
+        assert snap.gauges["hierarchy.targets_unhealthy"] == 1.0

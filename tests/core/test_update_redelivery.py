@@ -14,7 +14,7 @@ from repro.core.updates import (
     DirectSink,
     UpdateManager,
     UpdatePolicy,
-    UpdateThread,
+    tick_task,
 )
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
@@ -303,7 +303,7 @@ class TestUpdateThreadErrors:
         metrics = MetricsRegistry()
         lrc = make_lrc()
         manager, _ = make_manager(lrc, lambda name: NullSink(), metrics=metrics)
-        thread = UpdateThread(manager, poll_interval=0.01)
+        thread = tick_task(manager, poll_interval=0.01)
 
         calls = {"n": 0}
 
@@ -343,3 +343,24 @@ class TestBloomRedelivery:
         assert manager.tick() == ["retry:rli1"]
         assert len(sink.bloom) == 1
         assert manager.target_health()["rli1"]["healthy"]
+
+
+class TestForgottenTarget:
+    def test_unregistered_rli_drops_its_health_series(self):
+        """The per-target gauge must not outlive the target it reports."""
+        metrics = MetricsRegistry()
+        lrc = make_lrc()
+        sink = FlakySink(NullSink(), FailureSchedule.always())
+        manager, clock = make_manager(lrc, lambda name: sink, metrics=metrics)
+        lrc.add_rli("rli1")
+        lrc.create_mapping("a", "p")
+        manager.send_incremental_update()
+        key = "updates.target_healthy{target=rli1}"
+        assert metrics.snapshot().gauges[key] == 0.0
+        lrc.remove_rli("rli1")
+        clock.now += 200.0
+        assert manager.tick() == []
+        gauges = metrics.snapshot().gauges
+        assert key not in gauges
+        assert gauges["updates.targets_unhealthy"] == 0.0
+        assert gauges["updates.retry_backlog"] == 0.0

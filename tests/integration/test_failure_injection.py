@@ -10,11 +10,12 @@ import pytest
 
 from repro.core.client import connect, connect_tcp_server
 from repro.core.config import ServerConfig, ServerRole
-from repro.core.hierarchy import HierarchicalUpdater, HierarchyThread
+from repro.core.hierarchy import HierarchicalUpdater
 from repro.core.membership import resolve_sink
 from repro.core.server import RLSServer
 from repro.net.errors import ProtocolError, TransportClosedError
 from repro.net.messages import Hello, Request
+from repro.net.retry import RetryPolicy
 from repro.net.rpc import RPCServer
 from repro.net.transport import TCPServerTransport, connect_tcp
 
@@ -121,9 +122,12 @@ class TestHierarchyResilience:
             return resolve_sink(name)
 
         updater = HierarchicalUpdater(
-            child.rli, flaky_resolver, parents=[parent.config.name]
+            child.rli,
+            flaky_resolver,
+            parents=[parent.config.name],
+            retry=RetryPolicy(backoff_base=0.05),
         )
-        thread = HierarchyThread(updater, interval=0.03)
+        thread = updater.task(interval=0.03)
         thread.start()
         try:
             deadline = time.time() + 5.0

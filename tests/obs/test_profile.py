@@ -427,4 +427,4 @@ class TestBackgroundLoop:
             worker.join()
         # stop() is idempotent and the thread is gone.
         profiler.stop()
-        assert profiler._thread is None
+        assert not profiler.task.running

@@ -262,4 +262,4 @@ class TestSLIRecorder:
             assert recorder.ticks >= 2
         finally:
             recorder.stop()
-        assert recorder._thread is None
+        assert not recorder.task.running

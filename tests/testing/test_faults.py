@@ -4,7 +4,12 @@ import threading
 
 import pytest
 
-from repro.testing import FailureSchedule, FaultInjected, FlakySink
+from repro.testing import (
+    FailureSchedule,
+    FaultInjected,
+    FlakyMirrorSink,
+    FlakySink,
+)
 from repro.testing.faults import NullSink
 
 
@@ -71,3 +76,38 @@ class TestFlakySink:
         sink.full_update("lrc", ["a"])
         assert schedule.calls == 3
         assert len(sink.bloom) == 1 and len(sink.full) == 1
+
+    def test_fail_after_applies_the_push_then_loses_the_acknowledgement(self):
+        delivered = FlakySink(NullSink(), FailureSchedule())
+        sink = FlakySink(delivered, FailureSchedule.pattern("F."), fail_after=True)
+        with pytest.raises(FaultInjected, match="acknowledgement lost"):
+            sink.incremental_update("lrc", ["a"], [])
+        assert delivered.incremental == [("lrc", ["a"], [])]  # it landed
+        sink.incremental_update("lrc", ["a"], [])  # the redelivery
+        assert len(delivered.incremental) == 2
+
+    def test_mirror_sink_face_shares_the_schedule(self):
+        class Mirror:
+            def __init__(self):
+                self.calls = []
+
+            def full_sync(self, master, pairs):
+                self.calls.append(("full", master, list(pairs)))
+
+            def incremental(self, master, added, removed):
+                self.calls.append(("delta", master, list(added), list(removed)))
+
+        mirror = Mirror()
+        schedule = FailureSchedule.pattern("F..")
+        sink = FlakyMirrorSink(mirror, schedule)
+        with pytest.raises(FaultInjected, match="push dropped"):
+            sink.full_sync("m", [("a", "p")])
+        sink.full_sync("m", [("a", "p")])
+        sink.incremental("m", [("b", "q")], [])
+        assert schedule.calls == 3
+        assert mirror.calls == [
+            ("full", "m", [("a", "p")]),
+            ("delta", "m", [("b", "q")], []),
+        ]
+        assert sink.full == [("m", [("a", "p")])]
+        assert sink.deltas == [("m", [("b", "q")], [])]
