@@ -166,7 +166,8 @@ class MirrorManager:
         self.engine.forget(name)
 
     def mirrors(self) -> list[str]:
-        return sorted(state.name for state in self.engine.states())
+        with self._lock:
+            return sorted(self._targets)
 
     def target_health(self) -> dict[str, dict]:
         return self.engine.health()
@@ -201,23 +202,21 @@ class MirrorManager:
 
     def _send_full(self, name: str, pairs: Sequence[Pair]) -> None:
         self.sink_resolver(name).full_sync(self.lrc.name, pairs)
-        self._sent("full", len(pairs))
+        with self._lock:
+            self.stats.full_syncs += 1
+            self.stats.pairs_sent += len(pairs)
+        self._m_sent["full"].inc()
+        self._m_pairs.inc(len(pairs))
 
     def _send_delta(
         self, name: str, added: Sequence[Pair], removed: Sequence[Pair]
     ) -> None:
         self.sink_resolver(name).incremental(self.lrc.name, added, removed)
-        self._sent("incremental", len(added) + len(removed))
-
-    def _sent(self, kind: str, pairs: int) -> None:
         with self._lock:
-            if kind == "full":
-                self.stats.full_syncs += 1
-            else:
-                self.stats.incremental_pushes += 1
-            self.stats.pairs_sent += pairs
-        self._m_sent[kind].inc()
-        self._m_pairs.inc(pairs)
+            self.stats.incremental_pushes += 1
+            self.stats.pairs_sent += len(added) + len(removed)
+        self._m_sent["incremental"].inc()
+        self._m_pairs.inc(len(added) + len(removed))
 
     # ------------------------------------------------------------------
     # Delivery
@@ -254,10 +253,10 @@ class MirrorManager:
             self._pending_added.clear()
             self._pending_removed.clear()
             self._last_flush = self.clock()
-        for state in self.engine.states():
+        for name in self.mirrors():
             self.engine.push_delta(
-                state.name,
-                lambda a, r, name=state.name: self._send_delta(name, a, r),
+                name,
+                lambda a, r, name=name: self._send_delta(name, a, r),
                 added,
                 removed,
             )

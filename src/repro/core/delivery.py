@@ -1,31 +1,13 @@
-"""The soft-state delivery rule, written once.
+"""The soft-state delivery rule, written once (DESIGN.md §5, decision 10).
 
-An RLI's state "can be reconstructed using soft state updates" (§2): a
-push that fails must lose nothing and be tried again.  LRC→RLI updates
+What happens to one target after one push attempt — backlog with the
+newest intent winning, needs-full escalation, ``RetryPolicy`` backoff,
+health metrics and flight events — for LRC→RLI updates
 (:mod:`repro.core.updates`), master→mirror replication
 (:mod:`repro.cluster.mirror`) and RLI→parent forwarding
-(:mod:`repro.core.hierarchy`) share that rule, and :class:`DeliveryEngine`
-is the only place it is written: what happens to one target after one push
-attempt.
-
-* **Backlog, newest intent wins.**  A delta is folded into the target's
-  backlog before it is sent (an add supersedes a queued remove of the same
-  item and vice versa) and exactly what was sent is drained when the send
-  returns, so a failed push never clobbers a change that arrived behind it.
-* **Needs-full escalation.**  A failed full push leaves the target owed a
-  fresh full; until it lands deltas are only folded (the full subsumes
-  them), never sent on top of a base state the target may not have.
-* **Backoff.**  Every failure re-arms the target's ``RetryPolicy`` delay on
-  the injected ``clock``/``rng``.  Owners ask :meth:`DeliveryEngine.due`
-  *after* their scheduled flush: one attempt per target per tick.
-* **Visibility.**  ``<family>.target_healthy{target=}``, ``.retry_backlog``,
-  ``.targets_unhealthy``, ``.errors``, ``.retries``; flight events
-  ``<event>.attempt``, ``<event>.retry`` and ``error``.
-
-Backlog items are opaque, hashable and sortable (logical names for an RLI,
-``(lfn, pfn)`` pairs for a mirror).  The owner supplies the payload — a
-``send()`` for a full push, a ``send(added, removed)`` for a delta, each
-raising on failure — and keeps its schedule and payload statistics.
+(:mod:`repro.core.hierarchy`).  Owners supply the payload (a ``send()``
+for a full push, a ``send(added, removed)`` for a delta, each raising on
+failure) and keep their schedule and payload statistics.
 """
 
 from __future__ import annotations
@@ -137,10 +119,6 @@ class DeliveryEngine:
                 self.metrics.unregister_gauge_fn(
                     f"{self.family}.target_healthy", target=name
                 )
-
-    def states(self) -> list[TargetDeliveryState]:
-        with self.lock:
-            return list(self.targets.values())
 
     def health(self) -> dict[str, dict]:
         with self.lock:

@@ -25,8 +25,7 @@ from typing import Callable, Sequence
 
 from repro.core.delivery import DeliveryEngine
 from repro.core.rli import ReplicaLocationIndex
-from repro.core.updates import UpdateSink
-from repro.net.retry import RetryPolicy
+from repro.core.updates import UpdatePolicy, UpdateSink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.periodic import Periodic
 
@@ -44,9 +43,9 @@ class HierarchicalUpdater:
     """Forwards one RLI's aggregated state to parent RLIs.
 
     Each parent is a wholesale (always-full) target of the shared delivery
-    engine: a dead one is isolated, backed off and visible in
-    :meth:`target_health` (``hierarchy.*`` metrics) like any RLI, and the
-    parents after it in the list are served regardless.
+    engine, backing off on the LRC→RLI feed's default curve: a dead one is
+    isolated and visible in :meth:`target_health` (``hierarchy.*`` metrics)
+    like any RLI, and the parents after it in the list are served regardless.
     """
 
     def __init__(
@@ -54,20 +53,17 @@ class HierarchicalUpdater:
         rli: ReplicaLocationIndex,
         sink_resolver: Callable[[str], UpdateSink],
         parents: Sequence[str],
-        retry: RetryPolicy | None = None,
         clock: Callable[[], float] = time.monotonic,
         rng: Callable[[], float] = random.random,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.rli = rli
         self.sink_resolver = sink_resolver
-        self.parents = list(parents)
         self.stats = HierarchyStats()
-        retry = retry or RetryPolicy(backoff_base=2.0, backoff_max=120.0)
         self.engine = DeliveryEngine(
-            "hierarchy", "hierarchy", retry, clock, rng, metrics
+            "hierarchy", "hierarchy", UpdatePolicy().retry, clock, rng, metrics
         )
-        for parent in self.parents:
+        for parent in parents:
             self.engine.target(parent)
 
     def target_health(self) -> dict[str, dict]:
@@ -76,10 +72,14 @@ class HierarchicalUpdater:
     def forward_once(self) -> None:
         """Push current state to every parent RLI not inside a backoff
         window; the first failure is re-raised once all were attempted."""
+        for failure in self._forward():
+            raise failure
+
+    def _forward(self) -> list[Exception]:
         start = time.perf_counter()
         relational = self._relational_state()
         bloom_state = self._bloom_state()
-        failures = [
+        outcomes = [
             self.engine.push_full(
                 state.name,
                 lambda parent=state.name: self._send(
@@ -90,17 +90,15 @@ class HierarchicalUpdater:
         ]
         self.stats.forward_passes += 1
         self.stats.last_duration = time.perf_counter() - start
-        for failure in failures:
-            if failure is not None:
-                raise failure
+        return [failure for failure in outcomes if failure is not None]
 
     def task(self, interval: float = 60.0) -> Periodic:
-        """The background forwarder: :meth:`forward_once` every ``interval``
-        seconds, a failed pass counted on the task."""
+        """The background forwarder.  An unreachable parent is the engine's
+        to count; only a pass that cannot read this RLI fails the task."""
         return Periodic(
             f"rli-hierarchy-{self.rli.name}",
             interval,
-            self.forward_once,
+            self._forward,
             role="hierarchy",
             metrics=self.engine.metrics,
         )

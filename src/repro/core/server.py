@@ -194,7 +194,9 @@ class RLSServer:
         with self._lock:
             if self._started:
                 return self
-            if self.rli is not None:
+            # A task a previous stop() could not join is still held: keep
+            # it (start() is a no-op on it) rather than lose its thread.
+            if self.rli is not None and "expire" not in self._tasks:
                 self._tasks["expire"] = Periodic(
                     f"rli-expire-{self.rli.name}",
                     self.config.expire_interval,
@@ -202,14 +204,14 @@ class RLSServer:
                     role="expire",
                     metrics=self.metrics,
                 )
-            if self.update_manager is not None:
-                self._tasks["updates"] = tick_task(
-                    self.update_manager, self.config.update_poll_interval
-                )
-            if self.mirror_manager is not None:
-                self._tasks["mirror"] = tick_task(
-                    self.mirror_manager, self.config.update_poll_interval
-                )
+            for key, manager in (
+                ("updates", self.update_manager),
+                ("mirror", self.mirror_manager),
+            ):
+                if manager is not None and key not in self._tasks:
+                    self._tasks[key] = tick_task(
+                        manager, self.config.update_poll_interval
+                    )
             for task in self._tasks.values():
                 task.start()
             if self.profiler.enabled:

@@ -39,9 +39,10 @@ class Deployment:
     name: str
     lrcs: list[RLSServer] = field(default_factory=list)
     rlis: list[RLSServer] = field(default_factory=list)
-    #: RLI→parent forwarders and the periodic task refreshing each.
-    forwarders: list[HierarchicalUpdater] = field(default_factory=list)
-    forward_tasks: list[Periodic] = field(default_factory=list)
+    #: RLI→parent forwarders, each with the periodic task refreshing it.
+    forwarders: list[tuple[HierarchicalUpdater, Periodic]] = field(
+        default_factory=list
+    )
 
     @property
     def servers(self) -> list[RLSServer]:
@@ -62,21 +63,27 @@ class Deployment:
             assert server.update_manager is not None
             if server.lrc is not None and server.lrc.rli_targets():
                 server.update_manager.send_full_update()
-        for forwarder in self.forwarders:
+        for forwarder, _ in self.forwarders:
             forwarder.forward_once()
 
     def start(self) -> "Deployment":
         for server in self.servers:
             server.start()
-        for task in self.forward_tasks:
+        for _, task in self.forwarders:
             task.start()
         return self
 
     def stop(self) -> None:
-        for task in self.forward_tasks:
-            task.stop()
+        """Stop forwarders and servers; raises if a forwarder thread is
+        still alive afterwards (as :meth:`RLSServer.stop` does for its own)."""
+        stuck = [task.name for _, task in self.forwarders if not task.stop()]
         for server in self.servers:
             server.stop()
+        if stuck:
+            raise RuntimeError(
+                f"deployment {self.name!r}: forwarders did not exit: "
+                f"{', '.join(stuck)}"
+            )
 
     def __enter__(self) -> "Deployment":
         return self.start()
@@ -191,8 +198,7 @@ def hierarchical(
             leaf.rli, resolve_sink, parents=[root.config.name],
             metrics=leaf.metrics,
         )
-        deployment.forwarders.append(updater)
-        deployment.forward_tasks.append(updater.task(forward_interval))
+        deployment.forwarders.append((updater, updater.task(forward_interval)))
         for i in range(num_lrcs_per_leaf):
             lrc = _make(f"{name}-leaf{leaf_no}-lrc{i}", ServerRole.LRC)
             assert lrc.lrc is not None

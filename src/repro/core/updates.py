@@ -26,9 +26,7 @@ push marks the target unhealthy and due for a fresh full push, and
 :meth:`UpdateManager.tick` redelivers with the backoff of the policy's
 :class:`~repro.net.retry.RetryPolicy`.  Nothing is lost to a transient
 failure; the soft-state full refresh remains the backstop, not the only
-healer.  What stays here is what only an LRC→RLI feed has: the catalog
-listener and global delta, the counting Bloom filter, partition routing,
-the three payloads, the parallel fan-out and the schedule.
+healer.
 """
 
 from __future__ import annotations
@@ -245,8 +243,7 @@ class UpdateManager:
         self.stats = UpdateStats()
         registry = metrics if metrics is not None else NULL_REGISTRY
         self.metrics = registry
-        #: Per-target health, backlog and redelivery (the shared rule);
-        #: ``flight`` is the server-wide black-box event ring, if any.
+        #: Per-target health, backlog and redelivery (the shared rule).
         self.engine = DeliveryEngine(
             "updates", "update", self.policy.retry, clock, rng, registry,
             flight, self.stats, error_kinds=("full", "incremental", "bloom"),
@@ -427,18 +424,6 @@ class UpdateManager:
     # Pushing updates
     # ------------------------------------------------------------------
 
-    def _push_full_to(
-        self,
-        tgt: RLITarget,
-        router: PartitionRouter,
-        all_names: list[str] | None = None,
-    ) -> Exception | None:
-        return self.engine.push_full(
-            tgt.name,
-            lambda: self._send_full(tgt, router, all_names),
-            "bloom" if tgt.bloom else "full",
-        )
-
     def send_full_update(self, target: RLITarget | None = None) -> float:
         """Push a full update to one target (or all); returns duration (s).
 
@@ -458,7 +443,11 @@ class UpdateManager:
             all_names = self.lrc.all_lfns()
 
         def push_one(tgt: RLITarget) -> Exception | None:
-            return self._push_full_to(tgt, router, all_names)
+            return self.engine.push_full(
+                tgt.name,
+                lambda: self._send_full(tgt, router, all_names),
+                "bloom" if tgt.bloom else "full",
+            )
 
         if self.policy.parallel_updates and len(targets) > 1:
             outcomes = self._push_parallel(targets, push_one)
@@ -533,7 +522,9 @@ class UpdateManager:
             elif added or removed:
                 # The filter snapshot is wholesale state: nothing to
                 # re-queue, a failure leaves the target owed a fresh one.
-                self._push_full_to(tgt, router)
+                self.engine.push_full(
+                    tgt.name, lambda tgt=tgt: self._send_full(tgt, router), "bloom"
+                )
         return len(added) + len(removed)
 
     # ------------------------------------------------------------------

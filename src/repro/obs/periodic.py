@@ -1,19 +1,12 @@
-"""The one periodic background task.
+"""The one periodic background task: "call ``fn`` every ``interval``
+seconds until told to stop", for every scheduler, sweeper and sampler in
+this tree.  An exception raised by ``fn`` never ends the task and is never
+silent, the thread carries a profiler role, ``start()`` twice is one
+thread, and ``stop()`` joins and says so when the thread did not exit.
 
-Every scheduler, sweeper and sampler in this tree is "call ``fn`` every
-``interval`` seconds until told to stop"; the update and mirror-feed
-schedulers, RLI expiry, the hierarchy forwarder, the scraper, the cluster
-collector, the sampling profiler and the SLI recorder all hold a
-:class:`Periodic` instead of their own event, thread and loop.  The
-contract is the same for all: an exception raised by ``fn`` never ends the
-task and is never silent, the thread carries a profiler role, ``start()``
-twice is one thread, and ``stop()`` joins and says so when the thread did
-not exit.
-
-There is deliberately no clock in here.  What a task does on a tick is a
-plain method (``tick()``, ``expire_once()``, ``scrape_once()`` ...) that
-tests drive directly under their own fake clock; the loop only decides
-*when* real time calls it.
+There is deliberately no clock in here (DESIGN.md §5, decision 10): what a
+task does on a tick is a plain method that tests drive directly under
+their own fake clock; the loop only decides *when* real time calls it.
 """
 
 from __future__ import annotations

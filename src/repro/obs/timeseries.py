@@ -195,8 +195,6 @@ class Scraper:
         clock: Callable[[], float] = time.monotonic,
         on_scrape: Callable[[ScrapeResult], None] | None = None,
     ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.source = source
         self.store = store if store is not None else SeriesStore()
         self.interval = interval

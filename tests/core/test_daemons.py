@@ -215,3 +215,28 @@ class TestStopLeaksNoThread:
             timeout=2.0,
         ), sorted(t.name for t in set(threading.enumerate()) - before)
         assert server._tasks == {}
+
+    def test_start_after_a_stuck_stop_keeps_the_held_thread(self, make_server):
+        """A task ``stop()`` could not join stays the server's: a restart
+        must not replace the handle and lose the thread."""
+        import threading
+
+        from repro.obs.periodic import Periodic
+
+        server = make_server(ServerRole.RLI, expire_interval=0.01)
+        entered, release = threading.Event(), threading.Event()
+        server.rli.expire_once = lambda: (entered.set(), release.wait(10.0))
+        server.start()
+        task = server._tasks["expire"]
+        task.stop = lambda: Periodic.stop(task, 0.05)  # do not wait 5 s
+        try:
+            assert entered.wait(5.0)
+            with pytest.raises(RuntimeError, match="expire"):
+                server.stop()
+            server.start()
+            assert server._tasks["expire"] is task
+        finally:
+            release.set()
+        server.stop()
+        assert server._tasks == {}
+        assert task.name not in {t.name for t in threading.enumerate()}

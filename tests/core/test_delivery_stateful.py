@@ -46,7 +46,6 @@ from repro.core.rli import ReplicaLocationIndex
 from repro.core.updates import DirectSink, UpdateManager, UpdatePolicy
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
-from repro.net.retry import RetryPolicy
 from repro.testing import (
     FailureSchedule,
     FaultInjected,
@@ -148,12 +147,10 @@ class DeliveryMachine(RuleBasedStateMachine):
         self.rlis = {name: self.fresh_rli(name) for name in (*RLI_TARGETS, "parent")}
         self.fresh_mirror()
 
-        retry = RetryPolicy(backoff_base=2.0, backoff_multiplier=2.0, backoff_max=120.0)
         policy = UpdatePolicy(
             immediate_interval=TICK,
             immediate_count_threshold=4,
             full_interval=FULL_INTERVAL,
-            retry=retry,
         )
         rng = lambda: 0.5  # noqa: E731 - nominal backoff, no jitter
         self.updates = UpdateManager(
@@ -182,7 +179,6 @@ class DeliveryMachine(RuleBasedStateMachine):
                 DirectSink(self.rlis[name]), self.schedules[name], self.fail_after[name]
             ),
             parents=["parent"],
-            retry=retry,
             clock=self.clock,
             rng=rng,
         )
@@ -299,9 +295,9 @@ class DeliveryMachine(RuleBasedStateMachine):
             self.clock.now += TICK
             self.tick_all()
         for state in (
-            *self.updates.engine.states(),
-            *self.mirrors.engine.states(),
-            *self.hierarchy.engine.states(),
+            *self.updates.engine.targets.values(),
+            *self.mirrors.engine.targets.values(),
+            *self.hierarchy.engine.targets.values(),
         ):
             assert state.to_dict() == {
                 "healthy": True, "consecutive_failures": 0, "backlog": 0,
@@ -364,7 +360,7 @@ class DeliveryMachine(RuleBasedStateMachine):
     @invariant()
     def delivery_state_is_consistent(self) -> None:
         for engine in (self.updates.engine, self.mirrors.engine, self.hierarchy.engine):
-            for state in engine.states():
+            for state in engine.targets.values():
                 assert not state.pending_added & state.pending_removed
                 assert state.healthy == (state.consecutive_failures == 0)
                 assert state.healthy == (state.last_error is None)

@@ -152,7 +152,6 @@ class TestParentIsolation:
     @staticmethod
     def setup(make_server, metrics=None):
         from repro.core.bloom import BloomFilter, BloomParameters
-        from repro.net.retry import RetryPolicy
 
         child = make_server(ServerRole.RLI)
         first = make_server(ServerRole.RLI)
@@ -175,7 +174,6 @@ class TestParentIsolation:
             child.rli,
             resolver,
             parents=["first", "second"],
-            retry=RetryPolicy(backoff_base=2.0, backoff_multiplier=2.0),
             clock=lambda: clock["now"],
             rng=lambda: 0.5,
             metrics=metrics,
@@ -225,7 +223,7 @@ class TestParentIsolation:
         assert health["healthy"] and not health["needs_full"]
         assert health["consecutive_failures"] == 0
 
-    def test_a_failed_pass_is_counted_everywhere(self, make_server):
+    def test_a_parent_outage_is_counted_once_not_as_a_task_error(self, make_server):
         from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
@@ -233,14 +231,43 @@ class TestParentIsolation:
         task = updater.task(interval=0.01).start()
         try:
             deadline = time.monotonic() + 5.0
-            while not task.errors and time.monotonic() < deadline:
+            while updater.stats.forward_passes < 3 and time.monotonic() < deadline:
                 time.sleep(0.005)
         finally:
             assert task.stop()
-        assert "ConnectionError" in task.last_error
+        assert task.errors == 0  # the engine counted it; the task ran fine
         snap = metrics.snapshot()
-        assert snap.counters["obs.selfcheck.task_errors{task=hierarchy}"] >= 1
+        assert snap.counters["obs.selfcheck.task_errors{task=hierarchy}"] == 0
         assert snap.counters["hierarchy.errors"] == 1  # then benched (fake clock)
         assert snap.gauges["hierarchy.target_healthy{target=first}"] == 0.0
         assert snap.gauges["hierarchy.target_healthy{target=second}"] == 1.0
         assert snap.gauges["hierarchy.targets_unhealthy"] == 1.0
+
+    def test_a_pass_that_cannot_read_state_is_counted_on_the_task(self, make_server):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        updater, first, second, down, clock = self.setup(make_server, metrics)
+        broken = {"left": 1}
+        read_state = updater._relational_state
+
+        def flaky_state():
+            if broken["left"]:
+                broken["left"] -= 1
+                raise RuntimeError("catalog unreadable")
+            return read_state()
+
+        updater._relational_state = flaky_state
+        down["first"] = False
+        task = updater.task(interval=0.01).start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while updater.stats.forward_passes < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            assert task.stop()
+        assert task.errors == 1 and "RuntimeError" in task.last_error
+        snap = metrics.snapshot()
+        assert snap.counters["obs.selfcheck.task_errors{task=hierarchy}"] == 1
+        assert snap.counters["hierarchy.errors"] == 0
+        assert first.rli.query("iso-lfn") == ["lrc-rel"]  # the next pass ran

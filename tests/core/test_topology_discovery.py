@@ -108,6 +108,30 @@ class TestHierarchical:
             root.close()
 
 
+    def test_stop_reports_a_forwarder_that_did_not_exit(self):
+        import threading
+
+        from repro.obs.periodic import Periodic
+
+        dep = topology.hierarchical(
+            "topo-stuck", num_lrcs_per_leaf=1, num_leaves=1, forward_interval=0.01
+        )
+        _, task = dep.forwarders[0]
+        entered, release = threading.Event(), threading.Event()
+        task.fn = lambda: (entered.set(), release.wait(10.0))
+        task.stop = lambda: Periodic.stop(task, 0.05)  # do not wait 5 s
+        dep.start()
+        try:
+            assert entered.wait(5.0)
+            with pytest.raises(RuntimeError, match="rli-hierarchy-topo-stuck-leaf0"):
+                dep.stop()
+            assert task.running  # still held: a second stop() joins it again
+        finally:
+            release.set()
+        dep.stop()
+        assert not task.running
+
+
 class TestReplicaDiscovery:
     def test_discovers_across_sites(self):
         with topology.single_rli("disc", num_lrcs=3) as dep:

@@ -15,7 +15,6 @@ from repro.core.membership import resolve_sink
 from repro.core.server import RLSServer
 from repro.net.errors import ProtocolError, TransportClosedError
 from repro.net.messages import Hello, Request
-from repro.net.retry import RetryPolicy
 from repro.net.rpc import RPCServer
 from repro.net.transport import TCPServerTransport, connect_tcp
 
@@ -122,10 +121,7 @@ class TestHierarchyResilience:
             return resolve_sink(name)
 
         updater = HierarchicalUpdater(
-            child.rli,
-            flaky_resolver,
-            parents=[parent.config.name],
-            retry=RetryPolicy(backoff_base=0.05),
+            child.rli, flaky_resolver, parents=[parent.config.name]
         )
         thread = updater.task(interval=0.03)
         thread.start()
