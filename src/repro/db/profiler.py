@@ -9,12 +9,14 @@ contention.  This module is the missing layer:
   path per operator, rows examined vs. returned, dead-index hits, and
   per-operator wall time on an injectable clock.  A SQL plan threads one
   through its operators when asked (``EXPLAIN ANALYZE`` and the profiled
-  engine path).
+  engine path); each operator writes one flat list, ``[name, detail,
+  examined, returned, dead_hits, elapsed]``, that :class:`OpStats` renders.
 * :class:`QueryLog` — bounded tail retention of slow/error statements
   with their profiles, normalized statement text, and the enclosing RPC
   span context (same retention idea as
   :class:`~repro.obs.tracing.SpanSink`: decide at statement *end*, keep
-  the slow and the broken, plus a small recent ring for context).
+  the slow and the broken, plus a small recent ring for context).  The
+  profiler offers a tuple; :class:`QueryLogEntry` is built when read.
 * :class:`QueryProfiler` — per-database container tying the two to the
   metrics registry (``db.statements{class=...}``,
   ``db.statement_latency{class=...}``, ``db.slow_statements``), and
@@ -38,6 +40,7 @@ import itertools
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.obs import reqctx
@@ -58,38 +61,23 @@ def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}ms"
 
 
+#: Where an operator keeps its actuals in its flat list (``None`` where
+#: the operator has no such figure); ``[0]`` is its name, ``[1]`` its detail.
+EXAMINED, RETURNED, DEAD_HITS, ELAPSED = 2, 3, 4, 5
+
+
+@dataclass(slots=True)
 class OpStats:
-    """One operator's actuals within a :class:`QueryProfile`.
+    """One operator's actuals, as a reader sees them: built from the flat
+    list the operator wrote (``OpStats(*op)``) to render an ``EXPLAIN
+    ANALYZE`` line or a slow-query plan entry."""
 
-    Plan operators mutate these in place (join operators accumulate
-    across probe calls), so this is a plain mutable record, not a frozen
-    dataclass.
-    """
-
-    __slots__ = (
-        "name",
-        "detail",
-        "rows_examined",
-        "rows_returned",
-        "dead_hits",
-        "elapsed",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        detail: str = "",
-        rows_examined: int | None = None,
-        rows_returned: int | None = None,
-        dead_hits: int | None = None,
-        elapsed: float | None = None,
-    ) -> None:
-        self.name = name
-        self.detail = detail
-        self.rows_examined = rows_examined
-        self.rows_returned = rows_returned
-        self.dead_hits = dead_hits
-        self.elapsed = elapsed
+    name: str
+    detail: str = ""
+    rows_examined: int | None = None
+    rows_returned: int | None = None
+    dead_hits: int | None = None
+    elapsed: float | None = None
 
     def render(self) -> str:
         """One EXPLAIN ANALYZE plan line, e.g.
@@ -110,14 +98,7 @@ class OpStats:
         return f"{head} (actual {' '.join(parts)})"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "detail": self.detail,
-            "rows_examined": self.rows_examined,
-            "rows_returned": self.rows_returned,
-            "dead_hits": self.dead_hits,
-            "elapsed": self.elapsed,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class QueryProfile:
@@ -131,7 +112,8 @@ class QueryProfile:
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         self.clock = clock
-        self.ops: list[OpStats] = []
+        #: One flat list per operator, in plan order (a join adds to its own).
+        self.ops: list[list] = []
         #: Total statement wall time; set by whoever drives execution.
         self.duration = 0.0
         #: Rows (or affected-row count) the statement produced.
@@ -145,8 +127,8 @@ class QueryProfile:
         rows_returned: int | None = None,
         dead_hits: int | None = None,
         elapsed: float | None = None,
-    ) -> OpStats:
-        op = OpStats(name, detail, rows_examined, rows_returned, dead_hits, elapsed)
+    ) -> list:
+        op = [name, detail, rows_examined, rows_returned, dead_hits, elapsed]
         self.ops.append(op)
         return op
 
@@ -155,28 +137,21 @@ class QueryProfile:
         """Rows fetched by access paths (drive + join probes)."""
         total = 0
         for op in self.ops:
-            if op.rows_examined and (op.name == "drive" or op.name == "join"):
-                total += op.rows_examined
+            if op[EXAMINED] and (op[0] == "drive" or op[0] == "join"):
+                total += op[EXAMINED]
         return total
 
     @property
     def dead_index_hits(self) -> int:
-        total = 0
-        for op in self.ops:
-            if op.dead_hits:
-                total += op.dead_hits
-        return total
+        return sum(op[DEAD_HITS] or 0 for op in self.ops)
 
     def plan_lines(self) -> list[str]:
         """EXPLAIN ANALYZE output: one line per operator plus a total."""
-        lines = [op.render() for op in self.ops]
+        lines = [OpStats(*op).render() for op in self.ops]
         lines.append(
             f"total: {self.rows_returned} rows in {_fmt_ms(self.duration)}"
         )
         return lines
-
-    def to_dict(self) -> list[dict[str, Any]]:
-        return [op.to_dict() for op in self.ops]
 
 
 def statement_class(stmt: Any) -> str:
@@ -242,92 +217,54 @@ class StatementMeta:
         self.latency = latency
 
 
+@dataclass(slots=True)
 class QueryLogEntry:
     """One retained statement with its profile and trace linkage."""
 
-    __slots__ = (
-        "seq",
-        "sql",
-        "statement_class",
-        "duration",
-        "rows_examined",
-        "rows_returned",
-        "dead_index_hits",
-        "error",
-        "trace_id",
-        "span_id",
-        "principal",
-        "plan",
-    )
-
-    def __init__(
-        self,
-        seq: int,
-        sql: str,
-        statement_class: str,
-        duration: float,
-        rows_examined: int = 0,
-        rows_returned: int = 0,
-        dead_index_hits: int = 0,
-        error: str | None = None,
-        trace_id: str | None = None,
-        span_id: str | None = None,
-        principal: str | None = None,
-        plan: "list[dict[str, Any]] | list[OpStats] | None" = None,
-    ) -> None:
-        self.seq = seq
-        self.sql = sql
-        self.statement_class = statement_class
-        self.duration = duration
-        self.rows_examined = rows_examined
-        self.rows_returned = rows_returned
-        self.dead_index_hits = dead_index_hits
-        self.error = error
-        self.trace_id = trace_id
-        self.span_id = span_id
-        #: Usage principal of the enclosing RPC (``rls slowlog`` shows
-        #: who issued the statement); ``None`` outside any request.
-        self.principal = principal
-        #: Operators as live :class:`OpStats` (from a profile; rendered to
-        #: dicts only if the entry is ever read) or already as dicts.
-        self.plan = plan or []
+    seq: int = 0
+    sql: str = ""
+    statement_class: str = ""
+    duration: float = 0.0
+    rows_examined: int = 0
+    rows_returned: int = 0
+    dead_index_hits: int = 0
+    error: str | None = None
+    trace_id: str | None = None
+    span_id: str | None = None
+    #: Usage principal of the enclosing RPC (``rls slowlog`` shows who
+    #: issued the statement); ``None`` outside any request.
+    principal: str | None = None
+    #: Operators as the flat lists they wrote (from a profile) or already
+    #: as dicts (off the wire).
+    plan: list = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         """Wire-safe form (the ``admin_slow_queries`` RPC payload)."""
-        return {
-            "seq": self.seq,
-            "sql": self.sql,
-            "statement_class": self.statement_class,
-            "duration": self.duration,
-            "rows_examined": self.rows_examined,
-            "rows_returned": self.rows_returned,
-            "dead_index_hits": self.dead_index_hits,
-            "error": self.error,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "principal": self.principal,
-            "plan": [
-                op.to_dict() if isinstance(op, OpStats) else op
-                for op in self.plan
-            ],
-        }
+        data = {name: getattr(self, name) for name in self.__slots__}
+        data["plan"] = [
+            op if isinstance(op, dict) else OpStats(*op).to_dict()
+            for op in self.plan
+        ]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "QueryLogEntry":
-        return cls(
-            seq=data.get("seq", 0),
-            sql=data.get("sql", ""),
-            statement_class=data.get("statement_class", ""),
-            duration=data.get("duration", 0.0),
-            rows_examined=data.get("rows_examined", 0),
-            rows_returned=data.get("rows_returned", 0),
-            dead_index_hits=data.get("dead_index_hits", 0),
-            error=data.get("error"),
-            trace_id=data.get("trace_id"),
-            span_id=data.get("span_id"),
-            principal=data.get("principal"),
-            plan=list(data.get("plan", [])),
-        )
+        known = {name: data[name] for name in cls.__slots__ if name in data}
+        known["plan"] = list(known.get("plan", ()))
+        return cls(**known)
+
+
+def _entry(statement: "QueryLogEntry | tuple") -> QueryLogEntry:
+    """The entry a kept statement reads as (:meth:`QueryProfiler.account`
+    makes the tuple)."""
+    if type(statement) is not tuple:
+        return statement
+    seq, meta, profile, duration, examined, error, trace, principal = statement
+    return QueryLogEntry(
+        seq, meta.normalized, meta.statement_class, duration, examined,
+        profile.rows_returned, profile.dead_index_hits, error,
+        *(trace or (None, None)), principal, profile.ops,
+    )
 
 
 class QueryLog:
@@ -339,7 +276,8 @@ class QueryLog:
       a retained slow query has its surrounding traffic for context.
 
     Each ring evicts its own oldest entries, so fast-and-fine traffic
-    can never push out a retained slow or failed statement.
+    can never push out a retained slow or failed statement.  Rings hold
+    what was offered (an entry, or the profiler's tuple), hand out entries.
     """
 
     def __init__(
@@ -357,8 +295,8 @@ class QueryLog:
             else max(16, capacity // 4)
         )
         self._lock = threading.Lock()
-        self._interesting: "deque[QueryLogEntry]" = deque(maxlen=capacity)
-        self._recent: "deque[QueryLogEntry]" = deque(maxlen=self.recent_capacity)
+        self._interesting: "deque[QueryLogEntry | tuple]" = deque(maxlen=capacity)
+        self._recent: "deque[QueryLogEntry | tuple]" = deque(maxlen=self.recent_capacity)
         self.offered = 0
         self.retained = 0
 
@@ -370,24 +308,30 @@ class QueryLog:
             return "slow"
         return None
 
-    def offer(self, entry: QueryLogEntry) -> None:
-        """Consider one finished statement for retention."""
-        reason = self.interesting_reason(entry)
+    def offer(
+        self, statement: "QueryLogEntry | tuple", interesting: bool | None = None
+    ) -> None:
+        """Consider one finished statement for retention: an entry, or the
+        profiler's tuple with its verdict."""
+        if interesting is None:
+            interesting = self.interesting_reason(statement) is not None
         with self._lock:
             self.offered += 1
-            self._recent.append(entry)
-            if reason is not None:
+            self._recent.append(statement)
+            if interesting:
                 self.retained += 1
-                self._interesting.append(entry)
+                self._interesting.append(statement)
 
     def interesting(self) -> list[QueryLogEntry]:
         """Tail-retained statements (errors and slow), oldest first."""
         with self._lock:
-            return list(self._interesting)
+            kept = list(self._interesting)
+        return [_entry(statement) for statement in kept]
 
     def recent(self) -> list[QueryLogEntry]:
         with self._lock:
-            return list(self._recent)
+            kept = list(self._recent)
+        return [_entry(statement) for statement in kept]
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -482,8 +426,8 @@ class QueryProfiler:
         trace: tuple[str, str] | None = None,
     ) -> QueryLogEntry:
         """Account one finished statement that was never prepared."""
-        return self.account(
-            self.describe(sql, stmt), profile, duration, error, trace
+        return _entry(
+            self.account(self.describe(sql, stmt), profile, duration, error, trace)
         )
 
     def account(
@@ -493,34 +437,30 @@ class QueryProfiler:
         duration: float,
         error: str | None = None,
         trace: tuple[str, str] | None = None,
-    ) -> QueryLogEntry:
-        """Account one finished statement: metrics plus log retention."""
+    ) -> tuple:
+        """Account one finished statement: metrics plus log retention.
+
+        Returns what the log keeps of it — ``(seq, meta, profile, duration,
+        rows examined, error, trace, principal)``, nothing of the statement's
+        parameters; the :class:`QueryLogEntry` is built when the log is read."""
         meta.counter.inc()
         meta.latency.observe(duration)
-        if error is None and duration >= self.log.slow_threshold:
+        slow = duration >= self.log.slow_threshold
+        if slow and error is None:
             self._m_slow.inc()
-        rows_examined = profile.rows_examined
+        examined = profile.rows_examined
         # Charge the enclosing request's cost context (profiled path
         # only — bare engines never reach here, so they pay nothing).
         costs = reqctx.current()
+        principal = None
         if costs is not None:
-            costs.rows_examined += rows_examined
-        entry = QueryLogEntry(
-            next(self._seq),
-            meta.normalized,
-            meta.statement_class,
-            duration,
-            rows_examined,
-            profile.rows_returned,
-            profile.dead_index_hits,
-            error,
-            trace[0] if trace else None,
-            trace[1] if trace else None,
-            costs.principal if costs is not None else None,
-            profile.ops,
+            costs.rows_examined += examined
+            principal = costs.principal
+        statement = (
+            next(self._seq), meta, profile, duration, examined, error, trace, principal
         )
-        self.log.offer(entry)
-        return entry
+        self.log.offer(statement, slow or error is not None)
+        return statement
 
 
 class TimedLatch:

@@ -19,8 +19,10 @@ Plans are immutable and re-entrant: every per-execution value lives in
 ``EXPLAIN``, ``EXPLAIN ANALYZE`` and the slow-query log render from the
 same operator objects that execute (their ``describe``/``detail`` text),
 and with a :class:`~repro.db.profiler.QueryProfile` threaded through,
-each operator records rows examined vs. returned, dead-index hits and
-wall time.  With no profile the extra cost is a few ``is None`` checks.
+each operator writes rows examined vs. returned, dead-index hits and
+wall time into a flat list of its own (detail that depends on parameters
+is resolved to text then: nothing kept of a statement refers to them).
+With no profile the extra cost is a few ``is None`` checks.
 
 NULL never equals anything here: ``=``, ``IN`` and every index probe
 treat a NULL on either side as no match, which is what lets the planner
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.db.index import HashIndex, OrderedIndex
+from repro.db.profiler import DEAD_HITS, ELAPSED, EXAMINED, RETURNED
 from repro.db.profiler import QueryProfile, StatementMeta
 from repro.db.storage import Row
 from repro.db.table import Table
@@ -184,22 +187,21 @@ class PrefixScan:
 
 
 def _drive(path: Any, params: Sequence[Any], profile: QueryProfile | None) -> Pairs:
-    """Candidate rows of the driving table; with a profile they are
-    materialized and a ``drive`` operator records rows fetched, the
-    dead-index-hit delta and the access-path wall time."""
+    """Candidate rows of the driving table; with a profile they are a
+    list (the path's own when it returns one) and a ``drive`` operator
+    records rows fetched, the dead-index-hit delta and the access-path
+    wall time."""
     if profile is None:
         return path.rows(params)
     start = profile.clock()
     stats = path.table.stats
     dead_before = stats.dead_index_hits
-    found = list(path.rows(params))
-    profile.add_op(
-        "drive",
-        path.describe(params),
-        rows_examined=len(found),
-        rows_returned=len(found),
-        dead_hits=stats.dead_index_hits - dead_before,
-        elapsed=profile.clock() - start,
+    found = path.rows(params)
+    if type(found) is not list:
+        found = list(found)
+    fetched, dead = len(found), stats.dead_index_hits - dead_before
+    profile.ops.append(
+        ["drive", path.describe(params), fetched, fetched, dead, profile.clock() - start]
     )
     return found
 
@@ -306,10 +308,8 @@ class SelectPlan(Plan):
         emit = out.append
         join_ops = filter_op = None
         if profile is not None:
-            join_ops = [
-                profile.add_op("join", step.detail, 0, 0, 0, 0.0)
-                for step in joins
-            ]
+            join_ops = [["join", step.detail, 0, 0, 0, 0.0] for step in joins]
+            profile.ops += join_ops
             if residual is not None:
                 filter_op = profile.add_op("filter", FILTER_DETAIL, 0, 0)
 
@@ -322,9 +322,9 @@ class SelectPlan(Plan):
                     emit(project(rows, params))
         else:
             def leaf() -> None:
-                filter_op.rows_examined += 1
+                filter_op[EXAMINED] += 1
                 if residual(rows, params):
-                    filter_op.rows_returned += 1
+                    filter_op[RETURNED] += 1
                     emit(project(rows, params))
 
         if joins:
@@ -375,17 +375,19 @@ class SelectPlan(Plan):
             start = profile.clock()
             stats = step.table.stats
             dead_before = stats.dead_index_hits
-            probe = list(step.rows(rows, params))
-            op.elapsed += profile.clock() - start
-            op.dead_hits += stats.dead_index_hits - dead_before
-            op.rows_examined += len(probe)
+            probe = step.rows(rows, params)
+            if type(probe) is not list:
+                probe = list(probe)
+            op[ELAPSED] += profile.clock() - start
+            op[DEAD_HITS] += stats.dead_index_hits - dead_before
+            op[EXAMINED] += len(probe)
         slot, on = step.slot, step.on
         last = depth + 1 == len(self.joins)
         for _rid, row in probe:
             rows[slot] = row
             if on is None or on(rows, params):
                 if ops is not None:
-                    op.rows_returned += 1
+                    op[RETURNED] += 1
                 if last:
                     leaf()
                 else:
@@ -436,7 +438,9 @@ class MutatePlan(Plan):
         params = bind_derived(params, self.derived)
         # Materialized before the first write: mutating under a live index
         # iteration would skip or revisit rows.
-        matches = list(_drive(self.drive, params, profile))
+        matches = _drive(self.drive, params, profile)
+        if type(matches) is not list:
+            matches = list(matches)
         residual = self.residual
         if residual is not None:
             fetched = len(matches)

@@ -53,12 +53,9 @@ class _RpcMetrics:
 
     def __init__(self, metrics: MetricsRegistry) -> None:
         self.metrics = metrics
-        # Requests currently inside handlers: the dispatcher-level queue
-        # signal the saturation detector watches (Fig. 13 contention).
-        self.inflight = metrics.gauge("rpc.inflight")
         # (requests, errors, latency) per method label, made when its first
-        # request enters.  An unknown method is only ever an error: no other
-        # series.
+        # request enters (:meth:`first`).  An unknown method is only ever
+        # an error: no other series.
         self.by_method: dict[str, tuple[Any, Any, Any]] = {
             UNKNOWN_METHOD_LABEL: (
                 NULL_REGISTRY.counter("rpc.requests"),
@@ -67,18 +64,16 @@ class _RpcMetrics:
             )
         }
 
-    def entered(self, record: RequestCosts) -> None:
-        self.inflight.inc()
-        method = record.method
-        if method not in self.by_method:
-            self.by_method[method] = (
-                self.metrics.counter("rpc.requests", method=method),
-                self.metrics.counter("rpc.errors", method=method),
-                self.metrics.histogram("rpc.latency", method=method),
-            )
+    def first(self, method: str) -> None:
+        """Before ``method``'s first handler runs: a registry snapshot that
+        handler returns already lists its series."""
+        self.by_method[method] = (
+            self.metrics.counter("rpc.requests", method=method),
+            self.metrics.counter("rpc.errors", method=method),
+            self.metrics.histogram("rpc.latency", method=method),
+        )
 
     def finished(self, record: RequestCosts) -> None:
-        self.inflight.dec()
         requests, errors, latency = self.by_method[record.method]
         (requests if record.error is None else errors).inc()
         latency.observe(record.end - record.start)
@@ -97,9 +92,10 @@ class RPCServer:
         authorization" server mode.
     observers:
         Telemetry subscribers (a flight recorder, a usage accountant): each
-        may define ``entered(record)``, ``finished(record)`` (:meth:`handle`)
-        and ``record_bytes(principal, bytes_in, bytes_out)``, once per
-        answered frame.  Fenced (:meth:`_publish`): none can change a reply.
+        may define ``finished(record)`` (:meth:`handle`) and
+        ``record_bytes(principal, bytes_in, bytes_out)``, once per answered
+        frame.  Fenced (:meth:`_publish`): none can change a reply.  One
+        that defines ``watch(in_flight)`` is handed :meth:`in_flight` here.
     """
 
     def __init__(
@@ -125,17 +121,28 @@ class RPCServer:
         self.name = name
         self._span_tags: dict[str, str] = {"node": name} if name else {}
         self._rpc_metrics = _RpcMetrics(self.metrics)
+        # The record of every request inside :meth:`handle`, by its stamp:
+        # what has not finished has been published to nobody and is read
+        # here (``rpc.inflight``, the stuck-thread gate, :meth:`in_flight`).
+        self._inflight: dict[int, RequestCosts] = {}
+        self.metrics.register_gauge_fn("rpc.inflight", self._inflight.__len__)
         # Per moment, the (hook, observer's name) pairs in subscription order.
-        self._hooks = {"entered": [], "finished": [], "record_bytes": []}
+        self._hooks = {"finished": [], "record_bytes": []}
         for observer in (self._rpc_metrics, *observers):
             for moment, hooks in self._hooks.items():
                 if hasattr(observer, moment):
                     hooks.append((getattr(observer, moment), type(observer).__name__))
+            if hasattr(observer, "watch"):
+                observer.watch(self.in_flight)
 
     @property
-    def inflight(self) -> float:
+    def inflight(self) -> int:
         """Requests currently inside handlers (stuck-thread detector gate)."""
-        return self._rpc_metrics.inflight.value
+        return len(self._inflight)
+
+    def in_flight(self) -> list[RequestCosts]:
+        """Records of the requests now inside :meth:`handle`, oldest first."""
+        return list(self._inflight.values())
 
     @property
     def requests_served(self) -> int:
@@ -177,9 +184,10 @@ class RPCServer:
             try:
                 hook(*what)
             except Exception:
-                self.metrics.counter(
-                    "obs.selfcheck.observer_errors", observer=observer
-                ).inc()
+                self._observer_failed(observer)
+
+    def _observer_failed(self, observer: str) -> None:
+        self.metrics.counter("obs.selfcheck.observer_errors", observer=observer).inc()
 
     def record_bytes(self, principal: str, bytes_in: int, bytes_out: int) -> None:
         """Charge one answered frame's wire bytes (the transports' call)."""
@@ -194,19 +202,24 @@ class RPCServer:
         """Dispatch one request: the only route from a decoded request to
         its handler and back.
 
-        Its telemetry is one :class:`~repro.obs.reqctx.RequestCosts`,
-        published ``entered`` before the handler runs (what is in flight
-        can only be told then) and ``finished`` once the response is
-        computed.  ``queue_wait`` is the time the request sat decoded but
-        unserviced (batch items behind their predecessors).
+        Its telemetry is one :class:`~repro.obs.reqctx.RequestCosts`, in
+        the in-flight map while the handler runs and published
+        ``finished`` once the response is computed.  ``queue_wait`` is
+        the time the request sat decoded but unserviced (batch items
+        behind their predecessors).
         """
         method = request.method
         handler, new_record = self._methods.get(method) or self._unknown
         record = new_record(ctx.usage_principal, request.args, queue_wait)
+        if record.method not in self._rpc_metrics.by_method:
+            try:
+                self._rpc_metrics.first(record.method)
+            except Exception:
+                self._observer_failed("_RpcMetrics")
+        self._inflight[record.seq] = record
         reqctx.activate(record)
         try:
             if handler is None:
-                self._publish("entered", record)
                 record.error = "NoSuchMethodError"
                 record.message = f"unknown method {method!r}"
                 return Response(False, None, record.error, record.message, request.id)
@@ -214,7 +227,6 @@ class RPCServer:
                 "rpc.handle", parent=request.trace, method=method, **self._span_tags
             ) as span:
                 record.span = tracing.context()
-                self._publish("entered", record)
                 try:
                     value = handler(ctx, request.args)
                 except BaseException as exc:
@@ -222,12 +234,18 @@ class RPCServer:
                     span.set_error(record.error)
                     if not isinstance(exc, Exception):
                         raise  # interrupt/exit: accounted as failed, not answered
-                    return Response.failure(exc, id=request.id)
+                    return Response(False, None, record.error, record.message, request.id)
                 return Response(True, value, "", "", request.id)
         finally:
             reqctx.deactivate()
             record.end = time.perf_counter()
-            self._publish("finished", record)
+            record.end_seq = reqctx.stamp()
+            try:
+                self._publish("finished", record)
+            finally:
+                # Only now: a reader finds the record here or where its
+                # observers put it, never in neither.
+                del self._inflight[record.seq]
 
     def handle_batch(self, ctx: ConnectionContext, batch: Batch) -> Batch:
         """Dispatch a pipelined burst on the calling thread.

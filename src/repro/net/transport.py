@@ -562,11 +562,9 @@ class TCPChannel(Channel):
             request_id = self._next_id
             self._next_id += 1
             self._pending[request_id] = pending
-            # submit() takes ownership of the request object: stamp the
-            # correlation id in place rather than rebuilding the (frozen)
-            # dataclass — callers hand over freshly built requests.
-            object.__setattr__(request, "id", request_id)
-            self._queue.append(request)
+            self._queue.append(
+                Request(request.method, request.args, request.trace, request_id)
+            )
         return pending
 
     def flush(self) -> None:

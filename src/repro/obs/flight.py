@@ -7,10 +7,13 @@ appends small typed events (RPC dispatch, update delivery attempts and
 retries, WAL flushes, errors) into a bounded thread-safe ring, correlated
 with span ids from the tracer, and the ring is snapshotted on demand
 (``admin_flight`` / ``rls flight``) or automatically when a handler
-raises.  That automatic freeze sits on the request path, so it keeps
-references to the (immutable) events and renders them to dicts only when
-the dump is read.  Appending takes no lock (request threads share the
-ring and would convoy on one): ``record`` is built from single C calls,
+raises.  The request path stores and readers build: a finished request
+is one ``deque.append`` of its :class:`~repro.obs.reqctx.RequestCosts`,
+and its ``rpc.in`` and ``rpc.out`` (or ``error``) events — ``rpc.in`` alone
+for one the dispatcher still has in flight — are made when a ring is read
+and placed among the others by the record's two stamps; the automatic
+freeze keeps references too.  Appending takes no lock (request threads
+share the ring and would convoy on one): it is single C calls,
 ``deque.append`` and ``next`` on a count; readers copy under a lock.
 
 Retention mirrors :class:`~repro.obs.tracing.SpanSink`: every event lands
@@ -26,12 +29,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs import tracing
-from repro.obs.reqctx import RequestCosts
-
-_event_seq = itertools.count(1)
+from repro.obs.reqctx import RequestCosts, stamp
 
 #: Event kinds the instrumentation sites emit (informative, not enforced).
 EVENT_KINDS = (
@@ -86,11 +87,13 @@ class FlightEvent:
 class FlightRecorder:
     """Bounded, thread-safe event ring with error-preferential retention.
 
-    ``record`` is the single producer entry point; with ``span=None`` the
-    event adopts the calling thread's current trace context (if a tracer
-    is installed), so instrumentation sites get correlation for free.
-    Subscribed to a dispatcher (``RPCServer(observers=[recorder])``) it
-    records ``rpc.in``, then ``rpc.out`` or ``error`` plus a freeze.
+    ``record`` is the producer entry point for events recorded as they
+    happen; with ``span=None`` the event adopts the calling thread's
+    current trace context (if a tracer is installed), so instrumentation
+    sites get correlation for free.  Subscribed to a dispatcher
+    (``RPCServer(observers=[recorder])``) it keeps each finished request's
+    record — read back as ``rpc.in`` then ``rpc.out`` or ``error`` — and
+    freezes when one failed.
     """
 
     def __init__(
@@ -108,20 +111,27 @@ class FlightRecorder:
         )
         self.clock = clock
         self._lock = threading.Lock()
-        self._recent: "deque[FlightEvent]" = deque(maxlen=capacity)
-        self._errors: "deque[FlightEvent]" = deque(maxlen=self.error_capacity)
+        # An event recorded as it happened, or a finished request's record
+        # (two events; the error ring reads a failed one as its second).
+        self._recent: "deque[FlightEvent | RequestCosts]" = deque(maxlen=capacity)
+        self._errors: "deque[FlightEvent | RequestCosts]" = deque(maxlen=self.error_capacity)
+        self._in_flight: Callable[[], list[RequestCosts]] = list  # see watch()
         # Totals many threads raise without a lock: ``next`` on a count is
         # one C call.  Reading one draws from it too, so the reader (under
         # ``_lock``) subtracts the draws that reads have made.
         self._count_event = itertools.count().__next__
         self._count_error = itertools.count().__next__
-        self._stats_reads = 0
-        # The last freeze, as ``[frozen, rendered]``: the (reason, t, stats,
-        # error ring, recent ring) tuple until first read, then the dict it
-        # renders to (under ``_render_lock``).  One list per freeze, so a
-        # reader never pairs one freeze with another's rendering.
+        self._reads = 0
+        # The last freeze, as ``[frozen, rendered]``: the (reason, t,
+        # snapshot) tuple until first read, then the dict it renders to
+        # (under ``_render_lock``).  One list per freeze, so a reader never
+        # pairs one freeze with another's rendering.
         self._dump: list | None = None
         self._render_lock = threading.Lock()
+
+    def watch(self, in_flight: Callable[[], list[RequestCosts]]) -> None:
+        """Read the dispatcher's unfinished requests through ``in_flight``."""
+        self._in_flight = in_flight
 
     def record(
         self,
@@ -135,7 +145,7 @@ class FlightRecorder:
         if span is None:
             span = tracing.context()
         event = FlightEvent(
-            seq=next(_event_seq),
+            seq=stamp(),
             t=self.clock(),
             kind=kind,
             detail=detail,
@@ -151,19 +161,63 @@ class FlightRecorder:
             self._errors.append(event)
         return event
 
-    def entered(self, record: RequestCosts) -> None:
-        self.record("rpc.in", record.method, record.span, principal=record.principal)
-
     def finished(self, record: RequestCosts) -> None:
-        if record.error is None:
-            self.record("rpc.out", record.method, record.span)
-            return
-        # Black box: freeze the events leading up to the failure so a
-        # later wrap can't erase them (references only; rendered when
-        # the dump is read).
-        reason = f"{record.method}: {record.error}"
-        self.record("error", reason, record.span, error=True, message=record.message)
-        self.freeze(reason)
+        self._count_event()  # its rpc.in
+        self._count_event()  # its rpc.out, or error
+        self._recent.append(record)
+        if record.error is not None:
+            self._count_error()
+            self._errors.append(record)
+            # Black box: freeze the events leading up to the failure so a
+            # later wrap can't erase them (references only).
+            self.freeze(f"{record.method}: {record.error}")
+
+    def _snapshot_locked(self) -> tuple:
+        """``(events, errors, now, in-flight records, error ring, recent
+        ring)``.  The in-flight map is read first: the dispatcher drops a
+        record from it only after its observers have it, so a request
+        ending meanwhile is seen twice (and merged), never missed."""
+        in_flight = self._in_flight()
+        reads = self._reads
+        self._reads += 1
+        return (
+            self._count_event() - reads, self._count_error() - reads, stamp(),
+            in_flight, tuple(self._errors), tuple(self._recent),
+        )
+
+    def _stats(self, snapshot: tuple) -> dict[str, Any]:
+        events, errors, now, in_flight, error_ring, recent = snapshot
+        # Not finished when the stamp ``now`` was drawn: rpc.in not counted.
+        running = sum(1 for r in in_flight if not r.end_seq or r.end_seq > now)
+        held = running + sum(2 if type(item) is RequestCosts else 1 for item in recent)
+        return {
+            "recorded": events + running,
+            "errors": errors,
+            "recent": min(held, self.capacity),
+            "retained_errors": len(error_ring),
+            "capacity": self.capacity,
+            "error_capacity": self.error_capacity,
+        }
+
+    def _events(self, snapshot: tuple) -> list[FlightEvent]:
+        """What a snapshot reads as: the last ``capacity`` events of the
+        recent ring and the requests in flight, plus the error ring, in
+        stamp order.  A request's times are its ``perf_counter`` readings
+        moved onto ``clock`` by the two clocks' present distance."""
+        in_flight, errors, recent = snapshot[3:]
+        wall = self.clock() - time.perf_counter()
+        window: dict[int, FlightEvent] = {}
+        for item in recent:
+            if type(item) is RequestCosts:
+                window[item.seq] = _rpc_in(item, wall)
+                window[item.end_seq] = _rpc_end(item, wall)
+            else:
+                window[item.seq] = item
+        for record in in_flight:
+            window.setdefault(record.seq, _rpc_in(record, wall))
+        merged = {event.seq: event for event in _error_events(errors, wall)}
+        merged.update((seq, window[seq]) for seq in sorted(window)[-self.capacity:])
+        return [merged[seq] for seq in sorted(merged)]
 
     def events(self) -> list[FlightEvent]:
         """Union of both rings in sequence order (oldest first).
@@ -172,36 +226,28 @@ class FlightRecorder:
         the union is deduplicated by ``seq``.
         """
         with self._lock:
-            rings = tuple(self._errors), tuple(self._recent)
-        return _merge(*rings)
+            snapshot = self._snapshot_locked()
+        return self._events(snapshot)
 
     def errors(self) -> list[FlightEvent]:
         with self._lock:
-            return list(self._errors)
+            errors = tuple(self._errors)
+        return _error_events(errors, self.clock() - time.perf_counter())
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
-            return self._stats_locked()
-
-    def _stats_locked(self) -> dict[str, Any]:
-        reads = self._stats_reads
-        self._stats_reads += 1
-        return {
-            "recorded": self._count_event() - reads,
-            "errors": self._count_error() - reads,
-            "recent": len(self._recent),
-            "retained_errors": len(self._errors),
-            "capacity": self.capacity,
-            "error_capacity": self.error_capacity,
-        }
+            snapshot = self._snapshot_locked()
+        return self._stats(snapshot)
 
     def to_dict(self, limit: int | None = None) -> dict[str, Any]:
         """RPC payload: stats, the event tail, and the last error dump."""
-        events = self.events()
+        with self._lock:
+            snapshot = self._snapshot_locked()
+        events = self._events(snapshot)
         if limit is not None and limit >= 0:
             events = events[-limit:]
         return {
-            "stats": self.stats(),
+            "stats": self._stats(snapshot),
             "events": [event.to_dict() for event in events],
             "last_dump": self.last_dump,
         }
@@ -217,13 +263,7 @@ class FlightRecorder:
         """
         t = self.clock()
         with self._lock:
-            frozen = (
-                reason,
-                t,
-                self._stats_locked(),
-                tuple(self._errors),
-                tuple(self._recent),
-            )
+            frozen = (reason, t, self._snapshot_locked())
         self._dump = dump = [frozen, None]
         return dump
 
@@ -236,12 +276,12 @@ class FlightRecorder:
     def _render(self, dump: list) -> dict[str, Any]:
         with self._render_lock:
             if dump[1] is None:
-                reason, t, stats, errors, recent = dump[0]
+                reason, t, snapshot = dump[0]
                 dump[1] = {
                     "reason": reason,
                     "t": t,
-                    "stats": stats,
-                    "events": [e.to_dict() for e in _merge(errors, recent)],
+                    "stats": self._stats(snapshot),
+                    "events": [e.to_dict() for e in self._events(snapshot)],
                 }
                 dump[0] = None  # the dicts replace the events, not join them
             return dump[1]
@@ -257,9 +297,23 @@ class FlightRecorder:
         self._dump = None
 
 
-def _merge(
-    errors: Iterable[FlightEvent], recent: Iterable[FlightEvent]
-) -> list[FlightEvent]:
-    """Union of the two rings, deduplicated by ``seq``, oldest first."""
-    merged = {event.seq: event for event in (*errors, *recent)}
-    return [merged[seq] for seq in sorted(merged)]
+def _rpc_in(record: RequestCosts, wall: float) -> FlightEvent:
+    return FlightEvent(
+        record.seq, wall + record.start, "rpc.in", record.method,
+        *(record.span or (None, None)), data={"principal": record.principal},
+    )
+
+
+def _rpc_end(record: RequestCosts, wall: float) -> FlightEvent:
+    """A finished request's second event: ``rpc.out``, or ``error``."""
+    seq, t, span = record.end_seq, wall + record.end, record.span or (None, None)
+    if record.error is None:
+        return FlightEvent(seq, t, "rpc.out", record.method, *span)
+    return FlightEvent(
+        seq, t, "error", f"{record.method}: {record.error}", *span,
+        error=True, data={"message": record.message},
+    )
+
+
+def _error_events(errors: Iterable[Any], wall: float) -> list[FlightEvent]:
+    return [_rpc_end(e, wall) if type(e) is RequestCosts else e for e in errors]

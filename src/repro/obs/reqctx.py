@@ -24,6 +24,7 @@ charging sites need no context argument:
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import InitVar, dataclass, field
@@ -33,6 +34,11 @@ from typing import Callable
 from repro.obs.slo import classify_method
 
 _tls = threading.local()
+
+#: Draws the next number of the process-wide order of telemetry events: a
+#: request is stamped when its record is made and when it ends, the flight
+#: recorder stamps each event it records, and a ring is read back in order.
+stamp = itertools.count(1).__next__
 
 #: Stable principal for unauthenticated or unmapped connections.
 ANONYMOUS_PRINCIPAL = "anonymous"
@@ -57,6 +63,10 @@ class RequestCosts:
     span: tuple[str, str] | None = None  #: rpc.handle ``(trace_id, span_id)``
     start: float = field(default_factory=time.perf_counter)
     end: float = 0.0
+    #: :data:`stamp` drawn when the record was made, and when it ended
+    #: (0 until then).
+    seq: int = field(default_factory=stamp)
+    end_seq: int = 0
     rows_examined: int = 0  #: charged by the statement profiler
     wal_bytes: int = 0  #: charged by the WAL
     #: Outcome: ``None`` for a value, else the error's type name and text.

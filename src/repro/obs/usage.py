@@ -73,16 +73,24 @@ def lfn_prefix(lfn: str) -> str:
     """Heat-map key for one logical file name.
 
     Path-style names keep their first two ``/``-separated segments
-    (``/cms/run7/f001`` → ``/cms/run7``); flat names drop trailing
-    digits (``lfn-000123`` → ``lfn-``), so serially-numbered families
-    collapse into one bucket.
+    (``/cms/run7/f001`` → ``/cms/run7``); names with a scheme keep it, the
+    authority and the first directory under it (``lfn://host/run7/f1`` →
+    ``lfn://host/run7``, ``lfn://exp/f001`` → ``lfn://exp``); flat names
+    drop trailing digits (``lfn-000123`` → ``lfn-``), so serially-numbered
+    families collapse into one bucket.
     """
-    if "/" in lfn:
-        parts = lfn.split("/")
-        # A leading slash makes parts[0] == ""; keep two real segments.
-        head = parts[:3] if parts[0] == "" else parts[:2]
-        return "/".join(head) or "/"
-    return lfn.rstrip("0123456789") or lfn
+    if "/" not in lfn:
+        return lfn.rstrip("0123456789") or lfn
+    parts = lfn.split("/", 4)
+    first = parts[0]
+    if first == "":
+        keep = 3  # a leading slash opens an empty segment; two real ones
+    elif first[-1] == ":" and len(first) > 1 and parts[1] == "":
+        # ``scheme:``, ``""``, authority — and a directory if one follows.
+        keep = 4 if len(parts) > 4 else 3
+    else:
+        keep = 2
+    return "/".join(parts[:keep]) or "/"
 
 
 class SpaceSavingSketch:
@@ -294,11 +302,12 @@ class UsageAccountant:
     (``RPCServer(observers=[accountant])``): ``finished`` charges each
     completed request, ``record_bytes`` each frame.  Each request thread
     accounts into a *shard* of its own — a :class:`UsageSnapshot` only
-    that thread writes — so the hot path takes no lock and loses no
-    update; readers merge the shards, and an exited thread's shard is
-    folded into one remainder, so memory follows live connections.  Every
-    cost lives in the cells alone: the ``usage.*`` counters are read out
-    of the merged cells when the registry is snapshotted.
+    that thread writes, found through a thread-local — so the hot path
+    takes no lock and loses no update; readers merge the shards, and an
+    exited thread's shard is folded into one remainder, so memory follows
+    live connections.  Every cost lives in the cells alone: the
+    ``usage.*`` counters are read out of the merged cells when the
+    registry is snapshotted.
     """
 
     def __init__(
@@ -312,6 +321,9 @@ class UsageAccountant:
         self._lock = threading.Lock()  # labels and shards; never per request
         self._labels: dict[str, str] = {}
         self._shards: dict[threading.Thread, UsageSnapshot] = {}
+        # Per thread: ``shard`` (its own in ``_shards``) and ``net``, the
+        # ``(principal, cell)`` its last frame's bytes went to.
+        self._local = threading.local()
         self._folded = self._new_shard()
         if metrics is not None:
             metrics.register_counters(self._counters)
@@ -329,13 +341,14 @@ class UsageAccountant:
 
     def _shard(self) -> UsageSnapshot:
         """The calling thread's shard (the dict changes only under the lock)."""
-        thread = threading.current_thread()
-        shard = self._shards.get(thread)
-        if shard is None:
+        try:
+            return self._local.shard
+        except AttributeError:
             with self._lock:
                 self._fold_dead_shards()
-                shard = self._shards[thread] = self._new_shard()
-        return shard
+                shard = self._shards[threading.current_thread()] = self._new_shard()
+            self._local.shard = shard
+            return shard
 
     # -- label management ------------------------------------------------
 
@@ -352,6 +365,25 @@ class UsageAccountant:
 
     # -- the hot path ----------------------------------------------------
 
+    def finished(self, r: RequestCosts) -> None:
+        """Charge one completed request's cost vector."""
+        shard = self._shard()
+        principal = r.principal
+        label = self._labels.get(principal) or self.label_for(principal)
+        if label == OVERFLOW_PRINCIPAL and principal != OVERFLOW_PRINCIPAL:
+            shard.overflowed += 1
+        key = (label, r.op_class or OTHER_CLASS)
+        vec = shard.cells.get(key) or shard.cells.setdefault(key, [0.0] * _N_FIELDS)
+        vec[_I_REQUESTS] += 1
+        vec[_I_ERRORS] += r.error is not None
+        vec[_I_WALL] += r.end - r.start
+        vec[_I_QUEUE] += r.queue_wait
+        vec[_I_ROWS] += r.rows_examined
+        vec[_I_WAL] += r.wal_bytes
+        shard.principals.offer(principal)
+        if r.lfn is not None:
+            shard.prefixes.offer(lfn_prefix(r.lfn))
+
     def account(
         self,
         principal: str,
@@ -363,35 +395,26 @@ class UsageAccountant:
         error: bool = False,
         lfn: str | None = None,
     ) -> None:
-        """Charge one completed request's cost vector."""
-        shard = self._shard()
-        label = self.label_for(principal)
-        if label == OVERFLOW_PRINCIPAL and principal != OVERFLOW_PRINCIPAL:
-            shard.overflowed += 1
-        key = (label, op_class or OTHER_CLASS)
-        vec = shard.cells.setdefault(key, [0.0] * _N_FIELDS)
-        vec[_I_REQUESTS] += 1
-        vec[_I_ERRORS] += error
-        vec[_I_WALL] += wall_time
-        vec[_I_QUEUE] += queue_wait
-        vec[_I_ROWS] += rows_examined
-        vec[_I_WAL] += wal_bytes
-        shard.principals.offer(principal)
-        if lfn is not None:
-            shard.prefixes.offer(lfn_prefix(lfn))
-
-    def finished(self, r: RequestCosts) -> None:
-        self.account(
-            r.principal, r.op_class, r.end - r.start, r.queue_wait,
-            r.rows_examined, r.wal_bytes, r.error is not None, r.lfn,
+        """Charge a cost vector given field by field (tests, tools)."""
+        self.finished(
+            RequestCosts(
+                "", op_class, principal, queue_wait=queue_wait, lfn=lfn,
+                start=0.0, end=wall_time, rows_examined=rows_examined,
+                wal_bytes=wal_bytes, error="error" if error else None,
+            )
         )
 
     def record_bytes(
         self, principal: str, bytes_in: int = 0, bytes_out: int = 0
     ) -> None:
-        """Charge transport bytes (class ``net`` — frames may batch ops)."""
-        key = (self.label_for(principal), NET_CLASS)
-        vec = self._shard().cells.setdefault(key, [0.0] * _N_FIELDS)
+        """Charge transport bytes (class ``net`` — frames may batch ops).
+        A connection's frames come on one thread under one principal, so
+        the cell is looked up when that changes, not per frame."""
+        charged, vec = getattr(self._local, "net", (None, None))
+        if charged is not principal:
+            key = (self.label_for(principal), NET_CLASS)
+            vec = self._shard().cells.setdefault(key, [0.0] * _N_FIELDS)
+            self._local.net = principal, vec
         vec[_I_BYTES_IN] += bytes_in
         vec[_I_BYTES_OUT] += bytes_out
 

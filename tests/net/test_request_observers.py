@@ -1,8 +1,8 @@
 """Request observers: telemetry that cannot change an answer.
 
-``RPCServer`` publishes one record per request to its observers at two
-moments (``entered``, ``finished``) and each answered frame's byte count
-(``record_bytes``), all through one fenced step.  These tests hold the
+``RPCServer`` publishes one record per request to its observers, once
+(``finished``), and each answered frame's byte count (``record_bytes``),
+both through one fenced step.  These tests hold the
 fence — an observer that raises, wherever it raises, changes no reply
 byte, closes no connection and hides nothing from the other observers —
 and replay, step by step, the interleaving that made the parent's usage
@@ -21,7 +21,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.usage import UsageAccountant
 from tests.net._wire import IO_TIMEOUT, raw_connect, recv_message, send_frame
 
-MOMENTS = ("entered", "finished", "record_bytes")
+MOMENTS = ("finished", "record_bytes")
 
 #: One of each outcome, scalar and batched; ids as a pipelining client sets.
 FRAMES = [
@@ -63,9 +63,6 @@ class Witness:
 
     def __init__(self):
         self.seen = []
-
-    def entered(self, record):
-        self.seen.append(("entered", record.method, record.error))
 
     def finished(self, record):
         self.seen.append(("finished", record.method, record.error))
@@ -131,10 +128,9 @@ def expected_sightings(extra_requests):
     labels = ["echo", "boom", unknown, "echo", "boom", unknown, "echo"]
     labels += ["echo"] * extra_requests
     errors = {"echo": None, "boom": "ValueError", unknown: "NoSuchMethodError"}
-    entered = [("entered", label, None) for label in labels]
     finished = [("finished", label, errors[label]) for label in labels]
     frames = [("record_bytes", "anonymous", True)] * (len(FRAMES) + extra_requests)
-    return entered, finished, frames
+    return finished, frames
 
 
 @pytest.mark.parametrize("transport", sorted(EXCHANGES))
@@ -159,7 +155,7 @@ def test_a_raising_observer_changes_no_reply(transport, raising):
     # Every raise was counted, under the observer's name, and nowhere else.
     requests, frames = REQUESTS + extra, len(FRAMES) + extra
     per_observer = sum(
-        {"entered": requests, "finished": requests, "record_bytes": frames}[m]
+        {"finished": requests, "record_bytes": frames}[m]
         for m in raising
     )
     assert first.raises == last.raises == per_observer
@@ -169,8 +165,7 @@ def test_a_raising_observer_changes_no_reply(transport, raising):
 
     # The observer between the two raisers, and the server's own rpc.*
     # metrics before them, were told everything.
-    entered, finished, charged = expected_sightings(extra)
-    assert [s for s in witness.seen if s[0] == "entered"] == entered
+    finished, charged = expected_sightings(extra)
     assert [s for s in witness.seen if s[0] == "finished"] == finished
     assert [s for s in witness.seen if s[0] == "record_bytes"] == charged
     assert server.requests_served == bare.requests_served == 3 + extra
@@ -186,7 +181,7 @@ def test_no_observer_error_is_counted_when_none_raises():
         key.startswith("obs.selfcheck.observer_errors")
         for key in registry.snapshot().counters
     )
-    assert len(witness.seen) == 2 * REQUESTS + len(FRAMES)
+    assert len(witness.seen) == REQUESTS + len(FRAMES)
 
 
 def test_tcp_every_request_gets_its_own_reply_when_every_observer_call_raises():
@@ -213,7 +208,7 @@ def test_tcp_every_request_gets_its_own_reply_when_every_observer_call_raises():
     finally:
         transport.close()
     raises = registry.counter("obs.selfcheck.observer_errors", observer="Raiser")
-    assert raises.value == 3 * (n + 1)
+    assert raises.value == 2 * (n + 1)
 
 
 class ParkingRegistry(MetricsRegistry):

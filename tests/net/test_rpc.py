@@ -1,6 +1,9 @@
 """RPC server/client tests: messages, dispatch, error mapping, transports."""
 
+import dataclasses
+import pickle
 import threading
+from typing import Any
 
 import pytest
 
@@ -40,6 +43,50 @@ class TestMessages:
         hello = Hello(credential=b"cert", attributes={"v": 1})
         decoded = message_from_bytes(hello.to_bytes())
         assert decoded.credential == b"cert" and decoded.attributes == {"v": 1}
+
+    def test_request_and_response_keep_the_frozen_dataclass_contract(self):
+        """They were ``@dataclass(frozen=True)``; they are named tuples for
+        speed and must read, compare, hash and refuse assignment alike."""
+
+        @dataclasses.dataclass(frozen=True)
+        class Request_:
+            method: str
+            args: tuple = ()
+            trace: Any = None
+            id: Any = None
+
+        @dataclasses.dataclass(frozen=True)
+        class Response_:
+            ok: bool
+            value: Any = None
+            error_type: str = ""
+            error_message: str = ""
+            id: Any = None
+
+        for cls, twin, fields in (
+            (Request, Request_, ("q", ("lfn", 7), ("t1", "s1"), 9)),
+            (Request, Request_, ("q",)),
+            (Response, Response_, (True, (1, 2), "", "", 3)),
+            (Response, Response_, (False, None, "ValueError", "bad")),
+        ):
+            message, reference = cls(*fields), twin(*fields)
+            assert repr(message) == repr(reference).replace(twin.__qualname__, cls.__name__)
+            assert hash(message) == hash(reference)
+            assert message == cls(*fields) and not message != cls(*fields)
+            assert message != cls(*fields[:-1], "other") and message != fields
+            assert message != reference and {message: 1}[cls(*fields)] == 1
+            assert pickle.loads(pickle.dumps(message)) == message
+            name = dataclasses.fields(reference)[0].name
+            for change in (
+                lambda: setattr(message, name, "x"),
+                lambda: delattr(message, name),
+                lambda: setattr(message, "brand_new", 1),
+            ):
+                with pytest.raises(AttributeError):  # FrozenInstanceError is one
+                    change()
+            assert getattr(message, name) == fields[0]
+        assert Request("q", id=4) == Request(method="q", args=(), trace=None, id=4)
+        assert Response.success(1, id=2) == Response(True, 1, "", "", 2)
 
 
 def make_server(metrics=None):

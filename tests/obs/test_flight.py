@@ -106,6 +106,32 @@ class TestRetention:
         recorder.record("error", error=True)
         assert len(recorder.events()) == 1
 
+    def test_a_failed_requests_error_outlives_its_rpc_in(self):
+        """Requests are kept as records and read back as events: the error
+        ring must still hand out the failure once healthy traffic has pushed
+        the request out of the recent window."""
+        from repro.net.messages import Hello, Request
+        from repro.net.rpc import RPCServer
+
+        recorder = FlightRecorder(capacity=4, error_capacity=2)
+        rpc = RPCServer(observers=[recorder])
+        rpc.register("ok", lambda ctx, args: 1)
+        rpc.register("boom", lambda ctx, args: 1 / 0)
+        ctx = rpc.handshake(Hello(), peer="test")
+        assert not rpc.handle(ctx, Request("boom", ())).ok
+        for _ in range(10):
+            assert rpc.handle(ctx, Request("ok", ())).ok
+        events = recorder.events()
+        assert [(e.kind, e.detail) for e in events] == [
+            ("error", "boom: ZeroDivisionError"),
+            ("rpc.in", "ok"), ("rpc.out", "ok"), ("rpc.in", "ok"), ("rpc.out", "ok"),
+        ]
+        assert events[0].error and events[0].data == {"message": "division by zero"}
+        assert [(e.seq, e.kind) for e in recorder.errors()] == [(events[0].seq, "error")]
+        stats = recorder.stats()
+        assert (stats["recorded"], stats["errors"]) == (22, 1)
+        assert (stats["recent"], stats["retained_errors"]) == (4, 1)
+
     def test_default_error_capacity(self):
         assert FlightRecorder(capacity=256).error_capacity == 64
         assert FlightRecorder(capacity=8).error_capacity == 16

@@ -31,6 +31,19 @@ class TestLfnPrefix:
         assert lfn_prefix("/cms/run7") == "/cms/run7"
         assert lfn_prefix("exp/raw/a/b") == "exp/raw"
 
+    def test_scheme_names_keep_authority_and_first_directory(self):
+        # Every ``scheme://`` name used to land in one bucket, ``lfn:/``.
+        assert lfn_prefix("lfn://exp/file001") == "lfn://exp"
+        assert lfn_prefix("lfn://h/run7/f1") == "lfn://h/run7"
+        assert lfn_prefix("lfn://h/run7/sub/f1") == "lfn://h/run7"
+        assert lfn_prefix("gsiftp://se00.site/data/f") == "gsiftp://se00.site/data"
+        assert lfn_prefix("lfn://exp") == "lfn://exp"
+        assert lfn_prefix("lfn://exp/") == "lfn://exp"
+        assert lfn_prefix("lfn://") == "lfn://"
+        # Not a scheme: "://" without a name before it, or after a slash.
+        assert lfn_prefix("://x/y/z") == ":/"
+        assert lfn_prefix("dir/a://b/c") == "dir/a:"
+
     def test_flat_serial_names_collapse(self):
         assert lfn_prefix("lfn-000123") == "lfn-"
         assert lfn_prefix("lfn-000999") == "lfn-"
