@@ -11,7 +11,8 @@ Subcommands mirror the operation classes of the paper's Table 1::
     rls bulk    --server host:39281 create pairs.txt
     rls attr    --server host:39281 define size pfn int
     rls attr    --server host:39281 add <pfn> size pfn 1024
-    rls admin   --server host:39281 stats|ping|update|expire
+    rls admin   --server host:39281 ping|stats|update|incremental|expire|verify
+    rls admin   --server host:39281 add-rli <rli> [--bloom] | remove-rli | list-rlis
     rls stats   host:39281                         # live metrics summary
     rls stats   host:39281 --watch 2               # re-scrape every 2s
     rls trace   --server host:39281                # tail-retained spans
@@ -23,11 +24,17 @@ Subcommands mirror the operation classes of the paper's Table 1::
     rls threads host:39281                         # thread dump + stuck check
     rls flight  host:39281                         # flight-recorder events
     rls explain mysite-dsn "SELECT ... WHERE ..."  # EXPLAIN ANALYZE a query
+    rls shards  --server host:39281                # shard map + mirror health
     rls top     --servers a:39281,b:39282,r:39283  # live cluster rates
     rls top     --servers ... --principals         # + cluster heavy hitters
     rls workload --server host:39281 --op query --seed 7
 
 ``--server`` accepts either an in-process endpoint name or ``host:port``.
+The observability commands (``stats`` to ``flight``, and ``shards``) and
+the first line of ``rls admin`` ops are not spelled out in this module:
+each is declared by its row of :data:`repro.core.admin.SURFACES` (flags,
+help, the hint when the surface is switched off), and this module adds a
+text renderer keyed by that row.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import threading
 import time
 from typing import Sequence
 
+from repro.core import admin
 from repro.core.client import RLSClient, connect, connect_tcp_server
 from repro.core.config import ServerConfig, ServerRole
 from repro.core.naming import has_wildcard
@@ -84,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="install a process-wide tracer with tail-sampled span "
-        "retention (query via 'rls trace' / GET /admin/traces)",
+        "retention (query via 'rls trace')",
     )
     serve.add_argument(
         "--profile-hz",
@@ -97,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         default=None,
         help="comma-separated shard masters forming the cluster's "
-        "consistent-hash ring (gives this server a shard map to serve "
-        "from 'admin_shard_map' / 'rls shards')",
+        "consistent-hash ring (gives this server a shard map to serve; "
+        "see 'rls shards')",
     )
     serve.add_argument(
         "--mirror-of",
@@ -151,164 +159,52 @@ def build_parser() -> argparse.ArgumentParser:
     attr.add_argument("--server", required=True)
     attr.add_argument("args", nargs="+")
 
-    admin = sub.add_parser("admin", help="administrative operations")
-    admin.add_argument("--server", required=True)
-    admin.add_argument(
-        "op", choices=["ping", "stats", "update", "incremental", "expire", "add-rli",
-                       "remove-rli", "list-rlis", "verify"]
+    admin_cmd = sub.add_parser("admin", help="administrative operations")
+    admin_cmd.add_argument("--server", required=True)
+    admin_cmd.add_argument(
+        "op",
+        choices=[*(row.admin_op for row in admin.SURFACES if row.admin_op), *_RLI_OPS],
     )
-    admin.add_argument("extra", nargs="*")
-    admin.add_argument("--bloom", action="store_true")
+    admin_cmd.add_argument("extra", nargs="*")
+    admin_cmd.add_argument("--bloom", action="store_true")
 
-    stats = sub.add_parser(
-        "stats", help="live server metrics (counters and latency percentiles)"
-    )
-    stats.add_argument("server", help="endpoint name or host:port")
-    stats.add_argument(
-        "--format",
-        choices=["summary", "json", "text"],
-        default="summary",
-        help="summary (default), raw JSON snapshot, or Prometheus text",
-    )
-    stats.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="keep scraping every SECONDS, printing per-interval rates",
-    )
-    stats.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="with --watch: stop after N intervals (default: until ^C)",
-    )
-
-    trace = sub.add_parser(
-        "trace",
-        help="tail-retained spans, or one stitched trace by id",
-    )
-    trace.add_argument("--server", required=True)
-    trace.add_argument(
-        "trace_id",
-        nargs="?",
-        default=None,
-        help="trace (or span) id to assemble — the ids printed by the "
-        "listing and by 'rls slowlog' both work",
-    )
-    trace.add_argument("--limit", type=int, default=20)
-    trace.add_argument(
-        "--distributed",
-        action="store_true",
-        help="with a trace id: gather fragments from every endpoint in "
-        "the cluster's shard map client-side instead of asking one "
-        "server to stitch",
-    )
-    trace.add_argument(
-        "--critical-path",
-        action="store_true",
-        help="with a trace id: also print the critical path with wall "
-        "time attributed per segment (routing, net wait, db, wal, ...)",
-    )
-    trace.add_argument(
-        "--json", action="store_true", help="raw JSON payload instead of a table"
-    )
-
-    slo = sub.add_parser(
-        "slo", help="SLO state: per-class SLIs, burn rates, error budget"
-    )
-    slo.add_argument("server", help="endpoint name or host:port")
-    slo.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="keep polling every SECONDS, printing one burn-rate line "
-        "per round",
-    )
-    slo.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="with --watch: stop after N rounds (default: until ^C)",
-    )
-    slo.add_argument(
-        "--json", action="store_true", help="raw JSON payload instead of a table"
-    )
-
-    usage = sub.add_parser(
-        "usage", help="per-principal resource usage and heavy hitters"
-    )
-    usage.add_argument("server", help="endpoint name or host:port")
-    usage.add_argument(
-        "--watch",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="keep polling every SECONDS, printing per-interval request "
-        "rates by principal",
-    )
-    usage.add_argument(
-        "--iterations",
-        type=int,
-        default=None,
-        help="with --watch: stop after N rounds (default: until ^C)",
-    )
-    usage.add_argument(
-        "--json", action="store_true", help="raw JSON payload instead of a table"
-    )
-
-    slowlog = sub.add_parser(
-        "slowlog", help="tail-retained slow/error SQL statements"
-    )
-    slowlog.add_argument("--server", required=True)
-    slowlog.add_argument("--limit", type=int, default=20)
-    slowlog.add_argument(
-        "--json", action="store_true", help="raw JSON payload instead of a table"
-    )
-    slowlog.add_argument(
-        "--plans", action="store_true",
-        help="also print each statement's recorded operator plan",
-    )
-
-    profile = sub.add_parser(
-        "profile", help="sampling-profiler folded stacks (FlameGraph input)"
-    )
-    profile.add_argument("server", help="endpoint name or host:port")
-    profile.add_argument(
-        "--seconds",
-        type=float,
-        default=None,
-        metavar="N",
-        help="sample a window: diff two snapshots N seconds apart "
-        "(default: cumulative since server start)",
-    )
-    profile_fmt = profile.add_mutually_exclusive_group()
-    profile_fmt.add_argument(
-        "--folded",
-        action="store_true",
-        help="raw 'stack count' lines (pipe into flamegraph.pl)",
-    )
-    profile_fmt.add_argument(
-        "--json", action="store_true", help="raw JSON payload"
-    )
-
-    threads = sub.add_parser(
-        "threads", help="thread dump: roles, spans, stuck-thread detections"
-    )
-    threads.add_argument("server", help="endpoint name or host:port")
-    threads.add_argument(
-        "--json", action="store_true", help="raw JSON payload instead of a table"
-    )
-
-    flight = sub.add_parser(
-        "flight", help="flight-recorder events (the server's black box)"
-    )
-    flight.add_argument("server", help="endpoint name or host:port")
-    flight.add_argument("--limit", type=int, default=50)
-    flight.add_argument(
-        "--json", action="store_true", help="raw JSON payload instead of a table"
-    )
+    # One subparser per command the admin table declares: the endpoint,
+    # the row's own flags, an option per wire parameter, then --watch /
+    # --iterations and --json where the command has them.
+    for row in admin.SURFACES:
+        command = row.command
+        if command is None:
+            continue
+        cmd = sub.add_parser(command.path, help=command.help)
+        if command.server_flag:
+            cmd.add_argument("--server", required=True)
+        else:
+            cmd.add_argument("server", help="endpoint name or host:port")
+        formats = cmd.add_mutually_exclusive_group()
+        for flag in command.flags:
+            (formats if flag.format else cmd).add_argument(*flag.names, **flag.options)
+        for name, kind, default in row.params:
+            cmd.add_argument(
+                f"--{name}", type=kind, default=command.defaults.get(name, default)
+            )
+        if command.watch is not None:
+            cmd.add_argument(
+                "--watch",
+                type=float,
+                default=None,
+                metavar="SECONDS",
+                help=f"keep polling every SECONDS, printing {command.watch}",
+            )
+            cmd.add_argument(
+                "--iterations",
+                type=int,
+                default=None,
+                help="with --watch: stop after N rounds (default: until ^C)",
+            )
+        if command.json:
+            formats.add_argument(
+                "--json", action="store_true", help="raw JSON payload instead of a table"
+            )
 
     explain = sub.add_parser(
         "explain",
@@ -340,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--principals",
         action="store_true",
-        help="also print the cluster's top principals (admin_usage "
+        help="also print the cluster's top principals ('rls usage' "
         "sketches merged across all servers)",
     )
     top.add_argument(
         "--prefixes",
         action="store_true",
         help="also print the cluster's hot LFN prefixes (merged "
-        "admin_usage sketches)",
+        "'rls usage' sketches)",
     )
 
     workload = sub.add_parser(
@@ -376,10 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the server's internal metrics delta after the run",
     )
 
-    shards = sub.add_parser(
-        "shards", help="cluster shard map + mirror delivery health"
-    )
-    shards.add_argument("--server", required=True)
     return parser
 
 
@@ -506,29 +398,60 @@ def _dispatch(args: argparse.Namespace, client: RLSClient, out) -> int:
         return _bulk(args, client, out)
     elif args.command == "attr":
         return _attr(args, client, out)
-    elif args.command == "admin":
-        return _admin(args, client, out)
-    elif args.command == "stats":
-        return _stats(args, client, out)
-    elif args.command == "trace":
-        return _trace(args, client, out)
-    elif args.command == "slowlog":
-        return _slowlog(args, client, out)
-    elif args.command == "slo":
-        return _slo(args, client, out)
-    elif args.command == "usage":
-        return _usage(args, client, out)
-    elif args.command == "profile":
-        return _profile(args, client, out)
-    elif args.command == "threads":
-        return _threads(args, client, out)
-    elif args.command == "flight":
-        return _flight(args, client, out)
     elif args.command == "workload":
         return _workload(args, client, out)
-    elif args.command == "shards":
-        return _shards(args, client, out)
+    elif args.command == "admin" and args.op in _RLI_OPS:
+        _admin_rli(args, client, out)
+    else:
+        path = f"admin {args.op}" if args.command == "admin" else args.command
+        row = admin.commands()[path]
+        return _RUNNERS.get(path, _run_surface)(row, args, client, out)
     return 0
+
+
+def _call(row: admin.Surface, args: argparse.Namespace, client: RLSClient):
+    return client.rpc.call(row.method, *row.arguments(vars(args)))
+
+
+def _print_json(payload, args: argparse.Namespace, out) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+
+
+def _run_surface(
+    row: admin.Surface, args: argparse.Namespace, client: RLSClient, out
+) -> int:
+    """What every table command does: fetch the row's payload, then
+    ``--json`` prints it, ``enabled: false`` prints the row's hint (exit
+    1), otherwise the row's renderer prints it (JSON when it has none) and
+    ``--watch`` keeps printing the row's per-round line."""
+    payload = _FETCHERS.get(row.name, _call)(row, args, client)
+    watch = getattr(args, "watch", None)
+    if getattr(args, "json", False) and watch is None:
+        _print_json(payload, args, out)
+        return 0
+    if row.hint and not payload.get("enabled", True):
+        print(row.hint, file=out)
+        return 1
+    status = _RENDERERS.get(row.name, _print_json)(payload, args, out) or 0
+    if watch is not None:
+        _watch(args, out, _TICKERS[row.name](client, payload, args))
+    return status
+
+
+def _watch(args: argparse.Namespace, out, tick) -> None:
+    """The ``--watch`` loop: every ``--watch`` seconds print ``tick()``'s
+    line (``None``: nothing to report yet), ``--iterations`` times or
+    until interrupted."""
+    rounds = 0
+    try:
+        while args.iterations is None or rounds < args.iterations:
+            time.sleep(args.watch)
+            line = tick()
+            if line is not None:
+                rounds += 1
+                print(f"[{rounds}] {line}", file=out)
+    except KeyboardInterrupt:  # pragma: no cover - interactive path
+        pass
 
 
 def _bulk(args: argparse.Namespace, client: RLSClient, out) -> int:
@@ -584,37 +507,31 @@ def _coerce(text: str):
     return text
 
 
-def _admin(args: argparse.Namespace, client: RLSClient, out) -> int:
-    if args.op == "ping":
-        print(client.ping(), file=out)
-    elif args.op == "stats":
-        print(json.dumps(client.stats(), indent=2, sort_keys=True), file=out)
-    elif args.op == "update":
-        duration = client.trigger_full_update()
-        print(f"full update in {duration:.3f}s", file=out)
-    elif args.op == "incremental":
-        print(f"flushed {client.trigger_incremental_update()} changes", file=out)
-    elif args.op == "expire":
-        print(f"expired {client.expire_once()} entries", file=out)
-    elif args.op == "add-rli":
+#: The ops of ``rls admin`` that manage update targets (``lrc_rli_*``: not
+#: admin surfaces); the others come from the table.
+_RLI_OPS = ("add-rli", "remove-rli", "list-rlis")
+
+
+def _admin_rli(args: argparse.Namespace, client: RLSClient, out) -> None:
+    if args.op == "add-rli":
         client.add_rli(args.extra[0], bloom=args.bloom, patterns=args.extra[1:])
         print("rli added", file=out)
     elif args.op == "remove-rli":
         client.remove_rli(args.extra[0])
         print("rli removed", file=out)
-    elif args.op == "verify":
-        problems = client.verify()
-        for problem in problems:
-            print(f"PROBLEM: {problem}", file=out)
-        print("catalog healthy" if not problems else
-              f"{len(problems)} problem(s) found", file=out)
-        return 1 if problems else 0
-    elif args.op == "list-rlis":
+    else:
         for entry in client.list_rlis():
             flags = "bloom" if entry["bloom"] else "full"
             patterns = ",".join(entry["patterns"]) or "-"
             print(f"{entry['name']}\t{flags}\t{patterns}", file=out)
-    return 0
+
+
+def _render_verify(problems: list, args: argparse.Namespace, out) -> int:
+    for problem in problems:
+        print(f"PROBLEM: {problem}", file=out)
+    print("catalog healthy" if not problems else
+          f"{len(problems)} problem(s) found", file=out)
+    return 1 if problems else 0
 
 
 def _format_metrics_summary(snapshot_dict: dict, out) -> None:
@@ -654,125 +571,80 @@ def _format_metrics_summary(snapshot_dict: dict, out) -> None:
             )
 
 
-def _watch_stats(args: argparse.Namespace, client: RLSClient, out) -> int:
-    """``rls stats --watch N``: per-interval rates via snapshot subtraction."""
+def _stats_ticker(client: RLSClient, interval: float):
+    """``rls stats --watch``: per-interval rates via snapshot subtraction."""
     from repro.obs.metrics import MetricsSnapshot, split_metric_key
     from repro.obs.timeseries import Scraper
 
     scraper = Scraper(
         lambda: MetricsSnapshot.from_dict(client.metrics()),
-        interval=args.watch,
+        interval=interval,
     )
     scraper.scrape_once()  # priming scrape: establishes the baseline
-    rounds = 0
-    try:
-        while args.iterations is None or rounds < args.iterations:
-            time.sleep(args.watch)
-            result = scraper.scrape_once()
-            if result is None:
-                continue
-            rounds += 1
-            errors = sum(
-                value
+
+    def tick() -> str | None:
+        result = scraper.scrape_once()
+        if result is None:
+            return None
+        errors = sum(
+            value
+            for key, value in result.delta.counters.items()
+            if split_metric_key(key)[0] == "rpc.errors"
+        )
+        line = (
+            f"ops/s={result.ops_rate():.1f} "
+            f"errors/s={errors / result.interval:.1f}"
+        )
+        busiest = sorted(
+            (
+                (value, key)
                 for key, value in result.delta.counters.items()
-                if split_metric_key(key)[0] == "rpc.errors"
+                if value and split_metric_key(key)[0] == "rpc.requests"
+            ),
+            reverse=True,
+        )[:3]
+        if busiest:
+            detail = " ".join(
+                f"{split_metric_key(key)[1].get('method', key)}="
+                f"{value / result.interval:.1f}/s"
+                for value, key in busiest
             )
-            line = (
-                f"[{rounds}] ops/s={result.ops_rate():.1f} "
-                f"errors/s={errors / result.interval:.1f}"
-            )
-            busiest = sorted(
-                (
-                    (value, key)
-                    for key, value in result.delta.counters.items()
-                    if value and split_metric_key(key)[0] == "rpc.requests"
-                ),
-                reverse=True,
-            )[:3]
-            if busiest:
-                detail = " ".join(
-                    f"{split_metric_key(key)[1].get('method', key)}="
-                    f"{value / result.interval:.1f}/s"
-                    for value, key in busiest
-                )
-                line += f"  top: {detail}"
-            print(line, file=out)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    return 0
+            line += f"  top: {detail}"
+        return line
+
+    return tick
 
 
-def _distributed_trace(client: RLSClient, trace_id: str) -> dict:
-    """Client-side stitch: fan ``trace_fragments`` over the shard map.
+def _fetch_trace(row: admin.Surface, args: argparse.Namespace, client: RLSClient):
+    """``rls trace`` lists; ``rls trace <id>`` asks the server to stitch
+    that trace, or with ``--distributed`` stitches client-side from the
+    ``trace_fragments`` of every endpoint in the shard map (a server that
+    is not a cluster member has none: it assembles, as without the flag)."""
+    from repro.obs.assemble import TraceAssembler, cluster_sources
 
-    Falls back to the server-side ``admin_trace`` assembly when the
-    connected server is not part of a cluster (no shard map).
-    """
-    from repro.obs.assemble import TraceAssembler, TraceSource
-
-    info = client.shard_map()
-    smap = info.get("shard_map") if isinstance(info, dict) else None
+    if not args.trace_id:
+        return _call(row, args, client)
+    smap = client.shard_map().get("shard_map") if args.distributed else None
     if not smap or not smap.get("shards"):
-        return client.trace(trace_id)
-    endpoints: list[str] = []
-    for shard in smap["shards"]:
-        endpoints.append(shard)
-        endpoints.extend(smap.get("mirrors", {}).get(shard, ()))
-
-    def remote_fetch(name: str):
-        def fetch(tid: str):
-            peer = connect(name)
-            try:
-                return peer.trace_fragments(tid).get("spans", [])
-            finally:
-                peer.close()
-
-        return fetch
-
-    sources = [
-        TraceSource(name=name, fetch=remote_fetch(name)) for name in endpoints
-    ]
+        return client.trace(args.trace_id)
     # Resolve span-id references via the connected server so slowlog span
     # ids can be pasted directly.
-    local = client.trace_fragments(trace_id)
-    resolved = local.get("trace_id") or trace_id
+    local = client.trace_fragments(args.trace_id)
+    resolved = local.get("trace_id") or args.trace_id
+    sources = cluster_sources(smap, connect)
     payload = TraceAssembler(sources).assemble(resolved).to_dict()
     payload["enabled"] = bool(local.get("enabled", True))
     return payload
 
 
-def _trace(args: argparse.Namespace, client: RLSClient, out) -> int:
+def _render_traces(payload: dict, args: argparse.Namespace, out) -> None:
     if args.trace_id:
         from repro.obs.assemble import render_critical_path, render_trace
 
-        if args.distributed:
-            payload = _distributed_trace(client, args.trace_id)
-        else:
-            payload = client.trace(args.trace_id)
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-            return 0
-        if not payload.get("enabled", True):
-            print(
-                "tracing not enabled on server "
-                "(start it with: rls serve --trace)",
-                file=out,
-            )
-            return 1
         print(render_trace(payload), file=out)
         if args.critical_path:
             print(render_critical_path(payload), file=out)
-        return 0
-    payload = client.traces(limit=args.limit)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0
-    if not payload.get("enabled"):
-        print(
-            "tracing not enabled on server (start it with: rls serve --trace)",
-            file=out,
-        )
-        return 1
+        return
     sink_stats = payload.get("stats", {})
     print(
         f"span sink: {sink_stats.get('retained', 0)} retained of "
@@ -783,7 +655,7 @@ def _trace(args: argparse.Namespace, client: RLSClient, out) -> int:
     spans = payload.get("spans", [])
     if not spans:
         print("no retained spans", file=out)
-        return 0
+        return
     for span_dict in spans:
         error = span_dict.get("error")
         reason = span_dict.get("reason") or (
@@ -798,7 +670,6 @@ def _trace(args: argparse.Namespace, client: RLSClient, out) -> int:
             f"trace={span_dict.get('trace_id') or '-'} {tags}",
             file=out,
         )
-    return 0
 
 
 def _explain(args: argparse.Namespace, out) -> int:
@@ -817,11 +688,7 @@ def _explain(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _slowlog(args: argparse.Namespace, client: RLSClient, out) -> int:
-    payload = client.slow_queries(limit=args.limit)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0
+def _render_slowlog(payload: dict, args: argparse.Namespace, out) -> None:
     log_stats = payload.get("stats", {})
     state = "" if payload.get("enabled") else " (profiling disabled)"
     print(
@@ -833,7 +700,7 @@ def _slowlog(args: argparse.Namespace, client: RLSClient, out) -> int:
     queries = payload.get("queries", [])
     if not queries:
         print("no retained statements", file=out)
-        return 0
+        return
     for entry in queries:
         error = entry.get("error")
         reason = f"ERROR:{error}" if error else "slow"
@@ -854,14 +721,13 @@ def _slowlog(args: argparse.Namespace, client: RLSClient, out) -> int:
 
             for op in entry.get("plan", []):
                 print(f"    {OpStats(**op).render()}", file=out)
-    return 0
 
 
 def _fmt_sli(value) -> str:
     return "-" if value is None else f"{value * 100:7.3f}%"
 
 
-def _print_slo(payload: dict, out) -> None:
+def _render_slo(payload: dict, args: argparse.Namespace, out) -> None:
     policy = payload.get("policy", {})
     ident = payload.get("endpoint") or "?"
     shard = payload.get("shard") or ""
@@ -918,43 +784,28 @@ def _print_slo(payload: dict, out) -> None:
         print("  no burn-rate alerts", file=out)
 
 
-def _slo(args: argparse.Namespace, client: RLSClient, out) -> int:
-    payload = client.slo()
-    if not payload.get("enabled", True):
-        print("slo recorder not enabled on server", file=out)
-        return 1
-    if args.json and args.watch is None:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0
-    _print_slo(payload, out)
-    if args.watch is None:
-        return 0
-    rounds = 0
-    try:
-        while args.iterations is None or rounds < args.iterations:
-            time.sleep(args.watch)
-            payload = client.slo()
-            rounds += 1
-            parts = []
-            for cls, state in payload.get("classes", {}).items():
-                fast = state.get("windows", {}).get("fast_short", {})
-                burn = max(
-                    fast.get("burn_availability", 0.0),
-                    fast.get("burn_latency", 0.0),
-                )
-                parts.append(f"{cls}={burn:.1f}x")
-            alerts = payload.get("alerts", [])
-            line = f"[{rounds}] burn: " + " ".join(parts)
-            if alerts:
-                worst = max(
-                    (a.get("severity", "warning") for a in alerts),
-                    key=lambda s: s == "critical",
-                )
-                line += f"  ALERTS={len(alerts)} ({worst})"
-            print(line, file=out)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    return 0
+def _slo_ticker(client: RLSClient, payload: dict, args: argparse.Namespace):
+    def tick() -> str:
+        payload = client.slo()
+        parts = []
+        for cls, state in payload.get("classes", {}).items():
+            fast = state.get("windows", {}).get("fast_short", {})
+            burn = max(
+                fast.get("burn_availability", 0.0),
+                fast.get("burn_latency", 0.0),
+            )
+            parts.append(f"{cls}={burn:.1f}x")
+        alerts = payload.get("alerts", [])
+        line = "burn: " + " ".join(parts)
+        if alerts:
+            worst = max(
+                (a.get("severity", "warning") for a in alerts),
+                key=lambda s: s == "critical",
+            )
+            line += f"  ALERTS={len(alerts)} ({worst})"
+        return line
+
+    return tick
 
 
 def _principal_request_totals(payload: dict) -> dict[str, float]:
@@ -978,7 +829,7 @@ def _fmt_hitters(rows: list[dict], key: str, limit: int = 5) -> str:
     return " ".join(parts) or "-"
 
 
-def _print_usage(payload: dict, out) -> None:
+def _render_usage(payload: dict, args: argparse.Namespace, out) -> None:
     sketch = payload.get("sketch", {})
     print(
         f"usage accounting: {payload.get('principals_tracked', 0)} "
@@ -1029,55 +880,40 @@ def _print_usage(payload: dict, out) -> None:
     )
 
 
-def _usage(args: argparse.Namespace, client: RLSClient, out) -> int:
-    payload = client.usage()
-    if not payload.get("enabled", True):
-        print("usage accounting not enabled on server", file=out)
-        return 1
-    if args.json and args.watch is None:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0
-    _print_usage(payload, out)
-    if args.watch is None:
-        return 0
+def _usage_ticker(client: RLSClient, payload: dict, args: argparse.Namespace):
     previous = _principal_request_totals(payload)
-    rounds = 0
-    try:
-        while args.iterations is None or rounds < args.iterations:
-            time.sleep(args.watch)
-            payload = client.usage()
-            rounds += 1
-            current = _principal_request_totals(payload)
-            rates = sorted(
-                (
-                    ((count - previous.get(principal, 0.0)) / args.watch,
-                     principal)
-                    for principal, count in current.items()
-                ),
-                reverse=True,
-            )
-            previous = current
-            detail = " ".join(
-                f"{principal}={rate:.1f}/s"
-                for rate, principal in rates[:4]
-                if rate > 0
-            )
-            print(f"[{rounds}] req rate: {detail or 'idle'}", file=out)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    return 0
+
+    def tick() -> str:
+        nonlocal previous
+        current = _principal_request_totals(client.usage())
+        rates = sorted(
+            (
+                ((count - previous.get(principal, 0.0)) / args.watch, principal)
+                for principal, count in current.items()
+            ),
+            reverse=True,
+        )
+        previous = current
+        detail = " ".join(
+            f"{principal}={rate:.1f}/s"
+            for rate, principal in rates[:4]
+            if rate > 0
+        )
+        return f"req rate: {detail or 'idle'}"
+
+    return tick
 
 
-def _profile(args: argparse.Namespace, client: RLSClient, out) -> int:
+def _fetch_profile(row: admin.Surface, args: argparse.Namespace, client: RLSClient):
     from repro.obs.profile import StackProfile
 
-    payload = client.profile()
+    payload = _call(row, args, client)
     if args.seconds is not None and payload.get("enabled"):
         # Window mode: two cumulative snapshots subtracted, same algebra
         # as the metrics delta in `rls stats --watch`.
         before = StackProfile.from_dict(payload.get("profile", {}))
         time.sleep(args.seconds)
-        payload = client.profile()
+        payload = _call(row, args, client)
         window = StackProfile.from_dict(payload.get("profile", {})).delta(before)
         payload = dict(
             payload,
@@ -1086,21 +922,18 @@ def _profile(args: argparse.Namespace, client: RLSClient, out) -> int:
             roles=window.by_role(),
             window_seconds=args.seconds,
         )
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0
-    if not payload.get("enabled"):
-        print(
-            "profiler not enabled on server (set ServerConfig.profile_hz > 0)",
-            file=out,
-        )
-        return 1
+    return payload
+
+
+def _render_profile(payload: dict, args: argparse.Namespace, out) -> None:
+    from repro.obs.profile import StackProfile
+
     profile = StackProfile.from_dict(payload.get("profile", {}))
     if args.folded:
         folded = profile.render_folded()
         if folded:
             print(folded, file=out)
-        return 0
+        return
     window = (
         f" over {payload['window_seconds']:g}s"
         if "window_seconds" in payload
@@ -1122,18 +955,13 @@ def _profile(args: argparse.Namespace, client: RLSClient, out) -> int:
     hottest = profile.top(20)
     if not hottest:
         print("no samples", file=out)
-        return 0
+        return
     print("hottest stacks:", file=out)
     for folded, count in hottest:
         print(f"{count:>8}  {folded}", file=out)
-    return 0
 
 
-def _threads(args: argparse.Namespace, client: RLSClient, out) -> int:
-    payload = client.threads()
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0
+def _render_threads(payload: dict, args: argparse.Namespace, out) -> None:
     threads = payload.get("threads", [])
     print(f"{len(threads)} threads:", file=out)
     for entry in threads:
@@ -1155,21 +983,9 @@ def _threads(args: argparse.Namespace, client: RLSClient, out) -> int:
         )
     if not detections:
         print("no stuck threads detected", file=out)
-    return 0
 
 
-def _flight(args: argparse.Namespace, client: RLSClient, out) -> int:
-    payload = client.flight(limit=args.limit)
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0
-    if not payload.get("enabled"):
-        print(
-            "flight recorder not enabled on server "
-            "(set ServerConfig.flight_capacity > 0)",
-            file=out,
-        )
-        return 1
+def _render_flight(payload: dict, args: argparse.Namespace, out) -> None:
     ring_stats = payload.get("stats", {})
     print(
         f"flight recorder: {ring_stats.get('recent', 0)} events retained of "
@@ -1180,7 +996,7 @@ def _flight(args: argparse.Namespace, client: RLSClient, out) -> int:
     events = payload.get("events", [])
     if not events:
         print("no recorded events", file=out)
-        return 0
+        return
     for event in events:
         marker = "!" if event.get("error") else " "
         span = event.get("span_id") or "-"
@@ -1199,7 +1015,6 @@ def _flight(args: argparse.Namespace, client: RLSClient, out) -> int:
             f"({len(dump.get('events', []))} events frozen)",
             file=out,
         )
-    return 0
 
 
 def _top(args: argparse.Namespace, out) -> int:
@@ -1277,15 +1092,20 @@ def _top(args: argparse.Namespace, out) -> int:
             client.close()
 
 
-def _stats(args: argparse.Namespace, client: RLSClient, out) -> int:
+def _stats(
+    row: admin.Surface, args: argparse.Namespace, client: RLSClient, out
+) -> int:
+    """``rls stats`` fronts three surfaces, chosen by ``--watch`` and
+    ``--format``: the metrics snapshot, its text rendering, the stats."""
     if args.watch is not None:
-        return _watch_stats(args, client, out)
+        _watch(args, out, _stats_ticker(client, args.watch))
+        return 0
     if args.format == "text":
         print(client.metrics_text(), file=out, end="")
         return 0
-    stats = client.stats()
+    stats = _call(row, args, client)
     if args.format == "json":
-        print(json.dumps(stats, indent=2, sort_keys=True), file=out)
+        _print_json(stats, args, out)
         return 0
     roles = "+".join(
         role for role, on in stats.get("roles", {}).items() if on
@@ -1366,9 +1186,11 @@ def _workload(args: argparse.Namespace, client: RLSClient, out) -> int:
     return 1 if result.errors else 0
 
 
-def _shards(args: argparse.Namespace, client: RLSClient, out) -> int:
+def _shards(
+    row: admin.Surface, args: argparse.Namespace, client: RLSClient, out
+) -> int:
     """Print the server's shard map and its mirror delivery health."""
-    info = client.shard_map()
+    info = _call(row, args, client)
     print(f"server: {info['self']}", file=out)
     if info.get("mirror_of"):
         print(f"role:   read-only mirror of {info['mirror_of']}", file=out)
@@ -1403,6 +1225,36 @@ def _shards(args: argparse.Namespace, client: RLSClient, out) -> int:
                 file=out,
             )
     return 0
+
+
+#: What ``cli.py`` adds to a table row, keyed by :attr:`admin.Surface.name`:
+#: a text renderer ``(payload, args, out) -> exit status or None`` (a row
+#: without one prints JSON), a fetch that is more than one call, the line a
+#: ``--watch`` round prints.
+_RENDERERS = {
+    "ping": lambda payload, args, out: print(payload, file=out),
+    "trigger_full_update": lambda seconds, args, out: print(
+        f"full update in {seconds:.3f}s", file=out
+    ),
+    "trigger_incremental_update": lambda count, args, out: print(
+        f"flushed {count} changes", file=out
+    ),
+    "expire_once": lambda count, args, out: print(
+        f"expired {count} entries", file=out
+    ),
+    "verify": _render_verify,
+    "traces": _render_traces,
+    "slow_queries": _render_slowlog,
+    "slo": _render_slo,
+    "usage": _render_usage,
+    "profile": _render_profile,
+    "threads": _render_threads,
+    "flight": _render_flight,
+}
+_FETCHERS = {"traces": _fetch_trace, "profile": _fetch_profile}
+_TICKERS = {"slo": _slo_ticker, "usage": _usage_ticker}
+#: Commands that do not have the fetch/--json/hint/render shape, by path.
+_RUNNERS = {"stats": _stats, "shards": _shards}
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -69,8 +69,6 @@ class ServerConfig:
     #: Statements at or above this duration (seconds) are retained as
     #: "slow" and counted in ``db.slow_statements``.
     slow_query_threshold: float = 0.050
-    #: Capacity of the slow/error statement ring kept per engine.
-    query_log_capacity: int = 256
     #: Wall-clock sampling profiler rate (samples/second); 0 disables the
     #: sampler thread entirely (``admin_profile`` / ``rls profile``).
     profile_hz: float = 0.0
@@ -114,9 +112,6 @@ class ServerConfig:
     #: charge every request's cost vector — wall time, queue wait, rows
     #: examined, bytes, WAL bytes — to ``(principal, op_class)``.
     usage_accounting: bool = True
-    #: Capacity of the heavy-hitter sketches (top-K principals and LFN
-    #: prefixes); per-entry error is bounded by N/capacity.
-    usage_top_k: int = 32
     #: Distinct principals given exact accounting rows and metric labels;
     #: later arrivals aggregate under the bounded ``<other>`` label.
     usage_max_principals: int = 64

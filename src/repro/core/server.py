@@ -12,6 +12,7 @@ import threading
 from typing import Any, Callable
 
 from repro.cluster.mirror import MirrorIngest, MirrorManager, MirrorSink
+from repro.core import admin as admin_table
 from repro.core.config import Backend, ServerConfig
 from repro.core.errors import NotConfiguredError, ReadOnlyCatalogError
 from repro.core.lrc import LocalReplicaCatalog
@@ -23,7 +24,6 @@ from repro.db.postgres_engine import PostgresEngine
 from repro.net.rpc import ConnectionContext, RPCServer
 from repro.net.transport import LocalTransport, TCPServerTransport
 from repro.obs import tracing
-from repro.obs.assemble import TraceAssembler, TraceSource, tracer_source
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.periodic import Periodic
@@ -70,7 +70,6 @@ class RLSServer:
         self.engine.profiler.configure(
             enabled=self.config.profile_queries,
             slow_threshold=self.config.slow_query_threshold,
-            capacity=self.config.query_log_capacity,
         )
 
         # --- flight recorder + sampling profiler ---
@@ -155,7 +154,6 @@ class RLSServer:
         self.usage: UsageAccountant | None = (
             UsageAccountant(
                 metrics=self.metrics,
-                top_k=self.config.usage_top_k,
                 max_principals=self.config.usage_max_principals,
             )
             if self.config.usage_accounting
@@ -314,7 +312,9 @@ class RLSServer:
         return self.rli
 
     def _register_methods(self) -> None:
-        def guarded(privilege: Privilege, fn: Callable[..., Any]):
+        def guarded(privilege: Privilege | None, fn: Callable[..., Any]):
+            if privilege is None:
+                return lambda ctx, args: fn(*args)
             privilege_name = privilege.name.lower()
 
             def handler(ctx: ConnectionContext, args: tuple) -> Any:
@@ -377,25 +377,9 @@ class RLSServer:
         r("rli_incremental_update", guarded(rli_write, lambda lrc, added, removed: self._need_rli().apply_incremental_update(lrc, added, removed)))
         r("rli_bloom_update", guarded(rli_write, lambda lrc, bitmap, nbits, k, entries: self._need_rli().apply_bloom_update(lrc, bitmap, nbits, k, entries)))
 
-        # -- admin --
-        r("admin_ping", lambda ctx, args: "pong")
-        r("admin_stats", guarded(admin, self._stats))
-        r("admin_metrics", guarded(admin, lambda: self.metrics.snapshot().to_dict()))
-        r("admin_metrics_text", guarded(admin, lambda: self.metrics.render_text()))
-        r("admin_traces", guarded(admin, self._traces))
-        r("admin_trace", guarded(admin, self._trace))
-        r("admin_trace_fragments", guarded(admin, self._trace_fragments))
-        r("admin_slo", guarded(admin, self._slo))
-        r("admin_usage", guarded(admin, self._usage))
-        r("admin_slow_queries", guarded(admin, self._slow_queries))
-        r("admin_profile", guarded(admin, self._profile))
-        r("admin_threads", guarded(admin, self._threads))
-        r("admin_flight", guarded(admin, self._flight))
-        r("admin_trigger_full_update", guarded(admin, self._trigger_full_update))
-        r("admin_trigger_incremental_update", guarded(admin, self._trigger_incremental))
-        r("admin_expire_once", guarded(admin, lambda: self._need_rli().expire_once()))
-        r("admin_rebuild_bloom", guarded(admin, self._rebuild_bloom))
-        r("admin_verify", guarded(admin, lambda: self._need_lrc().verify_integrity()))
+        # -- admin: one row per surface, declared in core/admin.py --
+        for row in admin_table.SURFACES:
+            r(row.method, guarded(row.privilege, row.handler(self)))
 
         # -- sharded cluster: mirror feed + topology --
         r("mirror_full_sync", guarded(lrc_write, lambda master, pairs: self._need_ingest().apply_full(master, [tuple(p) for p in pairs])))
@@ -403,8 +387,6 @@ class RLSServer:
         r("lrc_mirror_add", guarded(admin, lambda name: self._ensure_mirror_manager().add_mirror(name)))
         r("lrc_mirror_remove", guarded(admin, self._mirror_remove))
         r("lrc_mirror_list", guarded(lrc_read, self._mirror_list))
-        r("admin_mirror_sync", guarded(admin, self._mirror_sync))
-        r("admin_shard_map", guarded(lrc_read, self._shard_map))
 
         # A read-only mirror accepts the ingest stream above but rejects
         # every client-facing catalog write with a typed error the
@@ -456,250 +438,6 @@ class RLSServer:
             return {}
         return self.mirror_manager.target_health()
 
-    def _mirror_sync(self) -> int:
-        """Force an immediate full sync to every registered mirror."""
-        if self.mirror_manager is None:
-            raise NotConfiguredError(
-                f"server {self.config.name!r} has no mirrors registered"
-            )
-        return self.mirror_manager.send_full_sync()
-
-    def _shard_map(self) -> dict[str, Any]:
-        """Topology answer any cluster member can serve (client bootstrap)."""
-        return {
-            "self": self.config.name,
-            "mirror_of": self.config.mirror_of,
-            "shard_map": (
-                self.config.cluster.to_dict()
-                if self.config.cluster is not None
-                else None
-            ),
-        }
-
-    def _trigger_full_update(self) -> float:
-        if self.update_manager is None:
-            raise NotConfiguredError("server has no update manager (not an LRC)")
-        return self.update_manager.send_full_update()
-
-    def _trigger_incremental(self) -> int:
-        if self.update_manager is None:
-            raise NotConfiguredError("server has no update manager (not an LRC)")
-        return self.update_manager.send_incremental_update()
-
-    def _rebuild_bloom(self) -> float:
-        if self.update_manager is None:
-            raise NotConfiguredError("server has no update manager (not an LRC)")
-        return self.update_manager.rebuild_bloom()
-
-    def _traces(self, limit: int = 100) -> dict[str, Any]:
-        """Tail-retained spans from the process-wide tracer's sink.
-
-        Tracing is an opt-in process-wide facility (``rls serve --trace``
-        or :func:`repro.obs.tracing.install_tracer`); with none installed
-        this reports ``enabled: False`` rather than failing, so ``rls
-        trace`` degrades gracefully against an untraced server.
-        """
-        sink = tracing.current_sink()
-        if sink is None:
-            return {"enabled": False, "stats": {}, "spans": []}
-        payload = sink.to_dict(limit=limit)
-        payload["enabled"] = True
-        return payload
-
-    def _slo(self) -> dict[str, Any]:
-        """Current SLO state: per-class SLIs, burn rates, budget, alerts.
-
-        With ``slo_tick_interval=0`` (the default) there is no recorder
-        thread; this handler ticks on demand, so the answer always covers
-        traffic up to now at the cost of one registry snapshot.
-        """
-        self.slo.tick()
-        return self.slo.to_dict()
-
-    def _usage(self) -> dict[str, Any]:
-        """Per-principal usage table, heavy-hitter sketches included.
-
-        Accounting is a per-server knob (``ServerConfig.usage_accounting``,
-        on by default); when disabled this reports ``enabled: False`` so
-        ``rls usage`` degrades gracefully.
-        """
-        if self.usage is None:
-            return {
-                "enabled": False,
-                "principals": {},
-                "top_principals": [],
-                "top_prefixes": [],
-            }
-        return self.usage.to_dict()
-
-    def _trace_fragments(self, trace_id: str) -> dict[str, Any]:
-        """This node's raw span fragments for one trace.
-
-        Accepts a span id too (``rls slowlog`` prints both), resolving it
-        to its trace.  Gracefully reports ``enabled: False`` when no
-        process-wide tracer is installed, like ``admin_traces``.
-        """
-        tracer = tracing.current_tracer()
-        if tracer is None:
-            return {
-                "enabled": False,
-                "node": self.config.name,
-                "trace_id": trace_id,
-                "spans": [],
-            }
-        resolved = tracer.resolve_trace(trace_id) or trace_id
-        return {
-            "enabled": True,
-            "node": self.config.name,
-            "trace_id": resolved,
-            "spans": [s.to_dict() for s in tracer.fragments(resolved)],
-        }
-
-    def _trace(self, trace_id: str) -> dict[str, Any]:
-        """Cluster-stitched view of one trace (tree + critical path).
-
-        A cluster member fans ``admin_trace_fragments`` out to every
-        endpoint in its shard map; unreachable nodes are tolerated and
-        reported under ``missing``.  Outside a cluster the local
-        fragments are assembled alone.
-        """
-        tracer = tracing.current_tracer()
-        if tracer is None:
-            return {
-                "enabled": False,
-                "trace_id": trace_id,
-                "spans": [],
-                "tree": [],
-                "critical_path": [],
-                "nodes": {},
-                "missing": {},
-            }
-        resolved = tracer.resolve_trace(trace_id) or trace_id
-        sources = [tracer_source(self.config.name, tracer)]
-        if self.config.cluster is not None:
-            from repro.core.client import connect
-
-            def remote_fetch(name: str):
-                def fetch(tid: str) -> list[dict[str, Any]]:
-                    with connect(name) as peer:
-                        return peer.trace_fragments(tid).get("spans", [])
-
-                return fetch
-
-            smap = self.config.cluster
-            endpoints = [
-                n
-                for shard in smap.shards
-                for n in (shard, *smap.mirrors_of(shard))
-                if n != self.config.name
-            ]
-            sources.extend(
-                TraceSource(name=n, fetch=remote_fetch(n)) for n in endpoints
-            )
-        payload = TraceAssembler(sources).assemble(resolved).to_dict()
-        payload["enabled"] = True
-        return payload
-
-    def _slow_queries(self, limit: int = 50) -> dict[str, Any]:
-        """Tail-retained slow/error statements from the engine's query log.
-
-        Profiling is a per-server knob (``ServerConfig.profile_queries``,
-        on by default); when disabled this reports ``enabled: False``
-        with whatever the log last retained, so ``rls slowlog`` degrades
-        gracefully instead of failing.
-        """
-        profiler = self.engine.profiler
-        payload = profiler.log.to_dict(limit=limit)
-        payload["enabled"] = profiler.enabled
-        return payload
-
     def _rpc_inflight(self) -> float:
         """Current in-flight RPC count (the stuck-thread detector gate)."""
         return float(self.rpc.inflight)
-
-    def _profile(self) -> dict[str, Any]:
-        """Cumulative sampling-profiler state (folded stacks + meters).
-
-        The sampler is a per-server knob (``ServerConfig.profile_hz``, off
-        by default); when disabled the payload reports ``enabled: False``
-        with zero samples, so ``rls profile`` degrades gracefully.
-        """
-        return self.profiler.to_dict()
-
-    def _threads(self) -> dict[str, Any]:
-        """Point-in-time dump of registered threads plus stuck detections.
-
-        Works even with the sampler disabled — the dump walks live frames
-        on demand; only ``consecutive_top`` bookkeeping needs samples.
-        """
-        return {
-            "enabled": True,
-            "threads": self.profiler.thread_dump(),
-            "detections": [d.to_dict() for d in self.profiler.detections()],
-        }
-
-    def _flight(self, limit: int = 100) -> dict[str, Any]:
-        """Flight-recorder snapshot: stats, event tail, last error dump.
-
-        Recording is a per-server knob (``ServerConfig.flight_capacity``,
-        on by default); ``flight_capacity=0`` reports ``enabled: False``
-        so ``rls flight`` degrades gracefully.
-        """
-        if self.flight is None:
-            return {
-                "enabled": False, "stats": {}, "events": [], "last_dump": None,
-            }
-        payload = self.flight.to_dict(limit=limit)
-        payload["enabled"] = True
-        return payload
-
-    def _stats(self) -> dict[str, Any]:
-        stats: dict[str, Any] = {
-            "name": self.config.name,
-            "roles": {
-                "lrc": self.config.is_lrc,
-                "rli": self.config.is_rli,
-            },
-            "backend": self.config.backend.value,
-            "requests_served": self.rpc.requests_served,
-            "errors_returned": self.rpc.errors_returned,
-        }
-        if self.lrc is not None:
-            stats["lrc"] = {
-                "lfns": self.lrc.lfn_count(),
-                "mappings": self.lrc.mapping_count(),
-            }
-        if self.rli is not None:
-            stats["rli"] = {
-                "mappings": self.rli.mapping_count(),
-                "bloom_filters": self.rli.bloom_filter_count(),
-                "updates_applied": self.rli.updates_applied,
-                "staleness_age": self.rli.staleness_age(),
-                "staleness_ages": self.rli.staleness_ages(),
-            }
-        if self.update_manager is not None:
-            s = self.update_manager.stats
-            stats["updates"] = {
-                "full": s.full_updates,
-                "incremental": s.incremental_updates,
-                "bloom": s.bloom_updates,
-                "names_sent": s.names_sent,
-                "bloom_bytes_sent": s.bytes_sent_bloom,
-                "errors": s.errors,
-                "retries": s.retries,
-                "targets": self.update_manager.target_health(),
-            }
-        if self.mirror_ingest is not None:
-            stats["mirror"] = self.mirror_ingest.to_dict()
-        if self.mirror_manager is not None:
-            s = self.mirror_manager.stats
-            stats["mirrors"] = {
-                "full_syncs": s.full_syncs,
-                "incremental_pushes": s.incremental_pushes,
-                "pairs_sent": s.pairs_sent,
-                "errors": s.errors,
-                "retries": s.retries,
-                "targets": self.mirror_manager.target_health(),
-            }
-        stats["metrics"] = self.metrics.snapshot().to_dict()
-        return stats

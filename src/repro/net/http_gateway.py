@@ -33,10 +33,14 @@ path                  method  action
 ====================  ======  =====================================
 
 ``/metrics`` responds with ``text/plain`` (Prometheus exposition
-format); every other route speaks JSON.
+format); every other route speaks JSON.  The ``/admin/*`` routes and
+``/metrics`` are not written here: they are the rows of
+:data:`repro.core.admin.SURFACES` that declare a route, looked up per
+request, with ``?name=value`` converted by the row's parameter types.
 
 Errors map to HTTP statuses: unknown names → 404, conflicts → 409,
-validation → 400, authorization → 403, anything else → 500.
+validation (a malformed body or query value included) → 400,
+authorization → 403, anything else → 500.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import unquote
+from urllib.parse import parse_qsl, unquote
 
+from repro.core import admin
 from repro.core.client import RLSClient, connect
 from repro.core.errors import (
     InvalidNameError,
@@ -78,18 +83,13 @@ class HTTPGateway:
             def _client(self) -> RLSClient:
                 return connect(gateway.rls_endpoint, gateway.credential)
 
-            def _send(self, status: int, payload) -> None:
-                body = json.dumps(payload).encode("utf-8")
+            def _send(self, status: int, payload, text: bool = False) -> None:
+                body = (payload if text else json.dumps(payload)).encode("utf-8")
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _send_text(self, status: int, text: str) -> None:
-                body = text.encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "text/plain; version=0.0.4")
+                self.send_header(
+                    "Content-Type",
+                    "text/plain; version=0.0.4" if text else "application/json",
+                )
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
@@ -100,12 +100,12 @@ class HTTPGateway:
                     return {}
                 return json.loads(self.rfile.read(length).decode("utf-8"))
 
-            def _handle(self, fn) -> None:
+            def _handle(self, fn, text: bool = False) -> None:
                 client = None
                 try:
                     client = self._client()
                     status, payload = fn(client)
-                    self._send(status, payload)
+                    self._send(status, payload, text)
                 except MappingNotFoundError as exc:
                     self._send(404, {"error": str(exc)})
                 except MappingExistsError as exc:
@@ -127,6 +127,25 @@ class HTTPGateway:
                     if client is not None:
                         client.close()
 
+            def _admin(self, verb: str, path: str) -> bool:
+                """Serve ``path`` from the admin table; ``False`` when the
+                table has no such route."""
+                bare, _, query = path.partition("?")
+                found = admin.find_route(verb, bare)
+                if found is None:
+                    return False
+                row, bound = found
+                try:
+                    args = row.arguments({**dict(parse_qsl(query)), **bound})
+                except ValueError as exc:
+                    self._send(400, {"error": f"bad request: {exc}"})
+                    return True
+                self._handle(
+                    lambda c: row.route.reply(c.rpc.call(row.method, *args)),
+                    text=row.route.text,
+                )
+                return True
+
             # -- GET ------------------------------------------------------
 
             def do_GET(self) -> None:
@@ -146,76 +165,7 @@ class HTTPGateway:
                     self._handle(
                         lambda c: (200, {"lfn": lfn, "lrcs": c.rli_query(lfn)})
                     )
-                elif path == "/admin/stats":
-                    self._handle(lambda c: (200, c.stats()))
-                elif path == "/admin/slo":
-                    self._handle(lambda c: (200, c.slo()))
-                elif path == "/admin/usage":
-                    self._handle(lambda c: (200, c.usage()))
-                elif path.startswith("/admin/trace/"):
-                    trace_id = path[len("/admin/trace/"):].partition("?")[0]
-
-                    def fetch_trace(c: RLSClient):
-                        payload = c.trace(trace_id)
-                        # With a tracer installed, an id no node retains
-                        # is a miss; with none, the surface degrades to
-                        # {"enabled": false} like the other admin routes.
-                        if payload.get("enabled") and not payload.get("spans"):
-                            return 404, payload
-                        return 200, payload
-
-                    self._handle(fetch_trace)
-                elif path == "/admin/shard_map":
-                    self._handle(lambda c: (200, c.shard_map()))
-                elif path == "/admin/traces" or path.startswith("/admin/traces?"):
-                    query = path.partition("?")[2]
-                    limit = 100
-                    for part in query.split("&"):
-                        if part.startswith("limit="):
-                            try:
-                                limit = int(part[len("limit="):])
-                            except ValueError:
-                                pass
-                    self._handle(lambda c: (200, c.traces(limit=limit)))
-                elif path == "/admin/queries" or path.startswith(
-                    "/admin/queries?"
-                ):
-                    query = path.partition("?")[2]
-                    limit = 50
-                    for part in query.split("&"):
-                        if part.startswith("limit="):
-                            try:
-                                limit = int(part[len("limit="):])
-                            except ValueError:
-                                pass
-                    self._handle(lambda c: (200, c.slow_queries(limit=limit)))
-                elif path == "/admin/profile":
-                    self._handle(lambda c: (200, c.profile()))
-                elif path == "/admin/threads":
-                    self._handle(lambda c: (200, c.threads()))
-                elif path == "/admin/flight" or path.startswith(
-                    "/admin/flight?"
-                ):
-                    query = path.partition("?")[2]
-                    limit = 100
-                    for part in query.split("&"):
-                        if part.startswith("limit="):
-                            try:
-                                limit = int(part[len("limit="):])
-                            except ValueError:
-                                pass
-                    self._handle(lambda c: (200, c.flight(limit=limit)))
-                elif path == "/metrics":
-                    client = None
-                    try:
-                        client = self._client()
-                        self._send_text(200, client.metrics_text())
-                    except Exception as exc:
-                        self._send(500, {"error": str(exc)})
-                    finally:
-                        if client is not None:
-                            client.close()
-                else:
+                elif not self._admin("GET", path):
                     self._send(404, {"error": f"no such route: {path}"})
 
             # -- POST -----------------------------------------------------
@@ -239,17 +189,14 @@ class HTTPGateway:
                     self._handle(
                         lambda c: (200, c.bulk_query(list(body["lfns"])))
                     )
-                elif path == "/admin/update":
-                    self._handle(
-                        lambda c: (200, {"duration": c.trigger_full_update()})
-                    )
-                else:
+                elif not self._admin("POST", path):
                     self._send(404, {"error": f"no such route: {path}"})
 
             # -- DELETE ---------------------------------------------------
 
             def do_DELETE(self) -> None:
-                if unquote(self.path) == "/mappings":
+                path = unquote(self.path)
+                if path == "/mappings":
                     body = self._body()
 
                     def delete(c: RLSClient):
@@ -257,7 +204,7 @@ class HTTPGateway:
                         return 200, {"deleted": [body["lfn"], body["pfn"]]}
 
                     self._handle(delete)
-                else:
+                elif not self._admin("DELETE", path):
                     self._send(404, {"error": "no such route"})
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)

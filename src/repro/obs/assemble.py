@@ -28,7 +28,7 @@ segments approximate, which is flagged in the payload (``clock``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.tracing import Span, SpanSink, Tracer
 
@@ -37,6 +37,7 @@ __all__ = [
     "Segment",
     "TraceAssembler",
     "TraceSource",
+    "cluster_sources",
     "render_critical_path",
     "render_trace",
     "segment_kind",
@@ -82,6 +83,36 @@ def tracer_source(
 def sink_source(name: str, sink: SpanSink) -> TraceSource:
     """Source over a bare span sink (retained fragments only)."""
     return TraceSource(name=name, fetch=sink.trace)
+
+
+def cluster_sources(
+    shard_map: Mapping[str, Any],
+    connect: Callable[[str], Any],
+    skip: str | None = None,
+) -> list[TraceSource]:
+    """One source per endpoint of a shard map (its wire ``to_dict`` form):
+    each master followed by its mirrors, ``skip`` left out.
+
+    A fetch opens its own connection with ``connect(name)`` (an
+    :class:`~repro.core.client.RLSClient` factory) and asks that node for
+    its ``trace_fragments``; a node that cannot be reached raises there,
+    which the assembler reports under ``missing``.
+    """
+
+    def remote(name: str) -> Callable[[str], list[dict[str, Any]]]:
+        def fetch(trace_id: str) -> list[dict[str, Any]]:
+            with connect(name) as peer:
+                return peer.trace_fragments(trace_id).get("spans", [])
+
+        return fetch
+
+    mirrors = shard_map.get("mirrors", {})
+    return [
+        TraceSource(name=name, fetch=remote(name))
+        for shard in shard_map["shards"]
+        for name in (shard, *mirrors.get(shard, ()))
+        if name != skip
+    ]
 
 
 # -- segment classification -------------------------------------------------

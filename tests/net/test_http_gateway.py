@@ -233,3 +233,39 @@ class TestTraces:
         assert 0 < len(body["spans"]) <= 3
         assert body["stats"]["retained"] >= 5
         assert {"name", "trace_id", "duration"} <= set(body["spans"][0])
+
+
+class TestQueryStringAndMetricsErrors:
+    """The admin routes share one query-string parser and one error
+    mapping (they are rows of ``repro.core.admin.SURFACES``)."""
+
+    @pytest.mark.parametrize("route", ["traces", "queries", "flight"])
+    def test_malformed_limit_is_400(self, gateway, route):
+        gw, _ = gateway
+        status, body = http("GET", f"{gw.url}/admin/{route}?limit=abc")
+        assert status == 400
+        assert body["error"].startswith("bad request: limit")
+
+    def test_metrics_without_the_privilege_is_403(self):
+        from repro.core.config import ServerConfig
+        from repro.core.server import RLSServer
+        from repro.security.acl import AccessControlList
+        from repro.security.authorizer import SecurityPolicy
+        from repro.security.credentials import CertificateAuthority
+        from repro.security.gridmap import Gridmap
+
+        reader = "/DC=org/DC=rls/CN=reader"
+        ca = CertificateAuthority()
+        acl = AccessControlList()
+        acl.add(reader, ["lrc_read"])
+        policy = SecurityPolicy(
+            enabled=True, ca=ca, gridmap=Gridmap({reader: "reader"}), acl=acl
+        )
+        config = ServerConfig(name="gw-secure", security=policy, sync_latency=0.0)
+        with RLSServer(config), HTTPGateway(
+            "gw-secure", credential=ca.issue(reader).to_bytes()
+        ) as gw:
+            status, body = http("GET", f"{gw.url}/metrics")
+            assert status == 403 and "privilege" in body["error"]
+            status, _ = http("GET", f"{gw.url}/admin/shard_map")  # lrc_read
+            assert status == 200
