@@ -180,7 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--server", required=True)
         else:
             cmd.add_argument("server", help="endpoint name or host:port")
-        formats = cmd.add_mutually_exclusive_group()
+        # Output formats exclude one another.  argparse cannot print the
+        # usage of an empty group, so a command with none gets no group.
+        formats = cmd
+        if command.json or any(flag.format for flag in command.flags):
+            formats = cmd.add_mutually_exclusive_group()
         for flag in command.flags:
             (formats if flag.format else cmd).add_argument(*flag.names, **flag.options)
         for name, kind, default in row.params:
@@ -414,6 +418,7 @@ def _call(row: admin.Surface, args: argparse.Namespace, client: RLSClient):
 
 
 def _print_json(payload, args: argparse.Namespace, out) -> None:
+    """The renderer of a row that registers none (hence their signature)."""
     print(json.dumps(payload, indent=2, sort_keys=True), file=out)
 
 

@@ -3,10 +3,11 @@
 An administrative operation is reached three ways — an ``admin_*`` RPC
 method, an HTTP route on the gateway, an ``rls`` subcommand — and each row
 of :data:`SURFACES` states everything the three fronts need to know about
-one of them: wire name, privilege, ordered parameters, the producer that
-reads the server's state, the route and the command(s) where the surface
-has them, and the hint printed when its payload says ``enabled: false``.
-The fronts hold no per-surface code:
+one of them: wire name, privilege, the producer that reads the server's
+state (its signature is the ordered wire parameters, their types and
+defaults), the route and the command(s) where the surface has them, and
+the hint printed when its payload says ``enabled: false``.  The fronts
+hold no per-surface code:
 
 * :meth:`RLSServer._register_methods` registers the rows in one loop;
 * the gateway looks a request up with :func:`find_route` and converts the
@@ -24,6 +25,8 @@ renderer in ``cli.py`` if it wants a table instead of JSON.
 
 from __future__ import annotations
 
+import builtins
+import inspect
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
@@ -35,17 +38,15 @@ from repro.security.acl import Privilege
 if TYPE_CHECKING:
     from repro.core.server import RLSServer
 
-#: Default of a parameter the caller must supply.
-REQUIRED: Any = object()
-
 
 class Param(NamedTuple):
-    """One positional wire argument: ``?name=`` on a route, ``--name`` (or a
-    positional, when required) on a command."""
+    """One positional wire argument: ``?name=`` on a route, ``--name`` on a
+    command.  ``default`` is ``inspect.Parameter.empty`` when the caller
+    must supply it."""
 
     name: str
     type: type
-    default: Any = REQUIRED
+    default: Any
 
 
 def _ok(result: Any) -> tuple[int, Any]:
@@ -97,11 +98,11 @@ class Surface:
     """One administrative operation and every front it has."""
 
     method: str
-    #: ``produce(server, *args)`` builds the reply from server state.
+    #: ``produce(server, *args)`` builds the reply from server state; the
+    #: server registers it bound to itself, so its signature is the wire's.
     produce: Callable[..., Any]
     #: ``None``: answered without an ACL check (liveness probe).
     privilege: Privilege | None = Privilege.ADMIN
-    params: tuple[Param, ...] = ()
     route: Route | None = None
     command: Command | None = None
     #: The surface is also ``rls admin <op>``, printing one line.
@@ -115,6 +116,19 @@ class Surface:
         this surface's renderer under."""
         return self.method.removeprefix("admin_")
 
+    @property
+    def params(self) -> tuple[Param, ...]:
+        """The wire parameters: what follows ``server`` in the producer's
+        signature, typed by annotation."""
+        found = []
+        for p in list(inspect.signature(self.produce).parameters.values())[1:]:
+            if p.kind is p.POSITIONAL_OR_KEYWORD:
+                kind = p.annotation
+                if isinstance(kind, str):  # ``from __future__ import annotations``
+                    kind = getattr(builtins, kind)
+                found.append(Param(p.name, kind, p.default))
+        return tuple(found)
+
     def arguments(self, given: Mapping[str, Any]) -> list[Any]:
         """Positional wire arguments from named values; a string (query
         string, path segment) is converted by the parameter's type.
@@ -124,7 +138,7 @@ class Surface:
         for name, kind, default in self.params:
             value = given.get(name)
             if value is None:
-                if default is REQUIRED:
+                if default is inspect.Parameter.empty:
                     raise ValueError(f"{name}: required")
                 value = default
             elif not isinstance(value, kind):
@@ -136,19 +150,6 @@ class Surface:
                     ) from None
             args.append(value)
         return args
-
-    def handler(self, server: "RLSServer") -> Callable[..., Any]:
-        """What the server registers: the producer bound to ``server``,
-        with parameters the caller left off the wire defaulted."""
-
-        def call(*args: Any) -> Any:
-            for param in self.params[len(args):]:
-                if param.default is REQUIRED:
-                    raise TypeError(f"{self.method}: {param.name} is required")
-                args += (param.default,)
-            return self.produce(server, *args)
-
-        return call
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def _stats(server: "RLSServer") -> dict[str, Any]:
     return stats
 
 
-def _traces(server: "RLSServer", limit: int) -> dict[str, Any]:
+def _traces(server: "RLSServer", limit: int = 100) -> dict[str, Any]:
     """Tail-retained spans from the process-wide tracer's sink.
 
     Tracing is an opt-in process-wide facility (``rls serve --trace`` or
@@ -307,7 +308,7 @@ def _usage(server: "RLSServer") -> dict[str, Any]:
     return server.usage.to_dict()
 
 
-def _slow_queries(server: "RLSServer", limit: int) -> dict[str, Any]:
+def _slow_queries(server: "RLSServer", limit: int = 50) -> dict[str, Any]:
     """Tail-retained slow/error statements from the engine's query log;
     with profiling off, ``enabled: False`` and whatever the log last
     retained."""
@@ -330,7 +331,7 @@ def _threads(server: "RLSServer") -> dict[str, Any]:
     }
 
 
-def _flight(server: "RLSServer", limit: int) -> dict[str, Any]:
+def _flight(server: "RLSServer", limit: int = 100) -> dict[str, Any]:
     """Flight-recorder snapshot: stats, event tail, last error dump."""
     if server.flight is None:
         return {"enabled": False, "stats": {}, "events": [], "last_dump": None}
@@ -371,7 +372,8 @@ def _shard_map(server: "RLSServer") -> dict[str, Any]:
 TRACING_HINT = "tracing not enabled on server (start it with: rls serve --trace)"
 
 SURFACES: tuple[Surface, ...] = (
-    Surface("admin_ping", lambda server: "pong", privilege=None, admin_op="ping"),
+    # The liveness probe answers whatever it is sent.
+    Surface("admin_ping", lambda server, *_: "pong", privilege=None, admin_op="ping"),
     Surface(
         "admin_stats",
         _stats,
@@ -401,7 +403,6 @@ SURFACES: tuple[Surface, ...] = (
     Surface(
         "admin_traces",
         _traces,
-        params=(Param("limit", int, 100),),
         route=Route("GET", "/admin/traces"),
         # One command over this row and the next: with a trace id it
         # fetches ``admin_trace`` (cli.py's fetcher for this row).
@@ -438,11 +439,10 @@ SURFACES: tuple[Surface, ...] = (
     Surface(
         "admin_trace",
         _trace,
-        params=(Param("trace_id", str),),
         route=Route("GET", "/admin/trace/<trace_id>", reply=_trace_reply),
         hint=TRACING_HINT,
     ),
-    Surface("admin_trace_fragments", _trace_fragments, params=(Param("trace_id", str),)),
+    Surface("admin_trace_fragments", _trace_fragments),
     Surface(
         "admin_slo",
         _slo,
@@ -468,7 +468,6 @@ SURFACES: tuple[Surface, ...] = (
     Surface(
         "admin_slow_queries",
         _slow_queries,
-        params=(Param("limit", int, 50),),
         route=Route("GET", "/admin/queries"),
         command=Command(
             "slowlog",
@@ -523,7 +522,6 @@ SURFACES: tuple[Surface, ...] = (
     Surface(
         "admin_flight",
         _flight,
-        params=(Param("limit", int, 100),),
         route=Route("GET", "/admin/flight"),
         command=Command(
             "flight",

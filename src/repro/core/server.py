@@ -9,6 +9,7 @@ the paper's Table 1 is exposed as an RPC method.
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Any, Callable
 
 from repro.cluster.mirror import MirrorIngest, MirrorManager, MirrorSink
@@ -379,7 +380,7 @@ class RLSServer:
 
         # -- admin: one row per surface, declared in core/admin.py --
         for row in admin_table.SURFACES:
-            r(row.method, guarded(row.privilege, row.handler(self)))
+            r(row.method, guarded(row.privilege, partial(row.produce, self)))
 
         # -- sharded cluster: mirror feed + topology --
         r("mirror_full_sync", guarded(lrc_write, lambda master, pairs: self._need_ingest().apply_full(master, [tuple(p) for p in pairs])))

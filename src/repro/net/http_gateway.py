@@ -204,7 +204,7 @@ class HTTPGateway:
                         return 200, {"deleted": [body["lfn"], body["pfn"]]}
 
                     self._handle(delete)
-                elif not self._admin("DELETE", path):
+                else:
                     self._send(404, {"error": "no such route"})
 
         self._httpd = ThreadingHTTPServer((host, port), Handler)

@@ -79,11 +79,7 @@ class TestTableAgreesWithWhatIsWrittenBesideIt:
     def test_client_method_has_the_rows_signature(self, row):
         signature = inspect.signature(getattr(RLSClient, row.name))
         declared = [
-            admin.Param(
-                p.name,
-                {"int": int, "str": str}[p.annotation],
-                admin.REQUIRED if p.default is p.empty else p.default,
-            )
+            admin.Param(p.name, {"int": int, "str": str}[p.annotation], p.default)
             for p in list(signature.parameters.values())[1:]
         ]
         assert tuple(declared) == row.params
@@ -135,6 +131,47 @@ class TestTableAgreesWithWhatIsWrittenBesideIt:
                 assert cells[2].startswith("—"), row.method
 
 
+class TestParsersPrintTheirUsage:
+    """argparse renders usage lazily (``--help``, any usage error), so a
+    parser that cannot render it passes every parse-only test."""
+
+    def test_every_subparser_formats_its_help(self):
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a.choices, dict)
+        )
+        assert set(subparsers.choices) == set(RECORDED["parser"])
+        for name, parser in subparsers.choices.items():
+            assert f"rls {name}" in parser.format_help()
+
+    @pytest.mark.parametrize(
+        "argv", [[row.command.path] for row in admin.SURFACES if row.command]
+    )
+    def test_a_usage_error_is_exit_status_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli.main(argv)
+        assert raised.value.code == 2
+        assert f"usage: rls {argv[0]}" in capsys.readouterr().err
+
+
+class TestWireArguments:
+    def test_ping_answers_whatever_it_is_sent(self, make_server):
+        with connect(make_server().config.name) as client:
+            assert client.rpc.call("admin_ping") == "pong"
+            assert client.rpc.call("admin_ping", 1, "x") == "pong"
+
+    def test_params_are_read_off_the_producers_signature(self):
+        params = {row.method: row.params for row in admin.SURFACES if row.params}
+        assert params == {
+            "admin_traces": (admin.Param("limit", int, 100),),
+            "admin_trace": (admin.Param("trace_id", str, inspect.Parameter.empty),),
+            "admin_trace_fragments": (
+                admin.Param("trace_id", str, inspect.Parameter.empty),
+            ),
+            "admin_slow_queries": (admin.Param("limit", int, 50),),
+            "admin_flight": (admin.Param("limit", int, 100),),
+        }
+
+
 class TestOneSharedStep:
     """``--json`` prints the payload whatever it says; the hint is for
     people.  (``rls slo`` and ``rls usage`` used to print the hint even
@@ -155,10 +192,12 @@ class TestInjectedRow:
 
     @pytest.fixture
     def probed_server(self, monkeypatch, make_server):
+        def produce(server, limit: int = 10):
+            return {"enabled": True, "n": limit, "at": server.config.name}
+
         probe = admin.Surface(
             "admin_probe",
-            lambda server, limit: {"enabled": True, "n": limit, "at": server.config.name},
-            params=(admin.Param("limit", int, 10),),
+            produce,
             route=admin.Route("GET", "/admin/probe"),
             command=admin.Command("probe", "a surface only this test has"),
             hint="probe not enabled",
