@@ -1,4 +1,5 @@
-"""Staleness / recovery ablations on the whole-deployment simulator.
+"""Staleness / recovery ablations on the whole-deployment simulator, which
+runs the real catalog, update manager and index on a virtual clock.
 
 Quantifies two claims the paper makes but never measures:
 

@@ -7,6 +7,8 @@ thread, and ``stop()`` joins and says so when the thread did not exit.
 There is deliberately no clock in here (DESIGN.md §5, decision 10): what a
 task does on a tick is a plain method that tests drive directly under
 their own fake clock; the loop only decides *when* real time calls it.
+``run_once()`` is one tick, error accounting included, so the simulator's
+virtual-time loop runs a task exactly as the thread does.
 """
 
 from __future__ import annotations
@@ -65,12 +67,16 @@ class Periodic:
         register_thread(self.role)
         try:
             while not self._stop.wait(self.interval):
-                try:
-                    self.fn()
-                except Exception as exc:
-                    self._record_error(exc)
+                self.run_once()
         finally:
             unregister_thread()
+
+    def run_once(self) -> None:
+        """One tick: call ``fn``, counting an exception instead of raising."""
+        try:
+            self.fn()
+        except Exception as exc:
+            self._record_error(exc)
 
     def _record_error(self, exc: Exception) -> None:
         self.errors += 1

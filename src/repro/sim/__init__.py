@@ -10,7 +10,9 @@ and the experiment models themselves (:mod:`repro.sim.models`).
 
 Real compute costs that *are* measurable on this machine (Bloom filter
 generation/compression times) are measured for real and fed into the
-models — see :mod:`repro.sim.models`.
+models — see :mod:`repro.sim.models`.  The deployment experiments of
+:mod:`repro.sim.rls_sim` run the real catalog, update manager and index
+on the virtual clock; only the wire between them is modelled.
 """
 
 from repro.sim.kernel import Process, Simulator, Timeout

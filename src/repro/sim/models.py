@@ -77,6 +77,20 @@ class UpdateTimesResult:
     update_bytes: float = 0.0
 
 
+def push(path: NetworkPath, ingest: Resource, size: float, service: float):
+    """Process generator for one soft-state push: send ``size`` bytes over
+    ``path``, then hold the RLI's serialized ``ingest`` for ``service``
+    seconds.  The figure models and :mod:`repro.sim.rls_sim` both charge
+    a push this way."""
+    sim = path.link.sim
+    yield sim.process(path.send(size))
+    yield ingest.acquire()
+    try:
+        yield sim.timeout(service)
+    finally:
+        ingest.release()
+
+
 def _run_continuous_updates(
     sim: Simulator,
     path: NetworkPath,
@@ -105,15 +119,10 @@ def _run_continuous_updates(
     def client() -> object:
         for round_no in range(rounds):
             start = sim.now
-            yield sim.process(path.send(update_bytes))
-            yield ingest.acquire()
-            try:
-                service = ingest_service_time
-                if service_jitter > 0:
-                    service *= 1.0 + service_jitter * (2.0 * rng.random() - 1.0)
-                yield sim.timeout(service)
-            finally:
-                ingest.release()
+            service = ingest_service_time
+            if service_jitter > 0:
+                service *= 1.0 + service_jitter * (2.0 * rng.random() - 1.0)
+            yield sim.process(push(path, ingest, update_bytes, service))
             if round_no > 0:  # skip the synchronized-start warm-up round
                 durations.append(sim.now - start)
 

@@ -14,6 +14,14 @@ answer questions the paper raises but could not measure:
   :func:`recovery_experiment` crashes the index and measures how long
   until its coverage returns, as a function of the full-update interval.
 
+What runs is the real soft-state stack on the simulator's clock: a
+:class:`~repro.core.lrc.LocalReplicaCatalog` with churn, its
+:class:`~repro.core.updates.UpdateManager` (the schedule, and the
+:class:`~repro.core.delivery.DeliveryEngine` backlog, backoff and
+needs-full rule) ticked through :meth:`Periodic.run_once`, and a
+:class:`~repro.core.rli.ReplicaLocationIndex` with its expire pass.  The
+one modelled piece is the wire between them, :class:`VirtualLink`.
+
 Everything is deterministic (seeded RNG, virtual clock), so these are
 reproducible experiments, not Monte Carlo noise.
 """
@@ -21,33 +29,54 @@ reproducible experiments, not Monte Carlo noise.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
+from repro.core.config import ServerConfig
+from repro.core.lrc import LocalReplicaCatalog
+from repro.core.rli import ReplicaLocationIndex
+from repro.core.updates import UpdateManager, UpdatePolicy, tick_task
+from repro.db.engine import Database
+from repro.db.odbc import Connection
+from repro.obs.periodic import Periodic
 from repro.obs.timeseries import SeriesStore
 from repro.sim.kernel import Simulator
-from repro.sim.network import NetworkPath, SharedLink
+from repro.sim.models import LANCalibration, WANCalibration, push
+from repro.sim.network import lan_path
 from repro.sim.resources import Resource
+from repro.testing import FailureSchedule, FaultInjected
+
+#: The update modes :func:`staleness_experiment` compares.
+MODES = ("full-only", "immediate", "bloom")
+
+#: Daemon cadences and soft-state timeout, as a server ships them.
+_CONFIG = ServerConfig()
+_LAN, _WAN = LANCalibration(), WANCalibration()
+_PFN = "gsiftp://storage/replica"
 
 
-@dataclass
-class SimPolicy:
-    """Update policy knobs mirrored from :class:`repro.core.UpdatePolicy`."""
+def _connection(name: str) -> Connection:
+    return Connection(Database(name), name)
 
-    mode: str = "immediate"  # "full-only" | "immediate" | "bloom"
-    immediate_interval: float = 30.0
-    full_interval: float = 600.0
-    rli_timeout: float = 1800.0
-    #: Wire cost model (matches the LAN calibration).
-    bytes_per_name: float = 80.0
-    bloom_bits_per_entry: int = 10
-    #: RLI ingest rate for uncompressed entries (entries/second).
-    ingest_entries_per_sec: float = 1203.0
-    #: RLI ingest cost per MiB of Bloom bitmap.
-    bloom_ingest_s_per_mib: float = 0.1375
+
+def _every(sim: Simulator, task: Periodic) -> None:
+    """Run ``task`` on the virtual clock: one ``run_once()`` per interval."""
+
+    def loop():
+        while True:
+            yield sim.timeout(task.interval)
+            task.run_once()
+
+    sim.process(loop())
 
 
 class SimLRC:
-    """A catalog with churn: names are created and destroyed over time."""
+    """A real catalog with churn: names are created and destroyed over time.
+
+    ``names`` lists the live names, so a random pick is O(1), and a delete
+    moves the last name into the freed slot; ``deleted`` keeps the newest
+    deletions for probes.
+    """
 
     def __init__(
         self,
@@ -62,99 +91,154 @@ class SimLRC:
         self.rng = rng
         self.churn_per_sec = churn_per_sec
         self._counter = initial_names
-        self.names: set[str] = {f"{name}/f{i}" for i in range(initial_names)}
-        self.pending_added: set[str] = set()
-        self.pending_removed: set[str] = set()
+        self.names = [f"{name}/f{i}" for i in range(initial_names)]
+        self.deleted: deque[str] = deque(maxlen=50)
+        self.catalog = LocalReplicaCatalog(_connection(name), name=name)
+        self.catalog.init_schema()
+        self.catalog.bulk_load((lfn, _PFN) for lfn in self.names)
         if churn_per_sec > 0:
             sim.process(self._churn())
 
     def _churn(self):
+        names = self.names
         while True:
             # Exponential inter-arrival; alternate adds and deletes so the
             # catalog size stays roughly constant.
             yield self.sim.timeout(
                 self.rng.expovariate(self.churn_per_sec)
             )
-            if self.rng.random() < 0.5 or not self.names:
+            if self.rng.random() < 0.5 or not names:
                 fresh = f"{self.name}/f{self._counter}"
                 self._counter += 1
-                self.names.add(fresh)
-                self.pending_added.add(fresh)
-                self.pending_removed.discard(fresh)
+                names.append(fresh)
+                self.catalog.create_mapping(fresh, _PFN)
             else:
-                victim = self.rng.choice(sorted(self.names))
-                self.names.discard(victim)
-                self.pending_removed.add(victim)
-                self.pending_added.discard(victim)
-
-    def take_delta(self) -> tuple[set[str], set[str]]:
-        added, removed = self.pending_added, self.pending_removed
-        self.pending_added, self.pending_removed = set(), set()
-        return added, removed
+                slot = self.rng.randrange(len(names))
+                victim, last = names[slot], names.pop()
+                if slot < len(names):
+                    names[slot] = last
+                self.catalog.delete_mapping(victim, _PFN)
+                self.deleted.append(victim)
 
 
-class SimRLI:
-    """Index state: name -> expiry time, with crash/restart support."""
+class VirtualLink:
+    """The update sink between simulated LRCs and one real RLI.
 
-    def __init__(self, sim: Simulator, policy: SimPolicy) -> None:
+    A push counts its bytes and is lost (counted in ``lost``) when
+    ``faults`` says so, raising :class:`~repro.testing.FaultInjected` as a
+    dropped RPC would.  Any other push becomes a process that sends it
+    over a LAN path, holds the RLI's serialized ingest for the calibrated
+    time (uncompressed: §5.5's 831 s per 1 M names; Bloom: the Fig. 13
+    fit) and then applies it to ``rli``, in send order.  The index runs
+    its expire pass every ``ServerConfig.expire_interval``.
+    """
+
+    def __init__(
+        self, sim: Simulator, faults: FailureSchedule | None = None
+    ) -> None:
         self.sim = sim
-        self.policy = policy
-        self.entries: dict[str, float] = {}
-        self.up = True
+        self.faults = faults
+        self.path = lan_path(sim, _LAN.bandwidth_bps, _LAN.rtt)
         self.ingest = Resource(sim, capacity=1)
-        self.updates_applied = 0
-        # Virtual time of the newest applied update — the simulated twin
-        # of ReplicaLocationIndex._last_update_at.
-        self.last_update_at: float | None = None
-
-    def crash(self) -> None:
-        """Lose all soft state (an RLI restart, §2)."""
-        self.entries.clear()
-        self.up = False
-        self.last_update_at = None
+        self.bytes_sent = 0.0
+        self.pushes = 0
+        self.lost = 0
+        self._last = sim.timeout(0.0)
+        self.restart()
+        _every(
+            sim,
+            Periodic(
+                "rli-expire",
+                _CONFIG.expire_interval,
+                lambda: self.rli.expire_once(),
+                role="expire",
+            ),
+        )
 
     def restart(self) -> None:
-        self.up = True
+        """Restart the RLI: soft state is not persisted, so it comes back
+        empty (§2); pushes still in flight land in the new index."""
+        self.rli = ReplicaLocationIndex(
+            _connection("rli"),
+            name="rli",
+            timeout=_CONFIG.rli_timeout,
+            clock=lambda: self.sim.now,
+        )
+        self.rli.init_schema()
 
-    def staleness_age(self) -> float:
-        """Virtual seconds since the last applied update (0 before any)."""
-        if self.last_update_at is None:
-            return 0.0
-        return max(0.0, self.sim.now - self.last_update_at)
+    def full_update(self, lrc_name, lfns) -> None:
+        self._names(len(lfns), "apply_full_update", lrc_name, lfns)
 
-    def apply_full(self, names) -> None:
-        if not self.up:
-            return
-        expiry = self.sim.now + self.policy.rli_timeout
-        for name in names:
-            self.entries[name] = expiry
-        self.updates_applied += 1
-        self.last_update_at = self.sim.now
+    def incremental_update(self, lrc_name, added, removed) -> None:
+        self._names(
+            len(added) + len(removed),
+            "apply_incremental_update",
+            lrc_name,
+            added,
+            removed,
+        )
 
-    def apply_delta(self, added, removed) -> None:
-        if not self.up:
-            return
-        expiry = self.sim.now + self.policy.rli_timeout
-        for name in added:
-            self.entries[name] = expiry
-        for name in removed:
-            self.entries.pop(name, None)
-        self.updates_applied += 1
-        self.last_update_at = self.sim.now
+    def bloom_update(
+        self, lrc_name, bitmap, num_bits, num_hashes, approx_entries
+    ) -> None:
+        mib = len(bitmap) / (1024 * 1024)
+        self._send(
+            len(bitmap), mib * _WAN.ingest_seconds_per_mib,
+            "apply_bloom_update",
+            lrc_name, bitmap, num_bits, num_hashes, approx_entries,
+        )
 
-    def apply_bloom(self, names) -> None:
-        """Bloom replacement: the new filter IS the new state (no FP model
-        here — staleness, not FP rate, is what this experiment isolates)."""
-        if not self.up:
-            return
-        expiry = self.sim.now + self.policy.rli_timeout
-        self.entries = {name: expiry for name in names}
-        self.updates_applied += 1
-        self.last_update_at = self.sim.now
+    def _names(self, count: int, method: str, *args) -> None:
+        self._send(
+            count * _LAN.bytes_per_entry,
+            count / _LAN.rli_ingest_entries_per_sec,
+            method,
+            *args,
+        )
 
-    def contains(self, name: str) -> bool:
-        expiry = self.entries.get(name)
-        return expiry is not None and expiry > self.sim.now
+    def _send(self, size: float, service: float, method: str, *args) -> None:
+        self.pushes += 1
+        self.bytes_sent += size
+        if self.faults is not None and self.faults.next_outcome():
+            self.lost += 1
+            raise FaultInjected(f"push lost: {method}")
+        self._last = self.sim.process(
+            self._deliver(self._last, size, service, method, args)
+        )
+
+    def _deliver(self, previous, size, service, method, args):
+        yield self.sim.process(push(self.path, self.ingest, size, service))
+        yield previous  # applied in send order
+        getattr(self.rli, method)(*args)
+
+
+def start_updates(
+    sim: Simulator,
+    lrc: SimLRC,
+    link: VirtualLink,
+    policy: UpdatePolicy,
+    bloom: bool = False,
+    seed: int = 0,
+) -> UpdateManager:
+    """Register ``link``'s RLI on ``lrc`` and start its real update manager
+    on the virtual clock: a first full push now (a lost one is owed and
+    redelivered on the backoff), then ``tick_task``'s body every
+    ``ServerConfig.update_poll_interval``, as a server's daemon runs it.
+    ``seed`` seeds the backoff jitter."""
+    lrc.catalog.add_rli(link.rli.name, bloom=bloom)
+    manager = UpdateManager(
+        lrc.catalog,
+        lambda _name: link,
+        policy,
+        clock=lambda: sim.now,
+        rng=random.Random(seed).random,
+    )
+    try:
+        manager.send_full_update()
+    except FaultInjected:
+        pass
+    _every(sim, tick_task(manager, _CONFIG.update_poll_interval))
+    return manager
 
 
 @dataclass
@@ -176,105 +260,6 @@ class StalenessResult:
     store: SeriesStore = field(repr=False, default_factory=SeriesStore)
 
 
-def _update_proc(
-    sim, lrc: SimLRC, rli: SimRLI, path, policy: SimPolicy, stats, faults=None
-):
-    """LRC-side update scheduler, mirroring UpdateManager semantics.
-
-    ``faults`` is an optional :class:`repro.testing.FailureSchedule`: one
-    slot is consumed per push, and a scheduled failure loses that push
-    *after* it crossed the wire (bytes still count).  Failure handling
-    mirrors the live manager: a lost incremental re-queues its delta
-    (newer catalog intents win), a lost full/Bloom flags ``needs_full`` so
-    the next cycle sends a fresh full instead of a delta.
-    """
-
-    def requeue(added, removed):
-        # Fold the undelivered delta back without clobbering newer
-        # intents; the authoritative catalog filters out stale ones.
-        for name in added:
-            if name not in lrc.pending_removed and name in lrc.names:
-                lrc.pending_added.add(name)
-        for name in removed:
-            if name not in lrc.pending_added and name not in lrc.names:
-                lrc.pending_removed.add(name)
-
-    def send(names_count: int, apply, on_fail=None):
-        def proc():
-            if policy.mode == "bloom":
-                size = names_count * policy.bloom_bits_per_entry / 8.0
-                service = (size / (1024 * 1024)) * policy.bloom_ingest_s_per_mib
-            else:
-                size = names_count * policy.bytes_per_name
-                service = names_count / policy.ingest_entries_per_sec
-            stats["bytes"] += size
-            stats["updates"] += 1
-            yield sim.process(path.send(size))
-            if faults is not None and faults.next_outcome():
-                stats["failed"] = stats.get("failed", 0) + 1
-                if on_fail is not None:
-                    on_fail()
-                return
-            yield rli.ingest.acquire()
-            try:
-                yield sim.timeout(service)
-            finally:
-                rli.ingest.release()
-            apply()
-
-        return sim.process(proc())
-
-    state = {"needs_full": False}
-
-    def fail_full():
-        state["needs_full"] = True
-
-    def scheduler():
-        last_full = sim.now
-        while True:
-            if policy.mode == "immediate":
-                yield sim.timeout(policy.immediate_interval)
-                if (
-                    sim.now - last_full >= policy.full_interval
-                    or state["needs_full"]
-                ):
-                    state["needs_full"] = False
-                    snapshot = set(lrc.names)
-                    lrc.take_delta()
-                    yield send(
-                        len(snapshot),
-                        lambda s=snapshot: rli.apply_full(s),
-                        on_fail=fail_full,
-                    )
-                    last_full = sim.now
-                else:
-                    added, removed = lrc.take_delta()
-                    if added or removed:
-                        yield send(
-                            len(added) + len(removed),
-                            lambda a=added, r=removed: rli.apply_delta(a, r),
-                            on_fail=lambda a=added, r=removed: requeue(a, r),
-                        )
-            elif policy.mode == "bloom":
-                yield sim.timeout(policy.immediate_interval)
-                snapshot = set(lrc.names)
-                lrc.take_delta()
-                yield send(
-                    len(snapshot), lambda s=snapshot: rli.apply_bloom(s)
-                )
-            else:  # full-only
-                yield sim.timeout(policy.full_interval)
-                snapshot = set(lrc.names)
-                lrc.take_delta()
-                yield send(
-                    len(snapshot),
-                    lambda s=snapshot: rli.apply_full(s),
-                    on_fail=fail_full,
-                )
-
-    return sim.process(scheduler())
-
-
 def staleness_experiment(
     mode: str,
     catalog_size: int = 10_000,
@@ -284,57 +269,50 @@ def staleness_experiment(
     immediate_interval: float = 30.0,
     full_interval: float = 600.0,
     seed: int = 42,
-    faults=None,
+    faults: FailureSchedule | None = None,
 ) -> StalenessResult:
-    """Measure RLI answer quality under churn for one update mode.
+    """Measure RLI answer quality under churn for one of :data:`MODES`.
 
     A probe process samples one live name and one recently-deleted name
     every ``probe_interval``; the stale fraction counts RLI answers that
     disagree with the (authoritative) catalog.
 
-    ``faults`` (a :class:`repro.testing.FailureSchedule`) injects push
-    failures into the update path: failed deltas re-queue, failed fulls
-    re-send next cycle — measuring how flaky delivery degrades freshness.
+    ``faults`` (a :class:`repro.testing.FailureSchedule`) decides which
+    pushes the link loses, the first full push included; the update
+    manager re-queues, re-sends and backs off exactly as on a server —
+    measuring how flaky delivery degrades freshness.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown update mode {mode!r}; expected one of {MODES}")
     sim = Simulator()
-    rng = random.Random(seed)
-    policy = SimPolicy(
-        mode=mode,
+    lrc = SimLRC(sim, "lrc0", catalog_size, churn_per_sec, random.Random(seed))
+    link = VirtualLink(sim, faults)
+    policy = UpdatePolicy(
+        immediate_mode=mode != "full-only",
         immediate_interval=immediate_interval,
         full_interval=full_interval,
     )
-    lrc = SimLRC(sim, "lrc0", catalog_size, churn_per_sec, rng)
-    rli = SimRLI(sim, policy)
-    path = NetworkPath(rtt=0.2e-3, link=SharedLink(sim, 100e6))
-    stats = {"bytes": 0.0, "updates": 0, "failed": 0}
-    _update_proc(sim, lrc, rli, path, policy, stats, faults=faults)
-    # Seed the index with an initial full update, applied instantly.
-    rli.apply_full(lrc.names)
+    start_updates(sim, lrc, link, policy, bloom=mode == "bloom", seed=seed + 2)
 
     counters = {"samples": 0, "miss": 0, "ghost": 0}
-    recently_deleted: list[str] = []
     store = SeriesStore()
+
+    def indexed(lfn: str) -> bool:
+        return bool(link.rli.bulk_query([lfn]))
 
     def probe():
         probe_rng = random.Random(seed + 1)
         while True:
             yield sim.timeout(probe_interval)
             if lrc.names:
-                live = probe_rng.choice(sorted(lrc.names))
                 counters["samples"] += 1
-                if not rli.contains(live):
-                    counters["miss"] += 1
-            recently_deleted.extend(lrc.pending_removed)
-            del recently_deleted[:-50]
-            if recently_deleted:
-                dead = probe_rng.choice(recently_deleted)
-                if dead not in lrc.names:
-                    counters["samples"] += 1
-                    if rli.contains(dead):
-                        counters["ghost"] += 1
+                counters["miss"] += not indexed(probe_rng.choice(lrc.names))
+            if lrc.deleted:
+                counters["samples"] += 1
+                counters["ghost"] += indexed(probe_rng.choice(lrc.deleted))
             # Trajectory on the *virtual* clock — same series keys the
             # live collector records, so the detectors run unchanged.
-            store.record("rli.staleness_age", sim.now, rli.staleness_age())
+            store.record("rli.staleness_age", sim.now, link.rli.staleness_age())
             if counters["samples"]:
                 store.record(
                     "probe.stale_fraction",
@@ -352,9 +330,9 @@ def staleness_experiment(
         stale_fraction=(counters["miss"] + counters["ghost"]) / samples,
         miss_fraction=counters["miss"] / samples,
         ghost_fraction=counters["ghost"] / samples,
-        bytes_sent=stats["bytes"],
-        updates_sent=stats["updates"],
-        updates_failed=stats["failed"],
+        bytes_sent=link.bytes_sent,
+        updates_sent=link.pushes,
+        updates_failed=link.lost,
         store=store,
     )
 
@@ -378,50 +356,39 @@ def recovery_experiment(
 ) -> RecoveryResult:
     """Crash the RLI, restart it, and time the soft-state rebuild (§2).
 
-    Each LRC pushes full updates on its own phase-shifted schedule; after
-    the restart, coverage climbs as each LRC's next update lands.  With k
-    LRCs uniformly phased, expected recovery is ~full_interval x (k is
-    irrelevant for the *last* LRC: worst case one full interval).
+    Each LRC's update daemon starts on its own phase within the interval
+    (as independent servers would), so after the restart coverage climbs
+    as each LRC's next full update lands.  With k LRCs uniformly phased,
+    expected recovery is ~full_interval x (k is irrelevant for the *last*
+    LRC: worst case one full interval).
     """
     sim = Simulator()
     rng = random.Random(seed)
-    policy = SimPolicy(mode="full-only", full_interval=full_interval)
-    rli = SimRLI(sim, policy)
-    path = NetworkPath(rtt=0.2e-3, link=SharedLink(sim, 100e6))
+    link = VirtualLink(sim)
+    policy = UpdatePolicy(immediate_mode=False, full_interval=full_interval)
     lrcs = [
         SimLRC(sim, f"lrc{i}", catalog_size, churn_per_sec=0.0, rng=rng)
         for i in range(num_lrcs)
     ]
-    stats = {"bytes": 0.0, "updates": 0}
-
-    # Phase-shift each LRC's schedule so updates are spread across the
-    # interval (as independent daemons would be).
-    def delayed_scheduler(lrc: SimLRC, phase: float):
-        def proc():
-            yield sim.timeout(phase)
-            _update_proc(sim, lrc, rli, path, policy, stats)
-
-        return sim.process(proc())
-
     for i, lrc in enumerate(lrcs):
-        delayed_scheduler(lrc, phase=(i / num_lrcs) * full_interval)
-        rli.apply_full(lrc.names)  # initial state
+        sim.schedule(
+            (i / num_lrcs) * full_interval,
+            lambda lrc=lrc, i=i: start_updates(sim, lrc, link, policy, seed=seed + i),
+        )
 
+    # Exact: the restarted index holds only re-sent names, and these
+    # catalogs do not churn.
     total_names = sum(len(l.names) for l in lrcs)
     curve: list[tuple[float, float]] = []
     state = {"restart_at": None, "recovered_at": None}
 
     def crash_then_watch():
         yield sim.timeout(crash_at)
-        rli.crash()
-        rli.restart()  # soft state: no recovery protocol, just wait
+        link.restart()  # soft state: no recovery protocol, just wait
         state["restart_at"] = sim.now
         while True:
             yield sim.timeout(5.0)
-            coverage = (
-                sum(1 for l in lrcs for n in l.names if rli.contains(n))
-                / total_names
-            )
+            coverage = link.rli.mapping_count() / total_names
             curve.append((sim.now - state["restart_at"], coverage))
             if coverage >= 0.99 and state["recovered_at"] is None:
                 state["recovered_at"] = sim.now

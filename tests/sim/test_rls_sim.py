@@ -1,19 +1,30 @@
-"""Deployment-simulator tests: staleness and crash recovery."""
+"""Deployment-simulator tests: staleness and crash recovery on the real
+soft-state stack (catalog, update manager, delivery engine, index)."""
+
+import random
 
 import pytest
 
+from repro.core.bloom import BloomFilter, BloomParameters
+from repro.core.config import ServerConfig
+from repro.core.updates import UpdatePolicy
+from repro.sim.kernel import Simulator
 from repro.sim.rls_sim import (
     RecoveryResult,
     SimLRC,
-    SimPolicy,
-    SimRLI,
     StalenessResult,
+    VirtualLink,
     recovery_experiment,
     staleness_experiment,
+    start_updates,
 )
-from repro.sim.kernel import Simulator
+from repro.testing import FailureSchedule, FaultInjected
 
-import random
+CONFIG = ServerConfig()
+
+
+def indexed(link, lfn):
+    return bool(link.rli.bulk_query([lfn]))
 
 
 class TestSimLRC:
@@ -22,6 +33,7 @@ class TestSimLRC:
         lrc = SimLRC(sim, "l", 1000, churn_per_sec=5.0, rng=random.Random(1))
         sim.run(until=600.0)
         assert 700 < len(lrc.names) < 1300
+        assert lrc.catalog.lfn_count() == len(lrc.names)
 
     def test_no_churn_is_static(self):
         sim = Simulator()
@@ -29,49 +41,57 @@ class TestSimLRC:
         sim.run(until=100.0)
         assert len(lrc.names) == 100
 
-    def test_take_delta_drains(self):
-        sim = Simulator()
-        lrc = SimLRC(sim, "l", 10, churn_per_sec=10.0, rng=random.Random(1))
-        sim.run(until=10.0)
-        added, removed = lrc.take_delta()
-        assert added or removed
-        assert lrc.take_delta() == (set(), set())
-
 
 class TestSimRLI:
+    """The simulator's index: the real RLI behind a :class:`VirtualLink`."""
+
     def test_entries_expire(self):
         sim = Simulator()
-        rli = SimRLI(sim, SimPolicy(rli_timeout=100.0))
-        rli.apply_full(["x"])
-        assert rli.contains("x")
-        sim.run(until=101.0)
-        assert not rli.contains("x")
+        link = VirtualLink(sim)
+        link.full_update("l", ["x"])
+        sim.run(until=CONFIG.rli_timeout)
+        assert indexed(link, "x")
+        # The next expire pass on the virtual clock drops it.
+        sim.run(until=CONFIG.rli_timeout + CONFIG.expire_interval)
+        assert not indexed(link, "x")
 
     def test_delta_removes(self):
+        """A delta sent after a full is applied after it, although its
+        transfer finishes first."""
         sim = Simulator()
-        rli = SimRLI(sim, SimPolicy())
-        rli.apply_full(["x", "y"])
-        rli.apply_delta([], ["x"])
-        assert not rli.contains("x") and rli.contains("y")
+        link = VirtualLink(sim)
+        names = [f"n{i}" for i in range(1000)]
+        link.full_update("l", names)
+        link.incremental_update("l", [], ["n0"])
+        sim.run(until=2.0)
+        assert not indexed(link, "n0") and indexed(link, "n1")
 
     def test_bloom_replaces(self):
         sim = Simulator()
-        rli = SimRLI(sim, SimPolicy())
-        rli.apply_full(["old"])
-        rli.apply_bloom(["new"])
-        assert rli.contains("new") and not rli.contains("old")
+        link = VirtualLink(sim)
+        for names in (["old"], ["new"]):
+            bloom = BloomFilter.from_names(names, BloomParameters.for_entries(1024))
+            link.bloom_update(
+                "l", bloom.to_bytes(), bloom.params.num_bits,
+                bloom.params.num_hashes, bloom.approx_entries,
+            )
+        sim.run(until=1.0)
+        assert indexed(link, "new") and not indexed(link, "old")
 
     def test_crash_loses_state_and_updates_ignored_while_down(self):
         sim = Simulator()
-        rli = SimRLI(sim, SimPolicy())
-        rli.apply_full(["x"])
-        rli.crash()
-        assert not rli.contains("x")
-        rli.apply_full(["y"])  # dropped: server is down
-        rli.restart()
-        assert not rli.contains("y")
-        rli.apply_full(["z"])
-        assert rli.contains("z")
+        link = VirtualLink(sim)
+        link.full_update("l", ["x"])
+        sim.run(until=1.0)
+        link.restart()
+        assert not indexed(link, "x")
+        link.faults = FailureSchedule.always()  # down: every push is lost
+        with pytest.raises(FaultInjected):
+            link.full_update("l", ["y"])
+        link.faults = None
+        link.full_update("l", ["z"])
+        sim.run(until=2.0)
+        assert indexed(link, "z") and not indexed(link, "y")
 
 
 class TestStalenessExperiment:
@@ -113,6 +133,11 @@ class TestStalenessExperiment:
             assert 0 <= r.miss_fraction <= r.stale_fraction <= 1
             assert r.samples > 100
 
+    @pytest.mark.parametrize("mode", ["immediat", "full", ""])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="unknown update mode"):
+            staleness_experiment(mode, catalog_size=10, duration=10.0)
+
 
 class TestRecoveryExperiment:
     def test_recovery_bounded_by_full_interval(self):
@@ -138,8 +163,6 @@ class TestRecoveryExperiment:
 
 class TestFaultInjection:
     def test_lossy_delivery_counts_failures(self):
-        from repro.testing import FailureSchedule
-
         faults = FailureSchedule.pattern("F" * 5)  # first 5 pushes lost
         result = staleness_experiment(
             "immediate", catalog_size=500, churn_per_sec=1.0,
@@ -151,8 +174,6 @@ class TestFaultInjection:
     def test_failed_deltas_requeue_and_converge(self):
         """A lossy update path must not lose changes permanently: once the
         faults stop, the index converges just like the reliable manager."""
-        from repro.testing import FailureSchedule
-
         clean = staleness_experiment(
             "immediate", catalog_size=500, churn_per_sec=1.0, duration=3600.0,
         )
@@ -166,8 +187,6 @@ class TestFaultInjection:
         assert lossy.stale_fraction <= clean.stale_fraction + 0.05
 
     def test_always_failing_full_only_goes_fully_stale(self):
-        from repro.testing import FailureSchedule
-
         result = staleness_experiment(
             "full-only", catalog_size=200, churn_per_sec=1.0,
             duration=7200.0, full_interval=600.0,
@@ -176,3 +195,69 @@ class TestFaultInjection:
         # Every push lost and entries time out: answers go bad.
         assert result.updates_failed == result.updates_sent
         assert result.stale_fraction > 0.2
+
+
+class TestDeliveryOnTheVirtualClock:
+    """The update manager's own redelivery rule, run in virtual time."""
+
+    def test_dead_rli_is_retried_on_the_backoff_capped_at_backoff_max(self):
+        sim = Simulator()
+        faults = FailureSchedule.always()
+        lrc = SimLRC(sim, "l", 100, churn_per_sec=0.0, rng=random.Random(1))
+        link = VirtualLink(sim, faults)
+        policy = UpdatePolicy(immediate_mode=False, full_interval=600.0)
+        start_updates(sim, lrc, link, policy)
+        times = [sim.now]  # the first full push, lost
+        while sim.now < 3600.0:
+            calls = faults.calls
+            sim.step()
+            if faults.calls > calls:
+                times.append(sim.now)
+        retry, tick = policy.retry, CONFIG.update_poll_interval
+        gaps = [b - a for a, b in zip(times, times[1:])]
+        # Exponential from backoff_base (the tick rounds a delay up) ...
+        for attempt, gap in enumerate(gaps[:5]):
+            nominal = retry.backoff(attempt, lambda: 0.5)
+            assert nominal * (1 - retry.jitter) <= gap
+            assert gap <= nominal * (1 + retry.jitter) + tick
+        # ... then capped: a dead RLI is tried every ~backoff_max, not
+        # once per full_interval.
+        assert max(gaps) <= retry.backoff_max * (1 + retry.jitter) + tick
+        assert faults.failures == link.pushes == len(times)
+
+    @pytest.mark.parametrize("mode", ["full-only", "immediate"])
+    def test_soft_state_converges_after_faults_stop(self, mode):
+        """The north-star invariant: once the faults end, every live name
+        is indexed within full_interval + backoff_max, and no name deleted
+        more than rli_timeout + expire_interval before an expire pass is
+        still advertised."""
+        sim = Simulator()
+        faults = FailureSchedule.pattern("FFF.FF.FFFF")
+        lrc = SimLRC(sim, "l", 300, churn_per_sec=1.0, rng=random.Random(3))
+        deleted_at = {}
+
+        def on_change(lfn, present):
+            if not present:
+                deleted_at[lfn] = sim.now
+
+        lrc.catalog.add_lfn_listener(on_change)
+        link = VirtualLink(sim, faults)
+        policy = UpdatePolicy(immediate_mode=mode == "immediate", full_interval=600.0)
+        start_updates(sim, lrc, link, policy)
+        while faults.calls < len(faults.outcomes):
+            assert sim.now < 4 * policy.full_interval, "the scripted pushes never came"
+            sim.step()
+        live = set(lrc.names)
+        retry = policy.retry
+        sim.run(
+            until=sim.now + policy.full_interval
+            + retry.backoff_max * (1 + retry.jitter)
+        )
+        survivors = sorted(live.intersection(lrc.names))
+        assert len(link.rli.bulk_query(survivors)) == len(survivors)
+
+        sim.run(until=50 * CONFIG.expire_interval)  # an expire pass
+        horizon = sim.now - (CONFIG.rli_timeout + CONFIG.expire_interval)
+        expired = [lfn for lfn, at in deleted_at.items() if at < horizon]
+        assert expired
+        assert link.rli.bulk_query(expired) == {}

@@ -2,60 +2,58 @@
 
 from __future__ import annotations
 
+from repro.core.bloom import BloomFilter, BloomParameters
 from repro.obs.analyze import analyze_store, detect_staleness_burn
 from repro.obs.timeseries import SeriesStore
 from repro.sim.kernel import Simulator
-from repro.sim.rls_sim import SimPolicy, SimRLI, staleness_experiment
+from repro.sim.rls_sim import VirtualLink, staleness_experiment
 
 
 def make_rli():
     sim = Simulator()
-    return sim, SimRLI(sim, SimPolicy(mode="full"))
+    return sim, VirtualLink(sim)
 
 
 class TestSimRLIStalenessAge:
+    """The simulator's index is the real RLI on the virtual clock."""
+
     def test_zero_before_any_update(self):
-        sim, rli = make_rli()
-        assert rli.staleness_age() == 0.0
+        sim, link = make_rli()
+        assert link.rli.staleness_age() == 0.0
 
     def test_ages_on_the_virtual_clock(self):
-        sim, rli = make_rli()
-        rli.apply_full({"a"})
-
-        def advance():
-            yield sim.timeout(45.0)
-
-        sim.process(advance())
+        sim, link = make_rli()
+        link.rli.apply_full_update("l", ["a"])
         sim.run(until=45.0)
-        assert rli.staleness_age() == 45.0
+        assert link.rli.staleness_age() == 45.0
 
     def test_every_apply_kind_resets_the_age(self):
-        for apply in ("apply_full", "apply_delta", "apply_bloom"):
-            sim, rli = make_rli()
-
-            def advance():
-                yield sim.timeout(30.0)
-
-            sim.process(advance())
+        bloom = BloomFilter.from_names(["a"], BloomParameters.for_entries(1024))
+        for apply in (
+            lambda rli: rli.apply_full_update("l", ["a"]),
+            lambda rli: rli.apply_incremental_update("l", ["a"], []),
+            lambda rli: rli.apply_bloom_update(
+                "l", bloom.to_bytes(), bloom.params.num_bits,
+                bloom.params.num_hashes, bloom.approx_entries,
+            ),
+        ):
+            sim, link = make_rli()
             sim.run(until=30.0)
-            if apply == "apply_delta":
-                rli.apply_delta({"a"}, set())
-            else:
-                getattr(rli, apply)({"a"})
-            assert rli.staleness_age() == 0.0, apply
+            apply(link.rli)
+            assert link.rli.staleness_age() == 0.0
 
     def test_crash_clears_the_age(self):
-        sim, rli = make_rli()
-        rli.apply_full({"a"})
-        rli.crash()
-        assert rli.staleness_age() == 0.0
-        assert rli.last_update_at is None
+        sim, link = make_rli()
+        link.rli.apply_full_update("l", ["a"])
+        link.restart()
+        assert link.rli.staleness_age() == 0.0
+        assert link.rli.staleness_ages() == {}
 
 
 class TestExperimentStore:
     def test_records_collector_compatible_keys(self):
         result = staleness_experiment(
-            "full", catalog_size=200, duration=1800.0, full_interval=600.0
+            "full-only", catalog_size=200, duration=1800.0, full_interval=600.0
         )
         keys = result.store.keys()
         assert "rli.staleness_age" in keys
@@ -71,7 +69,7 @@ class TestExperimentStore:
         """With on-schedule full updates the age sawtooths below the
         full interval, so a burn check against interval+slack is clean."""
         result = staleness_experiment(
-            "full", catalog_size=200, duration=3600.0, full_interval=600.0
+            "full-only", catalog_size=200, duration=3600.0, full_interval=600.0
         )
         ages = result.store.series("rli.staleness_age")
         assert max(ages.values()) < 700.0
@@ -81,7 +79,7 @@ class TestExperimentStore:
         """An update interval far beyond the SLO shows up as a burn — the
         exact pathology detect_staleness_burn exists to catch."""
         result = staleness_experiment(
-            "full", catalog_size=200, duration=3600.0, full_interval=3000.0
+            "full-only", catalog_size=200, duration=3600.0, full_interval=3000.0
         )
         ages = result.store.series("rli.staleness_age")
         detections = detect_staleness_burn(ages, slo_seconds=300.0)
@@ -90,7 +88,7 @@ class TestExperimentStore:
 
     def test_analyze_store_runs_on_sim_output(self):
         result = staleness_experiment(
-            "full", catalog_size=200, duration=3600.0, full_interval=3000.0
+            "full-only", catalog_size=200, duration=3600.0, full_interval=3000.0
         )
         detections = analyze_store(result.store, staleness_slo=300.0)
         assert any(d.kind == "staleness_burn" for d in detections)
@@ -101,7 +99,7 @@ class TestExperimentStore:
         from repro.sim.rls_sim import StalenessResult
 
         result = StalenessResult(
-            mode="full",
+            mode="full-only",
             samples=0,
             stale_fraction=0.0,
             miss_fraction=0.0,
