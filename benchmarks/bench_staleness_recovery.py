@@ -56,7 +56,7 @@ def bench_staleness_vs_update_mode(benchmark):
         ["mode", "stale answers", "misses", "ghosts", "traffic", "updates"],
         rows,
         notes=[
-            "full-only: deletions linger until the soft-state timeout "
+            "full-only: deletions linger until the next full update "
             "(ghosts dominate); immediate mode propagates them in ~30 s; "
             "bloom matches immediate's freshness at a fraction of the bytes",
         ],

@@ -7,7 +7,9 @@ paper's v2.0.9 behaviour it keeps two stores:
 * **Relational store** for full/incremental (uncompressed) updates — the
   three tables on the right of Figure 3: ``t_lfn``, ``t_lrc`` and a
   ``t_map`` whose rows carry an ``updatetime`` timestamp.  An expire pass
-  discards mappings older than the soft-state timeout.
+  discards mappings older than the soft-state timeout.  Every write to
+  ``t_lfn``/``t_map`` is ``_refresh`` or ``_drop``, on the logged
+  statement-at-a-time storage primitives, so the WAL sees all of them.
 * **Bloom store** for compressed updates — one in-memory Bloom filter per
   sending LRC, no database at all, "which provides fast soft state update
   and query performance" (§3.4).  Wildcard queries are impossible against
@@ -31,7 +33,6 @@ from repro.core.errors import (
     WildcardNotSupportedError,
 )
 from repro.core.naming import has_wildcard, wildcard_to_like
-from repro.db.errors import DuplicateKeyError
 from repro.db.odbc import Connection
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
@@ -39,8 +40,8 @@ from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 #: much shorter; entries must survive a few missed updates.
 DEFAULT_TIMEOUT = 30 * 60.0
 
-# Names bulk_load writes at a time (bounds what it holds besides the index).
-_LOAD_CHUNK = 1024
+# Names _refresh writes at a time (bounds what it holds besides the index).
+_CHUNK = 1024
 
 _RLI_SCHEMA = [
     """CREATE TABLE t_lfn (
@@ -65,7 +66,8 @@ _RLI_SCHEMA = [
     "CREATE INDEX t_map_lrc ON t_map (pfn_id)",
 ]
 # Note: the paper's RLI t_map column is named pfn_id even though it holds
-# an LRC id (Figure 3); we keep the name for fidelity.
+# an LRC id (Figure 3); we keep the name for fidelity.  Stored rows are
+# tuples in column order, which the ingest helpers index by position.
 
 
 class _ReceivedFilter(BloomFilter):
@@ -174,23 +176,29 @@ class ReplicaLocationIndex:
     # ------------------------------------------------------------------
 
     def apply_full_update(self, lrc_name: str, lfns: Iterable[str]) -> int:
-        """Apply a full uncompressed update: refresh every listed LFN.
+        """Apply a full uncompressed update: the list becomes this LRC's state.
 
-        Mappings from this LRC that are *not* in the list simply age out at
-        the soft-state timeout — full updates never delete eagerly.
-        Returns the number of mappings refreshed.
+        Every listed LFN is refreshed, and this LRC's mappings the list
+        does not name are dropped: a full is authoritative for the LRC it
+        comes from, as a Bloom full replaces its filter (DESIGN.md §5,
+        decision 4).  The drop is a set difference, not a timestamp test,
+        so it also holds for two fulls at one clock reading.  Returns the
+        number of distinct LFNs listed.
         """
         now = self.clock()
-        count = 0
         start = time.perf_counter()
-        with self._write_lock:
+        with self._write_lock, self.conn.transaction():
             lrc_id = self._get_or_insert_lrc(lrc_name)
-            for lfn in lfns:
-                self._upsert_mapping(lfn, lrc_id, now)
-                count += 1
+            listed = self._refresh(lrc_id, lfns, now)
+            t_map, by_lrc = self._index("t_map", "pfn_id")
+            self._drop(
+                (rid, row)
+                for rid, row in t_map.lookup_index_many(by_lrc, [(lrc_id,)])
+                if row[0] not in listed
+            )
             self.updates_applied += 1
         self._record_apply("full", lrc_name, time.perf_counter() - start)
-        return count
+        return len(listed)
 
     def apply_incremental_update(
         self,
@@ -201,91 +209,75 @@ class ReplicaLocationIndex:
         """Apply an immediate-mode delta (§3.3). Returns mappings touched."""
         now = self.clock()
         start = time.perf_counter()
-        with self._write_lock:
+        with self._write_lock, self.conn.transaction():
             lrc_id = self._get_or_insert_lrc(lrc_name)
-            for lfn in added:
-                self._upsert_mapping(lfn, lrc_id, now)
-            for lfn in removed:
-                self._remove_mapping(lfn, lrc_id)
+            self._refresh(lrc_id, added, now)
+            _ids, gone = self._held(lrc_id, dict.fromkeys(removed))
+            self._drop(gone)
             self.updates_applied += 1
         self._record_apply("incremental", lrc_name, time.perf_counter() - start)
         return len(added) + len(removed)
 
-    def _upsert_mapping(self, lfn: str, lrc_id: int, now: float) -> None:
-        lfn_id = self._get_or_insert_lfn(lfn)
-        updated = self.conn.execute(
-            "UPDATE t_map SET updatetime = ? WHERE lfn_id = ? AND pfn_id = ?",
-            [now, lfn_id, lrc_id],
-        ).rowcount
-        if updated == 0:
-            try:
-                self.conn.execute(
-                    "INSERT INTO t_map (lfn_id, pfn_id, updatetime) VALUES (?, ?, ?)",
-                    [lfn_id, lrc_id, now],
-                )
-            except DuplicateKeyError:  # pragma: no cover - racing writers
-                pass
+    def _index(self, table_name: str, *columns: str):
+        """A table and its hash index over exactly ``columns``."""
+        table = self.conn.database.table(table_name)
+        return table, table.find_hash_index(columns)
 
-    def _remove_mapping(self, lfn: str, lrc_id: int) -> None:
-        rows = self.conn.execute(
-            "SELECT id FROM t_lfn WHERE name = ?", [lfn]
-        ).rows
-        if not rows:
-            return
-        lfn_id = rows[0][0]
-        self.conn.execute(
-            "DELETE FROM t_map WHERE lfn_id = ? AND pfn_id = ?",
-            [lfn_id, lrc_id],
-        )
-        remaining = self.conn.execute(
-            "SELECT COUNT(*) FROM t_map WHERE lfn_id = ?", [lfn_id]
-        ).scalar()
-        if remaining == 0:
-            self.conn.execute("DELETE FROM t_lfn WHERE id = ?", [lfn_id])
+    def _held(self, lrc_id: int, names: Iterable[str]):
+        """The ``t_lfn`` id of each of ``names`` that has one, and the
+        ``t_map`` rows mapping those ids to ``lrc_id``: one probe a table."""
+        t_lfn, by_name = self._index("t_lfn", "name")
+        t_map, by_pair = self._index("t_map", "lfn_id", "pfn_id")
+        ids = {
+            row[1]: row[0]
+            for _rid, row in t_lfn.lookup_index_many(by_name, [(n,) for n in names])
+        }
+        pairs = [(lfn_id, lrc_id) for lfn_id in ids.values()]
+        return ids, t_map.lookup_index_many(by_pair, pairs)
 
-    def bulk_load(self, lrc_name: str, lfns: Iterable[str]) -> int:
-        """Out-of-band initialization of the relational store (§4 setup).
-
-        Writes the index tables directly, skipping the SQL layer; used by
-        the benchmark harness to pre-populate an RLI before measuring.
-        The names are taken ``_LOAD_CHUNK`` at a time: one index probe for
-        the names ``t_lfn`` already holds and one for those this LRC
-        already maps, then one ``insert_many`` per table.
-        """
-        now = self.clock()
+    def _refresh(self, lrc_id: int, names: Iterable[str], now: float) -> set[int]:
+        """Map every name to ``lrc_id`` as of ``now``, ``_CHUNK`` names at
+        a time: the two probes of ``_held``, one insert per table for what
+        is new, an update of each mapping already held.  Returns the
+        ``t_lfn`` ids of the names."""
         db = self.conn.database
-        t_lfn, t_map = db.table("t_lfn"), db.table("t_map")
-        by_name = t_lfn.find_hash_index(("name",))
-        by_pair = t_map.find_hash_index(("lfn_id", "pfn_id"))
-        assert by_name is not None and by_pair is not None  # UNIQUE / PRIMARY KEY
-        count = 0
-        lfns = iter(lfns)
-        with self._write_lock:
-            lrc_id = self._get_or_insert_lrc(lrc_name)
-            while chunk := list(itertools.islice(lfns, _LOAD_CHUNK)):
-                count += len(chunk)
-                names = dict.fromkeys(chunk)
-                ids = {
-                    row[1]: row[0]
-                    for _rid, row in t_lfn.lookup_index_many(
-                        by_name, [(name,) for name in names]
-                    )
-                }
-                mapped = {
-                    row[0]
-                    for _rid, row in t_map.lookup_index_many(
-                        by_pair, [(lfn_id, lrc_id) for lfn_id in ids.values()]
-                    )
-                }
-                new = [name for name in names if name not in ids]
-                stored = t_lfn.insert_many({"name": name, "ref": 1} for name in new)
-                ids.update(zip(new, (row[0] for _rid, row in stored)))
-                t_map.insert_many(
-                    {"lfn_id": ids[name], "pfn_id": lrc_id, "updatetime": now}
-                    for name in names
-                    if ids[name] not in mapped
-                )
-        return count
+        listed: set[int] = set()
+        names = iter(names)
+        while chunk := dict.fromkeys(itertools.islice(names, _CHUNK)):
+            ids, held = self._held(lrc_id, chunk)
+            new = [name for name in chunk if name not in ids]
+            stored = db.insert_rows("t_lfn", ({"name": n, "ref": 1} for n in new))
+            ids.update(zip(new, (row[0] for _rid, row in stored)))
+            for rid, _row in held:
+                db.update_row("t_map", rid, {"updatetime": now})
+            mapped = {row[0] for _rid, row in held}
+            db.insert_rows(
+                "t_map",
+                (
+                    {"lfn_id": lfn_id, "pfn_id": lrc_id, "updatetime": now}
+                    for lfn_id in ids.values()
+                    if lfn_id not in mapped
+                ),
+            )
+            listed.update(ids.values())
+        return listed
+
+    def _drop(self, rows: Iterable[tuple[int, tuple]]) -> int:
+        """Delete these ``(rid, row)`` of ``t_map``, then the ``t_lfn`` rows
+        they leave with no mapping; returns the mappings deleted."""
+        rows = list(rows)
+        if not rows:
+            return 0
+        db = self.conn.database
+        db.delete_rows("t_map", [rid for rid, _row in rows])
+        t_map, by_lfn = self._index("t_map", "lfn_id")
+        t_lfn, by_id = self._index("t_lfn", "id")
+        lfn_ids = {row[0] for _rid, row in rows}
+        still = t_map.lookup_index_many(by_lfn, [(i,) for i in lfn_ids])
+        orphans = lfn_ids.difference(row[0] for _rid, row in still)
+        found = t_lfn.lookup_index_many(by_id, [(i,) for i in orphans])
+        db.delete_rows("t_lfn", [rid for rid, _row in found])
+        return len(rows)
 
     # ------------------------------------------------------------------
     # Soft-state ingest: Bloom filters
@@ -421,23 +413,12 @@ class ReplicaLocationIndex:
         """
         current = self.clock() if now is None else now
         cutoff = current - self.timeout
-        dropped = 0
-        with self._write_lock:
-            stale = self.conn.execute(
-                "SELECT lfn_id, pfn_id FROM t_map WHERE updatetime < ?",
-                [cutoff],
-            ).rows
-            for lfn_id, lrc_id in stale:
-                self.conn.execute(
-                    "DELETE FROM t_map WHERE lfn_id = ? AND pfn_id = ?",
-                    [lfn_id, lrc_id],
-                )
-                remaining = self.conn.execute(
-                    "SELECT COUNT(*) FROM t_map WHERE lfn_id = ?", [lfn_id]
-                ).scalar()
-                if remaining == 0:
-                    self.conn.execute("DELETE FROM t_lfn WHERE id = ?", [lfn_id])
-                dropped += 1
+        with self._write_lock, self.conn.transaction():
+            dropped = self._drop(
+                (rid, row)
+                for rid, row in self.conn.database.table("t_map").scan()
+                if row[2] < cutoff
+            )
         with self._bloom_lock:
             held = self._bloom.filters
             live = {
@@ -456,29 +437,14 @@ class ReplicaLocationIndex:
     # Internals
     # ------------------------------------------------------------------
 
-    def _get_or_insert_lfn(self, lfn: str) -> int:
-        rows = self.conn.execute(
-            "SELECT id FROM t_lfn WHERE name = ?", [lfn]
-        ).rows
-        if rows:
-            return rows[0][0]
-        result = self.conn.execute(
-            "INSERT INTO t_lfn (name, ref) VALUES (?, ?)", [lfn, 1]
-        )
-        assert result.lastrowid is not None
-        return result.lastrowid
-
     def _get_or_insert_lrc(self, lrc_name: str) -> int:
-        # Every relational ingest passes here; set before the INSERT, so a
+        # Every relational ingest passes here; set before the insert, so a
         # query racing it may run one SELECT too many, never one too few.
         self._relational = True
-        rows = self.conn.execute(
-            "SELECT id FROM t_lrc WHERE name = ?", [lrc_name]
-        ).rows
-        if rows:
-            return rows[0][0]
-        result = self.conn.execute(
-            "INSERT INTO t_lrc (name, ref) VALUES (?, ?)", [lrc_name, 1]
+        t_lrc, by_name = self._index("t_lrc", "name")
+        for _rid, row in t_lrc.lookup_index_many(by_name, [(lrc_name,)]):
+            return row[0]
+        _rid, row = self.conn.database.insert_row(
+            "t_lrc", {"name": lrc_name, "ref": 1}
         )
-        assert result.lastrowid is not None
-        return result.lastrowid
+        return row[0]

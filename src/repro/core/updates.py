@@ -438,6 +438,13 @@ class UpdateManager:
             raise UpdateTargetError("no RLI targets registered")
         start = time.perf_counter()
         router = PartitionRouter(targets)
+        with self._lock:
+            # The full subsumes the pending delta, so it is cleared before
+            # the snapshot below is read: a change landing in between is
+            # sent again by the next flush (both paths are idempotent),
+            # never lost.  Targets the full misses are flagged needs_full.
+            self._pending_added.clear()
+            self._pending_removed.clear()
         all_names: list[str] | None = None
         if any(not tgt.bloom for tgt in targets):
             all_names = self.lrc.all_lfns()
@@ -454,11 +461,6 @@ class UpdateManager:
         else:
             outcomes = [push_one(tgt) for tgt in targets]
         with self._lock:
-            # A full update subsumes any pending incremental changes;
-            # targets that missed it are flagged needs_full, so dropping
-            # the global delta loses nothing for them either.
-            self._pending_added.clear()
-            self._pending_removed.clear()
             self._last_full_update = self.clock()
             self._last_immediate_flush = self.clock()
         elapsed = time.perf_counter() - start

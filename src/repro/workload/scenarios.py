@@ -64,7 +64,7 @@ def loaded_rli_server_uncompressed(
     assert rli is not None
     lfns = sequential_names(mappings_per_lrc)
     for i in range(num_lrcs):
-        rli.bulk_load(f"lrc{i}", lfns)
+        rli.apply_full_update(f"lrc{i}", lfns)
     return server, lfns
 
 

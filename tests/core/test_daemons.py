@@ -38,20 +38,16 @@ class TestExpireThread:
         server = make_server(
             ServerRole.RLI, rli_timeout=0.1, expire_interval=0.02
         )
-        real = server.rli.conn
+        real = server.rli.expire_once
         failures = {"left": 1}
 
-        class StubConnection:
-            def __getattr__(self, name):
-                return getattr(real, name)
+        def expire_once():
+            if failures["left"]:
+                failures["left"] -= 1
+                raise ConnectionError("database briefly away")
+            return real()
 
-            def execute(self, sql, params=()):
-                if failures["left"] and sql.startswith("SELECT lfn_id, pfn_id"):
-                    failures["left"] -= 1
-                    raise ConnectionError("database briefly away")
-                return real.execute(sql, params)
-
-        server.rli.conn = StubConnection()
+        server.rli.expire_once = expire_once  # start() binds the task to it
         server.start()
         server.rli.apply_full_update("lrcA", ["ephemeral"])
         assert wait_until(lambda: server.rli.mapping_count() == 0)

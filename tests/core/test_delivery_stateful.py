@@ -15,9 +15,12 @@ every feed, scripted ``FailureSchedule``\\ s per target in both fault modes
 restarting empty.  The invariants are the paper's §3.2 guarantees and the
 ROADMAP north star's:
 
-* after faults stop and one ``full_interval`` of ticks (plus the soft-state
-  timeout for what a relational RLI only ages out) every target equals its
-  source, partition-restricted where that applies;
+* after faults stop and one ``full_interval`` + ``backoff_max`` of ticks,
+  with no expire pass, every target equals its source,
+  partition-restricted where that applies: a relational full is
+  authoritative for its LRC, so nothing the master dropped is advertised
+  (the parent, which hears nothing for an LRC ``rel`` holds no name of,
+  still ages such names out);
 * at every step the Bloom target has no false negative for a name that was
   live at its last landed push and still is;
 * at every step the mirror holds a pair set the master passed through;
@@ -286,11 +289,10 @@ class DeliveryMachine(RuleBasedStateMachine):
         if name == "bloom":
             self.live_at_bloom_push = set()
 
-    def run_without_faults(self, ticks: int) -> float:
-        """Stop every fault, tick ``ticks`` times; returns when it began."""
+    def run_without_faults(self, ticks: int) -> None:
+        """Stop every fault and tick ``ticks`` times."""
         for name in TARGETS:
             self.schedules[name] = FailureSchedule()
-        start = self.clock.now
         for _ in range(ticks):
             self.clock.now += TICK
             self.tick_all()
@@ -307,15 +309,14 @@ class DeliveryMachine(RuleBasedStateMachine):
         assert self.updates.pending_changes() == (0, 0)
         assert self.mirrors.pending_changes() == (0, 0)
         assert set(self.ingest.lrc.query_wildcard("*")) == self.pairs()
-        return start
 
     @rule()
     def faults_stop_and_redelivery_alone_heals(self) -> None:
         """Past the longest backoff — not a full_interval — nothing a target
         was ever sent is missing: the periodic refresh is the backstop, not
-        the only healer.  (A name the master dropped may linger in a
-        relational RLI until the timeout; a restarted RLI waits for its
-        refresh.)"""
+        the only healer.  (A name the master dropped while a target was
+        owed a full lingers until that full lands; a restarted RLI waits
+        for its refresh.)"""
         self.run_without_faults(ticks=int(120.0 / TICK) + 2)
         for name in {"rel", "part"} - self.lost_state:
             assert self.source_names(name) <= self.held_names(name), name
@@ -326,18 +327,15 @@ class DeliveryMachine(RuleBasedStateMachine):
 
     @rule()
     def faults_stop_and_everything_converges(self) -> None:
-        start = self.run_without_faults(ticks=SETTLE_TICKS)
+        self.run_without_faults(ticks=SETTLE_TICKS)
         assert not self.lost_state
-        # A full update refreshes and never deletes eagerly (§3.2): what
-        # the master dropped ages out of a relational RLI at the timeout.
-        # Everything live was refreshed after ``start``.
-        for name in RLI_TARGETS:
-            self.rlis[name].expire_once(now=start + RLI_TIMEOUT + 1.0)
         for name in ("rel", "part"):
             assert self.held_names(name) == self.source_names(name), name
         held = self.rlis["bloom"]._bloom.filters["master"]
         assert held.to_bytes() == self.updates.bloom.snapshot().to_bytes()
-        # The parent hears the child's cleaned state on the next forward.
+        # The parent hears the child's state on the next forward, per LRC;
+        # an LRC the child holds no name of is not forwarded, so what the
+        # parent holds of it only ages out.
         forwarded = self.clock.now
         self.clock.now += TICK
         self.forward()

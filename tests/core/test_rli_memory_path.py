@@ -54,17 +54,15 @@ class TestRelationalSwitch:
             "a": ["lrcA"], "b": ["lrcA", "lrcB"],
         }
 
-    @pytest.mark.parametrize("ingest", ["full", "incremental", "bulk_load"])
+    @pytest.mark.parametrize("ingest", ["full", "incremental"])
     def test_any_relational_ingest_turns_the_select_on(self, engine, ingest):
         rli = open_rli(engine)
         rli.apply_bloom_update("lrcA", *bloom_payload(["a"]))
         assert statements(rli, lambda: rli.query("a")) == 0
         if ingest == "full":
             rli.apply_full_update("lrc-db", ["a", "only-db"])
-        elif ingest == "incremental":
-            rli.apply_incremental_update("lrc-db", ["a", "only-db"], [])
         else:
-            rli.bulk_load("lrc-db", ["a", "only-db"])
+            rli.apply_incremental_update("lrc-db", ["a", "only-db"], [])
         assert statements(rli, lambda: rli.query("only-db")) == 1
         assert rli.query("only-db") == ["lrc-db"]
         assert rli.query("a") == ["lrc-db", "lrcA"]

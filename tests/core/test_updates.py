@@ -81,6 +81,29 @@ class TestFullUpdates:
         manager.send_full_update()
         assert manager.pending_changes() == (0, 0)
 
+    def test_change_during_a_full_reaches_the_rli(self, setup):
+        """A name created while a full is in flight, after its snapshot
+        was read, is sent by the next flush, not dropped with the delta
+        the full subsumed."""
+        lrc, manager, _, _ = setup
+        engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0)
+        rli = ReplicaLocationIndex(Connection(engine, "r"), name="rli-real")
+        rli.init_schema()
+
+        class CreatingSink(DirectSink):
+            def full_update(self, lrc_name, lfns):
+                lrc.create_mapping("late", "p")
+                super().full_update(lrc_name, lfns)
+
+        manager.sink_resolver = lambda name: CreatingSink(rli)
+        lrc.add_rli("rli-real")
+        lrc.create_mapping("early", "p")
+        manager.send_full_update()
+        manager.send_incremental_update()
+        assert rli.bulk_query(["early", "late"]) == {
+            "early": ["lrcA"], "late": ["lrcA"],
+        }
+
     def test_stats_updated(self, setup):
         lrc, manager, sinks, _ = setup
         lrc.add_rli("rli1")

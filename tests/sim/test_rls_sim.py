@@ -227,10 +227,10 @@ class TestDeliveryOnTheVirtualClock:
 
     @pytest.mark.parametrize("mode", ["full-only", "immediate"])
     def test_soft_state_converges_after_faults_stop(self, mode):
-        """The north-star invariant: once the faults end, every live name
-        is indexed within full_interval + backoff_max, and no name deleted
-        more than rli_timeout + expire_interval before an expire pass is
-        still advertised."""
+        """The north-star invariant: within full_interval + backoff_max of
+        the faults ending, every live name is indexed and no name deleted
+        before they ended is advertised — with no wait for rli_timeout or
+        an expire pass, because a full is authoritative."""
         sim = Simulator()
         faults = FailureSchedule.pattern("FFF.FF.FFFF")
         lrc = SimLRC(sim, "l", 300, churn_per_sec=1.0, rng=random.Random(3))
@@ -248,6 +248,7 @@ class TestDeliveryOnTheVirtualClock:
             assert sim.now < 4 * policy.full_interval, "the scripted pushes never came"
             sim.step()
         live = set(lrc.names)
+        gone = sorted(deleted_at)
         retry = policy.retry
         sim.run(
             until=sim.now + policy.full_interval
@@ -255,9 +256,5 @@ class TestDeliveryOnTheVirtualClock:
         )
         survivors = sorted(live.intersection(lrc.names))
         assert len(link.rli.bulk_query(survivors)) == len(survivors)
-
-        sim.run(until=50 * CONFIG.expire_interval)  # an expire pass
-        horizon = sim.now - (CONFIG.rli_timeout + CONFIG.expire_interval)
-        expired = [lfn for lfn, at in deleted_at.items() if at < horizon]
-        assert expired
-        assert link.rli.bulk_query(expired) == {}
+        assert gone
+        assert link.rli.bulk_query(gone) == {}
