@@ -666,7 +666,8 @@ class LocalReplicaCatalog:
         bounded however many are streamed in); each chunk writes each
         table with one ``insert_many``, new names carrying their final
         reference count, and a name that already existed is re-counted
-        from ``t_map`` afterwards.  Nothing is WAL-logged.  Assumes a
+        from ``t_map`` afterwards.  No row is WAL-logged: the load ends
+        with a WAL checkpoint, whose image holds it.  Assumes a
         quiescent server and fresh (lfn, pfn) pairs; duplicate LFNs get
         additional replica mappings.  Change listeners are notified so
         Bloom filters stay coherent.  Returns mappings loaded.
@@ -678,12 +679,15 @@ class LocalReplicaCatalog:
             [] if self._mapping_listeners else None
         )
         pairs = iter(pairs)
+        db = self.conn.database
         with self._write_lock:
             while chunk := list(itertools.islice(pairs, _LOAD_CHUNK)):
                 new_lfns += self._load_chunk(chunk)
                 count += len(chunk)
                 if loaded_pairs is not None:
                     loaded_pairs += chunk
+            if db.wal is not None:
+                db.wal.checkpoint()
         self._m_bulk_loaded.inc(count)
         for lfn in new_lfns:
             self._notify(lfn, True)

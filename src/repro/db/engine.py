@@ -21,9 +21,11 @@ from repro.db.sql.parser import parse
 from repro.db.sql.planner import prepare
 from repro.db.table import Table, TableStats
 from repro.db.wal import (
+    OP_CHECKPOINT,
     OP_DELETE,
     OP_INSERT,
     OP_UPDATE,
+    Image,
     WriteAheadLog,
 )
 from repro.obs import tracing
@@ -80,6 +82,12 @@ class Database:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._tables: dict[str, Table] = {}
         self._ddl_lock = threading.RLock()
+        #: Held around every logged write's table change and its WAL
+        #: append, so a checkpoint never images a row its log has not
+        #: reached.  Lock order: this, the WAL's lock, a table latch.
+        self._write_latch = threading.Lock()
+        if wal is not None:
+            wal.attach(self._write_latch, self._live_image)
         self._statement_cache: "OrderedDict[str, Plan]" = OrderedDict()
         self._statement_cache_size = statement_cache_size
         #: Bumped by every DDL route; a cached plan from an older epoch is
@@ -182,13 +190,14 @@ class Database:
         logged, as if each had been its own statement."""
         table = self.table(table_name)
         stored: list[tuple[int, list]] = []
-        try:
-            table.insert_many(rows, stored)
-        finally:
-            if self.wal is not None:
-                self.wal.log_many(
-                    OP_INSERT, table.schema.name, [row for _rid, row in stored]
-                )
+        with self._write_latch:
+            try:
+                table.insert_many(rows, stored)
+            finally:
+                if self.wal is not None:
+                    self.wal.log_many(
+                        OP_INSERT, table.schema.name, [row for _rid, row in stored]
+                    )
         return stored
 
     def insert_row(self, table_name: str, values: dict[str, Any]) -> tuple[int, list]:
@@ -199,12 +208,13 @@ class Database:
         returns the old rows."""
         table = self.table(table_name)
         deleted: list[tuple[int, list]] = []
-        try:
-            table.delete_many(rids, deleted)
-        finally:
-            old = [row for _rid, row in deleted]
-            if self.wal is not None:
-                self.wal.log_many(OP_DELETE, table.schema.name, old)
+        with self._write_latch:
+            try:
+                table.delete_many(rids, deleted)
+            finally:
+                old = [row for _rid, row in deleted]
+                if self.wal is not None:
+                    self.wal.log_many(OP_DELETE, table.schema.name, old)
         return old
 
     def delete_row(self, table_name: str, rid: int) -> list:
@@ -214,10 +224,17 @@ class Database:
         self, table_name: str, rid: int, changes: dict[str, Any]
     ) -> tuple[int, list]:
         table = self.table(table_name)
-        new_rid, row = table.update_rid(rid, changes)
-        if self.wal is not None:
-            self.wal.log(OP_UPDATE, table.schema.name, tuple(row))
+        with self._write_latch:
+            new_rid, row = table.update_rid(rid, changes)
+            if self.wal is not None:
+                self.wal.log(OP_UPDATE, table.schema.name, tuple(row))
         return new_rid, row
+
+    def _live_image(self) -> Image:
+        """Every table's live rows, for a WAL checkpoint."""
+        with self._ddl_lock:
+            tables = list(self._tables.values())
+        return [(table.schema.name, table.live_rows()) for table in tables]
 
     # ------------------------------------------------------------------
     # SQL front end
@@ -320,22 +337,22 @@ class Database:
     # Durability
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> None:
-        """Flush any buffered WAL records to the durable device."""
-        if self.wal is not None:
-            self.wal.flush()
-
     def recover_into(self, other: "Database") -> int:
         """Replay this database's durable WAL into ``other``.
 
-        ``other`` must already contain the table schemas (DDL is not
-        logged, matching the RLS practice of creating schemas at install
-        time).  Returns the number of records applied.
+        The log holds the last checkpoint's image — an ``OP_CHECKPOINT``
+        record, then an INSERT for every row live at that point — and
+        every record synced after it (none of that without a checkpoint
+        yet).  ``other`` must already contain the table schemas and no
+        rows (DDL is not logged, matching the RLS practice of creating
+        schemas at install time).  Returns the number of records applied.
         """
         if self.wal is None:
             return 0
         applied = 0
         for record in self.wal.records():
+            if record.op == OP_CHECKPOINT:
+                continue
             table = other.table(record.table)
             names = table.schema.column_names
             values = dict(zip(names, record.payload))

@@ -52,8 +52,8 @@ class Connection:
     """One client connection to an engine.
 
     Autocommit semantics: every statement is its own transaction, matching
-    how the RLS server drives ODBC.  ``commit()`` forces a WAL flush (a
-    checkpoint) and is otherwise a no-op.
+    how the RLS server drives ODBC.  ``commit()`` forces a WAL flush and
+    is otherwise a no-op.
     """
 
     def __init__(self, database: Database, dsn: str) -> None:
@@ -75,7 +75,9 @@ class Connection:
         return self.database.execute(sql, params)
 
     def commit(self) -> None:
-        self.database.checkpoint()
+        wal = self.database.wal
+        if wal is not None:
+            wal.flush()
 
     def transaction(self):
         """Group several statements under one commit durability barrier.

@@ -9,6 +9,8 @@ relies on explicit vacuuming, which is what the paper's Figure 8 measures.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
 from typing import Any, Iterator
 
 #: A stored row: frozen by ``Table.insert_many``, never mutated in place.
@@ -81,6 +83,11 @@ class RowHeap:
         for rid, row in enumerate(self._rows):
             if row is not None and not dead[rid]:
                 yield rid, row
+
+    def live_rows(self) -> list[Row]:
+        """Every live row in heap order (a reclaimed slot stays marked
+        dead until it is reused)."""
+        return list(compress(self._rows, map(not_, self._dead)))
 
     def scan_dead(self) -> Iterator[int]:
         """Yield the rids of tombstoned (not yet reclaimed) rows."""

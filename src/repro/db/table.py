@@ -307,6 +307,11 @@ class Table:
         with self.latch:
             return iter(list(self.heap.scan_live()))
 
+    def live_rows(self) -> list[Row]:
+        """The live rows themselves, in heap order, without their rids."""
+        with self.latch:
+            return self.heap.live_rows()
+
     def lookup_equal(
         self, columns: tuple[str, ...], key: tuple
     ) -> list[tuple[int, Row]]:

@@ -22,13 +22,20 @@ that mechanism:
   statement ends) — "loose consistency, providing improved performance
   at some risk of database corruption" (§5.1).
 
-The log is replayable: :func:`replay` yields records back so an engine can
-reconstruct state after a crash, which the tests exercise.
+The log is bounded by checkpoints.  Once a statement brings the records
+logged since the last checkpoint to :data:`CHECKPOINT_MIN_RECORDS`, or to
+the row count of the last image if that is larger, the log takes an image
+of its database's tables (the live rows, by reference) and the device
+drops every record before it.  Read back, the log is that image as
+records — one ``OP_CHECKPOINT``, then one INSERT per row — followed by
+every record synced since, which is what
+:meth:`repro.db.engine.Database.recover_into` replays.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import struct
 import threading
 import time
@@ -53,6 +60,16 @@ _OP_NAMES = {
     OP_UPDATE: "UPDATE",
     OP_CHECKPOINT: "CHECKPOINT",
 }
+
+#: The fewest records logged between two checkpoints.  The gap is the
+#: larger of this and the row count of the last image, so a checkpoint
+#: visits at most one row per record logged, and the log never holds much
+#: more than twice the catalog.
+CHECKPOINT_MIN_RECORDS = 65_536
+
+#: A checkpoint's image: each table's name and its live rows.  The rows are
+#: the stored tuples themselves, which nothing mutates.
+Image = list[tuple[str, list[tuple[Any, ...]]]]
 
 
 @dataclass(frozen=True)
@@ -120,10 +137,15 @@ def _decode_value(buf: io.BytesIO) -> Any:
 
 
 def encode_records(
-    first_lsn: int, op: int, table: str, payloads: Iterable[Sequence[Any]]
+    first_lsn: int,
+    op: int,
+    table: str,
+    payloads: Iterable[Sequence[Any]],
+    step: int = 1,
 ) -> tuple[bytes, int]:
-    """The records of one statement, LSNs counting up from ``first_lsn``,
-    as one byte string; also returns how many there are."""
+    """The records of one statement, LSNs counting up from ``first_lsn``
+    by ``step`` (0: all at ``first_lsn``), as one byte string; also
+    returns how many there are."""
     head = _encode_value(table)
     encoders = _ENCODERS
     parts: list[bytes] = []
@@ -136,12 +158,22 @@ def encode_records(
         body = head + _pack_u32(len(payload)) + b"".join(values)
         parts.append(_pack_header(lsn, op, len(body)))
         parts.append(body)
-        lsn += 1
-    return b"".join(parts), lsn - first_lsn
+        lsn += step
+    return b"".join(parts), len(parts) // 2
 
 
 def encode_record(record: WALRecord) -> bytes:
     return encode_records(record.lsn, record.op, record.table, (record.payload,))[0]
+
+
+def encode_checkpoint(lsn: int, image: Image) -> bytes:
+    """A checkpoint as records, all at ``lsn``: one ``OP_CHECKPOINT``
+    whose payload is the image's row count, then one INSERT per row."""
+    rows = sum(len(table_rows) for _table, table_rows in image)
+    parts = [encode_records(lsn, OP_CHECKPOINT, "", [(rows,)])[0]]
+    for table, table_rows in image:
+        parts.append(encode_records(lsn, OP_INSERT, table, table_rows, step=0)[0])
+    return b"".join(parts)
 
 
 def decode_records(data: bytes) -> Iterator[WALRecord]:
@@ -173,6 +205,11 @@ class LogDevice:
     def read_all(self) -> bytes:
         raise NotImplementedError
 
+    def checkpoint(self, lsn: int, image: Image) -> None:
+        """Drop every record up to ``lsn``: ``image`` stands for them.
+        Called right after a sync, so nothing is buffered."""
+        raise NotImplementedError
+
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
 
@@ -193,7 +230,10 @@ class InMemoryLogDevice(LogDevice):
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self._buffer = bytearray()
+        #: What was synced since the last checkpoint.
         self._durable = bytearray()
+        #: The last checkpoint's LSN and image, rendered only when read.
+        self._checkpoint: tuple[int, Image] | None = None
         self.sync_latency = sync_latency
         self._sleep = sleep
         self.sync_count = 0
@@ -210,9 +250,15 @@ class InMemoryLogDevice(LogDevice):
         self._buffer.clear()
         self.sync_count += 1
 
+    def checkpoint(self, lsn: int, image: Image) -> None:
+        self._durable = bytearray()
+        self._checkpoint = (lsn, image)
+
     def read_all(self) -> bytes:
         """Durable contents only — un-synced bytes are lost in a 'crash'."""
-        return bytes(self._durable)
+        if self._checkpoint is None:
+            return bytes(self._durable)
+        return encode_checkpoint(*self._checkpoint) + self._durable
 
 
 class FileLogDevice(LogDevice):
@@ -228,10 +274,25 @@ class FileLogDevice(LogDevice):
 
     def sync(self) -> None:
         self._fh.flush()
-        import os
-
         os.fsync(self._fh.fileno())
         self.sync_count += 1
+
+    def checkpoint(self, lsn: int, image: Image) -> None:
+        """Write the image to a new file and swap it in: a crash at any
+        point leaves either the old log or the new one, complete."""
+        staged = self.path + ".checkpoint"
+        with open(staged, "wb") as fh:
+            fh.write(encode_checkpoint(lsn, image))
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._fh.close()
+        os.replace(staged, self.path)
+        directory = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        self._fh = open(self.path, "ab+")
 
     def read_all(self) -> bytes:
         self._fh.flush()
@@ -277,6 +338,19 @@ class WriteAheadLog:
         #: Optional flight recorder; the server wires this so WAL flushes
         #: land in the same event ring as RPC and update-delivery events.
         self.flight = None
+        # Set by attach(); a log no database owns is never checkpointed.
+        self._write_latch: Any = None
+        self._image: Callable[[], Image] | None = None
+        self._checkpoint_in = CHECKPOINT_MIN_RECORDS
+
+    def attach(self, write_latch: Any, image: Callable[[], Image]) -> None:
+        """Let this log checkpoint the database that owns it.
+
+        ``write_latch`` is held by every writer of that database around a
+        table write and the append that logs it, and is taken before this
+        log's lock; ``image`` lists every table's live rows.
+        """
+        self._write_latch, self._image = write_latch, image
 
     def _sync_device(self) -> None:
         """Sync the device, recording flush latency and the queue drain.
@@ -348,12 +422,36 @@ class WriteAheadLog:
                 or self._clock() - self._last_flush >= self.flush_interval
             ):
                 self._sync_device()
+            self._checkpoint_in -= count
+            if self._checkpoint_in <= 0 and self._image is not None:
+                self._checkpoint()
             return self._next_lsn - 1
 
     def flush(self) -> None:
-        """Force a sync (used on clean shutdown / checkpoint)."""
+        """Force a sync (used on clean shutdown)."""
         with self._lock:
             self._sync_device()
+
+    def checkpoint(self) -> None:
+        """Take a checkpoint now (see :meth:`attach`); a log no database
+        owns has nothing to image and is left as it is."""
+        if self._image is None:
+            return
+        with self._write_latch, self._lock:
+            self._checkpoint()
+
+    def _checkpoint(self) -> None:
+        """Image the tables, sync, and let the device drop every record
+        the image stands for.  The caller holds the write latch and
+        ``self._lock``, so no table write is waiting for its append and
+        the image is exactly the state at the last LSN.  Adds no record
+        and charges no request: what it costs is one sync."""
+        image = self._image()
+        self._sync_device()
+        self.device.checkpoint(self._next_lsn - 1, image)
+        self._checkpoint_in = max(
+            CHECKPOINT_MIN_RECORDS, sum(len(rows) for _table, rows in image)
+        )
 
     def records(self) -> list[WALRecord]:
         """Decode every durable record (crash-recovery view)."""
@@ -384,8 +482,3 @@ class _WALTransaction:
             local.pending = False
             with self.wal._lock:
                 self.wal._sync_device()
-
-
-def replay(log: WriteAheadLog) -> Iterator[WALRecord]:
-    """Yield durable records in LSN order for recovery."""
-    return iter(log.records())

@@ -76,6 +76,29 @@ class TestLRCBulkLoad:
         lrc.bulk_load([(f"w{i}", f"p{i}") for i in range(20)])
         assert len(lrc.query_wildcard("w1*")) == 11  # w1, w10..w19
 
+    def test_the_wal_recovers_a_loaded_catalog(self, lrc):
+        """bulk_load logs no row, so it ends with a checkpoint: the log
+        is the loaded catalog's image, then what was written after."""
+        lrc.bulk_load([(f"lfn-{i}", f"pfn-{i % 700}") for i in range(5_000)])
+        lrc.create_mapping("new", "pfn-new")
+        lrc.add_mapping("lfn-1", "pfn-new")
+        lrc.delete_mapping("lfn-2", "pfn-2")
+        lrc.delete_mapping("lfn-3", "pfn-3")
+        engine = lrc.conn.database
+        engine.wal.flush()
+        twin = LocalReplicaCatalog(
+            Connection(MySQLEngine(flush_on_commit=False, sync_latency=0.0), "bl2"),
+            name="bl2",
+        )
+        twin.init_schema()
+        engine.recover_into(twin.conn.database)
+        for name in ("t_lfn", "t_pfn", "t_map"):
+            assert sorted(row for _rid, row in twin.conn.database.table(name).scan()) == (
+                sorted(row for _rid, row in engine.table(name).scan())
+            )
+        assert twin.mapping_count() == 5_000 + 1 + 1 - 2
+        assert twin.verify_integrity() == []
+
 
 class TestRLIBulkLoad:
     """The RLI has no separate bulk path: scenarios load it with one

@@ -105,7 +105,7 @@ class TestRecovery:
         source.wal.flush_interval = 1e9
         source.execute("CREATE TABLE t (id INT, name VARCHAR(50))")
         source.execute("INSERT INTO t (id, name) VALUES (1, 'durable')")
-        source.checkpoint()
+        source.wal.flush()
         source.execute("INSERT INTO t (id, name) VALUES (2, 'lost')")
 
         fresh = Database("recovered")

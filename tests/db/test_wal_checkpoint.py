@@ -1,0 +1,213 @@
+"""WAL checkpoints: the log stays bounded, the image is exact, counts don't move.
+
+A checkpoint replaces everything logged so far with an image of the
+tables (their live rows, by reference) and the device keeps only what is
+logged after it.  Recovery reads the image as records followed by the
+suffix, so replaying it must rebuild the live tables whatever was written
+and however many checkpoints were crossed; and since a checkpoint adds no
+record, ``records_appended`` and the bytes charged to a request are those
+of the statements alone.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import threading
+import time
+from collections import Counter
+
+import pytest
+
+from repro.core.lrc import LocalReplicaCatalog
+from repro.db import wal as wal_module
+from repro.db.mysql_engine import MySQLEngine
+from repro.db.odbc import Connection
+from repro.db.postgres_engine import PostgresEngine
+from repro.db.wal import (
+    OP_CHECKPOINT,
+    OP_INSERT,
+    FileLogDevice,
+    decode_records,
+    encode_record,
+    encode_records,
+)
+from repro.obs import reqctx
+
+DDL = (
+    "CREATE TABLE t (id INT NOT NULL AUTO_INCREMENT, name VARCHAR(40) NOT NULL, "
+    "ref INT, PRIMARY KEY (id), UNIQUE (name))"
+)
+#: Both storage flavours, flush off.
+ENGINES = {
+    "mysql": lambda: MySQLEngine(flush_on_commit=False, sync_latency=0.0),
+    "postgres": lambda: PostgresEngine(sync_latency=0.0, dead_hit_cost=0.0),
+}
+
+
+@pytest.fixture
+def floor(monkeypatch):
+    """Set the checkpoint floor for engines built after this call."""
+
+    def set_floor(records: int) -> int:
+        monkeypatch.setattr(wal_module, "CHECKPOINT_MIN_RECORDS", records)
+        return records
+
+    return set_floor
+
+
+def live_tables(engine) -> dict[str, Counter]:
+    return {
+        name: Counter(engine.table(name).live_rows()) for name in engine.table_names()
+    }
+
+
+def recovered(engine, flavour: str = "mysql"):
+    """A fresh engine with ``engine``'s DDL, rebuilt from its durable log."""
+    fresh = ENGINES[flavour]()
+    for name in engine.table_names():
+        fresh.create_table(engine.table(name).schema)
+    engine.recover_into(fresh)
+    return fresh
+
+
+def split_log(engine) -> tuple[list, list]:
+    """The durable log as (checkpoint record + image, suffix)."""
+    records = engine.wal.records()
+    if not records or records[0].op != OP_CHECKPOINT:
+        return [], records
+    image = 1 + records[0].payload[0]
+    return records[:image], records[image:]
+
+
+def test_the_retained_log_is_bounded_by_the_floor_or_the_last_image(floor):
+    floor_records = floor(256)
+    # Flush on: every statement is durable, so read_all() is the whole log.
+    engine = MySQLEngine(flush_on_commit=True, sync_latency=0.0)
+    lrc = LocalReplicaCatalog(Connection(engine, "ck"), name="ck")
+    lrc.init_schema()
+    wal = engine.wal
+    log_many = wal.log_many
+    checkpoints: set[int] = set()
+
+    def checked(op, table, payloads):
+        lsn = log_many(op, table, payloads)
+        image, suffix = split_log(engine)
+        image_rows = len(image) - 1 if image else 0
+        assert len(suffix) <= max(floor_records, image_rows) + len(payloads)
+        if image:
+            checkpoints.add(image[0].lsn)
+        return lsn
+
+    wal.log_many = checked
+    # 300 loaded rows: past the floor, so the image sets the gap.
+    lrc.bulk_load((f"base-{i}", f"pfn-base-{i}") for i in range(100))
+    for cycle in range(200):
+        pairs = [(f"lfn-{cycle}-{i}", f"pfn-{cycle}-{i}") for i in range(20)]
+        assert lrc.bulk_create(pairs) == []
+        assert lrc.bulk_delete(pairs) == []
+    assert len(checkpoints) >= 50
+    assert lrc.mapping_count() == 100
+    assert live_tables(recovered(engine)) == live_tables(engine)
+
+
+def test_a_checkpoint_appends_no_record_and_charges_no_bytes(floor):
+    floor(4)
+    engine = ENGINES["mysql"]()
+    engine.execute(DDL)
+    for i in range(3):
+        engine.execute("INSERT INTO t (name, ref) VALUES (?, ?)", [f"n{i}", i])
+    assert split_log(engine)[0] == []  # three records: no checkpoint yet
+    device = engine.wal.device
+    written = device.bytes_written
+    costs = reqctx.activate(reqctx.RequestCosts("wal", None, "cms-prod"))
+    try:
+        engine.execute("INSERT INTO t (name, ref) VALUES (?, ?)", ["n3", 3])
+    finally:
+        reqctx.deactivate()
+    record = encode_records(4, OP_INSERT, "t", [(4, "n3", 3)])[0]
+    assert costs.wal_bytes == len(record) == device.bytes_written - written
+    assert engine.wal.records_appended == 4
+    image, suffix = split_log(engine)
+    assert [r.lsn for r in image] == [4] * 5 and suffix == []
+    assert Counter(r.payload for r in image[1:]) == live_tables(engine)["t"]
+
+
+@pytest.mark.parametrize("flavour", sorted(ENGINES))
+def test_eight_writers_recover_to_the_live_tables(floor, flavour):
+    floor(32)
+    engine = ENGINES[flavour]()
+    engine.execute(DDL)
+    errors: list[BaseException] = []
+    deadline = time.monotonic() + 1.0
+
+    def writer(n: int) -> None:
+        try:
+            i = 0
+            while time.monotonic() < deadline:
+                rid, _row = engine.insert_row("t", {"name": f"w{n}-{i}", "ref": 0})
+                rid, _row = engine.update_row("t", rid, {"ref": i})
+                if i % 3:
+                    engine.delete_rows("t", [rid])
+                i += 1
+        except BaseException as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    engine.wal.flush()
+    assert split_log(engine)[0], "no checkpoint was taken"
+    assert live_tables(recovered(engine, flavour)) == live_tables(engine)
+
+
+def test_a_torn_tail_after_the_image_loses_exactly_the_torn_record(floor):
+    floor(8)
+    engine = MySQLEngine(flush_on_commit=True, sync_latency=0.0)
+    engine.execute(DDL)
+    for i in range(8):  # the eighth insert takes the checkpoint
+        engine.execute("INSERT INTO t (name, ref) VALUES (?, ?)", [f"n{i}", i])
+    engine.execute("INSERT INTO t (name, ref) VALUES (?, ?), (?, ?)", ["a", 10, "b", 20])
+    engine.execute("UPDATE t SET ref = ? WHERE name = ?", [7, "a"])
+    engine.execute("DELETE FROM t WHERE ref < ?", [4])
+    image, suffix = split_log(engine)
+    assert len(image) == 9 and len(suffix) == 7
+    data = engine.wal.device.read_all()
+    end = sum(len(encode_record(r)) for r in image)
+    assert list(decode_records(data[:end])) == image
+    for k, record in enumerate(suffix):
+        assert list(decode_records(data[: end + 1])) == image + suffix[:k]
+        end += len(encode_record(record))
+        assert list(decode_records(data[: end - 1])) == image + suffix[:k]
+        assert list(decode_records(data[:end])) == image + suffix[: k + 1]
+    assert end == len(data)
+
+
+def test_a_file_log_is_swapped_for_its_checkpoint(floor, tmp_path):
+    floor(16)
+    path = tmp_path / "wal"
+    device = FileLogDevice(str(path))
+    engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0, device=device)
+    engine.execute(DDL)
+    try:
+        for i in range(200):
+            engine.execute("INSERT INTO t (name, ref) VALUES (?, ?)", [f"n{i}", i])
+            if i % 2:
+                engine.execute("DELETE FROM t WHERE name = ?", [f"n{i}"])
+        engine.wal.flush()
+        image, suffix = split_log(engine)
+        assert image and len(suffix) < max(16, len(image) - 1)
+        assert os.path.getsize(path) == sum(len(encode_record(r)) for r in image + suffix)
+        assert os.listdir(tmp_path) == ["wal"]
+        assert live_tables(recovered(engine)) == live_tables(engine)
+    finally:
+        device.close()

@@ -55,7 +55,10 @@ def test_a_successful_request_constructs_no_reader_side_object(loaded, monkeypat
     assert server.flight.stats()["recorded"] >= 200
     events = server.flight.events()
     assert [e.kind for e in events[-2:]] == ["rpc.in", "rpc.out"]
-    assert made[FlightEvent] == len(events) > 0
+    # bulk_load ends with a WAL checkpoint, whose sync was recorded (and
+    # its event built) as it happened, before the count started.
+    assert [e.kind for e in events].count("wal.flush") == 1
+    assert made[FlightEvent] == len(events) - 1 > 0
     recent = server.engine.profiler.log.recent()
     assert made[QueryLogEntry] == len(recent) > 0
     assert recent[-1].rows_examined == 3 and recent[-1].principal == "anonymous"
