@@ -6,8 +6,9 @@ paper measures a single LRC saturating; this subsystem spreads that load):
 - :mod:`repro.cluster.ring` — consistent-hash placement of LFNs onto
   shard masters (:class:`HashRing`) plus the declarative cluster topology
   (:class:`ShardMap`).
-- :mod:`repro.cluster.mirror` — shard masters stream replica mappings to
-  read-only mirror LRCs, reusing the soft-state delivery machinery.
+- :mod:`repro.cluster.mirror` — shard masters ship their write-ahead log
+  to read-only mirror LRCs, which replay it, under the soft-state
+  delivery machinery.
 - :mod:`repro.cluster.combined` — a DIRAC-style combined client routing
   writes to the owning shard master and fanning reads across mirrors
   with health-tracked failover.

@@ -196,9 +196,9 @@ def _stats(server: "RLSServer") -> dict[str, Any]:
     if server.mirror_manager is not None:
         s = server.mirror_manager.stats
         stats["mirrors"] = {
-            "full_syncs": s.full_syncs,
-            "incremental_pushes": s.incremental_pushes,
-            "pairs_sent": s.pairs_sent,
+            "ships": s.ships,
+            "resets": s.resets,
+            "records_shipped": s.records_shipped,
             "errors": s.errors,
             "retries": s.retries,
             "targets": server.mirror_manager.target_health(),
@@ -342,17 +342,19 @@ def _flight(server: "RLSServer", limit: int = 100) -> dict[str, Any]:
 
 def _updates(server: "RLSServer"):
     if server.update_manager is None:
-        raise NotConfiguredError("server has no update manager (not an LRC)")
+        raise NotConfiguredError(
+            "server has no update manager (not an LRC, or a read-only mirror)"
+        )
     return server.update_manager
 
 
 def _mirror_sync(server: "RLSServer") -> int:
-    """Force an immediate full sync to every registered mirror."""
+    """Ship the log to every registered mirror now; returns records shipped."""
     if server.mirror_manager is None:
         raise NotConfiguredError(
             f"server {server.config.name!r} has no mirrors registered"
         )
-    return server.mirror_manager.send_full_sync()
+    return server.mirror_manager.sync()
 
 
 def _shard_map(server: "RLSServer") -> dict[str, Any]:

@@ -154,7 +154,7 @@ class RLSClient:
     # ------------------------------------------------------------------
 
     def mirror_add(self, name: str) -> None:
-        """Register a read-only mirror this LRC streams mappings to."""
+        """Register a read-only mirror this LRC ships its log to."""
         self.rpc.call("lrc_mirror_add", name)
 
     def mirror_remove(self, name: str) -> None:
@@ -165,7 +165,7 @@ class RLSClient:
         return self.rpc.call("lrc_mirror_list")
 
     def mirror_sync(self) -> int:
-        """Force a full sync to every mirror; returns pairs pushed."""
+        """Ship the log to every mirror now; returns records shipped."""
         return self.rpc.call("admin_mirror_sync")
 
     def shard_map(self) -> dict[str, Any]:

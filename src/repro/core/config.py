@@ -79,15 +79,16 @@ class ServerConfig:
     #: ``admin_shard_map``); ``None`` outside cluster deployments.
     cluster: ShardMap | None = None
     #: Run this LRC as a read-only mirror of the named shard master:
-    #: mapping/attribute writes are rejected with
-    #: :class:`~repro.core.errors.ReadOnlyCatalogError`, and the
-    #: ``mirror_full_sync``/``mirror_incremental`` ingest RPCs apply the
-    #: master's replica stream.
+    #: mapping, attribute and RLI-registration writes are rejected with
+    #: :class:`~repro.core.errors.ReadOnlyCatalogError`, the
+    #: ``mirror_ship`` RPC replays the master's write-ahead log, and no
+    #: soft-state updates are sent (the master advertises the shard).
     mirror_of: str | None = None
-    #: Mirror LRCs this shard master streams replica mappings to (more
-    #: can be registered at runtime via ``lrc_mirror_add``).
+    #: Mirror LRCs this shard master ships its log to (more can be
+    #: registered at runtime via ``lrc_mirror_add``).
     mirrors: tuple[str, ...] = ()
-    #: Seconds between mirror incremental pushes (mirror feeds run much
+    #: Seconds between ships to a mirror that is not further behind than
+    #: ``updates.immediate_count_threshold`` records (mirror feeds run much
     #: hotter than the 30 s RLI soft-state interval: a mirror serves
     #: reads directly, so its staleness is user-visible).
     mirror_push_interval: float = 5.0

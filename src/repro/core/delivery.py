@@ -3,8 +3,9 @@
 What happens to one target after one push attempt — backlog with the
 newest intent winning, needs-full escalation, ``RetryPolicy`` backoff,
 health metrics and flight events — for LRC→RLI updates
-(:mod:`repro.core.updates`), master→mirror replication
-(:mod:`repro.cluster.mirror`) and RLI→parent forwarding
+(:mod:`repro.core.updates`), master→mirror log shipping
+(:mod:`repro.cluster.mirror`, full pushes only: a mirror's position, not a
+backlog, says what it is owed) and RLI→parent forwarding
 (:mod:`repro.core.hierarchy`).  Owners supply the payload (a ``send()``
 for a full push, a ``send(added, removed)`` for a delta, each raising on
 failure) and keep their schedule and payload statistics.

@@ -241,11 +241,6 @@ class LocalReplicaCatalog:
         # Callbacks: fn(lfn, present) — present=True when the LFN gained its
         # first mapping, False when it lost its last one.
         self._lfn_listeners: list[Callable[[str, bool], None]] = []
-        # Callbacks: fn(lfn, pfn, added) — one call per mapping change.
-        # LFN listeners carry enough for the RLI index (which only tracks
-        # logical names); mirror replication needs the full (lfn, pfn)
-        # pair, hence the separate channel.
-        self._mapping_listeners: list[Callable[[str, str, bool], None]] = []
         registry = metrics if metrics is not None else NULL_REGISTRY
         self.metrics = registry
         self._m_created = registry.counter("lrc.mappings_created")
@@ -286,16 +281,6 @@ class LocalReplicaCatalog:
         for listener in self._lfn_listeners:
             listener(lfn, present)
 
-    def add_mapping_listener(
-        self, listener: Callable[[str, str, bool], None]
-    ) -> None:
-        """Subscribe to (lfn, pfn, added) mapping changes (mirror feeds)."""
-        self._mapping_listeners.append(listener)
-
-    def _notify_mapping(self, lfn: str, pfn: str, added: bool) -> None:
-        for listener in self._mapping_listeners:
-            listener(lfn, pfn, added)
-
     # ------------------------------------------------------------------
     # Mapping management (Table 1: create, add, delete + bulk)
     # ------------------------------------------------------------------
@@ -314,7 +299,6 @@ class LocalReplicaCatalog:
             self._insert_map(self._insert_name("t_lfn", lfn), lfn, pfn)
         self._m_created.inc()
         self._notify(lfn, True)
-        self._notify_mapping(lfn, pfn, True)
 
     def add_mapping(self, lfn: str, pfn: str) -> None:
         """Register an additional replica for an existing logical name."""
@@ -327,7 +311,6 @@ class LocalReplicaCatalog:
             self._insert_map(lfn_row[0], lfn, pfn)
             self._set_ref("t_lfn", lfn_row[0], lfn_row[1] + 1)
         self._m_added.inc()
-        self._notify_mapping(lfn, pfn, True)
 
     def _insert_map(self, lfn_id: int, lfn: str, pfn: str) -> None:
         """The ``t_map`` row for ``lfn_id`` → ``pfn``, counted on the PFN.
@@ -379,7 +362,6 @@ class LocalReplicaCatalog:
         self._m_deleted.inc()
         if last_for_lfn:
             self._notify(lfn, False)
-        self._notify_mapping(lfn, pfn, False)
 
     # -- bulk variants ----------------------------------------------------
     #
@@ -458,9 +440,8 @@ class LocalReplicaCatalog:
                     self._set_ref("t_pfn", pfn_id, ref + delta)
         if creations:
             self._m_created.inc(len(creations))
-            for _, lfn, pfn in creations:
+            for _, lfn, _ in creations:
                 self._notify(lfn, True)
-                self._notify_mapping(lfn, pfn, True)
         return [
             (pairs[i][0], pairs[i][1], failures_at[i])
             for i in sorted(failures_at)
@@ -547,10 +528,9 @@ class LocalReplicaCatalog:
         if deletions:
             self._m_deleted.inc(len(deletions))
             last_for_lfn = {lfn: i for i, lfn, _, _, _ in deletions}
-            for i, lfn, pfn, _, _ in deletions:
+            for i, lfn, _, _, _ in deletions:
                 if lfn_ref_left[lfn] <= 0 and last_for_lfn[lfn] == i:
                     self._notify(lfn, False)
-                self._notify_mapping(lfn, pfn, False)
         return [
             (pairs[i][0], pairs[i][1], failures_at[i])
             for i in sorted(failures_at)
@@ -669,30 +649,23 @@ class LocalReplicaCatalog:
         from ``t_map`` afterwards.  No row is WAL-logged: the load ends
         with a WAL checkpoint, whose image holds it.  Assumes a
         quiescent server and fresh (lfn, pfn) pairs; duplicate LFNs get
-        additional replica mappings.  Change listeners are notified so
-        Bloom filters stay coherent.  Returns mappings loaded.
+        additional replica mappings.  LFN listeners are notified so Bloom
+        filters stay coherent; mirrors are shipped the checkpoint.
+        Returns mappings loaded.
         """
         count = 0
         new_lfns: list[str] = []
-        # Only buffer the pair list when someone (a mirror feed) listens.
-        loaded_pairs: list[tuple[str, str]] | None = (
-            [] if self._mapping_listeners else None
-        )
         pairs = iter(pairs)
         db = self.conn.database
         with self._write_lock:
             while chunk := list(itertools.islice(pairs, _LOAD_CHUNK)):
                 new_lfns += self._load_chunk(chunk)
                 count += len(chunk)
-                if loaded_pairs is not None:
-                    loaded_pairs += chunk
             if db.wal is not None:
                 db.wal.checkpoint()
         self._m_bulk_loaded.inc(count)
         for lfn in new_lfns:
             self._notify(lfn, True)
-        for lfn, pfn in loaded_pairs or ():
-            self._notify_mapping(lfn, pfn, True)
         return count
 
     def _load_chunk(self, chunk: list[tuple[str, str]]) -> list[str]:

@@ -100,11 +100,13 @@ class RLSServer:
                 self.connection, name=self.config.name, metrics=self.metrics
             )
             self.lrc.init_schema()
-            resolver = sink_resolver or self._default_sink_resolver
-            self.update_manager = UpdateManager(
-                self.lrc, resolver, policy=self.config.updates,
-                metrics=self.metrics, flight=self.flight,
-            )
+            # A mirror's t_rli is its master's: the master advertises the shard.
+            if not self.config.mirror_of:
+                resolver = sink_resolver or self._default_sink_resolver
+                self.update_manager = UpdateManager(
+                    self.lrc, resolver, policy=self.config.updates,
+                    metrics=self.metrics, flight=self.flight,
+                )
         # --- sharded-cluster roles (mirror master / read-only mirror) ---
         self._mirror_sink_resolver = mirror_sink_resolver
         self.mirror_manager: MirrorManager | None = None
@@ -383,14 +385,14 @@ class RLSServer:
             r(row.method, guarded(row.privilege, partial(row.produce, self)))
 
         # -- sharded cluster: mirror feed + topology --
-        r("mirror_full_sync", guarded(lrc_write, lambda master, pairs: self._need_ingest().apply_full(master, [tuple(p) for p in pairs])))
-        r("mirror_incremental", guarded(lrc_write, lambda master, added, removed: list(self._need_ingest().apply_incremental(master, [tuple(p) for p in added], [tuple(p) for p in removed]))))
+        r("mirror_ship", guarded(lrc_write, lambda master, reset, data: self._need_ingest().apply_log(master, reset, data)))
         r("lrc_mirror_add", guarded(admin, lambda name: self._ensure_mirror_manager().add_mirror(name)))
         r("lrc_mirror_remove", guarded(admin, self._mirror_remove))
         r("lrc_mirror_list", guarded(lrc_read, self._mirror_list))
 
-        # A read-only mirror accepts the ingest stream above but rejects
-        # every client-facing catalog write with a typed error the
+        # A read-only mirror's one writer is the log replay above: it
+        # rejects every client-facing catalog write (RLI registrations
+        # included, whose rows replicate too) with a typed error the
         # combined client (and users) can route on.  Re-registration
         # replaces the handlers installed earlier in this method.
         if self.config.mirror_of:
@@ -419,6 +421,8 @@ class RLSServer:
                 "lrc_attr_modify",
                 "lrc_attr_remove",
                 "lrc_attr_bulk_add",
+                "lrc_rli_add",
+                "lrc_rli_remove",
             ):
                 r(method, read_only(method))
 

@@ -175,22 +175,18 @@ class FlakySink(_FlakyPush):
 
 class FlakyMirrorSink(_FlakyPush):
     """The :class:`~repro.cluster.mirror.MirrorSink` face of
-    :class:`FlakySink`: delivered pushes land in ``full`` / ``deltas``."""
+    :class:`FlakySink`: delivered ships land in ``ships`` as (master,
+    reset, data, applied LSN)."""
 
     def __init__(self, inner, schedule, fail_after: bool = False) -> None:
         super().__init__(inner, schedule, fail_after)
-        self.full: list[tuple] = []
-        self.deltas: list[tuple] = []
+        self.ships: list[tuple] = []
 
-    def full_sync(self, master, pairs) -> None:
-        with self._slot("full_sync"):
-            self.inner.full_sync(master, pairs)
-            self.full.append((master, list(pairs)))
-
-    def incremental(self, master, added, removed) -> None:
-        with self._slot("incremental"):
-            self.inner.incremental(master, added, removed)
-            self.deltas.append((master, list(added), list(removed)))
+    def ship(self, master, reset, data) -> int:
+        with self._slot("ship"):
+            applied = self.inner.ship(master, reset, data)
+            self.ships.append((master, reset, data, applied))
+        return applied
 
 
 class NullSink:

@@ -6,14 +6,17 @@ clock, every kind of target the delivery engine serves:
 * ``rel``    — a relational RLI (full + incremental name lists);
 * ``bloom``  — a Bloom RLI (the packed filter, wholesale);
 * ``part``   — a partitioned RLI (only names matching ``^a``);
-* ``mirror`` — a mirror LRC behind ``MirrorIngest`` ((lfn, pfn) pairs);
+* ``mirror`` — a mirror LRC behind ``MirrorIngest`` (the master's log,
+  replayed);
 * ``parent`` — a parent RLI fed by ``rel``'s ``HierarchicalUpdater``.
 
 Hypothesis interleaves catalog writes, clock advances with a ``tick()`` of
 every feed, scripted ``FailureSchedule``\\ s per target in both fault modes
 (push dropped; push applied, then the acknowledgement lost) and targets
-restarting empty.  The invariants are the paper's §3.2 guarantees and the
-ROADMAP north star's:
+restarting empty, the mirror also without the master being told.  The
+master checkpoints its log every few records, so ships cross checkpoints.
+The invariants are the paper's §3.2 guarantees and the ROADMAP north
+star's:
 
 * after faults stop and one ``full_interval`` + ``backoff_max`` of ticks,
   with no expire pass, every target equals its source,
@@ -26,7 +29,8 @@ ROADMAP north star's:
 * at every step the mirror holds a pair set the master passed through;
 * nothing is applied out of order: a delivered delta never adds a name the
   master no longer has nor removes one it has (a re-queued delta never
-  overwrites a newer intent), and a full push is the current state.
+  overwrites a newer intent), a full push is the current state, and so is
+  a mirror that took a ship.
 
 Tier-1 runs hypothesis' default number of examples; CI's fault-injection
 job raises it with ``--hypothesis-profile=ci`` (registered in
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -47,6 +52,7 @@ from repro.core.hierarchy import HierarchicalUpdater
 from repro.core.lrc import LocalReplicaCatalog
 from repro.core.rli import ReplicaLocationIndex
 from repro.core.updates import DirectSink, UpdateManager, UpdatePolicy
+from repro.db import wal as wal_module
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
 from repro.testing import (
@@ -67,6 +73,12 @@ RLI_TIMEOUT = 1800.0  # soft-state timeout > full_interval, as deployed
 TICK = 30.0
 #: Healthy ticks that cover one full_interval plus the longest backoff.
 SETTLE_TICKS = int((FULL_INTERVAL + 120.0) / TICK) + 2
+
+
+@pytest.fixture(autouse=True)
+def small_checkpoints(monkeypatch):
+    """A checkpoint every few records, so ships cross checkpoints."""
+    monkeypatch.setattr(wal_module, "CHECKPOINT_MIN_RECORDS", 8)
 
 
 class FakeClock:
@@ -108,24 +120,23 @@ class CheckedRLISink:
 
 
 class CheckedMirrorSink:
-    """Writes into the machine's current mirror, asserting order."""
+    """Replays into the machine's current mirror, asserting order."""
 
     def __init__(self, machine: "DeliveryMachine") -> None:
         self.machine = machine
 
-    def full_sync(self, master, pairs) -> None:
-        assert set(pairs) == self.machine.pairs()
-        self.machine.ingest.apply_full(master, pairs)
-
-    def incremental(self, master, added, removed) -> None:
-        live = self.machine.pairs()
-        assert set(added) <= live, f"stale add to mirror: {added}"
-        assert not set(removed) & live, f"stale remove to mirror: {removed}"
-        self.machine.ingest.apply_incremental(master, added, removed)
-        # Checked here too, not only between rules: a delta on top of a
-        # base the mirror does not have would be repaired later in the
-        # same tick by the sync it is owed.
+    def ship(self, master, reset, data) -> int:
+        applied = self.machine.ingest.apply_log(master, reset, data)
+        # A ship ends at the master's last durable record: a mirror that
+        # took it holds the master's current state, one that refused it
+        # (a gap after a silent restart) holds what it held.
+        last = self.machine.master.conn.database.wal.last_lsn
+        assert applied <= last
+        if applied == last:
+            held = set(self.machine.ingest.lrc.query_wildcard("*"))
+            assert held == self.machine.pairs()
         self.machine.mirror_holds_a_state_the_master_passed_through()
+        return applied
 
 
 class DeliveryMachine(RuleBasedStateMachine):
@@ -273,6 +284,12 @@ class DeliveryMachine(RuleBasedStateMachine):
         self.schedules[name] = FailureSchedule.pattern(script)
         self.fail_after[name] = fail_after
 
+    @rule()
+    def restart_mirror_silently(self) -> None:
+        """The mirror loses its state and nobody re-registers it: its
+        answer (LSN 0) is what makes the master re-feed it."""
+        self.fresh_mirror()
+
     @rule(name=st.sampled_from(TARGETS))
     def restart_empty(self, name: str) -> None:
         """The target loses its (soft) state.  An RLI's comes back with the
@@ -307,7 +324,7 @@ class DeliveryMachine(RuleBasedStateMachine):
                 "retries": state.retries,
             }, repr(state)  # rendered now: teardown heals it later
         assert self.updates.pending_changes() == (0, 0)
-        assert self.mirrors.pending_changes() == (0, 0)
+        assert self.mirrors.lags() == {"mirror": 0}
         assert set(self.ingest.lrc.query_wildcard("*")) == self.pairs()
 
     @rule()

@@ -102,11 +102,9 @@ class TestBulkCreateParity:
 
     def test_notifications_fire_per_created_pair(self, lrc):
         events = []
-        lrc.add_mapping_listener(
-            lambda lfn, pfn, added: events.append((lfn, pfn, added))
-        )
+        lrc.add_lfn_listener(lambda lfn, present: events.append((lfn, present)))
         lrc.bulk_create([("n1", "p1"), ("n1", "dup"), ("n2", "p2")])
-        assert events == [("n1", "p1", True), ("n2", "p2", True)]
+        assert events == [("n1", True), ("n2", True)]
 
 
 class TestBulkDeleteParity:

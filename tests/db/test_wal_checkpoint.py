@@ -4,9 +4,10 @@ A checkpoint replaces everything logged so far with an image of the
 tables (their live rows, by reference) and the device keeps only what is
 logged after it.  Recovery reads the image as records followed by the
 suffix, so replaying it must rebuild the live tables whatever was written
-and however many checkpoints were crossed; and since a checkpoint adds no
-record, ``records_appended`` and the bytes charged to a request are those
-of the statements alone.
+and however many checkpoints were crossed, and so must a mirror that is
+shipped the log from any position; and since a checkpoint appends no
+record (it only takes the next LSN), ``records_appended`` and the bytes
+charged to a request are those of the statements alone.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections import Counter
 
 import pytest
 
+from repro.cluster.mirror import MirrorIngest
 from repro.core.lrc import LocalReplicaCatalog
 from repro.db import wal as wal_module
 from repro.db.mysql_engine import MySQLEngine
@@ -129,7 +131,7 @@ def test_a_checkpoint_appends_no_record_and_charges_no_bytes(floor):
     assert costs.wal_bytes == len(record) == device.bytes_written - written
     assert engine.wal.records_appended == 4
     image, suffix = split_log(engine)
-    assert [r.lsn for r in image] == [4] * 5 and suffix == []
+    assert [r.lsn for r in image] == [5] * 5 and suffix == []  # the next LSN
     assert Counter(r.payload for r in image[1:]) == live_tables(engine)["t"]
 
 
@@ -211,3 +213,68 @@ def test_a_file_log_is_swapped_for_its_checkpoint(floor, tmp_path):
         assert live_tables(recovered(engine)) == live_tables(engine)
     finally:
         device.close()
+
+
+def checkpoint_lsn(data: bytes) -> int | None:
+    first = next(decode_records(data), None)
+    return first.lsn if first is not None and first.op == OP_CHECKPOINT else None
+
+
+@pytest.mark.parametrize("flavour", sorted(ENGINES))
+def test_any_prefix_then_the_rest_replays_to_the_live_tables(floor, flavour):
+    """The log-shipping oracle: a mirror shipped the log from 0 when it
+    ended at p, then from p once it ended at last — each ship delivered
+    twice, as after a lost acknowledgement — holds what recovery and the
+    master hold, for every durable position p, across checkpoints."""
+    floor(8)
+    engine = ENGINES[flavour]()
+    lrc = LocalReplicaCatalog(Connection(engine, "rp"), name="rp")
+    lrc.init_schema()
+    wal = engine.wal
+    firsts = {0: b""}  # durable position p -> the ship from 0 back then
+
+    def mark() -> None:
+        wal.flush()
+        data, _count, last = wal.read_after(0)
+        firsts[last] = data
+
+    log_many = wal.log_many
+
+    def logged(op, table, payloads):
+        lsn = log_many(op, table, payloads)
+        mark()
+        return lsn
+
+    wal.log_many = logged
+    lrc.add_rli("rli-a", patterns=["^l"])
+    lrc.define_attribute("size", "lfn", "int")
+    for i in range(12):
+        lrc.create_mapping(f"l{i}", f"p{i}")
+        lrc.add_attribute(f"l{i}", "size", "lfn", i)
+        if i % 2:
+            lrc.add_mapping(f"l{i}", f"p{i - 1}")
+        if i % 3 == 2:
+            lrc.delete_mapping(f"l{i - 1}", f"p{i - 1}")
+        if i == 6:
+            lrc.bulk_load((f"b{k}", f"pb{k}") for k in range(5))
+            mark()  # its rows reach the log only as the checkpoint's image
+    lrc.modify_attribute("l0", "size", "lfn", 99)
+    assert lrc.bulk_create([(f"x{k}", f"px{k}") for k in range(4)]) == []
+    assert lrc.bulk_delete([(f"x{k}", f"px{k}") for k in range(0, 4, 2)]) == []
+    lrc.remove_rli("rli-a")
+    wal.log_many = log_many
+    mark()
+    assert len({checkpoint_lsn(data) for data in firsts.values()} - {None}) >= 2
+
+    expected = live_tables(engine)
+    assert live_tables(recovered(engine, flavour)) == expected
+    for p, first in sorted(firsts.items()):
+        mirror = LocalReplicaCatalog(Connection(ENGINES[flavour](), "mi"), name="mi")
+        mirror.init_schema()
+        ingest = MirrorIngest(mirror, master="rp")
+        rest = wal.read_after(p)[0]
+        for data in (first, first, rest, rest):
+            ingest.apply_log("rp", False, data)
+        assert ingest.applied_lsn == wal.last_lsn, p
+        assert live_tables(mirror.conn.database) == expected, p
+        assert mirror.verify_integrity() == [], p

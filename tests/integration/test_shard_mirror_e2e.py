@@ -1,9 +1,12 @@
 """End-to-end shard + mirror smoke: a 2-shard, 2-mirror cluster serving a
 combined client through the full server stack, with a mid-flight mirror
-kill and failover to the shard master.  Run directly by CI."""
+kill and failover to the shard master; and what a mirror replays besides
+mappings (attributes, RLI registrations) while it writes nothing itself.
+Run directly by CI."""
 
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
@@ -12,6 +15,7 @@ from repro.cluster import CombinedClient, ShardMap
 from repro.core.client import connect
 from repro.core.config import ServerConfig, ServerRole
 from repro.core.errors import ReadOnlyCatalogError
+from repro.cli import main as rls
 from repro.core.server import RLSServer
 
 ENTRIES = 120
@@ -109,3 +113,54 @@ class TestShardMirrorEndToEnd:
             served = direct.shard_map()
         assert served["self"] == smap.shards[0]
         assert ShardMap.from_dict(served["shard_map"]) == smap
+
+    def test_attributes_reach_mirrors(self, cluster):
+        smap, servers = cluster
+        with CombinedClient(smap, rng=random.Random(7)) as cc:
+            cc.create("l1", "pfn://l1")
+            cc.define_attribute("size", "lfn", "int")
+            cc.add_attribute("l1", "size", "lfn", 42)
+            for shard in smap.shards:
+                with connect(shard) as direct:
+                    direct.mirror_sync()
+            mirror = servers[smap.mirrors_of(cc.owner("l1"))[0]]
+            served = mirror.rpc.requests_served
+            assert cc.get_attributes("l1", "lfn") == {"size": 42}
+            assert mirror.rpc.requests_served > served  # read off the mirror
+            assert cc.query_by_attribute("size", "lfn") == [("l1", 42)]
+
+    def test_a_mirror_replays_rli_registrations_and_advertises_nothing(
+        self, cluster
+    ):
+        smap, servers = cluster
+        master = smap.shards[0]
+        name = smap.mirrors_of(master)[0]
+        rli = RLSServer(
+            ServerConfig(name="e2e-rli", role=ServerRole.RLI, sync_latency=0.0)
+        ).start()
+        try:
+            with connect(master) as direct:
+                direct.create("advertised", "pfn://advertised")
+                direct.add_rli("e2e-rli")
+                direct.trigger_full_update()
+                direct.mirror_sync()
+            assert servers[name].update_manager is None
+            with connect(name) as mirror:
+                assert [r["name"] for r in mirror.list_rlis()] == ["e2e-rli"]
+                for write in (
+                    lambda: mirror.add_rli("e2e-other"),
+                    lambda: mirror.remove_rli("e2e-rli"),
+                ):
+                    with pytest.raises(ReadOnlyCatalogError):
+                        write()
+                stats = mirror.stats()
+            assert "updates" not in stats
+            assert stats["mirror"]["applied_lsn"] > 0
+            with connect("e2e-rli") as index:
+                assert index.rli_lrc_list() == [master]
+            for argv in (["stats", name], ["shards", "--server", name]):
+                out = io.StringIO()
+                assert rls(argv, out=out) == 0, out.getvalue()
+            assert f"read-only mirror of {master}" in out.getvalue()
+        finally:
+            rli.stop()

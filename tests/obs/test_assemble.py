@@ -47,7 +47,7 @@ class TestSegmentKind:
         assert segment_kind("acl.check") == "acl"
         assert segment_kind("sql.execute") == "db"
         assert segment_kind("wal.flush") == "wal"
-        assert segment_kind("mirror_incremental") == "replication"
+        assert segment_kind("mirror_ship") == "replication"
         assert segment_kind("update.full") == "replication"
         assert segment_kind("something.else") == "something.else"
 

@@ -30,7 +30,7 @@ class TestClassifyMethod:
     def test_internal_traffic_is_unclassified(self):
         assert classify_method("admin_stats") is None
         assert classify_method("admin_slo") is None
-        assert classify_method("mirror_incremental") is None
+        assert classify_method("mirror_ship") is None
         assert classify_method("lrc_mirror_add") is None
         assert classify_method("rli_lrc_update") is None
 

@@ -91,23 +91,17 @@ class TestFlakySink:
             def __init__(self):
                 self.calls = []
 
-            def full_sync(self, master, pairs):
-                self.calls.append(("full", master, list(pairs)))
-
-            def incremental(self, master, added, removed):
-                self.calls.append(("delta", master, list(added), list(removed)))
+            def ship(self, master, reset, data):
+                self.calls.append((master, reset, data))
+                return len(self.calls)
 
         mirror = Mirror()
         schedule = FailureSchedule.pattern("F..")
         sink = FlakyMirrorSink(mirror, schedule)
         with pytest.raises(FaultInjected, match="push dropped"):
-            sink.full_sync("m", [("a", "p")])
-        sink.full_sync("m", [("a", "p")])
-        sink.incremental("m", [("b", "q")], [])
+            sink.ship("m", True, b"log")
+        assert sink.ship("m", True, b"log") == 1
+        assert sink.ship("m", False, b"more") == 2
         assert schedule.calls == 3
-        assert mirror.calls == [
-            ("full", "m", [("a", "p")]),
-            ("delta", "m", [("b", "q")], []),
-        ]
-        assert sink.full == [("m", [("a", "p")])]
-        assert sink.deltas == [("m", [("b", "q")], [])]
+        assert mirror.calls == [("m", True, b"log"), ("m", False, b"more")]
+        assert sink.ships == [("m", True, b"log", 1), ("m", False, b"more", 2)]
