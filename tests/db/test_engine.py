@@ -120,6 +120,38 @@ class TestRecovery:
         assert db.recover_into(other) == 0
 
 
+class TestReplaceRows:
+    def test_keyless_duplicates_converge_by_count(self):
+        db = Database()
+        db.execute("CREATE TABLE k (a INT, b VARCHAR(10))")
+        for row in [(1, "x"), (1, "x"), (1, "x"), (2, "y"), (3, "z")]:
+            db.insert_row("k", {"a": row[0], "b": row[1]})
+        before = db.stats()["k"]
+        db.replace_rows([("K", [(1, "x"), (3, "z"), (3, "z"), (4, "w")])])
+        rows = sorted(db.table("k").live_rows())
+        assert rows == [(1, "x"), (3, "z"), (3, "z"), (4, "w")]
+        after = db.stats()["k"]
+        # Two of the three (1, x) and the (2, y) went; one (3, z) and (4, w) came.
+        assert after["deletes"] - before["deletes"] == 3
+        assert after["inserts"] - before["inserts"] == 2
+
+    def test_a_table_the_image_does_not_list_is_emptied(self):
+        db = Database()
+        db.create_table(schema("t"))
+        db.create_table(schema("u"))
+        db.insert_row("t", {"name": "a"})
+        db.insert_row("u", {"name": "b"})
+        db.replace_rows([("t", [(1, "a")])])
+        assert db.table("t").live_rows() == [(1, "a")]
+        assert db.table("u").live_rows() == []
+
+    def test_an_unknown_table_raises(self):
+        db = Database()
+        db.create_table(schema())
+        with pytest.raises(NoSuchTableError):
+            db.replace_rows([("nope", [(1, "a")])])
+
+
 class TestStats:
     def test_stats_counts_operations(self):
         db = Database()
