@@ -5,17 +5,17 @@ Two index structures are provided:
 * :class:`HashIndex` — a dict from key tuple to its posting (below).  O(1)
   equality lookups; used for the surrogate-key and name lookups that
   dominate RLS traffic.
-* :class:`OrderedIndex` — one plain sorted list of the distinct keys,
-  searched with :mod:`bisect`, supporting range and prefix scans, which
-  back SQL ``LIKE 'prefix%'`` — the RLS wildcard queries.  There is no
-  buffering and no compaction: a new key is placed by ``insort`` (a binary
-  search plus one memmove of the list's tail, O(n) per key), a removed key
-  by ``del``.  A statement hands over all its rows at once
-  (:meth:`OrderedIndex.insert_rows`), and its new keys are merged by
-  whichever of the two ways needs fewer key comparisons: one ``insort``
-  each, or one ``extend`` + ``sort`` (the old keys and the sorted new keys
-  are two runs, which timsort merges in one pass).  The scalar cost at
-  paper scale is recorded in EXPERIMENTS.md.
+* :class:`OrderedIndex` — the distinct keys in order, supporting range
+  and prefix scans, which back SQL ``LIKE 'prefix%'`` — the RLS wildcard
+  queries.  The keys live in consecutive sorted *runs* of fewer than
+  ``2 * RUN_LENGTH`` keys each, beside the list of each run's last key.
+  A new key costs one :mod:`bisect` of the last keys, one ``insort`` into
+  its run and so a memmove of at most one run, whatever the index's size;
+  a run that reaches ``2 * RUN_LENGTH`` keys is split in two, a run left
+  empty is dropped.  A removed key is the same two bisects and one
+  ``del``.  A statement's new keys are placed one by one as well: a bulk
+  load costs about what one sort per statement cost, and at paper scale
+  far less (both in EXPERIMENTS.md, beside the scalar cost).
 
 Both take rows a statement at a time (``insert_rows`` / ``remove_rows``
 over ``(rid, row)`` pairs); ``insert`` / ``remove`` are the one-entry
@@ -36,12 +36,18 @@ Figure 8 sawtooth, so the behaviour is load-bearing, not an accident.
 
 from __future__ import annotations
 
-import bisect
-from operator import itemgetter
+from bisect import bisect_left, bisect_right, insort
+from functools import partial
+from itertools import chain, islice, takewhile
+from operator import ge, gt, itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, Sequence
 
 #: What a table hands an index: ``(rid, stored row)`` pairs.
 RowPairs = Sequence[tuple[int, tuple[Any, ...]]]
+
+#: Keys per run of an :class:`OrderedIndex` after a split; a run is split
+#: when it reaches twice this.
+RUN_LENGTH = 512
 
 
 def post(postings: dict, key: Any, rid: int) -> bool:
@@ -132,60 +138,67 @@ def _key_getter(positions: tuple[int, ...]) -> Callable[[Sequence[Any]], tuple]:
 class OrderedIndex:
     """Sorted index over a single column supporting prefix/range scans.
 
-    The distinct keys are kept in one sorted list and each key maps to the
-    row ids carrying it.  Only single-column ordered indexes are
-    needed by the RLS schema (name columns).
+    The distinct keys are kept in sorted runs (see the module docstring)
+    and each key maps to the row ids carrying it.  Only single-column
+    ordered indexes are needed by the RLS schema (name columns).
     """
 
-    __slots__ = ("name", "column_position", "_keys", "_map")
+    __slots__ = ("name", "column_position", "_runs", "_lasts", "_map")
 
     def __init__(self, name: str, column_position: int) -> None:
         self.name = name
         self.column_position = column_position
-        self._keys: list[Any] = []
+        #: The distinct keys, in order, cut into runs; none is empty.
+        self._runs: list[list[Any]] = []
+        #: ``_lasts[i] == _runs[i][-1]``: what a key is bisected against.
+        self._lasts: list[Any] = []
         self._map: dict[Any, int | set[int]] = {}
 
     def key_for(self, row: Sequence[Any]) -> Any:
         return row[self.column_position]
 
     def insert(self, key: Any, rid: int) -> None:
-        self._insert(((key, rid),))
+        if post(self._map, key, rid):
+            self._place(key)
 
     def insert_rows(self, pairs: RowPairs) -> None:
-        position = self.column_position
-        self._insert([(row[position], rid) for rid, row in pairs])
+        position, by_key, place = self.column_position, self._map, self._place
+        for rid, row in pairs:
+            if post(by_key, row[position], rid):
+                place(row[position])
 
-    def _insert(self, entries: Iterable[tuple[Any, int]]) -> None:
-        """Index every ``(key, rid)``, then merge the new keys in one go."""
-        by_key = self._map
-        new = [key for key, rid in entries if post(by_key, key, rid)]
-        if new:
-            self._merge(new)
-
-    def _merge(self, new: list[Any]) -> None:
-        """Put ``new`` (keys not in the list yet) in their sorted places.
-
-        ``insort`` costs about log2 of the final length in comparisons
-        per new key, a sort of the extended list at least one per key in
-        it (timsort walks the old keys once to find that they are a run,
-        then merges the runs), so the comparison count picks: single adds
-        and 64-row statements against a loaded catalog insort, a bulk
-        load sorts once instead of shifting the list's tail once per row.
-        """
-        keys = self._keys
-        total = len(keys) + len(new)
-        if len(new) * total.bit_length() < total:
-            for key in new:
-                bisect.insort(keys, key)
+    def _place(self, key: Any) -> None:
+        """Put ``key`` (not in the runs yet) in its run, splitting a full one."""
+        runs, lasts = self._runs, self._lasts
+        i = bisect_left(lasts, key)
+        if i < len(lasts):
+            run = runs[i]
+            insort(run, key)
+        elif runs:  # past every key: the last run grows
+            i -= 1
+            run = runs[i]
+            run.append(key)
+            lasts[i] = key
         else:
-            keys.extend(new)
-            keys.sort()
+            runs.append([key])
+            lasts.append(key)
+            return
+        if len(run) >= 2 * RUN_LENGTH:
+            runs.insert(i + 1, run[RUN_LENGTH:])
+            del run[RUN_LENGTH:]
+            lasts.insert(i, run[-1])
 
     def remove(self, key: Any, rid: int) -> None:
-        if unpost(self._map, key, rid):
-            pos = bisect.bisect_left(self._keys, key)
-            if pos < len(self._keys) and self._keys[pos] == key:
-                del self._keys[pos]
+        if not unpost(self._map, key, rid):
+            return
+        runs, lasts = self._runs, self._lasts
+        i = bisect_left(lasts, key)
+        run = runs[i]
+        del run[bisect_left(run, key)]
+        if not run:
+            del runs[i], lasts[i]
+        elif lasts[i] == key:
+            lasts[i] = run[-1]
 
     def remove_rows(self, pairs: RowPairs) -> None:
         position, remove = self.column_position, self.remove
@@ -200,8 +213,18 @@ class OrderedIndex:
         return ((key, _rids(held)) for key, held in self._map.items())
 
     def distinct_keys(self) -> Iterator[Any]:
-        """The key list, which is to hold every posting key, in order."""
-        return iter(self._keys)
+        """Every key of the runs, which are to hold every posting key, in order."""
+        return chain.from_iterable(self._runs)
+
+    def _keys_from(self, low: Any, after: bool) -> Iterator[Any]:
+        """The keys from the first one ``>= low`` (``> low`` when
+        ``after``) on, in order."""
+        runs = self._runs
+        find = bisect_right if after else bisect_left
+        i = find(self._lasts, low)
+        if i < len(runs):
+            yield from islice(runs[i], find(runs[i], low), None)
+            yield from chain.from_iterable(islice(runs, i + 1, None))
 
     def range_scan(
         self,
@@ -212,40 +235,45 @@ class OrderedIndex:
     ) -> Iterator[tuple[Any, Collection[int]]]:
         """Yield ``(key, row_ids)`` for keys within [low, high] in order."""
         if low is None:
-            start = 0
+            keys = self.distinct_keys()
         else:
-            start = (
-                bisect.bisect_left(self._keys, low)
-                if include_low
-                else bisect.bisect_right(self._keys, low)
-            )
-        if high is None:
-            stop = len(self._keys)
-        else:
-            stop = (
-                bisect.bisect_right(self._keys, high)
-                if include_high
-                else bisect.bisect_left(self._keys, high)
-            )
-        for i in range(start, stop):
-            key = self._keys[i]
-            yield key, _rids(self._map[key])
+            keys = self._keys_from(low, after=not include_low)
+        if high is not None:
+            keys = takewhile(partial(ge if include_high else gt, high), keys)
+        by_key = self._map
+        for key in keys:
+            yield key, _rids(by_key[key])
 
     def prefix_scan(self, prefix: str) -> Iterator[tuple[str, Collection[int]]]:
         """Yield ``(key, row_ids)`` for string keys starting with ``prefix``.
 
-        Implements ``LIKE 'prefix%'`` without a full scan: the upper bound
-        is the prefix with its last character incremented.
+        Implements ``LIKE 'prefix%'`` without a full scan: it starts at
+        the first key not below the prefix and stops at the first key
+        that does not start with it.
         """
         if prefix == "":
             yield from self.range_scan()
             return
-        start = bisect.bisect_left(self._keys, prefix)
-        for i in range(start, len(self._keys)):
-            key = self._keys[i]
+        by_key = self._map
+        for key in self._keys_from(prefix, after=False):
             if not isinstance(key, str) or not key.startswith(prefix):
                 break
-            yield key, _rids(self._map[key])
+            yield key, _rids(by_key[key])
+
+    def check_runs(self) -> list[str]:
+        """One phrase per broken invariant of the runs (empty = healthy)."""
+        runs, broken = self._runs, []
+        if not all(0 < len(run) < 2 * RUN_LENGTH for run in runs):
+            broken.append(f"a run is empty or holds {2 * RUN_LENGTH} keys or more")
+        if not all(a < b for run in runs for a, b in zip(run, run[1:])):
+            broken.append("a run is not strictly sorted")
+        if not all(a[-1] < b[0] for a, b in zip(runs, runs[1:]) if a and b):
+            broken.append("runs out of order")
+        if self._lasts != [run[-1] for run in runs if run]:
+            broken.append("a recorded last key is stale")
+        if set(self.distinct_keys()) != self._map.keys():
+            broken.append("the runs do not hold exactly the posting keys")
+        return broken
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._map)

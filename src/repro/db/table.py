@@ -405,8 +405,10 @@ class Table:
         """fsck-style self-check: every live row must be reachable through
         every index under its own key, every index entry must point at a
         heap row (live or pending vacuum), a posting is a set only from
-        two rids up, an ordered index's key list is strictly sorted and
-        holds exactly the posting keys, and unique constraints must
+        two rids up, an ordered index's runs are non-empty, short of the
+        split length, strictly sorted within and across their boundaries,
+        recorded by their true last keys and hold exactly the posting
+        keys (:meth:`OrderedIndex.check_runs`), and unique constraints must
         actually hold.  Returns a list of problem descriptions (empty =
         healthy)."""
         problems: list[str] = []
@@ -430,11 +432,8 @@ class Table:
                             self.heap.get(rid)
                         except KeyError:
                             problems.append(f"{at}: {key!r} -> reclaimed row {rid}")
-                if isinstance(idx, OrderedIndex):
-                    keys = list(idx.distinct_keys())
-                    ordered = all(a < b for a, b in zip(keys, keys[1:]))
-                    if not ordered or set(keys) != {k for k, _ in idx.postings()}:
-                        problems.append(f"{at} key list unsorted or not the postings'")
+                if isinstance(idx, OrderedIndex) and (broken := idx.check_runs()):
+                    problems.append(f"{at} runs: {'; '.join(broken)}")
             for positions, _idx in self._unique:
                 seen: dict[tuple, int] = {}
                 for rid, row in live.items():

@@ -1,9 +1,12 @@
 """Hash and ordered index tests, including hypothesis properties."""
 
+import random
+from bisect import bisect_left, bisect_right
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.index import HashIndex, OrderedIndex
+from repro.db.index import RUN_LENGTH, HashIndex, OrderedIndex
 
 
 class TestHashIndex:
@@ -132,3 +135,32 @@ def test_prefix_scan_matches_naive_filter(keys, prefix):
     got = [k for k, _ in idx.prefix_scan(prefix)]
     expected = sorted({k for k in keys if k.startswith(prefix)})
     assert got == expected
+
+
+def test_runs_hold_the_same_keys_however_they_arrive_and_scan_across_boundaries():
+    """2 000 keys one at a time in random order (runs split anywhere) and
+    the same keys as one statement in ascending order (only the last run
+    ever splits) give the same keys, and ``range_scan`` agrees with
+    bisecting a sorted list for bounds on, just inside and just outside
+    every run boundary of both."""
+    keys = random.Random(29).sample(range(0, 100_000, 2), 2000)  # odd numbers fall between
+    one_by_one, as_one = OrderedIndex("o", 0), OrderedIndex("o", 0)
+    for rid, key in enumerate(keys):
+        one_by_one.insert(key, rid)
+    as_one.insert_rows([(rid, (key,)) for rid, key in enumerate(sorted(keys))])
+    oracle = sorted(keys)
+    assert list(one_by_one.distinct_keys()) == list(as_one.distinct_keys()) == oracle
+    for idx in (one_by_one, as_one):
+        assert len(idx._runs) > 1 and all(len(run) < 2 * RUN_LENGTH for run in idx._runs)
+        edges = {edge for run in idx._runs for edge in (run[0], run[-1])}
+        bounds = [None, *sorted({edge + d for edge in edges for d in (-1, 0, 1)})]
+        for low in bounds:
+            for high in bounds:
+                for include_low in (True, False):
+                    for include_high in (True, False):
+                        start = 0 if low is None else (
+                            bisect_left if include_low else bisect_right)(oracle, low)
+                        stop = len(oracle) if high is None else (
+                            bisect_right if include_high else bisect_left)(oracle, high)
+                        got = idx.range_scan(low, high, include_low, include_high)
+                        assert [k for k, _ in got] == oracle[start:stop]

@@ -10,6 +10,9 @@ that keeps one set per key, the way the indexes used to.
   ``remove_rows`` on a bare ``HashIndex`` and a bare ``OrderedIndex``: few
   keys and few rids, so a key walks 0 → 1 → 2 → 1 → 0 rids, the same
   ``(key, rid)`` goes in twice and a rid the key does not hold is removed.
+  ``SmallRunIndexMachine`` is the same over twelve keys with the ordered
+  index's runs split at four keys, so runs split, empty and are dropped,
+  and every scan crosses run boundaries.
 * ``TableMachine`` drives a table of each engine flavour through
   ``insert_many`` / ``delete_many`` / ``lookup_index_many`` / ``vacuum``:
   under MVCC a unique key holds a dead and a live rid, and
@@ -28,14 +31,19 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.db import index as index_module
 from repro.db.errors import DuplicateKeyError
 from repro.db.index import HashIndex, OrderedIndex
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.postgres_engine import PostgresEngine
 
-KEYS = ["a", "ab", "b", "c"]
+#: A rule draws a key as a slot into the machine's ``keys``: twelve slots
+#: cover four keys evenly and twelve once.
+SLOTS = st.integers(min_value=0, max_value=11)
 RIDS = st.integers(min_value=0, max_value=5)
-entries = st.lists(st.tuples(st.sampled_from(KEYS), RIDS), min_size=1, max_size=6)
+entries = st.lists(st.tuples(SLOTS, RIDS), min_size=1, max_size=6)
+#: Scan bounds on, between and outside the keys.
+bounds = st.one_of(st.none(), st.text("abcdz", max_size=3))
 
 
 def held(idx) -> dict:
@@ -52,11 +60,17 @@ def held(idx) -> dict:
 class IndexMachine(RuleBasedStateMachine):
     """One hash and one ordered index over column 0, fed the same entries."""
 
+    keys = ["a", "ab", "b", "c"]
+    prefixes = ["a"]
+
     def __init__(self):
         super().__init__()
         self.hash = HashIndex("h", (0,))
         self.ordered = OrderedIndex("o", 0)
         self.model: dict[str, set[int]] = {}
+
+    def _key(self, slot: int) -> str:
+        return self.keys[slot % len(self.keys)]
 
     def _put(self, key, rid):
         self.model.setdefault(key, set()).add(rid)
@@ -68,20 +82,23 @@ class IndexMachine(RuleBasedStateMachine):
             if not rids:
                 del self.model[key]
 
-    @rule(key=st.sampled_from(KEYS), rid=RIDS)
-    def insert(self, key, rid):
+    @rule(slot=SLOTS, rid=RIDS)
+    def insert(self, slot, rid):
+        key = self._key(slot)
         self.hash.insert((key,), rid)
         self.ordered.insert(key, rid)
         self._put(key, rid)
 
-    @rule(key=st.sampled_from(KEYS), rid=RIDS)
-    def remove(self, key, rid):
+    @rule(slot=SLOTS, rid=RIDS)
+    def remove(self, slot, rid):
+        key = self._key(slot)
         self.hash.remove((key,), rid)
         self.ordered.remove(key, rid)
         self._take(key, rid)
 
     @rule(batch=entries)
     def insert_rows(self, batch):
+        batch = [(self._key(slot), rid) for slot, rid in batch]
         pairs = [(rid, (key,)) for key, rid in batch]
         self.hash.insert_rows(pairs)
         self.ordered.insert_rows(pairs)
@@ -90,11 +107,25 @@ class IndexMachine(RuleBasedStateMachine):
 
     @rule(batch=entries)
     def remove_rows(self, batch):
+        batch = [(self._key(slot), rid) for slot, rid in batch]
         pairs = [(rid, (key,)) for key, rid in batch]
         self.hash.remove_rows(pairs)
         self.ordered.remove_rows(pairs)
         for key, rid in batch:
             self._take(key, rid)
+
+    @rule(low=bounds, high=bounds, include_low=st.booleans(), include_high=st.booleans())
+    def range_scan(self, low, high, include_low, include_high):
+        def inside(key):
+            return (
+                (low is None or key > low or (include_low and key == low))
+                and (high is None or key < high or (include_high and key == high))
+            )
+
+        got = self.ordered.range_scan(low, high, include_low, include_high)
+        assert [(k, set(r)) for k, r in got] == sorted(
+            (k, r) for k, r in self.model.items() if inside(k)
+        )
 
     @invariant()
     def agrees_with_the_model(self):
@@ -104,18 +135,41 @@ class IndexMachine(RuleBasedStateMachine):
         assert len(self.hash) == len(self.ordered) == len(model)
         assert list(self.ordered.distinct_keys()) == sorted(model)
         assert sorted(self.hash.distinct_keys()) == sorted((key,) for key in model)
-        for key in KEYS:
+        for key in self.keys:
             want = model.get(key, set())
             assert set(self.hash.lookup((key,))) == want
             assert set(self.ordered.lookup(key)) == want
         assert [(k, set(r)) for k, r in self.ordered.range_scan()] == sorted(model.items())
-        assert [(k, set(r)) for k, r in self.ordered.prefix_scan("a")] == sorted(
-            (k, r) for k, r in model.items() if k.startswith("a")
-        )
+        for prefix in self.prefixes:
+            assert [(k, set(r)) for k, r in self.ordered.prefix_scan(prefix)] == sorted(
+                (k, r) for k, r in model.items() if k.startswith(prefix)
+            )
+        assert self.ordered.check_runs() == []
 
 
 TestIndexMachine = IndexMachine.TestCase
 TestIndexMachine.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+
+
+class SmallRunIndexMachine(IndexMachine):
+    """Runs split at four keys (``RUN_LENGTH`` 2), over twelve keys."""
+
+    keys = ["a", "aa", "ab", "abc", "b", "ba", "bb", "c", "ca", "cab", "d", "e"]
+    prefixes = ["a", "ab", "b", "c", "ca", "d", "z"]
+
+    def __init__(self):
+        super().__init__()
+        self.saved = index_module.RUN_LENGTH
+        index_module.RUN_LENGTH = 2
+
+    def teardown(self):
+        index_module.RUN_LENGTH = self.saved
+
+
+#: Tier-1 runs hypothesis' default example count; CI's storage oracle step
+#: raises it with ``--hypothesis-profile=ci``.
+TestSmallRunIndexMachine = SmallRunIndexMachine.TestCase
+TestSmallRunIndexMachine.settings = settings(stateful_step_count=60, deadline=None)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +322,26 @@ def test_one_key_with_thousands_of_rids_and_back_to_one():
         assert len(idx) == 0 and list(idx.lookup(key)) == [] and held(idx) == {}
 
 
-def test_check_integrity_reports_a_posting_kept_as_a_small_set_and_key_list_drift():
+def test_check_integrity_reports_a_posting_kept_as_a_small_set_and_key_list_drift(
+    monkeypatch,
+):
+    monkeypatch.setattr(index_module, "RUN_LENGTH", 2)
     table = make_table("mysql")
-    table.insert({"name": "a", "tag": "x"})
+    for n in range(6):
+        table.insert({"name": f"n{n}", "tag": f"t{n}"})
     assert table.check_integrity() == []
     ordered = table.find_ordered_index("tag")
-    ordered._map["x"] = set(ordered.lookup("x"))  # a one-element set left behind
-    ordered._keys.append("a")  # unsorted, and not a posting key
+    runs, lasts = ordered._runs, ordered._lasts
+    assert [len(run) for run in runs] == [2, 2, 2]  # split at four, twice
+    ordered._map["t0"] = set(ordered.lookup("t0"))  # a one-element set left behind
+    runs[0], runs[1] = runs[1], runs[0]  # two runs swapped, with their last keys
+    lasts[0], lasts[1] = lasts[1], lasts[0]
+    lasts[2] = "t4"  # a stale recorded last key
     problems = table.check_integrity()
     assert any("t_tag_prefix" in p and "set of 1" in p for p in problems)
-    assert any("t_tag_prefix" in p and "key list" in p for p in problems)
+    assert any(
+        "t_tag_prefix runs" in p and "out of order" in p and "stale" in p for p in problems
+    )
     assert len(problems) == 2
 
 

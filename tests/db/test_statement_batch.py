@@ -382,7 +382,8 @@ def test_in_probe_dedups_skips_nulls_and_keeps_list_order():
 
 
 def test_an_ordered_index_is_sorted_however_its_keys_arrive():
-    # Few keys into many (insort each) and many into few (one sort).
+    # Few keys into many and many into few: either way each new key is
+    # placed in its run, and a run that fills is split.
     idx = OrderedIndex("o", 0)
     idx.insert_rows([(rid, [f"k{rid:04d}"]) for rid in range(0, 2000, 2)])
     idx.insert_rows([(5001, ["k0001"]), (5003, ["k0003"])])
