@@ -9,8 +9,9 @@ attributes, RLI targets).  A checkpoint's image replaces the tables row
 by row, so a row it shares with them stays readable throughout.
 
 Master side: :class:`MirrorManager` keeps one acknowledged LSN per mirror
-and ships the durable records after it under the soft-state delivery rule
-of :mod:`repro.core.delivery`, the one the LRC→RLI feed runs under.
+(its delivery state's ``acked``) and ships the durable records after it
+under the soft-state delivery rule of :mod:`repro.core.delivery`, the one
+the LRC→RLI feed, which reads the same log, runs under.
 Mirror side: :class:`MirrorIngest` skips what it has already applied (a
 lost acknowledgement redelivers harmlessly), refuses a gap, and answers
 with the LSN it has applied through, which the master adopts, so a mirror
@@ -81,10 +82,9 @@ class MirrorStats:
 
 @dataclass
 class MirrorPosition:
-    """Where one mirror stands in its master's log."""
+    """How one mirror is shipped to next (its LSN is the engine's
+    ``acked``: the LSN it last answered it had applied through)."""
 
-    #: The LSN the mirror last answered it had applied through.
-    acked: int = 0
     #: The next ship empties the mirror first: first contact, or a master
     #: that restarted and so numbers its log afresh.
     reset: bool = True
@@ -124,6 +124,7 @@ class MirrorManager:
             "mirror", "mirror", self.policy.retry, clock, rng, registry,
             flight, self.stats,
         )
+        self.engine.log = self.wal
         self._lock = self.engine.lock
         #: Held around each ship: one at a time, each read after the last
         #: one's answer, so two (from a tick and a sync) never overlap.
@@ -135,9 +136,6 @@ class MirrorManager:
             for kind in ("reset", "log")
         }
         self._m_records = registry.counter("mirror.records_shipped")
-        registry.register_gauge_fn(
-            "mirror.lag_records", lambda: float(sum(self.lags().values()))
-        )
 
     # ------------------------------------------------------------------
     # Mirror registry
@@ -148,7 +146,7 @@ class MirrorManager:
         whole log."""
         with self._lock:
             self._positions[name] = MirrorPosition()
-            self.engine.target(name)
+            self.engine.target(name).acked = 0
 
     def remove_mirror(self, name: str) -> None:
         with self._lock:
@@ -161,20 +159,15 @@ class MirrorManager:
 
     def lags(self) -> dict[str, int]:
         """How many log positions each mirror is behind the master."""
-        last = self.wal.last_lsn
-        with self._lock:
-            return {
-                name: max(0, last - position.acked)
-                for name, position in self._positions.items()
-            }
+        return {
+            name: health["backlog"]
+            for name, health in self.engine.health().items()
+            if name in self._positions
+        }
 
     def target_health(self) -> dict[str, dict]:
         """The engine's health per mirror, ``backlog`` being its lag."""
-        health = self.engine.health()
-        for name, lag in self.lags().items():
-            if name in health:
-                health[name]["backlog"] = lag
-        return health
+        return self.engine.health()
 
     # ------------------------------------------------------------------
     # Delivery
@@ -186,13 +179,13 @@ class MirrorManager:
         LSN it answers with.  Raises whatever the sink raises."""
         with self._ship_lock:
             with self._lock:
-                position = self._positions[name]
-                reset, after = position.reset, 0 if position.reset else position.acked
+                position, state = self._positions[name], self.engine.target(name)
+                reset, after = position.reset, 0 if position.reset else state.acked
             self.wal.flush()
             data, records, last = self.wal.read_after(after)
             applied = self.sink_resolver(name).ship(self.lrc.name, reset, data)
             with self._lock:
-                position.acked, position.reset = applied, False
+                state.acked, position.reset = applied, False
                 position.behind = applied < last
                 self.stats.ships += 1
                 self.stats.resets += reset
@@ -207,7 +200,7 @@ class MirrorManager:
         backoff."""
         before = self.stats.records_shipped
         for target in [name] if name is not None else self.mirrors():
-            self.engine.push_full(target, partial(self._ship, target), "ship")
+            self.engine.push(target, partial(self._ship, target), "ship")
         return self.stats.records_shipped - before
 
     def tick(self) -> list[str]:
@@ -235,7 +228,7 @@ class MirrorManager:
                     or state.name in owed
                     or position.reset
                     or position.behind
-                    or last - position.acked >= threshold
+                    or last - state.acked >= threshold
                 ):
                     due.append(state)
         return [

@@ -1,21 +1,21 @@
 """The soft-state delivery rule, written once (DESIGN.md §5, decision 10).
 
-What happens to one target after one push attempt — backlog with the
-newest intent winning, needs-full escalation, ``RetryPolicy`` backoff,
-health metrics and flight events — for LRC→RLI updates
-(:mod:`repro.core.updates`), master→mirror log shipping
-(:mod:`repro.cluster.mirror`, full pushes only: a mirror's position, not a
-backlog, says what it is owed) and RLI→parent forwarding
-(:mod:`repro.core.hierarchy`).  Owners supply the payload (a ``send()``
-for a full push, a ``send(added, removed)`` for a delta, each raising on
-failure) and keep their schedule and payload statistics.
+What happens to one target after one push attempt — its acknowledged log
+position, needs-full escalation, ``RetryPolicy`` backoff, health metrics
+and flight events — for LRC→RLI updates (:mod:`repro.core.updates`),
+master→mirror log shipping (:mod:`repro.cluster.mirror`) and RLI→parent
+forwarding (:mod:`repro.core.hierarchy`).  The first two read one change
+feed, the write-ahead log, and a target is owed what was logged after its
+position; the hierarchy's pushes are wholesale.  Owners supply the payload
+(a ``send()`` that raises on failure and returns the position the target
+then holds) and keep their schedule and payload statistics.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from repro.net.retry import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
@@ -23,15 +23,15 @@ from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
 @dataclass
 class TargetDeliveryState:
-    """Per-target delivery bookkeeping: health, backlog, and retry schedule."""
+    """Per-target delivery bookkeeping: position, health and retry schedule."""
 
     name: str
     healthy: bool = True
     consecutive_failures: int = 0
-    #: Incremental changes accepted for this target but not yet delivered.
-    pending_added: set = field(default_factory=set)
-    pending_removed: set = field(default_factory=set)
-    #: The next delivery must be a fresh full (none made yet, or one failed).
+    #: The log position the target holds: it is owed what was logged after.
+    acked: int = 0
+    #: The next delivery must be a fresh full (a full failed, or the log no
+    #: longer holds what follows ``acked``).
     needs_full: bool = False
     last_error: str | None = None
     #: Clock time before which the target is not redelivered to.
@@ -39,15 +39,13 @@ class TargetDeliveryState:
     #: Redelivery attempts made for this target.
     retries: int = 0
 
-    @property
-    def backlog(self) -> int:
-        return len(self.pending_added) + len(self.pending_removed)
-
-    def to_dict(self) -> dict:
+    def to_dict(self, last_lsn: int | None = None) -> dict:
+        """``backlog`` is the records logged after ``acked`` up to
+        ``last_lsn`` (0 for a feed with no log)."""
         return {
             "healthy": self.healthy,
             "consecutive_failures": self.consecutive_failures,
-            "backlog": self.backlog,
+            "backlog": 0 if last_lsn is None else max(0, last_lsn - self.acked),
             "needs_full": self.needs_full,
             "last_error": self.last_error,
             "retries": self.retries,
@@ -62,7 +60,9 @@ class DeliveryEngine:
     ``retries`` are kept here.  ``error_kinds`` lists the push kinds with
     their own ``<family>.errors{kind=}`` series (none: one unlabelled
     counter).  ``lock`` guards all target state; owners share it so a flush
-    snapshots their global delta and the backlog in one critical section.
+    reads their log position and the targets' in one critical section.
+    ``log`` is the write-ahead log the targets' positions are in, set by a
+    feed that reads one: a target's backlog is the records it is behind.
     """
 
     def __init__(
@@ -87,6 +87,7 @@ class DeliveryEngine:
         self.lock = threading.RLock()
         #: name -> state; read and written under ``lock``.
         self.targets: dict[str, TargetDeliveryState] = {}
+        self.log: Any = None
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         counter = self.metrics.counter
         self._m_errors = {
@@ -122,12 +123,13 @@ class DeliveryEngine:
                 )
 
     def health(self) -> dict[str, dict]:
+        last = None if self.log is None else self.log.last_lsn
         with self.lock:
-            return {n: s.to_dict() for n, s in sorted(self.targets.items())}
+            return {n: s.to_dict(last) for n, s in sorted(self.targets.items())}
 
     def backlog(self) -> float:
-        with self.lock:
-            return float(sum(s.backlog for s in self.targets.values()))
+        """Log records the targets are behind, summed."""
+        return float(sum(h["backlog"] for h in self.health().values()))
 
     def unhealthy(self) -> float:
         with self.lock:
@@ -135,68 +137,35 @@ class DeliveryEngine:
 
     # -- one push attempt --------------------------------------------------
 
-    def push_full(
-        self, name: str, send: Callable[[], None], kind: str = "full"
-    ) -> Exception | None:
-        """Replace the target's state wholesale (which subsumes its
-        backlog); returns the failure, if any."""
-        state = self.target(name)
-        self._record(f"{self.event}.attempt", f"{kind}->{name}", target=name)
-        try:
-            send()
-        except Exception as exc:
-            self._failed(state, kind, exc, needs_full=True)
-            return exc
-        with self.lock:
-            state.pending_added.clear()
-            state.pending_removed.clear()
-            state.needs_full = False
-            self._succeeded(state)
-        return None
-
-    def push_delta(
+    def push(
         self,
         name: str,
-        send: Callable[[list, list], None],
-        added: Iterable = (),
-        removed: Iterable = (),
-        kind: str = "incremental",
-    ) -> bool:
-        """Deliver the target's backlog plus a new delta; False if it stays
-        queued.  Nothing leaves the backlog until ``send`` returns."""
+        send: Callable[[], int | None],
+        kind: str = "full",
+        delta: bool = False,
+        **detail: Any,
+    ) -> Exception | None:
+        """One push attempt; returns the failure, if any.  ``send()`` returns
+        the log position the target then holds (None: it keeps its own).
+        A full replaces the target's state wholesale, so one that fails
+        leaves it owed a full; a failed delta leaves it where it was.
+        ``detail`` goes into the attempt's flight event."""
         state = self.target(name)
-        with self.lock:
-            for item in added:
-                state.pending_removed.discard(item)
-                state.pending_added.add(item)
-            for item in removed:
-                state.pending_added.discard(item)
-                state.pending_removed.add(item)
-            if state.needs_full:
-                return False
-            send_added = sorted(state.pending_added)
-            send_removed = sorted(state.pending_removed)
-        if not send_added and not send_removed:
-            return True
         self._record(
-            f"{self.event}.attempt",
-            f"{kind}->{name}",
-            target=name,
-            added=len(send_added),
-            removed=len(send_removed),
+            f"{self.event}.attempt", f"{kind}->{name}", target=name, **detail
         )
         try:
-            send(send_added, send_removed)
+            acked = send()
         except Exception as exc:
-            self._failed(state, kind, exc)
-            return False
+            self._failed(state, kind, exc, needs_full=not delta)
+            return exc
         with self.lock:
-            # Exactly what was delivered; changes that raced in during
-            # the send stay queued for the next flush.
-            state.pending_added.difference_update(send_added)
-            state.pending_removed.difference_update(send_removed)
+            if acked is not None:
+                state.acked = acked
+            if not delta:
+                state.needs_full = False
             self._succeeded(state)
-        return True
+        return None
 
     # -- redelivery --------------------------------------------------------
 
@@ -208,23 +177,23 @@ class DeliveryEngine:
 
     def due(self) -> list[TargetDeliveryState]:
         """The ready targets that are owed a delivery."""
-        return [
-            s for s in self.ready() if not s.healthy or s.needs_full or s.backlog
-        ]
+        return [s for s in self.ready() if not s.healthy or s.needs_full]
 
     def redeliver(
         self,
         state: TargetDeliveryState,
-        send_full: Callable[[], None],
-        send_delta: Callable[[list, list], None] | None = None,
+        send_full: Callable[[], int | None],
+        push_changes: Callable[[], Any] | None = None,
         full_kind: str = "full",
     ) -> str:
         """Deliver to one due target; returns its ``"retry:<name>"`` marker.
 
         A target owed a full — or one whose state is only ever replaced
-        wholesale (``send_delta`` is None) — gets a full push, any other
-        its backlog.  Only a delivery that follows a failure counts as a
-        retry: a target's first full push is just its first push.
+        wholesale (``push_changes`` is None) — gets a full push, any other
+        what was logged after its position: ``push_changes()`` makes that
+        push through :meth:`push`.  Only a delivery that follows a failure
+        counts as a retry: a target's first full push is just its first
+        push.
         Failures re-arm the backoff; nothing raises.
         """
         if state.consecutive_failures:
@@ -239,10 +208,10 @@ class DeliveryEngine:
                 target=state.name,
                 consecutive_failures=state.consecutive_failures,
             )
-        if state.needs_full or send_delta is None:
-            self.push_full(state.name, send_full, full_kind)
+        if state.needs_full or push_changes is None:
+            self.push(state.name, send_full, full_kind)
         else:
-            self.push_delta(state.name, send_delta)
+            push_changes()
         return f"retry:{state.name}"
 
     # -- outcomes ----------------------------------------------------------

@@ -80,7 +80,7 @@ class HierarchicalUpdater:
         relational = self._relational_state()
         bloom_state = self._bloom_state()
         outcomes = [
-            self.engine.push_full(
+            self.engine.push(
                 state.name,
                 lambda parent=state.name: self._send(
                     parent, relational, bloom_state

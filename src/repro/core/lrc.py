@@ -14,9 +14,10 @@ structure of the paper's Figure 3:
 Every public operation in the paper's Table 1 is implemented, including
 the bulk variants used by large scientific workflows (§5.4).
 
-Mutations fire change callbacks so the soft-state update manager
-(:mod:`repro.core.updates`) can maintain its counting Bloom filter and
-immediate-mode change log without polling the database.
+Every mutation is a logged write, so the write-ahead log is the one
+change feed: the soft-state update manager (:mod:`repro.core.updates`)
+reads the logical-name changes off it for its counting Bloom filter and
+immediate-mode updates, and a shard master ships it to its mirrors.
 """
 
 from __future__ import annotations
@@ -124,11 +125,11 @@ def _in_chunks(values: Sequence[Any]) -> "Iterable[list[Any]]":
 
 def _load_names(
     table: Any, counts: "Counter[str]"
-) -> tuple[dict[str, int], list[str], list[int]]:
+) -> tuple[dict[str, int], list[int]]:
     """``bulk_load``'s write of one name table: the names of ``counts``
     the table lacks go in with one ``insert_many``, their count as
-    ``ref``.  Returns name → id for all of ``counts``, the new names in
-    first-seen order, and the ids of the names that were already there."""
+    ``ref``.  Returns name → id for all of ``counts`` and the ids of the
+    names that were already there."""
     ids: dict[str, int] = {}
     new: list[str] = []
     old_ids: list[int] = []
@@ -141,7 +142,7 @@ def _load_names(
             new.append(name)
     stored = table.insert_many({"name": name, "ref": counts[name]} for name in new)
     ids.update(zip(new, [row[0] for _rid, row in stored]))
-    return ids, new, old_ids
+    return ids, old_ids
 
 
 # DDL matching Figure 3 of the paper.
@@ -238,9 +239,6 @@ class LocalReplicaCatalog:
         self.conn = connection
         self.name = name
         self._write_lock = threading.RLock()
-        # Callbacks: fn(lfn, present) — present=True when the LFN gained its
-        # first mapping, False when it lost its last one.
-        self._lfn_listeners: list[Callable[[str, bool], None]] = []
         registry = metrics if metrics is not None else NULL_REGISTRY
         self.metrics = registry
         self._m_created = registry.counter("lrc.mappings_created")
@@ -273,14 +271,6 @@ class LocalReplicaCatalog:
                     pass
             self.conn.execute(statement)
 
-    def add_lfn_listener(self, listener: Callable[[str, bool], None]) -> None:
-        """Subscribe to LFN presence changes (used by the update manager)."""
-        self._lfn_listeners.append(listener)
-
-    def _notify(self, lfn: str, present: bool) -> None:
-        for listener in self._lfn_listeners:
-            listener(lfn, present)
-
     # ------------------------------------------------------------------
     # Mapping management (Table 1: create, add, delete + bulk)
     # ------------------------------------------------------------------
@@ -298,7 +288,6 @@ class LocalReplicaCatalog:
                 raise MappingExistsError(f"logical name exists: {lfn}")
             self._insert_map(self._insert_name("t_lfn", lfn), lfn, pfn)
         self._m_created.inc()
-        self._notify(lfn, True)
 
     def add_mapping(self, lfn: str, pfn: str) -> None:
         """Register an additional replica for an existing logical name."""
@@ -348,7 +337,6 @@ class LocalReplicaCatalog:
             if deleted == 0:
                 raise MappingNotFoundError(f"mapping does not exist: {lfn} -> {pfn}")
             orphans: dict[ObjType, list[int]] = {}
-            last_for_lfn = lfn_ref <= 1
             for table, objtype, row_id, ref in (
                 ("t_lfn", ObjType.LFN, lfn_id, lfn_ref),
                 ("t_pfn", ObjType.PFN, pfn_id, pfn_ref),
@@ -360,8 +348,6 @@ class LocalReplicaCatalog:
                     self._set_ref(table, row_id, ref - 1)
             self._delete_attr_values(orphans)
         self._m_deleted.inc()
-        if last_for_lfn:
-            self._notify(lfn, False)
 
     # -- bulk variants ----------------------------------------------------
     #
@@ -370,8 +356,8 @@ class LocalReplicaCatalog:
     # existence with chunked IN lists, write with multi-row INSERTs, and
     # batch the orphan pruning — the amortization behind the paper's
     # Figure 11 bulk-rate lift.  Observable behavior matches the serial
-    # path exactly: per-pair failure strings, change notifications in pair
-    # order, and reference counts.  The whole batch commits in one
+    # path exactly: per-pair failure strings, log records in pair order,
+    # and reference counts.  The whole batch commits in one
     # transaction (a crash mid-batch rolls back cleanly instead of leaving
     # a prefix applied).
 
@@ -440,8 +426,6 @@ class LocalReplicaCatalog:
                     self._set_ref("t_pfn", pfn_id, ref + delta)
         if creations:
             self._m_created.inc(len(creations))
-            for _, lfn, _ in creations:
-                self._notify(lfn, True)
         return [
             (pairs[i][0], pairs[i][1], failures_at[i])
             for i in sorted(failures_at)
@@ -527,10 +511,6 @@ class LocalReplicaCatalog:
                 })
         if deletions:
             self._m_deleted.inc(len(deletions))
-            last_for_lfn = {lfn: i for i, lfn, _, _, _ in deletions}
-            for i, lfn, _, _, _ in deletions:
-                if lfn_ref_left[lfn] <= 0 and last_for_lfn[lfn] == i:
-                    self._notify(lfn, False)
         return [
             (pairs[i][0], pairs[i][1], failures_at[i])
             for i in sorted(failures_at)
@@ -649,36 +629,33 @@ class LocalReplicaCatalog:
         from ``t_map`` afterwards.  No row is WAL-logged: the load ends
         with a WAL checkpoint, whose image holds it.  Assumes a
         quiescent server and fresh (lfn, pfn) pairs; duplicate LFNs get
-        additional replica mappings.  LFN listeners are notified so Bloom
-        filters stay coherent; mirrors are shipped the checkpoint.
+        additional replica mappings.  Whatever reads the log from before
+        the checkpoint — an RLI feed, a mirror — is sent the whole state.
         Returns mappings loaded.
         """
         count = 0
-        new_lfns: list[str] = []
         pairs = iter(pairs)
         db = self.conn.database
         with self._write_lock:
             while chunk := list(itertools.islice(pairs, _LOAD_CHUNK)):
-                new_lfns += self._load_chunk(chunk)
+                self._load_chunk(chunk)
                 count += len(chunk)
             if db.wal is not None:
                 db.wal.checkpoint()
         self._m_bulk_loaded.inc(count)
-        for lfn in new_lfns:
-            self._notify(lfn, True)
         return count
 
-    def _load_chunk(self, chunk: list[tuple[str, str]]) -> list[str]:
-        """Write one chunk of ``bulk_load``; returns its new logical names."""
+    def _load_chunk(self, chunk: list[tuple[str, str]]) -> None:
+        """Write one chunk of ``bulk_load``."""
         for lfn, pfn in chunk:
             validate_name(lfn, "logical name")
             validate_name(pfn, "target name")
         db = self.conn.database
         t_lfn, t_pfn, t_map = db.table("t_lfn"), db.table("t_pfn"), db.table("t_map")
-        lfn_ids, new_lfns, old_lfn_ids = _load_names(
+        lfn_ids, old_lfn_ids = _load_names(
             t_lfn, Counter(lfn for lfn, _ in chunk)
         )
-        pfn_ids, _new_pfns, old_pfn_ids = _load_names(
+        pfn_ids, old_pfn_ids = _load_names(
             t_pfn, Counter(pfn for _, pfn in chunk)
         )
         t_map.insert_many(
@@ -693,7 +670,6 @@ class LocalReplicaCatalog:
                 refs = len(t_map.lookup_equal((column,), (row_id,)))
                 for rid, _row in table.lookup_equal(("id",), (row_id,)):
                     table.update_rid(rid, {"ref": refs})
-        return new_lfns
 
     # ------------------------------------------------------------------
     # Queries (Table 1: by logical/target name, wildcard, bulk, attribute)

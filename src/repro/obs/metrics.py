@@ -368,7 +368,7 @@ _METRIC_HELP: dict[str, str] = {
     "updates_bloom_generation": "Bloom filter (re)build time in seconds",
     "updates_names_sent": "LFNs shipped in full/incremental updates",
     "updates_bloom_bytes_sent": "Compressed filter bytes shipped",
-    "updates_pending_changes": "Immediate-mode backlog across RLIs",
+    "updates_pending_changes": "Logical names changed since the last RLI flush",
     "db_statements": "SQL statements executed, by statement class",
     "db_statement_latency": "Per-statement execution time in seconds",
     "db_slow_statements": "Statements at or above the slow-query threshold",

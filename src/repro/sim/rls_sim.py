@@ -15,9 +15,10 @@ answer questions the paper raises but could not measure:
   until its coverage returns, as a function of the full-update interval.
 
 What runs is the real soft-state stack on the simulator's clock: a
-:class:`~repro.core.lrc.LocalReplicaCatalog` with churn, its
-:class:`~repro.core.updates.UpdateManager` (the schedule, and the
-:class:`~repro.core.delivery.DeliveryEngine` backlog, backoff and
+:class:`~repro.core.lrc.LocalReplicaCatalog` with churn and its
+write-ahead log, its :class:`~repro.core.updates.UpdateManager` (the
+schedule, the changes read off that log, and the
+:class:`~repro.core.delivery.DeliveryEngine` position, backoff and
 needs-full rule) ticked through :meth:`Periodic.run_once`, and a
 :class:`~repro.core.rli.ReplicaLocationIndex` with its expire pass.  The
 one modelled piece is the wire between them, :class:`VirtualLink`.
@@ -38,6 +39,7 @@ from repro.core.rli import ReplicaLocationIndex
 from repro.core.updates import UpdateManager, UpdatePolicy, tick_task
 from repro.db.engine import Database
 from repro.db.odbc import Connection
+from repro.db.wal import InMemoryLogDevice, WriteAheadLog
 from repro.obs.periodic import Periodic
 from repro.obs.timeseries import SeriesStore
 from repro.sim.kernel import Simulator
@@ -55,8 +57,8 @@ _LAN, _WAN = LANCalibration(), WANCalibration()
 _PFN = "gsiftp://storage/replica"
 
 
-def _connection(name: str) -> Connection:
-    return Connection(Database(name), name)
+def _connection(name: str, wal: WriteAheadLog | None = None) -> Connection:
+    return Connection(Database(name, wal=wal), name)
 
 
 def _every(sim: Simulator, task: Periodic) -> None:
@@ -93,7 +95,9 @@ class SimLRC:
         self._counter = initial_names
         self.names = [f"{name}/f{i}" for i in range(initial_names)]
         self.deleted: deque[str] = deque(maxlen=50)
-        self.catalog = LocalReplicaCatalog(_connection(name), name=name)
+        # A log with no modelled disk: the update manager reads it.
+        wal = WriteAheadLog(InMemoryLogDevice(sync_latency=0.0), flush_on_commit=False)
+        self.catalog = LocalReplicaCatalog(_connection(name, wal), name=name)
         self.catalog.init_schema()
         self.catalog.bulk_load((lfn, _PFN) for lfn in self.names)
         if churn_per_sec > 0:

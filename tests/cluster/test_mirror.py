@@ -504,7 +504,30 @@ class TestStaleness:
         assert counters["mirror.records_shipped"] == 3
         gauges = registry.snapshot().gauges
         assert gauges["mirror.target_healthy{target=metrics-mirror}"] == 1.0
-        assert gauges["mirror.lag_records"] == 0.0
+        assert gauges["mirror.retry_backlog"] == 0.0
+
+    def test_a_stalled_mirror_shows_in_the_retry_backlog(self):
+        """``mirror.retry_backlog`` is the records the mirrors are behind,
+        as ``updates.retry_backlog`` is the RLI targets': a mirror that is
+        down while writes continue is a growing queue to the detectors."""
+        registry = MetricsRegistry()
+        master = make_lrc("stalled-master")
+        sink = FlakySink(MirrorIngest(make_lrc("stalled"), master="stalled-master"))
+        manager = MirrorManager(
+            master, sink_resolver=lambda name: sink, metrics=registry,
+        )
+        manager.add_mirror("stalled")
+        manager.sync()
+        sink.fail = True
+        backlog = []
+        for i in range(3):
+            master.create_mapping(f"s{i}", "pfn://s")
+            manager.sync()
+            backlog.append(registry.snapshot().gauges["mirror.retry_backlog"])
+        assert backlog == [3.0, 6.0, 9.0]
+        sink.fail = False
+        manager.sync()
+        assert registry.snapshot().gauges["mirror.retry_backlog"] == 0.0
 
 
 class TestOneRuleWithTheRLIFeed:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.errors import MappingNotFoundError
 from repro.core.lrc import LocalReplicaCatalog
 from repro.core.rli import ReplicaLocationIndex
+from repro.core.updates import UpdateManager
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
 
@@ -52,11 +53,31 @@ class TestLRCBulkLoad:
         assert lrc.lfn_count() == 0
 
     def test_listeners_notified_for_new_lfns_only(self, lrc):
-        events = []
+        """bulk_load logs no row: the checkpoint it ends with owes every
+        registered RLI a full, and the counting filter is rebuilt."""
         lrc.create_mapping("pre", "p0")
-        lrc.add_lfn_listener(lambda lfn, present: events.append((lfn, present)))
+        lrc.add_rli("rel")
+        lrc.add_rli("bloom", bloom=True)
+        sent = {"rel": [], "bloom": []}
+
+        class Recording:
+            def __init__(self, name):
+                self.name = name
+
+            def full_update(self, lrc_name, lfns):
+                sent[self.name].append(sorted(lfns))
+
+            def bloom_update(self, lrc_name, bitmap, *shape):
+                sent[self.name].append(bitmap)
+
+        manager = UpdateManager(lrc, Recording)
+        manager.rebuild_bloom()
         lrc.bulk_load([("pre", "p-extra"), ("new1", "p1"), ("new2", "p2")])
-        assert sorted(events) == [("new1", True), ("new2", True)]
+        assert manager.tick() == ["retry:rel", "retry:bloom"]
+        assert sent["rel"] == [["new1", "new2", "pre"]]
+        assert sent["bloom"] == [manager.bloom.snapshot().to_bytes()]
+        assert all(name in manager.bloom for name in ("pre", "new1", "new2"))
+        assert manager.bloom.entries == 3
 
     def test_mix_with_existing_rows(self, lrc):
         lrc.create_mapping("old", "p-old")

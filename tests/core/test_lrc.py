@@ -1,4 +1,5 @@
-"""LocalReplicaCatalog tests: mappings, attributes, RLI targets, listeners."""
+"""LocalReplicaCatalog tests: mappings, attributes, RLI targets, the
+logical-name changes its log carries."""
 
 import pytest
 
@@ -12,9 +13,11 @@ from repro.core.errors import (
     UpdateTargetError,
 )
 from repro.core.lrc import AttrType, LocalReplicaCatalog, ObjType
+from repro.core.updates import UpdateManager
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
 from repro.db.postgres_engine import PostgresEngine
+from repro.testing.faults import NullSink
 
 
 @pytest.fixture(params=["mysql", "postgresql"])
@@ -298,34 +301,40 @@ class TestRLITargets:
             lrc.remove_rli("ghost")
 
 
+def watch(lrc):
+    """An update manager folding ``lrc``'s log from here on (an RLI is
+    registered, so it reads the log)."""
+    lrc.add_rli("watcher")
+    return UpdateManager(lrc, lambda name: NullSink())
+
+
 class TestChangeListeners:
+    """A logical name's presence changes, as the update manager folds
+    them off the write-ahead log."""
+
     def test_create_notifies_presence(self, lrc):
-        events = []
-        lrc.add_lfn_listener(lambda lfn, present: events.append((lfn, present)))
+        manager = watch(lrc)
         lrc.create_mapping("lfn1", "pfn1")
-        assert events == [("lfn1", True)]
+        assert list(manager.pending().items()) == [("lfn1", True)]
 
     def test_add_replica_does_not_notify(self, lrc):
-        events = []
         lrc.create_mapping("lfn1", "pfn1")
-        lrc.add_lfn_listener(lambda lfn, present: events.append((lfn, present)))
+        manager = watch(lrc)
         lrc.add_mapping("lfn1", "pfn2")
-        assert events == []
+        assert list(manager.pending().items()) == []
 
     def test_partial_delete_does_not_notify(self, lrc):
         lrc.create_mapping("lfn1", "pfn1")
         lrc.add_mapping("lfn1", "pfn2")
-        events = []
-        lrc.add_lfn_listener(lambda lfn, present: events.append((lfn, present)))
+        manager = watch(lrc)
         lrc.delete_mapping("lfn1", "pfn1")
-        assert events == []
+        assert list(manager.pending().items()) == []
 
     def test_last_delete_notifies_absence(self, lrc):
         lrc.create_mapping("lfn1", "pfn1")
-        events = []
-        lrc.add_lfn_listener(lambda lfn, present: events.append((lfn, present)))
+        manager = watch(lrc)
         lrc.delete_mapping("lfn1", "pfn1")
-        assert events == [("lfn1", False)]
+        assert list(manager.pending().items()) == [("lfn1", False)]
 
 
 class TestObjTypeAttrTypeParsing:

@@ -4,7 +4,7 @@
 probes and multi-row INSERTs instead of replaying the single-pair code
 path per element.  These tests pin the observable contract to the serial
 path: per-pair failure strings, reference counts, orphan pruning,
-attribute cleanup, and change notifications.
+attribute cleanup, and the logical-name changes the log carries.
 """
 
 import pytest
@@ -17,9 +17,11 @@ from repro.core.lrc import (
     _SMALL_IN_CHUNK,
     _in_chunks,
 )
+from repro.core.updates import UpdateManager
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
 from repro.db.postgres_engine import PostgresEngine
+from repro.testing.faults import NullSink
 
 
 @pytest.fixture(params=["mysql", "postgresql"])
@@ -101,10 +103,10 @@ class TestBulkCreateParity:
         assert len(result) == n and result["l0"] == ["p0"]
 
     def test_notifications_fire_per_created_pair(self, lrc):
-        events = []
-        lrc.add_lfn_listener(lambda lfn, present: events.append((lfn, present)))
+        lrc.add_rli("watcher")  # so the update manager reads the log
+        manager = UpdateManager(lrc, lambda name: NullSink())
         lrc.bulk_create([("n1", "p1"), ("n1", "dup"), ("n2", "p2")])
-        assert events == [("n1", True), ("n2", True)]
+        assert list(manager.pending().items()) == [("n1", True), ("n2", True)]
 
 
 class TestBulkDeleteParity:

@@ -1,4 +1,4 @@
-"""Reliable soft-state delivery: per-target backlog, health, and redelivery.
+"""Reliable soft-state delivery: per-target position, health, and redelivery.
 
 The scenario the paper leaves implicit — "what happens when an update push
 fails?" — answered the soft-state way: nothing is lost, the target is
@@ -96,7 +96,8 @@ class TestIncrementalFailurePreservesPending:
         assert flushed == 2  # the flush still drained the global delta
         health = manager.target_health()["rli1"]
         assert not health["healthy"]
-        assert health["backlog"] == 2
+        # Records behind: the registration (1) and two creates (3 each).
+        assert health["backlog"] == 7
         assert "FaultInjected" in health["last_error"]
         assert manager.stats.errors == 1
         assert sink.incremental == []  # nothing actually delivered
@@ -154,7 +155,8 @@ class TestIncrementalFailurePreservesPending:
         health = manager.target_health()
         assert health["good"]["healthy"]
         assert not health["bad"]["healthy"]
-        assert health["bad"]["backlog"] == 1
+        # Records behind: two registrations and one create (3).
+        assert health["bad"]["backlog"] == 5
 
 
 class TestTickRedelivery:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.bloom import BloomFilter, BloomParameters
 from repro.core.config import ServerConfig
-from repro.core.updates import UpdatePolicy
+from repro.core.updates import UpdateManager, UpdatePolicy
 from repro.sim.kernel import Simulator
 from repro.sim.rls_sim import (
     RecoveryResult,
@@ -234,13 +234,9 @@ class TestDeliveryOnTheVirtualClock:
         sim = Simulator()
         faults = FailureSchedule.pattern("FFF.FF.FFFF")
         lrc = SimLRC(sim, "l", 300, churn_per_sec=1.0, rng=random.Random(3))
-        deleted_at = {}
-
-        def on_change(lfn, present):
-            if not present:
-                deleted_at[lfn] = sim.now
-
-        lrc.catalog.add_lfn_listener(on_change)
+        # A second manager, never flushed: its fold of the log holds every
+        # name change from here on.
+        changes = UpdateManager(lrc.catalog, lambda name: None)
         link = VirtualLink(sim, faults)
         policy = UpdatePolicy(immediate_mode=mode == "immediate", full_interval=600.0)
         start_updates(sim, lrc, link, policy)
@@ -248,7 +244,7 @@ class TestDeliveryOnTheVirtualClock:
             assert sim.now < 4 * policy.full_interval, "the scripted pushes never came"
             sim.step()
         live = set(lrc.names)
-        gone = sorted(deleted_at)
+        gone = sorted(lfn for lfn, present in changes.pending().items() if not present)
         retry = policy.retry
         sim.run(
             until=sim.now + policy.full_interval
