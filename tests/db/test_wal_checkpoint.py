@@ -215,6 +215,51 @@ def test_a_file_log_is_swapped_for_its_checkpoint(floor, tmp_path):
         device.close()
 
 
+@pytest.mark.parametrize("file_log", [False, True])
+def test_a_registered_reader_keeps_its_records_across_a_checkpoint(
+    floor, tmp_path, file_log
+):
+    """An automatic checkpoint keeps the records after ``retain_after``,
+    and a tailing ``read_after`` serves them with the suffix instead of the
+    image, so a reader there replays to the live tables (a mirror's read is
+    still the image).  An explicit checkpoint
+    (``bulk_load``'s, whose rows bypassed the log) keeps none."""
+    floor(8)
+    device = FileLogDevice(str(tmp_path / "wal")) if file_log else None
+    engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0, device=device)
+    replica = ENGINES["mysql"]()
+    for db in (engine, replica):
+        db.execute(DDL)
+    insert = "INSERT INTO t (name, ref) VALUES (?, ?)"
+    try:
+        for i in range(3):
+            engine.execute(insert, [f"n{i}", i])
+        engine.wal.flush()
+        data, _count, reader = engine.wal.read_after(0)
+        replica.apply_records(decode_records(data))
+        engine.wal.retain_after = reader
+        for i in range(3, 12):  # the eighth record takes the checkpoint
+            engine.execute(insert, [f"n{i}", i])
+            if i % 3 == 0:
+                engine.execute("DELETE FROM t WHERE name = ?", [f"n{i - 1}"])
+        engine.wal.flush()
+        assert engine.wal.checkpoint_lsn > reader == engine.wal.records_from
+        assert checkpoint_lsn(engine.wal.read_after(reader)[0])  # a mirror's
+        data, count, last = engine.wal.read_after(reader, tailing=True)
+        records = list(decode_records(data))
+        assert len(records) == count and records[0].lsn == reader + 1
+        assert OP_CHECKPOINT not in {r.op for r in records}
+        assert engine.wal.checkpoint_lsn not in {r.lsn for r in records}
+        replica.apply_records(records)
+        assert live_tables(replica) == live_tables(engine)
+        engine.wal.checkpoint()
+        assert engine.wal.records_from == engine.wal.checkpoint_lsn > last
+        assert checkpoint_lsn(engine.wal.read_after(reader, tailing=True)[0])
+    finally:
+        if device is not None:
+            device.close()
+
+
 def checkpoint_lsn(data: bytes) -> int | None:
     first = next(decode_records(data), None)
     return first.lsn if first is not None and first.op == OP_CHECKPOINT else None
