@@ -8,6 +8,7 @@ the paper's Table 1 is exposed as an RPC method.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from functools import partial
 from typing import Any, Callable
@@ -34,6 +35,27 @@ from repro.obs.usage import UsageAccountant
 from repro.security.acl import Privilege
 from repro.security.authorizer import Authorizer
 
+#: glibc's ``mallopt`` parameter for the most arenas it may create.
+_M_ARENA_MAX = -8
+
+
+def _one_malloc_arena() -> None:
+    """Serve every thread's C allocations from one glibc arena.
+
+    The server runs a thread per connection, and glibc gives a thread its
+    own arena, or the arena of a thread that has exited if it finds one
+    first.  Which of the two a connection gets depends on thread timing,
+    and the process's resident memory with it: on a two-core VM one
+    bulk-write run left 84.3 MB resident and the same run again 86.0 MB.
+    From one arena every run reads the same (84.1-84.3 MB).  Under the GIL
+    the threads seldom allocate at the same moment, so sharing costs no
+    wait.  Without glibc there is no ``mallopt`` and nothing is done.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
+    except (AttributeError, OSError):
+        pass
+
 
 class RLSServer:
     """A running RLS server instance."""
@@ -45,6 +67,7 @@ class RLSServer:
         metrics: MetricsRegistry | None = None,
         mirror_sink_resolver: Callable[[str], MirrorSink] | None = None,
     ) -> None:
+        _one_malloc_arena()  # before this server starts any thread
         self.config = config or ServerConfig()
         self.authorizer = Authorizer(self.config.security)
         self._started = False
