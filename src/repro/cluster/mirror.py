@@ -8,10 +8,11 @@ master never had, and every table replicates alike (mappings,
 attributes, RLI targets).  A checkpoint's image replaces the tables row
 by row, so a row it shares with them stays readable throughout.
 
-Master side: :class:`MirrorManager` keeps one acknowledged LSN per mirror
-(its delivery state's ``acked``) and ships the durable records after it
-under the soft-state delivery rule of :mod:`repro.core.delivery`, the one
-the LRC→RLI feed, which reads the same log, runs under.
+Master side: :class:`MirrorManager` ships each mirror what the mirror's
+own :class:`~repro.db.wal.LogReader` reads after the LSN it acknowledged
+(the whole log, if it is at 0 or the log no longer holds those records)
+under the delivery rule of :mod:`repro.core.delivery`, as the LRC→RLI
+feed, which reads the log the same way, does.
 Mirror side: :class:`MirrorIngest` skips what it has already applied (a
 lost acknowledgement redelivers harmlessly), refuses a gap, and answers
 with the LSN it has applied through, which the master adopts, so a mirror
@@ -32,15 +33,16 @@ from typing import Callable, Protocol
 from repro.core.delivery import DeliveryEngine
 from repro.core.lrc import LocalReplicaCatalog
 from repro.core.updates import UpdatePolicy
-from repro.db.wal import OP_CHECKPOINT, decode_records
+from repro.db.wal import decode_records
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
 
 class MirrorSink(Protocol):
     """Receiving side of a mirror feed (a mirror LRC, however reached)."""
 
-    def ship(self, master: str, reset: bool, data: bytes) -> int:
-        """Apply ``data`` (log records); returns the LSN applied through."""
+    def ship(self, master: str, after: int, data: bytes) -> int:
+        """Apply ``data``, the log records after LSN ``after`` (0: the
+        whole log); returns the LSN applied through."""
         ...
 
 
@@ -50,8 +52,8 @@ class RPCMirrorSink:
     def __init__(self, client) -> None:  # repro.net.rpc.RPCClient
         self.client = client
 
-    def ship(self, master: str, reset: bool, data: bytes) -> int:
-        return self.client.call("mirror_ship", master, reset, data)
+    def ship(self, master: str, after: int, data: bytes) -> int:
+        return self.client.call("mirror_ship", master, after, data)
 
 
 def resolve_mirror_sink(name: str) -> MirrorSink:
@@ -78,19 +80,6 @@ class MirrorStats:
     records_shipped: int = 0
     errors: int = 0
     retries: int = 0
-
-
-@dataclass
-class MirrorPosition:
-    """How one mirror is shipped to next (its LSN is the engine's
-    ``acked``: the LSN it last answered it had applied through)."""
-
-    #: The next ship empties the mirror first: first contact, or a master
-    #: that restarted and so numbers its log afresh.
-    reset: bool = True
-    #: The mirror answered less than it was sent (it restarted, or refused
-    #: a gap): it is re-fed from there on the next tick.
-    behind: bool = False
 
 
 class MirrorManager:
@@ -122,14 +111,12 @@ class MirrorManager:
         self.metrics = registry
         self.engine = DeliveryEngine(
             "mirror", "mirror", self.policy.retry, clock, rng, registry,
-            flight, self.stats,
+            flight, self.stats, reader=self.wal.reader,
         )
-        self.engine.log = self.wal
         self._lock = self.engine.lock
         #: Held around each ship: one at a time, each read after the last
         #: one's answer, so two (from a tick and a sync) never overlap.
         self._ship_lock = threading.Lock()
-        self._positions: dict[str, MirrorPosition] = {}
         self._last_ship = clock()
         self._m_sent = {
             kind: registry.counter("mirror.sent", kind=kind)
@@ -142,28 +129,19 @@ class MirrorManager:
     # ------------------------------------------------------------------
 
     def add_mirror(self, name: str) -> None:
-        """Register a mirror; its first ship empties it and replays the
-        whole log."""
+        """Register a mirror, due at once: its first ship is the whole
+        log, which replaces its tables (first contact, or a master that
+        restarted and so numbers its log afresh)."""
         with self._lock:
-            self._positions[name] = MirrorPosition()
-            self.engine.target(name).acked = 0
+            state = self.engine.target(name)
+            state.reader.position, state.needs_full = 0, True
 
     def remove_mirror(self, name: str) -> None:
-        with self._lock:
-            self._positions.pop(name, None)
         self.engine.forget(name)
 
     def mirrors(self) -> list[str]:
         with self._lock:
-            return sorted(self._positions)
-
-    def lags(self) -> dict[str, int]:
-        """How many log positions each mirror is behind the master."""
-        return {
-            name: health["backlog"]
-            for name, health in self.engine.health().items()
-            if name in self._positions
-        }
+            return sorted(self.engine.targets)
 
     def target_health(self) -> dict[str, dict]:
         """The engine's health per mirror, ``backlog`` being its lag."""
@@ -174,24 +152,32 @@ class MirrorManager:
     # ------------------------------------------------------------------
 
     def _ship(self, name: str) -> None:
-        """One delivery to ``name``: flush, so a mirror only receives
-        durable records, send what follows its position, and adopt the
-        LSN it answers with.  Raises whatever the sink raises."""
+        """One delivery to ``name``: the durable records after its
+        position, or the whole log if it is at 0 or the log no longer
+        holds them, and adopt the LSN it answers with.  A mirror that
+        refuses a gap (it restarted) is shipped again at once from its
+        answer; one removed meanwhile is not shipped.  Raises whatever the
+        sink raises."""
         with self._ship_lock:
-            with self._lock:
-                position, state = self._positions[name], self.engine.target(name)
-                reset, after = position.reset, 0 if position.reset else state.acked
-            self.wal.flush()
-            data, records, last = self.wal.read_after(after)
-            applied = self.sink_resolver(name).ship(self.lrc.name, reset, data)
-            with self._lock:
-                state.acked, position.reset = applied, False
-                position.behind = applied < last
-                self.stats.ships += 1
-                self.stats.resets += reset
-                self.stats.records_shipped += records
-        self._m_sent["reset" if reset else "log"].inc()
-        self._m_records.inc(records)
+            if (state := self.engine.targets.get(name)) is None:
+                return
+            reader = state.reader
+            for _attempt in range(2):
+                after = reader.position
+                read = reader.read() if after else None
+                if read is None:
+                    after, read = 0, self.wal.read_all()
+                data, records, _last = read
+                applied = self.sink_resolver(name).ship(self.lrc.name, after, data)
+                with self._lock:
+                    reader.position = applied
+                    self.stats.ships += 1
+                    self.stats.resets += not after
+                    self.stats.records_shipped += records
+                self._m_sent["log" if after else "reset"].inc()
+                self._m_records.inc(records)
+                if applied >= after:
+                    break
 
     def sync(self, name: str | None = None) -> int:
         """Ship to one mirror (or every one) now, whatever the schedule;
@@ -206,31 +192,25 @@ class MirrorManager:
     def tick(self) -> list[str]:
         """Ship to every due mirror, once each; returns action markers.
 
-        Due: a mirror owed a reset or a re-feed, a failed one past its
-        backoff, one ``immediate_count_threshold`` records behind, and
-        every mirror once per ``push_interval`` — empty when it is
-        current, which keeps its position and staleness fresh on an idle
-        master.
+        Due: a mirror owed its first ship, a failed one past its backoff,
+        one ``immediate_count_threshold`` records behind, and every mirror
+        once per ``push_interval`` — empty when it is current, which keeps
+        its position and staleness fresh on an idle master.
         """
         now = self.clock()
-        last = self.wal.last_lsn
         threshold = self.policy.immediate_count_threshold
-        due = []
         with self._lock:
             scheduled = now - self._last_ship >= self.push_interval
             if scheduled:
                 self._last_ship = now
-            owed = {state.name for state in self.engine.due()}
-            for state in self.engine.ready():
-                position = self._positions.get(state.name)
-                if position is not None and (
-                    scheduled
-                    or state.name in owed
-                    or position.reset
-                    or position.behind
-                    or last - state.acked >= threshold
-                ):
-                    due.append(state)
+            due = [
+                state
+                for state in self.engine.ready()
+                if scheduled
+                or not state.healthy
+                or state.needs_full
+                or state.reader.backlog >= threshold
+            ]
         return [
             self.engine.redeliver(
                 state, partial(self._ship, state.name), full_kind="ship"
@@ -276,36 +256,35 @@ class MirrorIngest:
         at = self._applied_at
         return 0.0 if at is None else max(0.0, self.clock() - at)
 
-    def apply_log(self, master: str, reset: bool, data: bytes) -> int:
+    def apply_log(self, master: str, after: int, data: bytes) -> int:
         """Apply one ship from ``master`` (this mirror's, named on the
-        wire); returns the LSN applied through.
+        wire): ``data``, the log records after LSN ``after``; returns the
+        LSN applied through.
 
-        ``reset`` starts again from LSN 0.  Records at or below the applied
-        LSN are skipped, and nothing is applied unless what remains starts
-        with a checkpoint or with the next LSN: the master re-feeds this
-        mirror from the answer.  What is shipped to LSN 0 replaces the
-        tables with :meth:`~repro.db.engine.Database.rebuild`, and a
-        checkpoint met later replaces them with its image: either way a
-        row the old and the new state share stays readable throughout.  A
-        replay that fails drops the mirror to LSN 0, since its tables are
-        no longer a prefix of the log.
+        A ship is applied if and only if ``after`` is at most the applied
+        LSN, the records at or below which are skipped; one from further
+        on is a gap, refused, and the master re-feeds this mirror from the
+        answer.  ``after`` 0 is the whole log, which replaces the tables
+        with :meth:`~repro.db.engine.Database.rebuild`, and a checkpoint
+        met later replaces them with its image: either way a row the old
+        and the new state share stays readable throughout.  A replay that
+        fails drops the mirror to LSN 0, since its tables are no longer a
+        prefix of the log.
         """
+        if type(after) is not int or after < 0:
+            # An older master's ``reset`` flag: applied as an LSN, it would
+            # rebuild the tables from a suffix.
+            raise ValueError(f"mirror_ship: after must be an LSN, not {after!r}")
         db = self.lrc.conn.database
         with self._lock:
-            if reset:
+            if after > self.applied_lsn:
+                return self.applied_lsn
+            if not after:
                 self.applied_lsn = 0
                 self.resets += 1
             records = [r for r in decode_records(data) if r.lsn > self.applied_lsn]
-            if records and not (
-                records[0].op == OP_CHECKPOINT
-                or records[0].lsn == self.applied_lsn + 1
-            ):
-                return self.applied_lsn
             try:
-                if self.applied_lsn == 0 and (reset or records):
-                    db.rebuild(records)
-                else:
-                    db.apply_records(records)
+                (db.apply_records if after else db.rebuild)(records)
             except BaseException:
                 self.applied_lsn = 0
                 raise
@@ -314,7 +293,7 @@ class MirrorIngest:
             self.ships_applied += 1
             self.records_applied += len(records)
             self._applied_at = self.clock()
-        self._m_applied["reset" if reset else "log"].inc()
+        self._m_applied["log" if after else "reset"].inc()
         return self.applied_lsn
 
     #: An ingest is its own in-process :class:`MirrorSink`.

@@ -5,8 +5,9 @@ position, needs-full escalation, ``RetryPolicy`` backoff, health metrics
 and flight events — for LRC→RLI updates (:mod:`repro.core.updates`),
 master→mirror log shipping (:mod:`repro.cluster.mirror`) and RLI→parent
 forwarding (:mod:`repro.core.hierarchy`).  The first two read one change
-feed, the write-ahead log, and a target is owed what was logged after its
-position; the hierarchy's pushes are wholesale.  Owners supply the payload
+feed, the write-ahead log, each target through its own
+:class:`~repro.db.wal.LogReader`, and a target is owed what was logged
+after its position; the hierarchy's pushes are wholesale.  Owners supply the payload
 (a ``send()`` that raises on failure and returns the position the target
 then holds) and keep their schedule and payload statistics.
 """
@@ -28,24 +29,25 @@ class TargetDeliveryState:
     name: str
     healthy: bool = True
     consecutive_failures: int = 0
-    #: The log position the target holds: it is owed what was logged after.
-    acked: int = 0
     #: The next delivery must be a fresh full (a full failed, or the log no
-    #: longer holds what follows ``acked``).
+    #: longer holds what follows its position).
     needs_full: bool = False
     last_error: str | None = None
     #: Clock time before which the target is not redelivered to.
     next_retry_at: float = 0.0
     #: Redelivery attempts made for this target.
     retries: int = 0
+    #: Its reader of the log its feed reads (None: a feed with no log),
+    #: whose position the target holds: it is owed what was logged after.
+    reader: Any = None
 
-    def to_dict(self, last_lsn: int | None = None) -> dict:
-        """``backlog`` is the records logged after ``acked`` up to
-        ``last_lsn`` (0 for a feed with no log)."""
+    def to_dict(self) -> dict:
+        """``backlog`` is the records logged after the reader's position
+        (0 for a feed with no log)."""
         return {
             "healthy": self.healthy,
             "consecutive_failures": self.consecutive_failures,
-            "backlog": 0 if last_lsn is None else max(0, last_lsn - self.acked),
+            "backlog": 0 if self.reader is None else self.reader.backlog,
             "needs_full": self.needs_full,
             "last_error": self.last_error,
             "retries": self.retries,
@@ -61,8 +63,8 @@ class DeliveryEngine:
     their own ``<family>.errors{kind=}`` series (none: one unlabelled
     counter).  ``lock`` guards all target state; owners share it so a flush
     reads their log position and the targets' in one critical section.
-    ``log`` is the write-ahead log the targets' positions are in, set by a
-    feed that reads one: a target's backlog is the records it is behind.
+    ``reader`` (optional) opens the log reader each target gets when first
+    seen: a target's backlog is the records it is behind.
     """
 
     def __init__(
@@ -76,6 +78,7 @@ class DeliveryEngine:
         flight: Any = None,
         stats: Any = None,
         error_kinds: Sequence[str] = (),
+        reader: Callable[[], Any] | None = None,
     ) -> None:
         self.family = family
         self.event = event
@@ -87,7 +90,7 @@ class DeliveryEngine:
         self.lock = threading.RLock()
         #: name -> state; read and written under ``lock``.
         self.targets: dict[str, TargetDeliveryState] = {}
-        self.log: Any = None
+        self._reader = reader
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         counter = self.metrics.counter
         self._m_errors = {
@@ -106,7 +109,8 @@ class DeliveryEngine:
         with self.lock:
             state = self.targets.get(name)
             if state is None:
-                state = self.targets[name] = TargetDeliveryState(name=name)
+                reader = self._reader and self._reader()
+                state = self.targets[name] = TargetDeliveryState(name, reader=reader)
                 self.metrics.register_gauge_fn(
                     f"{self.family}.target_healthy",
                     lambda: 1.0 if state.healthy else 0.0,
@@ -123,9 +127,8 @@ class DeliveryEngine:
                 )
 
     def health(self) -> dict[str, dict]:
-        last = None if self.log is None else self.log.last_lsn
         with self.lock:
-            return {n: s.to_dict(last) for n, s in sorted(self.targets.items())}
+            return {n: s.to_dict() for n, s in sorted(self.targets.items())}
 
     def backlog(self) -> float:
         """Log records the targets are behind, summed."""
@@ -149,8 +152,11 @@ class DeliveryEngine:
         the log position the target then holds (None: it keeps its own).
         A full replaces the target's state wholesale, so one that fails
         leaves it owed a full; a failed delta leaves it where it was.
+        A target :meth:`forget` dropped is not pushed to, nor brought back.
         ``detail`` goes into the attempt's flight event."""
-        state = self.target(name)
+        state = self.targets.get(name)
+        if state is None:
+            return None
         self._record(
             f"{self.event}.attempt", f"{kind}->{name}", target=name, **detail
         )
@@ -161,7 +167,7 @@ class DeliveryEngine:
             return exc
         with self.lock:
             if acked is not None:
-                state.acked = acked
+                state.reader.position = acked
             if not delta:
                 state.needs_full = False
             self._succeeded(state)

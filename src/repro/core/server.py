@@ -408,7 +408,7 @@ class RLSServer:
             r(row.method, guarded(row.privilege, partial(row.produce, self)))
 
         # -- sharded cluster: mirror feed + topology --
-        r("mirror_ship", guarded(lrc_write, lambda master, reset, data: self._need_ingest().apply_log(master, reset, data)))
+        r("mirror_ship", guarded(lrc_write, lambda master, after, data: self._need_ingest().apply_log(master, after, data)))
         r("lrc_mirror_add", guarded(admin, lambda name: self._ensure_mirror_manager().add_mirror(name)))
         r("lrc_mirror_remove", guarded(admin, self._mirror_remove))
         r("lrc_mirror_list", guarded(lrc_read, self._mirror_list))

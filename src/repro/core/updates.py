@@ -13,10 +13,10 @@ Implements the four update flavours of §3.2–§3.5:
 * **Partitioning** (§3.5) — per-RLI regexes select the namespace subset an
   RLI receives.
 
-The changes are read off the catalog's write-ahead log, the feed a shard
-master's mirrors replay too: a ``t_lfn`` insert is a name gained, a delete
-a name lost, and the later record per name wins.  Nothing is added to the
-write path, and an LRC with no RLI target never reads its log.
+The changes are read off the catalog's write-ahead log as a shard master's
+mirrors read it: a ``t_lfn`` insert is a name gained, a delete a name lost,
+and the later record per name wins.  Nothing is added to the write path,
+and an LRC with no RLI target never reads its log.
 
 The manager is transport-agnostic: it resolves RLI names to
 :class:`UpdateSink` objects, which may write straight into an in-process
@@ -27,12 +27,11 @@ or record traffic for tests.
 :mod:`repro.core.delivery` and is shared with the mirror feed and the RLI
 hierarchy: each target keeps the log position it acknowledged, so one
 whose incremental push failed is sent what follows that position next time
-(newer records always win over older ones), one the log no longer holds
-that position for (one before ``WriteAheadLog.records_from``: after a
-``bulk_load``, say) is owed a full, a failed full/Bloom
-push marks the target unhealthy and due for a fresh full push, and
-:meth:`UpdateManager.tick` redelivers with the backoff of the policy's
-:class:`~repro.net.retry.RetryPolicy`.  Nothing is lost to a transient
+(newer records always win over older ones), one whose reader the log no
+longer holds records for (after a ``bulk_load``, say) is owed a full, a
+failed full/Bloom push marks the target unhealthy and due for a fresh full
+push, and :meth:`UpdateManager.tick` redelivers with the backoff of the
+policy's :class:`~repro.net.retry.RetryPolicy`.  Nothing is lost to a transient
 failure; the soft-state full refresh remains the backstop, not the only
 healer.
 """
@@ -52,7 +51,7 @@ from repro.core.errors import UpdateTargetError
 from repro.core.lrc import LocalReplicaCatalog, RLITarget
 from repro.core.partition import PartitionRouter
 from repro.core.rli import ReplicaLocationIndex
-from repro.db.wal import OP_INSERT, OP_UPDATE, decode_records
+from repro.db.wal import OP_INSERT, OP_UPDATE, LogReader, decode_records
 from repro.net.retry import RetryPolicy
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.periodic import Periodic
@@ -233,12 +232,6 @@ class UpdateStats:
     retries: int = 0
 
 
-def _fold(changes: list) -> dict[str, bool]:
-    """``(lsn, name, present)`` changes in log order as name → present,
-    the later record per name winning."""
-    return {name: present for _lsn, name, present in changes}
-
-
 class UpdateManager:
     """Reads catalog changes off the write-ahead log and pushes soft-state
     updates to RLIs."""
@@ -265,16 +258,17 @@ class UpdateManager:
         self.engine = DeliveryEngine(
             "updates", "update", self.policy.retry, clock, rng, registry,
             flight, self.stats, error_kinds=("full", "incremental", "bloom"),
+            reader=self.wal.reader,
         )
-        self.engine.log = self.wal
         self._lock = self.engine.lock
-        #: The log position read through; the counting filter is current
-        #: to it (or to ``_bloom_lsn`` if that is later).
-        self._tail = self.wal.last_lsn
+        #: The shared fold's reader (from the first read): its position is
+        #: the one read through, which the counting filter is current to
+        #: (or to ``_bloom_lsn`` if that is later).
+        self._reader: LogReader | None = None
         #: Where ``_pending`` starts: the position the targets share once
         #: a flush reached them all.
-        self._base = self._tail
-        #: The LFN presence changes logged in (``_base``, ``_tail``], the
+        self._base = self.wal.last_lsn
+        #: The LFN presence changes logged in (``_base``, the fold's], the
         #: later record per name winning.
         self._pending: dict[str, bool] = {}
         self._last_immediate_flush = clock()
@@ -309,75 +303,65 @@ class UpdateManager:
     # Reading the log
     # ------------------------------------------------------------------
 
-    def _changes_after(self, lsn: int) -> tuple[list, int] | None:
-        """The ``t_lfn`` inserts and deletes logged after ``lsn`` as
-        ``(lsn, name, present)`` in log order, and the LSN read through;
-        None when a checkpoint has dropped what follows ``lsn``."""
-        if lsn < self.wal.records_from:
-            return None
-        data, _count, last = self.wal.read_after(lsn, tailing=True)
-        if lsn < self.wal.records_from:
-            return None  # one landed while the log was read
+    def _changes(self, data: bytes) -> list:
+        """The ``t_lfn`` inserts and deletes in ``data`` as ``(lsn, name,
+        present)`` in log order."""
         return [
             (record.lsn, record.payload[self._name_at], record.op == OP_INSERT)
             for record in decode_records(data, "t_lfn")
             if record.op != OP_UPDATE
-        ], last
+        ]
 
-    def _read_log(self) -> None:
-        """Fold what was logged after the tail into the pending changes and
-        the counting filter, and register the new tail with the log, whose
-        next automatic checkpoint keeps what follows it.  A target whose
-        position the log no longer holds (a ``bulk_load``, or no read for
-        a whole checkpoint gap) is owed a full, and the filter is rebuilt
-        when next sent.  With nothing pending, every target at or past the
-        shared position is current.  Called under the lock, and only for a
-        target."""
-        if self.wal.last_lsn <= self._tail:
-            return
-        self.wal.flush()
-        while (read := self._changes_after(self._tail)) is None:
+    def _read_log(self) -> int:
+        """Fold what was logged after the fold's position into the pending
+        changes and the counting filter; returns the new position.  If the
+        log no longer holds what follows it (a ``bulk_load``, or no read
+        for a whole checkpoint gap), it holds it for no target: each is
+        owed a full, and the filter is rebuilt when next sent.  With
+        nothing pending, every target at or past the shared position is
+        current.  Called under the lock, and only for a target."""
+        if self._reader is None:
+            self._reader = self.wal.reader(self._base)
+        reader = self._reader
+        if self.wal.last_lsn <= reader.position:
+            return reader.position
+        while (read := reader.read()) is None:
             checkpoint = self.wal.checkpoint_lsn
             for tgt in self.lrc.rli_targets():
                 self.engine.target(tgt.name)
             for state in self.engine.targets.values():
-                if state.acked < checkpoint:
-                    state.needs_full = True
+                state.needs_full |= state.reader.position < checkpoint
             self._pending.clear()
             self._bloom = None
-            self._tail = self._base = checkpoint
-        changes, self._tail = read
-        self.wal.retain_after = self._tail
-        self._pending.update(_fold(changes))
+            reader.position = self._base = checkpoint
+        data, _count, reader.position = read
+        changes = self._changes(data)
+        self._pending.update((name, present) for _lsn, name, present in changes)
         if (bloom := self._bloom) is not None:
             for lsn, name, present in changes:
                 if lsn > self._bloom_lsn:
                     (bloom.add if present else bloom.remove)(name)
         if not self._pending:
             for state in self.engine.targets.values():
-                if state.acked >= self._base and not state.needs_full:
-                    state.acked = max(state.acked, self._tail)
-            self._base = self._tail
+                if state.reader.position >= self._base and not state.needs_full:
+                    state.reader.position = max(state.reader.position, reader.position)
+            self._base = reader.position
+        return reader.position
 
     def pending(self) -> dict[str, bool]:
         """The LFN presence changes not yet flushed (name → present, in
         first-change order), read off the log if an RLI is registered."""
         with self._lock:
-            if self.wal.last_lsn > self._tail and self.lrc.rli_targets():
+            if self.lrc.rli_targets():
                 self._read_log()
             return dict(self._pending)
-
-    def pending_changes(self) -> tuple[int, int]:
-        changes = self.pending()
-        added = sum(changes.values())
-        return added, len(changes) - added
 
     def target_health(self) -> dict[str, dict]:
         """Delivery health for every registered target (for admin stats)."""
         health = self.engine.health()
         for tgt in self.lrc.rli_targets():
-            unseen = TargetDeliveryState(tgt.name)
-            health.setdefault(tgt.name, unseen.to_dict(self.wal.last_lsn))
+            unseen = TargetDeliveryState(tgt.name, reader=LogReader(self.wal, 0))
+            health.setdefault(tgt.name, unseen.to_dict())
         return health
 
     # ------------------------------------------------------------------
@@ -441,8 +425,7 @@ class UpdateManager:
             return self._send_bloom(sink, tgt, router)
         if snapshot is None:
             with self._lock:
-                self._read_log()
-                position = self._tail
+                position = self._read_log()
             snapshot = position, self.lrc.all_lfns()
         position, names = snapshot
         names = router.filter_names(tgt, names)
@@ -459,7 +442,7 @@ class UpdateManager:
     ) -> int:
         start = time.perf_counter()
         with self._lock:
-            self._read_log()  # first: it drops a filter the log outran
+            position = self._read_log()  # first: it drops a filter the log outran
             bloom = self._bloom
             if bloom is None or self._bloom_overflowed(bloom):
                 # First send, the log outran the filter, or the catalog
@@ -468,7 +451,6 @@ class UpdateManager:
                 self.rebuild_bloom()
                 bloom = self._bloom
                 assert bloom is not None
-            position = self._tail
             snapshot = None if target.patterns else bloom.snapshot()
         if snapshot is None:
             # Partitioned Bloom update: build a one-shot filter over the
@@ -499,17 +481,19 @@ class UpdateManager:
         self._m_bloom_send.observe(elapsed)
         return position
 
-    def _owed(self, acked: int) -> tuple[dict[str, bool], int] | None:
-        """What a target at ``acked`` is owed: the changes logged after it,
-        folded, and the LSN they run to; None if the log no longer holds
-        them."""
+    def _owed(self, state: TargetDeliveryState) -> tuple[dict[str, bool], int] | None:
+        """What a relational target is owed: the changes logged after its
+        position, folded, and the LSN they run to — the shared fold at the
+        shared position, else its own reader's; None if the log no longer
+        holds them."""
         with self._lock:
-            self._read_log()
-            if acked == self._base:
-                return dict(self._pending), self._tail
-            if (after := self._changes_after(acked)) is None:
+            tail = self._read_log()
+            if state.reader.position == self._base:
+                return dict(self._pending), tail
+            if (read := state.reader.read()) is None:
                 return None
-            return _fold(after[0]), after[1]
+            data, _count, last = read
+            return {name: present for _lsn, name, present in self._changes(data)}, last
 
     def _push_changes(
         self,
@@ -533,7 +517,7 @@ class UpdateManager:
         )
         if not added and not removed and state.healthy:
             with self._lock:
-                state.acked = max(state.acked, upto)
+                state.reader.position = max(state.reader.position, upto)
             return
 
         def send() -> int:
@@ -570,8 +554,9 @@ class UpdateManager:
         start = time.perf_counter()
         router = PartitionRouter(targets)
         with self._lock:
-            self._read_log()
-            position = self._tail
+            position = self._read_log()
+            for tgt in targets:
+                self.engine.target(tgt.name)
             if target is None:
                 # The full subsumes the pending changes; a target it misses
                 # is owed a full.
@@ -626,10 +611,11 @@ class UpdateManager:
     def send_incremental_update(self) -> int:
         """Flush the logged adds/removes to all non-Bloom targets (§3.3).
 
-        Each target is sent what was logged after its own position; the
-        targets at the shared position share one fold.  Bloom targets
-        receive a fresh filter snapshot instead, since their RLI state is
-        replaced wholesale.  Returns the name changes flushed.
+        Each target is sent what was logged after its own position: the
+        shared fold at the shared position, which saves each target there a
+        decode, else what its own reader reads.  Bloom targets receive a
+        fresh filter snapshot instead, since their RLI state is replaced
+        wholesale.  Returns the name changes flushed.
 
         A sink failure does **not** raise and does **not** lose changes:
         the target keeps its position, and ``tick()`` sends it what follows
@@ -642,17 +628,19 @@ class UpdateManager:
         with self._lock:
             self._read_log()
             states = [self.engine.target(tgt.name) for tgt in targets]
+            # A target owed a full, or inside its backoff, is left to its
+            # redelivery: a dead one's log is read once per backoff.
+            now = self.clock()
             owing = [
-                None if tgt.bloom else self._owed(state.acked)
+                (tgt, None if tgt.bloom else self._owed(state))
                 for tgt, state in zip(targets, states)
+                if not state.needs_full and now >= state.next_retry_at
             ]
             changed = len(self._pending)
-            self._pending, self._base = {}, self._tail
+            self._pending, self._base = {}, self._reader.position
             self._last_immediate_flush = self.clock()
         router = PartitionRouter(targets)
-        for tgt, state, owed in zip(targets, states, owing):
-            if state.needs_full:
-                continue  # its redelivery sends the full it is owed
+        for tgt, owed in owing:
             if not tgt.bloom:
                 self._push_changes(tgt, router, owed)
             elif changed:
@@ -704,7 +692,7 @@ class UpdateManager:
                     state,
                     partial(self._send_full, tgt, router),
                     None if tgt.bloom else lambda tgt=tgt, state=state: (
-                        self._push_changes(tgt, router, self._owed(state.acked))
+                        self._push_changes(tgt, router, self._owed(state))
                     ),
                     "bloom" if tgt.bloom else "full",
                 )

@@ -31,13 +31,12 @@ position in the log like any record.  Read back, the log is that image as
 records — one ``OP_CHECKPOINT``, then one INSERT per row, all at its LSN —
 followed by every record synced since, which is what
 :meth:`repro.db.engine.Database.apply_records` replays: in crash recovery
-and on a shard master's mirrors, which are shipped
-:meth:`WriteAheadLog.read_after` their position.  The LRC→RLI feed reads
-the same records after its own position, which it registers as
-:attr:`WriteAheadLog.retain_after`: a checkpoint a statement triggers keeps
-the records after it, so a feed that reads every tick never loses one.  A
-position before :attr:`WriteAheadLog.records_from` can only be given the
-image.
+and on a shard master's mirrors.  Each mirror and LRC→RLI target reads
+the records after its own position through a :class:`LogReader`, and a
+checkpoint a statement triggers keeps the records after the lowest
+registered position, so a reader that keeps up never loses one.  A reader
+the log no longer holds records for is told so: a mirror is then shipped
+:meth:`WriteAheadLog.read_all`, an RLI target a full.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ import os
 import struct
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -387,14 +387,11 @@ class WriteAheadLog:
         self._checkpoint_in = CHECKPOINT_MIN_RECORDS
         #: The LSN of the last checkpoint (0: none yet).
         self.checkpoint_lsn = 0
-        #: A tailing reader's position (None: none registered).  An
-        #: automatic checkpoint keeps the records after it, as ``_kept``:
-        #: (that position, the records up to the checkpoint).
-        self.retain_after: int | None = None
+        self._readers: weakref.WeakSet[LogReader] = weakref.WeakSet()
+        #: What a checkpoint a statement triggered kept: (the lowest
+        #: position it serves, the device's bytes up to the checkpoint from
+        #: at most there); None after another.
         self._kept: tuple[int, bytes] | None = None
-        #: LSN -> where a read ended in the device's records since the
-        #: checkpoint: the next read from that LSN steps on from there.
-        self._read_ends: dict[int, int] = {}
 
     def attach(self, write_latch: Any, image: Callable[[], Image]) -> None:
         """Let this log checkpoint the database that owns it.
@@ -504,22 +501,30 @@ class WriteAheadLog:
         ``self._lock``, so no table write is waiting for its append and
         the image is exactly the state at the last LSN.  The checkpoint
         takes the next LSN: a reader at the last one has not seen a write
-        that bypassed the log (``bulk_load``) and must be shipped the
-        image.  ``keep``: every write since the last checkpoint was
-        logged (a statement triggered this one), so the records after
-        ``retain_after`` stand for the image from there and are kept.
-        Appends no record and charges no request: what it costs is one
-        sync."""
+        that bypassed the log (``bulk_load``) and is owed the image.
+        ``keep``: every write since the last checkpoint was logged (a
+        statement triggered this one), so the records after the lowest
+        registered reader stand for the image from there and are kept:
+        the device's bytes from where a reader's last read ended, copied
+        but not stepped over (a reader does that, outside the latch).
+        None are kept for a reader before the last checkpoint (whose LSN,
+        if a statement triggered it too, carries no record): it is owed
+        the image anyway.  Appends no record and charges no request: what
+        it costs is one sync and, with a reader behind, one copy."""
         image = self._image()
         self._sync_device()
-        after, self._kept = self.retain_after, None
-        if keep and after is not None and after >= self.checkpoint_lsn:
-            data = self.device.durable(self._read_ends.get(after, 0))[1]
-            self._kept = after, records_between(data, after, self._durable_lsn)[0]
+        last, since, kept = self._durable_lsn, self.checkpoint_lsn, None
+        if keep:
+            floor = since - (self._kept is not None)
+            held = [r.position for r in self._readers if r.position >= floor]
+            after = min(held, default=last)
+            ends = [r._end for r in self._readers if r._end[0] == since]
+            start = max((end for _since, lsn, end in ends if lsn <= after), default=0)
+            kept = after, self.device.durable(start)[1] if after < last else b""
+        self._kept = kept
         self._next_lsn += 1
         self._durable_lsn = self.checkpoint_lsn = self._next_lsn - 1
         self.device.checkpoint(self._durable_lsn, image)
-        self._read_ends.clear()
         self._checkpoint_in = max(
             CHECKPOINT_MIN_RECORDS, sum(len(rows) for _table, rows in image)
         )
@@ -537,50 +542,64 @@ class WriteAheadLog:
         """The LSN of the last record logged (synced or not) or checkpoint."""
         return self._next_lsn - 1
 
-    @property
-    def records_from(self) -> int:
-        """The earliest position ``read_after(lsn, tailing=True)`` serves
-        as records, not as the image: the last checkpoint's, or the kept
-        records' start."""
-        kept = self._kept
-        return self.checkpoint_lsn if kept is None else kept[0]
-
-    def read_after(self, lsn: int, tailing: bool = False) -> tuple[bytes, int, int]:
-        """The durable records after ``lsn`` as bytes, how many, and the
-        last durable LSN.
-
-        From before the last checkpoint that is the whole log — the
-        checkpoint record, its image, the suffix — whose image replaces a
-        reader's tables; from at or after it, the suffix past ``lsn``,
-        copied from where a read that ended at ``lsn`` stopped.  A
-        ``tailing`` reader (the RLI feed, which takes the returned LSN as
-        its position) is served the kept records past ``lsn`` and the
-        suffix from as far back as :attr:`records_from`.  The device is
-        copied under the lock; the image is rendered and the records are
-        stepped over outside it.
-        """
+    def reader(self, lsn: int = 0) -> "LogReader":
+        """A reader at ``lsn``, registered with the checkpoints for as long
+        as it lives."""
+        reader = LogReader(self, lsn)
         with self._lock:
-            last, since, kept = self._durable_lsn, self.checkpoint_lsn, self._kept
-            prefix, before = b"", 0
-            if tailing and kept is not None and kept[0] <= lsn < since:
-                prefix, before, _end = records_between(kept[1], lsn, since)
-                lsn = since
-            start = self._read_ends.get(lsn, 0)
-            checkpoint, data = self.device.durable(start)
-        image = b""
-        if checkpoint is not None and lsn < checkpoint[0]:
-            image = encode_checkpoint(*checkpoint)
-        records, count, end = records_between(image + data, lsn, last)
+            self._readers.add(reader)
+        return reader
+
+    def read_all(self) -> tuple[bytes, int, int]:
+        """The whole durable log, its checkpoint rendered, how many records
+        it holds and its last LSN (flushed first, copied under the lock)."""
+        self.flush()
         with self._lock:
-            if since == self.checkpoint_lsn:
-                if len(self._read_ends) >= 16:
-                    del self._read_ends[next(iter(self._read_ends))]
-                self._read_ends[last] = start + end - len(image)
-        return prefix + records, before + count, last
+            last, (checkpoint, data) = self._durable_lsn, self.device.durable()
+        data = data if checkpoint is None else encode_checkpoint(*checkpoint) + data
+        return data, records_between(data, 0, last)[1], last
 
     def records(self) -> list[WALRecord]:
         """Decode every durable record (crash-recovery view)."""
         return list(decode_records(self.device.read_all()))
+
+
+class LogReader:
+    """A position in a :class:`WriteAheadLog` — a mirror's or an RLI
+    target's acknowledged LSN, a feed's read-through one — set by its
+    owner, and the byte offset where its last read ended."""
+
+    def __init__(self, log: WriteAheadLog, position: int) -> None:
+        self.log, self.position = log, position
+        #: (checkpoint LSN, last LSN, byte offset after it) of the last read.
+        self._end = (-1, 0, 0)
+
+    @property
+    def backlog(self) -> int:
+        """The records logged after the position (a checkpoint's LSN
+        carries none)."""
+        log = self.log
+        return max(0, log.last_lsn - self.position - (self.position < log.checkpoint_lsn))
+
+    def read(self) -> tuple[bytes, int, int] | None:
+        """The durable records after the position, how many, and the last
+        durable LSN; None if the log no longer holds them.  Flushes only
+        when a record is buffered; copies the device under the log's lock,
+        from where the last read ended if the position is there."""
+        log = self.log
+        log.flush()
+        with log._lock:
+            last, since, kept = log._durable_lsn, log.checkpoint_lsn, log._kept
+            lsn = self.position
+            if lsn < since and (kept is None or lsn < kept[0]):
+                return None
+            after = max(lsn, since)
+            start = self._end[2] if self._end[:2] == (since, after) else 0
+            data = log.device.durable(start)[1]
+        prefix, before = records_between(kept[1], lsn, since)[:2] if lsn < since else (b"", 0)
+        records, count, end = records_between(data, after, last)
+        self._end = (since, last, start + end)
+        return prefix + records, before + count, last
 
 
 class _WALTransaction:

@@ -176,16 +176,16 @@ class FlakySink(_FlakyPush):
 class FlakyMirrorSink(_FlakyPush):
     """The :class:`~repro.cluster.mirror.MirrorSink` face of
     :class:`FlakySink`: delivered ships land in ``ships`` as (master,
-    reset, data, applied LSN)."""
+    after, data, applied LSN)."""
 
     def __init__(self, inner, schedule, fail_after: bool = False) -> None:
         super().__init__(inner, schedule, fail_after)
         self.ships: list[tuple] = []
 
-    def ship(self, master, reset, data) -> int:
+    def ship(self, master, after, data) -> int:
         with self._slot("ship"):
-            applied = self.inner.ship(master, reset, data)
-            self.ships.append((master, reset, data, applied))
+            applied = self.inner.ship(master, after, data)
+            self.ships.append((master, after, data, applied))
         return applied
 
 

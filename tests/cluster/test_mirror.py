@@ -30,12 +30,12 @@ class FlakySink:
         self.ships = 0
         self.resets = 0
 
-    def ship(self, master, reset, data):
+    def ship(self, master, after, data):
         if self.fail:
             raise ConnectionError("mirror down")
         self.ships += 1
-        self.resets += reset
-        return self.ingest.apply_log(master, reset, data)
+        self.resets += not after
+        return self.ingest.apply_log(master, after, data)
 
 
 ENGINES = {
@@ -51,10 +51,12 @@ def make_lrc(name: str, flavour: str = "mysql") -> LocalReplicaCatalog:
 
 
 def log_after(lrc: LocalReplicaCatalog, lsn: int = 0) -> bytes:
-    """What a ship from ``lsn`` carries: ``lrc``'s durable records after it."""
+    """What a ship from ``lsn`` carries: ``lrc``'s durable records after
+    it, the whole log from 0."""
     wal = lrc.conn.database.wal
-    wal.flush()
-    return wal.read_after(lsn)[0]
+    if not lsn:
+        return wal.read_all()[0]
+    return wal.reader(lsn).read()[0]
 
 
 def catalog(lrc: LocalReplicaCatalog) -> set:
@@ -93,13 +95,14 @@ class TestDelivery:
         manager, ingest, sink, clock = pair
         manager.sync()
         manager.lrc.create_mapping("b", "pfn://b")
-        assert manager.lags() == {"mirror": 3}  # t_lfn, t_pfn, t_map
+        # t_lfn, t_pfn, t_map
+        assert manager.target_health()["mirror"]["backlog"] == 3
         manager.tick()  # interval not yet elapsed
         assert ingest.lrc.exists("b") is False
         clock.now = 6.0
         manager.tick()
         assert ingest.lrc.get_mappings("b") == ["pfn://b"]
-        assert manager.lags() == {"mirror": 0}
+        assert manager.target_health()["mirror"]["backlog"] == 0
 
     def test_count_threshold_flushes_early(self, pair):
         manager, ingest, sink, clock = pair
@@ -122,7 +125,7 @@ class TestDelivery:
         master = make_lrc("lonely")
         manager = MirrorManager(master, sink_resolver=lambda n: None)
         master.create_mapping("x", "pfn://x")
-        assert manager.lags() == {}
+        assert manager.target_health() == {}
         assert manager.tick() == []
 
     def test_bulk_load_reaches_mirror(self, pair):
@@ -173,7 +176,7 @@ class TestReplication:
         clock.now += 1.0
         manager.tick()
         assert catalog(sink.ingest.lrc) == catalog(manager.lrc)
-        assert manager.lags() == {"mirror": 0}
+        assert manager.target_health()["mirror"]["backlog"] == 0
 
     def test_every_ship_crosses_checkpoints_to_the_live_tables(
         self, pair, monkeypatch
@@ -191,6 +194,45 @@ class TestReplication:
                 master.delete_mapping(f"c{i}", f"pfn://c{i}")
             manager.sync()
             assert catalog(mirror) == catalog(master)
+        assert mirror.verify_integrity() == []
+
+    def test_a_mirror_one_record_behind_a_checkpoint_is_shipped_records(
+        self, monkeypatch
+    ):
+        """A checkpoint's LSN carries no record: a mirror that applied the
+        record before an automatic checkpoint is shipped the records after
+        it, never the image again, and converges."""
+        from repro.db import wal as wal_module
+
+        monkeypatch.setattr(wal_module, "CHECKPOINT_MIN_RECORDS", 8)
+        master, mirror = make_lrc("ob-master"), make_lrc("ob-mirror")
+        ingest = MirrorIngest(mirror, master="ob-master")
+        manager = MirrorManager(master, sink_resolver=lambda name: ingest)
+        manager.add_mirror("ob-mirror")
+        master.create_mapping("first", "pfn://first")
+        manager.sync()
+        wal = master.conn.database.wal
+        log_many, behind = wal.log_many, []
+
+        def shipped(op, table, payloads):
+            """Each statement, then a ship: some end with a checkpoint."""
+            lsn = log_many(op, table, payloads)
+            manager.sync()
+            if ingest.applied_lsn == wal.checkpoint_lsn - 1 == wal.last_lsn - 1:
+                behind.append(wal.checkpoint_lsn)
+            return lsn
+
+        wal.log_many = shipped
+        for i in range(20):
+            master.create_mapping(f"c{i}", f"pfn://c{i}")
+            if i % 3 == 0:
+                master.delete_mapping(f"c{i}", f"pfn://c{i}")
+        wal.log_many = log_many
+        manager.sync()
+        assert len(behind) >= 2
+        assert catalog(mirror) == catalog(master)
+        assert manager.stats.resets == ingest.resets == 1
+        assert manager.target_health()["ob-mirror"]["backlog"] == 0
         assert mirror.verify_integrity() == []
 
 
@@ -305,9 +347,9 @@ class TestConcurrentShips:
         ingest = MirrorIngest(make_lrc("race-mirror"), master="race-master")
 
         class SlowSink:
-            def ship(self, master_name, reset, data):
+            def ship(self, master_name, after, data):
                 time.sleep(0.05)  # both senders are in flight at once
-                return ingest.apply_log(master_name, reset, data)
+                return ingest.apply_log(master_name, after, data)
 
         manager = MirrorManager(master, sink_resolver=lambda name: SlowSink())
         manager.add_mirror("race-mirror")
@@ -326,6 +368,37 @@ class TestConcurrentShips:
         assert not any(thread.is_alive() for thread in threads)
         assert ingest.resets == 1 and ingest.ships_applied == 2
         assert catalog(ingest.lrc) == catalog(master)
+
+    def test_a_mirror_removed_during_a_tick_is_not_shipped_again(self):
+        """A tick picks its mirrors, then ships one by one: one removed
+        while another is shipped is neither shipped nor brought back."""
+        master = make_lrc("rm-master")
+        ingests = {
+            name: MirrorIngest(make_lrc(name), master="rm-master")
+            for name in ("rm-a", "rm-b")
+        }
+        shipped = []
+
+        class RemovingSink:
+            def __init__(self, name):
+                self.name = name
+
+            def ship(self, master_name, after, data):
+                shipped.append(self.name)
+                manager.remove_mirror("rm-a")
+                manager.remove_mirror("rm-b")
+                return ingests[self.name].apply_log(master_name, after, data)
+
+        manager = MirrorManager(master, sink_resolver=RemovingSink)
+        manager.add_mirror("rm-a")
+        manager.add_mirror("rm-b")
+        master.create_mapping("x", "pfn://x")
+        manager.tick()
+        assert len(shipped) == 1
+        assert manager.mirrors() == [] and manager.target_health() == {}
+        manager.sync()
+        manager.tick()
+        assert len(shipped) == 1 and manager.mirrors() == []
 
 
 class TestRetry:
@@ -397,32 +470,33 @@ class TestIdempotence:
     def test_incremental_redelivery_is_idempotent(self, pair):
         manager, ingest, sink, clock = pair
         manager.lrc.create_mapping("x", "pfn://x")
-        data = log_after(manager.lrc)
-        applied = ingest.apply_log("master", False, data)
+        applied = ingest.apply_log("master", 0, log_after(manager.lrc))
         assert applied == 3
-        # A lost acknowledgement: the same ship again is skipped, no error.
-        assert ingest.apply_log("master", False, data) == 3
+        # A lost acknowledgement: a ship the mirror holds is skipped, no error.
+        data = log_after(manager.lrc, 1)
+        assert ingest.apply_log("master", 1, data) == 3
+        assert ingest.apply_log("master", 1, data) == 3
         assert ingest.lrc.get_mappings("x") == ["pfn://x"]
         # A ship overlapping what was applied lands its new part at once.
         manager.lrc.create_mapping("x2", "pfn://x2")
-        assert ingest.apply_log("master", False, log_after(manager.lrc)) == 6
+        assert ingest.apply_log("master", 1, log_after(manager.lrc, 1)) == 6
         assert catalog(ingest.lrc) == {("x", "pfn://x"), ("x2", "pfn://x2")}
 
     def test_remove_redelivery_is_idempotent(self, pair):
         manager, ingest, sink, clock = pair
         manager.lrc.create_mapping("y", "pfn://y")
-        applied = ingest.apply_log("master", False, log_after(manager.lrc))
+        applied = ingest.apply_log("master", 0, log_after(manager.lrc))
         manager.lrc.delete_mapping("y", "pfn://y")
         removal = log_after(manager.lrc, applied)
-        last = ingest.apply_log("master", False, removal)
+        last = ingest.apply_log("master", applied, removal)
         assert last > applied and not ingest.lrc.exists("y")
-        assert ingest.apply_log("master", False, removal) == last
+        assert ingest.apply_log("master", applied, removal) == last
 
     def test_full_sync_converges_and_prunes(self, pair):
         manager, ingest, sink, clock = pair
         ingest.lrc.create_mapping("stale", "pfn://stale")
         manager.lrc.create_mapping("keep", "pfn://keep")
-        ingest.apply_log("master", True, log_after(manager.lrc))
+        ingest.apply_log("master", 0, log_after(manager.lrc))
         assert ingest.lrc.exists("keep")
         assert not ingest.lrc.exists("stale")
 
@@ -430,15 +504,29 @@ class TestIdempotence:
         manager, ingest, sink, clock = pair
         manager.lrc.create_mapping("m", "pfn://1")
         manager.lrc.add_mapping("m", "pfn://2")
-        ingest.apply_log("master", False, log_after(manager.lrc))
+        ingest.apply_log("master", 0, log_after(manager.lrc))
         assert sorted(ingest.lrc.get_mappings("m")) == ["pfn://1", "pfn://2"]
 
     def test_a_gap_is_refused_and_answered_with_the_applied_lsn(self, pair):
         manager, ingest, sink, clock = pair
         manager.lrc.create_mapping("g1", "pfn://g1")
         manager.lrc.create_mapping("g2", "pfn://g2")
-        assert ingest.apply_log("master", False, log_after(manager.lrc, 3)) == 0
+        assert ingest.apply_log("master", 3, log_after(manager.lrc, 3)) == 0
         assert catalog(ingest.lrc) == set()
+
+    @pytest.mark.parametrize("after", [False, True, -1, 2.0])
+    def test_a_ship_whose_after_is_not_an_lsn_is_refused(self, pair, after):
+        """An older master's ``reset`` flag is refused, not read as an LSN:
+        ``False`` would rebuild the tables from a suffix."""
+        manager, ingest, sink, clock = pair
+        manager.lrc.create_mapping("k1", "pfn://k1")
+        manager.sync()
+        applied, before = ingest.applied_lsn, catalog(ingest.lrc)
+        manager.lrc.create_mapping("k2", "pfn://k2")
+        with pytest.raises(ValueError):
+            ingest.apply_log("master", after, log_after(manager.lrc, applied))
+        assert ingest.applied_lsn == applied
+        assert catalog(ingest.lrc) == before == {("k1", "pfn://k1")}
 
 
 class TestStaleness:
@@ -446,10 +534,10 @@ class TestStaleness:
         manager, ingest, sink, clock = pair
         assert ingest.staleness_age() == 0.0  # nothing delivered yet
         manager.lrc.create_mapping("s", "pfn://s")
-        ingest.apply_log("master", False, log_after(manager.lrc))
+        ingest.apply_log("master", 0, log_after(manager.lrc))
         clock.now = 42.0
         assert ingest.staleness_age() == pytest.approx(42.0)
-        ingest.apply_log("master", True, log_after(manager.lrc))
+        ingest.apply_log("master", 3, log_after(manager.lrc, 3))
         assert ingest.staleness_age() == pytest.approx(0.0)
 
     def test_staleness_gauge_exported_with_shard_label(self):
@@ -461,7 +549,7 @@ class TestStaleness:
             mirror, master="shard-a", metrics=registry, clock=clock
         )
         master.create_mapping("g", "pfn://g")
-        ingest.apply_log("shard-a", False, log_after(master))
+        ingest.apply_log("shard-a", 0, log_after(master))
         clock.now = 17.0
         gauges = registry.snapshot().gauges
         assert gauges["mirror.staleness_age{shard=shard-a}"] == pytest.approx(

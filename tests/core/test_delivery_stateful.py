@@ -125,8 +125,8 @@ class CheckedMirrorSink:
     def __init__(self, machine: "DeliveryMachine") -> None:
         self.machine = machine
 
-    def ship(self, master, reset, data) -> int:
-        applied = self.machine.ingest.apply_log(master, reset, data)
+    def ship(self, master, after, data) -> int:
+        applied = self.machine.ingest.apply_log(master, after, data)
         # A ship ends at the master's last durable record: a mirror that
         # took it holds the master's current state, one that refused it
         # (a gap after a silent restart) holds what it held.
@@ -322,8 +322,7 @@ class DeliveryMachine(RuleBasedStateMachine):
                     "needs_full": False, "last_error": None,
                     "retries": health["retries"],
                 }, (name, health)  # rendered now: teardown heals it later
-        assert self.updates.pending_changes() == (0, 0)
-        assert self.mirrors.lags() == {"mirror": 0}
+        assert self.updates.pending() == {}
         assert set(self.ingest.lrc.query_wildcard("*")) == self.pairs()
 
     @rule()
@@ -375,7 +374,8 @@ class DeliveryMachine(RuleBasedStateMachine):
     def delivery_state_is_consistent(self) -> None:
         for engine in (self.updates.engine, self.mirrors.engine, self.hierarchy.engine):
             for state in engine.targets.values():
-                assert 0 <= state.acked <= self.master.conn.database.wal.last_lsn
+                acked = 0 if state.reader is None else state.reader.position
+                assert 0 <= acked <= self.master.conn.database.wal.last_lsn
                 assert state.healthy == (state.consecutive_failures == 0)
                 assert state.healthy == (state.last_error is None)
 

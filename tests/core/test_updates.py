@@ -84,9 +84,9 @@ class TestFullUpdates:
         lrc, manager, sinks, _ = setup
         lrc.add_rli("rli1")
         lrc.create_mapping("x", "p")
-        assert manager.pending_changes() == (1, 0)
+        assert manager.pending() == {"x": True}
         manager.send_full_update()
-        assert manager.pending_changes() == (0, 0)
+        assert manager.pending() == {}
 
     def test_change_during_a_full_reaches_the_rli(self, setup):
         """A name created while a full is in flight, after its snapshot
@@ -227,14 +227,14 @@ class TestBloomUpdates:
         try:
             for _ in range(30):
                 manager.rebuild_bloom()
-                manager.pending_changes()  # the log maintains the filter
+                manager.pending()  # the log maintains the filter
                 time.sleep(0.001)  # let the writer run between rebuilds
         finally:
             stop.set()
             thread.join(timeout=30)
             sys.setswitchinterval(interval)
         assert not thread.is_alive()
-        manager.pending_changes()
+        manager.pending()
         names = lrc.all_lfns()
         assert all(name in manager.bloom for name in names)
         fresh = CountingBloomFilter(manager.bloom.params)
@@ -248,10 +248,10 @@ class TestTheLogFeed:
         writes, flushes and ticks never read its log."""
         lrc, manager, _, clock = setup
 
-        def refuse(self, lsn, tailing=False):
-            raise AssertionError("read_after called without an RLI target")
+        def refuse(self, lsn=0):
+            raise AssertionError("log reader opened without an RLI target")
 
-        monkeypatch.setattr(wal_module.WriteAheadLog, "read_after", refuse)
+        monkeypatch.setattr(wal_module.WriteAheadLog, "reader", refuse)
         lrc.bulk_load([(f"l{i}", f"p{i}") for i in range(100)])
         assert manager.send_incremental_update() == 0
         lrc.create_mapping("x", "p")
@@ -259,7 +259,26 @@ class TestTheLogFeed:
         for _ in range(3):
             clock.now += 31.0
             assert manager.tick() == []
-        assert manager.pending_changes() == (0, 0)
+        assert manager.pending() == {}
+
+    def test_the_health_of_an_unseen_target_opens_no_reader(
+        self, setup, monkeypatch
+    ):
+        """An admin read reports a target nothing was pushed to yet as
+        behind the whole log, and registers no reader for checkpoints to
+        keep records for."""
+        lrc, manager, _, _ = setup
+        lrc.create_mapping("x", "p")
+        lrc.add_rli("rel")
+
+        def refuse(self, lsn=0):
+            raise AssertionError("log reader opened by a health read")
+
+        monkeypatch.setattr(wal_module.WriteAheadLog, "reader", refuse)
+        health = manager.target_health()["rel"]
+        assert health["healthy"] and not health["needs_full"]
+        assert health["backlog"] == lrc.conn.database.wal.last_lsn > 0
+        assert manager.engine.targets == {}
 
     def test_a_target_behind_a_checkpoint_is_sent_a_full(self, setup):
         """A position the log no longer holds is owed a full (it is
@@ -352,6 +371,77 @@ class TestTheLogFeed:
         fresh.add_batch(live)
         assert np.array_equal(built.counts, fresh.counts)
 
+    def test_a_failed_incremental_push_is_retried_across_a_checkpoint(
+        self, monkeypatch
+    ):
+        """A relational target whose incremental push failed reads the log
+        through its own reader, whose records the automatic checkpoints
+        keep: its retry is one incremental update of exactly the names it
+        is owed, not a full."""
+        monkeypatch.setattr(wal_module, "CHECKPOINT_MIN_RECORDS", 8)
+        engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0)
+        lrc = LocalReplicaCatalog(Connection(engine, "lrc"), name="lrcA")
+        lrc.init_schema()
+        lrc.bulk_create([(f"seed{i}", "p") for i in range(4)])
+
+        class FailsOnce(RecordingSink):
+            failed = False
+
+            def incremental_update(self, *args):
+                if not self.failed:
+                    self.failed = True
+                    raise ConnectionError("rli down")
+                super().incremental_update(*args)
+
+        sink = FailsOnce()
+        clock = FakeClock()
+        manager = UpdateManager(lrc, lambda name: sink, clock=clock)
+        lrc.add_rli("rel")
+        manager.send_full_update()
+        lrc.create_mapping("a", "p")
+        lrc.delete_mapping("seed0", "p")
+        assert manager.send_incremental_update() == 2  # fails
+        checkpoint, created = engine.wal.checkpoint_lsn, []
+        while engine.wal.checkpoint_lsn == checkpoint:  # until an automatic one
+            created.append(f"b{len(created)}")
+            lrc.create_mapping(created[-1], "p")
+        lrc.delete_mapping("a", "p")
+        clock.now += 200.0  # past the backoff, short of the full interval
+        manager.tick()
+        assert sink.incremental == [("lrcA", sorted(created), ["a", "seed0"])]
+        assert manager.stats.full_updates == 1  # the first
+        assert manager.target_health()["rel"]["backlog"] == 0
+
+    def test_a_flush_leaves_a_target_inside_its_backoff_alone(self, setup):
+        """A flush neither pushes to nor reads for a target whose push
+        failed until its backoff ends: a dead target's backlog is read
+        once per backoff, not once per tick.  The retry then sends it
+        everything it is owed."""
+        lrc, manager, sinks, clock = setup
+        lrc.add_rli("rel")
+        lrc.add_rli("down")
+        manager.send_full_update()
+
+        def refuse(*args):
+            raise ConnectionError("rli down")
+
+        sinks["down"].incremental_update = refuse
+        lrc.create_mapping("a", "p")
+        assert manager.send_incremental_update() == 1
+        down = manager.engine.targets["down"]
+        assert not down.healthy and clock() < down.next_retry_at
+        reads = []
+        read = type(down.reader).read
+        down.reader.read = lambda: reads.append(1) or read(down.reader)
+        lrc.create_mapping("b", "p")
+        assert manager.send_incremental_update() == 1
+        assert reads == [] and len(sinks["rel"].incremental) == 2
+        del sinks["down"].incremental_update
+        clock.now = down.next_retry_at
+        assert manager.tick() == ["retry:down"]
+        assert reads == [1]
+        assert sinks["down"].incremental == [("lrcA", ["a", "b"], [])]
+
     def test_reading_a_synced_log_does_not_sync_it(self, setup):
         lrc, manager, _, _ = setup
         lrc.add_rli("rel")
@@ -359,7 +449,7 @@ class TestTheLogFeed:
         wal = lrc.conn.database.wal
         wal.flush()
         syncs = wal.device.sync_count
-        assert manager.pending_changes() == (1, 0)
+        assert manager.pending() == {"a": True}
         assert wal.device.sync_count == syncs
 
 

@@ -219,11 +219,11 @@ def test_a_file_log_is_swapped_for_its_checkpoint(floor, tmp_path):
 def test_a_registered_reader_keeps_its_records_across_a_checkpoint(
     floor, tmp_path, file_log
 ):
-    """An automatic checkpoint keeps the records after ``retain_after``,
-    and a tailing ``read_after`` serves them with the suffix instead of the
-    image, so a reader there replays to the live tables (a mirror's read is
-    still the image).  An explicit checkpoint
-    (``bulk_load``'s, whose rows bypassed the log) keeps none."""
+    """An automatic checkpoint keeps the records after a registered
+    ``LogReader``'s position, and the reader is served them with the
+    suffix instead of the image, so a replica there replays to the live
+    tables.  An explicit checkpoint (``bulk_load``'s, whose rows bypassed
+    the log) keeps none, and the reader is told so."""
     floor(8)
     device = FileLogDevice(str(tmp_path / "wal")) if file_log else None
     engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0, device=device)
@@ -234,27 +234,24 @@ def test_a_registered_reader_keeps_its_records_across_a_checkpoint(
     try:
         for i in range(3):
             engine.execute(insert, [f"n{i}", i])
-        engine.wal.flush()
-        data, _count, reader = engine.wal.read_after(0)
+        reader = engine.wal.reader()
+        data, _count, reader.position = reader.read()
         replica.apply_records(decode_records(data))
-        engine.wal.retain_after = reader
         for i in range(3, 12):  # the eighth record takes the checkpoint
             engine.execute(insert, [f"n{i}", i])
             if i % 3 == 0:
                 engine.execute("DELETE FROM t WHERE name = ?", [f"n{i - 1}"])
-        engine.wal.flush()
-        assert engine.wal.checkpoint_lsn > reader == engine.wal.records_from
-        assert checkpoint_lsn(engine.wal.read_after(reader)[0])  # a mirror's
-        data, count, last = engine.wal.read_after(reader, tailing=True)
+        assert engine.wal.checkpoint_lsn > reader.position
+        data, count, last = reader.read()
         records = list(decode_records(data))
-        assert len(records) == count and records[0].lsn == reader + 1
+        assert len(records) == count and records[0].lsn == reader.position + 1
         assert OP_CHECKPOINT not in {r.op for r in records}
         assert engine.wal.checkpoint_lsn not in {r.lsn for r in records}
         replica.apply_records(records)
         assert live_tables(replica) == live_tables(engine)
+        reader.position = last
         engine.wal.checkpoint()
-        assert engine.wal.records_from == engine.wal.checkpoint_lsn > last
-        assert checkpoint_lsn(engine.wal.read_after(reader, tailing=True)[0])
+        assert engine.wal.checkpoint_lsn > last and reader.read() is None
     finally:
         if device is not None:
             device.close()
@@ -276,17 +273,30 @@ def test_any_prefix_then_the_rest_replays_to_the_live_tables(floor, flavour):
     lrc = LocalReplicaCatalog(Connection(engine, "rp"), name="rp")
     lrc.init_schema()
     wal = engine.wal
-    firsts = {0: b""}  # durable position p -> the ship from 0 back then
+    #: durable position p -> the ships that bring a mirror there: the log
+    #: from 0 back then, or, for the record before a checkpoint a
+    #: statement took, the ships to the last mark and what followed it.
+    firsts: dict[int, list] = {0: [(0, b"")]}
+    #: p -> a reader registered at p then, which the later checkpoints
+    #: keep records for.
+    readers = {0: wal.reader(0)}
 
     def mark() -> None:
-        wal.flush()
-        data, _count, last = wal.read_after(0)
-        firsts[last] = data
+        data, _count, last = wal.read_all()
+        firsts[last] = [(0, data)]
+        readers[last] = wal.reader(last)
 
     log_many = wal.log_many
 
     def logged(op, table, payloads):
+        before, since = max(firsts), wal.checkpoint_lsn
         lsn = log_many(op, table, payloads)
+        if wal.checkpoint_lsn > since and wal.checkpoint_lsn == wal.last_lsn:
+            # The position just before this checkpoint: a mirror there
+            # took the last mark's ships and the records since.
+            kept = readers[before].read()[0]
+            firsts[lsn] = firsts[before] + [(before, kept)]
+            readers[lsn] = wal.reader(lsn)
         mark()
         return lsn
 
@@ -309,17 +319,30 @@ def test_any_prefix_then_the_rest_replays_to_the_live_tables(floor, flavour):
     lrc.remove_rli("rli-a")
     wal.log_many = log_many
     mark()
-    assert len({checkpoint_lsn(data) for data in firsts.values()} - {None}) >= 2
+    assert len({checkpoint_lsn(ships[0][1]) for ships in firsts.values()} - {None}) >= 2
+    assert any(len(ships) > 1 for ships in firsts.values()), "no p = checkpoint - 1"
 
     expected = live_tables(engine)
     assert live_tables(recovered(engine, flavour)) == expected
-    for p, first in sorted(firsts.items()):
-        mirror = LocalReplicaCatalog(Connection(ENGINES[flavour](), "mi"), name="mi")
-        mirror.init_schema()
-        ingest = MirrorIngest(mirror, master="rp")
-        rest = wal.read_after(p)[0]
-        for data in (first, first, rest, rest):
-            ingest.apply_log("rp", False, data)
-        assert ingest.applied_lsn == wal.last_lsn, p
-        assert live_tables(mirror.conn.database) == expected, p
-        assert mirror.verify_integrity() == [], p
+    # Within one gap: at or after the checkpoint before the last.
+    held_from = sorted({checkpoint_lsn(ships[0][1]) or 0 for ships in firsts.values()})[-2]
+    for p, ships in sorted(firsts.items()):
+        rest = (0, wal.read_all()[0]) if p < wal.checkpoint_lsn else (p, log_after(wal, p))
+        read = readers[p].read()
+        assert read is not None or p < held_from, p
+        kept = (0, wal.read_all()[0]) if read is None else (p, read[0])
+        assert read is None or checkpoint_lsn(kept[1]) is None, p
+        for last_ships in (rest, kept):
+            mirror = LocalReplicaCatalog(Connection(ENGINES[flavour](), "mi"), name="mi")
+            mirror.init_schema()
+            ingest = MirrorIngest(mirror, master="rp")
+            for after, data in [*ships, *ships, last_ships, last_ships]:
+                ingest.apply_log("rp", after, data)
+            assert ingest.applied_lsn == wal.last_lsn, p
+            assert live_tables(mirror.conn.database) == expected, p
+            assert mirror.verify_integrity() == [], p
+
+
+def log_after(wal, lsn: int) -> bytes:
+    """The durable records after ``lsn`` (at or after the last checkpoint)."""
+    return wal.reader(lsn).read()[0]

@@ -91,17 +91,17 @@ class TestFlakySink:
             def __init__(self):
                 self.calls = []
 
-            def ship(self, master, reset, data):
-                self.calls.append((master, reset, data))
+            def ship(self, master, after, data):
+                self.calls.append((master, after, data))
                 return len(self.calls)
 
         mirror = Mirror()
         schedule = FailureSchedule.pattern("F..")
         sink = FlakyMirrorSink(mirror, schedule)
         with pytest.raises(FaultInjected, match="push dropped"):
-            sink.ship("m", True, b"log")
-        assert sink.ship("m", True, b"log") == 1
-        assert sink.ship("m", False, b"more") == 2
+            sink.ship("m", 0, b"log")
+        assert sink.ship("m", 0, b"log") == 1
+        assert sink.ship("m", 1, b"more") == 2
         assert schedule.calls == 3
-        assert mirror.calls == [("m", True, b"log"), ("m", False, b"more")]
-        assert sink.ships == [("m", True, b"log", 1), ("m", False, b"more", 2)]
+        assert mirror.calls == [("m", 0, b"log"), ("m", 1, b"more")]
+        assert sink.ships == [("m", 0, b"log", 1), ("m", 1, b"more", 2)]
