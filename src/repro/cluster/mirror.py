@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Protocol
 
+from repro.core import membership
 from repro.core.delivery import DeliveryEngine
 from repro.core.lrc import LocalReplicaCatalog
 from repro.core.updates import UpdatePolicy
@@ -57,18 +58,8 @@ class RPCMirrorSink:
 
 
 def resolve_mirror_sink(name: str) -> MirrorSink:
-    """Resolve a mirror name to a sink via static membership, falling back
-    to the in-process transport registry (mirrors that never registered a
-    membership entry)."""
-    from repro.core.errors import UpdateTargetError
-    from repro.core.membership import DEFAULT
-    from repro.net.rpc import RPCClient
-    from repro.net.transport import connect_local
-
-    try:
-        return RPCMirrorSink(DEFAULT.connect(name))
-    except UpdateTargetError:
-        return RPCMirrorSink(RPCClient(connect_local(name)))
+    """Resolve a mirror name to a sink (see :func:`repro.core.membership.client`)."""
+    return RPCMirrorSink(membership.client(name))
 
 
 @dataclass

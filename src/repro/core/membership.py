@@ -94,33 +94,23 @@ class StaticMembership:
             return connect_local(address.name, credential)
         return connect_tcp(address.host, address.port, credential, retry=retry)
 
-    def resolve_sink(
-        self,
-        name: str,
-        credential: bytes | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> UpdateSink:
-        """Update sink for an RLI member (a fresh RPC connection)."""
-        # Members registered only as in-process servers can also be reached
-        # directly through the local transport registry even without an
-        # explicit membership entry — see the module-level resolve_sink().
-        return RPCSink(self.connect(name, credential, retry=retry))
-
-
 #: Default process-wide membership, used when no explicit one is supplied.
 DEFAULT = StaticMembership()
 
 
-def resolve_sink(name: str, retry: RetryPolicy | None = None) -> UpdateSink:
-    """Resolve ``name`` via the default membership, falling back to the
-    in-process transport registry (covers servers that never registered
-    a membership entry explicitly)."""
+def client(name: str, retry: RetryPolicy | None = None) -> RPCClient:
+    """An RPC client to ``name`` via the default membership, falling back
+    to the in-process transport registry (covers servers that never
+    registered a membership entry explicitly)."""
     try:
-        return DEFAULT.resolve_sink(name, retry=retry)
+        return DEFAULT.connect(name, retry=retry)
     except UpdateTargetError:
         reconnect = None
         if retry is not None:
             reconnect = lambda: connect_local(name)  # noqa: E731
-        return RPCSink(
-            RPCClient(connect_local(name), retry=retry, reconnect=reconnect)
-        )
+        return RPCClient(connect_local(name), retry=retry, reconnect=reconnect)
+
+
+def resolve_sink(name: str, retry: RetryPolicy | None = None) -> UpdateSink:
+    """Update sink for an RLI by name (a fresh RPC connection)."""
+    return RPCSink(client(name, retry))

@@ -176,13 +176,20 @@ class RPCSink:
         )
 
 
+#: Hash functions per Bloom filter (the paper's 3).
+BLOOM_NUM_HASHES = 3
+#: Headroom multiplier when sizing a filter from the current catalog, so
+#: modest growth does not force an immediate rebuild.
+BLOOM_SIZING_HEADROOM = 1.25
+
+
 @dataclass
 class UpdatePolicy:
     """Timing and compression knobs for soft-state updates.
 
     Defaults follow the paper: immediate-mode flushes after 30 seconds or
     ``immediate_count_threshold`` buffered changes, and Bloom filters use
-    ~10 bits per mapping with 3 hash functions.
+    ~10 bits per mapping with :data:`BLOOM_NUM_HASHES` hash functions.
     """
 
     immediate_mode: bool = True
@@ -190,15 +197,11 @@ class UpdatePolicy:
     immediate_count_threshold: int = 100
     full_interval: float = 600.0
     bloom_bits_per_entry: int = 10
-    bloom_num_hashes: int = 3
     #: Floor for the counting Bloom filter's expected-entry sizing.  The
     #: filter is sized "based on the number of mappings in an LRC" (§3.4)
     #: with this minimum, and is rebuilt larger automatically when the
     #: catalog outgrows it (see UpdateManager._send_bloom).
     bloom_expected_entries: int = 1024
-    #: Headroom multiplier when sizing from the current catalog, so modest
-    #: growth does not force an immediate rebuild.
-    bloom_sizing_headroom: float = 1.25
     #: Push to multiple RLI targets concurrently (one thread per target).
     #: Off by default: sequential pushes match the measured v2.0.9 server;
     #: parallel fan-out helps fully-connected meshes (§6, ESG).
@@ -380,13 +383,13 @@ class UpdateManager:
         with self._lock:
             names, lsn = self.wal.snapshot(self.lrc.all_lfns)
             expected = max(
-                int(len(names) * self.policy.bloom_sizing_headroom),
+                int(len(names) * BLOOM_SIZING_HEADROOM),
                 self.policy.bloom_expected_entries,
             )
             params = BloomParameters.for_entries(
                 expected,
                 bits_per_entry=self.policy.bloom_bits_per_entry,
-                num_hashes=self.policy.bloom_num_hashes,
+                num_hashes=BLOOM_NUM_HASHES,
             )
             fresh = CountingBloomFilter(params)
             fresh.add_batch(names)
@@ -461,7 +464,7 @@ class UpdateManager:
             params = BloomParameters.for_entries(
                 max(len(names), 1024),
                 bits_per_entry=self.policy.bloom_bits_per_entry,
-                num_hashes=self.policy.bloom_num_hashes,
+                num_hashes=BLOOM_NUM_HASHES,
             )
             snapshot = BloomFilter.from_names(names, params)
         payload = snapshot.to_bytes()
@@ -676,17 +679,14 @@ class UpdateManager:
         full/Bloom push; any other what was logged after its position.
         Failures re-arm the target's backoff; nothing raises.
         """
-        due = self.engine.due()
+        targets = {tgt.name: tgt for tgt in self.lrc.rli_targets()}
+        due = [state for state in self.engine.due() if state.name in targets]
         if not due:
             return []
-        targets = {tgt.name: tgt for tgt in self.lrc.rli_targets()}
         router = PartitionRouter(list(targets.values()))
         attempted: list[str] = []
         for state in due:
-            tgt = targets.get(state.name)
-            if tgt is None:
-                self.engine.forget(state.name)  # the RLI was unregistered
-                continue
+            tgt = targets[state.name]
             attempted.append(
                 self.engine.redeliver(
                     state,
@@ -704,8 +704,13 @@ class UpdateManager:
 
         Redelivery candidates are chosen after the scheduled push, which
         re-arms the backoff of a target it failed on: one attempt per
-        target per tick.
+        target per tick.  A target no longer registered is forgotten
+        first: its health and its log reader go with it.
         """
+        with self._lock:
+            registered = {tgt.name for tgt in self.lrc.rli_targets()}
+            for name in self.engine.targets.keys() - registered:
+                self.engine.forget(name)
         performed = []
         for action in self.due_actions():
             if action == "full":

@@ -10,7 +10,10 @@ that mechanism:
   the unit of appending is the SQL statement: :meth:`WriteAheadLog.log_many`
   encodes the records of all the rows a statement wrote, appends them to
   the device in one piece and takes one flush decision
-  (:meth:`WriteAheadLog.log` is its one-record case);
+  (:meth:`WriteAheadLog.log` is its one-record case).  A record is a
+  header (LSN, opcode, body length) and a body of two
+  :mod:`repro.net.codec` values, the table name and the payload as a
+  list: the log is written in the wire's one value codec;
 * with ``flush_on_commit=True``, each commit performs a device sync whose
   latency models a disk write barrier (default 11 ms — calibrated so a
   single-threaded add loop lands near the paper's 84 adds/s).  Outside
@@ -42,21 +45,20 @@ the log no longer holds records for is told so: a mirror is then shipped
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import struct
 import threading
 import time
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.profiler import TimedLatch
+from repro.net.codec import encode, encode_into, make_reader
 from repro.obs import reqctx, tracing
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
-_HEADER = struct.Struct("<QBI")  # lsn, opcode, payload length
+_HEADER = struct.Struct("<QBI")  # lsn, opcode, body length
 
 OP_INSERT = 1
 OP_DELETE = 2
@@ -95,54 +97,7 @@ class WALRecord:
         return _OP_NAMES.get(self.op, f"OP{self.op}")
 
 
-_pack_header = _HEADER.pack
-_pack_u32 = struct.Struct("<I").pack
-
-
-def _encode_str(value: str) -> bytes:
-    data = value.encode("utf-8")
-    return b"S" + _pack_u32(len(data)) + data
-
-
-#: Tiny self-describing encoding for WAL payload scalars, by exact type.
-_ENCODERS: dict[type, Callable[[Any], bytes]] = {
-    type(None): lambda value: b"N",
-    bool: lambda value: b"B\x01" if value else b"B\x00",
-    int: partial(struct.Struct("<cq").pack, b"I"),
-    float: partial(struct.Struct("<cd").pack, b"F"),
-    str: _encode_str,
-}
-
-
-def _encode_value(value: Any) -> bytes:
-    encode = _ENCODERS.get(type(value))
-    if encode is None:
-        # A subclass (an IntEnum, say) is written as its base type.
-        for base in (bool, int, float, str):
-            if isinstance(value, base):
-                encode = _ENCODERS[base]
-                break
-        else:
-            raise TypeError(
-                f"unsupported WAL value type: {type(value).__name__}"
-            )
-    return encode(value)
-
-
-def _decode_value(buf: io.BytesIO) -> Any:
-    tag = buf.read(1)
-    if tag == b"N":
-        return None
-    if tag == b"B":
-        return buf.read(1) == b"\x01"
-    if tag == b"I":
-        return struct.unpack("<q", buf.read(8))[0]
-    if tag == b"F":
-        return struct.unpack("<d", buf.read(8))[0]
-    if tag == b"S":
-        (n,) = struct.unpack("<I", buf.read(4))
-        return buf.read(n).decode("utf-8")
-    raise ValueError(f"corrupt WAL value tag: {tag!r}")
+_BLANK_HEADER = bytes(_HEADER.size)
 
 
 def encode_records(
@@ -154,21 +109,20 @@ def encode_records(
 ) -> tuple[bytes, int]:
     """The records of one statement, LSNs counting up from ``first_lsn``
     by ``step`` (0: all at ``first_lsn``), as one byte string; also
-    returns how many there are."""
-    head = _encode_value(table)
-    encoders = _ENCODERS
-    parts: list[bytes] = []
-    lsn = first_lsn
+    returns how many there are.  A record's body is two wire-codec
+    values: the table name, then the payload as a list."""
+    head = encode(table)
+    out = bytearray()
+    count = 0
     for payload in payloads:
-        try:
-            values = [encoders[type(value)](value) for value in payload]
-        except KeyError:  # a value of no exact type: the slow way round
-            values = [_encode_value(value) for value in payload]
-        body = head + _pack_u32(len(payload)) + b"".join(values)
-        parts.append(_pack_header(lsn, op, len(body)))
-        parts.append(body)
-        lsn += step
-    return b"".join(parts), len(parts) // 2
+        start = len(out)
+        out += _BLANK_HEADER
+        out += head
+        encode_into(out, payload)
+        length = len(out) - start - _HEADER.size
+        _HEADER.pack_into(out, start, first_lsn + count * step, op, length)
+        count += 1
+    return bytes(out), count
 
 
 def encode_record(record: WALRecord) -> bytes:
@@ -209,21 +163,17 @@ def decode_records(data: bytes, table: str | None = None) -> Iterator[WALRecord]
     ``table``: decode that table's records only, stepping over the rest."""
     offset = 0
     size = len(data)
-    head = None if table is None else _encode_value(table)
+    head = None if table is None else encode(table)
+    read, _tell, seek = make_reader(data)
     while offset + _HEADER.size <= size:
         lsn, op, length = _HEADER.unpack_from(data, offset)
         offset += _HEADER.size
         if offset + length > size:
             return  # torn tail write — normal after a crash
-        if head is not None and not data.startswith(head, offset):
-            offset += length
-            continue
-        buf = io.BytesIO(data[offset : offset + length])
+        if head is None or data.startswith(head, offset):
+            seek(offset)
+            yield WALRecord(lsn, op, read(), tuple(read()))
         offset += length
-        table = _decode_value(buf)
-        (count,) = struct.unpack("<I", buf.read(4))
-        payload = tuple(_decode_value(buf) for _ in range(count))
-        yield WALRecord(lsn, op, table, payload)
 
 
 class LogDevice:

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -441,6 +442,23 @@ class TestTheLogFeed:
         assert manager.tick() == ["retry:down"]
         assert reads == [1]
         assert sinks["down"].incremental == [("lrcA", ["a", "b"], [])]
+
+    def test_an_unregistered_target_is_forgotten_with_its_reader(self, setup):
+        """After ``remove_rli`` the next tick drops the target: its health
+        is no longer reported, and its log reader no longer lowers what a
+        checkpoint keeps."""
+        lrc, manager, _, _ = setup
+        lrc.add_rli("rel")
+        lrc.add_rli("gone")
+        manager.send_full_update()
+        lrc.create_mapping("a", "p")
+        manager.send_incremental_update()
+        reader = weakref.ref(manager.engine.targets["gone"].reader)
+        lrc.remove_rli("gone")
+        manager.tick()
+        assert list(manager.target_health()) == ["rel"]
+        assert list(manager.engine.targets) == ["rel"]
+        assert reader() not in set(lrc.conn.database.wal._readers)
 
     def test_reading_a_synced_log_does_not_sync_it(self, setup):
         lrc, manager, _, _ = setup

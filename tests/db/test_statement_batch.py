@@ -5,8 +5,9 @@
 the engine used to do one row at a time.  The one-row-at-a-time code is
 kept *here*, as the reference: the bodies ``Table.insert``,
 ``Table.delete_rid``, ``Table.lookup_index`` and ``WriteAheadLog.log`` had
-before they became the one-element case of the batch code, plus the
-``BytesIO`` record encoder.  An index entry goes in and out through the
+before they became the one-element case of the batch code, plus a
+``BytesIO`` record encoder that writes the wire codec's tags by hand
+(it does not call :mod:`repro.net.codec`).  An index entry goes in and out through the
 index's own one-entry ``insert`` / ``remove`` and is read back through
 ``lookup`` / ``postings()``; how a posting is held is not this file's
 business (``test_index_postings.py`` models it).  Hypothesis generates
@@ -42,6 +43,7 @@ from repro.db.wal import (
     encode_record,
     encode_records,
 )
+from repro.net.codec import make_reader
 from repro.obs import reqctx
 from repro.obs.metrics import MetricsRegistry
 
@@ -53,25 +55,26 @@ _HEADER = struct.Struct("<QBI")
 
 
 def oracle_encode_value(out: io.BytesIO, value) -> None:
+    """One scalar in the wire codec's tags, written out by hand."""
     if value is None:
         out.write(b"N")
     elif isinstance(value, bool):
-        out.write(b"B" + (b"\x01" if value else b"\x00"))
+        out.write(b"T" if value else b"F")
     elif isinstance(value, int):
         out.write(b"I" + struct.pack("<q", value))
     elif isinstance(value, float):
-        out.write(b"F" + struct.pack("<d", value))
+        out.write(b"D" + struct.pack("<d", value))
     elif isinstance(value, str):
         data = value.encode("utf-8")
         out.write(b"S" + struct.pack("<I", len(data)) + data)
     else:
-        raise TypeError(f"unsupported WAL value type: {type(value).__name__}")
+        raise TypeError(f"cannot encode type {type(value).__name__}")
 
 
 def oracle_encode_record(record: WALRecord) -> bytes:
     body = io.BytesIO()
     oracle_encode_value(body, record.table)
-    body.write(struct.pack("<I", len(record.payload)))
+    body.write(b"L" + struct.pack("<I", len(record.payload)))
     for value in record.payload:
         oracle_encode_value(body, value)
     payload = body.getvalue()
@@ -395,7 +398,7 @@ def test_an_ordered_index_is_sorted_however_its_keys_arrive():
 
 
 # ---------------------------------------------------------------------------
-# The record encoder against the BytesIO one
+# The record encoder against the BytesIO one, in the wire codec's tags
 # ---------------------------------------------------------------------------
 
 scalars = st.one_of(
@@ -419,6 +422,24 @@ def test_encoder_is_byte_identical_and_round_trips(first, op, table, rows):
         assert encode_record(record) == oracle_encode_record(record)
 
 
+@settings(max_examples=200, deadline=None)
+@given(first=st.integers(1, 2**40), op=st.sampled_from([OP_INSERT, OP_DELETE]),
+       table=st.text(max_size=10), rows=payloads)
+def test_every_record_body_is_the_table_then_the_payload_as_codec_values(
+    first, op, table, rows
+):
+    data, _count = encode_records(first, op, table, rows)
+    offset = 0
+    for row in rows:
+        _lsn, _op, length = _HEADER.unpack_from(data, offset)
+        offset += _HEADER.size
+        read, tell, _seek = make_reader(data[offset : offset + length])
+        assert (read(), read()) == (table, list(row))
+        assert tell() == length
+        offset += length
+    assert offset == len(data)
+
+
 class Colour(enum.IntEnum):
     RED = 3
 
@@ -431,7 +452,7 @@ def test_subclasses_encode_as_their_base_type_and_strangers_raise():
     record = WALRecord(1, OP_INSERT, "t", (Colour.RED, Str("s"), True))
     assert encode_record(record) == oracle_encode_record(record)
     for encode in (encode_record, oracle_encode_record):
-        with pytest.raises(TypeError, match="unsupported WAL value type: object"):
+        with pytest.raises(TypeError, match="cannot encode type object"):
             encode(WALRecord(1, OP_INSERT, "t", (1, object())))
 
 
