@@ -220,7 +220,7 @@ def time_request_telemetry(calls: int) -> tuple[float, float]:
             else []
         )
         server = RPCServer(metrics=registry, observers=observers)
-        server.register("lrc_get_mappings", lambda ctx, args: None)
+        server.register("lrc_get_mappings", lambda ctx, args: None, op_class="query")
         ctx = server.handshake(Hello(version=PROTOCOL_VERSION), peer="check_overhead")
         handlers.append((server.handle, ctx))
     best = [float("inf"), float("inf")]
@@ -528,6 +528,7 @@ def time_slo_tick(rounds: int) -> float:
     actually classifies — then times :meth:`SLIRecorder.tick` (snapshot +
     delta + per-class classification + gauge export) in isolation.
     """
+    from repro.core.server import OP_CLASSES
     from repro.obs.slo import OPERATION_CLASSES, SLIRecorder
 
     registry = MetricsRegistry()
@@ -549,7 +550,9 @@ def time_slo_tick(rounds: int) -> float:
         registry.histogram("rpc.latency", method=method).observe(
             0.0001 * (1 + i % 7)
         )
-    recorder = SLIRecorder(registry, shard="ovh", endpoint="ovh-slo")
+    recorder = SLIRecorder(
+        registry, shard="ovh", endpoint="ovh-slo", classes=OP_CLASSES
+    )
     recorder.tick(now=0.0)  # priming tick
     assert len(recorder.trackers) == len(OPERATION_CLASSES)
     start = time.perf_counter()

@@ -97,14 +97,6 @@ class ServerConfig:
     #: capping the endpoint at ~1/service_latency ops/s.  Used by
     #: multi-server capacity experiments; 0 disables the model.
     service_latency: float = 0.0
-    #: Availability SLO target per operation class (``admin_slo``).
-    slo_availability_target: float = 0.999
-    #: Latency SLO target: the fraction of requests that must complete
-    #: under the class threshold.
-    slo_latency_target: float = 0.99
-    #: Default latency threshold (seconds) for classes without a
-    #: per-class override in :data:`repro.obs.slo.DEFAULT_LATENCY_THRESHOLDS`.
-    slo_latency_threshold: float = 0.050
     #: Seconds between background SLI recorder passes; 0 (the default)
     #: runs no thread and ticks on demand at ``admin_slo`` time — the
     #: window arithmetic is identical, only the gauge export lags.

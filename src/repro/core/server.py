@@ -11,7 +11,7 @@ from __future__ import annotations
 import ctypes
 import threading
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.cluster.mirror import MirrorIngest, MirrorManager, MirrorSink
 from repro.core import admin as admin_table
@@ -30,7 +30,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.periodic import Periodic
 from repro.obs.profile import SamplingProfiler
-from repro.obs.slo import SLIRecorder, SLOPolicy
+from repro.obs.slo import SLIRecorder
 from repro.obs.usage import UsageAccountant
 from repro.security.acl import Privilege
 from repro.security.authorizer import Authorizer
@@ -55,6 +55,82 @@ def _one_malloc_arena() -> None:
         ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
     except (AttributeError, OSError):
         pass
+
+
+class CatalogMethod(NamedTuple):
+    """One LRC/RLI RPC method: everything the server knows about it."""
+
+    name: str  #: the wire name
+    privilege: Privilege  #: checked against the caller before ``call`` runs
+    #: SLO and usage operation class (``repro.obs.slo.OPERATION_CLASSES``),
+    #: ``None`` for topology and replication traffic.
+    op_class: str | None
+    #: A read-only mirror rejects the method: it would change catalog state,
+    #: which a mirror takes only from its master's log.
+    writes: bool
+    #: ``call(server, *args)`` answers the request.
+    call: Callable[..., Any]
+
+
+_M = CatalogMethod
+_LRC_READ, _LRC_WRITE = Privilege.LRC_READ, Privilege.LRC_WRITE
+_RLI_READ, _RLI_WRITE = Privilege.RLI_READ, Privilege.RLI_WRITE
+
+#: Every non-admin RPC method, one row each (the admin surfaces are the rows
+#: of ``repro.core.admin.SURFACES``).  A row calls ``s._need_lrc()`` or
+#: ``s._need_rli()`` itself, so a request runs no extra Python frame.
+CATALOG_METHODS: tuple[CatalogMethod, ...] = (
+    # -- LRC mapping management --
+    _M("lrc_create_mapping", _LRC_WRITE, "add", True, lambda s, lfn, pfn: s._need_lrc().create_mapping(lfn, pfn)),
+    _M("lrc_add_mapping", _LRC_WRITE, "add", True, lambda s, lfn, pfn: s._need_lrc().add_mapping(lfn, pfn)),
+    _M("lrc_delete_mapping", _LRC_WRITE, "add", True, lambda s, lfn, pfn: s._need_lrc().delete_mapping(lfn, pfn)),
+    _M("lrc_bulk_create", _LRC_WRITE, "bulk", True, lambda s, pairs: s._need_lrc().bulk_create([tuple(p) for p in pairs])),
+    _M("lrc_bulk_add", _LRC_WRITE, "bulk", True, lambda s, pairs: s._need_lrc().bulk_add([tuple(p) for p in pairs])),
+    _M("lrc_bulk_delete", _LRC_WRITE, "bulk", True, lambda s, pairs: s._need_lrc().bulk_delete([tuple(p) for p in pairs])),
+    # -- LRC queries --
+    _M("lrc_get_mappings", _LRC_READ, "query", False, lambda s, lfn: s._need_lrc().get_mappings(lfn)),
+    _M("lrc_get_lfns", _LRC_READ, "query", False, lambda s, pfn: s._need_lrc().get_lfns(pfn)),
+    _M("lrc_query_wildcard", _LRC_READ, "wildcard", False, lambda s, pat: [list(t) for t in s._need_lrc().query_wildcard(pat)]),
+    _M("lrc_bulk_query", _LRC_READ, "bulk", False, lambda s, lfns: s._need_lrc().bulk_query(lfns)),
+    _M("lrc_exists", _LRC_READ, "query", False, lambda s, lfn: s._need_lrc().exists(lfn)),
+    _M("lrc_lfn_count", _LRC_READ, "query", False, lambda s: s._need_lrc().lfn_count()),
+    _M("lrc_mapping_count", _LRC_READ, "query", False, lambda s: s._need_lrc().mapping_count()),
+    # -- LRC attributes --
+    _M("lrc_attr_define", _LRC_WRITE, "add", True, lambda s, name, objtype, attrtype: s._need_lrc().define_attribute(name, objtype, attrtype)),
+    _M("lrc_attr_undefine", _LRC_WRITE, "add", True, lambda s, name, objtype: s._need_lrc().undefine_attribute(name, objtype)),
+    _M("lrc_attr_add", _LRC_WRITE, "add", True, lambda s, obj, name, objtype, value: s._need_lrc().add_attribute(obj, name, objtype, value)),
+    _M("lrc_attr_modify", _LRC_WRITE, "add", True, lambda s, obj, name, objtype, value: s._need_lrc().modify_attribute(obj, name, objtype, value)),
+    _M("lrc_attr_remove", _LRC_WRITE, "add", True, lambda s, obj, name, objtype: s._need_lrc().remove_attribute(obj, name, objtype)),
+    _M("lrc_attr_get", _LRC_READ, "query", False, lambda s, obj, objtype: s._need_lrc().get_attributes(obj, objtype)),
+    _M("lrc_attr_query", _LRC_READ, "wildcard", False, lambda s, name, objtype, value, op: [list(t) for t in s._need_lrc().query_by_attribute(name, objtype, value, op)]),
+    _M("lrc_attr_bulk_add", _LRC_WRITE, "bulk", True, lambda s, triples, objtype: s._need_lrc().bulk_add_attribute([tuple(t) for t in triples], objtype)),
+    # -- LRC management: RLI registrations replicate to mirrors too --
+    _M("lrc_rli_add", Privilege.ADMIN, None, True, lambda s, name, bloom, patterns: s._need_lrc().add_rli(name, bloom, patterns)),
+    _M("lrc_rli_remove", Privilege.ADMIN, None, True, lambda s, name: s._need_lrc().remove_rli(name)),
+    _M("lrc_rli_list", _LRC_READ, None, False, lambda s: [
+        {"name": t.name, "bloom": t.bloom, "patterns": list(t.patterns)}
+        for t in s._need_lrc().rli_targets()
+    ]),
+    # -- RLI queries --
+    _M("rli_query", _RLI_READ, "query", False, lambda s, lfn: s._need_rli().query(lfn)),
+    _M("rli_bulk_query", _RLI_READ, "bulk", False, lambda s, lfns: s._need_rli().bulk_query(lfns)),
+    _M("rli_query_wildcard", _RLI_READ, "wildcard", False, lambda s, pat: [list(t) for t in s._need_rli().query_wildcard(pat)]),
+    _M("rli_lrc_list", _RLI_READ, "query", False, lambda s: s._need_rli().lrc_list()),
+    # -- RLI soft-state ingest --
+    _M("rli_full_update", _RLI_WRITE, None, False, lambda s, lrc, lfns: s._need_rli().apply_full_update(lrc, lfns)),
+    _M("rli_incremental_update", _RLI_WRITE, None, False, lambda s, lrc, added, removed: s._need_rli().apply_incremental_update(lrc, added, removed)),
+    _M("rli_bloom_update", _RLI_WRITE, None, False, lambda s, lrc, bitmap, nbits, k, entries: s._need_rli().apply_bloom_update(lrc, bitmap, nbits, k, entries)),
+    # -- sharded cluster: the mirror feed (a mirror's one writer) + topology --
+    _M("mirror_ship", _LRC_WRITE, None, False, lambda s, master, after, data: s._need_ingest().apply_log(master, after, data)),
+    _M("lrc_mirror_add", Privilege.ADMIN, None, False, lambda s, name: s._ensure_mirror_manager().add_mirror(name)),
+    _M("lrc_mirror_remove", Privilege.ADMIN, None, False, lambda s, name: None if s.mirror_manager is None else s.mirror_manager.remove_mirror(name)),
+    _M("lrc_mirror_list", _LRC_READ, None, False, lambda s: {} if s.mirror_manager is None else s.mirror_manager.target_health()),
+)
+
+#: Method -> operation class, for the SLI recorder.
+OP_CLASSES: dict[str, str] = {
+    row.name: row.op_class for row in CATALOG_METHODS if row.op_class is not None
+}
 
 
 class RLSServer:
@@ -165,11 +241,7 @@ class RLSServer:
         # --- service-level objectives (admin_slo / rls slo) ---
         self.slo = SLIRecorder(
             self.metrics,
-            policy=SLOPolicy(
-                availability_target=self.config.slo_availability_target,
-                latency_target=self.config.slo_latency_target,
-                latency_threshold=self.config.slo_latency_threshold,
-            ),
+            classes=OP_CLASSES,
             shard=self.config.mirror_of or (
                 self.config.name if self.config.cluster is not None else ""
             ),
@@ -350,104 +422,30 @@ class RLSServer:
 
             return handler
 
-        lrc_read = Privilege.LRC_READ
-        lrc_write = Privilege.LRC_WRITE
-        rli_read = Privilege.RLI_READ
-        rli_write = Privilege.RLI_WRITE
-        admin = Privilege.ADMIN
-        r = self.rpc.register
-
-        # -- LRC mapping management --
-        r("lrc_create_mapping", guarded(lrc_write, lambda lfn, pfn: self._need_lrc().create_mapping(lfn, pfn)))
-        r("lrc_add_mapping", guarded(lrc_write, lambda lfn, pfn: self._need_lrc().add_mapping(lfn, pfn)))
-        r("lrc_delete_mapping", guarded(lrc_write, lambda lfn, pfn: self._need_lrc().delete_mapping(lfn, pfn)))
-        r("lrc_bulk_create", guarded(lrc_write, lambda pairs: self._need_lrc().bulk_create([tuple(p) for p in pairs])))
-        r("lrc_bulk_add", guarded(lrc_write, lambda pairs: self._need_lrc().bulk_add([tuple(p) for p in pairs])))
-        r("lrc_bulk_delete", guarded(lrc_write, lambda pairs: self._need_lrc().bulk_delete([tuple(p) for p in pairs])))
-
-        # -- LRC queries --
-        r("lrc_get_mappings", guarded(lrc_read, lambda lfn: self._need_lrc().get_mappings(lfn)))
-        r("lrc_get_lfns", guarded(lrc_read, lambda pfn: self._need_lrc().get_lfns(pfn)))
-        r("lrc_query_wildcard", guarded(lrc_read, lambda pat: [list(t) for t in self._need_lrc().query_wildcard(pat)]))
-        r("lrc_bulk_query", guarded(lrc_read, lambda lfns: self._need_lrc().bulk_query(lfns)))
-        r("lrc_exists", guarded(lrc_read, lambda lfn: self._need_lrc().exists(lfn)))
-        r("lrc_lfn_count", guarded(lrc_read, lambda: self._need_lrc().lfn_count()))
-        r("lrc_mapping_count", guarded(lrc_read, lambda: self._need_lrc().mapping_count()))
-
-        # -- LRC attributes --
-        r("lrc_attr_define", guarded(lrc_write, lambda name, objtype, attrtype: self._need_lrc().define_attribute(name, objtype, attrtype)))
-        r("lrc_attr_undefine", guarded(lrc_write, lambda name, objtype: self._need_lrc().undefine_attribute(name, objtype)))
-        r("lrc_attr_add", guarded(lrc_write, lambda obj, name, objtype, value: self._need_lrc().add_attribute(obj, name, objtype, value)))
-        r("lrc_attr_modify", guarded(lrc_write, lambda obj, name, objtype, value: self._need_lrc().modify_attribute(obj, name, objtype, value)))
-        r("lrc_attr_remove", guarded(lrc_write, lambda obj, name, objtype: self._need_lrc().remove_attribute(obj, name, objtype)))
-        r("lrc_attr_get", guarded(lrc_read, lambda obj, objtype: self._need_lrc().get_attributes(obj, objtype)))
-        r("lrc_attr_query", guarded(lrc_read, lambda name, objtype, value, op: [list(t) for t in self._need_lrc().query_by_attribute(name, objtype, value, op)]))
-        r("lrc_attr_bulk_add", guarded(lrc_write, lambda triples, objtype: self._need_lrc().bulk_add_attribute([tuple(t) for t in triples], objtype)))
-
-        # -- LRC management --
-        r("lrc_rli_add", guarded(admin, lambda name, bloom, patterns: self._need_lrc().add_rli(name, bloom, patterns)))
-        r("lrc_rli_remove", guarded(admin, lambda name: self._need_lrc().remove_rli(name)))
-        r("lrc_rli_list", guarded(lrc_read, lambda: [
-            {"name": t.name, "bloom": t.bloom, "patterns": list(t.patterns)}
-            for t in self._need_lrc().rli_targets()
-        ]))
-
-        # -- RLI queries --
-        r("rli_query", guarded(rli_read, lambda lfn: self._need_rli().query(lfn)))
-        r("rli_bulk_query", guarded(rli_read, lambda lfns: self._need_rli().bulk_query(lfns)))
-        r("rli_query_wildcard", guarded(rli_read, lambda pat: [list(t) for t in self._need_rli().query_wildcard(pat)]))
-        r("rli_lrc_list", guarded(rli_read, lambda: self._need_rli().lrc_list()))
-
-        # -- RLI soft-state ingest --
-        r("rli_full_update", guarded(rli_write, lambda lrc, lfns: self._need_rli().apply_full_update(lrc, lfns)))
-        r("rli_incremental_update", guarded(rli_write, lambda lrc, added, removed: self._need_rli().apply_incremental_update(lrc, added, removed)))
-        r("rli_bloom_update", guarded(rli_write, lambda lrc, bitmap, nbits, k, entries: self._need_rli().apply_bloom_update(lrc, bitmap, nbits, k, entries)))
-
+        # A read-only mirror's one writer is the log replay (`mirror_ship`):
+        # it rejects every client-facing catalog write with a typed error
+        # the combined client (and users) can route on.
+        read_only = bool(self.config.mirror_of)
+        for row in CATALOG_METHODS:
+            if read_only and row.writes:
+                handler = self._read_only(row.name)
+            else:
+                handler = guarded(row.privilege, partial(row.call, self))
+            self.rpc.register(row.name, handler, row.op_class)
         # -- admin: one row per surface, declared in core/admin.py --
-        for row in admin_table.SURFACES:
-            r(row.method, guarded(row.privilege, partial(row.produce, self)))
+        for surface in admin_table.SURFACES:
+            self.rpc.register(
+                surface.method, guarded(surface.privilege, partial(surface.produce, self))
+            )
 
-        # -- sharded cluster: mirror feed + topology --
-        r("mirror_ship", guarded(lrc_write, lambda master, after, data: self._need_ingest().apply_log(master, after, data)))
-        r("lrc_mirror_add", guarded(admin, lambda name: self._ensure_mirror_manager().add_mirror(name)))
-        r("lrc_mirror_remove", guarded(admin, self._mirror_remove))
-        r("lrc_mirror_list", guarded(lrc_read, self._mirror_list))
+    def _read_only(self, method: str) -> Callable[[ConnectionContext, tuple], Any]:
+        def handler(ctx: ConnectionContext, args: tuple) -> Any:
+            raise ReadOnlyCatalogError(
+                f"{method}: server {self.config.name!r} is a read-only mirror "
+                f"of {self.config.mirror_of!r}; send writes to the shard master"
+            )
 
-        # A read-only mirror's one writer is the log replay above: it
-        # rejects every client-facing catalog write (RLI registrations
-        # included, whose rows replicate too) with a typed error the
-        # combined client (and users) can route on.  Re-registration
-        # replaces the handlers installed earlier in this method.
-        if self.config.mirror_of:
-            master = self.config.mirror_of
-
-            def read_only(method: str):
-                def handler(ctx: ConnectionContext, args: tuple) -> Any:
-                    raise ReadOnlyCatalogError(
-                        f"{method}: server {self.config.name!r} is a "
-                        f"read-only mirror of {master!r}; send writes to "
-                        "the shard master"
-                    )
-
-                return handler
-
-            for method in (
-                "lrc_create_mapping",
-                "lrc_add_mapping",
-                "lrc_delete_mapping",
-                "lrc_bulk_create",
-                "lrc_bulk_add",
-                "lrc_bulk_delete",
-                "lrc_attr_define",
-                "lrc_attr_undefine",
-                "lrc_attr_add",
-                "lrc_attr_modify",
-                "lrc_attr_remove",
-                "lrc_attr_bulk_add",
-                "lrc_rli_add",
-                "lrc_rli_remove",
-            ):
-                r(method, read_only(method))
+        return handler
 
     def _need_ingest(self) -> MirrorIngest:
         if self.mirror_ingest is None:
@@ -456,15 +454,6 @@ class RLSServer:
                 "(no --mirror-of configured)"
             )
         return self.mirror_ingest
-
-    def _mirror_remove(self, name: str) -> None:
-        if self.mirror_manager is not None:
-            self.mirror_manager.remove_mirror(name)
-
-    def _mirror_list(self) -> dict[str, Any]:
-        if self.mirror_manager is None:
-            return {}
-        return self.mirror_manager.target_health()
 
     def _rpc_inflight(self) -> float:
         """Current in-flight RPC count (the stuck-thread detector gate)."""

@@ -108,7 +108,7 @@ class RPCServer:
     ) -> None:
         # Per method name: (handler, factory of its telemetry records).
         self._methods: dict[str, tuple[Handler, Callable[..., RequestCosts]]] = {}
-        self._unknown = (None, reqctx.describe(UNKNOWN_METHOD_LABEL))
+        self._unknown = (None, reqctx.describe(UNKNOWN_METHOD_LABEL, None))
         self._authenticator = authenticator
         #: Maps ``(authenticated_dn, declared_principal)`` to the bounded
         #: accounting label (the server passes the authorizer's gridmap
@@ -154,8 +154,12 @@ class RPCServer:
         """Requests answered with an error: the ``rpc.errors`` counters summed."""
         return sum(e.value for _, e, _ in list(self._rpc_metrics.by_method.values()))
 
-    def register(self, method: str, handler: Handler) -> None:
-        self._methods[method] = (handler, reqctx.describe(method))
+    def register(
+        self, method: str, handler: Handler, op_class: str | None = None
+    ) -> None:
+        """Serve ``method``; its requests are charged to ``op_class`` (SLO
+        and usage accounting), ``None`` for traffic outside the classes."""
+        self._methods[method] = (handler, reqctx.describe(method, op_class))
 
     def methods(self) -> list[str]:
         return sorted(self._methods)

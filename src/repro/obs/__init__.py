@@ -108,7 +108,6 @@ from repro.obs.slo import (
     SLIRecorder,
     SLITracker,
     SLOPolicy,
-    classify_method,
 )
 from repro.obs.timeseries import (
     ScrapeResult,
@@ -166,7 +165,6 @@ __all__ = [
     "TraceSource",
     "Tracer",
     "analyze_store",
-    "classify_method",
     "client_source",
     "compare_baseline",
     "current_sink",

@@ -31,8 +31,6 @@ from dataclasses import InitVar, dataclass, field
 from functools import partial
 from typing import Callable
 
-from repro.obs.slo import classify_method
-
 _tls = threading.local()
 
 #: Draws the next number of the process-wide order of telemetry events: a
@@ -82,11 +80,11 @@ class RequestCosts:
             self.lfn = args[0]
 
 
-def describe(method: str) -> Callable[..., RequestCosts]:
+def describe(method: str, op_class: str | None) -> Callable[..., RequestCosts]:
     """What every record of one method shares — its bounded label and op
-    class — resolved once; returns the factory for that method's records,
+    class — bound once; returns the factory for that method's records,
     called with ``(principal, args, queue_wait)``."""
-    return partial(RequestCosts, method, classify_method(method))
+    return partial(RequestCosts, method, op_class)
 
 
 def activate(record: RequestCosts) -> RequestCosts:

@@ -41,7 +41,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -60,83 +60,13 @@ __all__ = [
     "SLITracker",
     "SLOW_BURN_THRESHOLD",
     "SLOPolicy",
-    "classify_method",
 ]
 
 
 # -- operation classes ------------------------------------------------------
 
-_ADD_METHODS = frozenset(
-    {
-        "lrc_create_mapping",
-        "lrc_add_mapping",
-        "lrc_delete_mapping",
-        "lrc_attr_define",
-        "lrc_attr_undefine",
-        "lrc_attr_add",
-        "lrc_attr_modify",
-        "lrc_attr_remove",
-    }
-)
-_QUERY_METHODS = frozenset(
-    {
-        "lrc_get_mappings",
-        "lrc_get_lfns",
-        "lrc_exists",
-        "lrc_lfn_count",
-        "lrc_mapping_count",
-        "lrc_attr_get",
-        "rli_query",
-        "rli_lrc_list",
-    }
-)
-_BULK_METHODS = frozenset(
-    {
-        "lrc_bulk_create",
-        "lrc_bulk_add",
-        "lrc_bulk_delete",
-        "lrc_bulk_query",
-        "lrc_attr_bulk_add",
-        "rli_bulk_query",
-    }
-)
-_WILDCARD_METHODS = frozenset(
-    {
-        "lrc_query_wildcard",
-        "rli_query_wildcard",
-        "lrc_attr_query",
-    }
-)
-
 #: The SLO-bearing operation classes, in display order.
 OPERATION_CLASSES: tuple[str, ...] = ("add", "query", "bulk", "wildcard")
-
-_CLASS_BY_METHOD: dict[str, str] = {}
-for _m in _ADD_METHODS:
-    _CLASS_BY_METHOD[_m] = "add"
-for _m in _QUERY_METHODS:
-    _CLASS_BY_METHOD[_m] = "query"
-for _m in _BULK_METHODS:
-    _CLASS_BY_METHOD[_m] = "bulk"
-for _m in _WILDCARD_METHODS:
-    _CLASS_BY_METHOD[_m] = "wildcard"
-
-
-def classify_method(method: str) -> str | None:
-    """Operation class of an RPC method, or ``None`` for non-SLO traffic
-    (admin surfaces, mirror/RLI internal replication)."""
-    cls = _CLASS_BY_METHOD.get(method)
-    if cls is not None:
-        return cls
-    # Unlisted client-facing methods added later: classify by shape so a
-    # new bulk/wildcard RPC lands in the right class without a table edit.
-    if method.startswith(("admin_", "mirror_", "lrc_mirror", "lrc_rli", "rli_")):
-        return None
-    if "wildcard" in method:
-        return "wildcard"
-    if "bulk" in method:
-        return "bulk"
-    return None
 
 
 # -- policy -----------------------------------------------------------------
@@ -388,7 +318,8 @@ class SLIRecorder:
 
     Each :meth:`tick` snapshots the registry, subtracts the previous
     snapshot (the Scraper idiom — the first tick only primes), classifies
-    every ``rpc.requests{method=}`` delta into an operation class, counts
+    every ``rpc.requests{method=}`` delta into an operation class by
+    ``classes`` (method -> class; an unlisted method is in none), counts
     slow observations from the ``rpc.latency{method=}`` bucket deltas
     above the class threshold, and exports the resulting burn rates and
     SLIs as ``slo.*`` gauges tagged ``class=``/``shard=``/``endpoint=``
@@ -402,9 +333,11 @@ class SLIRecorder:
         shard: str = "",
         endpoint: str = "",
         clock: Callable[[], float] = time.monotonic,
+        classes: Mapping[str, str] | None = None,
     ) -> None:
         self.registry = registry
         self.policy = policy if policy is not None else SLOPolicy()
+        self.classes: Mapping[str, str] = classes or {}
         self.shard = shard
         self.endpoint = endpoint
         self.clock = clock
@@ -453,7 +386,7 @@ class SLIRecorder:
                 name, labels = split_metric_key(key)
                 if name not in ("rpc.requests", "rpc.errors"):
                     continue
-                cls = classify_method(labels.get("method", ""))
+                cls = self.classes.get(labels.get("method", ""))
                 if cls is None:
                     continue
                 if name == "rpc.requests":
@@ -464,7 +397,7 @@ class SLIRecorder:
                 name, labels = split_metric_key(key)
                 if name != "rpc.latency":
                     continue
-                cls = classify_method(labels.get("method", ""))
+                cls = self.classes.get(labels.get("method", ""))
                 if cls is None:
                     continue
                 per_class[cls][2] += slow_observations(

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.mirror import MirrorIngest, MirrorManager
-from repro.core.lrc import LocalReplicaCatalog
+from repro.core.client import connect
+from repro.core.config import ServerRole
+from repro.core.errors import NotConfiguredError, ReadOnlyCatalogError
+from repro.core.lrc import LocalReplicaCatalog, ObjType
 from repro.core.updates import UpdatePolicy
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
@@ -721,3 +724,125 @@ class TestOneRuleWithTheRLIFeed:
         manager.remove_mirror("gone")
         assert key not in registry.snapshot().gauges
         assert manager.mirrors() == []
+
+
+#: What a read-only mirror refuses, written out by hand: every client-facing
+#: method that changes the catalog, which a mirror takes only from its
+#: master's log (RLI registrations are catalog rows too).
+CATALOG_WRITES = frozenset(
+    {
+        "lrc_create_mapping",
+        "lrc_add_mapping",
+        "lrc_delete_mapping",
+        "lrc_bulk_create",
+        "lrc_bulk_add",
+        "lrc_bulk_delete",
+        "lrc_attr_define",
+        "lrc_attr_undefine",
+        "lrc_attr_add",
+        "lrc_attr_modify",
+        "lrc_attr_remove",
+        "lrc_attr_bulk_add",
+        "lrc_rli_add",
+        "lrc_rli_remove",
+    }
+)
+
+
+def every_method_call(master: str, applied_lsn: int) -> dict[str, tuple]:
+    """Valid arguments for every non-admin method against the catalog
+    :class:`TestAMirrorServesReadsOnly` ships.  In this order each write
+    also succeeds on the master."""
+    lfn = int(ObjType.LFN)
+    return {
+        "lrc_create_mapping": ("new-0", "pfn://new-0"),
+        "lrc_add_mapping": ("lfn-0", "pfn://lfn-0b"),
+        "lrc_delete_mapping": ("lfn-0", "pfn://lfn-0"),
+        "lrc_bulk_create": ([["new-1", "pfn://new-1"]],),
+        "lrc_bulk_add": ([["lfn-1", "pfn://lfn-1b"]],),
+        "lrc_bulk_delete": ([["lfn-1", "pfn://lfn-1"]],),
+        "lrc_get_mappings": ("lfn-0",),
+        "lrc_get_lfns": ("pfn://lfn-0",),
+        "lrc_query_wildcard": ("lfn-*",),
+        "lrc_bulk_query": (["lfn-0", "lfn-1"],),
+        "lrc_exists": ("lfn-0",),
+        "lrc_lfn_count": (),
+        "lrc_mapping_count": (),
+        "lrc_attr_define": ("owner", lfn, "str"),
+        "lrc_attr_undefine": ("colour", lfn),
+        "lrc_attr_add": ("lfn-1", "size", lfn, 2),
+        "lrc_attr_modify": ("lfn-0", "size", lfn, 3),
+        "lrc_attr_remove": ("lfn-0", "size", lfn),
+        "lrc_attr_get": ("lfn-0", lfn),
+        "lrc_attr_query": ("size", lfn, 1, "="),
+        "lrc_attr_bulk_add": ([["lfn-2", "size", 4]], lfn),
+        "lrc_rli_add": ("ro-rli-2", False, []),
+        "lrc_rli_remove": ("ro-rli",),
+        "lrc_rli_list": (),
+        "rli_query": ("lfn-0",),
+        "rli_bulk_query": (["lfn-0"],),
+        "rli_query_wildcard": ("lfn-*",),
+        "rli_lrc_list": (),
+        "rli_full_update": (master, ["lfn-0"]),
+        "rli_incremental_update": (master, ["lfn-0"], []),
+        "rli_bloom_update": (master, bytes(8), 64, 3, 1),
+        "mirror_ship": (master, applied_lsn, b""),
+        "lrc_mirror_add": ("ro-other",),
+        "lrc_mirror_remove": ("ro-other",),
+        "lrc_mirror_list": (),
+    }
+
+
+class TestAMirrorServesReadsOnly:
+    MASTER, MIRROR = "ro-master", "ro-mirror"
+
+    def test_every_write_is_refused_and_every_read_served(self, make_server):
+        # The master is not started: its update manager would push to an
+        # RLI nobody serves.  Its catalog reaches the mirror by one sync.
+        master = make_server(ServerRole.LRC, name=self.MASTER, mirrors=(self.MIRROR,))
+        mirror = make_server(
+            ServerRole.LRC, name=self.MIRROR, mirror_of=self.MASTER
+        ).start()
+        master.lrc.bulk_create([(f"lfn-{i}", f"pfn://lfn-{i}") for i in range(3)])
+        master.lrc.define_attribute("size", "lfn", "int")
+        master.lrc.define_attribute("colour", "lfn", "str")
+        master.lrc.add_attribute("lfn-0", "size", "lfn", 1)
+        master.lrc.add_rli("ro-rli")
+        with connect(self.MASTER) as direct:
+            direct.mirror_sync()
+        calls = every_method_call(self.MASTER, mirror.mirror_ingest.applied_lsn)
+        assert set(calls) == {
+            m for m in mirror.rpc.methods() if not m.startswith("admin_")
+        }
+
+        db = mirror.lrc.conn.database
+
+        def state() -> tuple[int, dict[str, int]]:
+            rows = {name: db.table(name).row_count for name in db.table_names()}
+            return db.wal.last_lsn, rows
+
+        before = state()
+        assert before[1]["t_lfn"] == 3
+        with connect(self.MIRROR) as client:
+            for method, args in calls.items():
+                if method in CATALOG_WRITES:
+                    with pytest.raises(ReadOnlyCatalogError, match="shard master"):
+                        client.rpc.call(method, *args)
+                    assert state() == before, method
+                elif method == "lrc_mirror_add":
+                    with pytest.raises(ReadOnlyCatalogError, match="cannot have mirrors"):
+                        client.rpc.call(method, *args)
+                elif method.startswith("rli_"):  # an LRC-only server
+                    with pytest.raises(NotConfiguredError):
+                        client.rpc.call(method, *args)
+                else:
+                    client.rpc.call(method, *args)
+            assert client.get_mappings("lfn-0") == ["pfn://lfn-0"]
+        assert state() == before
+
+        # The arguments were valid: the master takes every write.
+        with connect(self.MASTER) as client:
+            for method in (m for m in calls if m in CATALOG_WRITES):
+                result = client.rpc.call(method, *calls[method])
+                if isinstance(result, list):
+                    assert result == [], method

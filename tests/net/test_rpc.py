@@ -389,7 +389,7 @@ class TestPrincipalAccounting:
 
         usage = UsageAccountant()
         server = RPCServer(observers=[usage])
-        server.register("lrc_get_mappings", lambda ctx, args: [])
+        server.register("lrc_get_mappings", lambda ctx, args: [], op_class="query")
         server.register("boom", lambda ctx, args: 1 / 0)
         ctx = server.handshake(
             Hello(attributes={"principal": "cms-prod"}), "test"

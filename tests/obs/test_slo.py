@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.client import connect
+from repro.core.config import ServerRole
+from repro.core.errors import ReadOnlyCatalogError
+from repro.core.server import OP_CLASSES
 from repro.obs.metrics import BUCKET_BOUNDS, MetricsRegistry, split_metric_key
 from repro.obs.slo import (
     DEFAULT_LATENCY_THRESHOLDS,
@@ -11,33 +17,67 @@ from repro.obs.slo import (
     SLITracker,
     SLOW_WINDOW,
     SLOPolicy,
-    classify_method,
     slow_observations,
 )
 
 
+#: Table 1's operation taxonomy, method by method, written out by hand: the
+#: oracle for the ``op_class`` column of ``core.server.CATALOG_METHODS``.
+EXPECTED_CLASSES = {
+    "lrc_create_mapping": "add",
+    "lrc_add_mapping": "add",
+    "lrc_delete_mapping": "add",
+    "lrc_attr_define": "add",
+    "lrc_attr_undefine": "add",
+    "lrc_attr_add": "add",
+    "lrc_attr_modify": "add",
+    "lrc_attr_remove": "add",
+    "lrc_get_mappings": "query",
+    "lrc_get_lfns": "query",
+    "lrc_exists": "query",
+    "lrc_lfn_count": "query",
+    "lrc_mapping_count": "query",
+    "lrc_attr_get": "query",
+    "rli_query": "query",
+    "rli_lrc_list": "query",
+    "lrc_bulk_create": "bulk",
+    "lrc_bulk_add": "bulk",
+    "lrc_bulk_delete": "bulk",
+    "lrc_bulk_query": "bulk",
+    "lrc_attr_bulk_add": "bulk",
+    "rli_bulk_query": "bulk",
+    "lrc_query_wildcard": "wildcard",
+    "rli_query_wildcard": "wildcard",
+    "lrc_attr_query": "wildcard",
+}
+
+
 class TestClassifyMethod:
     def test_classes_cover_table1_operations(self):
-        assert classify_method("lrc_create_mapping") == "add"
-        assert classify_method("lrc_add_mapping") == "add"
-        assert classify_method("lrc_get_mappings") == "query"
-        assert classify_method("rli_query") == "query"
-        assert classify_method("lrc_bulk_query") == "bulk"
-        assert classify_method("rli_bulk_query") == "bulk"
-        assert classify_method("lrc_query_wildcard") == "wildcard"
-        assert classify_method("lrc_attr_query") == "wildcard"
+        assert OP_CLASSES == EXPECTED_CLASSES
+
+    def test_every_class_is_an_slo_class(self):
+        assert set(OP_CLASSES.values()) <= set(OPERATION_CLASSES)
 
     def test_internal_traffic_is_unclassified(self):
-        assert classify_method("admin_stats") is None
-        assert classify_method("admin_slo") is None
-        assert classify_method("mirror_ship") is None
-        assert classify_method("lrc_mirror_add") is None
-        assert classify_method("rli_lrc_update") is None
+        for method in (
+            "admin_stats",
+            "admin_slo",
+            "mirror_ship",
+            "lrc_mirror_add",
+            "lrc_rli_add",
+            "rli_full_update",
+            "rli_bloom_update",
+        ):
+            assert method not in OP_CLASSES
 
-    def test_unlisted_client_methods_classified_by_shape(self):
-        assert classify_method("lrc_bulk_frobnicate") == "bulk"
-        assert classify_method("lrc_new_wildcard_scan") == "wildcard"
-        assert classify_method("lrc_totally_new") is None
+    def test_a_write_rejected_on_a_mirror_is_charged_to_add(self, make_server):
+        mirror = make_server(ServerRole.LRC, mirror_of="slo-master").start()
+        with connect(mirror.config.name) as client:
+            with pytest.raises(ReadOnlyCatalogError):
+                client.create("lfn", "pfn://lfn")
+            add = client.usage()["principals"]["anonymous"]["add"]
+        assert add["requests"] == 1 and add["errors"] == 1
 
     def test_every_class_has_a_latency_threshold(self):
         for cls in OPERATION_CLASSES:
@@ -185,7 +225,8 @@ class TestSLIRecorder:
         state, clock = self._clock()
         registry = MetricsRegistry()
         recorder = SLIRecorder(
-            registry, shard="s0", endpoint="s0", clock=clock
+            registry, shard="s0", endpoint="s0", clock=clock,
+            classes=OP_CLASSES,
         )
         recorder.tick()  # priming
         registry.counter("rpc.requests", method="lrc_get_mappings").inc(95)
@@ -209,7 +250,9 @@ class TestSLIRecorder:
     def test_tick_exports_gauges(self):
         state, clock = self._clock()
         registry = MetricsRegistry()
-        recorder = SLIRecorder(registry, endpoint="e0", clock=clock)
+        recorder = SLIRecorder(
+            registry, endpoint="e0", clock=clock, classes=OP_CLASSES
+        )
         recorder.tick()
         registry.counter("rpc.requests", method="lrc_create_mapping").inc(90)
         registry.counter("rpc.errors", method="lrc_create_mapping").inc(10)
@@ -230,7 +273,9 @@ class TestSLIRecorder:
     def test_alerts_and_to_dict(self):
         state, clock = self._clock()
         registry = MetricsRegistry()
-        recorder = SLIRecorder(registry, shard="s1", clock=clock)
+        recorder = SLIRecorder(
+            registry, shard="s1", clock=clock, classes=OP_CLASSES
+        )
         recorder.tick()
         for i in range(1, 62):
             registry.counter(
