@@ -473,21 +473,22 @@ def time_disabled_profiler_guard(n: int) -> float:
     return (time.perf_counter() - start) / n
 
 
-#: Partition-routing population for the route() budget: a namespace split
+#: Partition-routing population for the routing budget: a namespace split
 #: across this many RLI targets, each owning this many regex patterns.
 ROUTE_TARGETS = 8
 ROUTE_PATTERNS = 4
 ROUTE_CALLS = 50_000
 
 
-def time_partition_route(n: int) -> float:
-    """Seconds per ``PartitionRouter.route`` call at realistic fan-out.
+def time_partition_filter(n: int) -> float:
+    """Seconds per name for ``PartitionRouter.filter_names``, summed over
+    every target, at realistic fan-out.
 
-    ``route`` runs once per changed LFN on the update hot path, so its
-    cost must stay a small fraction of the add that triggered it.  The
-    compiled-alternation fast path turns the per-call work into one
-    C-level search per target instead of targets x patterns Python-level
-    ``any`` probes.
+    An update filters each name it sends once per target, so this sum is
+    what routing adds to each changed LFN and must stay a small fraction
+    of the add that changed it.  The compiled alternation turns each
+    target's work into one C-level search per name instead of k
+    Python-level ``any`` probes.
     """
     from repro.core.lrc import RLITarget
     from repro.core.partition import PartitionRouter
@@ -505,11 +506,14 @@ def time_partition_route(n: int) -> float:
     # Worst case for the alternation: an LFN matching no target forces
     # every branch of every combined pattern to be tried.
     lfns = [f"elsewhere/dir{i % 10}/run{i}" for i in range(100)]
-    assert router.route(f"site3/dir1/run7") and not router.route(lfns[0])
+    assert router.filter_names(targets[3], ["site3/dir1/run7"])
+    assert not any(router.filter_names(t, lfns) for t in targets)
+    rounds = max(1, n // len(lfns))
     start = time.perf_counter()
-    for i in range(n):
-        router.route(lfns[i % len(lfns)])
-    return (time.perf_counter() - start) / n
+    for _ in range(rounds):
+        for target in targets:
+            router.filter_names(target, lfns)
+    return (time.perf_counter() - start) / (rounds * len(lfns))
 
 
 SLO_TICK_ROUNDS = 50
@@ -834,13 +838,15 @@ def main() -> int:
         return 1
     print("OK: disabled sampling profiler is within the overhead budget")
 
-    # Partition routing: one route() per changed LFN on the update path
-    # must stay under the same per-add budget at realistic fan-out.
-    per_route = time_partition_route(ROUTE_CALLS)
+    # Partition routing: each changed LFN an update sends is filtered once
+    # per target; that sum must stay under the same per-add budget at
+    # realistic fan-out.
+    per_route = time_partition_filter(ROUTE_CALLS)
     route_fraction = per_route / per_add
     print(
-        f"per route call:     {per_route * 1e9:8.2f} ns "
-        f"({ROUTE_TARGETS} targets x {ROUTE_PATTERNS} patterns, no match)"
+        f"per routed name:    {per_route * 1e9:8.2f} ns "
+        f"(filter_names over {ROUTE_TARGETS} targets x {ROUTE_PATTERNS} "
+        f"patterns, no match)"
     )
     print(
         f"routing overhead:   {route_fraction * 100:8.3f}% of add "

@@ -4,10 +4,10 @@ When partitioning is enabled, logical names are matched against regular
 expressions and updates for different subsets of the namespace go to
 different RLIs.  A target with no patterns receives the whole namespace.
 
-``route`` sits on the hot update path — it runs once per changed LFN —
-so each target's pattern list is pre-joined into a single compiled
-alternation (``(?:p1)|(?:p2)|...``): one C-level ``search`` per target
-instead of a Python-level ``any()`` over k patterns.  Patterns containing
+``filter_names`` runs over every name an update sends, so each target's
+pattern list is compiled once into a single alternation
+(``(?:p1)|(?:p2)|...``): one C-level ``search`` per name instead of a
+Python-level ``any()`` over k patterns.  Patterns containing
 backreferences cannot be joined safely (group numbers shift inside an
 alternation), so those targets keep the per-pattern path.
 """
@@ -15,7 +15,7 @@ alternation), so those targets keep the per-pattern path.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.lrc import RLITarget
 
@@ -32,59 +32,29 @@ def _combine(patterns: Sequence[str]) -> re.Pattern[str] | None:
     return re.compile("|".join(f"(?:{p})" for p in patterns))
 
 
+def _matcher(patterns: Sequence[str]) -> Callable[[str], Any] | None:
+    """A search matching iff any pattern matches, or ``None`` for a
+    target with no patterns (the whole namespace)."""
+    if not patterns:
+        return None
+    combined = _combine(patterns)
+    if combined is not None:
+        return combined.search
+    compiled = [re.compile(p) for p in patterns]
+    return lambda lfn: any(p.search(lfn) for p in compiled)
+
+
 class PartitionRouter:
-    """Routes logical names to the RLI targets whose patterns match."""
+    """Picks the logical names each RLI target should receive."""
 
     def __init__(self, targets: Sequence[RLITarget]) -> None:
-        self.targets = list(targets)
-        self._compiled: dict[str, list[re.Pattern[str]]] = {
-            t.name: [re.compile(p) for p in t.patterns] for t in self.targets
-        }
-        # Fast path: (target, combined-alternation-or-None); None marks a
-        # match-all target (no patterns).  Targets whose patterns cannot
-        # be combined fall back to the per-pattern list.
-        self._route_plan: list[
-            tuple[RLITarget, re.Pattern[str] | None, list[re.Pattern[str]]]
-        ] = []
-        for t in self.targets:
-            if not t.patterns:
-                self._route_plan.append((t, None, []))
-            else:
-                combined = _combine(t.patterns)
-                fallback = self._compiled[t.name] if combined is None else []
-                self._route_plan.append((t, combined, fallback))
-
-    def matches(self, target: RLITarget, lfn: str) -> bool:
-        """True if ``target`` should receive updates about ``lfn``.
-
-        Patterns use ``re.search`` semantics, like Globus partition
-        regexes; no patterns means "everything".
-        """
-        patterns = self._compiled[target.name]
-        if not patterns:
-            return True
-        return any(p.search(lfn) for p in patterns)
+        self._match = {t.name: _matcher(t.patterns) for t in targets}
 
     def filter_names(self, target: RLITarget, lfns: Iterable[str]) -> list[str]:
-        """Subset of ``lfns`` that ``target`` should receive."""
-        patterns = self._compiled[target.name]
-        if not patterns:
+        """Subset of ``lfns`` that ``target`` should receive: names any of
+        its patterns finds (``re.search`` semantics, like Globus partition
+        regexes), or every name when it has none."""
+        match = self._match[target.name]
+        if match is None:
             return list(lfns)
-        combined = _combine([p.pattern for p in patterns])
-        if combined is not None:
-            search = combined.search
-            return [lfn for lfn in lfns if search(lfn)]
-        return [lfn for lfn in lfns if any(p.search(lfn) for p in patterns)]
-
-    def route(self, lfn: str) -> list[RLITarget]:
-        """Every target that should hear about ``lfn``."""
-        matched: list[RLITarget] = []
-        for target, combined, fallback in self._route_plan:
-            if combined is not None:
-                if combined.search(lfn):
-                    matched.append(target)
-            elif not fallback:
-                matched.append(target)  # match-all target
-            elif any(p.search(lfn) for p in fallback):
-                matched.append(target)
-        return matched
+        return [lfn for lfn in lfns if match(lfn)]

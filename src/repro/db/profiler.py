@@ -13,10 +13,11 @@ contention.  This module is the missing layer:
   examined, returned, dead_hits, elapsed]``, that :class:`OpStats` renders.
 * :class:`QueryLog` — bounded tail retention of slow/error statements
   with their profiles, normalized statement text, and the enclosing RPC
-  span context (same retention idea as
-  :class:`~repro.obs.tracing.SpanSink`: decide at statement *end*, keep
-  the slow and the broken, plus a small recent ring for context).  The
-  profiler offers a tuple; :class:`QueryLogEntry` is built when read.
+  span context, on the :class:`~repro.obs.retention.TailRing` that also
+  holds the span sink's spans: decide at statement *end*, keep the slow
+  and the broken, plus a small recent ring for context.  Offering takes
+  no lock.  The profiler offers a tuple; :class:`QueryLogEntry` is built
+  when read.
 * :class:`QueryProfiler` — per-database container tying the two to the
   metrics registry (``db.statements{class=...}``,
   ``db.statement_latency{class=...}``, ``db.slow_statements``), and
@@ -39,7 +40,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -49,6 +49,7 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
 )
+from repro.obs.retention import TailRing, side_capacity
 
 #: Statements at or above this duration (seconds) are always retained.
 DEFAULT_SLOW_QUERY_THRESHOLD = 0.050
@@ -290,59 +291,39 @@ class QueryLog:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.slow_threshold = slow_threshold
-        self.recent_capacity = (
-            recent_capacity if recent_capacity is not None
-            else max(16, capacity // 4)
-        )
-        self._lock = threading.Lock()
-        self._interesting: "deque[QueryLogEntry | tuple]" = deque(maxlen=capacity)
-        self._recent: "deque[QueryLogEntry | tuple]" = deque(maxlen=self.recent_capacity)
-        self.offered = 0
-        self.retained = 0
-
-    def interesting_reason(self, entry: QueryLogEntry) -> str | None:
-        """Why this statement is tail-retained, or ``None``."""
-        if entry.error is not None:
-            return "error"
-        if entry.duration >= self.slow_threshold:
-            return "slow"
-        return None
+        if recent_capacity is None:
+            recent_capacity = side_capacity(capacity)
+        self._ring = TailRing(recent_capacity, capacity)
 
     def offer(
         self, statement: "QueryLogEntry | tuple", interesting: bool | None = None
     ) -> None:
         """Consider one finished statement for retention: an entry, or the
-        profiler's tuple with its verdict."""
+        profiler's tuple with its verdict (an entry's is: failed or slow)."""
         if interesting is None:
-            interesting = self.interesting_reason(statement) is not None
-        with self._lock:
-            self.offered += 1
-            self._recent.append(statement)
-            if interesting:
-                self.retained += 1
-                self._interesting.append(statement)
+            interesting = (
+                statement.error is not None
+                or statement.duration >= self.slow_threshold
+            )
+        self._ring.offer(statement, interesting)
 
     def interesting(self) -> list[QueryLogEntry]:
         """Tail-retained statements (errors and slow), oldest first."""
-        with self._lock:
-            kept = list(self._interesting)
-        return [_entry(statement) for statement in kept]
+        return [_entry(statement) for statement in self._ring.snapshot()[2]]
 
     def recent(self) -> list[QueryLogEntry]:
-        with self._lock:
-            kept = list(self._recent)
-        return [_entry(statement) for statement in kept]
+        return [_entry(statement) for statement in self._ring.snapshot()[3]]
 
     def stats(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "offered": self.offered,
-                "retained": self.retained,
-                "interesting": len(self._interesting),
-                "recent": len(self._recent),
-                "capacity": self.capacity,
-                "slow_threshold": self.slow_threshold,
-            }
+        offered, retained, kept, recent = self._ring.snapshot()
+        return {
+            "offered": offered,
+            "retained": retained,
+            "interesting": len(kept),
+            "recent": len(recent),
+            "capacity": self.capacity,
+            "slow_threshold": self.slow_threshold,
+        }
 
     def to_dict(self, limit: int | None = None) -> dict[str, Any]:
         """RPC payload: stats plus the retained statements (newest last)."""
@@ -355,9 +336,7 @@ class QueryLog:
         }
 
     def clear(self) -> None:
-        with self._lock:
-            self._interesting.clear()
-            self._recent.clear()
+        self._ring.clear()
 
 
 class QueryProfiler:
@@ -388,19 +367,12 @@ class QueryProfiler:
         return self.log.slow_threshold
 
     def configure(
-        self,
-        enabled: bool | None = None,
-        slow_threshold: float | None = None,
-        capacity: int | None = None,
+        self, enabled: bool | None = None, slow_threshold: float | None = None
     ) -> "QueryProfiler":
         if enabled is not None:
             self.enabled = enabled
         if slow_threshold is not None:
             self.log.slow_threshold = slow_threshold
-        if capacity is not None and capacity != self.log.capacity:
-            self.log = QueryLog(
-                capacity=capacity, slow_threshold=self.log.slow_threshold
-            )
         return self
 
     def describe(self, sql: str, stmt: Any) -> StatementMeta:

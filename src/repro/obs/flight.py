@@ -8,31 +8,29 @@ retries, WAL flushes, errors) into a bounded thread-safe ring, correlated
 with span ids from the tracer, and the ring is snapshotted on demand
 (``admin_flight`` / ``rls flight``) or automatically when a handler
 raises.  The request path stores and readers build: a finished request
-is one ``deque.append`` of its :class:`~repro.obs.reqctx.RequestCosts`,
-and its ``rpc.in`` and ``rpc.out`` (or ``error``) events — ``rpc.in`` alone
-for one the dispatcher still has in flight — are made when a ring is read
+is one offer of its :class:`~repro.obs.reqctx.RequestCosts`, and its
+``rpc.in`` and ``rpc.out`` (or ``error``) events — ``rpc.in`` alone for
+one the dispatcher still has in flight — are made when a ring is read
 and placed among the others by the record's two stamps; the automatic
-freeze keeps references too.  Appending takes no lock (request threads
-share the ring and would convoy on one): it is single C calls,
-``deque.append`` and ``next`` on a count; readers copy under a lock.
+freeze keeps references too.
 
-Retention mirrors :class:`~repro.obs.tracing.SpanSink`: every event lands
-in a **recent** ring (capacity ``capacity``) and error events *also* land
-in a smaller **errors** ring, so a flood of healthy traffic can never
-push out the failure evidence — the property the wrap test asserts.
+Retention is a :class:`~repro.obs.retention.TailRing`, as under the span
+sink and the query log: every event lands in a **recent** ring (capacity
+``capacity``) and error events *also* land in a smaller **errors** ring,
+so a flood of healthy traffic can never push out the failure evidence —
+the property the wrap test asserts.  Offering takes no lock.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs import tracing
 from repro.obs.reqctx import RequestCosts, stamp
+from repro.obs.retention import Tally, TailRing, side_capacity
 
 #: Event kinds the instrumentation sites emit (informative, not enforced).
 EVENT_KINDS = (
@@ -107,21 +105,17 @@ class FlightRecorder:
         self.capacity = capacity
         self.error_capacity = (
             error_capacity if error_capacity is not None
-            else max(16, capacity // 4)
+            else side_capacity(capacity)
         )
         self.clock = clock
         self._lock = threading.Lock()
-        # An event recorded as it happened, or a finished request's record
-        # (two events; the error ring reads a failed one as its second).
-        self._recent: "deque[FlightEvent | RequestCosts]" = deque(maxlen=capacity)
-        self._errors: "deque[FlightEvent | RequestCosts]" = deque(maxlen=self.error_capacity)
+        # An event recorded as it happened, or a finished request's record:
+        # two events, the ring counting its rpc.in and ``_second`` the other.
+        self._ring = TailRing(capacity, self.error_capacity)
+        self._offer = self._ring.offer
+        self._second = Tally()
+        self._count_second = self._second.add
         self._in_flight: Callable[[], list[RequestCosts]] = list  # see watch()
-        # Totals many threads raise without a lock: ``next`` on a count is
-        # one C call.  Reading one draws from it too, so the reader (under
-        # ``_lock``) subtracts the draws that reads have made.
-        self._count_event = itertools.count().__next__
-        self._count_error = itertools.count().__next__
-        self._reads = 0
         # The last freeze, as ``[frozen, rendered]``: the (reason, t,
         # snapshot) tuple until first read, then the dict it renders to
         # (under ``_render_lock``).  One list per freeze, so a reader never
@@ -154,36 +148,27 @@ class FlightRecorder:
             error=error,
             data=data,
         )
-        self._count_event()
-        self._recent.append(event)
-        if error:
-            self._count_error()
-            self._errors.append(event)
+        self._offer(event, error)
         return event
 
     def finished(self, record: RequestCosts) -> None:
-        self._count_event()  # its rpc.in
-        self._count_event()  # its rpc.out, or error
-        self._recent.append(record)
+        self._count_second()
+        self._offer(record, record.error is not None)
         if record.error is not None:
-            self._count_error()
-            self._errors.append(record)
             # Black box: freeze the events leading up to the failure so a
             # later wrap can't erase them (references only).
             self.freeze(f"{record.method}: {record.error}")
 
-    def _snapshot_locked(self) -> tuple:
+    def _snapshot(self) -> tuple:
         """``(events, errors, now, in-flight records, error ring, recent
         ring)``.  The in-flight map is read first: the dispatcher drops a
         record from it only after its observers have it, so a request
         ending meanwhile is seen twice (and merged), never missed."""
-        in_flight = self._in_flight()
-        reads = self._reads
-        self._reads += 1
-        return (
-            self._count_event() - reads, self._count_error() - reads, stamp(),
-            in_flight, tuple(self._errors), tuple(self._recent),
-        )
+        with self._lock:
+            in_flight = self._in_flight()
+            offered, errors, error_ring, recent = self._ring.snapshot()
+            events = offered + self._second.read()
+            return events, errors, stamp(), in_flight, error_ring, recent
 
     def _stats(self, snapshot: tuple) -> dict[str, Any]:
         events, errors, now, in_flight, error_ring, recent = snapshot
@@ -225,24 +210,18 @@ class FlightRecorder:
         Errors evicted from the recent ring survive via the error ring;
         the union is deduplicated by ``seq``.
         """
-        with self._lock:
-            snapshot = self._snapshot_locked()
-        return self._events(snapshot)
+        return self._events(self._snapshot())
 
     def errors(self) -> list[FlightEvent]:
-        with self._lock:
-            errors = tuple(self._errors)
+        errors = self._ring.snapshot()[2]
         return _error_events(errors, self.clock() - time.perf_counter())
 
     def stats(self) -> dict[str, Any]:
-        with self._lock:
-            snapshot = self._snapshot_locked()
-        return self._stats(snapshot)
+        return self._stats(self._snapshot())
 
     def to_dict(self, limit: int | None = None) -> dict[str, Any]:
         """RPC payload: stats, the event tail, and the last error dump."""
-        with self._lock:
-            snapshot = self._snapshot_locked()
+        snapshot = self._snapshot()
         events = self._events(snapshot)
         if limit is not None and limit >= 0:
             events = events[-limit:]
@@ -261,10 +240,7 @@ class FlightRecorder:
         per-event dicts are built by :attr:`last_dump`, when read.
         Returns the dump's ``[frozen, rendered]`` cell.
         """
-        t = self.clock()
-        with self._lock:
-            frozen = (reason, t, self._snapshot_locked())
-        self._dump = dump = [frozen, None]
+        self._dump = dump = [(reason, self.clock(), self._snapshot()), None]
         return dump
 
     @property
@@ -291,9 +267,7 @@ class FlightRecorder:
         return self._render(self.freeze(reason))
 
     def clear(self) -> None:
-        with self._lock:
-            self._recent.clear()
-            self._errors.clear()
+        self._ring.clear()
         self._dump = None
 
 

@@ -21,6 +21,10 @@ No tracer is installed by default: :func:`span` then returns a shared
 no-op context manager, so instrumentation sites cost one function call.
 Install with :func:`install_tracer` (tests, debugging, the ``stats``
 surfaces) and remove with ``install_tracer(None)``.
+
+A :class:`SpanSink` tail-samples finished spans onto a
+:class:`~repro.obs.retention.TailRing`; a kept span whose trace the
+tracer's store no longer holds reads as an orphan fragment.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
+
+from repro.obs.retention import TailRing, side_capacity
 
 _ids = itertools.count(1)
 
@@ -91,10 +97,11 @@ class SpanSink:
 
     Head-based samplers decide at span *start* and therefore drop exactly
     the spans one wants to keep (the slow and the broken are not known to
-    be slow or broken yet).  This sink decides at span *end*:
+    be slow or broken yet).  This sink decides at span *end*, on a
+    :class:`~repro.obs.retention.TailRing`:
 
     * spans with an error, or with ``duration >= latency_threshold``, go
-      to the **interesting** buffer (capacity ``capacity``);
+      to the **interesting** ring (capacity ``capacity``);
     * every span also lands in a smaller **recent** ring (context for the
       interesting ones).
 
@@ -115,19 +122,12 @@ class SpanSink:
         self.latency_threshold = latency_threshold
         self.recent_capacity = (
             recent_capacity if recent_capacity is not None
-            else max(16, capacity // 4)
+            else side_capacity(capacity)
         )
-        self._lock = threading.Lock()
-        self._interesting: "OrderedDict[str, Span]" = OrderedDict()
-        self._recent: "OrderedDict[str, Span]" = OrderedDict()
-        # Retention reason recorded at offer time, keyed by span_id.
-        # Recomputing from span fields at read time loses history: a child
-        # span retained as "slow" whose root trace was later evicted must
-        # report "slow,orphan" so assemblers know the fragment is partial.
-        self._reason: dict[str, str] = {}
-        self.offered = 0
-        self.retained = 0
-        self.orphans = 0
+        self._ring = TailRing(self.recent_capacity, capacity)
+        #: Whether the owning :class:`Tracer`'s store still holds a trace
+        #: (the tracer sets it); a kept span of a trace it lost is an orphan.
+        self.live: Callable[[str], bool] = lambda trace_id: True
 
     def interesting_reason(self, span: Span) -> str | None:
         """Why this span is tail-retained, or ``None`` if it is not."""
@@ -139,46 +139,16 @@ class SpanSink:
 
     def offer(self, span: Span) -> None:
         """Consider one finished span for retention."""
+        self._ring.offer(span, self.interesting_reason(span) is not None)
+
+    def retention_reason(self, span: Span) -> str | None:
+        """Why a span is retained ("error"/"slow", with an ``,orphan``
+        suffix once its trace is gone from the tracer's store), or ``None``.
+        Orphans stay fetchable by trace id via :meth:`trace`."""
         reason = self.interesting_reason(span)
-        with self._lock:
-            self.offered += 1
-            self._recent[span.span_id] = span
-            while len(self._recent) > self.recent_capacity:
-                old_id, _ = self._recent.popitem(last=False)
-                if old_id not in self._interesting:
-                    self._reason.pop(old_id, None)
-            if reason is not None:
-                self.retained += 1
-                self._reason[span.span_id] = reason
-                self._interesting[span.span_id] = span
-                while len(self._interesting) > self.capacity:
-                    old_id, _ = self._interesting.popitem(last=False)
-                    if old_id not in self._recent:
-                        self._reason.pop(old_id, None)
-
-    def retention_reason(self, span_id: str) -> str | None:
-        """Recorded reason a span is retained ("error"/"slow", with an
-        ``,orphan`` suffix once its trace was evicted from the tracer)."""
-        with self._lock:
-            return self._reason.get(span_id)
-
-    def mark_orphaned(self, trace_id: str) -> None:
-        """Flag retained spans of an evicted trace as orphan fragments.
-
-        Called by the owning :class:`Tracer` when ``trace_id`` rolls out
-        of its per-trace store.  The tail-retained children survive here
-        with their original reason plus ``,orphan``, and stay fetchable
-        by trace id via :meth:`trace` so cross-node assembly can still
-        stitch partial trees around them.
-        """
-        with self._lock:
-            for span_id, span in self._interesting.items():
-                if span.trace_id != trace_id:
-                    continue
-                reason = self._reason.get(span_id, "slow")
-                if "orphan" not in reason:
-                    self._reason[span_id] = reason + ",orphan"
-                    self.orphans += 1
+        if reason is not None and not self.live(span.trace_id):
+            return reason + ",orphan"
+        return reason
 
     def trace(self, trace_id: str) -> list[Span]:
         """Every retained span of one trace (interesting plus recent).
@@ -188,62 +158,44 @@ class SpanSink:
         :class:`~repro.obs.assemble.TraceAssembler` fetch by trace id
         after partial eviction.
         """
-        with self._lock:
-            out: dict[str, Span] = {}
-            for span in self._interesting.values():
-                if span.trace_id == trace_id:
-                    out[span.span_id] = span
-            for span in self._recent.values():
-                if span.trace_id == trace_id and span.span_id not in out:
-                    out[span.span_id] = span
-            return sorted(out.values(), key=lambda s: s.start)
+        _, _, kept, recent = self._ring.snapshot()
+        # A span in both rings is one object: keying by id deduplicates.
+        out = {s.span_id: s for s in kept + recent if s.trace_id == trace_id}
+        return sorted(out.values(), key=lambda s: s.start)
 
     def interesting(self) -> list[Span]:
         """Tail-retained spans (errors and slow), oldest first."""
-        with self._lock:
-            return list(self._interesting.values())
+        return list(self._ring.snapshot()[2])
 
     def recent(self) -> list[Span]:
-        with self._lock:
-            return list(self._recent.values())
+        return list(self._ring.snapshot()[3])
 
     def stats(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "offered": self.offered,
-                "retained": self.retained,
-                "interesting": len(self._interesting),
-                "recent": len(self._recent),
-                "capacity": self.capacity,
-                "latency_threshold": self.latency_threshold,
-                "orphans": self.orphans,
-            }
+        offered, retained, kept, recent = self._ring.snapshot()
+        return {
+            "offered": offered,
+            "retained": retained,
+            "interesting": len(kept),
+            "recent": len(recent),
+            "capacity": self.capacity,
+            "latency_threshold": self.latency_threshold,
+            "orphans": sum(1 for span in kept if not self.live(span.trace_id)),
+        }
 
     def to_dict(self, limit: int | None = None) -> dict[str, Any]:
         """RPC payload: stats plus the interesting spans (newest last).
 
         Each span dict carries a ``reason`` key (additive, so older
-        clients ignore it) with the recorded retention reason — including
-        the ``,orphan`` suffix for fragments whose trace was evicted.
+        clients ignore it): its :meth:`retention_reason`.
         """
         spans = self.interesting()
         if limit is not None and limit >= 0:
             spans = spans[-limit:]
-        out = []
-        for span in spans:
-            d = span.to_dict()
-            d["reason"] = self.retention_reason(span.span_id)
-            out.append(d)
-        return {
-            "stats": self.stats(),
-            "spans": out,
-        }
+        out = [dict(s.to_dict(), reason=self.retention_reason(s)) for s in spans]
+        return {"stats": self.stats(), "spans": out}
 
     def clear(self) -> None:
-        with self._lock:
-            self._interesting.clear()
-            self._recent.clear()
-            self._reason.clear()
+        self._ring.clear()
 
 
 class _NullSpan:
@@ -320,6 +272,8 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._traces: "OrderedDict[str, list[Span]]" = OrderedDict()
+        if sink is not None:
+            sink.live = self._traces.__contains__
         # Cross-thread view of each thread's innermost open span, for
         # thread dumps (the thread-local stack is invisible from the
         # admin RPC's thread).  Plain dict ops under the GIL; entries are
@@ -392,24 +346,15 @@ class Tracer:
             self._active_by_thread.pop(ident, None)
         if self.sink is not None:
             self.sink.offer(span)
-        evicted: list[str] = []
         with self._lock:
             spans = self._traces.get(span.trace_id)
             if spans is None:
                 self._traces[span.trace_id] = [span]
                 while len(self._traces) > self.max_traces:
-                    old_tid, _ = self._traces.popitem(last=False)
-                    evicted.append(old_tid)
+                    self._traces.popitem(last=False)
             else:
                 spans.append(span)
                 self._traces.move_to_end(span.trace_id)
-        # Outside the tracer lock: the sink takes its own lock and never
-        # calls back into the tracer, but keeping the ordering one-way is
-        # cheap insurance.  Tail-retained children of the evicted trace
-        # stay fetchable by trace id through the sink (reason "…,orphan").
-        if self.sink is not None:
-            for old_tid in evicted:
-                self.sink.mark_orphaned(old_tid)
 
     # -- inspection ------------------------------------------------------
 

@@ -557,14 +557,15 @@ class TestPartitionRouter:
         from repro.core.lrc import RLITarget
 
         router = PartitionRouter([RLITarget("rli")])
-        assert router.matches(RLITarget("rli"), "anything")
+        assert router.filter_names(RLITarget("rli"), ["anything"]) == ["anything"]
 
     def test_search_semantics(self):
         from repro.core.lrc import RLITarget
 
         target = RLITarget("rli", patterns=("run1",))
         router = PartitionRouter([target])
-        assert router.matches(target, "data/run1/file")  # substring match
+        # substring match
+        assert router.filter_names(target, ["data/run1/file"]) == ["data/run1/file"]
 
     def test_route(self):
         from repro.core.lrc import RLITarget
@@ -573,7 +574,8 @@ class TestPartitionRouter:
         t2 = RLITarget("b", patterns=("^y",))
         t3 = RLITarget("c")
         router = PartitionRouter([t1, t2, t3])
-        assert [t.name for t in router.route("xfile")] == ["a", "c"]
+        hearing = [t.name for t in (t1, t2, t3) if router.filter_names(t, ["xfile"])]
+        assert hearing == ["a", "c"]
 
     def test_filter_names(self):
         from repro.core.lrc import RLITarget
@@ -584,8 +586,8 @@ class TestPartitionRouter:
 
 
 class TestPartitionRouterFastPath:
-    """The compiled-alternation route plan must be invisible: identical
-    answers to the per-pattern path for every pattern class."""
+    """The compiled alternation must be invisible: the names each target
+    receives are the names any one of its patterns finds."""
 
     LFNS = [
         "site0/dir1/run42",
@@ -598,6 +600,8 @@ class TestPartitionRouterFastPath:
     ]
 
     def test_alternation_equivalent_to_per_pattern(self):
+        import re
+
         from repro.core.lrc import RLITarget
 
         targets = [
@@ -607,15 +611,17 @@ class TestPartitionRouterFastPath:
             RLITarget("all", patterns=()),
         ]
         router = PartitionRouter(targets)
-        for lfn in self.LFNS:
-            fast = {t.name for t in router.route(lfn)}
-            slow = {t.name for t in targets if router.matches(t, lfn)}
-            assert fast == slow, (lfn, fast, slow)
+        for t in targets:
+            expected = [
+                lfn for lfn in self.LFNS
+                if not t.patterns or any(re.search(p, lfn) for p in t.patterns)
+            ]
+            assert router.filter_names(t, self.LFNS) == expected, t.name
 
     def test_backreference_patterns_fall_back(self):
         """Group numbers shift inside a joined alternation, so a pattern
-        with a backreference must skip the combined plan — and still
-        route correctly."""
+        with a backreference must skip the combined search — and still
+        filter correctly."""
         from repro.core.lrc import RLITarget
         from repro.core.partition import _combine
 
@@ -624,9 +630,10 @@ class TestPartitionRouterFastPath:
         assert _combine(["^plain", "no-backref"]) is not None
 
         target = RLITarget("br", patterns=(r"(ab)\1",))
-        router = PartitionRouter([target, RLITarget("plain", patterns=("^x",))])
-        assert [t.name for t in router.route("abab")] == ["br"]
-        assert [t.name for t in router.route("xyy")] == ["plain"]
+        plain = RLITarget("plain", patterns=("^x",))
+        router = PartitionRouter([target, plain])
+        assert router.filter_names(target, ["abab", "xyy"]) == ["abab"]
+        assert router.filter_names(plain, ["abab", "xyy"]) == ["xyy"]
         assert router.filter_names(target, ["abab", "abba"]) == ["abab"]
 
     def test_match_all_target_in_route_and_filter(self):
@@ -635,11 +642,9 @@ class TestPartitionRouterFastPath:
         everything = RLITarget("everything")
         scoped = RLITarget("scoped", patterns=("^site0/",))
         router = PartitionRouter([everything, scoped])
-        assert [t.name for t in router.route("unrelated")] == ["everything"]
-        assert {t.name for t in router.route("site0/f")} == {
-            "everything",
-            "scoped",
-        }
+        assert router.filter_names(everything, ["unrelated"]) == ["unrelated"]
+        assert router.filter_names(scoped, ["unrelated"]) == []
+        assert router.filter_names(scoped, ["site0/f"]) == ["site0/f"]
         names = ["site0/a", "other/b"]
         assert router.filter_names(everything, names) == names
 

@@ -201,18 +201,15 @@ class TestQueryProfiler:
         )
         assert (recorded.trace_id, recorded.span_id) == ("trace-1", "span-9")
 
-    def test_configure_recreates_log_on_capacity_change(self):
+    def test_configure_sets_enabled_and_slow_threshold(self):
         profiler = QueryProfiler()
-        old_log = profiler.log
-        profiler.configure(enabled=True, slow_threshold=0.01, capacity=32)
+        log = profiler.log
+        profiler.configure(enabled=True, slow_threshold=0.01)
         assert profiler.enabled
-        assert profiler.log is not old_log
-        assert profiler.log.capacity == 32
         assert profiler.log.slow_threshold == 0.01
-        # Same capacity: the log (and its entries) are kept.
-        same = profiler.log
-        profiler.configure(slow_threshold=0.02, capacity=32)
-        assert profiler.log is same
+        profiler.configure(slow_threshold=0.02)
+        assert profiler.log is log  # the log (and its entries) are kept
+        assert profiler.slow_threshold == 0.02
 
 
 # ---------------------------------------------------------------------------
