@@ -10,13 +10,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.common import (
-    attach_collector,
     measure_rate,
     record_series,
     scaled,
     write_bench_artifact,
 )
-from repro.obs.analyze import analyze_store
 from repro.workload.driver import LoadDriver
 from repro.workload.scenarios import loaded_lrc_server
 
@@ -40,13 +38,7 @@ def bench_fig05_query_rates(lrc_server, benchmark):
     lfns = mappings.random_lfns(2000)
     op = LoadDriver.query_op(lfns)
 
-    # Collector attached for the whole run: one scrape per measured
-    # point, so the internal counter/histogram series line up with the
-    # per-thread-count query rates in the artifact.
-    collector = attach_collector(server)
-    scrapes = [0]
-
-    def series(label: str):
+    def series():
         rates = {}
         for threads in THREAD_COUNTS:
             rates[threads] = measure_rate(
@@ -57,17 +49,12 @@ def bench_fig05_query_rates(lrc_server, benchmark):
                 total_operations=2500,
                 trials=3,
             )
-            scrapes[0] += 1
-            collector.scrape_once(now=float(scrapes[0]))
-            collector.store.record(
-                f"lrc.query_rate.{label}", float(threads), rates[threads]
-            )
         return rates
 
     server.engine.set_flush_on_commit(True)
-    on_rates = series("flush_on")
+    on_rates = series()
     server.engine.set_flush_on_commit(False)
-    off_rates = series("flush_off")
+    off_rates = series()
 
     benchmark.pedantic(
         lambda: measure_rate(
@@ -96,16 +83,14 @@ def bench_fig05_query_rates(lrc_server, benchmark):
 
     artifact = write_bench_artifact(
         "fig05",
-        series=collector.store.to_dict(),
-        detections=analyze_store(collector.store),
+        series={
+            f"lrc.query_rate.{label}": [[t, rates[t]] for t in THREAD_COUNTS]
+            for label, rates in (("flush_on", on_rates), ("flush_off", off_rates))
+        },
         meta={
             "thread_counts": THREAD_COUNTS,
             "flush_on": {str(t): on_rates[t] for t in THREAD_COUNTS},
             "flush_off": {str(t): off_rates[t] for t in THREAD_COUNTS},
-        },
-        nodes={
-            name: collector.node_store(name).to_dict()
-            for name in collector.node_names
         },
     )
     print(f"wrote {artifact}")

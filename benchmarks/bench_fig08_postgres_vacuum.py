@@ -14,13 +14,11 @@ import time
 import pytest
 
 from benchmarks.common import (
-    attach_collector,
     record_series,
     scaled,
     write_bench_artifact,
 )
 from repro.core.config import Backend
-from repro.obs.analyze import analyze_store
 from repro.workload.scenarios import loaded_lrc_server
 
 PAPER_BASE_ENTRIES = 110_000
@@ -65,10 +63,6 @@ def bench_fig08_sawtooth(pg_server, benchmark):
     lrc = server.lrc
     ops = scaled(PAPER_OPS_PER_TRIAL, minimum=300)
 
-    # Collector attached for the whole run: one scrape round per trial
-    # (trial index as the time axis), so internal counter/histogram series
-    # line up 1:1 with the measured per-trial add rates.
-    collector = attach_collector(server)
     rates: list[float] = []
     dead_counts: list[int] = []
     for cycle in range(CYCLES):
@@ -82,15 +76,7 @@ def bench_fig08_sawtooth(pg_server, benchmark):
                     "db.table.dead_tuples{table=t_lfn}"
                 ]
             ))
-            t = float(len(rates))
-            collector.scrape_once(now=t)
-            collector.store.record("lrc.add_rate", t, rates[-1])
         server.engine.vacuum()
-
-    # Automatic pathology detection: the analyzer's built-in thresholds
-    # must find the VACUUM sawtooth on their own (no tuning here).
-    detections = analyze_store(collector.store)
-    sawtooths = [d for d in detections if d.kind == "sawtooth"]
 
     benchmark.pedantic(
         lambda: _trial_add_rate(lrc, min(ops, 500)),
@@ -112,24 +98,20 @@ def bench_fig08_sawtooth(pg_server, benchmark):
         notes=[
             f"{ops} adds+deletes per trial (paper: {PAPER_OPS_PER_TRIAL}); "
             "paper shape: rate decays within a cycle, VACUUM restores it",
-            *(f"[detected] {d.kind}: {d.summary}" for d in detections),
         ],
     )
 
     artifact = write_bench_artifact(
         "fig08",
-        series=collector.store.to_dict(),
-        detections=detections,
+        series={
+            "lrc.add_rate": [[trial, rate] for trial, rate in enumerate(rates, 1)]
+        },
         meta={
             "ops_per_trial": ops,
             "trials_per_cycle": TRIALS_PER_CYCLE,
             "cycles": CYCLES,
             "dead_tuples": dead_counts,
             "dead_tuples_source": "db.table.dead_tuples{table=t_lfn}",
-        },
-        nodes={
-            name: collector.node_store(name).to_dict()
-            for name in collector.node_names
         },
     )
     print(f"wrote {artifact}")
@@ -142,9 +124,3 @@ def bench_fig08_sawtooth(pg_server, benchmark):
     assert late < early * 0.9, "no decay within cycle"
     post_vacuum = rates[TRIALS_PER_CYCLE]
     assert post_vacuum > late * 1.1, "VACUUM did not restore the add rate"
-    # The detector must fire with its defaults — period and amplitude
-    # are reported in the detection details.
-    assert sawtooths, "analyzer missed the sawtooth the shape asserts"
-    assert all(
-        "period" in d.details and "amplitude" in d.details for d in sawtooths
-    )

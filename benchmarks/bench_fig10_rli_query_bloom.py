@@ -94,19 +94,14 @@ def bench_fig10_bloom_query_rates(bloom_rli, benchmark):
                 "paper shape: 1bf ~= 10bf >> 100bf",
             ],
         )
-        from repro.obs.timeseries import SeriesStore
-
-        store = SeriesStore()
-        for nf in FILTER_COUNTS:
-            for c in CLIENT_COUNTS:
-                store.record(
-                    f"rli.bloom_query_rate{{filters={nf}}}",
-                    float(c),
-                    RESULTS[nf][c],
-                )
         artifact = write_bench_artifact(
             "fig10",
-            series=store.to_dict(),
+            series={
+                f"rli.bloom_query_rate{{filters={nf}}}": [
+                    [c, RESULTS[nf][c]] for c in CLIENT_COUNTS
+                ]
+                for nf in FILTER_COUNTS
+            },
             meta={
                 "filter_counts": FILTER_COUNTS,
                 "client_counts": CLIENT_COUNTS,

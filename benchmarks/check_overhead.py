@@ -1,16 +1,13 @@
-"""Assert that disabled instrumentation and background scraping are cheap.
+"""Assert that disabled instrumentation and background telemetry are cheap.
 
-Two budgets, both gated at ``MAX_OVERHEAD_FRACTION``:
-
-1. **Disabled instrumentation.**  Every hot path carries metric and
-   tracing hooks; with no registry and no tracer installed those hooks
-   degenerate into attribute checks and no-op method calls.  Quantified
-   on the tightest loop in the system — LRC adds against an in-memory
-   engine — against the measured per-add time.
-2. **Background scraping.**  A :class:`~repro.obs.timeseries.Scraper`
-   attached to a live registry snapshots and subtracts once per interval;
-   that work, amortized over the default scrape interval, must stay under
-   the budget relative to a core saturated by the tight add loop.
+The first budget is ``MAX_OVERHEAD_FRACTION`` of an add: every hot path
+carries metric and tracing hooks; with no registry and no tracer installed
+those hooks degenerate into attribute checks and no-op method calls.
+Quantified on the tightest loop in the system — LRC adds against an
+in-memory engine — against the measured per-add time.  The disabled query
+profiler, the disabled sampler and partition routing are held to the same
+share, and the SLI recorder and the sampling profiler to the same duty
+cycle of one core.
 
 What ships switched on is priced where it runs, in absolute time: request
 telemetry on ``RPCServer.handle`` (``MAX_TELEMETRY_SECONDS``) and the
@@ -36,6 +33,9 @@ Run directly (CI does)::
 
     PYTHONPATH=src python benchmarks/check_overhead.py
 
+Every gate runs and prints ``OK:`` or ``FAIL:``; the exit status is 1 when
+any gate failed.
+
 The comparisons are deterministic by construction: rather than racing two
 separately-timed loops (noisy on shared CI runners), each measures unit
 costs in isolation and compares the products.
@@ -51,7 +51,6 @@ from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
 from repro.obs import tracing
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.timeseries import DEFAULT_INTERVAL, Scraper
 
 #: Disabled instrumentation must cost less than this fraction of an add.
 MAX_OVERHEAD_FRACTION = 0.05
@@ -414,7 +413,8 @@ def time_sampler_walk(rounds: int) -> tuple[float, int]:
     thread population.
 
     Spins up a handful of registered busy threads so the sampler walks
-    stacks comparable to a live server (RPC workers + updater + scraper),
+    stacks comparable to a live server (RPC workers + updater + SLI
+    recorder),
     then times ``sample_once`` in isolation.  Duty cycle is the product
     walk_time x SAMPLER_HZ, the same figure the profiler self-reports as
     ``obs.profiler.duty_cycle``.
@@ -436,7 +436,7 @@ def time_sampler_walk(rounds: int) -> tuple[float, int]:
     ]
     threads += [
         threading.Thread(target=busy, args=("updates",), daemon=True),
-        threading.Thread(target=busy, args=("scraper",), daemon=True),
+        threading.Thread(target=busy, args=("slo",), daemon=True),
     ]
     for t in threads:
         t.start()
@@ -527,7 +527,7 @@ SLO_TICK_INTERVAL = 10.0
 def time_slo_tick(rounds: int) -> float:
     """Seconds per SLI-recorder tick over a populated registry.
 
-    Builds the same instrumented add-loop registry as the scrape gate —
+    Builds an instrumented LRC and runs the tight add loop against it —
     plus per-method RPC counters/histograms, which is what the recorder
     actually classifies — then times :meth:`SLIRecorder.tick` (snapshot +
     delta + per-class classification + gauge export) in isolation.
@@ -562,34 +562,6 @@ def time_slo_tick(rounds: int) -> float:
     start = time.perf_counter()
     for i in range(rounds):
         recorder.tick(now=float(i + 1) * SLO_TICK_INTERVAL)
-    return (time.perf_counter() - start) / rounds
-
-
-SCRAPE_ROUNDS = 50
-
-
-def time_scrape(rounds: int) -> float:
-    """Seconds per scrape round over a registry a real add loop populated.
-
-    Builds an instrumented LRC, runs the tight add loop against it so the
-    registry holds representative counters/gauges/histograms, then times
-    ``Scraper.scrape_once`` (snapshot + subtraction + series appends).
-    """
-    registry = MetricsRegistry()
-    engine = MySQLEngine(
-        flush_on_commit=False, sync_latency=0.0, metrics=registry
-    )
-    lrc = LocalReplicaCatalog(
-        Connection(engine, "ovh-scrape"), name="ovh-scrape", metrics=registry
-    )
-    lrc.init_schema()
-    for i in range(ADDS):
-        lrc.create_mapping(f"ovh-s-{i}", f"pfn://ovh-s-{i}")
-    scraper = Scraper(registry.snapshot, interval=DEFAULT_INTERVAL)
-    scraper.scrape_once(now=0.0)  # priming scrape
-    start = time.perf_counter()
-    for i in range(rounds):
-        scraper.scrape_once(now=float(i + 1) * DEFAULT_INTERVAL)
     return (time.perf_counter() - start) / rounds
 
 
@@ -699,8 +671,16 @@ def measure_catalog_footprint(mappings: int) -> tuple[float, float]:
     return traced / mappings, share
 
 
+def _gate(failing: bool, failure: str, success: str) -> bool:
+    """Print one gate's verdict; returns ``failing``.  Every gate runs,
+    so one noisy reading does not hide the ones measured after it."""
+    print(f"FAIL: {failure}" if failing else f"OK: {success}")
+    return failing
+
+
 def main() -> int:
     assert not tracing.active(), "overhead check requires no tracer installed"
+    failed: list[bool] = []
     per_add = time_adds(ADDS)
     per_hook = time_noop_hook(NOOP_CALLS)
     overhead = per_hook * HOOKS_PER_ADD
@@ -713,10 +693,11 @@ def main() -> int:
         f"({fraction * 100:.3f}% of add; limit "
         f"{MAX_OVERHEAD_FRACTION * 100:.0f}%)"
     )
-    if fraction >= MAX_OVERHEAD_FRACTION:
-        print("FAIL: disabled instrumentation exceeds the overhead budget")
-        return 1
-    print("OK: disabled instrumentation is within the overhead budget")
+    failed.append(_gate(
+        fraction >= MAX_OVERHEAD_FRACTION,
+        "disabled instrumentation exceeds the overhead budget",
+        "disabled instrumentation is within the overhead budget",
+    ))
 
     # Request telemetry: every RPC publishes its record to the flight
     # recorder and the usage accountant (both on by default); what they
@@ -728,10 +709,11 @@ def main() -> int:
         f"(handle {observed * 1e6:.2f} us observed, {unobserved * 1e6:.2f} us "
         f"not; limit {MAX_TELEMETRY_SECONDS * 1e6:.0f} us)"
     )
-    if per_request >= MAX_TELEMETRY_SECONDS:
-        print("FAIL: request telemetry exceeds the overhead budget")
-        return 1
-    print("OK: request telemetry is within the overhead budget")
+    failed.append(_gate(
+        per_request >= MAX_TELEMETRY_SECONDS,
+        "request telemetry exceeds the overhead budget",
+        "request telemetry is within the overhead budget",
+    ))
 
     # The same on a real request: an lrc_get_mappings against a loaded
     # catalog, with everything that ships switched on against everything
@@ -748,10 +730,11 @@ def main() -> int:
         f"({profiled * 1e6:.2f} us profiled, {unprofiled * 1e6:.2f} us not; "
         f"limit {MAX_PROFILED_QUERY_SECONDS * 1e6:.1f} us)"
     )
-    if per_statement >= MAX_PROFILED_QUERY_SECONDS:
-        print("FAIL: the statement profiler exceeds its per-statement budget")
-        return 1
-    print("OK: the statement profiler is within its per-statement budget")
+    failed.append(_gate(
+        per_statement >= MAX_PROFILED_QUERY_SECONDS,
+        "the statement profiler exceeds its per-statement budget",
+        "the statement profiler is within its per-statement budget",
+    ))
 
     # Query profiler: disabled by default on bare engines; its guards
     # (enabled flag + latch noop checks) get their own budget line.
@@ -770,31 +753,15 @@ def main() -> int:
         f"({guard_fraction * 100:.3f}% of add; limit "
         f"{MAX_OVERHEAD_FRACTION * 100:.0f}%)"
     )
-    if guard_fraction >= MAX_OVERHEAD_FRACTION:
-        print("FAIL: disabled query profiler exceeds the overhead budget")
-        return 1
-    print("OK: disabled query profiler is within the overhead budget")
-
-    # Background scraping: one scrape round per DEFAULT_INTERVAL steals
-    # per_scrape/DEFAULT_INTERVAL of the core the add loop saturates.
-    per_scrape = time_scrape(SCRAPE_ROUNDS)
-    scrape_fraction = per_scrape / DEFAULT_INTERVAL
-    adds_lost = per_scrape / per_add
-    print(f"per scrape round:   {per_scrape * 1e6:8.2f} us "
-          f"(~{adds_lost:.1f} adds of work)")
-    print(
-        f"scrape duty cycle:  {scrape_fraction * 100:8.3f}% of a "
-        f"{DEFAULT_INTERVAL:g}s interval (limit "
-        f"{MAX_OVERHEAD_FRACTION * 100:.0f}%)"
-    )
-    if scrape_fraction >= MAX_OVERHEAD_FRACTION:
-        print("FAIL: background scraping exceeds the overhead budget")
-        return 1
-    print("OK: background scraping is within the overhead budget")
+    failed.append(_gate(
+        guard_fraction >= MAX_OVERHEAD_FRACTION,
+        "disabled query profiler exceeds the overhead budget",
+        "disabled query profiler is within the overhead budget",
+    ))
 
     # SLI recorder: one tick per SLO_TICK_INTERVAL classifies every
     # per-method counter/histogram delta into operation classes; its duty
-    # cycle gets the same cap as the scraper it imitates.
+    # cycle gets the same cap as the other background work.
     per_tick = time_slo_tick(SLO_TICK_ROUNDS)
     tick_fraction = per_tick / SLO_TICK_INTERVAL
     ticks_lost = per_tick / per_add
@@ -805,10 +772,11 @@ def main() -> int:
         f"{SLO_TICK_INTERVAL:g}s interval (limit "
         f"{MAX_OVERHEAD_FRACTION * 100:.0f}%)"
     )
-    if tick_fraction >= MAX_OVERHEAD_FRACTION:
-        print("FAIL: SLI recorder exceeds the duty-cycle budget")
-        return 1
-    print("OK: SLI recorder is within the duty-cycle budget")
+    failed.append(_gate(
+        tick_fraction >= MAX_OVERHEAD_FRACTION,
+        "SLI recorder exceeds the duty-cycle budget",
+        "SLI recorder is within the duty-cycle budget",
+    ))
 
     # Wall-clock sampler: at the documented diagnostics rate the frame
     # walk must leave >95% of the wall clock to the threads being walked.
@@ -820,10 +788,11 @@ def main() -> int:
         f"sampler duty cycle: {duty * 100:8.3f}% at {SAMPLER_HZ:g} Hz "
         f"(limit {MAX_OVERHEAD_FRACTION * 100:.0f}%)"
     )
-    if duty >= MAX_OVERHEAD_FRACTION:
-        print("FAIL: sampling profiler exceeds the duty-cycle budget")
-        return 1
-    print("OK: sampling profiler is within the duty-cycle budget")
+    failed.append(_gate(
+        duty >= MAX_OVERHEAD_FRACTION,
+        "sampling profiler exceeds the duty-cycle budget",
+        "sampling profiler is within the duty-cycle budget",
+    ))
 
     # Disabled sampler: profile_hz=0 must cost one attribute check at
     # startup and nothing per add — gate the guard itself against the
@@ -833,10 +802,11 @@ def main() -> int:
     print(f"disabled sampler:   {per_enabled * 1e9:8.2f} ns per guard "
           f"({enabled_fraction * 100:.4f}% of add; limit "
           f"{MAX_OVERHEAD_FRACTION * 100:.0f}%)")
-    if enabled_fraction >= MAX_OVERHEAD_FRACTION:
-        print("FAIL: disabled sampling profiler exceeds the overhead budget")
-        return 1
-    print("OK: disabled sampling profiler is within the overhead budget")
+    failed.append(_gate(
+        enabled_fraction >= MAX_OVERHEAD_FRACTION,
+        "disabled sampling profiler exceeds the overhead budget",
+        "disabled sampling profiler is within the overhead budget",
+    ))
 
     # Partition routing: each changed LFN an update sends is filtered once
     # per target; that sum must stay under the same per-add budget at
@@ -852,10 +822,11 @@ def main() -> int:
         f"routing overhead:   {route_fraction * 100:8.3f}% of add "
         f"(limit {MAX_OVERHEAD_FRACTION * 100:.0f}%)"
     )
-    if route_fraction >= MAX_OVERHEAD_FRACTION:
-        print("FAIL: partition routing exceeds the overhead budget")
-        return 1
-    print("OK: partition routing is within the overhead budget")
+    failed.append(_gate(
+        route_fraction >= MAX_OVERHEAD_FRACTION,
+        "partition routing exceeds the overhead budget",
+        "partition routing is within the overhead budget",
+    ))
 
     # Pipelined codec: each request a batched connection carries costs one
     # encode+decode on each side of the wire; that round trip must stay a
@@ -867,10 +838,11 @@ def main() -> int:
         f"{per_codec / per_add * 100:.3f}% of add; "
         f"limit {MAX_PER_REQUEST_SECONDS * 1e6:.0f} us)"
     )
-    if per_codec >= MAX_PER_REQUEST_SECONDS:
-        print("FAIL: pipelined codec exceeds the overhead budget")
-        return 1
-    print("OK: pipelined codec is within the overhead budget")
+    failed.append(_gate(
+        per_codec >= MAX_PER_REQUEST_SECONDS,
+        "pipelined codec exceeds the overhead budget",
+        "pipelined codec is within the overhead budget",
+    ))
 
     # RLI "not found": the handler-exception branch (error event, flight
     # freeze, failure response) against the same call answering a hit.
@@ -881,10 +853,11 @@ def main() -> int:
         f"at RPCServer.handle, shipping defaults ({miss_ratio:.2f}x; "
         f"limit {MAX_MISS_TO_HIT_RATIO}x)"
     )
-    if miss_ratio > MAX_MISS_TO_HIT_RATIO:
-        print("FAIL: an rli_query miss costs more than the hit-relative budget")
-        return 1
-    print("OK: an rli_query miss costs about what a hit costs")
+    failed.append(_gate(
+        miss_ratio > MAX_MISS_TO_HIT_RATIO,
+        "an rli_query miss costs more than the hit-relative budget",
+        "an rli_query miss costs about what a hit costs",
+    ))
 
     # Thread scaling: request threads must not queue on telemetry.
     scaling, one_thread, three_threads = measure_thread_scaling(SCALING_TRIALS)
@@ -893,10 +866,11 @@ def main() -> int:
         f"({three_threads:.0f} / {one_thread:.0f} per s, median of "
         f"{SCALING_TRIALS} pairs; limit {MIN_THREAD_SCALING}x)"
     )
-    if scaling < MIN_THREAD_SCALING:
-        print("FAIL: request threads slow each other down")
-        return 1
-    print("OK: three request threads keep pace with one")
+    failed.append(_gate(
+        scaling < MIN_THREAD_SCALING,
+        "request threads slow each other down",
+        "three request threads keep pace with one",
+    ))
 
     # Catalog footprint: bytes per mapping, and the catalog's share of a
     # stop-the-world collection against the old representation's.
@@ -907,10 +881,14 @@ def main() -> int:
         f"{gc_share:.2f}x of {OLD_SETS_PER_MAPPING + OLD_LISTS_PER_MAPPING} "
         f"containers per mapping (limit {MAX_GC_SHARE}x)"
     )
-    if per_mapping > MAX_BYTES_PER_MAPPING or gc_share > MAX_GC_SHARE:
-        print("FAIL: a catalog entry is larger, or more visible to the collector, than budgeted")
+    failed.append(_gate(
+        per_mapping > MAX_BYTES_PER_MAPPING or gc_share > MAX_GC_SHARE,
+        "a catalog entry is larger, or more visible to the collector, than budgeted",
+        "a catalog entry is small and the collector does not walk it",
+    ))
+    if any(failed):
+        print(f"{sum(failed)} of {len(failed)} gates failed")
         return 1
-    print("OK: a catalog entry is small and the collector does not walk it")
     return 0
 
 

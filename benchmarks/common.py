@@ -105,17 +105,6 @@ def snapshot_p95s(snapshot: MetricsSnapshot) -> dict[str, float]:
     }
 
 
-def attach_collector(server, interval: float = 1.0):
-    """A primed single-node :class:`ClusterCollector` over one in-process
-    server's registry — benchmarks scrape it between trials (explicit
-    ``now=``, so trial boundaries are the scrape boundaries)."""
-    from repro.obs.collector import ClusterCollector, server_source
-
-    collector = ClusterCollector([server_source(server)], interval=interval)
-    collector.scrape_once(now=0.0)  # priming round: baseline snapshot
-    return collector
-
-
 #: Run records kept per artifact; older runs roll off the front.
 MAX_ARTIFACT_RUNS = 100
 
@@ -142,23 +131,18 @@ def git_sha() -> str:
 def write_bench_artifact(
     name: str,
     series: dict[str, Any],
-    detections: Sequence[Any] = (),
     meta: dict[str, Any] | None = None,
-    nodes: dict[str, Any] | None = None,
     seed: int | None = None,
 ) -> pathlib.Path:
     """Write ``BENCH_<name>.json`` (schema in docs/OBSERVABILITY.md).
 
-    ``series`` maps series name to ``[[x, y], ...]`` point lists (a
-    :meth:`SeriesStore.to_dict` plugs in directly); ``detections`` are
-    :class:`repro.obs.analyze.Detection` objects (or plain dicts);
-    ``nodes`` optionally carries per-node raw series keyed by node name.
+    ``series`` maps series name to ``[[x, y], ...]`` point lists.
 
     The top-level keys always describe the **latest** run (so existing
     readers keep working), and a ``runs`` list accumulates one record per
     invocation — seed, git sha, timestamp, scale, and the run's series —
     so ``bench_artifacts/`` holds a performance trajectory rather than
-    only the last data point (``benchmarks/compare.py`` diffs it).
+    only the last data point.
     """
     directory = artifact_dir()
     directory.mkdir(parents=True, exist_ok=True)
@@ -167,9 +151,6 @@ def write_bench_artifact(
         key: [[float(x), float(y)] for x, y in points]
         for key, points in series.items()
     }
-    clean_detections = [
-        d.to_dict() if hasattr(d, "to_dict") else dict(d) for d in detections
-    ]
     runs: list[dict[str, Any]] = []
     if path.exists():
         try:
@@ -182,7 +163,6 @@ def write_bench_artifact(
         "git_sha": git_sha(),
         "seed": seed,
         "series": clean_series,
-        "detections": clean_detections,
         "meta": meta or {},
     }
     runs.append(run_record)
@@ -192,18 +172,9 @@ def write_bench_artifact(
         "created": run_record["created"],
         "scale": SCALE,
         "series": clean_series,
-        "detections": clean_detections,
         "meta": meta or {},
         "runs": runs,
     }
-    if nodes:
-        payload["nodes"] = {
-            node: {
-                key: [[float(x), float(y)] for x, y in points]
-                for key, points in store.items()
-            }
-            for node, store in nodes.items()
-        }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path
 

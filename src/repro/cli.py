@@ -51,6 +51,7 @@ from repro.core.client import RLSClient, connect, connect_tcp_server
 from repro.core.config import ServerConfig, ServerRole
 from repro.core.naming import has_wildcard
 from repro.core.server import RLSServer
+from repro.obs.metrics import MetricsSnapshot, split_metric_key
 
 
 def _open_client(spec: str) -> RLSClient:
@@ -541,8 +542,6 @@ def _render_verify(problems: list, args: argparse.Namespace, out) -> int:
 
 def _format_metrics_summary(snapshot_dict: dict, out) -> None:
     """Readable counters + latency percentile table from a snapshot dict."""
-    from repro.obs.metrics import MetricsSnapshot
-
     snapshot = MetricsSnapshot.from_dict(snapshot_dict)
     # Zero counters are registered-but-idle instruments; skip the noise.
     nonzero = {k: v for k, v in snapshot.counters.items() if v}
@@ -576,34 +575,63 @@ def _format_metrics_summary(snapshot_dict: dict, out) -> None:
             )
 
 
-def _stats_ticker(client: RLSClient, interval: float):
-    """``rls stats --watch``: per-interval rates via snapshot subtraction."""
-    from repro.obs.metrics import MetricsSnapshot, split_metric_key
-    from repro.obs.timeseries import Scraper
+def _poller(client: RLSClient):
+    """A node's ``admin_metrics`` rated by subtraction: each call of the
+    returned function fetches the snapshot and returns ``(snapshot, delta,
+    seconds)``, ``delta`` being what changed since the previous call and
+    ``seconds`` the time between the two (``None`` and 0.0 on the first
+    call, which only primes).  A fetch that raises keeps the previous
+    snapshot, so the next delta spans the gap."""
+    previous: list = []
 
-    scraper = Scraper(
-        lambda: MetricsSnapshot.from_dict(client.metrics()),
-        interval=interval,
+    def poll():
+        now = time.monotonic()
+        snapshot = MetricsSnapshot.from_dict(client.metrics())
+        delta, seconds = None, 0.0
+        if previous:
+            then, earlier = previous
+            delta, seconds = snapshot.delta(earlier), now - then
+        previous[:] = (now, snapshot)
+        return snapshot, delta, seconds
+
+    return poll
+
+
+def _counter_total(delta: MetricsSnapshot, name: str) -> int:
+    """One counter summed over its labels."""
+    return sum(
+        value
+        for key, value in delta.counters.items()
+        if split_metric_key(key)[0] == name
     )
-    scraper.scrape_once()  # priming scrape: establishes the baseline
+
+
+def _gauge_values(snapshot: MetricsSnapshot, name: str) -> list[float]:
+    """One gauge's value under each of its label sets."""
+    return [
+        value
+        for key, value in snapshot.gauges.items()
+        if split_metric_key(key)[0] == name
+    ]
+
+
+def _stats_ticker(client: RLSClient):
+    """``rls stats --watch``: per-interval rates via snapshot subtraction."""
+    poll = _poller(client)
+    poll()  # priming call: establishes the baseline
 
     def tick() -> str | None:
-        result = scraper.scrape_once()
-        if result is None:
-            return None
-        errors = sum(
-            value
-            for key, value in result.delta.counters.items()
-            if split_metric_key(key)[0] == "rpc.errors"
-        )
+        _, delta, seconds = poll()
+        if not seconds:
+            return None  # the clock did not advance: nothing to rate
         line = (
-            f"ops/s={result.ops_rate():.1f} "
-            f"errors/s={errors / result.interval:.1f}"
+            f"ops/s={_counter_total(delta, 'rpc.requests') / seconds:.1f} "
+            f"errors/s={_counter_total(delta, 'rpc.errors') / seconds:.1f}"
         )
         busiest = sorted(
             (
                 (value, key)
-                for key, value in result.delta.counters.items()
+                for key, value in delta.counters.items()
                 if value and split_metric_key(key)[0] == "rpc.requests"
             ),
             reverse=True,
@@ -611,7 +639,7 @@ def _stats_ticker(client: RLSClient, interval: float):
         if busiest:
             detail = " ".join(
                 f"{split_metric_key(key)[1].get('method', key)}="
-                f"{value / result.interval:.1f}/s"
+                f"{value / seconds:.1f}/s"
                 for value, key in busiest
             )
             line += f"  top: {detail}"
@@ -1022,51 +1050,70 @@ def _render_flight(payload: dict, args: argparse.Namespace, out) -> None:
         )
 
 
-def _top(args: argparse.Namespace, out) -> int:
-    """``rls top``: live per-node and cluster rates from a ClusterCollector."""
-    from repro.obs.collector import ClusterCollector, client_source
+def _top_round(polls: dict) -> dict[str, tuple[float, float, float] | str]:
+    """One ``rls top`` round: each node's ``(ops/s, WAL queue depth, RLI
+    staleness)``, or the error its fetch raised (the node is down)."""
+    nodes: dict[str, tuple[float, float, float] | str] = {}
+    for name, poll in polls.items():
+        try:
+            snapshot, delta, seconds = poll()
+        except Exception as exc:
+            nodes[name] = f"{type(exc).__name__}: {exc}"
+            continue
+        rate = _counter_total(delta, "rpc.requests") / seconds if seconds else 0.0
+        nodes[name] = (
+            rate,
+            sum(_gauge_values(snapshot, "wal.queue_depth")),
+            max(_gauge_values(snapshot, "rli.staleness_age"), default=0.0),
+        )
+    return nodes
 
+
+def _top_lines(rounds: int, nodes: dict) -> list[str]:
+    """A round's cluster line, then a line per node.  The cluster figures
+    fold the nodes that answered: rates and queue depths sum (so the
+    printed node rates add up to the cluster's), staleness takes the max."""
+    up = [node for node in nodes.values() if not isinstance(node, str)]
+    lines = [
+        f"round {rounds}: nodes up {len(up)}/{len(nodes)}  cluster "
+        f"ops/s={sum(rate for rate, _, _ in up):.1f}  "
+        f"wal queue={sum(wal for _, wal, _ in up):g}  "
+        f"staleness={max((age for _, _, age in up), default=0.0):.1f}s"
+    ]
+    for name, node in nodes.items():
+        if isinstance(node, str):
+            lines.append(f"  {name:<24} DOWN ({node})")
+            continue
+        rate, wal, age = node
+        extra = f"  staleness={age:.1f}s" if age else ""
+        if wal:
+            extra += f"  wal_queue={wal:g}"
+        lines.append(f"  {name:<24} ops/s={rate:>8.1f}{extra}")
+    return lines
+
+
+def _top(args: argparse.Namespace, out) -> int:
+    """``rls top``: live per-node and cluster rates, a round of
+    :func:`_poller` calls every ``--interval``."""
     specs = [spec.strip() for spec in args.servers.split(",") if spec.strip()]
     if not specs:
         print("no servers given", file=out)
         return 2
     clients: list[RLSClient] = []
     try:
-        sources = []
+        polls = {}
         for spec in specs:
             client = _open_client(spec)
             clients.append(client)
-            sources.append(client_source(spec, client))
-        collector = ClusterCollector(sources, interval=args.interval)
-        collector.scrape_once()  # priming round: baselines every node
+            polls[spec] = _poller(client)
+        _top_round(polls)  # priming round: baselines every node
         rounds = 0
         try:
             while args.iterations is None or rounds < args.iterations:
                 time.sleep(args.interval)
-                sample = collector.scrape_once()
                 rounds += 1
-                print(
-                    f"round {rounds}: nodes up {sample.nodes_up}/"
-                    f"{len(sample.nodes)}  cluster "
-                    f"ops/s={sample.cluster_ops_rate:.1f}  "
-                    f"wal queue={sum(n.wal_queue_depth for n in sample.nodes.values() if n.up):g}  "
-                    f"staleness={max((n.rli_staleness_age for n in sample.nodes.values() if n.up), default=0.0):.1f}s",
-                    file=out,
-                )
-                for name in specs:
-                    node = sample.nodes[name]
-                    if not node.up:
-                        print(f"  {name:<24} DOWN ({node.error})", file=out)
-                        continue
-                    extra = ""
-                    if node.rli_staleness_age:
-                        extra = f"  staleness={node.rli_staleness_age:.1f}s"
-                    if node.wal_queue_depth:
-                        extra += f"  wal_queue={node.wal_queue_depth:g}"
-                    print(
-                        f"  {name:<24} ops/s={node.ops_rate:>8.1f}{extra}",
-                        file=out,
-                    )
+                for line in _top_lines(rounds, _top_round(polls)):
+                    print(line, file=out)
                 if args.principals or args.prefixes:
                     from repro.obs.usage import merge_usage_dicts
 
@@ -1103,7 +1150,7 @@ def _stats(
     """``rls stats`` fronts three surfaces, chosen by ``--watch`` and
     ``--format``: the metrics snapshot, its text rendering, the stats."""
     if args.watch is not None:
-        _watch(args, out, _stats_ticker(client, args.watch))
+        _watch(args, out, _stats_ticker(client))
         return 0
     if args.format == "text":
         print(client.metrics_text(), file=out, end="")
@@ -1143,7 +1190,6 @@ def _stats(
 
 
 def _workload(args: argparse.Namespace, client: RLSClient, out) -> int:
-    from repro.obs.metrics import MetricsSnapshot
     from repro.workload.driver import LoadDriver
     from repro.workload.names import MappingSet, pfn_for
 

@@ -17,8 +17,8 @@ Mirror side: :class:`MirrorIngest` skips what it has already applied (a
 lost acknowledgement redelivers harmlessly), refuses a gap, and answers
 with the LSN it has applied through, which the master adopts, so a mirror
 restarted empty is re-fed from where it really is.  Each mirror exports a
-``mirror.staleness_age{shard=...}`` gauge, which the staleness-burn
-detector in :mod:`repro.obs.analyze` consumes as it does the RLI's.
+``mirror.staleness_age{shard=...}`` gauge, shown by ``rls stats`` and
+``GET /metrics`` beside the RLI's ``rli.staleness_age``.
 """
 
 from __future__ import annotations

@@ -727,8 +727,7 @@ def tick_task(manager, poll_interval: float = 1.0) -> Periodic:
     :class:`~repro.cluster.mirror.MirrorManager`: ``manager.tick()`` every
     ``poll_interval`` seconds.  An exception escaping ``tick()`` is counted
     — on the task, in ``manager.stats.errors`` and as
-    ``updates.errors{kind=tick,error=<type>}``, which feeds the collector's
-    pathology detectors — and the task keeps going.
+    ``updates.errors{kind=tick,error=<type>}`` — and the task keeps going.
     """
 
     def on_error(exc: BaseException) -> None:

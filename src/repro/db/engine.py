@@ -142,8 +142,8 @@ class Database:
 
         Gauge callbacks are sampled only at snapshot time, so the table
         hot path pays nothing.  The stats fields are monotonic counters,
-        but gauge-fn sampling is the registry's only pull mechanism; the
-        collector still sees correct interval deltas.
+        but gauge-fn sampling is the registry's only pull mechanism; a
+        snapshot subtraction still sees correct interval deltas.
         """
         registry = self.metrics
         name = table.schema.name

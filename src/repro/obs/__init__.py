@@ -1,9 +1,9 @@
-"""Telemetry subsystem: metrics, tracing, time series, and analysis.
+"""Telemetry subsystem: metrics, tracing, SLOs, profiling and flight data.
 
 The paper evaluates the RLS purely from the outside (operation rates
 measured by the client harness); this package gives the reproduction the
 *inside* view — where time goes within the server, database and update
-pipeline — and the *time* axis the paper's figures are drawn on:
+pipeline:
 
 * :mod:`repro.obs.metrics` — counters, gauges, log-bucketed latency
   histograms, and a thread-safe :class:`MetricsRegistry` whose snapshots
@@ -11,13 +11,6 @@ pipeline — and the *time* axis the paper's figures are drawn on:
 * :mod:`repro.obs.tracing` — :class:`Span`/:class:`Tracer` with context
   propagation through the RPC layer, plus :class:`SpanSink` tail-based
   retention (error spans and slow spans survive buffer wrap);
-* :mod:`repro.obs.timeseries` — bounded ring-buffer series and the
-  :class:`Scraper` that turns periodic snapshots into rates;
-* :mod:`repro.obs.collector` — :class:`ClusterCollector`, scraping every
-  LRC/RLI of a deployment and deriving cluster-wide signals;
-* :mod:`repro.obs.analyze` — pathology detectors (VACUUM sawtooth,
-  staleness-SLO burn, SLO burn-rate, queue saturation, baseline
-  regression, stuck threads);
 * :mod:`repro.obs.assemble` — :class:`TraceAssembler`, stitching span
   fragments gathered from every node of a cluster into one cross-node
   tree (explicit gap markers for missing fragments) and attributing the
@@ -28,7 +21,8 @@ pipeline — and the *time* axis the paper's figures are drawn on:
 * :mod:`repro.obs.profile` — wall-clock :class:`SamplingProfiler` over
   ``sys._current_frames()`` folding samples into a :class:`StackProfile`,
   a thread registry (:func:`register_thread` / :class:`thread_role`)
-  attributing samples to named roles, and thread-state introspection;
+  attributing samples to named roles, thread-state introspection and the
+  stuck-thread detector (:func:`detect_stuck_threads`);
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, a bounded ring of
   typed events (RPC dispatch, update delivery, WAL flush, errors) with
   error-preferential retention and automatic black-box dumps;
@@ -37,24 +31,15 @@ pipeline — and the *time* axis the paper's figures are drawn on:
   /``admin_flight`` RPCs, ``GET /metrics`` and ``GET /admin/slo`` /
   ``GET /admin/trace/<id>`` on the HTTP gateway, and the ``rls stats`` /
   ``rls top`` / ``rls trace`` / ``rls slo`` / ``rls profile`` / ``rls
-  flight`` CLI commands.
+  flight`` CLI commands (``rls stats --watch`` and ``rls top`` rate two
+  ``admin_metrics`` snapshots by subtraction).
 
 Everything defaults to off: with no registry passed and no tracer
 installed, instrumentation sites hit no-op singletons.  See
-``docs/OBSERVABILITY.md`` for the metric-name and span taxonomy, scraper
-and detector semantics, and the benchmark artifact schema.
+``docs/OBSERVABILITY.md`` for the metric-name and span taxonomy, the
+stuck-thread detector, and the benchmark artifact schema.
 """
 
-from repro.obs.analyze import (
-    Detection,
-    analyze_store,
-    compare_baseline,
-    detect_queue_saturation,
-    detect_sawtooth,
-    detect_slo_burn,
-    detect_staleness_burn,
-    detect_stuck_threads,
-)
 from repro.obs.assemble import (
     AssembledTrace,
     Segment,
@@ -69,15 +54,6 @@ from repro.obs.assemble import (
 from repro.obs.flight import (
     FlightEvent,
     FlightRecorder,
-)
-from repro.obs.collector import (
-    ClusterCollector,
-    ClusterSample,
-    NodeSample,
-    NodeSource,
-    client_source,
-    registry_source,
-    server_source,
 )
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
@@ -94,8 +70,10 @@ from repro.obs.metrics import (
     split_metric_key,
 )
 from repro.obs.profile import (
+    Detection,
     SamplingProfiler,
     StackProfile,
+    detect_stuck_threads,
     fold_stack,
     register_thread,
     registered_threads,
@@ -108,12 +86,6 @@ from repro.obs.slo import (
     SLIRecorder,
     SLITracker,
     SLOPolicy,
-)
-from repro.obs.timeseries import (
-    ScrapeResult,
-    Scraper,
-    SeriesStore,
-    TimeSeries,
 )
 from repro.obs.tracing import (
     NULL_SPAN,
@@ -131,8 +103,6 @@ from repro.obs.tracing import (
 __all__ = [
     "AssembledTrace",
     "BUCKET_BOUNDS",
-    "ClusterCollector",
-    "ClusterSample",
     "Counter",
     "DEFAULT_LATENCY_THRESHOLDS",
     "Detection",
@@ -145,34 +115,21 @@ __all__ = [
     "MetricsSnapshot",
     "NULL_REGISTRY",
     "NULL_SPAN",
-    "NodeSample",
-    "NodeSource",
     "NullRegistry",
     "OPERATION_CLASSES",
     "SLIRecorder",
     "SLITracker",
     "SLOPolicy",
     "SamplingProfiler",
-    "ScrapeResult",
-    "Scraper",
     "Segment",
-    "SeriesStore",
     "Span",
     "SpanSink",
     "StackProfile",
-    "TimeSeries",
     "TraceAssembler",
     "TraceSource",
     "Tracer",
-    "analyze_store",
-    "client_source",
-    "compare_baseline",
     "current_sink",
     "current_tracer",
-    "detect_queue_saturation",
-    "detect_sawtooth",
-    "detect_slo_burn",
-    "detect_staleness_burn",
     "detect_stuck_threads",
     "fold_stack",
     "format_tree",
@@ -181,11 +138,9 @@ __all__ = [
     "metric_key",
     "register_thread",
     "registered_threads",
-    "registry_source",
     "render_critical_path",
     "render_trace",
     "segment_kind",
-    "server_source",
     "sink_source",
     "span",
     "split_metric_key",

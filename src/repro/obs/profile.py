@@ -8,7 +8,7 @@ re-run under a tracing harness:
 
 * a **thread registry** maps thread idents to named roles
   (:func:`register_thread` is called by RPC worker threads, the update
-  scheduler, the scraper, …; :func:`thread_role` temporarily re-labels a
+  scheduler, the SLI recorder, …; :func:`thread_role` temporarily re-labels a
   thread for the duration of a phase such as a WAL flush);
 * :class:`SamplingProfiler` walks ``sys._current_frames()`` at
   ``ServerConfig.profile_hz`` and aggregates samples into a
@@ -16,8 +16,8 @@ re-run under a tracing harness:
   format), attributed per role;
 * :meth:`SamplingProfiler.thread_dump` is the point-in-time view: every
   thread's role, current span (from the tracer), and top frames;
-* a **stuck-thread detector** (:func:`detect_stuck_threads` routed via
-  :mod:`repro.obs.analyze`) fires when a thread shows the same non-idle
+* a **stuck-thread detector** (:func:`detect_stuck_threads`, read by
+  ``admin_threads``) fires when a thread shows the same non-idle
   top frame across ``STUCK_MIN_SAMPLES`` consecutive samples while RPC
   requests are in flight.
 
@@ -34,9 +34,9 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.obs.analyze import Detection, detect_stuck_threads
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.periodic import Periodic
 
@@ -62,6 +62,9 @@ IDLE_FRAME_NAMES = frozenset(
 
 #: Maximum frames folded per stack (deeper stacks are truncated at root).
 MAX_STACK_DEPTH = 64
+
+#: Consecutive identical non-idle top frames before a thread is "stuck".
+STUCK_MIN_SAMPLES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +247,78 @@ class StackProfile:
 
     def __bool__(self) -> bool:
         return bool(self.stacks)
+
+
+# ---------------------------------------------------------------------------
+# Stuck-thread detection
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Detection:
+    """One detected pathology, plain data for RPC replies."""
+
+    kind: str
+    summary: str
+    severity: str = "warning"
+    start: float = 0.0
+    end: float = 0.0
+    details: dict[str, Any] = field(default_factory=dict)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "kind": self.kind,
+            "summary": self.summary,
+            "severity": self.severity,
+            "start": self.start,
+            "end": self.end,
+            "details": dict(self.details),
+        }
+
+
+def detect_stuck_threads(
+    threads: Sequence[dict[str, Any]],
+    min_samples: int = STUCK_MIN_SAMPLES,
+    inflight: float = 0.0,
+) -> list[Detection]:
+    """Fire for threads pinned on one non-idle frame while work is queued.
+
+    ``threads`` is the profiler's per-thread run bookkeeping
+    (:meth:`SamplingProfiler.thread_states`): dicts
+    with ``role``, ``top_frame``, ``consecutive`` (identical top-frame
+    samples in a row) and ``idle``.  A thread parked in a wait primitive
+    is never stuck, and with ``inflight == 0`` nothing fires — an idle
+    server legitimately shows unchanging stacks.
+    """
+    if inflight <= 0:
+        return []
+    detections: list[Detection] = []
+    for state in threads:
+        if state.get("idle"):
+            continue
+        run = int(state.get("consecutive", 0))
+        if run < min_samples:
+            continue
+        role = state.get("role", "other")
+        top = state.get("top_frame", "?")
+        detections.append(
+            Detection(
+                kind="stuck_thread",
+                severity="critical" if run >= 2 * min_samples else "warning",
+                summary=(
+                    f"thread role={role} pinned on {top} for {run} "
+                    f"consecutive samples with {inflight:g} requests in flight"
+                ),
+                details={
+                    "ident": state.get("ident"),
+                    "role": role,
+                    "top_frame": top,
+                    "consecutive": run,
+                    "inflight": inflight,
+                },
+            )
+        )
+    return detections
 
 
 # ---------------------------------------------------------------------------

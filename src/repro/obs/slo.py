@@ -31,8 +31,8 @@ The :class:`SLITracker` is the windowed arithmetic over explicit
 ``(t, requests, errors, slow)`` records — directly usable on the
 simulator's virtual clock.  The :class:`SLIRecorder` feeds trackers from
 a :class:`~repro.obs.metrics.MetricsRegistry` by snapshot subtraction
-(the Scraper idiom) and exports ``slo.*`` gauges back into the registry
-so burn rates ride the existing scrape/collect/analyze pipeline.
+and exports ``slo.*`` gauges back into the registry, so ``admin_metrics``
+and ``GET /metrics`` serve burn rates like any other gauge.
 """
 
 from __future__ import annotations
@@ -317,13 +317,12 @@ class SLIRecorder:
     """Feeds per-class :class:`SLITracker`\\ s from a metrics registry.
 
     Each :meth:`tick` snapshots the registry, subtracts the previous
-    snapshot (the Scraper idiom — the first tick only primes), classifies
+    snapshot (the first tick only primes), classifies
     every ``rpc.requests{method=}`` delta into an operation class by
     ``classes`` (method -> class; an unlisted method is in none), counts
     slow observations from the ``rpc.latency{method=}`` bucket deltas
     above the class threshold, and exports the resulting burn rates and
-    SLIs as ``slo.*`` gauges tagged ``class=``/``shard=``/``endpoint=``
-    so they ride the existing scrape -> collect -> analyze pipeline.
+    SLIs as ``slo.*`` gauges tagged ``class=``/``shard=``/``endpoint=``.
     """
 
     def __init__(
@@ -349,7 +348,7 @@ class SLIRecorder:
         #: The optional background loop, made by ``start()``.
         self.task: Periodic | None = None
         self.ticks = 0
-        # Self-metering, like the profiler and scraper: the recorder's
+        # Self-metering, like the profiler: the recorder's
         # own cost must be visible to the overhead gate.
         self._m_ticks = registry.counter("obs.slo.ticks")
         self._m_tick_latency = registry.histogram("obs.slo.tick_latency")

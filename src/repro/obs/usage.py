@@ -8,8 +8,8 @@ the per-request cost vectors produced by the RPC layer:
 * :class:`UsageAccountant` — exact per ``(principal, op_class)`` totals
   for a bounded set of principals (wall time, queue wait, rows examined,
   bytes in/out, WAL bytes, request/error counts), exported as
-  ``usage.*`` metrics through the server registry so collectors and
-  ``rls top`` see them like any other instrument.
+  ``usage.*`` metrics through the server registry so ``rls stats`` and
+  ``GET /metrics`` show them like any other instrument.
 * :class:`SpaceSavingSketch` — the Metwally et al. space-saving top-K
   structure, used twice: over principals (so heavy hitters survive even
   past the exact-table cap) and over LFN *prefixes* (namespace heat:

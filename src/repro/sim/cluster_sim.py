@@ -11,20 +11,15 @@ simulation kernel, free of wall-clock noise:
 * **Mirror staleness** — masters push their replica stream every
   ``push_interval`` simulated seconds; a mirror's staleness age sawtooths
   under that interval while the feed is healthy and climbs linearly when
-  the feed stalls.  The exported series uses the same
-  ``mirror.staleness_age{shard=...}`` key the live
-  :class:`~repro.cluster.mirror.MirrorIngest` gauges, so
-  :func:`repro.obs.analyze.analyze_store` runs the staleness-burn
-  detector on it unchanged.
+  the feed stalls; ``result.peak_staleness`` keeps each mirror's worst
+  age (the live :class:`~repro.cluster.mirror.MirrorIngest` gauges it as
+  ``mirror.staleness_age``).
 * **SLO burn under faults** — a :class:`~repro.testing.faults.FailureSchedule`
   can fail queries against one shard (each failed query still consumes
   its service time — the server did the work, then errored).  A per-shard
-  :class:`~repro.obs.slo.SLITracker` runs on the *virtual* clock and the
-  resulting ``slo.burn_rate{class=query,shard=...,window=fast}`` series
-  lands in ``result.store`` under the same key the live
-  :class:`~repro.obs.slo.SLIRecorder` gauges, so
-  :func:`repro.obs.analyze.analyze_store` runs the burn detector on it
-  unchanged.
+  :class:`~repro.obs.slo.SLITracker` runs on the *virtual* clock, and the
+  multi-window alerts firing at the end of the run land in
+  ``result.slo_alerts``.
 """
 
 from __future__ import annotations
@@ -33,8 +28,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.cluster.ring import HashRing
-from repro.obs.slo import FAST_WINDOW, SLOPolicy, SLITracker
-from repro.obs.timeseries import SeriesStore
+from repro.obs.slo import SLOPolicy, SLITracker
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.testing.faults import FailureSchedule
@@ -59,9 +53,6 @@ class ClusterResult:
     slo_alerts: list[dict] = field(default_factory=list)
     #: Peak staleness age (seconds) observed per mirror feed.
     peak_staleness: dict[str, float] = field(default_factory=dict)
-    #: Total queries issued per principal (multi-principal workloads only).
-    usage_by_principal: dict[str, int] = field(default_factory=dict)
-    store: SeriesStore = field(default_factory=SeriesStore)
 
     @property
     def rate(self) -> float:
@@ -82,7 +73,6 @@ def cluster_experiment(
     fault_after: float = 0.0,
     slo_policy: SLOPolicy | None = None,
     sli_sample_every: float = 15.0,
-    principals: dict[str, float] | None = None,
     seed: int = 7,
 ) -> ClusterResult:
     """Drive closed-loop clients against a simulated sharded cluster.
@@ -94,25 +84,15 @@ def cluster_experiment(
     saturated region.
 
     ``stall_feed_of`` names a mirror whose master feed stops at
-    ``stall_at`` (default: halfway); its ``mirror.staleness_age`` series
-    then climbs linearly, which the staleness-burn detector must flag.
+    ``stall_at`` (default: halfway); its staleness age then climbs
+    linearly, and ``result.peak_staleness`` shows how far.
 
     ``faults`` fails queries on schedule once ``sim.now >= fault_after``
     (restricted to ``fault_shard`` when given; failed queries still
     occupy the endpoint for their full service time so a dying shard does
     not magically free capacity).  Per-shard SLI trackers sample every
-    ``sli_sample_every`` virtual seconds and record fast-window burn
-    rates into ``result.store``; the alerts firing at end of run land in
-    ``result.slo_alerts``.
-
-    ``principals`` maps principal names to traffic weights; clients are
-    split across principals proportionally (largest remainder, so the
-    split is deterministic) and each principal's queries go to its own
-    LFN namespace ``/<principal>/data/...``.  Per-window request counts
-    land in ``result.store`` under ``usage.requests{principal=...}`` —
-    the same key shape the live :class:`~repro.obs.usage.UsageAccountant`
-    exports — so :func:`repro.obs.analyze.detect_noisy_neighbor` can
-    attribute any saturation/burn windows to the dominant consumer.
+    ``sli_sample_every`` virtual seconds; the alerts firing at end of run
+    land in ``result.slo_alerts``.
     """
     sim = Simulator()
     rng = random.Random(seed)
@@ -137,7 +117,7 @@ def cluster_experiment(
     )
     latency_total = 0.0
 
-    # --- mirror feeds: per-mirror last-delivery clock + sampled series ---
+    # --- mirror feeds: per-mirror last-delivery clock + peak age ---
     last_push: dict[str, float] = {
         name: 0.0 for s in shards for name, _ in mirrors[s]
     }
@@ -162,12 +142,6 @@ def cluster_experiment(
             for shard in shards:
                 for mirror_name, _ in mirrors[shard]:
                     age = sim.now - last_push[mirror_name]
-                    result.store.record(
-                        f"mirror.staleness_age{{shard={shard},"
-                        f"mirror={mirror_name}}}",
-                        sim.now,
-                        age,
-                    )
                     peak = result.peak_staleness.get(mirror_name, 0.0)
                     if age > peak:
                         result.peak_staleness[mirror_name] = age
@@ -184,26 +158,6 @@ def cluster_experiment(
     trackers = {s: SLITracker(slo_policy or SLOPolicy()) for s in shards}
     window_counts = {s: [0, 0] for s in shards}  # [requests, errors]
 
-    # --- weighted client->principal assignment (largest remainder) ---
-    client_principal: list[str | None]
-    if principals:
-        names = list(principals)
-        weights = [float(principals[name]) for name in names]
-        total_weight = sum(weights)
-        if total_weight <= 0:
-            raise ValueError("principal weights must sum to > 0")
-        quotas = [num_clients * w / total_weight for w in weights]
-        shares = [int(q) for q in quotas]
-        while sum(shares) < num_clients:
-            i = max(range(len(names)), key=lambda j: quotas[j] - shares[j])
-            shares[i] += 1
-        client_principal = [
-            name for name, n in zip(names, shares) for _ in range(n)
-        ]
-    else:
-        client_principal = [None] * num_clients
-    principal_window = {name: 0 for name in (principals or ())}
-
     def sli_sampler():
         while True:
             yield sim.timeout(sli_sample_every)
@@ -211,50 +165,14 @@ def cluster_experiment(
                 requests, errors = window_counts[shard]
                 window_counts[shard] = [0, 0]
                 trackers[shard].record(sim.now, requests, errors)
-                burn = max(
-                    trackers[shard].burn_rate(
-                        FAST_WINDOW.short, sim.now, "availability"
-                    ),
-                    trackers[shard].burn_rate(
-                        FAST_WINDOW.short, sim.now, "latency"
-                    ),
-                )
-                result.store.record(
-                    f"slo.burn_rate{{class=query,shard={shard},"
-                    f"window=fast}}",
-                    sim.now,
-                    burn,
-                )
-                avail = trackers[shard].availability(
-                    FAST_WINDOW.short, sim.now
-                )
-                result.store.record(
-                    f"slo.availability{{class=query,shard={shard}}}",
-                    sim.now,
-                    1.0 if avail is None else avail,
-                )
-            for principal, issued in principal_window.items():
-                result.store.record(
-                    f"usage.requests{{principal={principal}}}",
-                    sim.now,
-                    issued,
-                )
-                result.usage_by_principal[principal] = (
-                    result.usage_by_principal.get(principal, 0) + issued
-                )
-                principal_window[principal] = 0
 
     sim.process(sli_sampler())
 
     # --- closed-loop query clients ---
-    def client_proc(client_id: int):
+    def client_proc():
         nonlocal latency_total
-        principal = client_principal[client_id]
         while True:
-            if principal is None:
-                lfn = f"lfn-{rng.randrange(1_000_000)}"
-            else:
-                lfn = f"/{principal}/data/f{rng.randrange(1_000_000)}"
+            lfn = f"lfn-{rng.randrange(1_000_000)}"
             shard = ring.owner(lfn)
             candidates = mirrors[shard]
             if candidates:
@@ -279,8 +197,6 @@ def cluster_experiment(
             yield resource.use(service_time)
             latency_total += sim.now - start
             window_counts[shard][0] += 1
-            if principal is not None:
-                principal_window[principal] += 1
             if fail:
                 window_counts[shard][1] += 1
                 result.queries_failed += 1
@@ -291,8 +207,8 @@ def cluster_experiment(
             else:
                 result.master_served += 1
 
-    for c in range(num_clients):
-        sim.process(client_proc(c))
+    for _ in range(num_clients):
+        sim.process(client_proc())
     sim.run(until=duration)
     if result.queries_completed or result.queries_failed:
         completed = result.queries_completed + result.queries_failed

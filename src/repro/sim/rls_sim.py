@@ -41,7 +41,6 @@ from repro.db.engine import Database
 from repro.db.odbc import Connection
 from repro.db.wal import InMemoryLogDevice, WriteAheadLog
 from repro.obs.periodic import Periodic
-from repro.obs.timeseries import SeriesStore
 from repro.sim.kernel import Simulator
 from repro.sim.models import LANCalibration, WANCalibration, push
 from repro.sim.network import lan_path
@@ -258,10 +257,6 @@ class StalenessResult:
     updates_sent: int
     #: Pushes lost to injected faults (0 without a failure schedule).
     updates_failed: int = 0
-    #: Virtual-time trajectory of the run (probe-interval resolution):
-    #: ``rli.staleness_age`` and the running ``probe.stale_fraction`` —
-    #: detector-ready input for :func:`repro.obs.analyze.analyze_store`.
-    store: SeriesStore = field(repr=False, default_factory=SeriesStore)
 
 
 def staleness_experiment(
@@ -299,7 +294,6 @@ def staleness_experiment(
     start_updates(sim, lrc, link, policy, bloom=mode == "bloom", seed=seed + 2)
 
     counters = {"samples": 0, "miss": 0, "ghost": 0}
-    store = SeriesStore()
 
     def indexed(lfn: str) -> bool:
         return bool(link.rli.bulk_query([lfn]))
@@ -314,16 +308,6 @@ def staleness_experiment(
             if lrc.deleted:
                 counters["samples"] += 1
                 counters["ghost"] += indexed(probe_rng.choice(lrc.deleted))
-            # Trajectory on the *virtual* clock — same series keys the
-            # live collector records, so the detectors run unchanged.
-            store.record("rli.staleness_age", sim.now, link.rli.staleness_age())
-            if counters["samples"]:
-                store.record(
-                    "probe.stale_fraction",
-                    sim.now,
-                    (counters["miss"] + counters["ghost"])
-                    / counters["samples"],
-                )
 
     sim.process(probe())
     sim.run(until=duration)
@@ -337,7 +321,6 @@ def staleness_experiment(
         bytes_sent=link.bytes_sent,
         updates_sent=link.pushes,
         updates_failed=link.lost,
-        store=store,
     )
 
 

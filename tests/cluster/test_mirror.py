@@ -559,24 +559,6 @@ class TestStaleness:
             17.0
         )
 
-    def test_staleness_burn_detector_fires_on_stalled_feed(self):
-        """The PR 2 staleness-burn detector consumes the mirror gauge
-        unchanged: a stalled feed must produce a detection."""
-        from repro.obs.analyze import analyze_store
-        from repro.obs.timeseries import SeriesStore
-
-        store = SeriesStore()
-        key = "mirror.staleness_age{shard=shard-a}"
-        # healthy sawtooth for 60s, then the feed stalls and age climbs
-        for t in range(60):
-            store.record(key, float(t), float(t % 5))
-        for t in range(60, 400):
-            store.record(key, float(t), float(t - 60))
-        detections = analyze_store(store, staleness_slo=30.0)
-        assert any(d.kind == "staleness_burn" for d in detections)
-        burn = next(d for d in detections if d.kind == "staleness_burn")
-        assert burn.details["series"] == key
-
     def test_manager_metrics_counters(self):
         registry = MetricsRegistry()
         master = make_lrc("metrics-master")

@@ -9,11 +9,11 @@ import threading
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _poller, _top_lines, _top_round, main
 from repro.core.client import connect
 from repro.core.config import ServerRole
 from repro.obs import tracing
-from repro.obs.collector import ClusterCollector, client_source
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import SpanSink, Tracer, install_tracer
 
 
@@ -156,46 +156,117 @@ class TestServeTrace:
 
 
 class TestTop:
-    def test_cluster_sample_rates_sum_exactly(self, make_server):
-        """Per-node rates and the cluster rate come from the same round
-        and add up exactly (the aggregate-consistency invariant)."""
-        lrc1 = make_server(ServerRole.LRC)
-        lrc2 = make_server(ServerRole.LRC)
-        rli = make_server(ServerRole.RLI)
-        servers = [lrc1, lrc2, rli]
+    @staticmethod
+    def one_second_apart(polls):
+        """The polls, each reporting one second since its previous call, so
+        a round's rates are its request counts."""
+        return {
+            name: (lambda poll=poll: poll()[:2] + (1.0,))
+            for name, poll in polls.items()
+        }
+
+    @staticmethod
+    def rates(lines):
+        cluster = float(re.search(r"cluster ops/s=([0-9.]+)", lines[0]).group(1))
+        nodes = [
+            float(re.search(r"ops/s=\s*([0-9.]+)", line).group(1))
+            for line in lines[1:]
+            if "DOWN" not in line
+        ]
+        return cluster, nodes
+
+    def test_cluster_rate_is_the_exact_sum_of_node_rates(self, make_server):
+        """6 creates, 4 creates and 2 pings (each node also counts the
+        priming admin_metrics call): the node figures are the request
+        deltas and the cluster figure is their sum."""
+        servers = [
+            make_server(ServerRole.LRC),
+            make_server(ServerRole.LRC),
+            make_server(ServerRole.RLI),
+        ]
         clients = [connect(s.config.name) for s in servers]
         try:
-            collector = ClusterCollector(
-                [
-                    client_source(s.config.name, c)
-                    for s, c in zip(servers, clients)
-                ]
-            )
-            collector.scrape_once(now=0.0)
+            polls = {
+                s.config.name: _poller(c) for s, c in zip(servers, clients)
+            }
+            _top_round(polls)
             for i in range(6):
                 clients[0].create(f"a{i}", "p")
             for i in range(4):
                 clients[1].create(f"b{i}", "p")
             for _ in range(2):
                 clients[2].ping()
-            sample = collector.scrape_once(now=2.0)
-            assert sample.nodes_up == 3
-            rates = {n: s.ops_rate for n, s in sample.nodes.items()}
-            assert sample.cluster_ops_rate == sum(rates.values())
-            assert (
-                collector.store.latest("cluster.ops_rate")
-                == sample.cluster_ops_rate
-            )
-            for name, rate in rates.items():
-                key = f"node.ops_rate{{node={name}}}"
-                assert collector.store.latest(key) == rate
-            # Each node also served one admin_metrics call (the priming
-            # scrape), which cancels in pairwise differences.
-            assert rates[lrc1.config.name] - rates[lrc2.config.name] == 1.0
-            assert rates[lrc2.config.name] - rates[rli.config.name] == 1.0
+            lines = _top_lines(1, _top_round(self.one_second_apart(polls)))
         finally:
             for client in clients:
                 client.close()
+        assert "nodes up 3/3" in lines[0]
+        assert self.rates(lines) == (15.0, [7.0, 5.0, 3.0])
+
+    def test_a_node_that_stops_between_rounds_is_down(self, make_server):
+        servers = [make_server(ServerRole.LRC) for _ in range(3)]
+        clients = [connect(s.config.name) for s in servers]
+        try:
+            polls = {
+                s.config.name: _poller(c) for s, c in zip(servers, clients)
+            }
+            _top_round(polls)
+            clients[0].create("a", "p")
+            clients[2].ping()
+            servers[1].stop()
+            lines = _top_lines(1, _top_round(self.one_second_apart(polls)))
+        finally:
+            for client in clients:
+                client.close()
+        assert "nodes up 2/3" in lines[0]
+        assert servers[1].config.name in lines[2] and "DOWN (" in lines[2]
+        assert self.rates(lines) == (4.0, [2.0, 2.0])
+
+    def test_queue_depths_sum_and_staleness_takes_the_max(self):
+        class Node:
+            def __init__(self, gauges):
+                self.registry = MetricsRegistry()
+                for (name, label), value in gauges.items():
+                    self.registry.gauge(name, db=label).set(value)
+
+            def metrics(self):
+                return self.registry.snapshot().to_dict()
+
+        nodes = {
+            "a": Node({
+                ("wal.queue_depth", "x"): 5.0,
+                ("wal.queue_depth", "y"): 7.0,
+                ("rli.staleness_age", "x"): 3.0,
+                ("rli.staleness_age", "y"): 9.0,
+            }),
+            "b": Node({
+                ("wal.queue_depth", "x"): 5.0,
+                ("rli.staleness_age", "x"): 4.0,
+            }),
+        }
+        polls = {name: _poller(node) for name, node in nodes.items()}
+        lines = _top_lines(1, _top_round(polls))
+        assert "wal queue=17  staleness=9.0s" in lines[0]
+        assert lines[1].endswith("staleness=9.0s  wal_queue=12")
+        assert lines[2].endswith("staleness=4.0s  wal_queue=5")
+
+    def test_the_priming_call_yields_no_rate(self):
+        registry = MetricsRegistry()
+        registry.counter("rpc.requests", method="ping").inc(10)
+
+        class Node:
+            def metrics(self):
+                return registry.snapshot().to_dict()
+
+        poll = _poller(Node())
+        snapshot, delta, seconds = poll()
+        assert delta is None and seconds == 0.0
+        assert snapshot.counters["rpc.requests{method=ping}"] == 10
+        assert _top_round({"n": _poller(Node())}) == {"n": (0.0, 0, 0.0)}
+        registry.counter("rpc.requests", method="ping").inc(3)
+        _, delta, seconds = poll()
+        assert delta.counters["rpc.requests{method=ping}"] == 3
+        assert seconds > 0
 
     def test_top_cli_two_lrcs_one_rli(self, make_server, traffic):
         """Acceptance: ``rls top`` against 2 LRCs + 1 RLI shows per-node

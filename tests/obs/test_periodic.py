@@ -2,7 +2,7 @@
 
 This is the lifecycle contract every daemon in the tree used to restate in
 its own ``start``/``_loop``/``stop`` (update scheduler, RLI expiry,
-hierarchy forwarder, scraper, collector, profiler, SLI recorder): what
+hierarchy forwarder, profiler, SLI recorder): what
 they *do* on a tick is tested where they live, driven directly; what the
 loop around it guarantees is tested here, once.
 """
@@ -166,7 +166,7 @@ def test_rejects_a_non_positive_interval():
 
 
 class TestHoldersCountWhatTheySwallow:
-    """The scraper, collector, profiler and SLI recorder keep their public
+    """The profiler and SLI recorder keep their public
     ``start()``/``stop()`` and delegate the loop: a failing pass used to be
     swallowed uncounted, now it is on ``.task``."""
 
@@ -194,24 +194,6 @@ class TestHoldersCountWhatTheySwallow:
             assert holder.stop() is True
         assert holder.task.last_error == "OSError: source went away"
         assert not holder.task.running
-
-    def test_scraper(self):
-        from repro.obs.timeseries import Scraper
-
-        source = self.FailsAfter(1, MetricsRegistry().snapshot)  # priming ok
-        scraper = Scraper(source, interval=0.01)
-        self.run_until_counted(scraper)
-        assert scraper.scrapes == 1
-
-    def test_collector(self):
-        from repro.obs.collector import ClusterCollector, registry_source
-
-        clock = self.FailsAfter(1, 0.0)  # the priming round reads it once
-        collector = ClusterCollector(
-            [registry_source("n", MetricsRegistry())], interval=0.01, clock=clock
-        )
-        self.run_until_counted(collector)
-        assert collector.rounds == 1
 
     def test_profiler(self):
         from repro.obs.profile import SamplingProfiler

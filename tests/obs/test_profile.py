@@ -8,6 +8,7 @@ stuck-thread detection — no real threads, no sleeps, no timing slack.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from repro.obs import profile as profile_mod
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import (
     IDLE_FRAME_NAMES,
+    Detection,
     SamplingProfiler,
     StackProfile,
     current_role,
@@ -428,3 +430,17 @@ class TestBackgroundLoop:
         # stop() is idempotent and the thread is gone.
         profiler.stop()
         assert not profiler.task.running
+
+
+def test_detection_to_dict_round_trip():
+    d = Detection(
+        kind="stuck_thread",
+        summary="s",
+        start=1.0,
+        end=2.0,
+        details={"consecutive": 5},
+    )
+    payload = d.to_dict()
+    assert payload["kind"] == "stuck_thread"
+    assert payload["details"] == {"consecutive": 5}
+    json.dumps(payload)  # plain data, wire-safe

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.analyze import analyze_store
 from repro.sim.cluster_sim import cluster_experiment
 
 
@@ -39,7 +38,10 @@ class TestStaleness:
         r = cluster_experiment(2, 1, duration=120.0, push_interval=5.0)
         assert max(r.peak_staleness.values()) <= 5.0 + 1.0
 
-    def test_stalled_feed_trips_burn_detector(self):
+    def test_stalled_feed_ages_only_its_mirror(self):
+        """From the stall on, the stalled mirror's age climbs with the
+        clock (~480 s by the end) while the other mirror's stays under
+        one push interval."""
         r = cluster_experiment(
             2,
             1,
@@ -50,12 +52,6 @@ class TestStaleness:
         )
         assert r.peak_staleness["shard0-m0"] > 400.0
         assert r.peak_staleness["shard1-m0"] <= 6.0
-        detections = analyze_store(r.store, staleness_slo=15.0)
-        burns = [d for d in detections if d.kind == "staleness_burn"]
-        assert burns, "stalled mirror feed must trip the burn detector"
-        assert all(
-            "shard0" in d.details["series"] for d in burns
-        ), [d.details for d in burns]
 
     def test_unknown_stall_target_rejected(self):
         with pytest.raises(ValueError):
@@ -80,17 +76,11 @@ class TestSLOBurn:
         assert fast, r.slo_alerts
         assert all(a["shard"] == "shard0" for a in r.slo_alerts)
         assert all(a["severity"] == "critical" for a in fast)
-        burns = [d for d in analyze_store(r.store) if d.kind == "slo_burn"]
-        assert burns, "recorded burn series must trip the analyzer"
-        assert all("shard0" in d.details["series"] for d in burns)
 
     def test_fault_free_run_is_quiet(self):
         r = cluster_experiment(2, 1, duration=600.0, seed=3)
         assert r.queries_failed == 0
         assert r.slo_alerts == []
-        assert not [
-            d for d in analyze_store(r.store) if d.kind == "slo_burn"
-        ]
 
     def test_unknown_fault_shard_rejected(self):
         from repro.testing.faults import FailureSchedule
@@ -99,69 +89,3 @@ class TestSLOBurn:
             cluster_experiment(
                 1, 1, faults=FailureSchedule.always(), fault_shard="nope"
             )
-
-
-class TestNoisyNeighbor:
-    SKEWED = {"cms-prod": 8.0, "atlas": 1.0, "ligo": 1.0}
-    EVEN = {"a": 1.0, "b": 1.0, "c": 1.0}
-
-    def test_usage_split_follows_weights(self):
-        r = cluster_experiment(2, 0, duration=300.0, principals=self.SKEWED)
-        total = sum(r.usage_by_principal.values())
-        assert total > 0
-        share = r.usage_by_principal["cms-prod"] / total
-        assert share == pytest.approx(0.8, abs=0.05)
-        # Per-principal series landed under the live accountant's key shape.
-        keys = [k for k, _ in r.store.items()]
-        assert "usage.requests{principal=cms-prod}" in keys
-
-    def test_deterministic_usage(self):
-        a = cluster_experiment(2, 1, duration=60.0, principals=self.SKEWED)
-        b = cluster_experiment(2, 1, duration=60.0, principals=self.SKEWED)
-        assert a.usage_by_principal == b.usage_by_principal
-
-    def test_skewed_overload_names_the_dominant_principal(self):
-        from repro.testing.faults import FailureSchedule
-
-        r = cluster_experiment(
-            2,
-            1,
-            duration=600.0,
-            faults=FailureSchedule.always(),
-            fault_shard="shard0",
-            fault_after=200.0,
-            principals=self.SKEWED,
-            seed=3,
-        )
-        detections = analyze_store(r.store)
-        noisy = [d for d in detections if d.kind == "noisy_neighbor"]
-        assert noisy, [d.kind for d in detections]
-        assert all(d.details["principal"] == "cms-prod" for d in noisy)
-        assert all(d.details["share"] >= 0.5 for d in noisy)
-
-    def test_even_traffic_never_fires_even_under_overload(self):
-        from repro.testing.faults import FailureSchedule
-
-        r = cluster_experiment(
-            2,
-            1,
-            duration=600.0,
-            faults=FailureSchedule.always(),
-            fault_shard="shard0",
-            fault_after=200.0,
-            principals=self.EVEN,
-            seed=3,
-        )
-        detections = analyze_store(r.store)
-        assert [d for d in detections if d.kind == "slo_burn"]
-        assert not [d for d in detections if d.kind == "noisy_neighbor"]
-
-    def test_baseline_run_is_quiet(self):
-        r = cluster_experiment(2, 1, duration=600.0, principals=self.SKEWED)
-        assert not [
-            d for d in analyze_store(r.store) if d.kind == "noisy_neighbor"
-        ]
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            cluster_experiment(1, 0, principals={"a": 0.0})

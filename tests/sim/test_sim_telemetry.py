@@ -1,10 +1,8 @@
-"""Virtual-time telemetry: sim staleness trajectories feed the detectors."""
+"""Virtual-time telemetry: the sim's index ages and goes stale on its clock."""
 
 from __future__ import annotations
 
 from repro.core.bloom import BloomFilter, BloomParameters
-from repro.obs.analyze import analyze_store, detect_staleness_burn
-from repro.obs.timeseries import SeriesStore
 from repro.sim.kernel import Simulator
 from repro.sim.rls_sim import VirtualLink, staleness_experiment
 
@@ -50,62 +48,19 @@ class TestSimRLIStalenessAge:
         assert link.rli.staleness_ages() == {}
 
 
-class TestExperimentStore:
-    def test_records_collector_compatible_keys(self):
-        result = staleness_experiment(
-            "full-only", catalog_size=200, duration=1800.0, full_interval=600.0
+class TestStarvedIndex:
+    def test_a_starved_index_answers_stale_more_often(self):
+        """A full-update interval far beyond the churn's timescale leaves
+        the index wrong on more probes than an on-schedule one."""
+        healthy, starved = (
+            staleness_experiment(
+                "full-only",
+                catalog_size=200,
+                churn_per_sec=0.05,
+                duration=3600.0,
+                full_interval=interval,
+            )
+            for interval in (600.0, 3000.0)
         )
-        keys = result.store.keys()
-        assert "rli.staleness_age" in keys
-        assert "probe.stale_fraction" in keys
-        series = result.store.series("rli.staleness_age")
-        assert len(series) > 0
-        # Samples land on the virtual clock, one per probe interval.
-        times = series.times()
-        assert times == sorted(times)
-        assert times[-1] <= 1800.0
-
-    def test_healthy_full_updates_stay_under_slo(self):
-        """With on-schedule full updates the age sawtooths below the
-        full interval, so a burn check against interval+slack is clean."""
-        result = staleness_experiment(
-            "full-only", catalog_size=200, duration=3600.0, full_interval=600.0
-        )
-        ages = result.store.series("rli.staleness_age")
-        assert max(ages.values()) < 700.0
-        assert detect_staleness_burn(ages, slo_seconds=700.0) == []
-
-    def test_detector_fires_on_starved_index(self):
-        """An update interval far beyond the SLO shows up as a burn — the
-        exact pathology detect_staleness_burn exists to catch."""
-        result = staleness_experiment(
-            "full-only", catalog_size=200, duration=3600.0, full_interval=3000.0
-        )
-        ages = result.store.series("rli.staleness_age")
-        detections = detect_staleness_burn(ages, slo_seconds=300.0)
-        assert detections and detections[0].kind == "staleness_burn"
-        assert detections[0].details["worst_age"] > 300.0
-
-    def test_analyze_store_runs_on_sim_output(self):
-        result = staleness_experiment(
-            "full-only", catalog_size=200, duration=3600.0, full_interval=3000.0
-        )
-        detections = analyze_store(result.store, staleness_slo=300.0)
-        assert any(d.kind == "staleness_burn" for d in detections)
-        [burn] = [d for d in detections if d.kind == "staleness_burn"]
-        assert burn.details["series"] == "rli.staleness_age"
-
-    def test_result_store_defaults_to_empty(self):
-        from repro.sim.rls_sim import StalenessResult
-
-        result = StalenessResult(
-            mode="full-only",
-            samples=0,
-            stale_fraction=0.0,
-            miss_fraction=0.0,
-            ghost_fraction=0.0,
-            bytes_sent=0.0,
-            updates_sent=0,
-        )
-        assert isinstance(result.store, SeriesStore)
-        assert result.store.keys() == []
+        assert healthy.samples == starved.samples > 0
+        assert starved.stale_fraction > 2 * healthy.stale_fraction

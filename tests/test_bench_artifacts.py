@@ -9,13 +9,10 @@ import pytest
 from benchmarks.common import (
     ARTIFACT_DIR_ENV,
     artifact_dir,
-    attach_collector,
     snapshot_p95s,
     write_bench_artifact,
 )
-from repro.obs.analyze import Detection
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import SeriesStore
 
 
 @pytest.fixture
@@ -35,14 +32,9 @@ class TestArtifactDir:
 
 class TestWriteBenchArtifact:
     def test_schema(self, artifacts):
-        store = SeriesStore()
-        store.record("lrc.add_rate", 0.0, 100.0)
-        store.record("lrc.add_rate", 1.0, 80.0)
-        detection = Detection(kind="sawtooth", summary="s", details={"period": 2.0})
         path = write_bench_artifact(
             "unittest",
-            series=store.to_dict(),
-            detections=[detection, {"kind": "other", "summary": "dict-shaped"}],
+            series={"lrc.add_rate": [[0.0, 100.0], [1.0, 80.0]]},
             meta={"trials": 2},
         )
         assert path == artifacts / "BENCH_unittest.json"
@@ -51,20 +43,18 @@ class TestWriteBenchArtifact:
         assert payload["created"] > 0
         assert isinstance(payload["scale"], float)
         assert payload["series"] == {"lrc.add_rate": [[0.0, 100.0], [1.0, 80.0]]}
-        assert payload["detections"][0]["kind"] == "sawtooth"
-        assert payload["detections"][0]["details"]["period"] == 2.0
-        assert payload["detections"][1] == {"kind": "other", "summary": "dict-shaped"}
         assert payload["meta"] == {"trials": 2}
-        assert "nodes" not in payload
+        assert set(payload) == {
+            "name", "created", "scale", "series", "meta", "runs",
+        }
 
-    def test_nodes_section_and_coercion(self, artifacts):
-        node_store = SeriesStore()
-        node_store.record("ops:rate", 1, 5)  # ints coerce to floats
-        path = write_bench_artifact(
-            "nodes", series={}, nodes={"lrc-1": node_store.to_dict()}
-        )
+    def test_points_coerce_to_floats(self, artifacts):
+        path = write_bench_artifact("ints", series={"rate": [[1, 5]]})
         payload = json.loads(path.read_text())
-        assert payload["nodes"] == {"lrc-1": {"ops:rate": [[1.0, 5.0]]}}
+        assert payload["series"] == {"rate": [[1.0, 5.0]]}
+        assert all(
+            isinstance(v, float) for v in payload["series"]["rate"][0]
+        )
 
     def test_creates_missing_directory(self, tmp_path, monkeypatch):
         nested = tmp_path / "a" / "b"
@@ -93,8 +83,7 @@ class TestRunTrajectory:
         )
         (run,) = json.loads(path.read_text())["runs"]
         assert set(run) == {
-            "created", "scale", "git_sha", "seed", "series", "detections",
-            "meta",
+            "created", "scale", "git_sha", "seed", "series", "meta",
         }
         assert run["created"] > 0
         assert isinstance(run["git_sha"], str) and run["git_sha"]
@@ -133,13 +122,3 @@ class TestBenchHelpers:
         p95s = snapshot_p95s(registry.snapshot())
         assert set(p95s) == {"busy"}
         assert p95s["busy"] > 0
-
-    def test_attach_collector_is_primed(self, server):
-        collector = attach_collector(server)
-        assert collector.rounds == 1
-        assert collector.node_names == [server.config.name]
-        # The very next scrape already yields rates (baseline exists).
-        server.metrics.counter("rpc.requests").inc(10)
-        sample = collector.scrape_once(now=2.0)
-        assert sample.nodes[server.config.name].ops_rate == 5.0
-        assert collector.store.latest("cluster.ops_rate") == 5.0
