@@ -258,7 +258,6 @@ def bench_shard_scaleout(benchmark):
             "x_axis": "shards (mirrors series: mirrors per shard at 2 shards)",
             "failover_reads": failover_reads,
         },
-        seed=SEED,
     )
 
     assert speedup2 >= MIN_SPEEDUP_2_SHARDS, (

@@ -129,5 +129,4 @@ def bench_slo_overload(benchmark):
             "duration": DURATION,
             "peak_burn_fast": peak_burn,
         },
-        seed=SEED,
     )

@@ -38,7 +38,6 @@ HOT_PRINCIPAL = PRINCIPALS[0]
 HOT_PREFIX = f"/{HOT_PRINCIPAL}/data"
 #: Zipf exponent: weight of principal at rank r is 1/(r+1)**ZIPF_S.
 ZIPF_S = 1.2
-SEED = 23
 
 
 def principal_shares(total_ops: int) -> dict[str, int]:
@@ -154,5 +153,4 @@ def bench_usage_attribution(benchmark):
             "sketch": payload["sketch"],
             "x_axis": "sketch rank",
         },
-        seed=SEED,
     )

@@ -6,8 +6,7 @@ those hooks degenerate into attribute checks and no-op method calls.
 Quantified on the tightest loop in the system — LRC adds against an
 in-memory engine — against the measured per-add time.  The disabled query
 profiler, the disabled sampler and partition routing are held to the same
-share, and the SLI recorder and the sampling profiler to the same duty
-cycle of one core.
+share, and the sampling profiler to the same duty cycle of one core.
 
 What ships switched on is priced where it runs, in absolute time: request
 telemetry on ``RPCServer.handle`` (``MAX_TELEMETRY_SECONDS``) and the
@@ -413,11 +412,10 @@ def time_sampler_walk(rounds: int) -> tuple[float, int]:
     thread population.
 
     Spins up a handful of registered busy threads so the sampler walks
-    stacks comparable to a live server (RPC workers + updater + SLI
-    recorder),
-    then times ``sample_once`` in isolation.  Duty cycle is the product
-    walk_time x SAMPLER_HZ, the same figure the profiler self-reports as
-    ``obs.profiler.duty_cycle``.
+    stacks comparable to a live server (RPC workers + updater + RLI
+    expiry), then times ``sample_once`` in isolation.  Duty cycle is the
+    product walk_time x SAMPLER_HZ, the same figure the profiler
+    self-reports as ``obs.profiler.duty_cycle``.
     """
     from repro.obs.profile import SamplingProfiler, register_thread
     import threading
@@ -436,7 +434,7 @@ def time_sampler_walk(rounds: int) -> tuple[float, int]:
     ]
     threads += [
         threading.Thread(target=busy, args=("updates",), daemon=True),
-        threading.Thread(target=busy, args=("slo",), daemon=True),
+        threading.Thread(target=busy, args=("expire",), daemon=True),
     ]
     for t in threads:
         t.start()
@@ -514,55 +512,6 @@ def time_partition_filter(n: int) -> float:
         for target in targets:
             router.filter_names(target, lfns)
     return (time.perf_counter() - start) / (rounds * len(lfns))
-
-
-SLO_TICK_ROUNDS = 50
-
-#: The SLI recorder gate amortizes over this interval (the documented
-#: "SLO recorder on" setting from docs/OPERATIONS.md; the default
-#: ``slo_tick_interval=0`` runs no thread at all).
-SLO_TICK_INTERVAL = 10.0
-
-
-def time_slo_tick(rounds: int) -> float:
-    """Seconds per SLI-recorder tick over a populated registry.
-
-    Builds an instrumented LRC and runs the tight add loop against it —
-    plus per-method RPC counters/histograms, which is what the recorder
-    actually classifies — then times :meth:`SLIRecorder.tick` (snapshot +
-    delta + per-class classification + gauge export) in isolation.
-    """
-    from repro.core.server import OP_CLASSES
-    from repro.obs.slo import OPERATION_CLASSES, SLIRecorder
-
-    registry = MetricsRegistry()
-    engine = MySQLEngine(
-        flush_on_commit=False, sync_latency=0.0, metrics=registry
-    )
-    lrc = LocalReplicaCatalog(
-        Connection(engine, "ovh-slo"), name="ovh-slo", metrics=registry
-    )
-    lrc.init_schema()
-    methods = (
-        "lrc_create_mapping", "lrc_get_mappings", "lrc_bulk_query",
-        "lrc_query_wildcard", "rli_query", "admin_stats",
-    )
-    for i in range(ADDS):
-        lrc.create_mapping(f"ovh-o-{i}", f"pfn://ovh-o-{i}")
-        method = methods[i % len(methods)]
-        registry.counter("rpc.requests", method=method).inc()
-        registry.histogram("rpc.latency", method=method).observe(
-            0.0001 * (1 + i % 7)
-        )
-    recorder = SLIRecorder(
-        registry, shard="ovh", endpoint="ovh-slo", classes=OP_CLASSES
-    )
-    recorder.tick(now=0.0)  # priming tick
-    assert len(recorder.trackers) == len(OPERATION_CLASSES)
-    start = time.perf_counter()
-    for i in range(rounds):
-        recorder.tick(now=float(i + 1) * SLO_TICK_INTERVAL)
-    return (time.perf_counter() - start) / rounds
 
 
 #: An RLI "not found" is a normal answer (10% of ``rli_bloom_query``), so
@@ -757,25 +706,6 @@ def main() -> int:
         guard_fraction >= MAX_OVERHEAD_FRACTION,
         "disabled query profiler exceeds the overhead budget",
         "disabled query profiler is within the overhead budget",
-    ))
-
-    # SLI recorder: one tick per SLO_TICK_INTERVAL classifies every
-    # per-method counter/histogram delta into operation classes; its duty
-    # cycle gets the same cap as the other background work.
-    per_tick = time_slo_tick(SLO_TICK_ROUNDS)
-    tick_fraction = per_tick / SLO_TICK_INTERVAL
-    ticks_lost = per_tick / per_add
-    print(f"per SLI tick:       {per_tick * 1e6:8.2f} us "
-          f"(~{ticks_lost:.1f} adds of work)")
-    print(
-        f"SLI duty cycle:     {tick_fraction * 100:8.3f}% of a "
-        f"{SLO_TICK_INTERVAL:g}s interval (limit "
-        f"{MAX_OVERHEAD_FRACTION * 100:.0f}%)"
-    )
-    failed.append(_gate(
-        tick_fraction >= MAX_OVERHEAD_FRACTION,
-        "SLI recorder exceeds the duty-cycle budget",
-        "SLI recorder is within the duty-cycle budget",
     ))
 
     # Wall-clock sampler: at the documented diagnostics rate the frame

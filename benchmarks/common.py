@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import subprocess
 import time
 from typing import Any, Sequence
 
@@ -24,7 +23,7 @@ from repro.workload.driver import LoadDriver
 #: Fraction of the paper's database sizes to use (1.0 = paper scale).
 SCALE = float(os.environ.get("RLS_BENCH_SCALE", "0.02"))
 
-#: Where ``BENCH_<name>.json`` trajectory artifacts land (CI uploads it).
+#: Where ``BENCH_<name>.json`` artifacts land (CI uploads it).
 ARTIFACT_DIR_ENV = "RLS_BENCH_ARTIFACT_DIR"
 
 #: Collected comparison tables: (title, headers, rows, notes).
@@ -86,7 +85,7 @@ def scaled(paper_size: int, minimum: int = 500) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory artifacts: BENCH_<name>.json
+# Benchmark artifacts: BENCH_<name>.json
 # ---------------------------------------------------------------------------
 
 
@@ -105,75 +104,28 @@ def snapshot_p95s(snapshot: MetricsSnapshot) -> dict[str, float]:
     }
 
 
-#: Run records kept per artifact; older runs roll off the front.
-MAX_ARTIFACT_RUNS = 100
-
-_git_sha_cache: str | None = None
-
-
-def git_sha() -> str:
-    """Short commit sha for run provenance (``"unknown"`` outside git)."""
-    global _git_sha_cache
-    if _git_sha_cache is None:
-        try:
-            _git_sha_cache = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True,
-                text=True,
-                timeout=10,
-                check=True,
-            ).stdout.strip()
-        except Exception:
-            _git_sha_cache = "unknown"
-    return _git_sha_cache
-
-
 def write_bench_artifact(
     name: str,
     series: dict[str, Any],
     meta: dict[str, Any] | None = None,
-    seed: int | None = None,
 ) -> pathlib.Path:
-    """Write ``BENCH_<name>.json`` (schema in docs/OBSERVABILITY.md).
+    """Write ``BENCH_<name>.json`` (schema in docs/OBSERVABILITY.md): the
+    latest run only, overwriting any earlier one.
 
     ``series`` maps series name to ``[[x, y], ...]`` point lists.
-
-    The top-level keys always describe the **latest** run (so existing
-    readers keep working), and a ``runs`` list accumulates one record per
-    invocation — seed, git sha, timestamp, scale, and the run's series —
-    so ``bench_artifacts/`` holds a performance trajectory rather than
-    only the last data point.
     """
     directory = artifact_dir()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"BENCH_{name}.json"
-    clean_series = {
-        key: [[float(x), float(y)] for x, y in points]
-        for key, points in series.items()
-    }
-    runs: list[dict[str, Any]] = []
-    if path.exists():
-        try:
-            runs = json.loads(path.read_text()).get("runs", [])
-        except (json.JSONDecodeError, OSError):
-            runs = []  # corrupt artifact: start the trajectory over
-    run_record: dict[str, Any] = {
-        "created": time.time(),
-        "scale": SCALE,
-        "git_sha": git_sha(),
-        "seed": seed,
-        "series": clean_series,
-        "meta": meta or {},
-    }
-    runs.append(run_record)
-    runs = runs[-MAX_ARTIFACT_RUNS:]
     payload: dict[str, Any] = {
         "name": name,
-        "created": run_record["created"],
+        "created": time.time(),
         "scale": SCALE,
-        "series": clean_series,
+        "series": {
+            key: [[float(x), float(y)] for x, y in points]
+            for key, points in series.items()
+        },
         "meta": meta or {},
-        "runs": runs,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return path

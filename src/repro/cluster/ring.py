@@ -131,13 +131,6 @@ class ShardMap:
     def mirrors_of(self, shard: str) -> tuple[str, ...]:
         return tuple(self.mirrors.get(shard, ()))
 
-    def all_servers(self) -> list[str]:
-        """Every server in the cluster: masters first, then mirrors."""
-        names = list(self.shards)
-        for shard in self.shards:
-            names.extend(self.mirrors_of(shard))
-        return names
-
     def to_dict(self) -> dict:
         return {
             "shards": list(self.shards),

@@ -288,9 +288,8 @@ def _trace_reply(payload: dict[str, Any]) -> tuple[int, Any]:
 def _slo(server: "RLSServer") -> dict[str, Any]:
     """Current SLO state: per-class SLIs, burn rates, budget, alerts.
 
-    With ``slo_tick_interval=0`` (the default) there is no recorder
-    thread; this ticks on demand, so the answer always covers traffic up
-    to now at the cost of one registry snapshot.
+    The recorder has no thread: this ticks it, so the answer always
+    covers traffic up to now at the cost of one registry snapshot.
     """
     server.slo.tick()
     return server.slo.to_dict()

@@ -186,11 +186,6 @@ class BloomFilter:
         ).astype(bool)
         return bit_set.reshape(-1, k).all(axis=1)
 
-    def estimated_fp_rate(self) -> float:
-        return false_positive_rate(
-            self.params.num_bits, self.params.num_hashes, self.approx_entries
-        )
-
     # -- set algebra -----------------------------------------------------------
 
     def union(self, other: "BloomFilter") -> "BloomFilter":

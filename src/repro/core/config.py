@@ -97,10 +97,6 @@ class ServerConfig:
     #: capping the endpoint at ~1/service_latency ops/s.  Used by
     #: multi-server capacity experiments; 0 disables the model.
     service_latency: float = 0.0
-    #: Seconds between background SLI recorder passes; 0 (the default)
-    #: runs no thread and ticks on demand at ``admin_slo`` time — the
-    #: window arithmetic is identical, only the gauge export lags.
-    slo_tick_interval: float = 0.0
     #: Per-principal usage accounting (``admin_usage`` / ``rls usage``):
     #: charge every request's cost vector — wall time, queue wait, rows
     #: examined, bytes, WAL bytes — to ``(principal, op_class)``.

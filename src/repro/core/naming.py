@@ -8,8 +8,6 @@ single character), which map onto SQL ``LIKE``'s ``%`` and ``_``.
 
 from __future__ import annotations
 
-import re
-
 from repro.core.errors import InvalidNameError
 
 #: Maximum name length, from the ``varchar(250)`` columns in Figure 3.
@@ -45,24 +43,3 @@ def wildcard_to_like(pattern: str) -> str:
     escaped in this dialect (they do not occur in grid file names).
     """
     return pattern.replace("*", "%").replace("?", "_")
-
-
-_REGEX_CACHE: dict[str, re.Pattern[str]] = {}
-
-
-def wildcard_to_regex(pattern: str) -> re.Pattern[str]:
-    """Compile an RLS wildcard pattern to an anchored regex."""
-    compiled = _REGEX_CACHE.get(pattern)
-    if compiled is None:
-        parts = []
-        for ch in pattern:
-            if ch == "*":
-                parts.append(".*")
-            elif ch == "?":
-                parts.append(".")
-            else:
-                parts.append(re.escape(ch))
-        compiled = re.compile("".join(parts) + r"\Z", re.DOTALL)
-        if len(_REGEX_CACHE) < 4096:
-            _REGEX_CACHE[pattern] = compiled
-    return compiled

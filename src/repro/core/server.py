@@ -312,12 +312,10 @@ class RLSServer:
                 task.start()
             if self.profiler.enabled:
                 self.profiler.start()
-            # Prime the SLI recorder so its first real tick (on demand at
-            # admin_slo time, or the background thread's) attributes all
-            # traffic since start instead of swallowing it as baseline.
+            # Prime the SLI recorder so its first real tick (at admin_slo
+            # time) attributes all traffic since start instead of
+            # swallowing it as baseline.
             self.slo.tick()
-            if self.config.slo_tick_interval > 0:
-                self.slo.start(self.config.slo_tick_interval)
             self._started = True
         return self
 
@@ -330,8 +328,6 @@ class RLSServer:
             self._tasks = {name: self._tasks[name] for name in stuck}
             if not self.profiler.stop():
                 stuck.append("profiler")
-            if not self.slo.stop():
-                stuck.append("slo")
             self.local_transport.close()
             if self.tcp_transport is not None:
                 self.tcp_transport.close()

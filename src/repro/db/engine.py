@@ -339,15 +339,6 @@ class Database:
     # Durability
     # ------------------------------------------------------------------
 
-    def recover_into(self, other: "Database") -> int:
-        """Replay this database's durable WAL into ``other``, which must
-        already contain the table schemas and no rows (DDL is not logged,
-        matching the RLS practice of creating schemas at install time).
-        Returns the number of records applied."""
-        if self.wal is None:
-            return 0
-        return other.apply_records(self.wal.records())
-
     def apply_records(self, records: Iterable[WALRecord]) -> int:
         """Replay log records into this database's tables: the one replay,
         for crash recovery and for a shard master's mirrors.

@@ -70,10 +70,6 @@ class SQLSyntaxError(DBError):
         self.position = position
 
 
-class TransactionError(DBError):
-    """Invalid transaction state transition (e.g. commit without begin)."""
-
-
 class ConnectionClosedError(DBError):
     """An operation was attempted on a closed connection or cursor."""
 

@@ -18,7 +18,7 @@ import time
 from typing import Callable
 
 from repro.db.engine import Database
-from repro.db.wal import InMemoryLogDevice, LogDevice, WriteAheadLog
+from repro.db.wal import InMemoryLogDevice, WriteAheadLog
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -33,7 +33,7 @@ class MySQLEngine(Database):
         flush_on_commit: bool = True,
         sync_latency: float = 0.011,
         flush_interval: float = 1.0,
-        device: LogDevice | None = None,
+        device: InMemoryLogDevice | None = None,
         sleep: Callable[[float], None] = time.sleep,
         metrics: MetricsRegistry | None = None,
     ) -> None:

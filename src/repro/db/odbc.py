@@ -32,11 +32,6 @@ def unregister_dsn(dsn: str) -> None:
         _registry.pop(dsn, None)
 
 
-def registered_dsns() -> list[str]:
-    with _registry_lock:
-        return sorted(_registry)
-
-
 def connect(dsn: str | Database) -> "Connection":
     """Open a connection to a registered DSN (or wrap an engine directly)."""
     if isinstance(dsn, Database):

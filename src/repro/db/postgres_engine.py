@@ -22,7 +22,7 @@ import time
 from typing import Callable
 
 from repro.db.engine import Database
-from repro.db.wal import InMemoryLogDevice, LogDevice, WriteAheadLog
+from repro.db.wal import InMemoryLogDevice, WriteAheadLog
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -37,7 +37,7 @@ class PostgresEngine(Database):
         fsync: bool = False,
         sync_latency: float = 0.011,
         flush_interval: float = 1.0,
-        device: LogDevice | None = None,
+        device: InMemoryLogDevice | None = None,
         sleep: Callable[[float], None] = time.sleep,
         dead_hit_cost: float = 5e-5,
         metrics: MetricsRegistry | None = None,

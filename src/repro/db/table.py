@@ -298,10 +298,6 @@ class Table:
     # Reads
     # ------------------------------------------------------------------
 
-    def get_row(self, rid: int) -> Row | None:
-        with self.latch:
-            return self.heap.get_live(rid)
-
     def scan(self) -> Iterator[tuple[int, Row]]:
         """Snapshot scan of live rows (materialized under the latch)."""
         with self.latch:
@@ -351,20 +347,6 @@ class Table:
             if dead_hits:
                 self._charge_dead_hits(dead_hits)
             return result
-
-    def prefix_lookup(self, column: str, prefix: str) -> list[tuple[int, Row]]:
-        """Live rows whose string ``column`` starts with ``prefix``."""
-        idx = self.find_ordered_index(column)
-        if idx is not None:
-            return self.prefix_index(idx, prefix)
-        position = self.schema.column_index(column)
-        with self.latch:
-            return [
-                (rid, row)
-                for rid, row in self.heap.scan_live()
-                if isinstance(row[position], str)
-                and row[position].startswith(prefix)
-            ]
 
     def prefix_index(self, idx: OrderedIndex, prefix: str) -> list[tuple[int, Row]]:
         """Live rows whose key in one of this table's ordered indexes

@@ -45,7 +45,6 @@ the log no longer holds records for is told so: a mirror is then shipped
 from __future__ import annotations
 
 import contextlib
-import os
 import struct
 import threading
 import time
@@ -176,37 +175,8 @@ def decode_records(data: bytes, table: str | None = None) -> Iterator[WALRecord]
         offset += length
 
 
-class LogDevice:
-    """Abstract durable device for the WAL."""
-
-    def append(self, data: bytes) -> None:
-        raise NotImplementedError
-
-    def sync(self) -> None:
-        raise NotImplementedError
-
-    def durable(self, start: int = 0) -> tuple[tuple[int, Image] | None, bytes]:
-        """What survives a crash: the last checkpoint's LSN and image if the
-        device keeps it unrendered (else None), and the bytes that follow,
-        from byte ``start`` of them."""
-        raise NotImplementedError
-
-    def read_all(self) -> bytes:
-        """Every durable record, the checkpoint rendered."""
-        checkpoint, data = self.durable()
-        return data if checkpoint is None else encode_checkpoint(*checkpoint) + data
-
-    def checkpoint(self, lsn: int, image: Image) -> None:
-        """Drop every record up to ``lsn``: ``image`` stands for them.
-        Called right after a sync, so nothing is buffered."""
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-
-class InMemoryLogDevice(LogDevice):
-    """RAM-backed device with a modelled sync latency.
+class InMemoryLogDevice:
+    """The WAL's durable device: RAM-backed, with a modelled sync latency.
 
     ``sync_latency`` models the disk write barrier: 11 ms default, which is
     the seek+rotate budget of the early-2000s disks in the paper's testbed
@@ -242,56 +212,21 @@ class InMemoryLogDevice(LogDevice):
         self.sync_count += 1
 
     def checkpoint(self, lsn: int, image: Image) -> None:
+        """Drop every record up to ``lsn``: ``image`` stands for them.
+        Called right after a sync, so nothing is buffered."""
         self._durable = bytearray()
         self._checkpoint = (lsn, image)
 
     def durable(self, start: int = 0) -> tuple[tuple[int, Image] | None, bytes]:
-        """Synced bytes only — un-synced ones are lost in a 'crash'."""
+        """What survives a crash: the last checkpoint's LSN and image (None
+        before the first), and the synced bytes that follow, from byte
+        ``start`` of them — un-synced ones are lost in a 'crash'."""
         return self._checkpoint, bytes(self._durable[start:])
 
-
-class FileLogDevice(LogDevice):
-    """Real file-backed device using OS fsync."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._fh = open(path, "ab+")
-        self.sync_count = 0
-
-    def append(self, data: bytes) -> None:
-        self._fh.write(data)
-
-    def sync(self) -> None:
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self.sync_count += 1
-
-    def checkpoint(self, lsn: int, image: Image) -> None:
-        """Write the image to a new file and swap it in: a crash at any
-        point leaves either the old log or the new one, complete."""
-        staged = self.path + ".checkpoint"
-        with open(staged, "wb") as fh:
-            fh.write(encode_checkpoint(lsn, image))
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._fh.close()
-        os.replace(staged, self.path)
-        directory = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
-        self._fh = open(self.path, "ab+")
-
-    def durable(self, start: int = 0) -> tuple[None, bytes]:
-        """The file, whose checkpoint is rendered in it."""
-        self._fh.flush()
-        with open(self.path, "rb") as fh:
-            fh.seek(start)
-            return None, fh.read()
-
-    def close(self) -> None:
-        self._fh.close()
+    def read_all(self) -> bytes:
+        """Every durable record, the checkpoint rendered."""
+        checkpoint, data = self.durable()
+        return data if checkpoint is None else encode_checkpoint(*checkpoint) + data
 
 
 class WriteAheadLog:
@@ -299,7 +234,7 @@ class WriteAheadLog:
 
     def __init__(
         self,
-        device: LogDevice | None = None,
+        device: InMemoryLogDevice | None = None,
         flush_on_commit: bool = True,
         flush_interval: float = 1.0,
         max_buffered_records: int = 1024,

@@ -151,18 +151,6 @@ def decode(data: "bytes | bytearray | memoryview") -> Any:
     return value
 
 
-def decode_prefix(
-    data: "bytes | bytearray | memoryview", pos: int = 0
-) -> tuple[Any, int]:
-    """Decode one value starting at ``pos``; return ``(value, end_pos)``.
-
-    Unlike :func:`decode` this tolerates trailing bytes.  For repeated
-    payload reads over one buffer, build a single :func:`make_reader`
-    instead — constructing the reader per call is the expensive part.
-    """
-    return _decode_from(data, pos)
-
-
 def make_reader(data: "bytes | bytearray | memoryview"):
     """Build a resumable cursor decoder over ``data``.
 

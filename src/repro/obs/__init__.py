@@ -85,7 +85,6 @@ from repro.obs.slo import (
     OPERATION_CLASSES,
     SLIRecorder,
     SLITracker,
-    SLOPolicy,
 )
 from repro.obs.tracing import (
     NULL_SPAN,
@@ -119,7 +118,6 @@ __all__ = [
     "OPERATION_CLASSES",
     "SLIRecorder",
     "SLITracker",
-    "SLOPolicy",
     "SamplingProfiler",
     "Segment",
     "Span",

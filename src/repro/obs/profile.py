@@ -8,8 +8,8 @@ re-run under a tracing harness:
 
 * a **thread registry** maps thread idents to named roles
   (:func:`register_thread` is called by RPC worker threads, the update
-  scheduler, the SLI recorder, …; :func:`thread_role` temporarily re-labels a
-  thread for the duration of a phase such as a WAL flush);
+  scheduler, the RLI expiry task, …; :func:`thread_role` temporarily
+  re-labels a thread for the duration of a phase such as a WAL flush);
 * :class:`SamplingProfiler` walks ``sys._current_frames()`` at
   ``ServerConfig.profile_hz`` and aggregates samples into a
   :class:`StackProfile` of folded-stack counts (the FlameGraph input

@@ -27,12 +27,18 @@ long window to suppress blips:
 * **slow**: burn >= 1.0 over 6 h *and* 3 d (warning — on track to just
   exhaust the budget).
 
+The targets, thresholds and windows are module constants
+(:data:`AVAILABILITY_TARGET`, :data:`LATENCY_TARGET`,
+:data:`DEFAULT_LATENCY_THRESHOLDS`, :data:`WINDOWS`,
+:data:`BUDGET_WINDOW`): one fixed policy for every deployment.
+
 The :class:`SLITracker` is the windowed arithmetic over explicit
 ``(t, requests, errors, slow)`` records — directly usable on the
 simulator's virtual clock.  The :class:`SLIRecorder` feeds trackers from
-a :class:`~repro.obs.metrics.MetricsRegistry` by snapshot subtraction
-and exports ``slo.*`` gauges back into the registry, so ``admin_metrics``
-and ``GET /metrics`` serve burn rates like any other gauge.
+a :class:`~repro.obs.metrics.MetricsRegistry` by snapshot subtraction,
+one :meth:`SLIRecorder.tick` per ``admin_slo`` call, and exports
+``slo.*`` gauges back into the registry, so ``admin_metrics`` and
+``GET /metrics`` serve burn rates like any other gauge.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.obs.metrics import (
@@ -49,7 +55,6 @@ from repro.obs.metrics import (
     bucket_index,
     split_metric_key,
 )
-from repro.obs.periodic import Periodic
 
 __all__ = [
     "BurnWindow",
@@ -59,7 +64,6 @@ __all__ = [
     "SLIRecorder",
     "SLITracker",
     "SLOW_BURN_THRESHOLD",
-    "SLOPolicy",
 ]
 
 
@@ -114,48 +118,37 @@ DEFAULT_LATENCY_THRESHOLDS: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class SLOPolicy:
-    """Targets and windows for one deployment."""
+#: The availability and latency targets every class is held to.
+AVAILABILITY_TARGET = 0.999
+LATENCY_TARGET = 0.99
+#: The multi-window alert rules.
+WINDOWS: tuple[BurnWindow, ...] = (FAST_WINDOW, SLOW_WINDOW)
+#: Error-budget accounting horizon (seconds).
+BUDGET_WINDOW = 3 * 86400.0
+#: Oldest record any window can still see.
+_HORIZON = max([w.long for w in WINDOWS] + [BUDGET_WINDOW])
 
-    availability_target: float = 0.999
-    latency_target: float = 0.99
-    #: Default latency threshold (seconds) for classes not overridden.
-    latency_threshold: float = 0.050
-    latency_thresholds: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_LATENCY_THRESHOLDS)
-    )
-    windows: tuple[BurnWindow, ...] = (FAST_WINDOW, SLOW_WINDOW)
-    #: Error-budget accounting horizon (seconds).
-    budget_window: float = 3 * 86400.0
 
-    def threshold_for(self, op_class: str) -> float:
-        return self.latency_thresholds.get(op_class, self.latency_threshold)
-
-    def horizon(self) -> float:
-        """Oldest record any window can still see."""
-        spans = [w.long for w in self.windows] + [self.budget_window]
-        return max(spans)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "availability_target": self.availability_target,
-            "latency_target": self.latency_target,
-            "latency_thresholds": {
-                cls: self.threshold_for(cls) for cls in OPERATION_CLASSES
-            },
-            "windows": [
-                {
-                    "name": w.name,
-                    "short": w.short,
-                    "long": w.long,
-                    "threshold": w.threshold,
-                    "severity": w.severity,
-                }
-                for w in self.windows
-            ],
-            "budget_window": self.budget_window,
-        }
+def _policy_dict() -> dict[str, Any]:
+    """The targets and windows, as the ``admin_slo`` payload shows them."""
+    return {
+        "availability_target": AVAILABILITY_TARGET,
+        "latency_target": LATENCY_TARGET,
+        "latency_thresholds": {
+            cls: DEFAULT_LATENCY_THRESHOLDS[cls] for cls in OPERATION_CLASSES
+        },
+        "windows": [
+            {
+                "name": w.name,
+                "short": w.short,
+                "long": w.long,
+                "threshold": w.threshold,
+                "severity": w.severity,
+            }
+            for w in WINDOWS
+        ],
+        "budget_window": BUDGET_WINDOW,
+    }
 
 
 # -- windowed SLI arithmetic ------------------------------------------------
@@ -170,8 +163,7 @@ class SLITracker:
     (``None``) and burn zero — silence is not an outage.
     """
 
-    def __init__(self, policy: SLOPolicy | None = None) -> None:
-        self.policy = policy if policy is not None else SLOPolicy()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: deque[tuple[float, int, int, int]] = deque()
 
@@ -179,10 +171,9 @@ class SLITracker:
         self, t: float, requests: int, errors: int, slow: int = 0
     ) -> None:
         """Append one interval's delta, trimming beyond the horizon."""
-        horizon = self.policy.horizon()
         with self._lock:
             self._records.append((t, requests, errors, slow))
-            while self._records and self._records[0][0] < t - horizon:
+            while self._records and self._records[0][0] < t - _HORIZON:
                 self._records.popleft()
 
     def _sums(self, window: float, now: float) -> tuple[int, int, int]:
@@ -213,18 +204,18 @@ class SLITracker:
         """Budget spend rate over a window; 0.0 when the SLI is undefined."""
         if kind == "availability":
             sli = self.availability(window, now)
-            target = self.policy.availability_target
+            target = AVAILABILITY_TARGET
         else:
             sli = self.latency_sli(window, now)
-            target = self.policy.latency_target
-        if sli is None or target >= 1.0:
+            target = LATENCY_TARGET
+        if sli is None:
             return 0.0
         return (1.0 - sli) / (1.0 - target)
 
     def alerts(self, now: float) -> list[dict[str, Any]]:
         """Multi-window rules that currently fire (short AND long)."""
         out: list[dict[str, Any]] = []
-        for window in self.policy.windows:
+        for window in WINDOWS:
             for kind in ("availability", "latency"):
                 short_burn = self.burn_rate(window.short, now, kind)
                 long_burn = self.burn_rate(window.long, now, kind)
@@ -245,11 +236,11 @@ class SLITracker:
         return out
 
     def budget(self, now: float) -> dict[str, Any]:
-        """Error-budget accounting over ``policy.budget_window``."""
-        window = self.policy.budget_window
+        """Error-budget accounting over :data:`BUDGET_WINDOW`."""
+        window = BUDGET_WINDOW
         requests, errors, slow = self._sums(window, now)
-        allowed_err = (1.0 - self.policy.availability_target) * requests
-        allowed_slow = (1.0 - self.policy.latency_target) * requests
+        allowed_err = (1.0 - AVAILABILITY_TARGET) * requests
+        allowed_slow = (1.0 - LATENCY_TARGET) * requests
         return {
             "window": window,
             "requests": requests,
@@ -267,7 +258,7 @@ class SLITracker:
 
     def to_dict(self, now: float) -> dict[str, Any]:
         windows: dict[str, Any] = {}
-        for window in self.policy.windows:
+        for window in WINDOWS:
             for label, span in (("short", window.short), ("long", window.long)):
                 key = f"{window.name}_{label}"
                 requests, errors, slow = self._sums(span, now)
@@ -328,28 +319,24 @@ class SLIRecorder:
     def __init__(
         self,
         registry: MetricsRegistry,
-        policy: SLOPolicy | None = None,
         shard: str = "",
         endpoint: str = "",
         clock: Callable[[], float] = time.monotonic,
         classes: Mapping[str, str] | None = None,
     ) -> None:
         self.registry = registry
-        self.policy = policy if policy is not None else SLOPolicy()
         self.classes: Mapping[str, str] = classes or {}
         self.shard = shard
         self.endpoint = endpoint
         self.clock = clock
         self.trackers: dict[str, SLITracker] = {
-            cls: SLITracker(self.policy) for cls in OPERATION_CLASSES
+            cls: SLITracker() for cls in OPERATION_CLASSES
         }
         self._lock = threading.Lock()
         self._last: MetricsSnapshot | None = None
-        #: The optional background loop, made by ``start()``.
-        self.task: Periodic | None = None
         self.ticks = 0
         # Self-metering, like the profiler: the recorder's
-        # own cost must be visible to the overhead gate.
+        # own cost is visible in admin_metrics.
         self._m_ticks = registry.counter("obs.slo.ticks")
         self._m_tick_latency = registry.histogram("obs.slo.tick_latency")
 
@@ -362,9 +349,8 @@ class SLIRecorder:
         return labels
 
     def tick(self, now: float | None = None) -> None:
-        """One recording pass.  Cheap enough for on-demand use: the
-        default ``slo_tick_interval=0`` runs no thread and ticks at
-        ``admin_slo`` time instead, with identical window arithmetic."""
+        """One recording pass.  The server runs one when it starts (the
+        priming tick) and one per ``admin_slo`` call; no thread ticks."""
         t0 = time.perf_counter()
         if now is None:
             now = self.clock()
@@ -400,7 +386,7 @@ class SLIRecorder:
                 if cls is None:
                     continue
                 per_class[cls][2] += slow_observations(
-                    hist.counts, self.policy.threshold_for(cls)
+                    hist.counts, DEFAULT_LATENCY_THRESHOLDS[cls]
                 )
             for cls, (requests, errors, slow) in per_class.items():
                 # rpc.requests counts successes only; the SLI denominator
@@ -431,7 +417,7 @@ class SLIRecorder:
                     budget["latency_budget_remaining"],
                 )
             )
-            for window in self.policy.windows:
+            for window in WINDOWS:
                 burn = max(
                     tracker.burn_rate(window.short, now, "availability"),
                     tracker.burn_rate(window.short, now, "latency"),
@@ -464,27 +450,10 @@ class SLIRecorder:
             "shard": self.shard,
             "endpoint": self.endpoint,
             "ticks": self.ticks,
-            "policy": self.policy.to_dict(),
+            "policy": _policy_dict(),
             "classes": {
                 cls: tracker.to_dict(now)
                 for cls, tracker in self.trackers.items()
             },
             "alerts": self.alerts(now),
         }
-
-    # -- optional background thread --------------------------------------
-
-    def start(self, interval: float) -> "SLIRecorder":
-        if self.task is None or not self.task.running:
-            self.task = Periodic(
-                "sli-recorder",
-                interval,
-                self.tick,
-                role="slo",
-                metrics=self.registry,
-            )
-        self.task.start()
-        return self
-
-    def stop(self) -> bool:
-        return self.task is None or self.task.stop()

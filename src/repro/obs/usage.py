@@ -234,17 +234,6 @@ class UsageSnapshot:
             overflowed=self.overflowed + other.overflowed,
         )
 
-    def principal_totals(self) -> dict[str, dict[str, float]]:
-        """Cost vectors summed across op classes, keyed by principal."""
-        totals: dict[str, dict[str, float]] = {}
-        for (principal, _op_class), vec in self.cells.items():
-            row = totals.setdefault(
-                principal, dict.fromkeys(COST_FIELDS, 0.0)
-            )
-            for name, value in zip(COST_FIELDS, vec):
-                row[name] += value
-        return totals
-
     def to_dict(self) -> dict[str, Any]:
         principals: dict[str, dict[str, dict[str, float]]] = {}
         for (principal, op_class), vec in sorted(self.cells.items()):

@@ -1,6 +1,6 @@
 """Sharded-cluster simulation in virtual time.
 
-Models the cluster subsystem's two central claims on the deterministic
+Models the cluster subsystem's queueing claims on the deterministic
 simulation kernel, free of wall-clock noise:
 
 * **Scale-out** — each shard master (and each mirror) is one
@@ -8,18 +8,16 @@ simulation kernel, free of wall-clock noise:
   fixed service time, the §6 saturation model); clients hash queries onto
   shards and prefer mirrors, so aggregate throughput grows with the
   endpoint count until client concurrency is exhausted.
-* **Mirror staleness** — masters push their replica stream every
-  ``push_interval`` simulated seconds; a mirror's staleness age sawtooths
-  under that interval while the feed is healthy and climbs linearly when
-  the feed stalls; ``result.peak_staleness`` keeps each mirror's worst
-  age (the live :class:`~repro.cluster.mirror.MirrorIngest` gauges it as
-  ``mirror.staleness_age``).
 * **SLO burn under faults** — a :class:`~repro.testing.faults.FailureSchedule`
   can fail queries against one shard (each failed query still consumes
   its service time — the server did the work, then errored).  A per-shard
   :class:`~repro.obs.slo.SLITracker` runs on the *virtual* clock, and the
   multi-window alerts firing at the end of the run land in
   ``result.slo_alerts``.
+
+Mirror staleness is not modelled: real mirrors replay their master's log,
+and :class:`~repro.cluster.mirror.MirrorIngest` gauges the age as
+``mirror.staleness_age``.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.cluster.ring import HashRing
-from repro.obs.slo import SLOPolicy, SLITracker
+from repro.obs.slo import SLITracker
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 from repro.testing.faults import FailureSchedule
@@ -51,8 +49,6 @@ class ClusterResult:
     queries_failed: int = 0
     #: Multi-window burn-rate alerts firing at end of run, per shard.
     slo_alerts: list[dict] = field(default_factory=list)
-    #: Peak staleness age (seconds) observed per mirror feed.
-    peak_staleness: dict[str, float] = field(default_factory=dict)
 
     @property
     def rate(self) -> float:
@@ -64,14 +60,10 @@ def cluster_experiment(
     mirrors_per_shard: int = 0,
     num_clients: int = 32,
     service_time: float = 0.005,
-    push_interval: float = 5.0,
     duration: float = 300.0,
-    stall_feed_of: str | None = None,
-    stall_at: float | None = None,
     faults: FailureSchedule | None = None,
     fault_shard: str | None = None,
     fault_after: float = 0.0,
-    slo_policy: SLOPolicy | None = None,
     sli_sample_every: float = 15.0,
     seed: int = 7,
 ) -> ClusterResult:
@@ -82,10 +74,6 @@ def cluster_experiment(
     that shard (the master when no mirror is up), and think 0 s between
     queries — so endpoint capacity is the only limiter, as in Figure 6's
     saturated region.
-
-    ``stall_feed_of`` names a mirror whose master feed stops at
-    ``stall_at`` (default: halfway); its staleness age then climbs
-    linearly, and ``result.peak_staleness`` shows how far.
 
     ``faults`` fails queries on schedule once ``sim.now >= fault_after``
     (restricted to ``fault_shard`` when given; failed queries still
@@ -99,11 +87,8 @@ def cluster_experiment(
     shards = tuple(f"shard{i}" for i in range(num_shards))
     ring = HashRing(shards)
     masters = {s: Resource(sim, capacity=1) for s in shards}
-    mirrors: dict[str, list[tuple[str, Resource]]] = {
-        s: [
-            (f"{s}-m{j}", Resource(sim, capacity=1))
-            for j in range(mirrors_per_shard)
-        ]
+    mirrors = {
+        s: [Resource(sim, capacity=1) for _ in range(mirrors_per_shard)]
         for s in shards
     }
     result = ClusterResult(
@@ -117,45 +102,10 @@ def cluster_experiment(
     )
     latency_total = 0.0
 
-    # --- mirror feeds: per-mirror last-delivery clock + peak age ---
-    last_push: dict[str, float] = {
-        name: 0.0 for s in shards for name, _ in mirrors[s]
-    }
-    if stall_feed_of is not None and stall_feed_of not in last_push:
-        raise ValueError(f"unknown mirror {stall_feed_of!r}")
-    stall_time = (
-        (duration / 2 if stall_at is None else stall_at)
-        if stall_feed_of is not None
-        else None
-    )
-
-    def feed_proc(shard: str, mirror_name: str):
-        while True:
-            yield sim.timeout(push_interval)
-            if mirror_name == stall_feed_of and sim.now >= stall_time:
-                continue  # the feed has stalled: deliveries stop arriving
-            last_push[mirror_name] = sim.now
-
-    def staleness_sampler(sample_every: float = 1.0):
-        while True:
-            yield sim.timeout(sample_every)
-            for shard in shards:
-                for mirror_name, _ in mirrors[shard]:
-                    age = sim.now - last_push[mirror_name]
-                    peak = result.peak_staleness.get(mirror_name, 0.0)
-                    if age > peak:
-                        result.peak_staleness[mirror_name] = age
-
-    for shard in shards:
-        for mirror_name, _ in mirrors[shard]:
-            sim.process(feed_proc(shard, mirror_name))
-    if mirrors_per_shard:
-        sim.process(staleness_sampler())
-
     # --- per-shard SLIs on the virtual clock ---
     if fault_shard is not None and fault_shard not in masters:
         raise ValueError(f"unknown shard {fault_shard!r}")
-    trackers = {s: SLITracker(slo_policy or SLOPolicy()) for s in shards}
+    trackers = {s: SLITracker() for s in shards}
     window_counts = {s: [0, 0] for s in shards}  # [requests, errors]
 
     def sli_sampler():
@@ -178,9 +128,7 @@ def cluster_experiment(
             if candidates:
                 # Least-queued mirror: the combined client's per-client
                 # shuffle approximates this spread in expectation.
-                name, resource = min(
-                    candidates, key=lambda nr: nr[1].queue_length
-                )
+                resource = min(candidates, key=lambda r: r.queue_length)
                 served_by_mirror = True
             else:
                 resource = masters[shard]

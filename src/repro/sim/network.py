@@ -64,10 +64,6 @@ class SharedLink:
             self._reschedule()
         return event
 
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
     def current_rate_per_flow(self) -> float:
         """Bits/s each active flow currently receives."""
         n = len(self._flows)

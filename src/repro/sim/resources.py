@@ -71,11 +71,6 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def mean_wait(self) -> float:
-        if self.total_acquisitions == 0:
-            return 0.0
-        return self.total_wait_time / self.total_acquisitions
-
     def use(self, service_time: float) -> Any:
         """Generator helper: acquire, hold for ``service_time``, release."""
 

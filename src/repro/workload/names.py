@@ -91,10 +91,6 @@ class MappingSet:
                 site = self.sites[r % len(self.sites)]
                 yield lfn, pfn_for(lfn, site, r)
 
-    def first_replica_pairs(self) -> list[tuple[str, str]]:
-        """One (lfn, pfn) per logical name (for ``create`` loading)."""
-        return [(lfn, pfn_for(lfn, self.sites[0], 0)) for lfn in self.lfns()]
-
     def random_lfns(self, n: int, seed: int | None = None) -> list[str]:
         """Uniform sample (with replacement) of logical names to query.
 

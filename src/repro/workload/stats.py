@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,3 @@ def summarize(rates: Sequence[float]) -> TrialStats:
     if not rates:
         raise ValueError("no trials")
     return TrialStats(tuple(rates))
-
-
-def run_trials(
-    trial: Callable[[], float],
-    trials: int = 5,
-    reset: Callable[[], None] | None = None,
-) -> TrialStats:
-    """Run ``trial`` (returning an ops/s rate) ``trials`` times.
-
-    ``reset`` restores pre-trial state between runs — the paper keeps the
-    database size "relatively constant during a performance test", e.g. by
-    deleting the mappings added in each add trial.
-    """
-    rates = []
-    for i in range(trials):
-        rates.append(trial())
-        if reset is not None and i != trials - 1:
-            reset()
-    return summarize(rates)

@@ -143,16 +143,12 @@ class TestShardMap:
         with pytest.raises(ValueError):
             ShardMap(shards=("s0",), mirrors={"nope": ("m",)})
 
-    def test_all_servers(self):
-        smap = ShardMap(shards=("s0", "s1"), mirrors={"s1": ("s1-m0",)})
-        assert smap.all_servers() == ["s0", "s1", "s1-m0"]
-        assert smap.mirrors_of("s0") == ()
-
     def test_with_shard_bumps_version(self):
         smap = ShardMap(shards=("s0",))
         grown = smap.with_shard("s1", mirrors=("s1-m0",))
         assert grown.version == smap.version + 1
         assert grown.mirrors_of("s1") == ("s1-m0",)
+        assert grown.mirrors_of("s0") == ()
         shrunk = grown.without_shard("s1")
         assert shrunk.shards == ("s0",)
         assert shrunk.version == grown.version + 1

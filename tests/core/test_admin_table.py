@@ -65,7 +65,7 @@ class TestNothingAddedRenamedOrRemoved:
         assert parser_arguments() == RECORDED["parser"]
 
     def test_no_new_options(self):
-        assert len(dataclasses.fields(ServerConfig)) == 25
+        assert len(dataclasses.fields(ServerConfig)) == 24
 
 
 class TestTableAgreesWithWhatIsWrittenBesideIt:

@@ -112,7 +112,7 @@ class TestLRCBulkLoad:
             name="bl2",
         )
         twin.init_schema()
-        engine.recover_into(twin.conn.database)
+        twin.conn.database.apply_records(engine.wal.records())
         for name in ("t_lfn", "t_pfn", "t_map"):
             assert sorted(row for _rid, row in twin.conn.database.table(name).scan()) == (
                 sorted(row for _rid, row in engine.table(name).scan())

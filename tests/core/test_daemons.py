@@ -168,7 +168,6 @@ class TestStopLeaksNoThread:
             mirror_push_interval=0.01,
             update_poll_interval=0.01,
             expire_interval=0.01,
-            slo_tick_interval=0.01,
             profile_hz=200.0,
             updates=UpdatePolicy(immediate_interval=0.01, parallel_updates=True),
         ).start()
@@ -177,7 +176,7 @@ class TestStopLeaksNoThread:
         started = set(threading.enumerate()) - before
         roles = {t.name.split("-leak")[0] for t in started}
         assert {"rli-expire", "lrc-updates"} <= roles
-        assert {"obs-profiler", "sli-recorder"} <= {t.name for t in started}
+        assert "obs-profiler" in {t.name for t in started}
 
         written = [0, 0, 0, 0]
         halt = threading.Event()

@@ -183,7 +183,7 @@ class LRCMachine(RuleBasedStateMachine):
         engine.wal.flush()
         twin = LocalReplicaCatalog(Connection(self.make_engine(), "twin"), name="twin")
         twin.init_schema()
-        engine.recover_into(twin.conn.database)
+        twin.conn.database.apply_records(engine.wal.records())
         for name in engine.table_names():
             assert Counter(twin.conn.database.table(name).live_rows()) == Counter(
                 engine.table(name).live_rows()

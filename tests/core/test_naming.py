@@ -10,8 +10,13 @@ from repro.core.naming import (
     has_wildcard,
     validate_name,
     wildcard_to_like,
-    wildcard_to_regex,
 )
+from repro.db.sql.executor import like_to_regex
+
+
+def query_regex(pattern):
+    """The regex a wildcard query runs: its LIKE pattern, compiled."""
+    return like_to_regex(wildcard_to_like(pattern))
 
 
 class TestValidateName:
@@ -52,18 +57,18 @@ class TestWildcards:
         assert wildcard_to_like("plain") == "plain"
 
     def test_regex_star(self):
-        rx = wildcard_to_regex("lfn*")
+        rx = query_regex("lfn*")
         assert rx.fullmatch("lfn123")
         assert rx.fullmatch("lfn")
         assert not rx.fullmatch("xlfn")
 
     def test_regex_question(self):
-        rx = wildcard_to_regex("f?le")
+        rx = query_regex("f?le")
         assert rx.fullmatch("file") and rx.fullmatch("fXle")
         assert not rx.fullmatch("fle")
 
     def test_regex_escapes_specials(self):
-        rx = wildcard_to_regex("a.b+c")
+        rx = query_regex("a.b+c")
         assert rx.fullmatch("a.b+c")
         assert not rx.fullmatch("aXb+c")
 
@@ -72,7 +77,7 @@ class TestWildcards:
 @given(st.text(st.characters(codec="utf-8", exclude_characters="*?%_\x00"), max_size=20))
 def test_property_plain_name_matches_itself(name):
     """Property: a wildcard-free pattern matches exactly itself."""
-    assert wildcard_to_regex(name).fullmatch(name)
+    assert query_regex(name).fullmatch(name)
 
 
 @settings(max_examples=100)
@@ -81,4 +86,4 @@ def test_property_plain_name_matches_itself(name):
     st.text("abc", max_size=8),
 )
 def test_property_star_pattern_matches_any_expansion(prefix, filler):
-    assert wildcard_to_regex(prefix + "*").fullmatch(prefix + filler)
+    assert query_regex(prefix + "*").fullmatch(prefix + filler)

@@ -151,7 +151,7 @@ def test_ingest_matches_the_model_and_the_wal(flavour, script):
     engine.wal.flush()
     replica = ENGINES[flavour]()
     open_rli(replica)
-    engine.recover_into(replica)
+    replica.apply_records(engine.wal.records())
     assert live_rows(replica) == live_rows(engine)
 
 

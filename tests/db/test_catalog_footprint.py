@@ -8,8 +8,9 @@ it stops every connection for as long as that walk takes.  With one ``set``
 per index key and rows as lists a mapping was 12.00 tracked containers and
 about 3 200 bytes; the bounds below are 0.05 and 1 500.
 
-The write-ahead log goes to a file here: the in-memory device *is* the
-disk of the modelled server and would be counted as catalog.
+The write-ahead log goes to a device that keeps nothing here: the
+in-memory device *is* the disk of the modelled server and would be
+counted as catalog.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pytest
 from repro.core.lrc import LocalReplicaCatalog
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
-from repro.db.wal import FileLogDevice
+from repro.db.wal import InMemoryLogDevice
 
 MAX_TRACKED_PER_MAPPING = 0.05
 MAX_BYTES_PER_MAPPING = 1_500
@@ -34,9 +35,19 @@ def pairs(prefix: str, count: int) -> list[tuple[str, str]]:
     ]
 
 
+class DiscardingLogDevice(InMemoryLogDevice):
+    """A log device that keeps neither records nor checkpoint images."""
+
+    def append(self, data: bytes) -> None:
+        pass
+
+    def checkpoint(self, lsn, image) -> None:
+        pass
+
+
 @pytest.fixture
-def lrc(tmp_path):
-    device = FileLogDevice(str(tmp_path / "wal"))
+def lrc():
+    device = DiscardingLogDevice(sync_latency=0.0)
     engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0, device=device)
     catalog = LocalReplicaCatalog(Connection(engine, "fp"), name="fp")
     catalog.init_schema()
@@ -49,8 +60,7 @@ def lrc(tmp_path):
     catalog.delete_mapping(*warm[0])
     assert catalog.bulk_create(warm[1:]) == []
     assert catalog.bulk_delete(warm[1:]) == []
-    yield catalog
-    device.close()
+    return catalog
 
 
 class Footprint:

@@ -93,7 +93,7 @@ class TestRecovery:
             "CREATE TABLE t (id INT NOT NULL AUTO_INCREMENT, "
             "name VARCHAR(50) NOT NULL, PRIMARY KEY (id), UNIQUE (name))"
         )
-        applied = source.recover_into(fresh)
+        applied = fresh.apply_records(source.wal.records())
         assert applied >= 5
         names = sorted(r[0] for r in fresh.execute("SELECT name FROM t").rows)
         assert names == ["a", "z"]
@@ -110,14 +110,9 @@ class TestRecovery:
 
         fresh = Database("recovered")
         fresh.execute("CREATE TABLE t (id INT, name VARCHAR(50))")
-        source.recover_into(fresh)
+        fresh.apply_records(source.wal.records())
         rows = fresh.execute("SELECT name FROM t").rows
         assert rows == [("durable",)]
-
-    def test_recover_without_wal_is_noop(self):
-        db = Database()  # no WAL
-        other = Database()
-        assert db.recover_into(other) == 0
 
 
 class TestReplaceRows:

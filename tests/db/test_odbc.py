@@ -4,7 +4,7 @@ import pytest
 
 from repro.db.engine import Database
 from repro.db.errors import ConnectionClosedError, UnknownDSNError
-from repro.db.odbc import connect, register_dsn, registered_dsns, unregister_dsn
+from repro.db.odbc import connect, register_dsn, unregister_dsn
 
 
 @pytest.fixture
@@ -31,9 +31,6 @@ class TestRegistry:
             connect(dsn)
         # re-register for fixture teardown idempotence
         register_dsn(dsn, Database())
-
-    def test_registered_dsns_listed(self, dsn):
-        assert dsn in registered_dsns()
 
     def test_connect_engine_directly(self):
         db = Database("direct")

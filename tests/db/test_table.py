@@ -110,7 +110,7 @@ class TestIndexes:
         t.insert({"name": "abd"})
         t.insert({"name": "xyz"})
         t.create_ordered_index("by_name", "name")
-        assert len(t.prefix_lookup("name", "ab")) == 2
+        assert len(t.prefix_index(t.find_ordered_index("name"), "ab")) == 2
 
     def test_duplicate_index_name_rejected(self):
         t = make_table()
@@ -126,11 +126,6 @@ class TestIndexes:
         t = make_table()
         t.insert({"name": "a", "ref": 3})
         assert len(t.lookup_equal(("ref",), (3,))) == 1
-
-    def test_prefix_lookup_without_index_falls_back_to_scan(self):
-        t = make_table()
-        t.insert({"name": "abc"})
-        assert len(t.prefix_lookup("name", "ab")) == 1
 
 
 class TestVacuum:

@@ -140,16 +140,3 @@ class TestSyncLatency:
         )
         wal.log(OP_INSERT, "t", (1,))
         assert slept == []
-
-
-class TestFileDevice:
-    def test_file_roundtrip(self, tmp_path):
-        from repro.db.wal import FileLogDevice
-
-        path = str(tmp_path / "wal.log")
-        device = FileLogDevice(path)
-        wal = WriteAheadLog(device, flush_on_commit=True)
-        wal.log(OP_INSERT, "t", ("hello", 1))
-        records = wal.records()
-        device.close()
-        assert records[0].payload == ("hello", 1)

@@ -12,7 +12,6 @@ charged to a request are those of the statements alone.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -29,7 +28,6 @@ from repro.db.postgres_engine import PostgresEngine
 from repro.db.wal import (
     OP_CHECKPOINT,
     OP_INSERT,
-    FileLogDevice,
     decode_records,
     encode_record,
     encode_records,
@@ -69,7 +67,7 @@ def recovered(engine, flavour: str = "mysql"):
     fresh = ENGINES[flavour]()
     for name in engine.table_names():
         fresh.create_table(engine.table(name).schema)
-    engine.recover_into(fresh)
+    fresh.apply_records(engine.wal.records())
     return fresh
 
 
@@ -194,67 +192,38 @@ def test_a_torn_tail_after_the_image_loses_exactly_the_torn_record(floor):
     assert end == len(data)
 
 
-def test_a_file_log_is_swapped_for_its_checkpoint(floor, tmp_path):
-    floor(16)
-    path = tmp_path / "wal"
-    device = FileLogDevice(str(path))
-    engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0, device=device)
-    engine.execute(DDL)
-    try:
-        for i in range(200):
-            engine.execute("INSERT INTO t (name, ref) VALUES (?, ?)", [f"n{i}", i])
-            if i % 2:
-                engine.execute("DELETE FROM t WHERE name = ?", [f"n{i}"])
-        engine.wal.flush()
-        image, suffix = split_log(engine)
-        assert image and len(suffix) < max(16, len(image) - 1)
-        assert os.path.getsize(path) == sum(len(encode_record(r)) for r in image + suffix)
-        assert os.listdir(tmp_path) == ["wal"]
-        assert live_tables(recovered(engine)) == live_tables(engine)
-    finally:
-        device.close()
-
-
-@pytest.mark.parametrize("file_log", [False, True])
-def test_a_registered_reader_keeps_its_records_across_a_checkpoint(
-    floor, tmp_path, file_log
-):
+def test_a_registered_reader_keeps_its_records_across_a_checkpoint(floor):
     """An automatic checkpoint keeps the records after a registered
     ``LogReader``'s position, and the reader is served them with the
     suffix instead of the image, so a replica there replays to the live
     tables.  An explicit checkpoint (``bulk_load``'s, whose rows bypassed
     the log) keeps none, and the reader is told so."""
     floor(8)
-    device = FileLogDevice(str(tmp_path / "wal")) if file_log else None
-    engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0, device=device)
+    engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0)
     replica = ENGINES["mysql"]()
     for db in (engine, replica):
         db.execute(DDL)
     insert = "INSERT INTO t (name, ref) VALUES (?, ?)"
-    try:
-        for i in range(3):
-            engine.execute(insert, [f"n{i}", i])
-        reader = engine.wal.reader()
-        data, _count, reader.position = reader.read()
-        replica.apply_records(decode_records(data))
-        for i in range(3, 12):  # the eighth record takes the checkpoint
-            engine.execute(insert, [f"n{i}", i])
-            if i % 3 == 0:
-                engine.execute("DELETE FROM t WHERE name = ?", [f"n{i - 1}"])
-        assert engine.wal.checkpoint_lsn > reader.position
-        data, count, last = reader.read()
-        records = list(decode_records(data))
-        assert len(records) == count and records[0].lsn == reader.position + 1
-        assert OP_CHECKPOINT not in {r.op for r in records}
-        assert engine.wal.checkpoint_lsn not in {r.lsn for r in records}
-        replica.apply_records(records)
-        assert live_tables(replica) == live_tables(engine)
-        reader.position = last
-        engine.wal.checkpoint()
-        assert engine.wal.checkpoint_lsn > last and reader.read() is None
-    finally:
-        if device is not None:
-            device.close()
+    for i in range(3):
+        engine.execute(insert, [f"n{i}", i])
+    reader = engine.wal.reader()
+    data, _count, reader.position = reader.read()
+    replica.apply_records(decode_records(data))
+    for i in range(3, 12):  # the eighth record takes the checkpoint
+        engine.execute(insert, [f"n{i}", i])
+        if i % 3 == 0:
+            engine.execute("DELETE FROM t WHERE name = ?", [f"n{i - 1}"])
+    assert engine.wal.checkpoint_lsn > reader.position
+    data, count, last = reader.read()
+    records = list(decode_records(data))
+    assert len(records) == count and records[0].lsn == reader.position + 1
+    assert OP_CHECKPOINT not in {r.op for r in records}
+    assert engine.wal.checkpoint_lsn not in {r.lsn for r in records}
+    replica.apply_records(records)
+    assert live_tables(replica) == live_tables(engine)
+    reader.position = last
+    engine.wal.checkpoint()
+    assert engine.wal.checkpoint_lsn > last and reader.read() is None
 
 
 def checkpoint_lsn(data: bytes) -> int | None:

@@ -166,9 +166,9 @@ def test_rejects_a_non_positive_interval():
 
 
 class TestHoldersCountWhatTheySwallow:
-    """The profiler and SLI recorder keep their public
-    ``start()``/``stop()`` and delegate the loop: a failing pass used to be
-    swallowed uncounted, now it is on ``.task``."""
+    """The profiler keeps its public ``start()``/``stop()`` and delegates
+    the loop: a failing pass used to be swallowed uncounted, now it is on
+    ``.task``."""
 
     class FailsAfter:
         """A callable that works ``ok`` times, then raises forever."""
@@ -185,8 +185,8 @@ class TestHoldersCountWhatTheySwallow:
             return self.result() if callable(self.result) else self.result
 
     @staticmethod
-    def run_until_counted(holder, *start_args):
-        holder.start(*start_args)
+    def run_until_counted(holder):
+        holder.start()
         try:
             assert wait_until(lambda: holder.task.errors >= 2)
             assert holder.task._thread.is_alive()  # and it keeps going
@@ -205,13 +205,3 @@ class TestHoldersCountWhatTheySwallow:
         self.run_until_counted(profiler)
         counters = metrics.snapshot().counters
         assert counters["obs.selfcheck.task_errors{task=profiler}"] >= 2
-
-    def test_sli_recorder(self):
-        from repro.obs.slo import SLIRecorder
-
-        metrics = MetricsRegistry()
-        recorder = SLIRecorder(metrics, clock=self.FailsAfter(0, 0.0))
-        self.run_until_counted(recorder, 0.01)
-        assert recorder.ticks == 0
-        counters = metrics.snapshot().counters
-        assert counters["obs.selfcheck.task_errors{task=slo}"] >= 2

@@ -10,13 +10,13 @@ from repro.core.errors import ReadOnlyCatalogError
 from repro.core.server import OP_CLASSES
 from repro.obs.metrics import BUCKET_BOUNDS, MetricsRegistry, split_metric_key
 from repro.obs.slo import (
+    BUDGET_WINDOW,
     DEFAULT_LATENCY_THRESHOLDS,
     FAST_WINDOW,
     OPERATION_CLASSES,
     SLIRecorder,
     SLITracker,
     SLOW_WINDOW,
-    SLOPolicy,
     slow_observations,
 )
 
@@ -122,7 +122,7 @@ class TestSLITracker:
         assert tracker.alerts(now=1000.0) == []
 
     def test_availability_and_burn(self):
-        tracker = SLITracker(SLOPolicy(availability_target=0.999))
+        tracker = SLITracker()
         tracker.record(100.0, requests=1000, errors=10)
         assert tracker.availability(300.0, now=200.0) == 1.0 - 10 / 1000
         burn = tracker.burn_rate(300.0, 200.0, "availability")
@@ -166,30 +166,27 @@ class TestSLITracker:
         assert slow["burn_short"] >= SLOW_WINDOW.threshold
 
     def test_latency_sli_separate_from_availability(self):
-        tracker = SLITracker(SLOPolicy(latency_target=0.99))
+        tracker = SLITracker()
         tracker.record(10.0, requests=100, errors=0, slow=50)
         assert tracker.availability(300.0, now=20.0) == 1.0
         assert tracker.latency_sli(300.0, now=20.0) == 0.5
         assert abs(tracker.burn_rate(300.0, 20.0, "latency") - 50.0) < 1e-9
 
     def test_budget_accounting(self):
-        tracker = SLITracker(
-            SLOPolicy(availability_target=0.999, latency_target=0.99)
-        )
+        tracker = SLITracker()
         tracker.record(10.0, requests=10_000, errors=5, slow=50)
         budget = tracker.budget(now=20.0)
         # 5 errors of 10 allowed; 50 slow of 100 allowed.
         assert abs(budget["availability_budget_remaining"] - 0.5) < 1e-9
         assert abs(budget["latency_budget_remaining"] - 0.5) < 1e-9
-        exhausted = SLITracker(SLOPolicy(availability_target=0.999))
+        exhausted = SLITracker()
         exhausted.record(10.0, requests=1000, errors=500)
         assert exhausted.budget(20.0)["availability_budget_remaining"] == 0.0
 
     def test_horizon_trims_records(self):
         tracker = SLITracker()
-        horizon = tracker.policy.horizon()
         tracker.record(0.0, requests=1, errors=0)
-        tracker.record(horizon + 100.0, requests=1, errors=0)
+        tracker.record(BUDGET_WINDOW + 100.0, requests=1, errors=0)
         assert len(tracker._records) == 1
 
     def test_to_dict_window_keys(self):
@@ -293,18 +290,3 @@ class TestSLIRecorder:
         assert payload["enabled"] is True
         assert set(payload["classes"]) == set(OPERATION_CLASSES)
         assert payload["alerts"] == alerts
-
-    def test_background_thread_lifecycle(self):
-        registry = MetricsRegistry()
-        recorder = SLIRecorder(registry)
-        recorder.start(interval=0.01)
-        try:
-            import time as _time
-
-            deadline = _time.time() + 2.0
-            while recorder.ticks < 2 and _time.time() < deadline:
-                _time.sleep(0.01)
-            assert recorder.ticks >= 2
-        finally:
-            recorder.stop()
-        assert not recorder.task.running

@@ -235,16 +235,16 @@ class TestUsageSnapshot:
 
     def test_merge_sums_cells_and_sketches(self):
         merged = self.make("cms", 3).merge(self.make("cms", 2))
-        totals = merged.principal_totals()["cms"]
+        totals = dict(zip(COST_FIELDS, merged.cells[("cms", "add")]))
         assert totals["requests"] == 5
         assert totals["wall_time"] == pytest.approx(0.5)
         assert merged.principals.count("cms") == 5
 
     def test_merge_keeps_distinct_principals(self):
         merged = self.make("cms", 3).merge(self.make("ligo", 2))
-        totals = merged.principal_totals()
-        assert totals["cms"]["requests"] == 3
-        assert totals["ligo"]["requests"] == 2
+        requests = COST_FIELDS.index("requests")
+        assert merged.cells[("cms", "add")][requests] == 3
+        assert merged.cells[("ligo", "add")][requests] == 2
 
     def test_dict_round_trip(self):
         snap = self.make("cms", 4)

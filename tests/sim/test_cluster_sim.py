@@ -33,31 +33,6 @@ class TestScaleOut:
         assert a.mean_latency == b.mean_latency
 
 
-class TestStaleness:
-    def test_healthy_feed_sawtooths_under_interval(self):
-        r = cluster_experiment(2, 1, duration=120.0, push_interval=5.0)
-        assert max(r.peak_staleness.values()) <= 5.0 + 1.0
-
-    def test_stalled_feed_ages_only_its_mirror(self):
-        """From the stall on, the stalled mirror's age climbs with the
-        clock (~480 s by the end) while the other mirror's stays under
-        one push interval."""
-        r = cluster_experiment(
-            2,
-            1,
-            duration=600.0,
-            push_interval=5.0,
-            stall_feed_of="shard0-m0",
-            stall_at=120.0,
-        )
-        assert r.peak_staleness["shard0-m0"] > 400.0
-        assert r.peak_staleness["shard1-m0"] <= 6.0
-
-    def test_unknown_stall_target_rejected(self):
-        with pytest.raises(ValueError):
-            cluster_experiment(1, 1, stall_feed_of="nope")
-
-
 class TestSLOBurn:
     def test_shard_outage_fires_fast_burn_on_that_shard_only(self):
         from repro.testing.faults import FailureSchedule

@@ -93,7 +93,7 @@ class TestResource:
         sim.process(job())
         sim.run()
         assert res.total_acquisitions == 2
-        assert res.mean_wait() == pytest.approx(5.0)  # (0 + 10) / 2
+        assert res.total_wait_time == pytest.approx(10.0)  # 0 + 10
 
     def test_use_helper(self):
         sim = Simulator()

@@ -18,7 +18,7 @@ from repro.workload.scenarios import (
     loaded_rli_server_bloom,
     loaded_rli_server_uncompressed,
 )
-from repro.workload.stats import run_trials, summarize
+from repro.workload.stats import summarize
 
 
 class TestNameGenerators:
@@ -56,12 +56,6 @@ class TestMappingSet:
         ms = MappingSet(count=10, replicas=3)
         assert len(list(ms.pairs())) == 30
 
-    def test_first_replica_pairs(self):
-        ms = MappingSet(count=5)
-        pairs = ms.first_replica_pairs()
-        assert len(pairs) == 5
-        assert pairs[0][1].endswith(pairs[0][0])
-
     def test_random_lfns_within_range(self):
         ms = MappingSet(count=100)
         sample = ms.random_lfns(50, seed=1)
@@ -86,20 +80,6 @@ class TestTrialStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
-
-    def test_run_trials_with_reset(self):
-        calls = {"trial": 0, "reset": 0}
-
-        def trial():
-            calls["trial"] += 1
-            return 100.0
-
-        def reset():
-            calls["reset"] += 1
-
-        stats = run_trials(trial, trials=5, reset=reset)
-        assert calls == {"trial": 5, "reset": 4}  # no reset after last
-        assert stats.mean == 100.0
 
 
 class TestLoadDriver:
