@@ -16,7 +16,7 @@ Subcommands mirror the operation classes of the paper's Table 1::
     rls stats   host:39281                         # live metrics summary
     rls stats   host:39281 --watch 2               # re-scrape every 2s
     rls trace   --server host:39281                # tail-retained spans
-    rls trace   --server host:39281 <trace-id> --distributed --critical-path
+    rls trace   --server host:39281 <trace-id> --critical-path
     rls slowlog --server host:39281                # slow/error statements
     rls slo     host:39281 --watch 5               # SLIs, burn rates, budget
     rls usage   host:39281 --watch 5               # per-principal usage
@@ -650,24 +650,8 @@ def _stats_ticker(client: RLSClient):
 
 def _fetch_trace(row: admin.Surface, args: argparse.Namespace, client: RLSClient):
     """``rls trace`` lists; ``rls trace <id>`` asks the server to stitch
-    that trace, or with ``--distributed`` stitches client-side from the
-    ``trace_fragments`` of every endpoint in the shard map (a server that
-    is not a cluster member has none: it assembles, as without the flag)."""
-    from repro.obs.assemble import TraceAssembler, cluster_sources
-
-    if not args.trace_id:
-        return _call(row, args, client)
-    smap = client.shard_map().get("shard_map") if args.distributed else None
-    if not smap or not smap.get("shards"):
-        return client.trace(args.trace_id)
-    # Resolve span-id references via the connected server so slowlog span
-    # ids can be pasted directly.
-    local = client.trace_fragments(args.trace_id)
-    resolved = local.get("trace_id") or args.trace_id
-    sources = cluster_sources(smap, connect)
-    payload = TraceAssembler(sources).assemble(resolved).to_dict()
-    payload["enabled"] = bool(local.get("enabled", True))
-    return payload
+    that trace (a cluster member gathers every endpoint's fragments)."""
+    return client.trace(args.trace_id) if args.trace_id else _call(row, args, client)
 
 
 def _render_traces(payload: dict, args: argparse.Namespace, out) -> None:

@@ -249,9 +249,10 @@ def _trace(server: "RLSServer", trace_id: str) -> dict[str, Any]:
     """Cluster-stitched view of one trace (tree + critical path).
 
     A cluster member fans ``admin_trace_fragments`` out to every endpoint
-    in its shard map; unreachable nodes are tolerated and reported under
-    ``missing``.  Outside a cluster the local fragments are assembled
-    alone.
+    in its shard map, dialled as update sinks are (a registered TCP
+    address first, the in-process name as fallback); unreachable nodes are
+    tolerated and reported under ``missing``.  Outside a cluster the local
+    fragments are assembled alone.
     """
     tracer = tracing.current_tracer()
     if tracer is None:
@@ -267,10 +268,13 @@ def _trace(server: "RLSServer", trace_id: str) -> dict[str, Any]:
     resolved = tracer.resolve_trace(trace_id) or trace_id
     sources = [tracer_source(server.config.name, tracer)]
     if server.config.cluster is not None:
-        from repro.core.client import connect
+        from repro.core import membership
+        from repro.core.client import RLSClient
 
         sources += cluster_sources(
-            server.config.cluster.to_dict(), connect, skip=server.config.name
+            server.config.cluster.to_dict(),
+            lambda name: RLSClient(membership.client(name)),
+            skip=server.config.name,
         )
     payload = TraceAssembler(sources).assemble(resolved).to_dict()
     payload["enabled"] = True
@@ -417,13 +421,6 @@ SURFACES: tuple[Surface, ...] = (
                     nargs="?",
                     help="trace (or span) id to assemble — the ids printed by "
                     "the listing and by 'rls slowlog' both work",
-                ),
-                Flag(
-                    "--distributed",
-                    action="store_true",
-                    help="with a trace id: gather fragments from every endpoint "
-                    "in the cluster's shard map client-side instead of asking "
-                    "one server to stitch",
                 ),
                 Flag(
                     "--critical-path",

@@ -39,7 +39,6 @@ healer.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -202,10 +201,6 @@ class UpdatePolicy:
     #: with this minimum, and is rebuilt larger automatically when the
     #: catalog outgrows it (see UpdateManager._send_bloom).
     bloom_expected_entries: int = 1024
-    #: Push to multiple RLI targets concurrently (one thread per target).
-    #: Off by default: sequential pushes match the measured v2.0.9 server;
-    #: parallel fan-out helps fully-connected meshes (§6, ESG).
-    parallel_updates: bool = False
     #: Backoff schedule for per-target redelivery after a failed push.
     #: ``max_attempts`` is deliberately ignored here — soft state never
     #: gives up on a target; only the delay curve (base/multiplier/max/
@@ -569,17 +564,14 @@ class UpdateManager:
         if any(not tgt.bloom for tgt in targets):
             names = self.lrc.all_lfns()
 
-        def push_one(tgt: RLITarget) -> Exception | None:
-            return self.engine.push(
+        outcomes = [
+            self.engine.push(
                 tgt.name,
-                lambda: self._send_full(tgt, router, (position, names)),
+                partial(self._send_full, tgt, router, (position, names)),
                 "bloom" if tgt.bloom else "full",
             )
-
-        if self.policy.parallel_updates and len(targets) > 1:
-            outcomes = self._push_parallel(targets, push_one)
-        else:
-            outcomes = [push_one(tgt) for tgt in targets]
+            for tgt in targets
+        ]
         with self._lock:
             self._last_full_update = self.clock()
             self._last_immediate_flush = self.clock()
@@ -590,26 +582,6 @@ class UpdateManager:
             if failure is not None:
                 raise failure
         return elapsed
-
-    def _push_parallel(self, targets, push_one) -> list[Exception | None]:
-        """Fan a push out to every target concurrently (one thread each);
-        returns every target's outcome once all threads finished."""
-        outcomes: list[Exception | None] = [None] * len(targets)
-
-        def runner(slot: int, tgt: RLITarget) -> None:
-            outcomes[slot] = push_one(tgt)
-
-        threads = [
-            threading.Thread(
-                target=runner, args=(slot, tgt), name=f"update-{tgt.name}"
-            )
-            for slot, tgt in enumerate(targets)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return outcomes
 
     def send_incremental_update(self) -> int:
         """Flush the logged adds/removes to all non-Bloom targets (§3.3).

@@ -440,13 +440,8 @@ class WriteAheadLog:
         it holds and its last LSN (flushed first, copied under the lock)."""
         self.flush()
         with self._lock:
-            last, (checkpoint, data) = self._durable_lsn, self.device.durable()
-        data = data if checkpoint is None else encode_checkpoint(*checkpoint) + data
+            last, data = self._durable_lsn, self.device.read_all()
         return data, records_between(data, 0, last)[1], last
-
-    def records(self) -> list[WALRecord]:
-        """Decode every durable record (crash-recovery view)."""
-        return list(decode_records(self.device.read_all()))
 
 
 class LogReader:

@@ -443,10 +443,12 @@ class RPCClient:
         synchronous channels it completes immediately.  Async calls do
         not reconnect-retry — a transport failure surfaces from
         ``result()``, and callers that need redelivery wrap the whole
-        burst (as :class:`~repro.core.updates.UpdateManager` does).
+        burst (as :class:`~repro.core.updates.UpdateManager` does).  The
+        request carries the caller's current span, so the server's
+        ``rpc.handle`` joins the caller's trace as with :meth:`call`.
         """
         channel = self._current_channel()
-        pending = channel.submit(Request(method, args))
+        pending = channel.submit(Request(method, args, trace=tracing.context()))
         return PendingCall(self, pending, method)
 
     def flush(self) -> None:

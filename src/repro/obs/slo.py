@@ -33,12 +33,14 @@ The targets, thresholds and windows are module constants
 :data:`BUDGET_WINDOW`): one fixed policy for every deployment.
 
 The :class:`SLITracker` is the windowed arithmetic over explicit
-``(t, requests, errors, slow)`` records — directly usable on the
-simulator's virtual clock.  The :class:`SLIRecorder` feeds trackers from
-a :class:`~repro.obs.metrics.MetricsRegistry` by snapshot subtraction,
-one :meth:`SLIRecorder.tick` per ``admin_slo`` call, and exports
-``slo.*`` gauges back into the registry, so ``admin_metrics`` and
-``GET /metrics`` serve burn rates like any other gauge.
+``(t, requests, errors, slow)`` records.  Its one feed, the
+:class:`SLIRecorder`, subtracts snapshots of a
+:class:`~repro.obs.metrics.MetricsRegistry`, one
+:meth:`SLIRecorder.tick` per ``admin_slo`` call, and exports ``slo.*``
+gauges back into the registry, so ``admin_metrics`` and ``GET /metrics``
+serve burn rates like any other gauge.  A tick files all traffic since
+the previous one at its own time, so a window is only as fine as the
+polling of ``admin_slo``, and the gauges are as of the last call.
 """
 
 from __future__ import annotations
@@ -157,10 +159,10 @@ def _policy_dict() -> dict[str, Any]:
 class SLITracker:
     """Windowed SLI/burn-rate arithmetic for one operation class.
 
-    Feed it ``record(t, requests, errors, slow)`` deltas on any clock
-    (wall or simulated); query SLIs, burn rates, alerts and the error
-    budget at any ``now``.  Windows with no traffic have an undefined SLI
-    (``None``) and burn zero — silence is not an outage.
+    Feed it ``record(t, requests, errors, slow)`` deltas on any clock;
+    query SLIs, burn rates, alerts and the error budget at any ``now``.
+    Windows with no traffic have an undefined SLI (``None``) and burn
+    zero — silence is not an outage.
     """
 
     def __init__(self) -> None:

@@ -9,6 +9,7 @@ from repro.core.rli import ReplicaLocationIndex
 from repro.core.updates import UpdateManager
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
+from tests.db._log import durable_records
 
 
 @pytest.fixture
@@ -112,7 +113,7 @@ class TestLRCBulkLoad:
             name="bl2",
         )
         twin.init_schema()
-        twin.conn.database.apply_records(engine.wal.records())
+        twin.conn.database.apply_records(durable_records(engine.wal))
         for name in ("t_lfn", "t_pfn", "t_map"):
             assert sorted(row for _rid, row in twin.conn.database.table(name).scan()) == (
                 sorted(row for _rid, row in engine.table(name).scan())

@@ -169,7 +169,7 @@ class TestStopLeaksNoThread:
             update_poll_interval=0.01,
             expire_interval=0.01,
             profile_hz=200.0,
-            updates=UpdatePolicy(immediate_interval=0.01, parallel_updates=True),
+            updates=UpdatePolicy(immediate_interval=0.01),
         ).start()
         server.lrc.add_rli("leak-master")
         server.lrc.add_rli("leak-master-bloom-twin", bloom=True)  # unreachable

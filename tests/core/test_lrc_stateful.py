@@ -33,6 +33,7 @@ from repro.db import wal
 from repro.db.mysql_engine import MySQLEngine
 from repro.db.odbc import Connection
 from repro.db.postgres_engine import PostgresEngine
+from tests.db._log import durable_records
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -183,7 +184,7 @@ class LRCMachine(RuleBasedStateMachine):
         engine.wal.flush()
         twin = LocalReplicaCatalog(Connection(self.make_engine(), "twin"), name="twin")
         twin.init_schema()
-        twin.conn.database.apply_records(engine.wal.records())
+        twin.conn.database.apply_records(durable_records(engine.wal))
         for name in engine.table_names():
             assert Counter(twin.conn.database.table(name).live_rows()) == Counter(
                 engine.table(name).live_rows()

@@ -27,6 +27,7 @@ from repro.db.odbc import Connection
 from repro.db.postgres_engine import PostgresEngine
 from repro.obs.metrics import MetricsRegistry
 from tests.core.test_lrc_statement_budget import statements
+from tests.db._log import durable_records
 
 TIMEOUT = 60.0
 LRCS = ["lrcA", "lrcB", "lrcC"]
@@ -151,7 +152,7 @@ def test_ingest_matches_the_model_and_the_wal(flavour, script):
     engine.wal.flush()
     replica = ENGINES[flavour]()
     open_rli(replica)
-    replica.apply_records(engine.wal.records())
+    replica.apply_records(durable_records(engine.wal))
     assert live_rows(replica) == live_rows(engine)
 
 

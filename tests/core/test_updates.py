@@ -81,6 +81,26 @@ class TestFullUpdates:
         with pytest.raises(UpdateTargetError):
             manager.send_full_update()
 
+    def test_one_failure_does_not_skip_others(self, setup):
+        """Targets are pushed one after another; a failing one is
+        re-raised only after the relational and the Bloom target behind
+        it got theirs."""
+        lrc, manager, sinks, _ = setup
+
+        class FailingSink(RecordingSink):
+            def full_update(self, lrc_name, lfns):
+                raise ConnectionError("rli down")
+
+        sinks["bad"] = FailingSink()
+        for name, bloom in (("good1", False), ("bad", False), ("good2", True)):
+            lrc.add_rli(name, bloom=bloom)
+        lrc.create_mapping("x", "p")
+        with pytest.raises(ConnectionError):
+            manager.send_full_update()
+        assert sinks["good1"].full[0][1] == ["x"]
+        assert len(sinks["good2"].bloom) == 1
+        assert manager.target_health()["bad"]["needs_full"]
+
     def test_full_update_clears_pending(self, setup):
         lrc, manager, sinks, _ = setup
         lrc.add_rli("rli1")

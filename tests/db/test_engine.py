@@ -8,6 +8,7 @@ from repro.db.mysql_engine import MySQLEngine
 from repro.db.schema import Column, TableSchema
 from repro.db.types import INT, VARCHAR
 from repro.db.wal import InMemoryLogDevice, WriteAheadLog
+from tests.db._log import durable_records
 
 
 def schema(name="t"):
@@ -56,7 +57,7 @@ class TestLoggedDML:
     def test_insert_logged(self):
         db, wal = self.make()
         db.insert_row("t", {"name": "a"})
-        records = wal.records()
+        records = durable_records(wal)
         assert len(records) == 1
         assert records[0].op_name == "INSERT"
         assert records[0].payload == (1, "a")
@@ -65,14 +66,14 @@ class TestLoggedDML:
         db, wal = self.make()
         rid, _ = db.insert_row("t", {"name": "a"})
         db.delete_row("t", rid)
-        assert wal.records()[-1].op_name == "DELETE"
+        assert durable_records(wal)[-1].op_name == "DELETE"
 
     def test_update_logged(self):
         db, wal = self.make()
         rid, _ = db.insert_row("t", {"name": "a"})
         db.update_row("t", rid, {"name": "b"})
-        assert wal.records()[-1].op_name == "UPDATE"
-        assert wal.records()[-1].payload[1] == "b"
+        assert durable_records(wal)[-1].op_name == "UPDATE"
+        assert durable_records(wal)[-1].payload[1] == "b"
 
 
 class TestRecovery:
@@ -93,7 +94,7 @@ class TestRecovery:
             "CREATE TABLE t (id INT NOT NULL AUTO_INCREMENT, "
             "name VARCHAR(50) NOT NULL, PRIMARY KEY (id), UNIQUE (name))"
         )
-        applied = fresh.apply_records(source.wal.records())
+        applied = fresh.apply_records(durable_records(source.wal))
         assert applied >= 5
         names = sorted(r[0] for r in fresh.execute("SELECT name FROM t").rows)
         assert names == ["a", "z"]
@@ -110,7 +111,7 @@ class TestRecovery:
 
         fresh = Database("recovered")
         fresh.execute("CREATE TABLE t (id INT, name VARCHAR(50))")
-        fresh.apply_records(source.wal.records())
+        fresh.apply_records(durable_records(source.wal))
         rows = fresh.execute("SELECT name FROM t").rows
         assert rows == [("durable",)]
 

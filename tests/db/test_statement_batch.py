@@ -46,6 +46,7 @@ from repro.db.wal import (
 from repro.net.codec import make_reader
 from repro.obs import reqctx
 from repro.obs.metrics import MetricsRegistry
+from tests.db._log import durable_records
 
 # ---------------------------------------------------------------------------
 # The oracle: the row-at-a-time code as it was
@@ -482,14 +483,14 @@ def test_flush_on_commit_syncs_once_per_statement_outside_a_transaction():
         engine.execute(ddl)
     device = engine.wal.device
     engine.execute(*rows_sql(5))
-    assert device.sync_count == 1 and len(engine.wal.records()) == 5
+    assert device.sync_count == 1 and len(durable_records(engine.wal)) == 5
     engine.execute("DELETE FROM t_name WHERE name IN (?, ?, ?)", ["n0", "n1", "n2"])
-    assert device.sync_count == 2 and len(engine.wal.records()) == 8
+    assert device.sync_count == 2 and len(durable_records(engine.wal)) == 8
     engine.execute("DELETE FROM t_name WHERE name = ?", ["gone"])  # wrote nothing
     assert device.sync_count == 2
     with pytest.raises(DuplicateKeyError):  # its prefix is a commit too
         engine.execute("INSERT INTO t_name (name, ref) VALUES (?, ?), (?, ?)", ["p", 1, "n3", 1])
-    assert device.sync_count == 3 and len(engine.wal.records()) == 9
+    assert device.sync_count == 3 and len(durable_records(engine.wal)) == 9
 
 
 def test_flush_on_commit_syncs_once_per_transaction_inside_one():
@@ -501,7 +502,7 @@ def test_flush_on_commit_syncs_once_per_transaction_inside_one():
         engine.execute(*rows_sql(5))
         engine.execute("DELETE FROM t_name WHERE name IN (?, ?)", ["n0", "n1"])
         assert device.sync_count == 0
-    assert device.sync_count == 1 and len(engine.wal.records()) == 7
+    assert device.sync_count == 1 and len(durable_records(engine.wal)) == 7
 
 
 def test_with_flush_off_the_buffer_bound_is_looked_at_when_the_statement_ends():
@@ -509,11 +510,11 @@ def test_with_flush_off_the_buffer_bound_is_looked_at_when_the_statement_ends():
     wal = WriteAheadLog(device, flush_on_commit=False, max_buffered_records=3,
                         flush_interval=1e9)
     wal.log_many(OP_INSERT, "t", [(i,) for i in range(5)])  # crosses 3 at its third row
-    assert device.sync_count == 1 and len(wal.records()) == 5
+    assert device.sync_count == 1 and len(durable_records(wal)) == 5
     wal.log_many(OP_INSERT, "t", [(5,), (6,)])
-    assert device.sync_count == 1 and len(wal.records()) == 5
+    assert device.sync_count == 1 and len(durable_records(wal)) == 5
     assert wal.log(OP_INSERT, "t", (7,)) == 8
-    assert device.sync_count == 2 and len(wal.records()) == 8
+    assert device.sync_count == 2 and len(durable_records(wal)) == 8
 
 
 def test_with_flush_off_the_interval_is_looked_at_when_the_statement_ends():
@@ -532,7 +533,7 @@ def test_with_flush_off_the_interval_is_looked_at_when_the_statement_ends():
     assert device.sync_count == 0 and len(clock_reads) == 1  # one decision, not four
     now[0] = 6.0
     wal.log_many(OP_INSERT, "t", [(4,), (5,)])
-    assert device.sync_count == 1 and len(wal.records()) == 6
+    assert device.sync_count == 1 and len(durable_records(wal)) == 6
 
 
 def test_an_empty_statement_is_not_a_commit():

@@ -11,6 +11,7 @@ from repro.db.wal import (
     decode_records,
     encode_record,
 )
+from tests.db._log import durable_records
 
 
 class TestRecordCodec:
@@ -52,7 +53,7 @@ class TestFlushPolicies:
         for i in range(5):
             wal.log(OP_INSERT, "t", (i,))
         assert device.sync_count == 5
-        assert len(wal.records()) == 5
+        assert len(durable_records(wal)) == 5
 
     def test_periodic_flush_buffers(self):
         device = InMemoryLogDevice(sync_latency=0.0)
@@ -68,7 +69,7 @@ class TestFlushPolicies:
             wal.log(OP_INSERT, "t", (i,))
         assert device.sync_count == 0
         # Durable view is empty until a flush happens.
-        assert wal.records() == []
+        assert durable_records(wal) == []
 
     def test_buffer_threshold_triggers_sync(self):
         device = InMemoryLogDevice(sync_latency=0.0)
@@ -101,7 +102,7 @@ class TestFlushPolicies:
         wal = WriteAheadLog(device, flush_on_commit=False, flush_interval=1e9)
         wal.log(OP_INSERT, "t", (1,))
         wal.flush()
-        assert len(wal.records()) == 1
+        assert len(durable_records(wal)) == 1
 
     def test_unsynced_records_lost_in_crash(self):
         """Flush-disabled mode risks losing the buffered tail (§5.1)."""
@@ -113,7 +114,7 @@ class TestFlushPolicies:
         wal.log(OP_INSERT, "t", (1,))
         wal.flush()
         wal.log(OP_INSERT, "t", (2,))  # never synced
-        assert [r.payload for r in wal.records()] == [(1,)]
+        assert [r.payload for r in durable_records(wal)] == [(1,)]
 
     def test_lsns_monotonic(self):
         wal = WriteAheadLog(InMemoryLogDevice(sync_latency=0.0))

@@ -33,6 +33,7 @@ from repro.db.wal import (
     encode_records,
 )
 from repro.obs import reqctx
+from tests.db._log import durable_records
 
 DDL = (
     "CREATE TABLE t (id INT NOT NULL AUTO_INCREMENT, name VARCHAR(40) NOT NULL, "
@@ -67,13 +68,13 @@ def recovered(engine, flavour: str = "mysql"):
     fresh = ENGINES[flavour]()
     for name in engine.table_names():
         fresh.create_table(engine.table(name).schema)
-    fresh.apply_records(engine.wal.records())
+    fresh.apply_records(durable_records(engine.wal))
     return fresh
 
 
 def split_log(engine) -> tuple[list, list]:
     """The durable log as (checkpoint record + image, suffix)."""
-    records = engine.wal.records()
+    records = durable_records(engine.wal)
     if not records or records[0].op != OP_CHECKPOINT:
         return [], records
     image = 1 + records[0].payload[0]

@@ -445,9 +445,6 @@ CLI_CASES: list[tuple[str, list[str], dict[str, Any]]] = [
     ("trace.id.off", ["trace", "--server", S, "a1", "--critical-path"],
      {"admin_trace": TRACE_OFF}),
     ("trace.id.json", ["trace", "--server", S, "a1", "--json"], {}),
-    ("trace.id.distributed.unclustered",
-     ["trace", "--server", S, "a1", "--distributed"],
-     {"admin_shard_map": SHARDS_NONE}),
     ("slowlog", ["slowlog", "--server", S], {}),
     ("slowlog.plans", ["slowlog", "--server", S, "--plans", "--limit", "5"], {}),
     ("slowlog.off", ["slowlog", "--server", S], {"admin_slow_queries": SLOW_OFF}),

@@ -19,7 +19,8 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import CombinedClient, ShardMap
-from repro.core.client import connect
+from repro.core import membership
+from repro.core.client import connect, connect_tcp_server
 from repro.core.config import ServerConfig, ServerRole
 from repro.core.server import RLSServer
 from repro.obs.assemble import TraceAssembler, TraceSource, tracer_source
@@ -205,11 +206,7 @@ class TestCLISurfaces:
 
         buf = io.StringIO()
         rc = main(
-            [
-                "trace", "--server", "dtr-s0", tid,
-                "--distributed", "--critical-path",
-            ],
-            out=buf,
+            ["trace", "--server", "dtr-s0", tid, "--critical-path"], out=buf
         )
         text = buf.getvalue()
         assert rc == 0, text
@@ -219,14 +216,14 @@ class TestCLISurfaces:
 
         jbuf = io.StringIO()
         assert main(
-            ["trace", "--server", "dtr-s0", tid, "--distributed", "--json"],
-            out=jbuf,
+            ["trace", "--server", "dtr-s0", tid, "--json"], out=jbuf
         ) == 0
         payload = json.loads(jbuf.getvalue())
         assert payload["trace_id"] == tid
         assert abs(payload["coverage"] - 1.0) <= 0.05
-        # Client-side assembly asked every endpoint in the shard map.
+        # The member asked itself and every other endpoint of its shard map.
         assert set(payload["nodes"]) == set(ALL_NODES)
+        assert payload["missing"] == {}
 
     def test_slowlog_ids_paste_into_rls_trace(self, traced_cluster):
         smap, servers, tracer, cc, pairs = traced_cluster
@@ -251,3 +248,50 @@ class TestCLISurfaces:
             out = io.StringIO()
             assert main(["trace", "--server", "dtr-s1", ref], out=out) == 0
             assert f"trace {trace_ref}:" in out.getvalue()
+
+
+class TestServerFanOut:
+    def test_a_peer_reachable_only_over_tcp_is_stitched(self):
+        """``admin_trace`` dials its peers as update sinks are: a peer whose
+        in-process endpoint is closed is still reached at its registered
+        TCP address, not reported missing."""
+        tracer = Tracer(sink=SpanSink())
+        install_tracer(tracer)
+        smap = ShardMap(shards=("dtt-s0", "dtt-s1"))
+        servers = [
+            RLSServer(
+                ServerConfig(
+                    name=name,
+                    role=ServerRole.LRC,
+                    cluster=smap,
+                    tcp=name == "dtt-s1",
+                    sync_latency=0.0,
+                )
+            ).start()
+            for name in smap.shards
+        ]
+        remote = servers[1]
+        try:
+            membership.DEFAULT.register_tcp("dtt-s1", *remote.tcp_address)
+            remote.local_transport.close()
+            with connect_tcp_server(*remote.tcp_address) as client:
+                client.create("dtt-lfn", "pfn://dtt")
+                with tracer.span("client.op") as root:
+                    assert client.get_mappings("dtt-lfn") == ["pfn://dtt"]
+            with connect("dtt-s0") as member:
+                payload = member.trace(root.trace_id)
+            assert payload["missing"] == {}
+            assert set(payload["nodes"]) == {"dtt-s0", "dtt-s1"}
+            handled = {
+                s["tags"].get("node")
+                for s in payload["spans"]
+                if s["name"] == "rpc.handle"
+            }
+            assert "dtt-s1" in handled
+            counters = remote.metrics.snapshot().counters
+            assert counters["rpc.requests{method=admin_trace_fragments}"] == 1
+        finally:
+            membership.DEFAULT.unregister("dtt-s1")
+            for server in servers:
+                server.stop()
+            install_tracer(None)

@@ -29,6 +29,7 @@ from repro.net.retry import RetryPolicy, is_retryable
 from repro.net.rpc import RPCClient, RPCServer, UNKNOWN_METHOD_LABEL
 from repro.net.transport import TCPServerTransport, connect_tcp
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracing import Tracer, install_tracer
 from tests.net._wire import StubServer, raw_connect, recv_message, send_frame
 
 #: Bound on every blocking wait a test makes on another thread.
@@ -143,6 +144,23 @@ class TestPipelining:
         with RPCClient(connect_tcp(transport.host, transport.port)) as client:
             pending = client.call_async("add", 2, 3)
             assert pending.result() == 5
+
+    def test_async_calls_join_the_callers_trace(self, tcp_server):
+        _, transport, _ = tcp_server
+        tracer = Tracer()
+        install_tracer(tracer)
+        try:
+            with RPCClient(connect_tcp(transport.host, transport.port)) as client:
+                with tracer.span("client.op") as root:
+                    client.call("echo", "sync")
+                    calls = [client.call_async("echo", i) for i in range(3)]
+                    client.drain()
+                assert [c.result() for c in calls] == [0, 1, 2]
+        finally:
+            install_tracer(None)
+        handled = tracer.find_spans("rpc.handle")
+        assert len(handled) == 4
+        assert {s.trace_id for s in handled} == {root.trace_id}
 
     def test_error_mid_burst_does_not_poison_neighbors(self, tcp_server):
         _, transport, _ = tcp_server

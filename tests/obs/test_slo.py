@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import CombinedClient, ShardMap
 from repro.core.client import connect
 from repro.core.config import ServerRole
-from repro.core.errors import ReadOnlyCatalogError
+from repro.core.errors import ReadOnlyCatalogError, ShardRoutingError
 from repro.core.server import OP_CLASSES
 from repro.obs.metrics import BUCKET_BOUNDS, MetricsRegistry, split_metric_key
 from repro.obs.slo import (
@@ -19,6 +20,7 @@ from repro.obs.slo import (
     SLOW_WINDOW,
     slow_observations,
 )
+from repro.testing.faults import FailureSchedule
 
 
 #: Table 1's operation taxonomy, method by method, written out by hand: the
@@ -290,3 +292,61 @@ class TestSLIRecorder:
         assert payload["enabled"] is True
         assert set(payload["classes"]) == set(OPERATION_CLASSES)
         assert payload["alerts"] == alerts
+
+
+class TestShardOutage:
+    """On real servers: a shard whose queries fail pages fast/critical on
+    availability through its own ``admin_slo``; its healthy peer and a
+    fault-free run page nobody."""
+
+    SHARDS = ("outage-s0", "outage-s1")
+
+    def _run(self, make_server, faulted):
+        smap = ShardMap(shards=self.SHARDS)
+        servers = [
+            make_server(ServerRole.LRC, name=name, cluster=smap).start()
+            for name in smap.shards
+        ]
+        if faulted:
+            lrc, schedule = servers[0].lrc, FailureSchedule.always()
+
+            def failing(ctx, args):
+                schedule.check("lrc_get_mappings")
+                return lrc.get_mappings(*args)
+
+            servers[0].rpc.register(
+                "lrc_get_mappings", failing, OP_CLASSES["lrc_get_mappings"]
+            )
+        failed = 0
+        with CombinedClient(smap) as cc:
+            lfns = [f"outage-lfn{i}" for i in range(20)]
+            assert cc.bulk_create([(lfn, "pfn://" + lfn) for lfn in lfns]) == []
+            # Enough queries that a few stray slow ones stay under the 1 %
+            # latency budget of the slow window.
+            for lfn in lfns * 50:
+                try:
+                    assert cc.get_mappings(lfn) == ["pfn://" + lfn]
+                except ShardRoutingError:
+                    failed += 1
+        alerts = {}
+        for name in smap.shards:
+            with connect(name) as client:
+                alerts[name] = client.slo()["alerts"]
+        return failed, alerts
+
+    def test_shard_outage_fires_fast_burn_on_that_shard_only(self, make_server):
+        failed, alerts = self._run(make_server, faulted=True)
+        assert 0 < failed < 1000  # both shards own some of the names
+        fast = [a for a in alerts["outage-s0"] if a["window"] == "fast"]
+        assert fast, alerts
+        assert all(
+            a["kind"] == "availability" and a["severity"] == "critical"
+            and a["shard"] == "outage-s0"
+            for a in fast
+        )
+        assert alerts["outage-s1"] == []
+
+    def test_fault_free_run_is_quiet(self, make_server):
+        failed, alerts = self._run(make_server, faulted=False)
+        assert failed == 0
+        assert alerts == {"outage-s0": [], "outage-s1": []}
