@@ -20,7 +20,7 @@ import pytest
 
 from benchmarks.common import record_series, write_bench_artifact
 from repro.net.rpc import RPCClient, RPCServer
-from repro.net.transport import TCPServerTransport, connect_tcp
+from repro.net.transport import TCPChannel, TCPServerTransport, connect_tcp
 
 DEPTHS = [1, 4, 16]
 #: Requests per measured trial at each depth.
@@ -66,7 +66,7 @@ def _rate(client: RPCClient, depth: int, pipelined: bool) -> float:
 def bench_rpc_pipeline(tcp_endpoint, benchmark):
     host, port = tcp_endpoint
     client = RPCClient(connect_tcp(host, port))
-    assert client.pipelined, "TCP channels must pipeline"
+    assert isinstance(client.channel, TCPChannel), "TCP channels pipeline"
     try:
         # Warm the connection and the codec paths.
         _rate(client, 4, pipelined=True)

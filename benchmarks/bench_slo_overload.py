@@ -33,8 +33,8 @@ from benchmarks.common import record_series, scaled, write_bench_artifact
 from repro.cluster import CombinedClient, ShardMap
 from repro.core.client import connect
 from repro.core.config import ServerConfig, ServerRole
-from repro.core.errors import ShardRoutingError
 from repro.core.server import OP_CLASSES, RLSServer
+from repro.net.errors import RemoteError
 from repro.testing.faults import FailureSchedule
 
 SHARDS = ("slo-s0", "slo-s1")
@@ -78,7 +78,7 @@ def query_load(smap: ShardMap, lfns: list[str]) -> tuple[int, int]:
                     try:
                         cc.get_mappings(rng.choice(lfns))
                         counts[slot][0] += 1
-                    except ShardRoutingError:
+                    except RemoteError:  # the faulted shard's answer
                         counts[slot][1] += 1
         except Exception as exc:  # surfaced by the caller
             errors.append(exc)

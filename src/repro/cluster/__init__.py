@@ -14,7 +14,7 @@ paper measures a single LRC saturating; this subsystem spreads that load):
   with health-tracked failover.
 """
 
-from repro.cluster.combined import RO_METHODS, WRITE_METHODS, CombinedClient
+from repro.cluster.combined import CombinedClient
 from repro.cluster.mirror import MirrorIngest, MirrorManager
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, ShardMap
 
@@ -24,7 +24,5 @@ __all__ = [
     "HashRing",
     "MirrorIngest",
     "MirrorManager",
-    "RO_METHODS",
     "ShardMap",
-    "WRITE_METHODS",
 ]

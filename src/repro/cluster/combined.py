@@ -2,18 +2,18 @@
 
 :class:`CombinedClient` presents one logical catalog over N shard masters
 and their read-only mirrors, after the DIRAC
-``LcgFileCatalogCombinedClient`` pattern: the client declares which
-catalog methods are reads and which are writes, sends every write to the
-shard master that owns the LFN (consistent-hash placement via
+``LcgFileCatalogCombinedClient`` pattern: the client sends every write
+to the shard master that owns the LFN (consistent-hash placement via
 :class:`~repro.cluster.ring.HashRing`), and fans reads across the shard's
 mirrors — shuffled once per client so load spreads — failing over to the
 next mirror and ultimately back to the master when an endpoint dies.
 
-Failover discipline: a *transport* failure (endpoint gone, RPC channel
-broken) marks the endpoint unhealthy with a backoff and tries the next
-one; a typed :class:`~repro.core.errors.RLSError` is a genuine answer
-from a live server (e.g. ``MappingNotFoundError``) and propagates
-immediately.  When every endpoint of a shard is down the client raises
+Failover discipline is the rule :class:`~repro.net.rpc.RPCClient` retries
+by (:func:`~repro.net.retry.is_retryable`): a *transport* failure benches
+the endpoint with a backoff and a read moves on to the next one.  Any
+other exception (``RLSError``, ``RemoteError``, ``ProtocolError``) is a
+live server's answer and propagates unchanged.  When every endpoint of a
+shard is unreachable the client raises
 :class:`~repro.core.errors.ShardRoutingError` naming the shard.
 """
 
@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.cluster.ring import ShardMap
-from repro.core.client import _objtype_wire
-from repro.core.errors import RLSError, ShardRoutingError
+from repro.core.client import _objtype_wire, connect
+from repro.core.errors import ShardRoutingError
+from repro.net.retry import RetryPolicy, is_retryable
 from repro.obs import tracing
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
-#: Scatter-gather methods with a direct RPC equivalent; used by the
-#: pipelined fast path to put one request per shard in flight at once.
+#: Scatter-gather methods and the RPC each shard is sent.
 _SCATTER_RPC = {
     "get_lfns": "lrc_get_lfns",
     "query_wildcard": "lrc_query_wildcard",
@@ -40,39 +40,10 @@ _SCATTER_RPC = {
     "query_by_attribute": "lrc_attr_query",
 }
 
-#: Catalog methods the client may serve from a read-only mirror.
-RO_METHODS = (
-    "get_mappings",
-    "get_lfns",
-    "query_wildcard",
-    "bulk_query",
-    "exists",
-    "lfn_count",
-    "mapping_count",
-    "get_attributes",
-    "query_by_attribute",
-)
-
-#: Catalog methods that must reach the owning shard master.
-WRITE_METHODS = (
-    "create",
-    "add",
-    "delete",
-    "bulk_create",
-    "bulk_add",
-    "bulk_delete",
-    "define_attribute",
-    "undefine_attribute",
-    "add_attribute",
-    "modify_attribute",
-    "remove_attribute",
-    "bulk_add_attribute",
-)
-
-#: Seconds an endpoint stays benched after a transport failure before the
-#: client tries it again (doubles per consecutive failure, capped).
-_RETRY_BASE = 1.0
-_RETRY_CAP = 30.0
+#: How long an endpoint stays benched after a transport failure before
+#: the client tries it again: 1 s, doubling per consecutive failure,
+#: capped at 30 s.
+_BENCH = RetryPolicy(backoff_base=1.0, backoff_max=30.0, jitter=0.0)
 
 
 @dataclass
@@ -95,12 +66,6 @@ class EndpointHealth:
         }
 
 
-def _default_connect(name: str):
-    from repro.core.client import connect
-
-    return connect(name)
-
-
 class CombinedClient:
     """One logical RLS catalog over shard masters plus mirror replicas."""
 
@@ -116,7 +81,7 @@ class CombinedClient:
             raise ShardRoutingError("shard map is empty")
         self.map = shard_map
         self.ring = shard_map.ring()
-        self.connect_fn = connect_fn or _default_connect
+        self.connect_fn = connect_fn or connect
         self.clock = clock
         rng = rng or random.Random()
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
@@ -131,8 +96,7 @@ class CombinedClient:
             self._read_order[shard] = mirrors + [shard]
             for name in self._read_order[shard]:
                 self._health.setdefault(name, EndpointHealth(name=name))
-        self._m_routes: dict[tuple[str, str], Any] = {}
-        self._m_failovers: dict[str, Any] = {}
+        self._counters: dict[tuple[str, ...], Any] = {}
 
     # ------------------------------------------------------------------
     # Endpoint management
@@ -158,10 +122,9 @@ class CombinedClient:
         health.failures += 1
         health.consecutive_failures += 1
         health.last_error = f"{type(exc).__name__}: {exc}"
-        backoff = min(
-            _RETRY_BASE * (2 ** (health.consecutive_failures - 1)), _RETRY_CAP
+        health.next_retry_at = self.clock() + _BENCH.backoff(
+            health.consecutive_failures - 1
         )
-        health.next_retry_at = self.clock() + backoff
         self._drop_client(name)
 
     def _mark_ok(self, name: str) -> None:
@@ -170,30 +133,50 @@ class CombinedClient:
         health.consecutive_failures = 0
         health.next_retry_at = 0.0
 
-    def _count_route(self, shard: str, kind: str) -> None:
-        key = (shard, kind)
-        counter = self._m_routes.get(key)
+    def _count(self, name: str, **labels: str) -> None:
+        key = (name, *labels.values())
+        counter = self._counters.get(key)
         if counter is None:
-            counter = self._m_routes[key] = self.metrics.counter(
-                "cluster.routes", shard=shard, kind=kind
-            )
-        counter.inc()
-
-    def _count_failover(self, shard: str) -> None:
-        counter = self._m_failovers.get(shard)
-        if counter is None:
-            counter = self._m_failovers[shard] = self.metrics.counter(
-                "cluster.failovers", shard=shard
-            )
+            counter = self._counters[key] = self.metrics.counter(name, **labels)
         counter.inc()
 
     # ------------------------------------------------------------------
     # Routing primitives
     # ------------------------------------------------------------------
 
+    def _endpoints(self, shard: str) -> list[str]:
+        """The shard's read endpoints in the order to try them: mirrors,
+        then the master, with benched endpoints (backoff not expired)
+        moved to the back — a stale bench must never fail a request that
+        some endpoint could serve."""
+        now = self.clock()
+        health = self._health
+        return sorted(
+            self._read_order[shard],
+            key=lambda n: not health[n].healthy and now < health[n].next_retry_at,
+        )
+
+    def _raise_answer(self, endpoint: str, exc: Exception) -> None:
+        """Re-raise ``exc`` unless it is a transport failure.  If the
+        answer broke the connection (a frame the server rejected), drop
+        it so the next call re-dials; the endpoint stays healthy."""
+        if is_retryable(exc):
+            return
+        client = self._clients.get(endpoint)
+        if client is not None and client.rpc.channel.broken:
+            self._drop_client(endpoint)
+        raise exc
+
+    def _fail_over(self, shard: str, endpoint: str, exc: Exception) -> None:
+        """Bench ``endpoint`` after a transport failure; re-raise ``exc``
+        when it is anything else, because then the server answered."""
+        self._raise_answer(endpoint, exc)
+        self._mark_failed(endpoint, exc)
+        self._count("cluster.failovers", shard=shard)
+
     def _write(self, shard: str, method: str, *args: Any) -> Any:
         """Run a write on the shard master; no failover (mirrors reject)."""
-        self._count_route(shard, "write")
+        self._count("cluster.routes", shard=shard, kind="write")
         # Span tags mirror the counters exactly: endpoint= is the server
         # that answered, failover= the cluster.failovers increments this
         # call contributed — so a stitched trace and the metrics agree.
@@ -203,9 +186,8 @@ class CombinedClient:
         ):
             try:
                 result = getattr(self._client(shard), method)(*args)
-            except RLSError:
-                raise  # genuine server answer (exists/not-found/read-only)
             except Exception as exc:
+                self._raise_answer(shard, exc)
                 self._mark_failed(shard, exc)
                 raise ShardRoutingError(
                     f"shard master {shard!r} unreachable for {method}: "
@@ -214,36 +196,24 @@ class CombinedClient:
             self._mark_ok(shard)
             return result
 
-    def _read(self, shard: str, method: str, *args: Any) -> Any:
+    def _read(self, shard: str, method: str, *args: Any, failed=None) -> Any:
         """Run a read on the shard, preferring mirrors, master as fallback.
-
-        Benched endpoints (failed recently, backoff not expired) are
-        skipped on the first pass but retried as a last resort — a stale
-        bench must never fail a request that some endpoint could serve.
-        """
-        self._count_route(shard, "read")
-        order = self._read_order[shard]
-        now = self.clock()
-        first = [
-            n
-            for n in order
-            if self._health[n].healthy or now >= self._health[n].next_retry_at
-        ]
-        benched = [n for n in order if n not in first]
-        last_exc: BaseException | None = None
+        ``failed`` is an ``(endpoint, exc)`` the caller already benched:
+        it is not tried again, but it counts in the ``failover`` tag."""
+        self._count("cluster.routes", shard=shard, kind="read")
+        skip, last_exc = failed or (None, None)
         with tracing.span(
             "cluster.read", method=method, shard=shard
         ) as span:
-            failovers = 0
-            for name in first + benched:
+            failovers = 0 if failed is None else 1
+            for name in self._endpoints(shard):
+                if name == skip:
+                    continue
                 try:
                     result = getattr(self._client(name), method)(*args)
-                except RLSError:
-                    raise  # a live server answered; not a routing failure
                 except Exception as exc:
+                    self._fail_over(shard, name, exc)
                     last_exc = exc
-                    self._mark_failed(name, exc)
-                    self._count_failover(shard)
                     failovers += 1
                     continue
                 self._mark_ok(name)
@@ -254,99 +224,56 @@ class CombinedClient:
             span.set_tag("failover", failovers)
             raise ShardRoutingError(
                 f"no endpoint of shard {shard!r} reachable for {method} "
-                f"(tried {order})"
+                f"(tried {self._read_order[shard]})"
             ) from last_exc
 
     def _scatter(self, method: str, *args: Any) -> list[Any]:
         """Run a read on every shard (mirror-first each); list of results.
 
-        Over pipelined (TCP v2) connections the per-shard requests go out
-        together — submit to every shard, flush, then collect — so the
-        scatter takes ~one round trip instead of one per shard.  Falls
-        back to the serial mirror-failover path per shard (or wholesale,
-        when an endpoint's client is not pipelined).
+        ``call_async`` and flush to each shard's first endpoint, then
+        collect: over TCP the scatter takes about one round trip, and an
+        in-process channel answers each call as it is made.  A shard whose
+        endpoint fails in transport (dial, flush or answer) is read again
+        through :meth:`_read`'s failover.
         """
-        with tracing.span(
-            "cluster.scatter", method=method, shards=len(self.map.shards)
-        ) as span:
-            results = self._scatter_pipelined(method, *args)
-            span.set_tag("pipelined", results is not None)
-            if results is None:
-                results = []
-                for shard in self.map.shards:
-                    self._count_route(shard, "scatter")
-                    results.append(self._read(shard, method, *args))
-            return results
-
-    def _scatter_pipelined(self, method: str, *args: Any) -> list[Any] | None:
-        """One in-flight request per shard; ``None`` means fall back serial."""
-        rpc_method = _SCATTER_RPC.get(method)
-        if rpc_method is None or len(self.map.shards) <= 1:
-            return None
+        rpc_method = _SCATTER_RPC[method]
+        rpc_args = args
         if method == "query_by_attribute":
             name, objtype, value, op = args
-            rpc_args: tuple[Any, ...] = (name, _objtype_wire(objtype), value, op)
-        else:
-            rpc_args = args
-        plan: list[tuple[str, str, Any]] = []
-        now = self.clock()
-        for shard in self.map.shards:
-            # Same endpoint preference as _read: healthy (or retryable)
-            # mirrors first, master last.
-            order = self._read_order[shard]
-            candidates = [
-                n
-                for n in order
-                if self._health[n].healthy or now >= self._health[n].next_retry_at
-            ] or list(order)
-            endpoint = candidates[0]
-            try:
-                client = self._client(endpoint)
-            except Exception:
-                return None
-            rpc = getattr(client, "rpc", None)
-            if rpc is None or not getattr(rpc, "pipelined", False):
-                return None
-            plan.append((shard, endpoint, rpc))
-        for shard, _, _ in plan:
-            self._count_route(shard, "scatter")
-        pendings = [
-            rpc.call_async(rpc_method, *rpc_args) for _, _, rpc in plan
-        ]
-        for _, _, rpc in plan:
-            try:
-                rpc.flush()
-            except Exception:
-                # The failure is captured in that channel's pendings and
-                # handled per shard below.
-                pass
-        results: list[Any] = []
-        for (shard, endpoint, _), pending in zip(plan, pendings):
-            try:
-                results.append(pending.result())
-            except RLSError:
-                raise  # a live server answered; not a routing failure
-            except Exception as exc:
-                # Endpoint trouble: bench it and run this shard through
-                # the full mirror-failover read path.
-                self._mark_failed(endpoint, exc)
-                self._count_failover(shard)
-                results.append(self._read(shard, method, *args))
-            else:
-                self._mark_ok(endpoint)
-        return results
+            rpc_args = (name, _objtype_wire(objtype), value, op)
+        with tracing.span(
+            "cluster.scatter", method=method, shards=len(self.map.shards)
+        ):
+            sent = []
+            for shard in self.map.shards:
+                self._count("cluster.routes", shard=shard, kind="scatter")
+                endpoint = self._endpoints(shard)[0]
+                rpc = call = failed = None
+                try:
+                    rpc = self._client(endpoint).rpc
+                    call = rpc.call_async(rpc_method, *rpc_args)
+                    rpc.flush()
+                except Exception as exc:
+                    self._fail_over(shard, endpoint, exc)
+                    failed = (endpoint, exc)
+                sent.append((shard, endpoint, rpc, call, failed))
+            results: list[Any] = []
+            for shard, endpoint, rpc, call, failed in sent:
+                if failed is None:
+                    try:
+                        rpc.drain()
+                        results.append(call.result())
+                        self._mark_ok(endpoint)
+                        continue
+                    except Exception as exc:
+                        self._fail_over(shard, endpoint, exc)
+                        failed = (endpoint, exc)
+                results.append(self._read(shard, method, *args, failed=failed))
+            return results
 
     def _broadcast_write(self, method: str, *args: Any) -> list[Any]:
         """Run a write on every shard master (schema-like operations)."""
         return [self._write(shard, method, *args) for shard in self.map.shards]
-
-    def _group_pairs(
-        self, pairs: Sequence[tuple[str, str]]
-    ) -> dict[str, list[tuple[str, str]]]:
-        grouped: dict[str, list[tuple[str, str]]] = {}
-        for lfn, pfn in pairs:
-            grouped.setdefault(self.ring.owner(lfn), []).append((lfn, pfn))
-        return grouped
 
     # ------------------------------------------------------------------
     # Mapping writes (owner-routed)
@@ -362,11 +289,16 @@ class CombinedClient:
         self._write(self.ring.owner(lfn), "delete", lfn, pfn)
 
     def _bulk_write(
-        self, method: str, pairs: Sequence[tuple[str, str]]
+        self, method: str, items: Sequence[tuple], *args: Any
     ) -> list[tuple[str, str, str]]:
+        """Run a bulk write per owning master, grouping ``items`` by the
+        owner of their first field; the shards' failures, merged."""
+        grouped: dict[str, list[tuple]] = {}
+        for item in items:
+            grouped.setdefault(self.ring.owner(item[0]), []).append(item)
         failures: list[tuple[str, str, str]] = []
-        for shard, group in self._group_pairs(pairs).items():
-            failures.extend(self._write(shard, method, group))
+        for shard, group in grouped.items():
+            failures.extend(self._write(shard, method, group, *args))
         return failures
 
     def bulk_create(self, pairs: Sequence[tuple[str, str]]) -> list[tuple[str, str, str]]:
@@ -447,13 +379,7 @@ class CombinedClient:
     def bulk_add_attribute(
         self, triples: Sequence[tuple[str, str, Any]], objtype
     ) -> list[tuple[str, str, str]]:
-        grouped: dict[str, list[tuple[str, str, Any]]] = {}
-        for obj, name, value in triples:
-            grouped.setdefault(self.ring.owner(obj), []).append((obj, name, value))
-        failures: list[tuple[str, str, str]] = []
-        for shard, group in grouped.items():
-            failures.extend(self._write(shard, "bulk_add_attribute", group, objtype))
-        return failures
+        return self._bulk_write("bulk_add_attribute", triples, objtype)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

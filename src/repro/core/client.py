@@ -8,6 +8,7 @@ paper's Table 1 (the C client / Java wrapper equivalent).  Obtain one with
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Sequence
 
 from repro.core.lrc import ObjType
@@ -331,18 +332,8 @@ def connect(
     declared usage-accounting identity for unauthenticated connections
     (ignored when a credential authenticates — the gridmap wins).
     """
-    reconnect = None
-    if retry is not None:
-        reconnect = lambda: connect_local(  # noqa: E731
-            name, credential, principal=principal
-        )
-    return RLSClient(
-        RPCClient(
-            connect_local(name, credential, principal=principal),
-            retry=retry,
-            reconnect=reconnect,
-        )
-    )
+    dial = partial(connect_local, name, credential, principal=principal)
+    return RLSClient(RPCClient(dial(), retry=retry, reconnect=dial))
 
 
 def connect_tcp_server(
@@ -358,10 +349,7 @@ def connect_tcp_server(
     with backoff; failed calls re-dial the server first.  ``principal``
     declares the usage-accounting identity (see :func:`connect`).
     """
-    channel = connect_tcp(host, port, credential, retry=retry, principal=principal)
-    reconnect = None
-    if retry is not None:
-        reconnect = lambda: connect_tcp(  # noqa: E731
-            host, port, credential, retry=retry, principal=principal
-        )
-    return RLSClient(RPCClient(channel, retry=retry, reconnect=reconnect))
+    dial = partial(
+        connect_tcp, host, port, credential, retry=retry, principal=principal
+    )
+    return RLSClient(RPCClient(dial(), retry=retry, reconnect=dial))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 from repro.core.errors import UpdateTargetError
 from repro.core.updates import RPCSink, UpdateSink
@@ -74,15 +75,8 @@ class StaticMembership:
         address lookup, so re-registration at a new port is picked up) and
         retry the call with the policy's backoff.
         """
-        address = self.lookup(name)
-        reconnect = None
-        if retry is not None:
-            reconnect = lambda: self._dial(self.lookup(name), credential, retry)  # noqa: E731
-        return RPCClient(
-            self._dial(address, credential, retry),
-            retry=retry,
-            reconnect=reconnect,
-        )
+        dial = lambda: self._dial(self.lookup(name), credential, retry)  # noqa: E731
+        return RPCClient(dial(), retry=retry, reconnect=dial)
 
     def _dial(
         self,
@@ -105,10 +99,8 @@ def client(name: str, retry: RetryPolicy | None = None) -> RPCClient:
     try:
         return DEFAULT.connect(name, retry=retry)
     except UpdateTargetError:
-        reconnect = None
-        if retry is not None:
-            reconnect = lambda: connect_local(name)  # noqa: E731
-        return RPCClient(connect_local(name), retry=retry, reconnect=reconnect)
+        dial = partial(connect_local, name)
+        return RPCClient(dial(), retry=retry, reconnect=dial)
 
 
 def resolve_sink(name: str, retry: RetryPolicy | None = None) -> UpdateSink:

@@ -105,13 +105,12 @@ class DirectSink:
 class RPCSink:
     """Sink calling an RLI server through an :class:`~repro.net.rpc.RPCClient`.
 
-    Large incremental updates are split into ``chunk_size`` slices and
-    pipelined (``call_async`` + ``drain``) when the client's channel
-    supports it, so a burst of soft-state changes costs ~one round trip
-    instead of one per slice.  RLI set updates are idempotent, so a
-    partially delivered burst is safe: the update manager's redelivery
-    re-sends the whole batch.  Full updates replace the LRC's entry
-    wholesale and are never chunked.
+    Large incremental updates are split into ``chunk_size`` slices sent
+    with ``call_async`` + ``drain``: over TCP the slices share about one
+    round trip, and an in-process channel delivers each as it is made.
+    RLI set updates are idempotent, so a partially delivered burst is
+    safe: the update manager's redelivery re-sends the whole batch.  Full
+    updates replace the LRC's entry wholesale and are never chunked.
     """
 
     def __init__(self, client, chunk_size: int = 5000) -> None:
@@ -129,9 +128,7 @@ class RPCSink:
         removed = list(removed)
         chunk = self.chunk_size
         client = self.client
-        if len(added) + len(removed) <= chunk or not getattr(
-            client, "pipelined", False
-        ):
+        if len(added) + len(removed) <= chunk:
             client.call("rli_incremental_update", lrc_name, added, removed)
             return
         pending = []

@@ -465,11 +465,6 @@ class RPCClient:
         with tracer.span("rpc.drain"):
             channel.drain()
 
-    @property
-    def pipelined(self) -> bool:
-        """True when async calls genuinely overlap on the wire."""
-        return getattr(self._current_channel(), "pipelined", False)
-
     def close(self) -> None:
         self._current_channel().close()
 

@@ -94,9 +94,6 @@ class Channel:
     transports that really pipeline (TCP) override it.
     """
 
-    #: True when submit() genuinely overlaps requests on the wire.
-    pipelined = False
-
     def request(self, request: Request) -> Response:
         raise NotImplementedError
 
@@ -117,6 +114,11 @@ class Channel:
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
+
+    @property
+    def broken(self) -> bool:
+        """True once every later request fails at once: dial a new one."""
+        return False
 
     def __enter__(self) -> "Channel":
         return self
@@ -536,8 +538,6 @@ class TCPChannel(Channel):
     background thread, no lock held across a round trip.
     """
 
-    pipelined = True
-
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._closed = False
@@ -555,9 +555,11 @@ class TCPChannel(Channel):
         pending = PendingResponse()
         with self._cv:
             if self._closed or self._broken is not None:
-                pending._set_exc(
-                    self._broken or TransportClosedError("channel closed")
-                )
+                # The failure went to the calls in flight; this one never
+                # leaves, which a retrying client re-dials for.
+                exc = TransportClosedError("channel closed")
+                exc.__cause__ = self._broken
+                pending._set_exc(exc)
                 return pending
             request_id = self._next_id
             self._next_id += 1
@@ -596,6 +598,10 @@ class TCPChannel(Channel):
         pending = self.submit(request)
         self.flush()
         return self._await(pending)
+
+    @property
+    def broken(self) -> bool:
+        return self._closed or self._broken is not None
 
     def _await(self, pending: PendingResponse) -> Response:
         """Wait for ``pending``, taking the reader role when it is free."""

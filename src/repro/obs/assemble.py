@@ -123,6 +123,7 @@ _SEGMENT_KINDS: tuple[tuple[str, str], ...] = (
     ("cluster.", "client.routing"),
     ("rpc.call", "net.wait"),
     ("rpc.attempt", "net.wait"),
+    ("rpc.drain", "net.wait"),
     ("rpc.handle", "server.handle"),
     ("acl.check", "acl"),
     ("sql.", "db"),
@@ -242,55 +243,71 @@ class AssembledTrace:
     def critical_path(self) -> list[Segment]:
         """Wall-time attribution of the (largest) root span.
 
-        A cursor walks each span's interval: time before a child starts
-        is the span's *own* time (classified by :func:`segment_kind`),
-        the child's interval is attributed recursively, and time after
-        the last child is the span's tail.  For ``rpc.call`` /
-        ``rpc.attempt`` spans the own time *is* network + server queue
-        wait — the gap until the server's ``rpc.handle`` starts and
-        after it ends — which is how cross-process waiting shows up
-        without any server-side cooperation.
+        A cursor walks each span's interval backwards from its end: the
+        child that ends last is on the path and is attributed
+        recursively, and the cursor moves to its start; a child that ends
+        after the cursor ran alongside the path and is off it.  Time
+        between path children is the span's *own* time
+        (:func:`segment_kind`); for ``rpc.call`` / ``rpc.attempt`` /
+        ``rpc.drain`` it *is* network + server queue wait, the gap around
+        the server's ``rpc.handle``.  An async request carries its
+        caller's span, so its ``rpc.handle`` is a *sibling* of the
+        ``rpc.drain`` waiting for it: a waiting path child adopts the
+        overlapping siblings that are not themselves waiting.
         """
         root = self._root_node()
         if root is None:
             return []
         segments: list[Segment] = []
 
-        def walk(node: dict[str, Any], inherited: str) -> None:
+        def end_of(node: dict[str, Any]) -> float:
+            return node["span"].start + node["span"].duration
+
+        def walk(node: dict, inherited: str, hi: float, adopted=()) -> float:
+            """Attribute ``node`` up to ``hi``; return where the path
+            leaves it (its start, or earlier through an adopted span)."""
             span = node["span"]
-            children = sorted(
-                (c for c in node["children"] if c["span"] is not None),
-                key=lambda c: c["span"].start,
+            items = sorted(
+                [c for c in node["children"] if c["span"] is not None]
+                + list(adopted),
+                key=end_of,
+                reverse=True,
             )
             if span is None:
                 # Gap marker: nothing is known about the parent, so only
                 # the children's intervals can be attributed.
-                for child in children:
-                    walk(child, inherited)
-                return
+                for child in items:
+                    walk(child, inherited, end_of(child))
+                return hi
             kind = segment_kind(span.name)
             # Only rpc.handle spans carry a node= tag; everything nested
             # under one (acl, sql, wal, ...) ran on the same server.
             label = str(span.tags.get("node", "")) or inherited
-            cursor = span.start
-            end = span.start + span.duration
-            for child in children:
-                child_start = child["span"].start
-                child_end = child["span"].start + child["span"].duration
-                if child_start > cursor:
+            end = cursor = min(end_of(node), hi)
+            for i, child in enumerate(items):
+                child_end = min(end_of(child), end)
+                if child_end > cursor:
+                    continue
+                if cursor > child_end:
                     segments.append(
-                        Segment(kind, span.name, label, cursor,
-                                child_start - cursor)
+                        Segment(kind, span.name, label, child_end,
+                                cursor - child_end)
                     )
-                walk(child, label)
-                cursor = max(cursor, min(child_end, end))
-            if end > cursor:
+                waited_for = [
+                    s for s in items[i + 1:]
+                    if end_of(s) > child["span"].start
+                    and segment_kind(s["span"].name) != "net.wait"
+                ] if segment_kind(child["span"].name) == "net.wait" else []
+                cursor = min(cursor, walk(child, label, child_end, waited_for))
+            if cursor > span.start:
                 segments.append(
-                    Segment(kind, span.name, label, cursor, end - cursor)
+                    Segment(kind, span.name, label, span.start,
+                            cursor - span.start)
                 )
+            return min(cursor, span.start)
 
-        walk(root, "client")
-        return segments
+        walk(root, "client", float("inf"))
+        return sorted(segments, key=lambda seg: seg.start)
 
     def root_duration(self) -> float:
         root = self._root_node()

@@ -6,21 +6,18 @@ import random
 
 import pytest
 
-from repro.cluster.combined import (
-    RO_METHODS,
-    WRITE_METHODS,
-    CombinedClient,
-    combined_from_server,
-)
+from repro.cluster.combined import CombinedClient, combined_from_server
 from repro.cluster.ring import ShardMap
-from repro.core.client import connect
+from repro.core.client import connect, connect_tcp_server
 from repro.core.config import ServerConfig, ServerRole
 from repro.core.errors import (
     MappingNotFoundError,
     ReadOnlyCatalogError,
     ShardRoutingError,
 )
-from repro.core.server import RLSServer
+from repro.core.server import OP_CLASSES, RLSServer
+from repro.net.errors import RemoteError
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture
@@ -164,6 +161,52 @@ class TestFailover:
         assert reads == 10
         client.close()
 
+    def test_scatter_fails_over_a_dead_mirror_once(self, live_cluster):
+        smap, servers, cc, pairs = live_cluster
+        registry = MetricsRegistry()
+        client = CombinedClient(smap, metrics=registry, rng=random.Random(5))
+        shard = smap.shards[0]
+        servers[smap.mirrors_of(shard)[0]].stop()
+        assert client.lfn_count() == len(pairs)
+        counters = registry.snapshot().counters
+        assert counters[f"cluster.failovers{{shard={shard}}}"] == 1
+        assert f"cluster.failovers{{shard={smap.shards[1]}}}" not in counters
+        client.close()
+
+    def test_scatter_counts_a_dead_only_endpoint_once(self):
+        """A mirror-less shard whose master is down costs each scatter one
+        dial and one failover, so the bench backoff doubles per request."""
+        smap = ShardMap(shards=("do-s0", "do-s1"))
+        servers = {
+            name: RLSServer(
+                ServerConfig(
+                    name=name, role=ServerRole.LRC, cluster=smap,
+                    sync_latency=0.0,
+                )
+            ).start()
+            for name in smap.shards
+        }
+        dials = []
+
+        def connect_fn(name):
+            dials.append(name)
+            return connect(name)
+
+        registry = MetricsRegistry()
+        cc = CombinedClient(smap, connect_fn=connect_fn, metrics=registry)
+        servers["do-s0"].stop()
+        try:
+            for calls in range(1, 4):
+                with pytest.raises(ShardRoutingError):
+                    cc.lfn_count()
+                counters = registry.snapshot().counters
+                assert counters["cluster.failovers{shard=do-s0}"] == calls
+                assert dials.count("do-s0") == calls
+                assert cc.health()["do-s0"]["consecutive_failures"] == calls
+        finally:
+            cc.close()
+            servers["do-s1"].stop()
+
     def test_write_to_misconfigured_master_raises_typed_error(self):
         """A shard map pointing writes at a mirror surfaces the mirror's
         typed rejection unchanged (not a routing failure)."""
@@ -207,18 +250,72 @@ class TestBootstrap:
             CombinedClient(ShardMap(shards=()))
 
 
-class TestMethodTables:
-    def test_declared_methods_exist(self):
-        for method in RO_METHODS + WRITE_METHODS:
-            assert callable(getattr(CombinedClient, method)), method
+class TestALiveServersErrorIsItsAnswer:
+    """A handler that raises an untyped error is the server answering:
+    the client raises ``RemoteError`` and neither benches, re-dials nor
+    counts a failover."""
 
-    def test_tables_disjoint(self):
-        assert not set(RO_METHODS) & set(WRITE_METHODS)
+    @pytest.fixture
+    def faulty(self):
+        smap = ShardMap(shards=("fe-s0", "fe-s1"))
+        servers = {
+            name: RLSServer(
+                ServerConfig(
+                    name=name, role=ServerRole.LRC, cluster=smap,
+                    sync_latency=0.0,
+                )
+            ).start()
+            for name in smap.shards
+        }
+
+        def boom(ctx, args):
+            raise RuntimeError("handler bug")
+
+        for method in ("lrc_get_mappings", "lrc_create_mapping", "lrc_lfn_count"):
+            servers["fe-s0"].rpc.register(method, boom, OP_CLASSES[method])
+        dials = []
+
+        def connect_fn(name):
+            dials.append(name)
+            return connect(name)
+
+        registry = MetricsRegistry()
+        cc = CombinedClient(smap, connect_fn=connect_fn, metrics=registry)
+        lfn = next(
+            f"fe-lfn{i}" for i in range(100)
+            if cc.owner(f"fe-lfn{i}") == "fe-s0"
+        )
+        yield cc, registry, dials, lfn
+        cc.close()
+        for server in servers.values():
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cc, lfn: cc.get_mappings(lfn),
+            lambda cc, lfn: cc.create(lfn, "pfn://fe"),
+            lambda cc, lfn: cc.lfn_count(),
+        ],
+        ids=["get_mappings", "create", "lfn_count"],
+    )
+    def test_remote_error_propagates_without_failover(self, faulty, call):
+        cc, registry, dials, lfn = faulty
+        for _ in range(5):
+            with pytest.raises(RemoteError) as err:
+                call(cc, lfn)
+            assert err.value.error_type == "RuntimeError"
+        assert dials.count("fe-s0") == 1
+        counters = registry.snapshot().counters
+        assert not any(k.startswith("cluster.failovers") for k in counters)
+        health = cc.health()["fe-s0"]
+        assert health["healthy"] and health["failures"] == 0
 
 
 @pytest.fixture
 def tcp_cluster():
-    """2 mirror-less shards over real TCP: the pipelined scatter path."""
+    """2 mirror-less shards over real TCP: the scatter's requests share
+    one round trip."""
     smap = ShardMap(shards=("tc-s0", "tc-s1"), mirrors={})
     servers = {}
     for shard in smap.shards:
@@ -231,8 +328,6 @@ def tcp_cluster():
                 tcp=True,
             )
         ).start()
-
-    from repro.core.client import connect_tcp_server
 
     def connect_fn(name):
         host, port = servers[name].tcp_address
@@ -250,10 +345,25 @@ def tcp_cluster():
 class TestPipelinedScatter:
     def test_scatter_uses_pipelined_connections(self, tcp_cluster):
         smap, servers, cc, pairs = tcp_cluster
-        # Every shard client connected over TCP, so it pipelines.
+        events = []
+
+        def connect_fn(name):
+            client = connect_tcp_server(*servers[name].tcp_address)
+            rpc = client.rpc
+            flush, drain = rpc.flush, rpc.drain
+            rpc.flush = lambda: (events.append("flush"), flush())[1]
+            rpc.drain = lambda: (events.append("drain"), drain())[1]
+            return client
+
+        served = {s: servers[s].rpc.requests_served for s in smap.shards}
+        with CombinedClient(smap, connect_fn=connect_fn) as scatter:
+            assert scatter.lfn_count() == len(pairs)
+            # Every shard's request is on the wire before the client
+            # waits for the first answer: the round trips overlap.
+            assert events == ["flush", "flush", "drain", "drain"]
+            assert all(h["healthy"] for h in scatter.health().values())
         for shard in smap.shards:
-            assert cc._client(shard).rpc.pipelined
-        assert cc._scatter_pipelined("lfn_count") is not None
+            assert servers[shard].rpc.requests_served == served[shard] + 1
 
     def test_wildcard_and_counts_match_serial_path(self, tcp_cluster):
         smap, servers, cc, pairs = tcp_cluster
@@ -275,6 +385,57 @@ class TestPipelinedScatter:
             "pfn://shared",
             "pfn://shared2",
         ]
+
+    @pytest.mark.parametrize(
+        "method, call, answer",
+        [
+            ("lrc_get_mappings", lambda cc, old, new: cc.get_mappings(old),
+             "pfn"),
+            ("lrc_create_mapping",
+             lambda cc, old, new: cc.create(new, "pfn://tc"), None),
+            ("lrc_lfn_count", lambda cc, old, new: cc.lfn_count(), "count"),
+        ],
+        ids=["get_mappings", "create", "lfn_count"],
+    )
+    def test_rejected_frame_redials_without_benching(
+        self, tcp_cluster, method, call, answer
+    ):
+        """A reply the server cannot encode is a connection-level failure:
+        the server answers without a correlation id and hangs up.  The
+        caller gets the answer, and the next call on the shard re-dials
+        instead of failing on the dead connection."""
+        smap, servers, _, pairs = tcp_cluster
+        candidates = [p[0] for p in pairs] + [f"tc-new{i}" for i in range(99)]
+        owned = [n for n in candidates if smap.ring().owner(n) == "tc-s0"]
+        old, new = owned[0], owned[-1]
+        pfn = dict(pairs)[old]
+        expected = {"pfn": [pfn], "count": len(pairs), None: None}[answer]
+        server = servers["tc-s0"]
+        handler = server.rpc._methods[method][0]
+        faults = [object()]
+
+        def unencodable_once(ctx, args):
+            return faults.pop() if faults else handler(ctx, args)
+
+        server.rpc.register(method, unencodable_once, OP_CLASSES[method])
+        dials = []
+
+        def connect_fn(name):
+            dials.append(name)
+            return connect_tcp_server(*servers[name].tcp_address)
+
+        registry = MetricsRegistry()
+        with CombinedClient(
+            smap, connect_fn=connect_fn, metrics=registry
+        ) as cc:
+            with pytest.raises(RemoteError) as err:
+                call(cc, old, new)
+            assert err.value.error_type == "TypeError"
+            assert call(cc, old, new) == expected
+            assert dials.count("tc-s0") == 2
+            counters = registry.snapshot().counters
+            assert not any(k.startswith("cluster.failovers") for k in counters)
+            assert cc.health()["tc-s0"]["failures"] == 0
 
     def test_dead_shard_with_no_fallback_raises_routing_error(
         self, tcp_cluster

@@ -686,8 +686,7 @@ class TestPartitionRouterFastPath:
 class _FakePipelinedClient:
     """Records calls; mimics the RPCClient pipelined surface."""
 
-    def __init__(self, pipelined=True):
-        self.pipelined = pipelined
+    def __init__(self):
         self.sync_calls = []
         self.async_calls = []
         self.drains = 0
@@ -742,18 +741,6 @@ class TestRPCSinkChunking:
         assert [x for c in rems for x in c[1][2]] == removed
         assert all(c[0] == "rli_incremental_update" for c in client.async_calls)
         assert all(c[1][0] == "lrc" for c in client.async_calls)
-
-    def test_non_pipelined_client_never_chunks(self):
-        from repro.core.updates import RPCSink
-
-        client = _FakePipelinedClient(pipelined=False)
-        sink = RPCSink(client, chunk_size=2)
-        added = [f"a{i}" for i in range(7)]
-        sink.incremental_update("lrc", added, [])
-        assert client.sync_calls == [
-            ("rli_incremental_update", ("lrc", added, []))
-        ]
-        assert client.async_calls == []
 
     def test_full_update_never_chunked(self):
         from repro.core.updates import RPCSink

@@ -295,3 +295,48 @@ class TestServerFanOut:
             for server in servers:
                 server.stop()
             install_tracer(None)
+
+
+class TestConcurrentScatterCriticalPath:
+    def test_tcp_scatter_path_covers_wall_time_once(self):
+        """Over TCP a scatter's per-shard ``rpc.handle`` spans run
+        alongside each other and beside the client's ``rpc.drain`` that
+        waits for them: the critical path takes one of each overlapping
+        group, walking into a handle inside the drain, so it sums to the
+        root's wall time (one ``perf_counter`` clock in one process) and
+        the server's time is not reported as network wait."""
+        tracer = Tracer(sink=SpanSink())
+        install_tracer(tracer)
+        smap = ShardMap(shards=("dtc-s0", "dtc-s1"))
+        servers = {
+            name: RLSServer(
+                ServerConfig(
+                    name=name, role=ServerRole.LRC, cluster=smap,
+                    tcp=True, sync_latency=0.0,
+                )
+            ).start()
+            for name in smap.shards
+        }
+        try:
+            cc = CombinedClient(
+                smap,
+                connect_fn=lambda n: connect_tcp_server(*servers[n].tcp_address),
+            )
+            pairs = [(f"dtr-lfn{i:03d}", f"pfn://dtc/{i}") for i in range(ENTRIES)]
+            assert cc.bulk_create(pairs) == []
+            sources = per_node_sources(tracer, nodes=smap.shards)
+            for _ in range(20):
+                payload = (
+                    TraceAssembler(sources)
+                    .assemble(scatter_trace_id(tracer, cc))
+                    .to_dict()
+                )
+                assert abs(payload["coverage"] - 1.0) <= 0.05, payload["coverage"]
+                kinds = {seg["kind"] for seg in payload["critical_path"]}
+                assert {"net.wait", "server.handle"} <= kinds
+                assert "rpc.drain" not in kinds
+            cc.close()
+        finally:
+            for server in servers.values():
+                server.stop()
+            install_tracer(None)

@@ -62,7 +62,6 @@ class TestHandshake:
         _, transport, _ = tcp_server
         channel = connect_tcp(transport.host, transport.port)
         try:
-            assert channel.pipelined
             assert RPCClient(channel).call("add", 1, 2) == 3
         finally:
             channel.close()
@@ -123,7 +122,6 @@ class TestPipelining:
     def test_async_burst_roundtrip(self, tcp_server):
         _, transport, _ = tcp_server
         with RPCClient(connect_tcp(transport.host, transport.port)) as client:
-            assert client.pipelined
             calls = [client.call_async("echo", i) for i in range(50)]
             client.drain()
             assert all(c.done for c in calls)
@@ -217,7 +215,6 @@ class TestPipelining:
         transport = LocalTransport(make_server())
         try:
             with RPCClient(transport.open_channel()) as client:
-                assert not client.pipelined
                 calls = [client.call_async("echo", i) for i in range(5)]
                 bad = client.call_async("boom")
                 assert all(c.done for c in calls) and bad.done
@@ -393,6 +390,34 @@ class TestProtocolErrorResponses:
         finally:
             channel.close()
 
+    def test_connection_failure_reaches_only_calls_in_flight(
+        self, tcp_server
+    ):
+        # A reply the server cannot encode escapes its handler: it answers
+        # without a correlation id and hangs up.  The call in flight gets
+        # that answer; later calls never leave, so they fail with a
+        # retryable TransportClosedError and a retrying client re-dials.
+        server, transport, _ = tcp_server
+        server.register("unencodable", lambda ctx, args: object())
+
+        def dial():
+            return connect_tcp(transport.host, transport.port)
+
+        client = RPCClient(dial(), retry=_EAGER, reconnect=dial)
+        channel = client.channel
+        try:
+            with pytest.raises(RemoteError) as err:
+                client.call("unencodable")
+            assert err.value.error_type == "TypeError"
+            assert channel.broken
+            with pytest.raises(TransportClosedError) as closed:
+                channel.request(Request("echo", (1,)))
+            assert closed.value.__cause__ is err.value
+            assert client.call("echo", "again") == "again"
+            assert client.channel is not channel and client.retries == 1
+        finally:
+            client.close()
+
     def test_server_survives_malformed_frames(self, tcp_server):
         _, transport, _ = tcp_server
         for _ in range(5):
@@ -450,8 +475,6 @@ class TestUnknownMethodLabel:
 class _FlakyChannel:
     """Channel whose first ``fail_first`` requests raise a retryable
     transport error; thereafter it answers."""
-
-    pipelined = False
 
     def __init__(self, fail_first: int) -> None:
         self._lock = threading.Lock()
