@@ -565,8 +565,9 @@ def time_rli_miss_and_hit(calls: int) -> tuple[float, float]:
 
 
 #: Heap bytes per loaded mapping (three rows, nine index entries), server
-#: included: 1 260 measured, 3 280 with a set per index key and list rows.
-MAX_BYTES_PER_MAPPING = 1_500
+#: included: 860 measured; 1 180 with one-column index keys wrapped in a
+#: one-element tuple, 3 280 with a set per index key and list rows.
+MAX_BYTES_PER_MAPPING = 1_000
 FOOTPRINT_MAPPINGS = 20_000
 #: What a mapping used to put in front of the cyclic collector: nine
 #: one-element sets and three row lists.  The gate builds exactly that many

@@ -193,7 +193,7 @@ class ReplicaLocationIndex:
             t_map, by_lrc = self._index("t_map", "pfn_id")
             self._drop(
                 (rid, row)
-                for rid, row in t_map.lookup_index_many(by_lrc, [(lrc_id,)])
+                for rid, row in t_map.lookup_index_many(by_lrc, (lrc_id,))
                 if row[0] not in listed
             )
             self.updates_applied += 1
@@ -230,7 +230,7 @@ class ReplicaLocationIndex:
         t_map, by_pair = self._index("t_map", "lfn_id", "pfn_id")
         ids = {
             row[1]: row[0]
-            for _rid, row in t_lfn.lookup_index_many(by_name, [(n,) for n in names])
+            for _rid, row in t_lfn.lookup_index_many(by_name, names)
         }
         pairs = [(lfn_id, lrc_id) for lfn_id in ids.values()]
         return ids, t_map.lookup_index_many(by_pair, pairs)
@@ -273,9 +273,9 @@ class ReplicaLocationIndex:
         t_map, by_lfn = self._index("t_map", "lfn_id")
         t_lfn, by_id = self._index("t_lfn", "id")
         lfn_ids = {row[0] for _rid, row in rows}
-        still = t_map.lookup_index_many(by_lfn, [(i,) for i in lfn_ids])
+        still = t_map.lookup_index_many(by_lfn, lfn_ids)
         orphans = lfn_ids.difference(row[0] for _rid, row in still)
-        found = t_lfn.lookup_index_many(by_id, [(i,) for i in orphans])
+        found = t_lfn.lookup_index_many(by_id, orphans)
         db.delete_rows("t_lfn", [rid for rid, _row in found])
         return len(rows)
 
@@ -442,7 +442,7 @@ class ReplicaLocationIndex:
         # query racing it may run one SELECT too many, never one too few.
         self._relational = True
         t_lrc, by_name = self._index("t_lrc", "name")
-        for _rid, row in t_lrc.lookup_index_many(by_name, [(lrc_name,)]):
+        for _rid, row in t_lrc.lookup_index_many(by_name, (lrc_name,)):
             return row[0]
         _rid, row = self.conn.database.insert_row(
             "t_lrc", {"name": lrc_name, "ref": 1}

@@ -427,7 +427,8 @@ class Database:
 
 
 def _delete_matching(table: Table, values: dict[str, Any]) -> None:
-    """Delete the live row matching the logged key (PK if any, else all cols)."""
+    """Delete the live row matching the logged key (PK if any, else all
+    cols; a stored row is a tuple, so the target is one too)."""
     keys = table.schema.key_constraints()
     if keys:
         cols = keys[0]
@@ -436,7 +437,7 @@ def _delete_matching(table: Table, values: dict[str, Any]) -> None:
             table.delete_rid(rid)
             return
     else:
-        target = [values[c] for c in table.schema.column_names]
+        target = tuple(values[c] for c in table.schema.column_names)
         for rid, row in table.scan():
             if row == target:
                 table.delete_rid(rid)

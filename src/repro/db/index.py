@@ -2,9 +2,12 @@
 
 Two index structures are provided:
 
-* :class:`HashIndex` — a dict from key tuple to its posting (below).  O(1)
+* :class:`HashIndex` — a dict from key to its posting (below).  O(1)
   equality lookups; used for the surrogate-key and name lookups that
-  dominate RLS traffic.
+  dominate RLS traffic.  An index over one column is keyed by the
+  column's value itself, one over two or more by the tuple of their
+  values: a probe passes its key in that form, and a one-column key
+  costs no 56-byte tuple beside the value the row already holds.
 * :class:`OrderedIndex` — the distinct keys in order, supporting range
   and prefix scans, which back SQL ``LIKE 'prefix%'`` — the RLS wildcard
   queries.  The keys live in consecutive sorted *runs* of fewer than
@@ -84,20 +87,21 @@ def _rids(held: "int | set[int] | None") -> Collection[int]:
 
 
 class HashIndex:
-    """Equality index mapping a key tuple to the row ids holding it."""
+    """Equality index mapping a key to the row ids holding it: the value
+    itself over one column, the tuple of values over several."""
 
     __slots__ = ("name", "column_positions", "key_for", "_map")
 
     def __init__(self, name: str, column_positions: Iterable[int]) -> None:
         self.name = name
         self.column_positions = tuple(column_positions)
-        #: ``row -> key tuple``, fixed when the index is created.
-        self.key_for: Callable[[Sequence[Any]], tuple] = _key_getter(
-            self.column_positions
+        #: ``row -> key``, fixed when the index is created.
+        self.key_for: Callable[[Sequence[Any]], Any] = itemgetter(
+            *self.column_positions
         )
-        self._map: dict[tuple, int | set[int]] = {}
+        self._map: dict[Any, int | set[int]] = {}
 
-    def insert(self, key: tuple, rid: int) -> None:
+    def insert(self, key: Any, rid: int) -> None:
         post(self._map, key, rid)
 
     def insert_rows(self, pairs: RowPairs) -> None:
@@ -105,7 +109,7 @@ class HashIndex:
         for rid, row in pairs:
             post(by_key, key_for(row), rid)
 
-    def remove(self, key: tuple, rid: int) -> None:
+    def remove(self, key: Any, rid: int) -> None:
         unpost(self._map, key, rid)
 
     def remove_rows(self, pairs: RowPairs) -> None:
@@ -113,26 +117,19 @@ class HashIndex:
         for rid, row in pairs:
             unpost(by_key, key_for(row), rid)
 
-    def lookup(self, key: tuple) -> Collection[int]:
+    def lookup(self, key: Any) -> Collection[int]:
         """Row ids whose indexed columns equal ``key`` (may include dead rows)."""
         return _rids(self._map.get(key))
 
-    def postings(self) -> Iterator[tuple[tuple, Collection[int]]]:
+    def postings(self) -> Iterator[tuple[Any, Collection[int]]]:
         """``(key, row_ids)`` per distinct key."""
         return ((key, _rids(held)) for key, held in self._map.items())
 
     def __len__(self) -> int:
         return len(self._map)
 
-    def distinct_keys(self) -> Iterator[tuple]:
+    def distinct_keys(self) -> Iterator[Any]:
         return iter(self._map)
-
-
-def _key_getter(positions: tuple[int, ...]) -> Callable[[Sequence[Any]], tuple]:
-    if len(positions) == 1:
-        (position,) = positions
-        return lambda row: (row[position],)
-    return itemgetter(*positions)  # a tuple for two positions or more
 
 
 class OrderedIndex:

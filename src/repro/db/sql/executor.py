@@ -117,7 +117,8 @@ class FullScan:
 
 @dataclass(slots=True)
 class HashLookup:
-    """``col = const [AND ...]`` answered by one hash-index probe."""
+    """``col = const [AND ...]`` answered by one hash-index probe;
+    ``key_of`` gives the key in the index's form, ``None`` for NULL."""
 
     table: Table
     index: HashIndex
@@ -130,7 +131,7 @@ class HashLookup:
 
     def rows(self, params: Sequence[Any]) -> Pairs:
         key = self.key_of(params)
-        if None in key:
+        if key is None:
             return ()
         return self.table.lookup_index_many(self.index, (key,))
 
@@ -151,9 +152,7 @@ class InProbe:
         return [k for k in dict.fromkeys(self.items_of(params)) if k is not None]
 
     def rows(self, params: Sequence[Any]) -> Pairs:
-        return self.table.lookup_index_many(
-            self.index, [(key,) for key in self._keys(params)]
-        )
+        return self.table.lookup_index_many(self.index, self._keys(params))
 
     def describe(self, params: Sequence[Any]) -> str:
         label = index_label(self.table, self.index.column_positions)
@@ -232,7 +231,7 @@ class JoinStep:
         value = self.key_of(rows, params)
         if value is None:
             return ()
-        return self.table.lookup_index_many(self.index, ((value,),))
+        return self.table.lookup_index_many(self.index, (value,))
 
 
 # ---------------------------------------------------------------------------

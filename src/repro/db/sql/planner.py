@@ -79,6 +79,21 @@ def _const_tuple(exprs: Sequence[Any]) -> ConstFn:
     return lambda params: tuple([part(params) for part in parts])
 
 
+def _const_key(exprs: Sequence[Any]) -> ConstFn:
+    """``params -> hash index key`` of row-free expressions, one per
+    indexed column: the bare value for one, the tuple for several, and
+    ``None`` when any of them is NULL (such a key matches nothing)."""
+    if len(exprs) == 1:
+        return _const(exprs[0])
+    values_of = _const_tuple(exprs)
+
+    def key_of(params: Sequence[Any]) -> Any:
+        key = values_of(params)
+        return None if None in key else key
+
+    return key_of
+
+
 def _flatten_and(expr: Any):
     if isinstance(expr, ast.And):
         yield from _flatten_and(expr.left)
@@ -250,7 +265,7 @@ class _Compiler:
             used = [equalities[p] for p in index.column_positions]
             covered = [conj for conj, _const in used]
             path: Any = HashLookup(
-                table, index, _const_tuple([const for _conj, const in used])
+                table, index, _const_key([const for _conj, const in used])
             )
             rest = [c for c in conjuncts if not any(c is d for d in covered)]
             return path, self.conjunction(rest)

@@ -24,7 +24,8 @@ class RowHeap:
 
     def __init__(self) -> None:
         self._rows: list[Row | None] = []
-        self._dead: list[bool] = []
+        #: One byte per slot, 1 when the slot's row is dead.
+        self._dead = bytearray()
         self._live_count = 0
         self._free_rids: list[int] = []
 
@@ -33,11 +34,11 @@ class RowHeap:
         if self._free_rids:
             rid = self._free_rids.pop()
             self._rows[rid] = row
-            self._dead[rid] = False
+            self._dead[rid] = 0
         else:
             rid = len(self._rows)
             self._rows.append(row)
-            self._dead.append(False)
+            self._dead.append(0)
         self._live_count += 1
         return rid
 
@@ -45,7 +46,7 @@ class RowHeap:
         """Tombstone ``rid``; the row data stays until :meth:`reclaim`."""
         if self._dead[rid]:
             raise KeyError(f"row {rid} already dead")
-        self._dead[rid] = True
+        self._dead[rid] = 1
         self._live_count -= 1
         row = self._rows[rid]
         assert row is not None
@@ -59,7 +60,7 @@ class RowHeap:
         self._free_rids.append(rid)
 
     def is_dead(self, rid: int) -> bool:
-        return self._dead[rid]
+        return self._dead[rid] == 1
 
     def get(self, rid: int) -> Row:
         """Return the row for ``rid`` (dead or alive, as long as not reclaimed)."""

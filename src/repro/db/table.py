@@ -221,7 +221,9 @@ class Table:
                             self._charge_dead_hits(dead_hits)
                             if dead_hits < len(rids):
                                 raise DuplicateKeyError(
-                                    self.schema.name, colname, key
+                                    self.schema.name,
+                                    colname,
+                                    tuple(row[p] for p in idx.column_positions),
                                 )
                     rid = heap_insert(row)
                     for idx, key_for, _colname in unique:
@@ -311,10 +313,12 @@ class Table:
     def lookup_equal(
         self, columns: tuple[str, ...], key: tuple
     ) -> list[tuple[int, Row]]:
-        """Live rows whose ``columns`` equal ``key``, via an index if any."""
+        """Live rows whose ``columns`` equal ``key``, via an index if any
+        (which is keyed by the bare value when it has one column)."""
         idx = self.find_hash_index(columns)
         if idx is not None:
-            return self.lookup_index_many(idx, (key,))
+            probe = key[0] if len(idx.column_positions) == 1 else key
+            return self.lookup_index_many(idx, (probe,))
         positions = tuple(self.schema.column_index(c) for c in columns)
         with self.latch:
             return [
@@ -324,11 +328,13 @@ class Table:
             ]
 
     def lookup_index_many(
-        self, idx: HashIndex, keys: Iterable[tuple]
+        self, idx: HashIndex, keys: Iterable[Any]
     ) -> list[tuple[int, Row]]:
         """Live rows under each of ``keys`` in turn in one of this
         table's hash indexes, one latch hold for the whole list (an
-        equality probe has one key, an ``IN`` probe many).
+        equality probe has one key, an ``IN`` probe many).  Each key is
+        in the index's form: the bare value over one column, the tuple
+        over several.
 
         Dead index entries are filtered here (and counted), which is the
         mechanism behind the PostgreSQL vacuum experiment.
@@ -416,10 +422,10 @@ class Table:
                             problems.append(f"{at}: {key!r} -> reclaimed row {rid}")
                 if isinstance(idx, OrderedIndex) and (broken := idx.check_runs()):
                     problems.append(f"{at} runs: {'; '.join(broken)}")
-            for positions, _idx in self._unique:
-                seen: dict[tuple, int] = {}
+            for _positions, idx in self._unique:
+                seen: dict[Any, int] = {}
                 for rid, row in live.items():
-                    key = tuple(row[p] for p in positions)
+                    key = idx.key_for(row)
                     if key in seen:
                         problems.append(
                             f"{name}: unique violation on {key!r}: rows "

@@ -42,7 +42,7 @@ class TestTableCheckIntegrity:
         rid, row = t.insert({"name": "a"})
         # Corrupt: remove the index entry behind the table's back.
         idx = t.find_hash_index(("name",))
-        idx.remove(("a",), rid)
+        idx.remove("a", rid)  # a one-column index is keyed by the value
         problems = t.check_integrity()
         assert any("missing from index" in p for p in problems)
 
@@ -50,7 +50,7 @@ class TestTableCheckIntegrity:
         t = self.make()
         rid, row = t.insert({"name": "a"})
         idx = t.find_hash_index(("name",))
-        idx.insert(("ghost",), 999_999)
+        idx.insert("ghost", 999_999)
         problems = t.check_integrity()
         assert any("ghost" in p for p in problems)
 

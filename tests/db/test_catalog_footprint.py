@@ -6,7 +6,9 @@ collection has looked at them a loaded catalog adds nothing to the set of
 objects a full collection walks — and a full collection holds the GIL, so
 it stops every connection for as long as that walk takes.  With one ``set``
 per index key and rows as lists a mapping was 12.00 tracked containers and
-about 3 200 bytes; the bounds below are 0.05 and 1 500.
+about 3 200 bytes; with one-column index keys wrapped in a one-element tuple
+it was about 1 110-1 240 bytes.  Keyed by the bare value it reads about
+790-910; the bounds below are 0.05 and 1 000.
 
 The write-ahead log goes to a device that keeps nothing here: the
 in-memory device *is* the disk of the modelled server and would be
@@ -26,7 +28,7 @@ from repro.db.odbc import Connection
 from repro.db.wal import InMemoryLogDevice
 
 MAX_TRACKED_PER_MAPPING = 0.05
-MAX_BYTES_PER_MAPPING = 1_500
+MAX_BYTES_PER_MAPPING = 1_000
 
 
 def pairs(prefix: str, count: int) -> list[tuple[str, str]]:

@@ -115,6 +115,21 @@ class TestRecovery:
         rows = fresh.execute("SELECT name FROM t").rows
         assert rows == [("durable",)]
 
+    def test_a_delete_replays_into_a_table_with_no_key(self):
+        """With no key constraint the replayed DELETE matches the stored
+        row (a tuple) by every column."""
+        ddl = "CREATE TABLE t_k (a INT(11) NOT NULL, b VARCHAR(20))"
+        source = MySQLEngine(flush_on_commit=True, sync_latency=0.0)
+        source.execute(ddl)
+        source.execute("INSERT INTO t_k (a, b) VALUES (1, 'x'), (2, 'y')")
+        source.execute("DELETE FROM t_k WHERE a = 1")
+        assert source.table("t_k").live_rows() == [(2, "y")]
+
+        fresh = Database("recovered")
+        fresh.execute(ddl)
+        fresh.apply_records(durable_records(source.wal))
+        assert fresh.table("t_k").live_rows() == [(2, "y")]
+
 
 class TestReplaceRows:
     def test_keyless_duplicates_converge_by_count(self):

@@ -10,25 +10,33 @@ from repro.db.index import RUN_LENGTH, HashIndex, OrderedIndex
 
 
 class TestHashIndex:
+    """A one-column index is keyed by the bare value, a wider one by the
+    tuple of values."""
+
     def test_insert_lookup(self):
         idx = HashIndex("i", (0,))
-        idx.insert(("a",), 1)
-        idx.insert(("a",), 2)
-        assert idx.lookup(("a",)) == {1, 2}
+        idx.insert("a", 1)
+        idx.insert("a", 2)
+        assert idx.lookup("a") == {1, 2}
+        assert set(idx.lookup(("a",))) == set()  # a tuple is another key
 
     def test_lookup_missing_is_empty(self):
-        assert set(HashIndex("i", (0,)).lookup(("nope",))) == set()
+        assert set(HashIndex("i", (0,)).lookup("nope")) == set()
 
     def test_remove(self):
         idx = HashIndex("i", (0,))
-        idx.insert(("a",), 1)
-        idx.remove(("a",), 1)
-        assert set(idx.lookup(("a",))) == set()
+        idx.insert("a", 1)
+        idx.remove("a", 1)
+        assert set(idx.lookup("a")) == set()
         assert len(idx) == 0
 
     def test_remove_nonexistent_is_noop(self):
         idx = HashIndex("i", (0,))
-        idx.remove(("a",), 1)  # no raise
+        idx.remove("a", 1)  # no raise
+
+    def test_single_column_key_is_the_value(self):
+        idx = HashIndex("i", (1,))
+        assert idx.key_for(("ignored", "x")) == "x"
 
     def test_composite_key(self):
         idx = HashIndex("i", (0, 2))
@@ -37,9 +45,12 @@ class TestHashIndex:
 
     def test_distinct_keys(self):
         idx = HashIndex("i", (0,))
-        idx.insert(("a",), 1)
-        idx.insert(("b",), 2)
-        assert sorted(idx.distinct_keys()) == [("a",), ("b",)]
+        idx.insert_rows([(1, ("a", 0)), (2, ("b", 0)), (3, ("a", 1))])
+        assert sorted(idx.distinct_keys()) == ["a", "b"]
+        assert {key: set(rids) for key, rids in idx.postings()} == {
+            "a": {1, 3},
+            "b": {2},
+        }
 
 
 class TestOrderedIndex:

@@ -96,8 +96,11 @@ class OracleLog:
 
 
 def oracle_key(idx, row):
+    """A hash index over one column is keyed by the bare value, over
+    several by the tuple of values; an ordered index by the value."""
     if isinstance(idx, HashIndex):
-        return tuple(row[i] for i in idx.column_positions)
+        values = tuple(row[i] for i in idx.column_positions)
+        return values[0] if len(values) == 1 else values
     return row[idx.column_position]
 
 
@@ -108,12 +111,12 @@ def oracle_insert(table, values: dict):
             row[pos] = next(table._autoinc)
     row = tuple(row)  # a stored row is a tuple
     for positions, idx in table._unique:
-        key = tuple(row[p] for p in positions)
-        rids = idx.lookup(key)
+        rids = idx.lookup(oracle_key(idx, row))
         dead = sum(1 for rid in rids if table.heap.is_dead(rid))
         table.stats.dead_index_hits += dead
         if dead < len(rids):
             colname = table.schema.columns[positions[0]].name
+            key = tuple(row[p] for p in positions)  # the error shows the tuple
             raise DuplicateKeyError(table.schema.name, colname, key)
     rid = table.heap.insert(row)
     for idx in table._all_indexes:
@@ -150,7 +153,7 @@ def oracle_in_probe(table, column: str, items) -> list:
     found = []
     for key in dict.fromkeys(items):
         if key is not None:
-            found.extend(oracle_lookup_index(table, idx, (key,)))
+            found.extend(oracle_lookup_index(table, idx, key))
     return found
 
 
@@ -270,7 +273,7 @@ def run_oracle(engine, log: OracleLog, kind: str, arg):
         elif arg is None:
             matches = []
         else:
-            matches = oracle_lookup_index(table, table.find_hash_index(("ref",)), (arg,))
+            matches = oracle_lookup_index(table, table.find_hash_index(("ref",)), arg)
         for rid, _row in matches:
             log.log(OP_DELETE, "t_name", tuple(oracle_delete_rid(table, rid)))
         return len(matches)
@@ -369,7 +372,7 @@ def test_mvcc_deletes_leave_tombstones_and_charge_dead_hits_once_per_entry():
     assert table.stats.dead_index_hits == 2 * 2 * sum(range(5))
     before = table.stats.dead_index_hits
     rows = table.lookup_index_many(
-        table.find_hash_index(("name",)), [("hot",), ("cold",), ("nope",)]
+        table.find_hash_index(("name",)), ["hot", "cold", "nope"]
     )
     assert rows == [] and table.stats.dead_index_hits == before + 10
     assert table.vacuum() == 10 and table.check_integrity() == []

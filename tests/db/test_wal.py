@@ -1,5 +1,7 @@
 """Write-ahead log: encoding, flush policies, durability, recovery."""
 
+import time
+
 import pytest
 
 from repro.db.wal import (
@@ -11,6 +13,7 @@ from repro.db.wal import (
     decode_records,
     encode_record,
 )
+from repro.obs.metrics import MetricsRegistry
 from tests.db._log import durable_records
 
 
@@ -141,3 +144,18 @@ class TestSyncLatency:
         )
         wal.log(OP_INSERT, "t", (1,))
         assert slept == []
+
+    def test_the_flush_histogram_sums_time_spent_flushing(self):
+        """``wal.flush_latency`` observes each sync's duration: its sum is
+        at least the modelled latency slept and no more than the wall
+        time around the flushes."""
+        registry = MetricsRegistry()
+        device = InMemoryLogDevice(sync_latency=0.002)
+        wal = WriteAheadLog(device, flush_on_commit=True, metrics=registry)
+        start = time.perf_counter()
+        for i in range(5):
+            wal.log(OP_INSERT, "t", (i,))
+        wall = time.perf_counter() - start
+        flushes = registry.histogram("wal.flush_latency").snapshot()
+        assert flushes.count == device.sync_count == 5
+        assert 5 * 0.002 <= flushes.sum <= wall

@@ -316,3 +316,21 @@ def test_any_prefix_then_the_rest_replays_to_the_live_tables(floor, flavour):
 def log_after(wal, lsn: int) -> bytes:
     """The durable records after ``lsn`` (at or after the last checkpoint)."""
     return wal.reader(lsn).read()[0]
+
+
+def test_a_readers_backlog_counts_the_records_after_it(floor):
+    """Three records, a checkpoint (LSN 4, which carries no record), two
+    more: a reader before the checkpoint is behind by every record after
+    it but the checkpoint's LSN, one at or after it by the LSNs after it."""
+    floor(1_000)
+    engine = MySQLEngine(flush_on_commit=False, sync_latency=0.0)
+    engine.execute(DDL)
+    insert = "INSERT INTO t (name, ref) VALUES (?, ?)"
+    for i in range(3):
+        engine.execute(insert, [f"n{i}", i])
+    engine.wal.checkpoint()
+    for i in range(3, 5):
+        engine.execute(insert, [f"n{i}", i])
+    assert (engine.wal.checkpoint_lsn, engine.wal.last_lsn) == (4, 6)
+    backlog = {lsn: engine.wal.reader(lsn).backlog for lsn in range(8)}
+    assert backlog == {0: 5, 1: 4, 2: 3, 3: 2, 4: 2, 5: 1, 6: 0, 7: 0}
